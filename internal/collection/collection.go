@@ -5,8 +5,10 @@
 package collection
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/tokenize"
@@ -211,35 +213,82 @@ func (c *Collection) Tokenizer() tokenize.Tokenizer { return c.tk }
 // NumTokens reports the number of distinct tokens in the corpus.
 func (c *Collection) NumTokens() int { return len(c.df) }
 
-// TokenSets enumerates, for every token, the ids of the sets containing it
-// in ascending id order, invoking fn(token, ids). The ids slice is reused
-// across invocations. This is the single pass the index builders use.
-func (c *Collection) TokenSets(fn func(t tokenize.Token, ids []SetID)) {
-	// Bucket pass: offsets via local-occurrence prefix sums, then fill.
-	// The counts are recomputed from the sets rather than taken from df,
-	// which holds global frequencies in BuildWithStats collections.
-	local := make([]int, len(c.df))
+// TokenOffsets returns the bucket layout every per-token pass shares:
+// token t's entries occupy [off[t], off[t+1]) of a flat array holding
+// off[NumTokens()] entries, one per (set, token) occurrence. The counts
+// are recomputed from the sets rather than taken from df, which holds
+// global frequencies in BuildWithStats collections.
+func (c *Collection) TokenOffsets() []uint32 {
+	off := make([]uint32, len(c.df)+1)
+	total := 0
 	for _, set := range c.sets {
+		total += len(set)
 		for _, cnt := range set {
-			local[cnt.Token]++
+			off[cnt.Token+1]++
 		}
 	}
-	offsets := make([]int, len(c.df)+1)
-	for t, n := range local {
-		offsets[t+1] = offsets[t] + n
+	if total > math.MaxUint32 {
+		panic("collection: more than 2^32 postings in one collection")
 	}
-	total := offsets[len(c.df)]
-	flat := make([]SetID, total)
-	next := make([]int, len(c.df))
-	copy(next, offsets[:len(c.df)])
-	for id, set := range c.sets {
-		for _, cnt := range set {
-			flat[next[cnt.Token]] = SetID(id)
+	for t := 1; t < len(off); t++ {
+		off[t] += off[t-1]
+	}
+	return off
+}
+
+// FillBuckets runs the bucket fill over the TokenOffsets layout off: it
+// visits the sets in the given order (nil: ascending id) and, for every
+// token of a set, calls put with the next free slot of that token's
+// bucket. Each bucket therefore receives its set ids in visiting order,
+// which is how the index builders obtain sorted lists without sorting
+// them.
+func (c *Collection) FillBuckets(off []uint32, order []SetID, put func(slot uint32, id SetID)) {
+	next := make([]uint32, len(c.df))
+	copy(next, off)
+	visit := func(id SetID) {
+		for _, cnt := range c.sets[id] {
+			put(next[cnt.Token], id)
 			next[cnt.Token]++
 		}
 	}
+	if order == nil {
+		for id := range c.sets {
+			visit(SetID(id))
+		}
+		return
+	}
+	for _, id := range order {
+		visit(id)
+	}
+}
+
+// SetsByLength returns every set id ordered by (Length, id) ascending:
+// the visiting order under which FillBuckets yields length-sorted lists.
+func (c *Collection) SetsByLength() []SetID {
+	order := make([]SetID, len(c.sets))
+	for i := range order {
+		order[i] = SetID(i)
+	}
+	slices.SortFunc(order, func(a, b SetID) int {
+		if la, lb := c.lens[a], c.lens[b]; la < lb {
+			return -1
+		} else if la > lb {
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
+// TokenSets enumerates, for every token, the ids of the sets containing it
+// in ascending id order, invoking fn(token, ids). The ids slices alias one
+// flat array that does not outlive the call.
+func (c *Collection) TokenSets(fn func(t tokenize.Token, ids []SetID)) {
+	off := c.TokenOffsets()
+	flat := make([]SetID, off[len(c.df)])
+	c.FillBuckets(off, nil, func(slot uint32, id SetID) { flat[slot] = id })
 	for t := range c.df {
-		fn(tokenize.Token(t), flat[offsets[t]:offsets[t+1]])
+		fn(tokenize.Token(t), flat[off[t]:off[t+1]])
 	}
 }
 

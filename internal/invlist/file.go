@@ -53,9 +53,6 @@ type tocEntry struct {
 // WriteFile builds the disk-resident index for c at path. skipInterval ≤ 0
 // selects SkipInterval.
 func WriteFile(path string, c *collection.Collection, skipInterval int) (err error) {
-	if skipInterval <= 0 {
-		skipInterval = SkipInterval
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -76,66 +73,46 @@ func WriteFile(path string, c *collection.Collection, skipInterval int) (err err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
 	var buf [16]byte
-	writeErr := error(nil)
-	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
-		if writeErr != nil {
-			return
-		}
-		ps := make([]Posting, len(ids))
-		for i, id := range ids {
-			ps[i] = Posting{ID: id, Len: c.Length(id)}
-		}
-		wl := make([]Posting, len(ps))
-		copy(wl, ps)
-		sort.Slice(wl, func(i, j int) bool {
-			if wl[i].Len != wl[j].Len {
-				return wl[i].Len < wl[j].Len
-			}
-			return wl[i].ID < wl[j].ID
-		})
-
+	// The file holds the lists and skip samples of the in-memory index,
+	// so both stores answer every scan and seek identically.
+	ms := BuildMem(c, skipInterval)
+	for t := range toc {
+		wl := ms.weight[ms.off[t]:ms.off[t+1]]
 		e := &toc[t]
 		e.wOff, e.wCount = off, uint32(len(wl))
 		for _, p := range wl {
 			binary.LittleEndian.PutUint64(buf[0:], uint64(p.ID))
 			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Len))
-			if _, werr := w.Write(buf[:16]); werr != nil {
-				writeErr = werr
-				return
+			if _, err := w.Write(buf[:16]); err != nil {
+				return err
 			}
 		}
 		off += uint64(len(wl)) * postingSize
 
+		ps := ms.byID[ms.off[t]:ms.off[t+1]]
 		e.iOff, e.iCount = off, uint32(len(ps))
 		var prev uint64
-		var ibytes uint32
 		for _, p := range ps {
 			nb := binary.PutUvarint(buf[:10], uint64(p.ID)-prev)
 			prev = uint64(p.ID)
 			binary.LittleEndian.PutUint64(buf[nb:], math.Float64bits(p.Len))
-			if _, werr := w.Write(buf[:nb+8]); werr != nil {
-				writeErr = werr
-				return
+			if _, err := w.Write(buf[:nb+8]); err != nil {
+				return err
 			}
-			ibytes += uint32(nb + 8)
+			e.iBytes += uint32(nb + 8)
 		}
-		e.iBytes = ibytes
-		off += uint64(ibytes)
+		off += uint64(e.iBytes)
 
-		e.sOff = off
-		for i := skipInterval; i < len(wl); i += skipInterval {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(wl[i].Len))
-			binary.LittleEndian.PutUint32(buf[8:], uint32(i))
-			if _, werr := w.Write(buf[:12]); werr != nil {
-				writeErr = werr
-				return
+		samples := ms.skips[ms.skipOff[t]:ms.skipOff[t+1]]
+		e.sOff, e.sCount = off, uint32(len(samples))
+		for j, l := range samples {
+			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(l))
+			binary.LittleEndian.PutUint32(buf[8:], uint32((j+1)*ms.interval))
+			if _, err := w.Write(buf[:12]); err != nil {
+				return err
 			}
-			e.sCount++
 		}
 		off += uint64(e.sCount) * skipEntrySize
-	})
-	if writeErr != nil {
-		return writeErr
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -2,14 +2,17 @@
 // §VIII): for every token, a list of (set id, normalized length) postings
 // stored in two sort orders — by ascending id for the multiway-merge
 // baseline, and by ascending length (equivalently, descending per-token
-// contribution wᵢ) for TA/NRA-style algorithms — plus a skip list per
+// contribution wᵢ) for TA/NRA-style algorithms — plus a skip index per
 // weight-sorted list so that Length Boundedness can jump directly to the
-// first entry of a given length.
+// first entry of a given length. The skip index is static: the length of
+// every SkipInterval-th posting, binary-searched.
 //
-// Two stores are provided: MemStore keeps the lists in memory; FileStore
-// is the disk-resident binary format (one file, varint-compressed
-// id-sorted lists, fixed-width weight-sorted lists, serialized skip
-// entries) with sequential block reads.
+// Two stores are provided: MemStore keeps the lists in memory, as two
+// posting arenas and one arena of skip samples; FileStore is the
+// disk-resident binary format (one file, varint-compressed id-sorted
+// lists, fixed-width weight-sorted lists, serialized skip entries) with
+// sequential block reads. Both seek by the same rule: jump to the last
+// sampled position whose length is below the target, then walk.
 package invlist
 
 import (

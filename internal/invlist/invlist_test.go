@@ -12,19 +12,25 @@ import (
 	"repro/internal/tokenize"
 )
 
-func buildCollection(t testing.TB, n int, seed int64) *collection.Collection {
-	t.Helper()
+// randomBuilder holds n random strings of 3 to 3+spread-1 letters over
+// the first alphabet letters, tokenized into 3-grams.
+func randomBuilder(n int, seed int64, alphabet, spread int) *collection.Builder {
 	rng := rand.New(rand.NewSource(seed))
 	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 3}, false)
 	for i := 0; i < n; i++ {
-		ln := 3 + rng.Intn(12)
+		ln := 3 + rng.Intn(spread)
 		var sb strings.Builder
 		for j := 0; j < ln; j++ {
-			sb.WriteByte(byte('a' + rng.Intn(8)))
+			sb.WriteByte(byte('a' + rng.Intn(alphabet)))
 		}
 		b.Add(sb.String())
 	}
-	return b.Build()
+	return b
+}
+
+func buildCollection(t testing.TB, n int, seed int64) *collection.Collection {
+	t.Helper()
+	return randomBuilder(n, seed, 8, 12).Build()
 }
 
 func drain(c Cursor) []Posting {
@@ -173,6 +179,17 @@ func TestSizesPopulated(t *testing.T) {
 	}
 	if z.Total() != z.WeightLists+z.IDLists+z.SkipIndexes {
 		t.Errorf("Total mismatch")
+	}
+	// One 8-byte sampled length per skip entry, every 2nd posting after
+	// the first: no estimate of pointers or towers.
+	var entries int64
+	for tok := 0; tok < c.NumTokens(); tok++ {
+		if n := st.ListLen(tokenize.Token(tok)); n > 0 {
+			entries += int64((n - 1) / 2)
+		}
+	}
+	if z.SkipIndexes != 8*entries {
+		t.Errorf("skip index accounted as %d bytes, want 8 × %d entries", z.SkipIndexes, entries)
 	}
 	if z.SkipIndexes >= z.WeightLists {
 		t.Errorf("skip index %d should be far smaller than lists %d",

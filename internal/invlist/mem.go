@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/collection"
-	"repro/internal/skiplist"
 	"repro/internal/tokenize"
 )
 
@@ -14,121 +13,130 @@ import (
 // of list volume.
 const SkipInterval = 64
 
-// skipBytesPerEntry approximates the storage cost of one skip entry
-// (length key + position + amortized tower pointers).
-const skipBytesPerEntry = 24
+// skipSampleBytes is the storage cost of one skip entry: the sampled
+// length. Its position is implicit in the sample's index.
+const skipSampleBytes = 8
 
-// MemStore keeps all inverted lists in memory. It is safe for concurrent
-// readers once built.
+// MemStore keeps all inverted lists in memory as a static flat index:
+// two posting arenas sharing one offset table, and one arena of sampled
+// lengths serving as every weight list's skip index. It is immutable
+// once built and safe for concurrent readers.
 type MemStore struct {
-	weight [][]Posting // per token, sorted by (Len, ID)
-	byID   [][]Posting // per token, sorted by ID
-	skips  []*skiplist.List[float64, int]
-	sizes  Sizes
+	weight []Posting // token t's (Len, ID)-sorted list is weight[off[t]:off[t+1]]
+	byID   []Posting // token t's ID-sorted list is byID[off[t]:off[t+1]]
+	off    []uint32  // NumTokens+1 arena offsets, shared by both orders
+	// skips[skipOff[t]:skipOff[t+1]] are token t's skip samples: sample j
+	// is the length of the weight-list posting at position (j+1)·interval.
+	// Position 0 is never sampled: a skip entry there can never shorten a
+	// seek, and for the many short lists it would dominate the index size.
+	skips    []float64
+	skipOff  []uint32
+	interval int
+	sizes    Sizes
 }
 
 // BuildMem constructs a MemStore over every token of c. skipInterval ≤ 0
-// selects SkipInterval.
+// selects SkipInterval. The build makes a constant number of allocations
+// and sorts nothing but the set ids: filling the buckets in (Len, ID)
+// order of the sets leaves every weight list (Len, ID)-sorted.
 func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	if skipInterval <= 0 {
 		skipInterval = SkipInterval
 	}
+	off := c.TokenOffsets()
 	n := c.NumTokens()
 	st := &MemStore{
-		weight: make([][]Posting, n),
-		byID:   make([][]Posting, n),
-		skips:  make([]*skiplist.List[float64, int], n),
+		weight:   make([]Posting, off[n]),
+		byID:     make([]Posting, off[n]),
+		off:      off,
+		skipOff:  make([]uint32, n+1),
+		interval: skipInterval,
 	}
-	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
-		ps := make([]Posting, len(ids))
-		for i, id := range ids {
-			ps[i] = Posting{ID: id, Len: c.Length(id)}
-		}
-		st.byID[t] = ps // TokenSets yields ascending ids
-
-		w := make([]Posting, len(ps))
-		copy(w, ps)
-		sort.Slice(w, func(i, j int) bool {
-			if w[i].Len != w[j].Len {
-				return w[i].Len < w[j].Len
-			}
-			return w[i].ID < w[j].ID
+	fill := func(arena []Posting, order []collection.SetID) {
+		c.FillBuckets(off, order, func(slot uint32, id collection.SetID) {
+			arena[slot] = Posting{ID: id, Len: c.Length(id)}
 		})
-		st.weight[t] = w
+	}
+	fill(st.byID, nil)
+	fill(st.weight, c.SetsByLength())
 
-		sk := skiplist.New[float64, int](func(a, b float64) bool { return a < b }, int64(t)+1)
-		// The first entry sits one interval in: a skip entry at position
-		// 0 can never shorten a seek, and for the many short lists it
-		// would dominate the index size.
-		for i := skipInterval; i < len(w); i += skipInterval {
-			// On duplicate lengths the last writer wins, storing the
-			// largest indexed position for each length. Seeks use
-			// SeekLT (strictly less than the target), so landing on any
-			// position whose length is below the target is safe — the
-			// list is length-sorted, so nothing ≥ target lies before it.
-			sk.Set(w[i].Len, i)
+	for t := 0; t < n; t++ {
+		count := int(off[t+1] - off[t])
+		st.skipOff[t+1] = st.skipOff[t] + uint32(max(count-1, 0)/skipInterval)
+	}
+	st.skips = make([]float64, st.skipOff[n])
+	for t := 0; t < n; t++ {
+		w := st.weight[off[t]:off[t+1]]
+		samples := st.skips[st.skipOff[t]:st.skipOff[t+1]]
+		for j := range samples {
+			samples[j] = w[(j+1)*skipInterval].Len
 		}
-		st.skips[t] = sk
-		st.sizes.WeightLists += int64(len(w)) * 16
-		st.sizes.IDLists += int64(len(ps)) * 16
-		st.sizes.SkipIndexes += int64(sk.Len()) * skipBytesPerEntry
-	})
+	}
+
+	st.sizes = Sizes{
+		WeightLists: int64(len(st.weight)) * postingSize,
+		IDLists:     int64(len(st.byID)) * postingSize,
+		SkipIndexes: int64(len(st.skips)) * skipSampleBytes,
+	}
 	return st
 }
 
-// WeightCursor implements Store.
-func (s *MemStore) WeightCursor(t tokenize.Token) Cursor {
-	if int(t) >= len(s.weight) || len(s.weight[t]) == 0 {
-		return Empty()
+// span returns token t's range in the posting arenas, empty for a token
+// the store does not know.
+func (s *MemStore) span(t tokenize.Token) (lo, hi uint32) {
+	if int(t) >= len(s.off)-1 {
+		return 0, 0
 	}
-	return &memCursor{list: s.weight[t], skip: s.skips[t]}
+	return s.off[t], s.off[t+1]
 }
+
+// open positions a cursor at the start of token t's list in the chosen
+// order. prev, when it is a cursor this store handed out earlier, is
+// rebound in place — to an exhausted cursor for an unknown or empty
+// token, so the caller's cursor slot stays reusable either way;
+// otherwise a new cursor is returned.
+func (s *MemStore) open(t tokenize.Token, prev Cursor, byLen bool) Cursor {
+	lo, hi := s.span(t)
+	mc, reuse := prev.(*memCursor)
+	if !reuse {
+		if lo == hi {
+			return Empty()
+		}
+		mc = new(memCursor)
+	}
+	*mc = memCursor{byLen: byLen}
+	switch {
+	case lo == hi: // stays exhausted
+	case byLen:
+		mc.list = s.weight[lo:hi]
+		mc.skip = s.skips[s.skipOff[t]:s.skipOff[t+1]]
+		mc.interval = s.interval
+	default:
+		mc.list = s.byID[lo:hi]
+	}
+	return mc
+}
+
+// WeightCursor implements Store.
+func (s *MemStore) WeightCursor(t tokenize.Token) Cursor { return s.open(t, nil, true) }
 
 // IDCursor implements Store.
-func (s *MemStore) IDCursor(t tokenize.Token) Cursor {
-	if int(t) >= len(s.byID) || len(s.byID[t]) == 0 {
-		return Empty()
-	}
-	return &memCursor{list: s.byID[t]} // no skip index: not length-sorted
-}
+func (s *MemStore) IDCursor(t tokenize.Token) Cursor { return s.open(t, nil, false) }
 
-// WeightCursorReuse implements CursorReuser: when prev is a cursor this
-// store handed out earlier, it is rewound onto token t's weight list in
-// place. Unknown or empty tokens reset prev to an exhausted cursor, so
-// the caller's cursor slot stays reusable either way.
+// WeightCursorReuse implements CursorReuser.
 func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
-	mc, ok := prev.(*memCursor)
-	if !ok {
-		return s.WeightCursor(t)
-	}
-	if int(t) >= len(s.weight) || len(s.weight[t]) == 0 {
-		mc.list, mc.skip, mc.pos = nil, nil, 0
-		return mc
-	}
-	mc.list, mc.skip, mc.pos = s.weight[t], s.skips[t], 0
-	return mc
+	return s.open(t, prev, true)
 }
 
 // IDCursorReuse implements CursorReuser for the id-sorted lists.
 func (s *MemStore) IDCursorReuse(t tokenize.Token, prev Cursor) Cursor {
-	mc, ok := prev.(*memCursor)
-	if !ok {
-		return s.IDCursor(t)
-	}
-	if int(t) >= len(s.byID) || len(s.byID[t]) == 0 {
-		mc.list, mc.skip, mc.pos = nil, nil, 0
-		return mc
-	}
-	mc.list, mc.skip, mc.pos = s.byID[t], nil, 0
-	return mc
+	return s.open(t, prev, false)
 }
 
 // ListLen implements Store.
 func (s *MemStore) ListLen(t tokenize.Token) int {
-	if int(t) >= len(s.weight) {
-		return 0
-	}
-	return len(s.weight[t])
+	lo, hi := s.span(t)
+	return int(hi - lo)
 }
 
 // Sizes implements Store.
@@ -138,9 +146,14 @@ func (s *MemStore) Sizes() Sizes { return s.sizes }
 func (s *MemStore) Close() error { return nil }
 
 type memCursor struct {
-	list []Posting
-	skip *skiplist.List[float64, int]
-	pos  int
+	list     []Posting
+	skip     []float64 // skip[j] == list[(j+1)*interval].Len
+	interval int
+	// byLen marks a cursor over a length-sorted list, the only kind
+	// SeekLen moves. It is independent of skip, which is empty for any
+	// weight list no longer than one interval.
+	byLen bool
+	pos   int
 }
 
 func (c *memCursor) Valid() bool      { return c.pos < len(c.list) }
@@ -154,14 +167,16 @@ func (c *memCursor) Count() int       { return len(c.list) }
 // are skipped without being touched — those are the savings Fig. 9
 // measures.
 func (c *memCursor) SeekLen(min float64) (skipped, walked int) {
-	if c.skip == nil || !c.Valid() || c.list[c.pos].Len >= min {
+	if !c.byLen || !c.Valid() || c.list[c.pos].Len >= min {
 		return 0, 0
 	}
 	start := c.pos
-	if _, pos, ok := c.skip.SeekLT(min); ok && pos > c.pos {
-		// w[pos].Len < min and the list is length-sorted, so no posting
-		// with Len ≥ min can precede pos: the jump skips only prunable
-		// entries.
+	// Land on the largest sampled position whose length is below min:
+	// k of the ascending samples are below min, and sample j sits at
+	// position (j+1)·interval, so that is position k·interval (0: none).
+	// The list is length-sorted, so no posting with Len ≥ min can precede
+	// it and the jump skips only prunable entries.
+	if pos := sort.SearchFloat64s(c.skip, min) * c.interval; pos > c.pos {
 		c.pos = pos
 	}
 	skipped = c.pos - start

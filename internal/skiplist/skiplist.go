@@ -2,7 +2,13 @@
 // with O(log n) expected search, insert and delete. The paper attaches a
 // skip list to every weight-sorted inverted list so that algorithms using
 // Length Boundedness can jump to the first entry with a given length
-// (§VIII, Fig. 9); it is also a general ordered-map substrate.
+// (§VIII, Fig. 9).
+//
+// Nothing in the library imports this package any more: the inverted
+// lists are immutable, so internal/invlist indexes them with a static
+// array of sampled lengths. The package remains only because the
+// benchmark's skiplist.seek_ns probe (bench/probes.go) compiles against
+// New, Set and Seek; retire the probe and the package together.
 package skiplist
 
 import "math/rand"
