@@ -4,16 +4,7 @@
 //
 // Usage:
 //
-//	ssbench [flags] [table1|fig5|fig6|fig7|fig8|fig9|core|all]
-//
-// The core experiment benchmarks the engine's steady-state query path
-// (warm, cold, top-k and batch-parallel) and writes the machine-readable
-// BENCH_core.json used to track ns/op and allocs/op across changes; it is
-// not part of "all". It also benchmarks the same warm query against a
-// compacted single-segment LiveEngine ("warm-live") so segment-store
-// overhead stays visible. With -mutate it additionally runs an
-// interleaved insert/delete/query workload and records the resulting
-// segment and compaction counters in the report.
+//	ssbench [flags] [table1|fig5|fig6|fig7|fig8|fig9|tuning|all]
 //
 // Flags:
 //
@@ -22,9 +13,6 @@
 //	-seed N      RNG seed (default 1)
 //	-clusters N  Table I clusters per dataset (default 150)
 //	-dups N      Table I duplicates per cluster (default 4)
-//	-out FILE    core: output path for BENCH_core.json
-//	-mutate      core: also run the mutation workload
-//	-only RE     core: run only cases whose name matches RE
 package main
 
 import (
@@ -43,9 +31,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed")
 	clusters := flag.Int("clusters", 150, "Table I clusters per dataset")
 	dups := flag.Int("dups", 4, "Table I duplicates per cluster")
-	out := flag.String("out", "BENCH_core.json", "core: output path for the benchmark report")
-	mutate := flag.Bool("mutate", false, "core: also run an insert/delete/query workload on a live engine")
-	only := flag.String("only", "", "core: run only benchmark cases whose name matches this regexp")
 	flag.Parse()
 
 	which := "all"
@@ -53,11 +38,6 @@ func main() {
 		which = flag.Arg(0)
 	}
 	setup := experiments.Setup{Seed: *seed, Rows: *rows, Queries: *queries}
-
-	if which == "core" {
-		runCore(setup, *out, *mutate, *only)
-		return
-	}
 
 	run := map[string]bool{}
 	switch which {

@@ -123,7 +123,7 @@ func Read(r io.Reader) (*Collection, error) {
 	}
 	getString := func() (string, bool) {
 		n, ok := getUvarint()
-		if !ok || pos+int(n) > len(payload) {
+		if !ok || n > uint64(len(payload)-pos) {
 			return "", false
 		}
 		s := string(payload[pos : pos+int(n)])
@@ -172,12 +172,18 @@ func Read(r io.Reader) (*Collection, error) {
 	}
 	hasSource := payload[pos] == 1
 	pos++
+	// Every set takes at least three payload bytes and every entry at
+	// least two, so counts past the bytes remaining are corrupt — checked
+	// before they size an allocation.
+	if uint64(numSets) > uint64(len(payload)-pos) {
+		return nil, fail("set table")
+	}
 
 	b := &Builder{dict: dict, tk: tk, keepSource: hasSource}
 	b.sets = make([][]tokenize.Count, numSets)
 	for i := range b.sets {
 		n, ok := getUvarint()
-		if !ok {
+		if !ok || n > uint64(len(payload)-pos) {
 			return nil, fail("set header")
 		}
 		set := make([]tokenize.Count, n)

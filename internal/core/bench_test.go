@@ -10,8 +10,7 @@ import (
 // Core-path benchmarks: cold (first query on a fresh engine, pools
 // empty), warm (steady state, the zero-allocation target), and parallel
 // (batch throughput, per-worker scratch). Run with -benchmem; the CI
-// smoke job executes them once per build, and cmd/ssbench core emits the
-// same measurements as BENCH_core.json.
+// smoke job executes them once per build.
 
 // benchCorpus is shared across benchmarks in this package (built once).
 var benchEngine *Engine

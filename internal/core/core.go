@@ -78,23 +78,6 @@ type Options struct {
 	// NoSkipIndex performs the initial length seek by sequential reads
 	// instead of the skip index (the "NSL" variants of Fig. 9).
 	NoSkipIndex bool
-	// NoShardPrune disables per-shard summary pruning on a routed
-	// ShardedEngine: every query fans out to all shards, PR 5-style, but
-	// over the same similarity-aware partitions. The per-query ablation
-	// twin of Config.NoRoute; answers are bitwise-identical either way.
-	NoShardPrune bool
-	// NoSecondMoment drops the Cauchy–Schwarz refinement of the shard
-	// magnitude bound (see shardBound): the planner falls back to the
-	// plain first-moment Σ idf² overlap estimate. Ablation knob for the
-	// mid-flight top-k recheck; answers are bitwise-identical either way.
-	NoSecondMoment bool
-	// NoBatchAffinity makes SelectBatch on a routed ShardedEngine hand
-	// workers queries in plain submission order instead of grouping
-	// queries that route to the same shard set onto the same worker.
-	// Ablation twin for the batch scheduler; per-query results are
-	// identical either way (results are always indexed by submission
-	// position).
-	NoBatchAffinity bool
 }
 
 // Result is one qualifying set with its exact IDF score.

@@ -3,14 +3,12 @@
 // single-engine execution (also the per-shard and per-segment unit of
 // the fan-outs), ShardedEngine.runFan is the scatter-gather execution,
 // LiveEngine.runLivePlan the snapshot-pinned one, and runBatch the one
-// inter-query scheduler — affinity-grouped on routed fleets so queries
-// landing on the same shards run back to back on the same worker.
+// inter-query scheduler.
 package core
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -227,7 +225,7 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 		if len(q.Tokens) == 0 {
 			continue // no query token occurs in this segment
 		}
-		if g.sum != nil && !p.opts.NoShardPrune {
+		if g.sum != nil {
 			// Route stage at segment granularity. A zero bound means no
 			// query token occurs here — nothing can score, and no
 			// algorithm emits zero-score documents. Threshold selections
@@ -239,7 +237,7 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 			if p.kind == planSelect {
 				sp.lo, sp.hi = lengthWindow(q, p.tau, &p.opts)
 			}
-			b := shardBound(g.sum, q, !p.opts.NoSecondMoment)
+			b := shardBound(g.sum, q)
 			s := shared.load()
 			if !shardActive(g.sum, b, &sp) || (p.kind == planTopK && s > 0 && !boundMeets(b, s)) {
 				t := g.eng.queryListTotal(q)
@@ -299,37 +297,13 @@ func normWorkers(workers int) int {
 }
 
 // runBatch drains a batch over a bounded worker pool — the one
-// inter-query scheduler behind every shape's SelectBatchCtx. The
-// execution order is perm (nil: submission order) sliced into groups by
-// starts (nil: one query per group); workers claim whole groups under
-// the mutex, so affinity-grouped queries run back to back on a single
-// worker. out is indexed by original query position regardless of the
-// execution order.
-func runBatch(n, workers int, perm, starts []int32, fn func(qi int) BatchResult) []BatchResult {
+// inter-query scheduler behind every shape's SelectBatchCtx. Workers
+// claim query indices in submission order; out is indexed by query
+// position.
+func runBatch(n, workers int, fn func(qi int) BatchResult) []BatchResult {
 	out := make([]BatchResult, n)
-	if n == 0 {
-		return out
-	}
-	if starts != nil && workers > 1 {
-		// Split oversized affinity groups into bounded chunks: whole-group
-		// claiming keeps shard locality, but a group much larger than a
-		// worker's fair share would serialize its tail on one worker while
-		// the others sit idle.
-		maxChunk := (n + 4*workers - 1) / (4 * workers)
-		refined := make([]int32, 0, len(starts))
-		for g := 0; g+1 < len(starts); g++ {
-			for s := starts[g]; s < starts[g+1]; s += int32(maxChunk) {
-				refined = append(refined, s)
-			}
-		}
-		starts = append(refined, starts[len(starts)-1])
-	}
-	groups := n
-	if starts != nil {
-		groups = len(starts) - 1
-	}
-	if workers > groups {
-		workers = groups
+	if workers > n {
+		workers = n
 	}
 	var next int
 	var mu sync.Mutex
@@ -340,110 +314,16 @@ func runBatch(n, workers int, perm, starts []int32, fn func(qi int) BatchResult)
 			defer wg.Done()
 			for {
 				mu.Lock()
-				g := next
+				qi := next
 				next++
 				mu.Unlock()
-				if g >= groups {
+				if qi >= n {
 					return
 				}
-				lo, hi := g, g+1
-				if starts != nil {
-					lo, hi = int(starts[g]), int(starts[g+1])
-				}
-				for j := lo; j < hi; j++ {
-					qi := j
-					if perm != nil {
-						qi = int(perm[j])
-					}
-					out[qi] = fn(qi)
-				}
+				out[qi] = fn(qi)
 			}
 		}()
 	}
 	wg.Wait()
 	return out
-}
-
-// affinityKey fingerprints which shards a query's fan-out touches: bit
-// sh mod 64 is set when shard sh survives the route stage. Queries with
-// equal keys hit the same shard engines, so running them consecutively
-// on one worker reuses those shards' warm scratch pools and caches.
-// Fleets past 64 shards fold onto the 64 bits — grouping quality
-// decays, correctness is unaffected (the key only orders work).
-func (se *ShardedEngine) affinityKey(q Query, p *queryPlan) uint64 {
-	var key uint64
-	for sh := range se.shards {
-		sum := se.sums[sh]
-		if shardActive(sum, shardBound(sum, q, !p.opts.NoSecondMoment), p) {
-			key |= 1 << (uint(sh) & 63)
-		}
-	}
-	return key
-}
-
-// affinityInsertionMax bounds affinityOrder's insertion sort, mirroring
-// sortResultsInsertionMax: small batches dominate and stay closure-free.
-const affinityInsertionMax = 64
-
-// affinityOrder computes the deterministic batch execution order:
-// query indices stably sorted by (affinity key, submission index) and
-// sliced into one group per distinct key. The order depends only on the
-// queries, τ, the options and the fleet's summaries — never on worker
-// timing — so repeated calls schedule identically. nil, nil (submission
-// order, one query per group) when the fleet is unrouted, affinity is
-// disabled, or the batch is trivial.
-func (se *ShardedEngine) affinityOrder(queries []Query, tau float64, alg Algorithm, opts *Options) (perm, starts []int32) {
-	if se.sums == nil || len(queries) < 2 || (opts != nil && opts.NoBatchAffinity) {
-		return nil, nil
-	}
-	// Repeated queries are the textbook affinity batch, so memoize keys
-	// by token-slice identity: a re-submitted Prepare result shares its
-	// backing array and skips the per-shard bound pass entirely.
-	type tokID struct {
-		head *QueryToken
-		n    int
-	}
-	seen := make(map[tokID]uint64, len(queries))
-	keys := make([]uint64, len(queries))
-	for i := range queries {
-		var id tokID
-		if n := len(queries[i].Tokens); n > 0 {
-			id = tokID{&queries[i].Tokens[0], n}
-			if k, ok := seen[id]; ok {
-				keys[i] = k
-				continue
-			}
-		}
-		p, err := selectPlan(queries[i], tau, alg, opts)
-		if err != nil {
-			continue // invalid queries group under key 0; they fail identically wherever they run
-		}
-		keys[i] = se.affinityKey(queries[i], &p)
-		if id.head != nil {
-			seen[id] = keys[i]
-		}
-	}
-	perm = make([]int32, len(queries))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if len(perm) <= affinityInsertionMax {
-		// Insertion sort on (key, submission index): already stable, and
-		// for the common modest batch it avoids sort.SliceStable's
-		// reflection setup — ordering must stay cheaper than the queries.
-		for i := 1; i < len(perm); i++ {
-			for j := i; j > 0 && keys[perm[j]] < keys[perm[j-1]]; j-- {
-				perm[j], perm[j-1] = perm[j-1], perm[j]
-			}
-		}
-	} else {
-		sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	}
-	starts = make([]int32, 1, len(queries)+1)
-	for j := 1; j < len(perm); j++ {
-		if keys[perm[j]] != keys[perm[j-1]] {
-			starts = append(starts, int32(j))
-		}
-	}
-	return perm, append(starts, int32(len(perm)))
 }

@@ -860,7 +860,7 @@ func (le *LiveEngine) SelectBatch(queries []LiveQuery, tau float64, alg Algorith
 // SelectBatchCtx is SelectBatch under a context; cancellation stops
 // in-flight queries mid-scan and fails the remainder immediately.
 func (le *LiveEngine) SelectBatchCtx(ctx context.Context, queries []LiveQuery, tau float64, alg Algorithm, opts *Options, workers int) []BatchResult {
-	return runBatch(len(queries), normWorkers(workers), nil, nil, func(qi int) BatchResult {
+	return runBatch(len(queries), normWorkers(workers), func(qi int) BatchResult {
 		res, st, err := le.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})

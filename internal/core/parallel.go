@@ -42,7 +42,7 @@ func (e *Engine) SelectBatch(queries []Query, tau float64, alg Algorithm, opts *
 // the not-yet-started remainder immediately; every affected entry carries
 // ctx.Err() in its Err field.
 func (e *Engine) SelectBatchCtx(ctx context.Context, queries []Query, tau float64, alg Algorithm, opts *Options, workers int) []BatchResult {
-	return runBatch(len(queries), normWorkers(workers), nil, nil, func(qi int) BatchResult {
+	return runBatch(len(queries), normWorkers(workers), func(qi int) BatchResult {
 		res, st, err := e.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})

@@ -176,27 +176,28 @@ func computePipelineFingerprints(t *testing.T) map[string]string {
 	})
 
 	// Sharded fleets: similarity-routed partitions at K∈{1,2,4,8}, every
-	// algorithm, pruning on and off, top-k and batch.
+	// algorithm, top-k and batch. The prune=off fixtures run on the
+	// hash-partitioned (Config.NoRoute) build of the same corpus, which
+	// carries no summaries and visits every shard.
 	for _, K := range []int{1, 2, 4, 8} {
 		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
+		hashed := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{NoRoute: true})
 		for _, alg := range pipelineAllAlgs() {
 			for _, tau := range pipelineTaus {
-				for _, prune := range []bool{true, false} {
-					var opts *Options
-					name := "on"
-					if !prune {
-						opts = &Options{NoShardPrune: true}
-						name = "off"
-					}
-					f.add(fmt.Sprintf("sharded/K=%d/select/%v/tau=%g/prune=%s", K, alg, tau, name), func(h interface{ Write([]byte) (int, error) }) {
+				for _, fleet := range []struct {
+					name string
+					se   *ShardedEngine
+				}{{"on", se}, {"off", hashed}} {
+					f.add(fmt.Sprintf("sharded/K=%d/select/%v/tau=%g/prune=%s", K, alg, tau, fleet.name), func(h interface{ Write([]byte) (int, error) }) {
 						for _, qs := range queryDocs {
-							res, _, err := se.Select(se.Prepare(qs), tau, alg, opts)
+							res, _, err := fleet.se.Select(fleet.se.Prepare(qs), tau, alg, nil)
 							fpFold(h, res, err)
 						}
 					})
 				}
 			}
 		}
+		hashed.Close()
 		for _, alg := range pipelineTopKA {
 			for _, k := range pipelineKs {
 				f.add(fmt.Sprintf("sharded/K=%d/topk/%v/k=%d", K, alg, k), func(h interface{ Write([]byte) (int, error) }) {

@@ -5,8 +5,7 @@
 //	plan    validate τ/k/Options once, resolve the algorithm and
 //	        compute the Theorem 1 length window (this file);
 //	route   pick the shard set and execution order from the per-shard
-//	        route.Summary bounds (this file); batch queries are
-//	        additionally grouped by shard affinity (exec.go);
+//	        route.Summary bounds (this file);
 //	execute run the planned algorithm per shard/segment, ctx-polled,
 //	        on the engine's pooled scratch (exec.go);
 //	merge   fold the answers — concat + ascending-id sort for
@@ -140,11 +139,11 @@ func shardActive(sum *route.Summary, b float64, p *queryPlan) bool {
 // descending summary-bound order (stable — equal bounds keep the lower
 // shard first) so the shards most likely to hold the global top-k run
 // first and raise the shared bound for the tail, and the second return
-// enables the mid-flight sharedTau recheck. Unrouted fleets and
-// Options.NoShardPrune visit everything.
+// enables the mid-flight sharedTau recheck. Unrouted fleets visit
+// everything.
 func (se *ShardedEngine) routeShards(fb *fanBuffers, q Query, p *queryPlan) ([]int32, bool) {
 	act := fb.order[:0]
-	if se.sums == nil || p.opts.NoShardPrune {
+	if se.sums == nil {
 		for sh := range se.shards {
 			act = append(act, int32(sh))
 		}
@@ -153,7 +152,7 @@ func (se *ShardedEngine) routeShards(fb *fanBuffers, q Query, p *queryPlan) ([]i
 	var skipped uint64
 	for sh := range se.shards {
 		sum := se.sums[sh]
-		b := shardBound(sum, q, !p.opts.NoSecondMoment)
+		b := shardBound(sum, q)
 		fb.bounds[sh] = b
 		if !shardActive(sum, b, p) {
 			fb.sts[sh] = skipStats(se.shards[sh], q)

@@ -122,151 +122,96 @@ func TestErrorPathStatsContract(t *testing.T) {
 	}
 }
 
-// TestBatchAffinityDeterminism pins the affinity-batched scheduler of a
-// routed fleet: the execution order is a deterministic function of the
-// batch (equal shard-affinity keys contiguous, submission order inside
-// a group, sentinel-delimited groups), and the answers are positionally
-// identical to both the affinity-off twin and one-at-a-time execution.
-func TestBatchAffinityDeterminism(t *testing.T) {
+// TestBatchMatchesDirect pins the one inter-query scheduler behind every
+// shape's SelectBatch: whatever the worker count, position i of the
+// batch answer is exactly what a one-at-a-time Select of query i
+// returns — results and error — including for a query submitted twice
+// and for an empty query in the middle of the batch.
+func TestBatchMatchesDirect(t *testing.T) {
 	docs := pipelineDocs(300, 7, 6)
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
-	defer se.Close()
-
-	queries := make([]Query, 24)
-	for i := range queries {
-		queries[i] = se.Prepare(docs[(i*13)%len(docs)])
-	}
+	texts := []string{docs[0], docs[13], "", docs[26], docs[39]}
+	order := []int{0, 1, 2, 0, 3, 4, 1, 0}
 	const tau = 0.6
 
-	perm, starts := se.affinityOrder(queries, tau, SF, nil)
-	if perm == nil || starts == nil {
-		t.Fatal("affinityOrder declined to order a routed fleet's batch")
+	eng := NewEngine(buildPipelineCollection(docs), Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	defer se.Close()
+	if !se.Routed() {
+		t.Fatal("4-shard build is not routed")
 	}
-	perm2, starts2 := se.affinityOrder(queries, tau, SF, nil)
-	if !reflect.DeepEqual(perm, perm2) || !reflect.DeepEqual(starts, starts2) {
-		t.Fatal("affinityOrder is not deterministic across calls")
-	}
-	if starts[0] != 0 || int(starts[len(starts)-1]) != len(queries) {
-		t.Fatalf("starts sentinels = %v, want 0 .. %d", starts, len(queries))
-	}
-	seen := make([]bool, len(queries))
-	for _, p := range perm {
-		if seen[p] {
-			t.Fatalf("perm %v is not a permutation", perm)
-		}
-		seen[p] = true
-	}
-	keys := make([]uint64, len(queries))
-	for i := range queries {
-		p, err := selectPlan(queries[i], tau, SF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = se.affinityKey(queries[i], &p)
-	}
-	var prevKey uint64
-	for g := 0; g+1 < len(starts); g++ {
-		lo, hi := int(starts[g]), int(starts[g+1])
-		key := keys[perm[lo]]
-		if g > 0 && key <= prevKey {
-			t.Fatalf("group %d key %#x not above predecessor %#x", g, key, prevKey)
-		}
-		prevKey = key
-		for j := lo + 1; j < hi; j++ {
-			if keys[perm[j]] != key {
-				t.Fatalf("group %d mixes keys %#x and %#x", g, key, keys[perm[j]])
-			}
-			if perm[j] <= perm[j-1] {
-				t.Fatalf("group %d breaks submission order: %v", g, perm[lo:hi])
+	le := buildPipelineLive(t, docs, 2, false)
+	defer le.Close()
+
+	// Each text is prepared once: a repeated query is the same prepared
+	// value at two positions, not a second Prepare.
+	mq, sq, lq := make([]Query, len(order)), make([]Query, len(order)), make([]LiveQuery, len(order))
+	for ti, text := range texts {
+		m, s, l := eng.Prepare(text), se.Prepare(text), le.Prepare(text)
+		for i := range order {
+			if order[i] == ti {
+				mq[i], sq[i], lq[i] = m, s, l
 			}
 		}
 	}
-
-	on := se.SelectBatch(queries, tau, SF, nil, 4)
-	off := se.SelectBatch(queries, tau, SF, &Options{NoBatchAffinity: true}, 4)
-	for i := range queries {
-		direct, _, err := se.Select(queries[i], tau, SF, nil)
-		if err != nil || on[i].Err != nil || off[i].Err != nil {
-			t.Fatalf("query %d errored: %v / %v / %v", i, err, on[i].Err, off[i].Err)
-		}
-		if !reflect.DeepEqual(on[i].Results, direct) {
-			t.Errorf("query %d: affinity-on batch diverges from direct execution", i)
-		}
-		if !reflect.DeepEqual(off[i].Results, direct) {
-			t.Errorf("query %d: affinity-off batch diverges from direct execution", i)
-		}
+	shapes := []struct {
+		name   string
+		direct func(i int) ([]Result, Stats, error)
+		batch  func(workers int) []BatchResult
+	}{
+		{"Engine",
+			func(i int) ([]Result, Stats, error) { return eng.Select(mq[i], tau, SF, nil) },
+			func(w int) []BatchResult { return eng.SelectBatch(mq, tau, SF, nil, w) }},
+		{"ShardedEngine",
+			func(i int) ([]Result, Stats, error) { return se.Select(sq[i], tau, SF, nil) },
+			func(w int) []BatchResult { return se.SelectBatch(sq, tau, SF, nil, w) }},
+		{"LiveEngine",
+			func(i int) ([]Result, Stats, error) { return le.Select(lq[i], tau, SF, nil) },
+			func(w int) []BatchResult { return le.SelectBatch(lq, tau, SF, nil, w) }},
 	}
-
-	// The ablation knob and trivial batches fall back to submission order.
-	if p, s := se.affinityOrder(queries, tau, SF, &Options{NoBatchAffinity: true}); p != nil || s != nil {
-		t.Error("NoBatchAffinity still produced an affinity order")
-	}
-	if p, s := se.affinityOrder(queries[:1], tau, SF, nil); p != nil || s != nil {
-		t.Error("single-query batch produced an affinity order")
+	for _, sh := range shapes {
+		for _, workers := range []int{1, 2, len(order) + 3} {
+			got := sh.batch(workers)
+			if len(got) != len(order) {
+				t.Fatalf("%s workers=%d: %d batch results for %d queries", sh.name, workers, len(got), len(order))
+			}
+			for i := range order {
+				want, _, err := sh.direct(i)
+				if got[i].Err != err {
+					t.Errorf("%s workers=%d query %d: err = %v, direct %v", sh.name, workers, i, got[i].Err, err)
+				}
+				if (texts[order[i]] == "") != (err == ErrEmptyQuery) {
+					t.Errorf("%s query %d: direct err = %v for text %q", sh.name, i, err, texts[order[i]])
+				}
+				if !reflect.DeepEqual(got[i].Results, want) {
+					t.Errorf("%s workers=%d query %d: batch diverges from direct execution", sh.name, workers, i)
+				}
+			}
+		}
 	}
 }
 
-// TestSecondMomentBound pins the Cauchy–Schwarz refinement: on a shard
-// of short documents the refined summary bound is strictly below the
-// first-moment bound (never above it anywhere), Summarize reports the
-// per-document distinct-token ceiling, and the refinement never changes
-// answers — it only prunes sets that provably cannot qualify.
-func TestSecondMomentBound(t *testing.T) {
-	// 40 two-word documents over 80 words: MaxToks is 2 while a long
-	// query intersects the shard in far more tokens, so the refined
-	// overlap estimate √(2·Σidf⁴) undercuts Σidf².
+// TestShardBoundDominatesScores is the direct check that shardBound is
+// an upper bound: on a shard of 40 two-word documents, every true score
+// of a ten-word query stays under the summary bound (with boundMeets'
+// slack).
+func TestShardBoundDominatesScores(t *testing.T) {
 	var docs []string
 	for i := 0; i < 40; i++ {
 		docs = append(docs, fmt.Sprintf("w%d w%d", 2*i, 2*i+1))
 	}
 	eng := wordEngineFromDocs(docs, Config{})
-	sum := route.Summarize(eng.Collection())
-	if got := sum.MaxToks(); got != 2 {
-		t.Fatalf("MaxToks = %d, want 2", got)
-	}
 	q := eng.Prepare("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9")
-	plain := shardBound(sum, q, false)
-	refined := shardBound(sum, q, true)
-	if refined > plain {
-		t.Fatalf("refined bound %g exceeds first-moment bound %g", refined, plain)
-	}
-	if refined >= plain {
-		t.Fatalf("refinement did not bite on a short-document shard: refined %g, plain %g", refined, plain)
-	}
-	// The refined bound must still dominate every true score.
+	bound := shardBound(route.Summarize(eng.Collection()), q)
 	res, _, err := eng.Select(q, minPositiveTau, Naive, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res {
-		if r.Score > refined*(1+1e-9)+1e-12 {
-			t.Fatalf("true score %g exceeds refined bound %g", r.Score, refined)
-		}
+	if len(res) == 0 {
+		t.Fatal("query matched nothing: the bound was not exercised")
 	}
-
-	// Fleet-level ablation: identical answers with the refinement on and
-	// off, for both merge disciplines.
-	corpus := pipelineDocs(400, 21, 6)
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, corpus, true, 4, Config{})
-	defer se.Close()
-	off := &Options{NoSecondMoment: true}
-	for _, qs := range []string{corpus[5], corpus[77], corpus[200]} {
-		sq := se.Prepare(qs)
-		a, _, err1 := se.Select(sq, 0.5, SF, nil)
-		b, _, err2 := se.Select(sq, 0.5, SF, off)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("select answers differ with second moment on/off for %q", qs)
-		}
-		a, _, err1 = se.SelectTopK(sq, 3, SF, nil)
-		b, _, err2 = se.SelectTopK(sq, 3, SF, off)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("top-k answers differ with second moment on/off for %q", qs)
+	for _, r := range res {
+		if r.Score > bound*(1+1e-9)+1e-12 {
+			t.Fatalf("true score %g exceeds shard bound %g", r.Score, bound)
 		}
 	}
 }

@@ -333,13 +333,7 @@ func (se *ShardedEngine) gather(fb *fanBuffers) (total int, stats Stats, err err
 	seen := false
 	for i := range fb.sts {
 		st := &fb.sts[i]
-		stats.ElementsRead += st.ElementsRead
-		stats.ElementsSkipped += st.ElementsSkipped
-		stats.ListTotal += st.ListTotal
-		stats.RandomProbes += st.RandomProbes
-		stats.CandidateScans += st.CandidateScans
-		stats.CandidatesInserted += st.CandidatesInserted
-		stats.Rounds += st.Rounds
+		addStats(&stats, *st)
 		// Skipped shards report zero Elapsed; the spread gauge measures
 		// the shards that actually ran.
 		if st.Elapsed > 0 {
@@ -438,14 +432,9 @@ func (se *ShardedEngine) SelectBatch(queries []Query, tau float64, alg Algorithm
 }
 
 // SelectBatchCtx is SelectBatch under a context, with Engine
-// SelectBatchCtx's cancellation semantics. On a routed fleet the batch
-// is executed in affinity order — queries landing on the same shard set
-// run back to back on one worker (see affinityOrder; disable with
-// Options.NoBatchAffinity) — while the returned slice stays indexed by
-// submission position.
+// SelectBatchCtx's cancellation semantics.
 func (se *ShardedEngine) SelectBatchCtx(ctx context.Context, queries []Query, tau float64, alg Algorithm, opts *Options, workers int) []BatchResult {
-	perm, starts := se.affinityOrder(queries, tau, alg, opts)
-	return runBatch(len(queries), normWorkers(workers), perm, starts, func(qi int) BatchResult {
+	return runBatch(len(queries), normWorkers(workers), func(qi int) BatchResult {
 		res, st, err := se.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})

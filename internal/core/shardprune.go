@@ -25,47 +25,23 @@ import (
 //     non-decreasing in Y, so X/(len(q)·max(lenMin, √X)) dominates every
 //     score — Magnitude Boundedness at shard granularity.
 //
-// The first-moment overlap estimate is X₁ = Σ_{t∈q, CapFor>0} idf(t)².
-// With secondMoment, the summary's per-document distinct-token ceiling
-// refines it: a document intersects the query in at most m =
-// min(|q ∩ shard|, MaxToks) tokens, so by Cauchy–Schwarz
-//
-//	Σ_{t∈q∩s} idf(t)² ≤ √(m · Σ_{t∈q∩shard} idf(t)⁴) = X₂
-//
-// and X = min(X₁, X₂) still dominates every document's overlap weight.
-// X₂ bites on shards of short documents — few tokens, so the query's
-// heavy idf² mass cannot all land in one set — exactly the regime where
-// low-k top-k needs tight bounds for the mid-flight sharedTau recheck.
-//
-// Sketch collisions only ever raise CapFor, and X₁/X₂ only grow with
-// false positives, so every bound stays an upper bound in exact
-// arithmetic; monotonicity of Y/max(L, √Y) keeps min(X₁, X₂) sound in
-// the denominator too.
-func shardBound(sum *route.Summary, q Query, secondMoment bool) float64 {
+// The overlap estimate is X = Σ_{t∈q, CapFor>0} idf(t)². Sketch
+// collisions only ever raise CapFor, and X only grows with false
+// positives, so both bounds stay upper bounds in exact arithmetic.
+func shardBound(sum *route.Summary, q Query) float64 {
 	if sum.Docs() == 0 || q.Len <= 0 {
 		return 0
 	}
-	var capSum, present, p4 float64
-	mPresent := 0
+	var capSum, x float64
 	for i := range q.Tokens {
 		qt := &q.Tokens[i]
 		if c := sum.CapFor(qt.Token); c > 0 {
 			capSum += c
-			present += qt.IDFSq
-			p4 += qt.IDFSq * qt.IDFSq
-			mPresent++
+			x += qt.IDFSq
 		}
 	}
 	if capSum <= 0 {
 		return 0
-	}
-	x := present
-	if secondMoment {
-		if m := sum.MaxToks(); m < mPresent {
-			if x2 := math.Sqrt(float64(m) * p4); x2 < x {
-				x = x2
-			}
-		}
 	}
 	bound := capSum / q.Len
 	lenMin, _ := sum.LenRange()

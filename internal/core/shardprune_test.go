@@ -58,16 +58,14 @@ var pruneKs = []int{1, 2, 4, 8, 16}
 // TestPrunedShardedMatchesMonolithic is the soundness contract of shard
 // pruning: for every shard count in {1,2,4,8,16}, every algorithm, a τ
 // grid, top-k at several k, and batch execution, the routed+pruned
-// engine, its prune-off twin (Options.NoShardPrune) and the hash-routed
-// build (Config.NoRoute) all answer bitwise-identically to the
-// monolithic engine.
+// engine and the hash-routed build (Config.NoRoute, which visits every
+// shard) both answer bitwise-identically to the monolithic engine.
 func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 	docs := clusteredDocs(8, 90, 101)
 	mono := wordEngineFromDocs(docs, Config{})
 	tk := tokenize.WordTokenizer{}
 	algs := append([]Algorithm{Naive}, Algorithms()...)
 	taus := []float64{0.3, 0.5, 0.7, 0.85, 0.95, 1.0}
-	noPrune := &Options{NoShardPrune: true}
 	for _, K := range pruneKs {
 		K := K
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
@@ -98,11 +96,6 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 						t.Fatalf("pruned %v: %v", alg, err)
 					}
 					assertBitwise(t, fmt.Sprintf("pruned %v τ=%g", alg, tau), got, want)
-					got, _, err = routed.Select(qs, tau, alg, noPrune)
-					if err != nil {
-						t.Fatalf("prune-off %v: %v", alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("prune-off %v τ=%g", alg, tau), got, want)
 					got, _, err = hashed.Select(qh, tau, alg, nil)
 					if err != nil {
 						t.Fatalf("hashed %v: %v", alg, err)
@@ -120,11 +113,6 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 							t.Fatalf("pruned topk %v k=%d: %v", alg, k, err)
 						}
 						assertBitwise(t, fmt.Sprintf("pruned topk %v k=%d", alg, k), got, want)
-						got, _, err = routed.SelectTopK(qs, k, alg, noPrune)
-						if err != nil {
-							t.Fatalf("prune-off topk %v k=%d: %v", alg, k, err)
-						}
-						assertBitwise(t, fmt.Sprintf("prune-off topk %v k=%d", alg, k), got, want)
 						got, _, err = hashed.SelectTopK(qh, k, alg, nil)
 						if err != nil {
 							t.Fatalf("hashed topk %v k=%d: %v", alg, k, err)
@@ -227,26 +215,26 @@ func TestAdversarialSkewStillPrunes(t *testing.T) {
 }
 
 // TestPrunedLiveMatchesMonolithicLive drives an identical mutation
-// stream through a monolithic and a routed sharded LiveEngine and
+// stream through a monolithic, a routed sharded and a hash-partitioned
+// (Config.NoRoute: no summaries, every segment visited) LiveEngine and
 // demands bitwise-identical answers in the mixed (memtable + segments +
 // tombstones) and recompacted states — per-segment pruning and the
 // hash-routed memtable fallback composing with re-clustering.
 func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 	docs := clusteredDocs(6, 60, 404)
 	tk := tokenize.WordTokenizer{}
-	cfg := func(shards int) LiveConfig {
-		return LiveConfig{NoBackground: true, FlushThreshold: 1 << 20, Shards: shards}
+	cfg := func(shards int, noRoute bool) LiveConfig {
+		return LiveConfig{Config: Config{NoRoute: noRoute}, NoBackground: true, FlushThreshold: 1 << 20, Shards: shards}
 	}
-	compare := func(t *testing.T, mono, sh *LiveEngine, state string) {
+	compare := func(t *testing.T, mono, sh, hashed *LiveEngine, state string) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(55))
-		noPrune := &Options{NoShardPrune: true}
 		for trial := 0; trial < 6; trial++ {
 			src, ok := mono.Source(collection.SetID(rng.Intn(mono.NumDocs())))
 			if !ok {
 				continue
 			}
-			qm, qs := mono.Prepare(src), sh.Prepare(src)
+			qm, qs, qh := mono.Prepare(src), sh.Prepare(src), hashed.Prepare(src)
 			for _, tau := range []float64{0.4, 0.7, 0.95} {
 				for _, alg := range []Algorithm{SF, INRA, Hybrid} {
 					want, _, err := mono.Select(qm, tau, alg, nil)
@@ -258,11 +246,11 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 						t.Fatalf("%s pruned %v: %v", state, alg, err)
 					}
 					assertBitwise(t, fmt.Sprintf("%s %v τ=%g", state, alg, tau), got, want)
-					got, _, err = sh.Select(qs, tau, alg, noPrune)
+					got, _, err = hashed.Select(qh, tau, alg, nil)
 					if err != nil {
-						t.Fatalf("%s prune-off %v: %v", state, alg, err)
+						t.Fatalf("%s hashed %v: %v", state, alg, err)
 					}
-					assertBitwise(t, fmt.Sprintf("%s prune-off %v τ=%g", state, alg, tau), got, want)
+					assertBitwise(t, fmt.Sprintf("%s hashed %v τ=%g", state, alg, tau), got, want)
 				}
 			}
 			for _, k := range []int{1, 4, 16} {
@@ -283,23 +271,26 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 	for _, K := range []int{4, 8} {
 		K := K
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			mono := BuildLive(docs, tk, cfg(1))
+			mono := BuildLive(docs, tk, cfg(1, false))
 			defer mono.Close()
-			sh := BuildLive(docs, tk, cfg(K))
+			sh := BuildLive(docs, tk, cfg(K, false))
 			defer sh.Close()
-			compare(t, mono, sh, "built")
+			hashed := BuildLive(docs, tk, cfg(K, true))
+			defer hashed.Close()
+			compare(t, mono, sh, hashed, "built")
 
 			rng := rand.New(rand.NewSource(77))
 			extra := clusteredDocs(6, 15, 505)
 			for i, s := range extra {
 				idM, errM := mono.Insert(s)
 				idS, errS := sh.Insert(s)
-				if errM != errS || (errM == nil && idM != idS) {
-					t.Fatalf("insert mismatch: (%d,%v) vs (%d,%v)", idM, errM, idS, errS)
+				idH, errH := hashed.Insert(s)
+				if errM != errS || errM != errH || (errM == nil && (idM != idS || idM != idH)) {
+					t.Fatalf("insert mismatch: (%d,%v) vs (%d,%v) vs (%d,%v)", idM, errM, idS, errS, idH, errH)
 				}
 				if i%3 == 0 {
 					victim := collection.SetID(rng.Intn(mono.NumDocs()))
-					if mono.Delete(victim) != sh.Delete(victim) {
+					if d := mono.Delete(victim); d != sh.Delete(victim) || d != hashed.Delete(victim) {
 						t.Fatalf("delete(%d) outcome mismatch", victim)
 					}
 				}
@@ -307,12 +298,12 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 			if sh.Stats().Memtable == 0 {
 				t.Fatal("mixed state not exercised: empty memtable")
 			}
-			compare(t, mono, sh, "mixed")
+			compare(t, mono, sh, hashed, "mixed")
 
-			if !mono.Compact() || !sh.Compact() {
+			if !mono.Compact() || !sh.Compact() || !hashed.Compact() {
 				t.Fatal("compaction reported no work despite pending mutations")
 			}
-			compare(t, mono, sh, "compacted")
+			compare(t, mono, sh, hashed, "compacted")
 
 			// A full live compaction must reproduce the static clustering:
 			// same docs, same order, same partition.

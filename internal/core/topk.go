@@ -28,7 +28,11 @@ func (e *Engine) SelectTopK(q Query, k int, alg Algorithm, opts *Options) ([]Res
 // expiry stops the scan mid-list and returns ctx.Err() with the Stats
 // accumulated so far (same granularity guarantee as SelectCtx).
 func (e *Engine) SelectTopKCtx(ctx context.Context, q Query, k int, alg Algorithm, opts *Options) ([]Result, Stats, error) {
-	return e.selectTopKShard(ctx, q, k, alg, opts, nil)
+	p, err := topkPlan(q, k, alg, opts)
+	if err != nil {
+		return planDone(err)
+	}
+	return e.runPlan(ctx, q, p, nil)
 }
 
 // sharedTau circulates the global k-th-score lower bound across the
@@ -77,17 +81,6 @@ func liveTau(b *kthBound, shared *sharedTau) float64 {
 		t = s
 	}
 	return t
-}
-
-// selectTopKShard is SelectTopKCtx with an optional cross-shard bound
-// (nil when the engine is queried stand-alone; the sharded executor
-// passes one sharedTau to all shards of a query).
-func (e *Engine) selectTopKShard(ctx context.Context, q Query, k int, alg Algorithm, opts *Options, shared *sharedTau) ([]Result, Stats, error) {
-	p, err := topkPlan(q, k, alg, opts)
-	if err != nil {
-		return planDone(err)
-	}
-	return e.runPlan(ctx, q, p, shared)
 }
 
 func sortTopK(rs []Result) {

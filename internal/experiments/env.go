@@ -2,8 +2,7 @@
 // paper's evaluation (§VIII): Table I (measure quality), Fig. 5 (index
 // sizes), Fig. 6 (wall-clock time), Fig. 7 (pruning power), Fig. 8
 // (Length Bounding ablation) and Fig. 9 (skip-list ablation). The
-// drivers return structured rows; cmd/ssbench and bench_test.go render
-// and regenerate them.
+// drivers return structured rows; cmd/ssbench renders them.
 package experiments
 
 import (

@@ -38,14 +38,6 @@ const (
 type Summary struct {
 	docs           int
 	lenMin, lenMax float64
-	// maxToks is the largest number of distinct tokens any one document
-	// of the shard holds — the second-moment statistic of the planner's
-	// refined bound. A query intersects a document in at most
-	// min(|q∩shard|, maxToks) tokens, so by Cauchy–Schwarz the overlap
-	// weight Σ_{t∈q∩s} idf(t)² is at most √(maxToks · Σ_{t∈q∩shard}
-	// idf(t)⁴), which beats the plain first-moment sum on shards of
-	// short documents — exactly the low-k top-k regime.
-	maxToks int
 
 	// hot lists the corpus-wide hottest tokens (ascending token id) —
 	// identical across every shard of one build, because all shards
@@ -85,9 +77,6 @@ func Summarize(c *collection.Collection) *Summary {
 		}
 		if l > s.lenMax {
 			s.lenMax = l
-		}
-		if nt := len(c.Set(collection.SetID(i))); nt > s.maxToks {
-			s.maxToks = nt
 		}
 	}
 
@@ -211,11 +200,6 @@ func (s *Summary) CapFor(t tokenize.Token) float64 {
 
 // Docs reports the number of documents summarized.
 func (s *Summary) Docs() int { return s.docs }
-
-// MaxToks reports the largest distinct-token count of any summarized
-// document (0 for an empty shard) — see the field comment for the
-// second-moment bound it supports.
-func (s *Summary) MaxToks() int { return s.maxToks }
 
 // LenRange reports the shard's normalized set-length range (both 0 for
 // an empty shard).

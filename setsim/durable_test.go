@@ -3,6 +3,7 @@ package setsim_test
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -488,26 +489,41 @@ func TestDurableVerify(t *testing.T) {
 // TestLoaderShortFiles: zero-length, magic-only and version-only
 // prefixes of every format version must fail with a wrapped
 // ErrBadCollection or ErrUnknownVersion from every loader — never a raw
-// (or wrapped) io.EOF.
+// (or wrapped) io.EOF. The crafted rows carry a valid checksum over a
+// payload whose length fields overflow int or dwarf the file: they must
+// be rejected as ErrBadCollection, not panic in a slice bound or make.
 func TestLoaderShortFiles(t *testing.T) {
 	const (
 		colMagic  = "SSCOL1\n\x00"
 		snapMagic = "SSSNAP\n\x00"
 	)
+	// framed appends the payload's CRC32 and the payload to a header.
+	framed := func(head string, payload []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte(head), crc32.ChecksumIEEE(payload)), payload...)
+	}
+	// A v1 payload up to its first set header: tokenizer "word", a
+	// one-token dictionary, one set, no sources.
+	v1Head := []byte("\x04word\x01\x00\x00\x00\x01a\x01\x00\x00\x00\x00")
 	cases := []struct {
 		name string
 		data []byte
+		bad  bool // must be ErrBadCollection specifically
 	}{
-		{"empty", nil},
-		{"collection-magic-only", []byte(colMagic)},
-		{"snapshot-magic-only", []byte(snapMagic)},
-		{"v2-version-only", append([]byte(snapMagic), 2)},
-		{"v3-version-only", append([]byte(snapMagic), 3)},
-		{"v4-version-only", append([]byte(snapMagic), 4)},
-		{"v5-version-only", append([]byte(snapMagic), 5)},
-		{"v5-header-no-payload", append([]byte(snapMagic), 5, 0xde, 0xad, 0xbe, 0xef)},
-		{"unknown-version-only", append([]byte(snapMagic), 9)},
-		{"truncated-magic", []byte(snapMagic[:4])},
+		{name: "empty", data: nil},
+		{name: "collection-magic-only", data: []byte(colMagic)},
+		{name: "snapshot-magic-only", data: []byte(snapMagic)},
+		{name: "v2-version-only", data: append([]byte(snapMagic), 2)},
+		{name: "v3-version-only", data: append([]byte(snapMagic), 3)},
+		{name: "v4-version-only", data: append([]byte(snapMagic), 4)},
+		{name: "v5-version-only", data: append([]byte(snapMagic), 5)},
+		{name: "v5-header-no-payload", data: append([]byte(snapMagic), 5, 0xde, 0xad, 0xbe, 0xef)},
+		{name: "unknown-version-only", data: append([]byte(snapMagic), 9)},
+		{name: "truncated-magic", data: []byte(snapMagic[:4])},
+		{name: "crafted-v1-string-len-2^63", data: framed(colMagic, binary.AppendUvarint(nil, 1<<63)), bad: true},
+		{name: "crafted-v3-string-len-2^63", data: framed(snapMagic+"\x03", binary.AppendUvarint(nil, 1<<63)), bad: true},
+		{name: "crafted-v1-set-size-2^62", data: framed(colMagic, binary.AppendUvarint(v1Head, 1<<62)), bad: true},
+		{name: "crafted-v1-set-count-2^32", data: framed(colMagic, []byte("\x04word\x00\x00\x00\x00\xff\xff\xff\xff\x00")), bad: true},
+		{name: "crafted-v2-doc-count-2^32", data: framed(snapMagic+"\x02", []byte("\x04word\xff\xff\xff\xff")), bad: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -549,7 +565,7 @@ func TestLoaderShortFiles(t *testing.T) {
 					t.Errorf("%s accepted a %d-byte file", ld.name, len(tc.data))
 					continue
 				}
-				if !errors.Is(err, collection.ErrBadCollection) && !errors.Is(err, setsim.ErrUnknownVersion) {
+				if !errors.Is(err, collection.ErrBadCollection) && (tc.bad || !errors.Is(err, setsim.ErrUnknownVersion)) {
 					t.Errorf("%s: %v, want ErrBadCollection or ErrUnknownVersion", ld.name, err)
 				}
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

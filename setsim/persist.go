@@ -16,11 +16,12 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Snapshot file formats. Four versions coexist:
+// Snapshot file formats. Five versions are readable; two are written.
 //
-// Version 1 (legacy) is the collection binary format (magic "SSCOL1"),
-// written by Save: one frozen corpus, no mutation history. Versions 2–4
-// are live-snapshot formats:
+// Version 1 is the collection binary format (magic "SSCOL1"), written by
+// Save: one frozen corpus, no mutation history. Versions 2–4 are the
+// live-snapshot formats earlier releases wrote; no writer remains in the
+// tree (the reader tests assemble their files byte by byte):
 //
 //	magic "SSSNAP\n\x00", version byte (2, 3 or 4)
 //	payload CRC32 (of everything after this field)
@@ -145,69 +146,6 @@ func SaveLive(path string, le *LiveEngine) error {
 	return saveLiveV5(path, le)
 }
 
-// writeSnapshot serializes a live snapshot. A nil routing table writes
-// the version-3 layout (kept for compatibility tests); otherwise routing
-// must hold one shard per log entry and sums one row per shard, and the
-// version-4 tail is appended.
-func writeSnapshot(w io.Writer, tkName string, shards int, log []core.DocState, routing []int32, sums []ShardSummaryInfo) error {
-	var payload []byte
-	putUvarint := func(v uint64) {
-		var buf [10]byte
-		n := binary.PutUvarint(buf[:], v)
-		payload = append(payload, buf[:n]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		payload = append(payload, s...)
-	}
-	putU32 := func(v uint32) {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		payload = append(payload, buf[:]...)
-	}
-	putF64 := func(v float64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		payload = append(payload, buf[:]...)
-	}
-
-	version := byte(snapV3)
-	if routing != nil {
-		version = snapV4
-		if len(routing) != len(log) || len(sums) != shards {
-			return fmt.Errorf("setsim: snapshot routing table mismatch: %d routes for %d docs, %d summaries for %d shards",
-				len(routing), len(log), len(sums), shards)
-		}
-	}
-
-	putString(tkName)
-	putU32(uint32(shards))
-	putU32(uint32(len(log)))
-	for _, d := range log {
-		var flag byte
-		if d.Deleted {
-			flag = 1
-		}
-		payload = append(payload, flag)
-		putString(d.Source)
-	}
-	if version >= snapV4 {
-		for _, sh := range routing {
-			putUvarint(uint64(sh))
-		}
-		for _, s := range sums {
-			putU32(uint32(s.Docs))
-			putF64(s.LenMin)
-			putF64(s.LenMax)
-			putU32(uint32(s.HotTokens))
-			putU32(uint32(s.SketchSlots))
-			putU32(uint32(s.SketchOccupied))
-		}
-	}
-
-	return writeFramedSnapshot(w, version, payload)
-}
-
 // writeFramedSnapshot writes the shared snapshot framing — magic,
 // version byte, payload CRC32 — followed by the payload. Versions 2–5
 // all use it; what differs is the payload layout.
@@ -297,7 +235,7 @@ func readSnapshot(r io.Reader) (tk Tokenizer, shards int, log []core.DocState, e
 	}
 	getString := func() (string, bool) {
 		n, sz := binary.Uvarint(payload[pos:])
-		if sz <= 0 || pos+sz+int(n) > len(payload) {
+		if sz <= 0 || n > uint64(len(payload)-pos-sz) {
 			return "", false
 		}
 		s := string(payload[pos+sz : pos+sz+int(n)])
@@ -341,7 +279,8 @@ func readSnapshot(r io.Reader) (tk Tokenizer, shards int, log []core.DocState, e
 		}
 	}
 	numDocs, ok := getU32()
-	if !ok {
+	if !ok || uint64(numDocs) > uint64(len(payload)-pos) {
+		// Every document takes at least two payload bytes.
 		return fail("truncated doc count")
 	}
 	log = make([]core.DocState, numDocs)
