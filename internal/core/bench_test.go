@@ -34,16 +34,39 @@ func benchQueries(b *testing.B, e *Engine, n int) []Query {
 	return qs
 }
 
+// The clustered engine is the other regime of the round-robin
+// algorithms: topic-clustered word documents, where a query admits ~570
+// candidates (every document of its topic sharing a word) in a few
+// hundred rounds and the F < τ gate opens late. Candidate bookkeeping
+// that is cheap per round but dear per admission shows up here and not
+// on the q-gram corpus.
+var (
+	benchClustered        *Engine
+	benchClusteredQueries []Query
+)
+
+func getBenchClustered(b *testing.B) (*Engine, []Query) {
+	b.Helper()
+	if benchClustered == nil {
+		benchClustered = wordEngineFromDocs(clusteredDocs(8, 3000, 13), Config{NoHashes: true, NoRelational: true})
+		benchClusteredQueries = benchQueries(b, benchClustered, 16)
+	}
+	return benchClustered, benchClusteredQueries
+}
+
 func benchSelectWarm(b *testing.B, alg Algorithm, tau float64) {
 	e := getBenchEngine(b)
-	qs := benchQueries(b, e, 16)
+	benchSelectWarmOn(b, e, benchQueries(b, e, 16), alg, tau)
+}
+
+func benchSelectWarmOn(b *testing.B, e *Engine, qs []Query, alg Algorithm, tau float64) {
 	// Warm the scratch pool and any cursor state before measuring.
 	for _, q := range qs {
 		if _, _, err := e.Select(q, tau, alg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var reads int
+	var reads, cands int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,9 +75,11 @@ func benchSelectWarm(b *testing.B, alg Algorithm, tau float64) {
 			b.Fatal(err)
 		}
 		reads += st.ElementsRead
+		cands += st.CandidatesInserted
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(reads)/float64(b.N), "elems/op")
+	b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
 }
 
 func BenchmarkSelectWarmSortByID(b *testing.B) { benchSelectWarm(b, SortByID, 0.8) }
@@ -64,6 +89,15 @@ func BenchmarkSelectWarmITA(b *testing.B)      { benchSelectWarm(b, ITA, 0.8) }
 func BenchmarkSelectWarmINRA(b *testing.B)     { benchSelectWarm(b, INRA, 0.8) }
 func BenchmarkSelectWarmSF(b *testing.B)       { benchSelectWarm(b, SF, 0.8) }
 func BenchmarkSelectWarmHybrid(b *testing.B)   { benchSelectWarm(b, Hybrid, 0.8) }
+
+func BenchmarkSelectWarmINRAManyCandidates(b *testing.B) {
+	e, qs := getBenchClustered(b)
+	benchSelectWarmOn(b, e, qs, INRA, 0.8)
+}
+func BenchmarkSelectWarmHybridManyCandidates(b *testing.B) {
+	e, qs := getBenchClustered(b)
+	benchSelectWarmOn(b, e, qs, Hybrid, 0.8)
+}
 
 func BenchmarkSelectWarmINRALowTau(b *testing.B) { benchSelectWarm(b, INRA, 0.5) }
 func BenchmarkSelectWarmSFLowTau(b *testing.B)   { benchSelectWarm(b, SF, 0.5) }

@@ -199,8 +199,45 @@ func TestQuickRandomInstances(t *testing.T) {
 					assertSameResults(t, e, q, tau, alg, got, want)
 				}
 			}
+			// A duplicate-length-heavy instance: short strings over two
+			// letters, so most sets repeat another's token set exactly
+			// and (len, id) ties decide the candidate order of iNRA and
+			// Hybrid, on every list-positioning path.
+			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{NoHashes: true, NoRelational: true})
+			for trial := 0; trial < 10; trial++ {
+				q := ties.PrepareCounts(ties.c.Set(collection.SetID(rng.Intn(ties.c.NumSets()))))
+				tau := 0.25 + rng.Float64()*0.74
+				want, _, err := ties.Select(q, tau, Naive, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, alg := range []Algorithm{INRA, Hybrid} {
+					for _, o := range []*Options{nil, {NoLengthBound: true}, {NoSkipIndex: true}} {
+						got, _, err := ties.Select(q, tau, alg, o)
+						if err != nil {
+							t.Fatalf("%v %+v: %v", alg, o, err)
+						}
+						assertSameResults(t, ties, q, tau, alg, got, want)
+					}
+				}
+			}
 		})
 	}
+}
+
+// tieDocs generates n strings of 3 to 7 letters over {a, b}: at most 248
+// distinct strings and far fewer distinct 3-gram sets, so a corpus of a
+// few hundred is mostly exact length ties.
+func tieDocs(rng *rand.Rand, n int) []string {
+	docs := make([]string, n)
+	for i := range docs {
+		b := make([]byte, 3+rng.Intn(5))
+		for j := range b {
+			b[j] = byte('a' + rng.Intn(2))
+		}
+		docs[i] = string(b)
+	}
+	return docs
 }
 
 func TestSelfQueryAtTauOne(t *testing.T) {

@@ -14,12 +14,15 @@ import (
 // long candidate first seen in an earlier list, so pausing (not the
 // paper's literal "mark complete") is required for correctness.
 //
-// Candidates use the partitioned organization the paper describes: one
-// discovery-ordered list per inverted list — ascending (len, id) by
-// construction — plus a hash table on ids, so maxLen(C) is found by
-// peeking at the partition tails and pruning pops dead tails only. The
-// partitions are slices of scratch-slab indexes; the dead flag plays the
-// role of the old removed-candidate set.
+// Candidates are one (len, id)-ordered sequence with a merge pointer per
+// list (see passCandidates) plus a hash table on ids. Every candidate is
+// thereby always resolved against every current frontier and dropped the
+// moment it stops being viable, so maxLen(C) is simply the last live entry
+// of the sequence — what the paper's "dropping elements repeatedly from
+// the back of all lists until a viable candidate is found" computes over
+// its per-list partitions. Keeping that bound eager is what holds Hybrid's
+// scan depth at or below SF's (Lemma 4): a long candidate that is no
+// longer viable must not extend it.
 func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -44,67 +47,11 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 	s.tbl.reset()
 	s.imp = s.imp[:0]
 	s.arena = s.arena[:0]
-	live := 0
-	for len(s.parts) < n {
-		//ssvet:scratchread partition-list cache: stale sublists are kept and explicitly resliced to [:0] just below
-		s.parts = append(s.parts, nil)
-	}
-	parts := s.parts[:n] // §VII partitioned candidate lists
-	for i := range parts {
-		parts[i] = parts[i][:0]
-	}
-
+	s.resetOrder(n)
 	out := s.results[:0]
 	defer func() { s.results = out }()
 
-	scanFrom := 0 // s.imp[:scanFrom] is all dead; dead never revives
-
-	// maxLenC peeks at the partition tails, eagerly re-evaluating each
-	// tail candidate with Order Preservation before trusting its length:
-	// the paper's "dropping elements repeatedly from the back of all
-	// lists until a viable candidate is found". Eager tail pruning is
-	// what keeps Hybrid's scan depth at or below SF's — a long tail
-	// candidate that is no longer viable must not extend the bound.
-	maxLenC := func() float64 {
-		m := -1.0
-		for i := range parts {
-			tail := parts[i]
-			for len(tail) > 0 {
-				c := &s.imp[tail[len(tail)-1]]
-				if c.dead {
-					tail = tail[:len(tail)-1]
-					continue
-				}
-				e.resolveAbsences(c, lists)
-				if c.nResolved == n {
-					// Round-robin accumulation order is list-state
-					// dependent; the canonical rescore decides and
-					// scores the emission (every completion site here).
-					if meetsPre(c.lower, tau) {
-						out = e.emitRescored(s, q, c.id, tau, out)
-					}
-					c.dead = true
-					live--
-					tail = tail[:len(tail)-1]
-					continue
-				}
-				if !sim.Meets(c.upper(q.Len), tau) {
-					c.dead = true
-					live--
-					tail = tail[:len(tail)-1]
-					continue
-				}
-				break
-			}
-			parts[i] = tail
-			if len(tail) > 0 && s.imp[tail[len(tail)-1]].len > m {
-				m = s.imp[tail[len(tail)-1]].len
-			}
-		}
-		return m
-	}
-
-	admitNew := true
+	admitNew := true // true while F ≥ τ
 	for {
 		popped := false
 		for i := range lists {
@@ -116,105 +63,48 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 				return nil, cc.err
 			}
 			p, ok := l.frontier()
-			if !ok {
+			if !ok || p.Len > hi {
 				l.done = true
-				continue
-			}
-			if p.Len > hi {
-				l.done = true
-				continue
-			}
-			need := mu[i]
-			if m := maxLenC(); m > need {
-				need = m
-			}
-			if p.Len > need {
-				continue // paused; may resume when maxLen(C) grows
-			}
-			stats.ElementsRead++
-			l.next()
-			popped = true
-
-			if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
-				c := &s.imp[slot]
-				c.resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
-				if c.nResolved == n {
-					if meetsPre(c.lower, tau) {
-						out = e.emitRescored(s, q, c.id, tau, out)
-					}
-					c.dead = true
-					live--
+			} else {
+				need := mu[i]
+				if m := s.maxLiveLen(); m > need {
+					need = m
 				}
-				continue
+				if p.Len > need {
+					continue // paused; may resume when maxLen(C) grows
+				}
+				stats.ElementsRead++
+				l.next()
+				popped = true
+				if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
+					s.imp[slot].resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
+				} else if admitNew {
+					if slot := admit(s, lists, i, p, q, tau); slot >= 0 {
+						s.orderInsert(slot, i)
+						stats.CandidatesInserted++
+					}
+				}
 			}
-			if !admitNew {
-				continue
-			}
-			if slot := admit(s, lists, i, p, q, tau); slot >= 0 {
-				parts[i] = append(parts[i], slot)
-				live++
-				stats.CandidatesInserted++
+			if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
+				return nil, cc.err
 			}
 		}
 		stats.Rounds++
 
 		if !popped {
-			// Every list is done or paused beyond maxLen(C): all
-			// candidate memberships are resolved (Order Preservation)
-			// and no unseen element can qualify (the λ argument).
-			for ci := scanFrom; ci < len(s.imp); ci++ {
-				c := &s.imp[ci]
-				if !c.dead && meetsPre(c.lower, tau) {
-					out = e.emitRescored(s, q, c.id, tau, out)
-				}
-			}
+			// Every list is done or paused beyond maxLen(C): its pointer
+			// has passed every candidate, so all of them are settled
+			// (Order Preservation), and no unseen element can qualify
+			// (the λ argument).
 			return out, listsErr(lists)
 		}
-
-		var f float64
-		for i := range lists {
-			if p, ok := lists[i].frontier(); ok && p.Len <= hi {
-				f += lists[i].w(q.Len, p.Len)
-			}
-		}
-		if sim.Meets(f, tau) {
-			continue
-		}
-		admitNew = false
-
-		stats.CandidateScans++
-		for ci := scanFrom; ci < len(s.imp); ci++ {
-			c := &s.imp[ci]
-			if c.dead {
-				if ci == scanFrom {
-					scanFrom++
-				}
+		if admitNew {
+			if sim.Meets(frontierBound(lists, q.Len, hi), tau) {
 				continue
 			}
-			if cc.stop() {
-				return nil, cc.err
-			}
-			e.resolveAbsences(c, lists)
-			if c.nResolved == n {
-				if meetsPre(c.lower, tau) {
-					out = e.emitRescored(s, q, c.id, tau, out)
-				}
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-				continue
-			}
-			if !sim.Meets(c.upper(q.Len), tau) {
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-			}
+			admitNew = false // F only falls: the gate stays shut
 		}
-		if live == 0 && !sim.Meets(f, tau) {
+		if s.maxLiveLen() < 0 {
 			return out, listsErr(lists)
 		}
 	}

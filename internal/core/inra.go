@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/collection"
 	"repro/internal/invlist"
 	"repro/internal/kernel"
@@ -68,25 +71,15 @@ func ruledOut(l *listState, len float64, id collection.SetID) bool {
 }
 
 // resolveAbsences applies Order Preservation to every still-unresolved
-// list of c: any list whose frontier has passed (c.len, c.id) is marked
-// resolved-absent. The kernel path walks only the clear bits of the
-// resolved mask — one TrailingZeros per unresolved list instead of a
-// branch per list index — and the scalar path is the original full
-// sweep (the NoKernel fallback). Both visit unresolved lists in
-// ascending order, so the remIdfSq subtraction sequence, and with it
-// every Magnitude Boundedness upper bound, is bitwise identical.
+// list of c at once: any list whose frontier has passed (c.len, c.id) is
+// marked resolved-absent. It walks only the clear bits of the resolved
+// mask, in ascending list order. This is the sweep form of the rule —
+// iNRA's one candidate scan and top-k iNRA's per-round scans use it;
+// passCandidates is the event-driven form.
 //
 //ssvet:hot
-func (e *Engine) resolveAbsences(c *impCand, lists []listState) {
+func resolveAbsences(c *impCand, lists []listState) {
 	n := len(lists)
-	if e.nokern {
-		for j := 0; j < n; j++ {
-			if !c.resolved.Has(j) && ruledOut(&lists[j], c.len, c.id) {
-				c.resolveAbsent(j, lists[j].idfSq)
-			}
-		}
-		return
-	}
 	for j := c.resolved.NextClear(0, n); j >= 0; j = c.resolved.NextClear(j+1, n) {
 		if ruledOut(&lists[j], c.len, c.id) {
 			c.resolveAbsent(j, lists[j].idfSq)
@@ -133,12 +126,153 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 	return slot
 }
 
+// Event-driven Order Preservation. iNRA and Hybrid keep their candidates
+// in one sequence s.ord of slab slots in (len, id) order — the order every
+// weight list is stored in — and each list j owns a merge pointer s.ptr[j]
+// into it: ord[:ptr[j]] are candidates j's frontier has passed and that
+// are settled with respect to j, ord[ptr[j]:] everything it has yet to
+// pass (nothing once j is done). Property 1 then decides a candidate's
+// absence from j once, at the moment the frontier moves past it, instead
+// of a sweep re-deriving every absence every round. It is SF's merge
+// pointer, one per list because round-robin advances all lists at once.
+// Dead entries stay in the sequence until maxLiveLen pops them off its end.
+
+// resetOrder empties the candidate order and rewinds n list pointers.
+func (s *queryScratch) resetOrder(n int) {
+	s.ord = s.ord[:0]
+	s.ptr = s.ptr[:0]
+	for len(s.ptr) < n {
+		s.ptr = append(s.ptr, 0)
+	}
+}
+
+// orderInsert files a candidate just admitted from list seenIn at its
+// (len, id) position. Pointers beyond that position shift with the
+// entries they cover; a pointer at it covers the newcomer exactly when
+// admit found that list's frontier already past it. seenIn's own pointer
+// stays behind: the pass that follows the pop settles the newcomer.
+//
+//ssvet:hot
+func (s *queryScratch) orderInsert(slot int32, seenIn int) {
+	c := &s.imp[slot]
+	lo, hi := 0, len(s.ord)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o := &s.imp[s.ord[mid]]; beforeOrAt(invlist.Posting{ID: o.id, Len: o.len}, c.len, c.id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	s.ord = append(s.ord, 0)
+	copy(s.ord[lo+1:], s.ord[lo:])
+	s.ord[lo] = slot
+	for j, p := range s.ptr {
+		if int(p) > lo || (int(p) == lo && j != seenIn && c.resolved.Has(j)) {
+			s.ptr[j]++
+		}
+	}
+}
+
+// sortOrder puts the order into (len, id) sequence. SortFunc only calls
+// the comparator, so the closure stays on the stack: the warm path's
+// allocation budget is unchanged (TestWarmQueryAllocations pins it).
+func (s *queryScratch) sortOrder() {
+	imp := s.imp
+	slices.SortFunc(s.ord, func(a, b int32) int {
+		if c := cmp.Compare(imp[a].len, imp[b].len); c != 0 {
+			return c
+		}
+		return cmp.Compare(imp[a].id, imp[b].id)
+	})
+}
+
+// maxLiveLen pops dead entries off the end of the order and returns the
+// length of the last live candidate — Hybrid's maxLen(C) — or -1 when no
+// candidate is left alive.
+func (s *queryScratch) maxLiveLen() float64 {
+	for n := len(s.ord); n > 0; n-- {
+		if c := &s.imp[s.ord[n-1]]; !c.dead {
+			return c.len
+		}
+		s.ord = s.ord[:n-1]
+		for j, p := range s.ptr {
+			if int(p) >= n {
+				s.ptr[j] = int32(n - 1)
+			}
+		}
+	}
+	return -1
+}
+
+// settle retires c once its fate is known: complete (every list resolved)
+// it is emitted if it qualifies, and incomplete it is dropped as soon as
+// its Magnitude Boundedness upper bound falls below τ. Round-robin
+// accumulation order is list-state dependent, so the canonical rescore
+// decides and scores the emission.
+func (e *Engine) settle(s *queryScratch, q Query, tau float64, c *impCand, n int, out []Result) []Result {
+	if c.nResolved == n {
+		if meetsPre(c.lower, tau) {
+			out = e.emitRescored(s, q, c.id, tau, out)
+		}
+		c.dead = true
+	} else if !sim.Meets(c.upper(q.Len), tau) {
+		c.dead = true
+	}
+	return out
+}
+
+// passCandidates advances list j's pointer over the candidates its
+// frontier has passed; call it after every pop and every done transition
+// of j. Each live one is marked absent from j unless it was seen there,
+// and settled. It returns false when the query was cancelled.
+//
+//ssvet:hot
+func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listState, j int, q Query, tau float64, out []Result) ([]Result, bool) {
+	l := &lists[j]
+	p, open := l.frontier()
+	k := int(s.ptr[j])
+	for ; k < len(s.ord); k++ {
+		c := &s.imp[s.ord[k]]
+		if open && beforeOrAt(p, c.len, c.id) {
+			break
+		}
+		if c.dead {
+			continue
+		}
+		if cc.stop() {
+			return out, false
+		}
+		c.resolveAbsent(j, l.idfSq)
+		out = e.settle(s, q, tau, c, len(lists), out)
+	}
+	s.ptr[j] = int32(k)
+	return out, true
+}
+
+// frontierBound is F, the best score a set not yet seen in any list could
+// still reach: the frontier weights of the lists inside the length window.
+func frontierBound(lists []listState, lenQ, hi float64) float64 {
+	var f float64
+	for i := range lists {
+		if p, ok := lists[i].frontier(); ok && p.Len <= hi {
+			f += lists[i].w(lenQ, p.Len)
+		}
+	}
+	return f
+}
+
 // selectINRA is Algorithm 2: NRA's round-robin sorted access augmented
 // with the three semantic properties of §IV — Length Boundedness to skip
 // to τ·len(q) and stop past len(q)/τ, Order Preservation to resolve
 // absences from frontiers, and Magnitude Boundedness for tight upper
 // bounds — plus the F < τ gate before admitting new candidates and
 // before scanning the candidate set.
+//
+// While F ≥ τ nothing is scanned, so no order is kept either: admission
+// stays a slab append. When F first drops below τ the candidate set is
+// frozen; one sweep settles it, only the survivors are ordered, and from
+// then on absences are resolved event-driven (passCandidates).
 func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -147,11 +281,10 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 	s.tbl.reset()
 	s.imp = s.imp[:0]
 	s.arena = s.arena[:0]
-	live := 0
+	s.resetOrder(n)
 	out := s.results[:0]
 	defer func() { s.results = out }()
 
-	scanFrom := 0    // s.imp[:scanFrom] is all dead; dead never revives
 	admitNew := true // true while F ≥ τ
 	for {
 		alive := false
@@ -164,98 +297,50 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 				return nil, cc.err
 			}
 			p, ok := l.frontier()
-			if !ok {
-				l.done = true
-				continue
+			if ok {
+				stats.ElementsRead++
+				l.next()
 			}
-			stats.ElementsRead++
-			l.next()
-			if p.Len > hi {
+			if !ok || p.Len > hi {
 				l.done = true
-				continue
-			}
-			alive = true
-			if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
-				c := &s.imp[slot]
-				c.resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
-				if c.nResolved == n {
-					// Round-robin accumulation order is list-state
-					// dependent; the canonical rescore decides and
-					// scores the emission (every completion site here).
-					if meetsPre(c.lower, tau) {
-						out = e.emitRescored(s, q, c.id, tau, out)
-					}
-					c.dead = true
-					live--
+			} else {
+				alive = true
+				if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
+					s.imp[slot].resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
+				} else if admitNew && admit(s, lists, i, p, q, tau) >= 0 {
+					stats.CandidatesInserted++
 				}
-				continue
 			}
 			if !admitNew {
-				continue
-			}
-			if admit(s, lists, i, p, q, tau) >= 0 {
-				live++
-				stats.CandidatesInserted++
+				if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
+					return nil, cc.err
+				}
 			}
 		}
 		stats.Rounds++
 
-		if !alive {
-			// All lists done: every unresolved list is ruled out, so
-			// scores are complete.
-			for ci := scanFrom; ci < len(s.imp); ci++ {
+		if admitNew {
+			if alive && sim.Meets(frontierBound(lists, q.Len, hi), tau) {
+				continue // scanning is pointless while F ≥ τ (§V)
+			}
+			// F < τ (or every list is done): no new candidate can qualify.
+			admitNew = false
+			stats.CandidateScans++
+			for ci := range s.imp {
+				if cc.stop() {
+					return nil, cc.err
+				}
 				c := &s.imp[ci]
-				if !c.dead && meetsPre(c.lower, tau) {
-					out = e.emitRescored(s, q, c.id, tau, out)
+				resolveAbsences(c, lists)
+				if out = e.settle(s, q, tau, c, n, out); !c.dead {
+					s.ord = append(s.ord, int32(ci))
 				}
 			}
-			return out, listsErr(lists)
+			// The pointers stay at 0: a list's first pass walks over the
+			// entries the sweep already resolved in it, changing nothing.
+			s.sortOrder()
 		}
-
-		var f float64
-		for i := range lists {
-			if p, ok := lists[i].frontier(); ok && p.Len <= hi {
-				f += lists[i].w(q.Len, p.Len)
-			}
-		}
-		if sim.Meets(f, tau) {
-			continue // scanning is pointless while F ≥ τ (§V)
-		}
-		admitNew = false
-
-		stats.CandidateScans++
-		for ci := scanFrom; ci < len(s.imp); ci++ {
-			c := &s.imp[ci]
-			if c.dead {
-				if ci == scanFrom {
-					scanFrom++
-				}
-				continue
-			}
-			if cc.stop() {
-				return nil, cc.err
-			}
-			e.resolveAbsences(c, lists)
-			if c.nResolved == n {
-				if meetsPre(c.lower, tau) {
-					out = e.emitRescored(s, q, c.id, tau, out)
-				}
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-				continue
-			}
-			if !sim.Meets(c.upper(q.Len), tau) {
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-			}
-		}
-		if live == 0 {
+		if s.maxLiveLen() < 0 {
 			return out, listsErr(lists)
 		}
 	}

@@ -1,0 +1,272 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/collection"
+	"repro/internal/invlist"
+	"repro/internal/tokenize"
+)
+
+// Tests of the event-driven Order Preservation mechanism shared by iNRA
+// and Hybrid: the (len, id) candidate order, its per-list merge pointers,
+// and Hybrid's pause/resume rule that reads maxLen(C) off its end.
+
+// tapStore wraps a Store and logs every weight-list read, so a test can
+// see the access pattern itself: which list was read when, and which
+// posting it yielded. Its cursors are not MemStore cursors, so they also
+// drive the algorithms down the Cursor-interface path of listState.
+type tapStore struct {
+	invlist.Store
+	reads []tapRead
+}
+
+type tapRead struct {
+	tok tokenize.Token
+	p   invlist.Posting
+}
+
+type tapCursor struct {
+	invlist.Cursor
+	tok tokenize.Token
+	st  *tapStore
+}
+
+func (ts *tapStore) WeightCursor(t tokenize.Token) invlist.Cursor {
+	return &tapCursor{Cursor: ts.Store.WeightCursor(t), tok: t, st: ts}
+}
+
+func (tc *tapCursor) Next() {
+	tc.st.reads = append(tc.st.reads, tapRead{tc.tok, tc.Posting()})
+	tc.Cursor.Next()
+}
+
+// TestHybridResumesPausedList pins the resume half of Hybrid's stopping
+// rule. The query is {a, b} with a rare and b common. List b's cutoff µ
+// lies below the length window, so b reads only while a live candidate is
+// at least as long as its frontier: it completes the first candidate,
+// then sits paused at a long posting while list a yields candidates that
+// are complete at birth. List a's last posting is X = "a b u", longer
+// than b's frontier and a result only with b's contribution (0.65 with
+// it, 0.56 without, τ = 0.6); admitting it pushes maxLen(C) past the
+// paused frontier, and b must resume and read up to X. Without the resume
+// X would never be completed.
+func TestHybridResumesPausedList(t *testing.T) {
+	docs := []string{
+		"a", "a m", "a n", "a m n", "a m", // list a before X: short, absent from b
+		"a b u",              // X
+		"b m",                // b's one posting below the pause point
+		"b m n o", "b n o p", // b's postings between the pause point and X
+		"b u v", "b u w", // beyond X: b pauses again, not exhausted
+	}
+	for i := 0; i < 30; i++ {
+		docs = append(docs, "b") // makes b common; below the length window
+	}
+	for i := 0; i < 8; i++ {
+		docs = append(docs, "m", "n") // medium-idf filler tokens
+	}
+	docs = append(docs, "o", "o", "o", "p", "p", "p")
+	b := collection.NewBuilder(tokenize.WordTokenizer{}, true)
+	for _, d := range docs {
+		b.Add(d)
+	}
+	c := b.Build()
+	tap := &tapStore{Store: invlist.BuildMem(c, 4)}
+	e := NewEngine(c, Config{Store: tap, NoHashes: true, NoRelational: true})
+	const tau, x = 0.6, collection.SetID(5)
+	q := e.Prepare("a b")
+	if len(q.Tokens) != 2 || e.c.Source(x) != "a b u" {
+		t.Fatalf("corpus layout changed: %d query tokens, set %d = %q", len(q.Tokens), x, e.c.Source(x))
+	}
+	tokA, tokB := q.Tokens[0].Token, q.Tokens[1].Token // idf-descending: a first
+
+	want, _, err := e.Select(q, tau, Naive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap.reads = tap.reads[:0]
+	got, st, err := e.Select(q, tau, Hybrid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, e, q, tau, Hybrid, got, want)
+	var pattern strings.Builder
+	readsOf := map[collection.SetID]int{}
+	for _, r := range tap.reads {
+		switch r.tok {
+		case tokA:
+			pattern.WriteByte('a')
+		case tokB:
+			pattern.WriteByte('b')
+		}
+		readsOf[r.p.ID]++
+	}
+	// Round-robin reads a and b alternately while both are active. "aa"
+	// is a round b sat out although it had postings left; a later "b" is
+	// the resume.
+	pat := pattern.String()
+	paused := strings.Index(pat, "aa")
+	if paused < 0 || !strings.Contains(pat[paused:], "b") {
+		t.Errorf("access pattern %q shows no pause and resume of list b", pat)
+	}
+	if readsOf[x] != 2 {
+		t.Errorf("X was read from %d lists, want both", readsOf[x])
+	}
+	// The resumed list stops again right after X: "b n o p" is inside the
+	// length window but longer than any candidate.
+	if past := collection.SetID(8); e.c.Source(past) != "b n o p" || readsOf[past] != 0 {
+		t.Errorf("list b read %q past X (%d times): it never paused again", e.c.Source(past), readsOf[past])
+	}
+	t.Logf("access pattern %s, rounds %d", pat, st.Rounds)
+}
+
+// orderDriver replays the candidate bookkeeping of selectINRA/selectHybrid
+// under a test-chosen pop schedule, checking the order's invariants after
+// every event. Unlike the algorithms it never stops admitting, so dead ids
+// can resurface and be readmitted.
+type orderDriver struct {
+	t     *testing.T
+	e     *Engine
+	s     *queryScratch
+	q     Query
+	tau   float64
+	hi    float64
+	lists []listState
+	out   []Result
+	// how often each situation the mechanism must survive came up
+	outOfOrder, doneWhilePending, resurfaced int
+}
+
+// pop advances list i by one posting, or retires it, exactly as a round
+// of selectINRA does for one list.
+func (d *orderDriver) pop(i int) {
+	s, l := d.s, &d.lists[i]
+	p, ok := l.frontier()
+	if ok {
+		l.next()
+	}
+	if !ok || p.Len > d.hi {
+		l.done = true
+	} else if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
+		s.imp[slot].resolveSeen(i, l.idfSq, l.w(d.q.Len, p.Len))
+	} else {
+		if slot >= 0 {
+			d.resurfaced++
+		}
+		if slot = admit(s, d.lists, i, p, d.q, d.tau); slot >= 0 {
+			if n := len(s.ord); n > 0 && !beforeOrAt(invlist.Posting{ID: s.imp[s.ord[n-1]].id, Len: s.imp[s.ord[n-1]].len}, p.Len, p.ID) {
+				d.outOfOrder++
+			}
+			s.orderInsert(slot, i)
+		}
+	}
+	// A pop that leaves nothing inside the window ends the list as far as
+	// the candidates are concerned (the next visit marks it done).
+	if np, more := l.frontier(); !more || np.Len > d.hi {
+		for _, slot := range s.ord {
+			if c := &s.imp[slot]; !c.dead && !c.resolved.Has(i) {
+				d.doneWhilePending++
+				break
+			}
+		}
+	}
+	var live bool
+	d.out, live = d.e.passCandidates(s, nil, d.lists, i, d.q, d.tau, d.out)
+	if !live {
+		d.t.Fatal("passCandidates reported cancellation without a canceller")
+	}
+	d.check(fmt.Sprintf("after pop of list %d (%v)", i, p))
+}
+
+// check asserts the invariants the algorithms rely on.
+func (d *orderDriver) check(when string) {
+	d.t.Helper()
+	s := d.s
+	for k := 1; k < len(s.ord); k++ {
+		a, b := &s.imp[s.ord[k-1]], &s.imp[s.ord[k]]
+		if a.len > b.len || (a.len == b.len && a.id > b.id) {
+			d.t.Fatalf("%s: order broken at %d: (%g,%d) before (%g,%d)", when, k, a.len, a.id, b.len, b.id)
+		}
+	}
+	for j := range d.lists {
+		for k, slot := range s.ord {
+			c := &s.imp[slot]
+			passed := ruledOut(&d.lists[j], c.len, c.id)
+			if passed != (k < int(s.ptr[j])) {
+				d.t.Fatalf("%s: list %d pointer %d, but entry %d (%g,%d) passed=%v", when, j, s.ptr[j], k, c.len, c.id, passed)
+			}
+			if passed && !c.dead && !c.resolved.Has(j) {
+				d.t.Fatalf("%s: live candidate %d passed by list %d but unresolved there", when, c.id, j)
+			}
+		}
+	}
+	for _, slot := range s.ord {
+		if c := &s.imp[slot]; !c.dead && c.nResolved == len(d.lists) {
+			d.t.Fatalf("%s: complete candidate %d left unsettled", when, c.id)
+		}
+	}
+}
+
+// TestCandidateOrderUnderRandomSchedules drives the shared mechanism with
+// pop schedules no round-robin produces — one list racing ahead, lists
+// retired by the length window or by exhaustion while candidates wait on
+// them — over tie-heavy corpora, and demands the oracle's answer once
+// every list is done. The counters prove the named situations occurred:
+// candidates admitted out of (len, id) order across lists, a list going
+// done while candidates are pending in it, a dead id resurfacing later.
+func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
+	var outOfOrder, doneWhilePending, resurfaced int
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := buildEngine(t, 150+rng.Intn(250), seed*17+3, 2+rng.Intn(3), Config{NoHashes: true, NoRelational: true})
+		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
+		tau := 0.3 + 0.6*rng.Float64()
+		opts := &Options{NoLengthBound: seed%3 == 0}
+		lo, hi := lengthWindow(q, tau, opts)
+		s := &queryScratch{}
+		d := &orderDriver{t: t, e: e, s: s, q: q, tau: tau, hi: hi}
+		d.lists = e.openLists(s, nil, q, lo, opts, &Stats{})
+		fillIDFSq(s, q)
+		s.tbl.reset()
+		s.resetOrder(len(d.lists))
+		// Bursts: a list pops several postings in a row before another
+		// gets its turn.
+		open := 0
+		for i := range d.lists {
+			if !d.lists[i].done {
+				open++
+			}
+		}
+		for open > 0 {
+			i := rng.Intn(len(d.lists))
+			for burst := 1 + rng.Intn(6); burst > 0 && !d.lists[i].done; burst-- {
+				d.pop(i)
+				if d.lists[i].done {
+					open--
+				}
+			}
+		}
+		if m := s.maxLiveLen(); m >= 0 {
+			t.Fatalf("seed %d: every list done, yet a candidate of length %g is still live", seed, m)
+		}
+		d.check("after maxLiveLen")
+		want, _, err := e.Select(q, tau, Naive, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortResults(d.out)
+		assertSameResults(t, e, q, tau, Hybrid, d.out, want)
+		outOfOrder += d.outOfOrder
+		doneWhilePending += d.doneWhilePending
+		resurfaced += d.resurfaced
+	}
+	if outOfOrder == 0 || doneWhilePending == 0 || resurfaced == 0 {
+		t.Errorf("schedules never produced a situation: out-of-order admissions %d, done-while-pending %d, resurfaced dead ids %d",
+			outOfOrder, doneWhilePending, resurfaced)
+	}
+	t.Logf("out-of-order admissions %d, lists done while candidates pending %d, dead ids resurfacing %d",
+		outOfOrder, doneWhilePending, resurfaced)
+}

@@ -44,8 +44,9 @@ type queryScratch struct {
 	imp []impCand
 	sf  []sfCand
 
-	i0, i1, i2 []int32   // SF candidate list / new arrivals / merge target
-	parts      [][]int32 // Hybrid's per-list candidate partitions
+	i0, i1, i2 []int32 // SF candidate list / new arrivals / merge target
+	ord        []int32 // iNRA/Hybrid candidate slots in (len, id) order
+	ptr        []int32 // per list: ord[:ptr[j]] lies before list j's frontier
 
 	results []Result // result accumulator; copied out before pooling
 

@@ -352,7 +352,10 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 }
 
 // topkINRA runs iNRA's round-robin with the rising bound, over the same
-// candidate slab and id-table as selectINRA.
+// candidate slab and id-table as selectINRA. It keeps the per-round
+// candidate sweep selectINRA replaced with passCandidates: τ rises here,
+// so a candidate can lose viability without any frontier passing it, and
+// only a sweep re-tests every candidate against the new bound.
 func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, o, stats)
 	fillIDFSq(s, q)
@@ -426,13 +429,7 @@ func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, o *Opt
 		}
 
 		tau = liveTau(bound, shared)
-		var f float64
-		for i := range lists {
-			if p, ok := lists[i].frontier(); ok && p.Len <= hi {
-				f += lists[i].w(q.Len, p.Len)
-			}
-		}
-		if sim.Meets(f, tau) {
+		if sim.Meets(frontierBound(lists, q.Len, hi), tau) {
 			continue
 		}
 		stats.CandidateScans++
@@ -447,7 +444,7 @@ func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, o *Opt
 			if cc.stop() {
 				return nil, cc.err
 			}
-			e.resolveAbsences(c, lists)
+			resolveAbsences(c, lists)
 			if c.nResolved == n {
 				out = append(out, Result{ID: c.id, Score: e.rescore(s, q, c.id)})
 				c.dead = true
