@@ -137,6 +137,49 @@ func BenchmarkSelectTopKWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectTopKLive measures SF top-10 on one multi-segment live
+// store before and after 500 deletes, with the postings read per query
+// beside the time: tombstones must leave both where they were (k stays
+// k), apart from the documents the queries lose.
+func BenchmarkSelectTopKLive(b *testing.B) {
+	corpus := randomCorpus(20000, 7, 8)
+	le := NewLive(liveTestTK, LiveConfig{
+		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+		DriftBound: 1e9, MaxSegments: 1 << 20,
+	})
+	defer le.Close()
+	for i, s := range corpus {
+		if _, err := le.Insert(s); err != nil {
+			b.Fatal(err)
+		}
+		if i == 11999 || i == 16999 || i == 19499 {
+			le.compactOnce(false)
+		}
+	}
+	run := func(b *testing.B) {
+		lqs := make([]LiveQuery, 16)
+		for i := range lqs {
+			lqs[i] = le.Prepare(corpus[i*1117])
+		}
+		elems := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, st, err := le.SelectTopK(lqs[i%len(lqs)], 10, SF, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			elems += st.ElementsRead
+		}
+		b.ReportMetric(float64(elems)/float64(b.N), "elems/op")
+	}
+	b.Run("tombstones=0", run)
+	for i := 0; i < 500; i++ {
+		le.Delete(collection.SetID(i*37 + 1))
+	}
+	b.Run("tombstones=500", run)
+}
+
 // BenchmarkSelectBatchParallel measures batch throughput with per-worker
 // scratch (one op = a 64-query batch).
 func BenchmarkSelectBatchParallel(b *testing.B) {

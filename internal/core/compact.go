@@ -392,8 +392,8 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	// Documents deleted between gather and here survived into the new
 	// segments (the emit-time tombstone check hides them); recount dead
-	// and tombs from the log so drift triggers and top-k over-fetch stay
-	// accurate.
+	// and tombs from the log so that fold decisions, the store gauges
+	// and the queries' dead == 0 fast paths stay accurate.
 	var tombs int64
 	for si := range shards {
 		for _, g := range shards[si].segs {

@@ -22,11 +22,11 @@ func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, s
 	if p.kind == planTopK {
 		switch p.alg {
 		case Naive:
-			return e.topkNaive(s, cc, q, p.k)
+			return e.topkNaive(s, cc, q, p.k, &p.live)
 		case SF:
-			return e.topkSF(s, cc, q, p.k, &p.opts, stats, shared)
+			return e.topkSF(s, cc, q, p.k, &p.live, &p.opts, stats, shared)
 		case INRA:
-			return e.topkINRA(s, cc, q, p.k, &p.opts, stats, shared)
+			return e.topkINRA(s, cc, q, p.k, &p.live, &p.opts, stats, shared)
 		default:
 			return nil, ErrUnknownAlg
 		}
@@ -164,10 +164,12 @@ func (se *ShardedEngine) runFan(ctx context.Context, q Query, p queryPlan) ([]Re
 }
 
 // runLivePlan executes a validated plan against a snapshot-pinned
-// LiveQuery: one shard runs inline (byte-for-byte the monolithic path —
-// no sharedTau), a fleet fans out on plain goroutines with one bound
-// circulating across all shards, and the merge applies the plan's
-// discipline over the concatenated, tombstone-filtered answers.
+// LiveQuery: one shard runs inline, a fleet fans out on plain
+// goroutines, and the merge applies the plan's discipline over the
+// concatenated, tombstone-filtered answers. Every top-k, one-shard
+// stores included, circulates one rising bound through all its segments
+// and memtables: each prunes against the best k-th-score lower bound
+// any earlier one established.
 func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan) ([]Result, Stats, error) {
 	start := time.Now()
 	del := le.del.Load()
@@ -175,12 +177,14 @@ func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan
 	var stats Stats
 	var err error
 	if len(lq.snap.shards) == 1 {
-		out, stats, err = le.liveShardRun(ctx, lq, 0, p, del, nil)
+		// The inline path's bound lives on the stack: nothing below
+		// retains it, so a one-shard top-k pays no allocation for it
+		// (a selection never raises or reads it).
+		var shared sharedTau
+		out, stats, err = le.liveShardRun(ctx, lq, 0, p, del, &shared)
 	} else {
 		var shared *sharedTau
 		if p.kind == planTopK {
-			// One bound for the whole fleet: every shard prunes against
-			// the best k-th-score lower bound any shard established.
 			shared = new(sharedTau)
 		}
 		outs, sts, errs := le.liveFan(func(si int) ([]Result, Stats, error) {
@@ -208,13 +212,15 @@ func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan
 // liveShardRun executes the plan against one shard of the pinned
 // snapshot: its segments in order, then its memtable. Threshold
 // selections return the shard's answers sorted by ascending global id
-// (a single fully compacted segment passes through with no merge work);
-// top-k over-fetches each segment by its tombstone count so deleted
-// documents cannot displace live answers — the bound stays sound
-// because at least k of a segment's top k+dead survive the tombstone
-// filter — and leaves the concatenation unsorted for the caller's one
-// sort-and-cut. Segments carrying a pruning summary run through the
-// same route-stage predicate as static shards.
+// (a single fully compacted segment passes through with no merge work).
+// Top-k asks every segment for exactly k: a segment carrying tombstones
+// gets a liveness view on its plan, so deleted documents never enter
+// its k-th bound and cannot displace live answers — the bound over live
+// candidates never exceeds the global k-th live score, which is what
+// keeps raising shared sound — and the concatenation is left unsorted
+// for the caller's one sort-and-cut. The memtable is scanned last,
+// against the bound the segments raised. Segments carrying a pruning
+// summary run through the same route-stage predicate as static shards.
 func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p queryPlan, del *tombstones, shared *sharedTau) ([]Result, Stats, error) {
 	var stats Stats
 	sh := &lq.snap.shards[si]
@@ -230,8 +236,8 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 			// query token occurs here — nothing can score, and no
 			// algorithm emits zero-score documents. Threshold selections
 			// prune on this segment query's own Theorem 1 window; top-k
-			// rechecks the circulating fleet bound instead (nil-safe: it
-			// loads 0 on the single-shard path).
+			// rechecks the circulating bound instead (it loads 0 until
+			// some segment holds k live candidates).
 			le.boundChecks.Add(1)
 			sp := p
 			if p.kind == planSelect {
@@ -248,12 +254,8 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 			}
 		}
 		sp := p
-		if p.kind == planTopK {
-			kk := p.k + int(g.dead.Load())
-			if kk > len(g.ids) {
-				kk = len(g.ids)
-			}
-			sp.k = kk
+		if p.kind == planTopK && g.dead.Load() > 0 {
+			sp.live = liveView{ids: g.ids, del: del}
 		}
 		res, st, err := g.eng.runPlan(ctx, q, sp, shared)
 		addStats(&stats, st)
@@ -272,7 +274,7 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 		stats.ListTotal += len(sh.mem)
 		tau := p.tau
 		if p.kind == planTopK {
-			tau = minPositiveTau
+			tau = max(shared.load(), minPositiveTau)
 		}
 		var err error
 		out, err = scanMemtable(cc, sh.mem, lq.mem, tau, del, &stats, out)

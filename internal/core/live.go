@@ -101,8 +101,8 @@ type liveSegment struct {
 	// build time; drift is measured against them.
 	builtN   int
 	builtMut uint64
-	// dead counts tombstoned documents inside this segment; the top-k
-	// path over-fetches by it so displaced answers are not lost.
+	// dead counts tombstoned documents inside this segment: zero lets
+	// emit pass results through and top-k run without a liveness view.
 	dead atomic.Int64
 	// identity is true when local id i maps to global id i for every
 	// document, which holds for any segment compacted over a corpus with
@@ -339,16 +339,21 @@ func (le *LiveEngine) NumShards() int { return le.nShards }
 func distinctTokens(tk tokenize.Tokenizer, s string) []string {
 	toks := tk.Tokens(nil, s)
 	sort.Strings(toks)
-	out := toks[:0]
-	for i, t := range toks {
-		if i == 0 || t != toks[i-1] {
-			out = append(out, t)
+	return dedupSorted(toks[:0], toks)
+}
+
+// dedupSorted appends the distinct strings of sorted to dst (dst may be
+// sorted[:0] to deduplicate in place); nil when there are none.
+func dedupSorted(dst, sorted []string) []string {
+	for i, t := range sorted {
+		if i == 0 || t != sorted[i-1] {
+			dst = append(dst, t)
 		}
 	}
-	if len(out) == 0 {
+	if len(dst) == 0 {
 		return nil
 	}
-	return out
+	return dst
 }
 
 // Insert adds s as a new document and returns its permanent id. The
@@ -728,10 +733,14 @@ type LiveQuery struct {
 	known bool // at least one query token occurs in the live corpus
 }
 
-// Prepare tokenizes s against the current snapshot and global
-// statistics.
+// Prepare tokenizes s — once, whatever the segment count — against the
+// current snapshot and global statistics.
 func (le *LiveEngine) Prepare(s string) LiveQuery {
-	toks := distinctTokens(le.tk, s)
+	// raw keeps duplicates for the segments' term frequencies; the
+	// memtable scan and the global weights want the distinct tokens.
+	raw := le.tk.Tokens(nil, s)
+	sort.Strings(raw)
+	toks := dedupSorted(make([]string, 0, len(raw)), raw)
 	le.mu.RLock()
 	snap := le.snap.Load()
 	idfSq := make([]float64, len(toks))
@@ -760,7 +769,7 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 		}
 		lq.segQ[si] = make([]Query, len(segs))
 		for i, g := range segs {
-			lq.segQ[si][i] = g.eng.Prepare(s)
+			lq.segQ[si][i] = g.eng.prepareTokens(raw)
 		}
 	}
 	return lq
@@ -837,10 +846,11 @@ func (le *LiveEngine) SelectTopK(q LiveQuery, k int, alg Algorithm, opts *Option
 	return le.SelectTopKCtx(context.Background(), q, k, alg, opts)
 }
 
-// SelectTopKCtx is SelectTopK under a context. Each segment answers an
-// over-fetched top-(k + its tombstone count) so deleted documents cannot
-// displace live answers; the per-segment answers and the memtable
-// matches are merged and cut to k.
+// SelectTopKCtx is SelectTopK under a context. Each segment answers its
+// top k over live documents — tombstoned ones never become candidates,
+// so they cannot displace live answers — pruning against the one bound
+// the query's earlier segments raised; the per-segment answers and the
+// memtable matches are merged and cut to k.
 func (le *LiveEngine) SelectTopKCtx(ctx context.Context, lq LiveQuery, k int, alg Algorithm, opts *Options) ([]Result, Stats, error) {
 	p, err := livePlan(planTopK, lq, 0, k, alg, opts)
 	if err != nil {

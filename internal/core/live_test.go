@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -143,97 +145,218 @@ func TestLiveTopKEquivalence(t *testing.T) {
 	}
 }
 
-// TestLiveTopKOverfetchClamp is the regression test for the per-segment
-// over-fetch k + dead(segment): with far more tombstones than k, the
-// over-fetched count exceeds the segment's document count and must be
-// clamped to it. The scenario — delete almost everything, then ask for a
-// small k without compacting — answers from segments whose dead count
-// dwarfs both k and the survivor count, and checks the top-k answer
-// against the independent threshold-selection path over the same
-// snapshot (no over-fetch logic), plus tombstone exclusion.
-func TestLiveTopKOverfetchClamp(t *testing.T) {
-	corpus := randomCorpus(300, 31, 6)
+// liveTopKOracle is the live top-k ground truth, sharing no top-k code:
+// the Naive threshold selection at a threshold every match reaches,
+// ordered by (score desc, id asc) and cut to k.
+func liveTopKOracle(t *testing.T, le *LiveEngine, lq LiveQuery, k int) []Result {
+	t.Helper()
+	all, _, err := le.Select(lq, 1e-9, Naive, nil)
+	if err != nil {
+		t.Fatalf("oracle selection: %v", err)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].ID < all[j].ID
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// assertLiveTopK checks every top-k algorithm against liveTopKOracle
+// over the same pinned query. Scores are compared with the mixed-state
+// tolerance: segment weights are baked at different statistics epochs,
+// so cross-algorithm accumulation orders differ by ulps, not bitwise.
+func assertLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
+	t.Helper()
+	want := liveTopKOracle(t, le, lq, k)
+	for _, alg := range []Algorithm{Naive, SF, INRA} {
+		got, _, err := le.SelectTopK(lq, k, alg, nil)
+		if err != nil {
+			t.Fatalf("top-%d %v: %v", k, alg, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("top-%d %v: %d results, oracle %d", k, alg, len(got), len(want))
+		}
+		for i := range want {
+			if _, live := le.Source(got[i].ID); !live {
+				t.Fatalf("top-%d %v: deleted id %d emitted", k, alg, got[i].ID)
+			}
+			if got[i].ID != want[i].ID {
+				t.Fatalf("top-%d %v result %d: id %d, oracle %d", k, alg, i, got[i].ID, want[i].ID)
+			}
+			if d := got[i].Score - want[i].Score; d > 1e-9 || d < -1e-9 {
+				t.Fatalf("top-%d %v id %d: score %.12f, oracle %.12f", k, alg, got[i].ID, got[i].Score, want[i].Score)
+			}
+		}
+	}
+}
+
+// TestLiveTopKTombstones: live top-k asks every segment for exactly k
+// and keeps tombstoned documents out of the k-th bound, so it must stay
+// exact however the deletes fall — on the very documents a segment
+// would have answered with, in numbers that dwarf k, and down to fewer
+// than k survivors — without a compaction in between.
+func TestLiveTopKTombstones(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		corpus := randomCorpus(300, 31, 6)
+		// FlushThreshold is the size below which a partial compaction
+		// folds a segment again: 16 keeps every flushed segment apart.
+		le := NewLive(liveTestTK, LiveConfig{
+			Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+			FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20, Shards: shards,
+		})
+		for i, s := range corpus {
+			// Ids are log positions: corpus[i] is document i.
+			if id, err := le.Insert(s); err != nil || int(id) != i {
+				t.Fatalf("insert %d: id %d, %v", i, id, err)
+			}
+			// Partial compactions flush the memtables into segments, so
+			// the deletes below become segment tombstones.
+			if i == 139 || i == 219 || i == 279 {
+				le.compactOnce(false)
+			}
+		}
+		var largest *liveSegment
+		for _, sh := range le.snap.Load().shards {
+			for _, g := range sh.segs {
+				if largest == nil || len(g.ids) > len(largest.ids) {
+					largest = g
+				}
+			}
+		}
+		if st := le.Stats(); st.Segments < 2*shards || st.Memtable == 0 {
+			t.Fatalf("shards=%d: scenario not established: %+v", shards, st)
+		}
+
+		// The k best documents of the largest segment are all tombstoned:
+		// its answer must come from below its old top k.
+		rng := rand.New(rand.NewSource(32))
+		beheaded := 0
+		for trial := 0; trial < 8; trial++ {
+			// Multiples of 15 survive every delete of this test, so the
+			// query strings keep their tokens in the live statistics.
+			lq := le.Prepare(corpus[15*rng.Intn(len(corpus)/15)])
+			k := 1 + rng.Intn(6)
+			killed := 0
+			for _, r := range liveTopKOracle(t, le, lq, len(corpus)) {
+				if killed == k {
+					break
+				}
+				if segmentOf([]*liveSegment{largest}, r.ID) != nil && r.ID%15 != 0 {
+					le.Delete(r.ID)
+					killed++
+				}
+			}
+			if killed == k {
+				beheaded++
+			}
+			assertLiveTopK(t, le, lq, k)
+		}
+		if beheaded < 4 {
+			t.Fatalf("shards=%d: only %d of 8 queries lost their k best in the largest segment", shards, beheaded)
+		}
+
+		// Deletes ≫ k: keep 1 document in 15.
+		for i := range corpus {
+			if i%15 != 0 {
+				le.Delete(collection.SetID(i))
+			}
+		}
+		if st := le.Stats(); st.Tombstones < 250 {
+			t.Fatalf("shards=%d: scenario not established: %+v", shards, st)
+		}
+		for trial := 0; trial < 20; trial++ {
+			lq := le.Prepare(corpus[15*rng.Intn(len(corpus)/15)])
+			assertLiveTopK(t, le, lq, 1+rng.Intn(6))
+			// k beyond the live count: every live match, ranked.
+			assertLiveTopK(t, le, lq, len(corpus))
+		}
+		le.Close()
+	}
+}
+
+// TestLiveTopKDeletesAddNoWork pins what "k stays k" buys. Deleting far
+// more than k documents must not make SF top-k read or admit more than
+// the same store did before the deletes (asking each segment for k plus
+// its tombstone count did both). The victims share no token with the
+// queries, which makes the comparison exact rather than statistical: a
+// victim the query does reach may legitimately cost a few reads, because
+// it no longer props up the rising bound.
+func TestLiveTopKDeletesAddNoWork(t *testing.T) {
+	// Clusters of near-duplicates over a..l, so that the k-th score is
+	// high and the bound prunes; victims over m..x, interleaved.
+	bases := randomCorpus(80, 41, 12)
+	rng := rand.New(rand.NewSource(42))
 	le := NewLive(liveTestTK, LiveConfig{
 		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
-		FlushThreshold: 64, DriftBound: 1e9, MaxSegments: 1 << 20,
+		FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
 	})
 	defer le.Close()
-	gids := make([]collection.SetID, len(corpus))
-	for i, s := range corpus {
+	var queries []string
+	var victims []collection.SetID
+	insert := func(s string) collection.SetID {
 		id, err := le.Insert(s)
 		if err != nil {
-			t.Fatalf("insert %d: %v", i, err)
+			t.Fatalf("insert %q: %v", s, err)
 		}
-		gids[i] = id
-		// Partial compactions flush the memtable into segments, so the
-		// deletes below become segment tombstones counted by g.dead.
-		if i == 99 || i == 199 || i == 299 {
+		return id
+	}
+	for v := 0; v < 12; v++ {
+		for bi, b := range bases {
+			doc := []byte(b + b)
+			doc[rng.Intn(len(doc))] = byte('a' + rng.Intn(12))
+			insert(string(doc))
+			if v == 0 && bi%4 == 0 {
+				queries = append(queries, string(doc))
+			}
+			victim := make([]byte, 6+rng.Intn(12))
+			for i := range victim {
+				victim[i] = byte('m' + rng.Intn(12))
+			}
+			victims = append(victims, insert(string(victim)))
+		}
+		if v%4 == 3 {
 			le.compactOnce(false)
 		}
 	}
-	deleted := map[collection.SetID]bool{}
-	for i, id := range gids {
-		// Keep ~1 in 15: deletes ≫ any tested k.
-		if i%15 != 0 {
-			if !le.Delete(id) {
-				t.Fatalf("delete %d reported false", i)
-			}
-			deleted[id] = true
-		}
-	}
-	if st := le.Stats(); st.Segments < 2 || st.Tombstones < 250 {
+	// No memtable: its scan reads live documents only, so deletes there
+	// would lower the read count and mask the segments'.
+	if st := le.Stats(); st.Segments != 3 || st.Memtable != 0 {
 		t.Fatalf("scenario not established: %+v", st)
 	}
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 20; trial++ {
-		// Query with survivors: a deleted doc's tokens may have df 0
-		// after the massacre, making its query empty by construction.
-		s := corpus[15*rng.Intn(len(corpus)/15)]
-		k := 1 + rng.Intn(6)
-		lq := le.Prepare(s)
-		// Oracle: live Naive top-k. With the clamp in place its
-		// per-segment cut k+dead covers the whole segment (dead ≫ k), so
-		// it degenerates to "all matches, sorted, cut to k" — exactly the
-		// ground truth the bounded algorithms must reproduce. Scores are
-		// compared with the mixed-state tolerance: segment weights are
-		// baked at different statistics epochs, so cross-algorithm
-		// accumulation orders differ by ulps, not bitwise.
-		want, _, err := le.SelectTopK(lq, k, Naive, nil)
-		if err != nil {
-			t.Fatalf("naive top-%d: %v", k, err)
-		}
-		for _, r := range want {
-			if deleted[r.ID] {
-				t.Fatalf("naive top-%d emitted deleted id %d", k, r.ID)
-			}
-		}
-		for _, alg := range []Algorithm{SF, INRA} {
-			got, _, err := le.SelectTopK(lq, k, alg, nil)
+	work := func() (read, admitted int) {
+		for _, q := range queries {
+			_, st, err := le.SelectTopK(le.Prepare(q), 10, SF, nil)
 			if err != nil {
-				t.Fatalf("top-%d %v: %v", k, alg, err)
+				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("top-%d %v: %d results, naive %d", k, alg, len(got), len(want))
-			}
-			for i := range want {
-				if deleted[got[i].ID] {
-					t.Fatalf("top-%d %v: deleted id %d emitted", k, alg, got[i].ID)
-				}
-				if got[i].ID != want[i].ID {
-					t.Fatalf("top-%d %v result %d: id %d, naive %d", k, alg, i, got[i].ID, want[i].ID)
-				}
-				if d := got[i].Score - want[i].Score; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("top-%d %v id %d: score %.12f, naive %.12f", k, alg, got[i].ID, got[i].Score, want[i].Score)
-				}
-			}
+			read += st.ElementsRead
+			admitted += st.CandidatesInserted
 		}
+		return read, admitted
+	}
+	read0, admitted0 := work()
+	for _, id := range victims {
+		le.Delete(id)
+	}
+	if st := le.Stats(); st.Tombstones != len(victims) || st.Segments != 3 {
+		t.Fatalf("deletes not established: %+v", st)
+	}
+	read1, admitted1 := work()
+	if read1 > read0 || admitted1 > admitted0 {
+		t.Fatalf("after %d deletes SF top-10 read %d and admitted %d; before them %d and %d",
+			len(victims), read1, admitted1, read0, admitted0)
 	}
 }
 
 // TestLiveMixedStateAgreement runs every algorithm against a live engine
 // in its messiest state — several segments, a non-empty memtable,
 // tombstones everywhere — and checks they all agree with the live Naive
-// oracle run over the same snapshot.
+// oracle run over the same snapshot, for threshold selection and top-k.
 func TestLiveMixedStateAgreement(t *testing.T) {
 	corpus := randomCorpus(500, 21, 6)
 	// A huge drift bound keeps partial compactions partial, so segments
@@ -265,6 +388,7 @@ func TestLiveMixedStateAgreement(t *testing.T) {
 		s := corpus[rng.Intn(len(corpus))]
 		tau := []float64{0.4, 0.6, 0.8}[trial%3]
 		lq := le.Prepare(s)
+		assertLiveTopK(t, le, lq, 1+trial)
 		want, _, err := le.Select(lq, tau, Naive, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -286,6 +410,48 @@ func TestLiveMixedStateAgreement(t *testing.T) {
 				}
 				if d := got[i].Score - want[i].Score; d > 1e-9 || d < -1e-9 {
 					t.Fatalf("%v τ=%g id %d: score %.12f, naive %.12f", alg, tau, got[i].ID, got[i].Score, want[i].Score)
+				}
+			}
+		}
+	}
+}
+
+// TestLivePrepareTokenizesOnce: LiveEngine.Prepare tokenizes the string
+// once and prepares every segment from that one token slice. The queries
+// it pins must equal, field for field and bit for bit, what each
+// segment's own Prepare derives from the string — which is in turn
+// checked against tokenize.LookupCounts and a set of the unseen tokens —
+// for strings with repeated grams, unseen grams and none at all.
+func TestLivePrepareTokenizesOnce(t *testing.T) {
+	corpus := randomCorpus(400, 51, 6)
+	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, DriftBound: 1e9, Shards: 2})
+	defer le.Close()
+	for i, s := range corpus {
+		if _, err := le.Insert(s); err != nil {
+			t.Fatal(err)
+		}
+		if i == 150 || i == 300 {
+			le.compactOnce(false)
+		}
+	}
+	queries := append([]string{"", "ab", "abcabcabc", "zzzzzz", "abczzzabcqqq", "aaaaaaa"}, corpus[:40]...)
+	for _, s := range queries {
+		lq := le.Prepare(s)
+		for si, sh := range lq.snap.shards {
+			for i, g := range sh.segs {
+				want := g.eng.Prepare(s)
+				if got := lq.segQ[si][i]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q shard %d segment %d: pinned query %+v, segment Prepare %+v", s, si, i, got, want)
+				}
+				counts, _ := tokenize.LookupCounts(g.eng.c.Dict(), liveTestTK, s, nil)
+				unseen := map[string]bool{}
+				for _, tok := range liveTestTK.Tokens(nil, s) {
+					if _, ok := g.eng.c.Dict().Lookup(tok); !ok {
+						unseen[tok] = true
+					}
+				}
+				if ref := g.eng.prepare(counts, len(unseen)); !reflect.DeepEqual(want, ref) {
+					t.Fatalf("%q shard %d segment %d: Prepare %+v, reference %+v", s, si, i, want, ref)
 				}
 			}
 		}
@@ -462,7 +628,10 @@ func TestLiveStress(t *testing.T) {
 						return
 					}
 				} else {
-					if _, _, err := le.SelectTopK(lq, 5, INRA, nil); err != nil && err != ErrEmptyQuery {
+					// Both bounded top-k paths read the tombstones the
+					// mutators are setting.
+					alg := []Algorithm{INRA, SF}[i/2%2]
+					if _, _, err := le.SelectTopK(lq, 5, alg, nil); err != nil && err != ErrEmptyQuery {
 						errCh <- err
 						return
 					}

@@ -22,7 +22,9 @@ type memQuery struct {
 // scanMemtable appends every live memtable document scoring ≥ τ to out.
 // Documents are scanned in insertion order, which is ascending id order,
 // so the appended results extend an already-ascending result slice
-// without re-sorting when the caller merges a single segment.
+// without re-sorting when the caller merges a single segment. A top-k
+// passes the k-th bound its segments raised as τ: the memtable runs
+// last, so only documents that can still make the top k are appended.
 func scanMemtable(cc *canceller, mem []memDoc, mq memQuery, tau float64, del *tombstones, stats *Stats, out []Result) ([]Result, error) {
 	for _, d := range mem {
 		if cc.stop() {

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/collection"
 	"repro/internal/route"
 	"repro/internal/sim"
 )
@@ -40,13 +41,31 @@ type queryPlan struct {
 	kind planKind
 	alg  Algorithm
 	tau  float64 // validated threshold (planSelect only)
-	k    int     // result budget (planTopK only; live over-fetch adjusts per segment)
+	k    int     // result budget (planTopK only)
 	opts Options
+	// live is the liveness view of the segment a live top-k runs on. The
+	// zero view — static engines, threshold selections, segments with no
+	// tombstones — filters nothing.
+	live liveView
 	// lo, hi is the Theorem 1 length window of the planning query
 	// (planSelect only). Live plans leave it zero: each segment
 	// prepares its own Query against its own baked statistics, so the
 	// route stage recomputes the window per segment.
 	lo, hi float64
+}
+
+// liveView lets a top-k algorithm running on one live segment keep
+// tombstoned documents out of its candidate set, so the rising k-th
+// bound counts live documents only and k stays k however many deletes
+// the segment carries.
+type liveView struct {
+	ids []collection.SetID // the segment's local id → global id
+	del *tombstones        // the query's pinned tombstone bitmap
+}
+
+// dead reports whether the segment-local document id is tombstoned.
+func (v *liveView) dead(id collection.SetID) bool {
+	return v.ids != nil && v.del.has(v.ids[id])
 }
 
 // errEmptyTopK is the plan-stage sentinel for k ≤ 0: the historical

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -32,33 +34,44 @@ type Query struct {
 // preprocessed query. Unknown tokens are interned transiently: they
 // receive ids beyond the corpus range, empty lists and smoothed idf.
 func (e *Engine) Prepare(s string) Query {
-	counts, _ := tokenize.LookupCounts(e.c.Dict(), e.c.Tokenizer(), s, nil)
-	// LookupCounts drops unknown tokens; count the distinct ones so that
-	// len(q) stays faithful to Eq. 1. The raw token buffer comes from the
-	// query scratch pool: countUnknownDistinct only reads it, so it can be
-	// returned before prepare runs.
+	// The raw token buffer comes from the query scratch pool:
+	// prepareTokens only reads it, so it goes back before Prepare returns.
 	sc := e.getScratch()
 	sc.strs = e.c.Tokenizer().Tokens(sc.strs[:0], s)
-	unknown := countUnknownDistinct(e, sc.strs)
+	sort.Strings(sc.strs)
+	q := e.prepareTokens(sc.strs)
 	e.putScratch(sc)
-	return e.prepare(counts, unknown)
+	return q
 }
 
-// countUnknownDistinct counts distinct tokens of the query string that the
-// corpus has never seen. The slice is sorted in place and deduplicated by
-// adjacency — Prepare owns it — so no per-call set needs allocating.
-func countUnknownDistinct(e *Engine, tokens []string) int {
-	sort.Strings(tokens)
-	n := 0
-	for i, t := range tokens {
-		if i > 0 && t == tokens[i-1] {
-			continue
+// prepareTokens is Prepare for an already tokenized string: toks is its
+// raw token sequence (duplicates kept — Raw carries term frequencies),
+// sorted so that equal tokens are adjacent. toks is only read, so a
+// LiveEngine tokenizes once and hands every segment the same slice. Each
+// distinct token is looked up once: known ones become Raw, ascending by
+// Token, and unknown ones are counted, so that len(q) stays faithful to
+// Eq. 1.
+func (e *Engine) prepareTokens(toks []string) Query {
+	d := e.c.Dict()
+	var counts []tokenize.Count
+	unknown := 0
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
 		}
-		if _, ok := e.c.Dict().Lookup(t); !ok {
-			n++
+		if id, ok := d.Lookup(toks[i]); !ok {
+			unknown++
+		} else {
+			if counts == nil {
+				counts = make([]tokenize.Count, 0, len(toks)-i)
+			}
+			counts = append(counts, tokenize.Count{Token: id, TF: uint32(j - i)})
 		}
+		i = j
 	}
-	return n
+	slices.SortFunc(counts, func(a, b tokenize.Count) int { return cmp.Compare(a.Token, b.Token) })
+	return e.prepare(counts, unknown)
 }
 
 // PrepareCounts builds a Query from an already tokenized vector whose

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/collection"
@@ -83,20 +84,33 @@ func liveTau(b *kthBound, shared *sharedTau) float64 {
 	return t
 }
 
+// sortTopK orders by descending score, ties by ascending id. The
+// comparator captures nothing, so it costs no allocation on the warm
+// path (TestWarmTopKAllocations pins the budget).
 func sortTopK(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return rs[i].ID < rs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
-// topkNaive is the oracle: full scan, exact top-k.
-func (e *Engine) topkNaive(s *queryScratch, cc *canceller, q Query, k int) ([]Result, error) {
+// topkNaive is the oracle: full scan, exact top-k over the documents lv
+// leaves alive.
+func (e *Engine) topkNaive(s *queryScratch, cc *canceller, q Query, k int, lv *liveView) ([]Result, error) {
 	all, err := e.selectNaive(s, cc, q, minPositiveTau, nil)
 	if err != nil {
 		return nil, err
+	}
+	if lv.ids != nil {
+		kept := all[:0]
+		for _, r := range all {
+			if !lv.dead(r.ID) {
+				kept = append(kept, r)
+			}
+		}
+		all = kept
 	}
 	sortTopK(all)
 	if len(all) > k {
@@ -227,8 +241,11 @@ func offerShared(b *kthBound, shared *sharedTau, id collection.SetID, score floa
 // topkSF runs Shortest-First with the rising bound: per-list cutoffs λᵢ
 // and viability tests are re-evaluated against the current τ, which
 // tightens as candidate lower bounds accumulate. The candidate machinery
-// is the same slab-and-index-slice layout as selectSF.
-func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
+// is the same slab-and-index-slice layout as selectSF. A posting lv
+// reports tombstoned is tested once, when it would become a candidate:
+// it takes a dead slot in the id-table, which its later postings fall
+// through, and never reaches the bound, C or the results.
+func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *liveView, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, o, stats) // no static Theorem 1 window: τ starts at ~0
 	n := len(lists)
 	suffix := resliceFloats(s.f0, n+1)
@@ -295,9 +312,13 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 				continue
 			}
 			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true})
+				dead := lv.dead(p.ID)
+				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true, dead: dead})
 				slot := int32(len(s.sf) - 1)
 				s.tbl.put(p.ID, slot)
+				if dead {
+					continue
+				}
 				news = append(news, slot)
 				offerShared(bound, shared, p.ID, s.sf[slot].lower)
 				stats.CandidatesInserted++
@@ -355,8 +376,10 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 // candidate slab and id-table as selectINRA. It keeps the per-round
 // candidate sweep selectINRA replaced with passCandidates: τ rises here,
 // so a candidate can lose viability without any frontier passing it, and
-// only a sweep re-tests every candidate against the new bound.
-func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
+// only a sweep re-tests every candidate against the new bound. A posting
+// lv reports tombstoned is admitted dead: it is never offered to the
+// bound, counted alive or emitted.
+func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, lv *liveView, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, o, stats)
 	fillIDFSq(s, q)
 	n := len(lists)
@@ -411,6 +434,10 @@ func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, o *Opt
 				continue
 			}
 			if slot := admit(s, lists, i, p, q, tau); slot >= 0 {
+				if lv.dead(p.ID) {
+					s.imp[slot].dead = true
+					continue
+				}
 				live++
 				offerShared(bound, shared, p.ID, s.imp[slot].lower)
 				stats.CandidatesInserted++

@@ -23,7 +23,7 @@ func scoreMap(e *Engine, q Query) map[collection.SetID]float64 {
 func assertTopK(t *testing.T, e *Engine, q Query, k int, alg Algorithm, got []Result) {
 	t.Helper()
 	truth := scoreMap(e, q)
-	want, err := e.topkNaive(&queryScratch{}, nil, q, k)
+	want, err := e.topkNaive(&queryScratch{}, nil, q, k, &liveView{})
 	if err != nil {
 		t.Fatal(err)
 	}
