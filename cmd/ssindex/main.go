@@ -11,18 +11,18 @@
 // build tokenizes one string per input line into q-grams and writes the
 // weight-sorted lists, id-sorted lists and skip indexes. stat validates
 // the file and prints storage accounting; with -snap it instead opens a
-// saved snapshot (any format version: legacy collection or live
-// snapshot) and prints its layout — including the stored shard count,
-// the similarity-aware routing table (live docs per shard), each
-// shard's pruning summary and, for version-5 durable stores, the
-// manifest (generation, segment-package list, WAL tail length) — plus
-// segment and compaction stats under -v. -shards overrides the stored
-// shard count when replaying the snapshot (0 keeps it).
+// saved snapshot (either format: a version-1 collection or a version-5
+// durable store) and prints its layout — the stored shard count and, for
+// a durable store, the similarity-aware routing table (live docs per
+// shard), each shard's pruning summary and the manifest (generation,
+// segment-package list, WAL tail length) — plus segment and compaction
+// stats under -v. -shards overrides the stored shard count when
+// replaying the snapshot (0 keeps it).
 //
 // verify checks a snapshot's integrity without building an engine: the
-// manifest (or legacy payload) checksum, every segment package's every
-// block CRC, and the write-ahead log tail. It exits non-zero when any
-// checksum fails.
+// manifest (or version-1 payload) checksum, every segment package's
+// every block CRC, and the write-ahead log tail. It exits non-zero when
+// any checksum fails.
 package main
 
 import (
@@ -108,7 +108,7 @@ func buildCmd(args []string) {
 func statCmd(args []string) {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	index := fs.String("index", "", "index file")
-	snap := fs.String("snap", "", "snapshot file (any format version)")
+	snap := fs.String("snap", "", "snapshot file (version 1 or 5)")
 	shards := fs.Int("shards", 0, "with -snap: replay with this many shards (0 = as saved)")
 	verbose := fs.Bool("v", false, "with -snap: print segment and compaction stats")
 	fs.Parse(args)
@@ -128,7 +128,7 @@ func statCmd(args []string) {
 	}
 }
 
-// snapStat opens a snapshot of any format version through the live
+// snapStat opens a snapshot of either format version through the live
 // loader — which validates checksums and replays the document log — and
 // prints what it holds.
 func snapStat(path string, shards int, verbose bool) {
@@ -147,8 +147,6 @@ func snapStat(path string, shards int, verbose bool) {
 			fmt.Printf("shard %d summary: %d docs, len [%.3f, %.3f], %d hot tokens, sketch %d/%d slots\n",
 				i, s.Docs, s.LenMin, s.LenMax, s.HotTokens, s.SketchOccupied, s.SketchSlots)
 		}
-	} else if info.Version >= 4 {
-		fmt.Println("routing: none (single shard)")
 	}
 	if info.Version >= 5 {
 		fmt.Printf("manifest: generation %d, %d segment package(s), wal covered through seq %d\n",
@@ -172,10 +170,10 @@ func snapStat(path string, shards int, verbose bool) {
 }
 
 // verifyCmd checks every checksum a snapshot carries: the manifest (or
-// legacy payload), each segment package block by block, and the WAL.
+// version-1 payload), each segment package block by block, and the WAL.
 func verifyCmd(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	snap := fs.String("snap", "", "snapshot file (any format version)")
+	snap := fs.String("snap", "", "snapshot file (version 1 or 5)")
 	fs.Parse(args)
 	if *snap == "" {
 		usage()

@@ -7,16 +7,16 @@
 //	ssquery -load corpus.sscol [-lists corpus.ssidx] [flags] [query ...]
 //
 // With no query arguments it reads queries from stdin, one per line.
-// -k > 0 switches to top-k mode (ignores -tau). -load opens any
-// snapshot version: a legacy collection saved with -save (or
-// setsim.Save), a live snapshot written by setsim.SaveLive, or a v5
-// durable store (manifest + segment packages + write-ahead log), for
-// which crash recovery runs first — the manifest's packages are
-// loaded, the WAL tail replayed, and a torn tail reported. All are
+// -k > 0 switches to top-k mode (ignores -tau). -load opens either
+// snapshot version: a version-1 collection saved with -save (or
+// setsim.Save), or a version-5 durable store (manifest + segment
+// packages + write-ahead log, as setsim.SaveLive and setsim.OpenDurable
+// write), for which crash recovery runs first — the manifest's packages
+// are loaded, the WAL tail replayed, and a torn tail reported. Both are
 // served through a LiveEngine, and -v prints its segment count and
 // last-compaction stats alongside the query metrics. -lists serves
 // queries from a disk-resident list file (setsim.SaveLists / ssindex
-// build) and requires a legacy collection file.
+// build) and requires a version-1 collection file.
 //
 // -shards N partitions the corpus into N complete engines sharing
 // global statistics — similarity-aware clustering by default, so the
@@ -25,7 +25,7 @@
 // fans every query across the rest; answers are bitwise-identical to the
 // unsharded run. With -in, N > 1 builds a sharded static engine; with
 // -load, N is passed to the live engine (0 keeps the shard count a
-// version-3/4 snapshot was saved with). Sharding is incompatible with
+// durable store was saved with). Sharding is incompatible with
 // -lists and -save.
 package main
 
@@ -52,7 +52,7 @@ var algNames = map[string]core.Algorithm{
 
 func main() {
 	in := flag.String("in", "", "corpus file, one string per line")
-	load := flag.String("load", "", "load a saved snapshot (either version) instead of -in")
+	load := flag.String("load", "", "load a saved snapshot (version 1 or 5) instead of -in")
 	lists := flag.String("lists", "", "with -load: serve queries from this on-disk list file")
 	save := flag.String("save", "", "after building from -in, save the collection here")
 	q := flag.Int("q", 3, "q-gram size")
@@ -98,7 +98,7 @@ func main() {
 
 	switch {
 	case *load != "" && *lists != "":
-		// On-disk lists need the raw collection; the legacy format only.
+		// On-disk lists need the raw collection; the version-1 format only.
 		lf, err := os.Open(*load)
 		if err != nil {
 			fatal(err)

@@ -7,10 +7,11 @@
 // goroutine owns the file exclusively and drains the buffer with group
 // commit: one write+fsync covers every record buffered since the last
 // drain, and all callers waiting on those records are released
-// together. The sync policy decides what WaitDurable promises: an
-// immediate fsync (SyncAlways), a batched fsync after a short
-// coalescing window (SyncGroup), or none at all (SyncOff — the OS page
-// cache is the only durability).
+// together. The group is whatever arrived while the previous fsync ran,
+// so a lone writer pays one fsync and concurrent writers share one. The
+// sync policy decides what WaitDurable promises: written and fsynced
+// (SyncGroup, the default) or merely handed to the committer (SyncOff —
+// the OS page cache is the only durability until Close or a rotation).
 //
 // Recovery reads the log front to back, verifying each record's
 // checksum, and stops at the first frame that is short or fails its
@@ -30,7 +31,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // File layout (little endian):
@@ -78,50 +78,44 @@ var (
 type SyncPolicy int
 
 const (
-	// SyncGroup batches fsyncs: the committer waits a short coalescing
-	// window so concurrent appenders share one disk flush, then releases
-	// them together. The default.
+	// SyncGroup makes WaitDurable return only once the record is written
+	// and fsynced. The committer fsyncs as soon as any record is pending,
+	// so concurrent appenders that arrive during one flush share the
+	// next. The default.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs as soon as any record is pending; the group is
-	// whatever accumulated while the previous flush ran.
-	SyncAlways
-	// SyncOff never fsyncs. Records are still written to the file (so a
-	// process crash loses at most the buffered tail), but an OS crash
-	// can lose everything since the last kernel writeback.
+	// SyncOff never fsyncs on a wait. Records are still written to the
+	// file (so a process crash loses at most the buffered tail), but an
+	// OS crash can lose everything since the last kernel writeback,
+	// rotation or Close.
 	SyncOff
+	// SyncAlways is a second name for SyncGroup, kept for callers that
+	// still spell the policy that way.
+	SyncAlways = SyncGroup
 )
 
-// String names the policy as the ssbench/ssquery flags spell it.
+// String names the policy as ParsePolicy spells it.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncOff:
+	if p == SyncOff {
 		return "off"
-	default:
-		return "group"
 	}
+	return "group"
 }
 
-// ParsePolicy parses "always", "group" or "off".
+// ParsePolicy parses "group" (also spelled "always" or "") or "off".
 func ParsePolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "group", "":
+	case "group", "always", "":
 		return SyncGroup, nil
 	case "off":
 		return SyncOff, nil
 	}
-	return SyncGroup, fmt.Errorf("wal: unknown sync policy %q (want always, group or off)", s)
+	return SyncGroup, fmt.Errorf("wal: unknown sync policy %q (want group, always or off)", s)
 }
 
 // Options configure an opened log.
 type Options struct {
 	// Sync is the durability policy. Zero value is SyncGroup.
 	Sync SyncPolicy
-	// GroupWindow is SyncGroup's coalescing window. ≤ 0 selects 2ms.
-	GroupWindow time.Duration
 }
 
 // Record is one decoded log record.
@@ -176,9 +170,11 @@ type Log struct {
 	serr     error
 	finished bool
 
-	// The committer goroutine exclusively owns f after Open returns.
+	// The committer goroutine exclusively owns f, firstSeq and dirty
+	// after Open returns. dirty records a write since the last fsync.
 	f        *os.File
-	firstSeq uint64 // owned by the committer after Open
+	firstSeq uint64
+	dirty    bool
 	kickCh   chan struct{}
 	rotateCh chan rotateReq
 	closeCh  chan struct{}
@@ -195,9 +191,6 @@ type rotateReq struct {
 // in place so the file ends on a record boundary. The returned Info
 // describes the file as found (before truncation).
 func Open(path string, opts Options) (*Log, Info, error) {
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = 2 * time.Millisecond
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Info{}, err
@@ -449,10 +442,10 @@ func appendFrame(buf []byte, op byte, payload []byte) []byte {
 }
 
 // WaitDurable blocks until record seq is durable per the sync policy:
-// written and fsynced for SyncAlways and SyncGroup, merely handed to
-// the committer for SyncOff. It returns the first write or sync error
-// the committer hit (errors are sticky: once the disk failed, every
-// subsequent wait reports it).
+// written and fsynced for SyncGroup, merely handed to the committer for
+// SyncOff. It returns the first write or sync error the committer hit
+// (errors are sticky: once the disk failed, every subsequent wait
+// reports it).
 func (l *Log) WaitDurable(seq uint64) error {
 	select {
 	case l.kickCh <- struct{}{}:
@@ -507,10 +500,11 @@ func (l *Log) TruncateThrough(through uint64) error {
 	}
 }
 
-// Close flushes and fsyncs the buffered tail, stops the committer and
-// closes the file. Records appended but never waited on are flushed
-// too; Append after Close is a programming error surfaced by
-// WaitDurable returning ErrClosed.
+// Close flushes the buffered tail, fsyncs everything written since the
+// last fsync (under every policy), stops the committer and closes the
+// file. Records appended but never waited on are flushed too; Append
+// after Close is a programming error surfaced by WaitDurable returning
+// ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	already := l.closed
@@ -540,21 +534,17 @@ func (l *Log) committer() {
 			l.finish()
 			return
 		case req := <-l.rotateCh:
-			l.commit(l.opts.Sync != SyncOff)
+			l.commit(true)
 			req.done <- l.rotate(req.through)
 		case <-l.kickCh:
-			if l.opts.Sync == SyncGroup {
-				// The coalescing window: appenders arriving while we sleep
-				// share the flush below.
-				time.Sleep(l.opts.GroupWindow)
-			}
 			l.commit(l.opts.Sync != SyncOff)
 		}
 	}
 }
 
 // commit swaps out the append buffer and writes it, fsyncing when sync
-// is set, then publishes the new durable horizon.
+// is set and anything was written since the last fsync, then publishes
+// the new durable horizon.
 func (l *Log) commit(sync bool) {
 	l.mu.Lock()
 	buf, seq := l.buf, l.seq
@@ -563,9 +553,12 @@ func (l *Log) commit(sync bool) {
 	var err error
 	if len(buf) > 0 {
 		_, err = l.f.Write(buf)
+		l.dirty = true
 	}
-	if err == nil && sync && len(buf) > 0 {
-		err = l.f.Sync()
+	if err == nil && sync && l.dirty {
+		if err = l.f.Sync(); err == nil {
+			l.dirty = false
+		}
 	}
 	l.smu.Lock()
 	if err != nil {

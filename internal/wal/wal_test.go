@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // openT opens a log in a fresh temp dir and fails the test on error.
@@ -314,14 +313,21 @@ func TestTruncateThroughEverything(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncGroup, SyncOff} {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, name := range []string{"always", "group", "off"} {
+		t.Run(name, func(t *testing.T) {
+			pol, err := ParsePolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			path := filepath.Join(t.TempDir(), "x.wal")
-			l, _ := openT(t, path, Options{Sync: pol, GroupWindow: time.Millisecond})
+			l, _ := openT(t, path, Options{Sync: pol})
 			for i := 0; i < 20; i++ {
 				seq := l.AppendInsert(fmt.Sprintf("doc %d", i))
 				if err := l.WaitDurable(seq); err != nil {
 					t.Fatalf("WaitDurable: %v", err)
+				}
+				if pol != SyncOff && l.Synced() < seq {
+					t.Fatalf("policy %v: WaitDurable(%d) returned at horizon %d", pol, seq, l.Synced())
 				}
 			}
 			if err := l.Close(); err != nil {
@@ -333,6 +339,41 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatalf("policy %v: %d records, info=%+v", pol, len(recs), info)
 			}
 		})
+	}
+}
+
+// TestSyncOffCloseSyncs: under SyncOff the kicks write without fsyncing,
+// so by Close the buffer is usually empty; Close must still fsync what
+// those kicks wrote.
+func TestSyncOffCloseSyncs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.wal")
+	l, _ := openT(t, path, Options{Sync: SyncOff})
+	var seq uint64
+	for i := 0; i < 5; i++ {
+		seq = l.AppendInsert(fmt.Sprintf("doc %d", i))
+		if err := l.WaitDurable(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait for the committer to have written every record, so Close finds
+	// an empty buffer; the horizon is published under smu after dirty is
+	// set, which orders the read below.
+	l.smu.Lock()
+	for l.synced < seq {
+		l.cond.Wait()
+	}
+	l.smu.Unlock()
+	if !l.dirty {
+		t.Fatal("SyncOff kicks fsynced: the log is clean before Close")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l.dirty {
+		t.Fatal("Close left written records unsynced")
+	}
+	if recs, info := collect(t, path, 0); len(recs) != 5 || info.Torn {
+		t.Fatalf("%d records, info=%+v", len(recs), info)
 	}
 }
 
@@ -350,47 +391,58 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppends: under the default policy every acknowledged
+// record replays after Close, densely numbered and in each writer's own
+// order, whether the writers outnumber the flushes 8 or 16 to one.
 func TestConcurrentAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.wal")
-	l, _ := openT(t, path, Options{Sync: SyncGroup, GroupWindow: 100 * time.Microsecond})
-	const G, per = 8, 50
-	var wg sync.WaitGroup
-	errs := make([]error, G)
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				seq := l.AppendInsert(fmt.Sprintf("g%d-%d", g, i))
-				if err := l.WaitDurable(seq); err != nil {
-					errs[g] = err
-					return
+	for _, G := range []int{8, 16} {
+		t.Run(fmt.Sprintf("writers=%d", G), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.wal")
+			l, _ := openT(t, path, Options{})
+			const per = 50
+			var wg sync.WaitGroup
+			errs := make([]error, G)
+			for g := 0; g < G; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						seq := l.AppendInsert(fmt.Sprintf("%d %d", g, i))
+						if err := l.WaitDurable(seq); err != nil {
+							errs[g] = err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Fatalf("goroutine %d: %v", g, err)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, info := collect(t, path, 0)
-	if len(recs) != G*per || info.Torn {
-		t.Fatalf("got %d records, want %d (info=%+v)", len(recs), G*per, info)
-	}
-	seen := make(map[string]bool, G*per)
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
-		}
-		if seen[r.Source] {
-			t.Fatalf("duplicate record %q", r.Source)
-		}
-		seen[r.Source] = true
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, info := collect(t, path, 0)
+			if len(recs) != G*per || info.Torn {
+				t.Fatalf("got %d records, want %d (info=%+v)", len(recs), G*per, info)
+			}
+			next := make([]int, G)
+			for i, r := range recs {
+				if r.Seq != uint64(i+1) {
+					t.Fatalf("record %d has seq %d", i, r.Seq)
+				}
+				var g, n int
+				if _, err := fmt.Sscanf(r.Source, "%d %d", &g, &n); err != nil || g < 0 || g >= G {
+					t.Fatalf("record %d: unexpected source %q", i, r.Source)
+				}
+				if n != next[g] {
+					t.Fatalf("writer %d: record %d replayed where %d was due", g, n, next[g])
+				}
+				next[g]++
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package setsim_test
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -80,185 +78,20 @@ func TestLoadWithLists(t *testing.T) {
 }
 
 // TestUnknownSnapshotVersion: a snapshot with the right magic but a
-// future version byte must be rejected with ErrUnknownVersion by every
-// loader, never misparsed.
+// version byte this build has no reader for — the retired versions 2–4
+// as much as a future one — must be rejected with ErrUnknownVersion by
+// every loader and by Verify, never misparsed.
 func TestUnknownSnapshotVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.sssnap")
-	data := append([]byte("SSSNAP\n\x00"), 9) // version 9 does not exist
-	data = append(data, make([]byte, 16)...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := setsim.Open(path, setsim.ListsOnly()); !errors.Is(err, setsim.ErrUnknownVersion) {
-		t.Errorf("Open: %v, want ErrUnknownVersion", err)
-	}
-	if _, _, err := setsim.OpenLive(path, setsim.LiveConfig{Config: setsim.ListsOnly()}); !errors.Is(err, setsim.ErrUnknownVersion) {
-		t.Errorf("OpenLive: %v, want ErrUnknownVersion", err)
-	}
-	if _, err := setsim.Load(path, setsim.ListsOnly()); !errors.Is(err, setsim.ErrUnknownVersion) {
-		t.Errorf("Load: %v, want ErrUnknownVersion", err)
-	}
-}
-
-// TestVersion2SnapshotCompat: a hand-built version-2 live snapshot —
-// the pre-sharding layout without the shard-count field — must still
-// load everywhere, reporting an implicit shard count of 1.
-func TestVersion2SnapshotCompat(t *testing.T) {
-	docs := []struct {
-		source  string
-		deleted bool
-	}{
-		{"main street", false},
-		{"mian street", true},
-		{"main st", false},
-	}
-	var payload []byte
-	putString := func(s string) {
-		var buf [10]byte
-		n := binary.PutUvarint(buf[:], uint64(len(s)))
-		payload = append(payload, buf[:n]...)
-		payload = append(payload, s...)
-	}
-	putString("qgram(3)")
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(docs)))
-	payload = append(payload, u32[:]...) // numDocs directly: no shard field in v2
-	for _, d := range docs {
-		var flag byte
-		if d.deleted {
-			flag = 1
-		}
-		payload = append(payload, flag)
-		putString(d.source)
-	}
-	data := append([]byte("SSSNAP\n\x00"), 2)
-	binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(payload))
-	data = append(data, u32[:]...)
-	data = append(data, payload...)
-	path := filepath.Join(t.TempDir(), "legacy.sssnap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e, info, err := setsim.Open(path, setsim.ListsOnly())
-	if err != nil {
-		t.Fatalf("Open v2: %v", err)
-	}
-	if info.Version != 2 || info.Docs != 3 || info.Live != 2 || info.Shards != 1 {
-		t.Fatalf("Open v2 info = %+v, want version 2, 3 docs, 2 live, 1 shard", info)
-	}
-	if e.Collection().NumSets() != 2 {
-		t.Fatalf("Open v2 indexed %d sets, want 2 (tombstone skipped)", e.Collection().NumSets())
-	}
-
-	le, info, err := setsim.OpenLive(path, setsim.LiveConfig{Config: setsim.ListsOnly(), NoBackground: true})
-	if err != nil {
-		t.Fatalf("OpenLive v2: %v", err)
-	}
-	defer le.Close()
-	if info.Shards != 1 || le.NumShards() != 1 {
-		t.Fatalf("OpenLive v2: info.Shards=%d engine shards=%d, want 1", info.Shards, le.NumShards())
-	}
-	if _, ok := le.Source(1); ok {
-		t.Error("OpenLive v2: tombstoned doc 1 is visible")
-	}
-	if s, ok := le.Source(2); !ok || s != "main st" {
-		t.Errorf("OpenLive v2: doc 2 = (%q, %v), want (\"main st\", true)", s, ok)
-	}
-
-	se, info, err := setsim.OpenSharded(path, setsim.ListsOnly(), 3)
-	if err != nil {
-		t.Fatalf("OpenSharded v2: %v", err)
-	}
-	defer se.Close()
-	if info.Shards != 1 || se.NumShards() != 3 {
-		t.Fatalf("OpenSharded v2: info.Shards=%d engine shards=%d, want 1 and 3", info.Shards, se.NumShards())
-	}
-	if se.NumDocs() != 2 {
-		t.Fatalf("OpenSharded v2 indexed %d docs, want 2", se.NumDocs())
-	}
-}
-
-// TestVersion3SnapshotCompat: a hand-built version-3 live snapshot —
-// the pre-routing layout with a shard count but no routing table — must
-// still load everywhere. It reports Routed false, and OpenSharded
-// repartitions it from scratch into a routed engine whose answers match
-// the monolithic ones bitwise.
-func TestVersion3SnapshotCompat(t *testing.T) {
-	var payload []byte
-	putString := func(s string) {
-		var buf [10]byte
-		n := binary.PutUvarint(buf[:], uint64(len(s)))
-		payload = append(payload, buf[:n]...)
-		payload = append(payload, s...)
-	}
-	putString("qgram(3)")
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], 2) // saved shard count
-	payload = append(payload, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(corpus)))
-	payload = append(payload, u32[:]...)
-	for i, s := range corpus {
-		var flag byte
-		if i == 1 {
-			flag = 1 // one tombstone
-		}
-		payload = append(payload, flag)
-		putString(s)
-	}
-	data := append([]byte("SSSNAP\n\x00"), 3)
-	binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(payload))
-	data = append(data, u32[:]...)
-	data = append(data, payload...)
-	path := filepath.Join(t.TempDir(), "v3.sssnap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	mono, info, err := setsim.Open(path, setsim.ListsOnly())
-	if err != nil {
-		t.Fatalf("Open v3: %v", err)
-	}
-	if info.Version != 3 || info.Docs != len(corpus) || info.Live != len(corpus)-1 ||
-		info.Shards != 2 || info.Routed || info.RouteCounts != nil || info.Summaries != nil {
-		t.Fatalf("Open v3 info = %+v, want version 3, 2 shards, no routing", info)
-	}
-
-	le, info, err := setsim.OpenLive(path, setsim.LiveConfig{Config: setsim.ListsOnly(), NoBackground: true})
-	if err != nil {
-		t.Fatalf("OpenLive v3: %v", err)
-	}
-	defer le.Close()
-	if info.Routed || le.NumShards() != 2 {
-		t.Fatalf("OpenLive v3: info %+v, engine shards %d; want unrouted info with 2 shards", info, le.NumShards())
-	}
-
-	se, info, err := setsim.OpenSharded(path, setsim.ListsOnly(), 0)
-	if err != nil {
-		t.Fatalf("OpenSharded v3: %v", err)
-	}
-	defer se.Close()
-	if info.Routed || se.NumShards() != 2 || !se.Routed() {
-		t.Fatalf("OpenSharded v3: info %+v, shards %d routed %v; want fresh similarity-aware partition over 2 shards",
-			info, se.NumShards(), se.Routed())
-	}
-	for _, tau := range []float64{0.3, 0.6} {
-		want, _, err := mono.Select(mono.Prepare("main street"), tau, setsim.SF, nil)
-		if err != nil {
+	for _, version := range []byte{2, 3, 4, 9} {
+		path := filepath.Join(t.TempDir(), "other.sssnap")
+		data := append([]byte("SSSNAP\n\x00"), version)
+		data = append(data, make([]byte, 16)...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := se.Select(se.Prepare("main street"), tau, setsim.SF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("tau=%v: %d sharded results, want %d", tau, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID ||
-				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-				t.Fatalf("tau=%v result %d: {%d %.17g}, want {%d %.17g}",
-					tau, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+		for _, ld := range snapshotLoaders {
+			if err := ld.open(path); !errors.Is(err, setsim.ErrUnknownVersion) {
+				t.Errorf("version %d: %s: %v, want ErrUnknownVersion", version, ld.name, err)
 			}
 		}
 	}

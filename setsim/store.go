@@ -1,15 +1,14 @@
 // The durable storage layer: version-5 snapshots. A v5 snapshot is not
 // one monolithic blob but a thin manifest plus segment packages:
 //
-//   - <path>              the manifest (same magic/CRC framing as v2–v4)
+//   - <path>              the manifest (framing in persist.go)
 //   - <base>.g<G>-s<S>.sspk  one segment package per non-empty shard,
 //     in the manifest's directory (internal/segpack format: per-block
 //     CRC32, tagged metadata with the shard's route summary and stats)
 //   - <path>.wal          the write-ahead log holding the mutations
 //     applied after the manifest's checkpoint (internal/wal format)
 //
-// Manifest payload (after magic, version byte 5, payload CRC32 — the
-// same framing readSnapshot validates for v2–v4):
+// Manifest payload (after magic, version byte 5, payload CRC32):
 //
 //	tokenizer name: uvarint len + bytes
 //	shards u32, generation u64, walStart u64
@@ -30,11 +29,13 @@
 // answers queries bitwise-identically to an engine that replayed the
 // same surviving history with a compaction at the checkpoint.
 //
-// Checkpoints follow write-ahead ordering: new-generation packages
-// first, then the manifest (temp file + rename, directory fsync), then
-// WAL truncation, then old-generation package removal. A crash between
-// any two steps leaves a recoverable store — at worst a longer WAL tail
-// or orphaned package files the next checkpoint overwrites.
+// One writer, writeGeneration, persists a settled state — SaveLive's and
+// every checkpoint's alike — and follows write-ahead ordering:
+// new-generation packages first, then the manifest (temp file + rename,
+// directory fsync); a checkpoint then truncates the WAL and removes the
+// old generation's packages. A crash between any two steps leaves a
+// recoverable store — at worst a longer WAL tail or orphaned package
+// files the next checkpoint overwrites.
 package setsim
 
 import (
@@ -45,37 +46,35 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/route"
 	"repro/internal/segpack"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 )
 
 // SyncPolicy selects the WAL durability mode of a durable engine. The
-// zero value is SyncGroup (batched fsync with group commit).
+// zero value is SyncGroup: a mutation returns once its record is
+// fsynced, concurrent writers sharing one flush.
 type SyncPolicy = wal.SyncPolicy
 
-// Re-exported sync policies.
+// Re-exported sync policies. SyncAlways is a second name for SyncGroup.
 const (
 	SyncGroup  = wal.SyncGroup
 	SyncAlways = wal.SyncAlways
 	SyncOff    = wal.SyncOff
 )
 
-// ParseSyncPolicy parses "always", "group" or "off".
+// ParseSyncPolicy parses "group" (also spelled "always") or "off".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // DurableOptions configure OpenDurable's write-ahead log.
 type DurableOptions struct {
 	// Sync is the WAL durability policy (default SyncGroup).
 	Sync SyncPolicy
-	// GroupWindow is the group-commit coalescing window (default 2ms).
-	GroupWindow time.Duration
 }
 
 // SegpackRef is one segment package referenced by a v5 manifest.
@@ -146,7 +145,7 @@ func writeManifestFile(path string, m *manifestV5) error {
 	if err != nil {
 		return err
 	}
-	err = writeFramedSnapshot(f, snapV5, p.b)
+	err = writeFramedSnapshot(f, p.b)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -178,10 +177,9 @@ func syncDir(dir string) error {
 }
 
 // readManifest decodes a version-5 manifest from r (the whole file,
-// magic onward). Structural failures wrap collection.ErrBadCollection,
-// matching the v2–v4 reader's contract.
+// magic onward). Structural failures wrap collection.ErrBadCollection.
 func readManifest(r io.Reader) (*manifestV5, error) {
-	payload, err := readFramedSnapshot(r, snapV5)
+	payload, err := readFramedSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +201,7 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 		src := p.str("dead source")
 		m.dead = append(m.dead, core.DocRef{ID: collection.SetID(id), Source: src})
 	}
-	m.sums = make([]ShardSummaryInfo, 0, maxInt(m.shards, 0))
+	m.sums = make([]ShardSummaryInfo, 0, max(m.shards, 0))
 	for i := 0; i < m.shards && p.err == nil; i++ {
 		var s ShardSummaryInfo
 		s.Docs = int(p.u32("summary docs"))
@@ -234,13 +232,6 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 		return nil, fmt.Errorf("%w: %d trailing manifest bytes", collection.ErrBadCollection, len(p.b)-p.pos)
 	}
 	return m, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writePackFile writes one shard's segment package: the document list
@@ -294,7 +285,7 @@ func readPackDocs(path string) ([]core.DocRef, error) {
 	}
 	p := payloadRd{b: raw}
 	n := int(p.u32("doc count"))
-	docs := make([]core.DocRef, 0, minInt(n, len(raw)))
+	docs := make([]core.DocRef, 0, min(n, len(raw)))
 	last := int64(-1)
 	for i := 0; i < n && p.err == nil; i++ {
 		id := p.uvarint("doc id")
@@ -314,29 +305,12 @@ func readPackDocs(path string) ([]core.DocRef, error) {
 	return docs, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// storeState is a fully loaded v5 store: the manifest, the document log
-// it reconstructs (live docs from the packages, dead from the dead
-// list), the membership-derived routing table, and the WAL tail read
-// without modifying the file.
-type storeState struct {
-	m       *manifestV5
-	tk      Tokenizer
-	log     []core.DocState // manifest checkpoint state, length nextID
-	routing []int32         // shard per id (dead docs: shard 0)
-	tail    []wal.Record    // records past walStart, intact prefix only
-	walTorn bool
-}
-
-// loadStore reads and cross-validates a v5 store rooted at path. r is
-// the manifest file, positioned at its start.
-func loadStore(path string, r io.Reader) (*storeState, error) {
+// loadStore reads and cross-validates a v5 store rooted at path: the
+// manifest, the document log it reconstructs (live docs from the
+// packages, dead from the dead list), the membership-derived routing
+// table, and the WAL tail. r is the manifest file, positioned at its
+// start.
+func loadStore(path string, r io.Reader) (*snapshot, error) {
 	m, err := readManifest(r)
 	if err != nil {
 		return nil, err
@@ -345,9 +319,19 @@ func loadStore(path string, r io.Reader) (*storeState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", collection.ErrBadCollection, err)
 	}
-	st := &storeState{
-		m:       m,
+	s := &snapshot{
+		info: SnapshotInfo{
+			Version:     snapV5,
+			Shards:      m.shards,
+			Routed:      true,
+			RouteCounts: make([]int, m.shards),
+			Summaries:   m.sums,
+			Generation:  m.gen,
+			WALStart:    m.walStart,
+			Segpacks:    m.refs,
+		},
 		tk:      tk,
+		m:       m,
 		log:     make([]core.DocState, m.nextID),
 		routing: make([]int32, m.nextID),
 	}
@@ -363,14 +347,15 @@ func loadStore(path string, r io.Reader) (*storeState, error) {
 			return nil, fmt.Errorf("%w: %s holds %d docs, manifest says %d",
 				collection.ErrBadCollection, ref.Name, len(docs), ref.Docs)
 		}
+		s.info.RouteCounts[ref.Shard] += ref.Docs
 		for _, d := range docs {
 			if int(d.ID) >= m.nextID || covered[d.ID] {
 				return nil, fmt.Errorf("%w: %s: document id %d out of range or duplicated",
 					collection.ErrBadCollection, ref.Name, d.ID)
 			}
 			covered[d.ID] = true
-			st.log[d.ID] = core.DocState{Source: d.Source}
-			st.routing[d.ID] = int32(ref.Shard)
+			s.log[d.ID] = core.DocState{Source: d.Source}
+			s.routing[d.ID] = int32(ref.Shard)
 			live++
 		}
 	}
@@ -380,7 +365,7 @@ func loadStore(path string, r io.Reader) (*storeState, error) {
 				collection.ErrBadCollection, d.ID)
 		}
 		covered[d.ID] = true
-		st.log[d.ID] = core.DocState{Source: d.Source, Deleted: true}
+		s.log[d.ID] = core.DocState{Source: d.Source, Deleted: true}
 	}
 	for id, ok := range covered {
 		if !ok {
@@ -392,163 +377,77 @@ func loadStore(path string, r io.Reader) (*storeState, error) {
 		return nil, fmt.Errorf("%w: packages hold %d live docs, manifest says %d",
 			collection.ErrBadCollection, live, m.liveN)
 	}
-
-	// The WAL tail, read-only: a missing log means no mutations since
-	// the checkpoint; a torn tail is the crash we are recovering from.
-	winfo, err := wal.Replay(walPath(path), m.walStart, func(rec wal.Record) error {
-		st.tail = append(st.tail, rec)
-		return nil
-	})
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("setsim: wal %s: %w", walPath(path), err)
-	}
-	st.walTorn = winfo.Torn
-	return st, nil
+	return s, s.attachTail(path, m.walStart)
 }
 
-// foldTail applies the WAL tail to a document-log copy, yielding the
-// post-crash state as a plain log for the static loaders.
-func (st *storeState) foldTail() ([]core.DocState, error) {
-	log := append([]core.DocState(nil), st.log...)
-	for _, rec := range st.tail {
-		switch rec.Op {
-		case wal.OpInsert:
-			log = append(log, core.DocState{Source: rec.Source})
-		case wal.OpDelete:
-			if int(rec.ID) >= len(log) || log[rec.ID].Deleted {
-				return nil, fmt.Errorf("%w: wal record %d deletes unknown document %d",
-					collection.ErrBadCollection, rec.Seq, rec.ID)
+// writeGeneration persists one settled state as generation gen of the
+// store at path: a package per non-empty shard, then the manifest that
+// makes them current. On error the packages it wrote are removed. It
+// returns the new packages' base names.
+func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) ([]string, error) {
+	dir, base := filepath.Dir(path), filepath.Base(path)
+	m := &manifestV5{
+		tkName:   tkName,
+		shards:   len(st.Live),
+		gen:      gen,
+		walStart: st.WALSeq,
+		nextID:   st.NextID,
+		liveN:    st.LiveN,
+		dead:     st.Dead,
+		sums:     make([]ShardSummaryInfo, len(st.Live)),
+	}
+	for si, sum := range st.Summaries {
+		if sum != nil {
+			m.sums[si].Docs = sum.Docs()
+			m.sums[si].LenMin, m.sums[si].LenMax = sum.LenRange()
+			m.sums[si].HotTokens = sum.HotTokens()
+			m.sums[si].SketchSlots, m.sums[si].SketchOccupied = sum.SketchSlots()
+		}
+	}
+	var written []string
+	write := func() error {
+		for si, docs := range st.Live {
+			if len(docs) == 0 {
+				continue
 			}
-			log[rec.ID].Deleted = true
-		}
-	}
-	return log, nil
-}
-
-// replayTail drives the WAL tail through the engine's normal mutation
-// path (the engine has no WAL attached yet, so nothing is re-journaled
-// — the records are already in the log file).
-func (st *storeState) replayTail(le *LiveEngine) error {
-	for _, rec := range st.tail {
-		switch rec.Op {
-		case wal.OpInsert:
-			if _, err := le.Insert(rec.Source); err != nil {
-				return fmt.Errorf("setsim: wal replay record %d: %w", rec.Seq, err)
+			name := packName(base, gen, si)
+			if err := writePackFile(filepath.Join(dir, name), si, gen, docs, m.sums[si], st.NextID, st.LiveN); err != nil {
+				return err
 			}
-		case wal.OpDelete:
-			if !le.Delete(collection.SetID(rec.ID)) {
-				return fmt.Errorf("%w: wal record %d deletes unknown document %d",
-					collection.ErrBadCollection, rec.Seq, rec.ID)
-			}
+			written = append(written, name)
+			m.refs = append(m.refs, SegpackRef{Name: name, Shard: si, Docs: len(docs)})
 		}
+		return writeManifestFile(path, m)
 	}
-	return nil
-}
-
-// info assembles the SnapshotInfo of a loaded v5 store. docs/live are
-// the post-tail counts the caller derived from the opened engine.
-func (st *storeState) info(docs, live int) SnapshotInfo {
-	m := st.m
-	info := SnapshotInfo{
-		Version:    snapV5,
-		Docs:       docs,
-		Live:       live,
-		Shards:     m.shards,
-		Routed:     true,
-		Summaries:  m.sums,
-		Generation: m.gen,
-		WALStart:   m.walStart,
-		WALTail:    len(st.tail),
-		WALTorn:    st.walTorn,
-		Segpacks:   m.refs,
-	}
-	info.RouteCounts = make([]int, m.shards)
-	for _, ref := range m.refs {
-		info.RouteCounts[ref.Shard] += ref.Docs
-	}
-	return info
-}
-
-// openLiveV5 is the v5 arm of OpenLive: replay the checkpoint log,
-// compact, then replay the WAL tail through the mutation path — the
-// recovery algorithm. The resulting engine is bitwise-equivalent to one
-// that replayed the surviving history with a compaction at the
-// checkpoint.
-func openLiveV5(path string, st *storeState, cfg LiveConfig) (*LiveEngine, SnapshotInfo, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = st.m.shards
-	}
-	le := core.NewLive(st.tk, cfg)
-	for _, d := range st.log {
-		id, err := le.Insert(d.Source)
-		if err != nil {
-			le.Close()
-			return nil, SnapshotInfo{}, fmt.Errorf("setsim: load %s: replay: %w", path, err)
+	if err := write(); err != nil {
+		for _, name := range written {
+			os.Remove(filepath.Join(dir, name))
 		}
-		if d.Deleted {
-			le.Delete(id)
-		}
+		return nil, err
 	}
-	le.Compact()
-	if err := st.replayTail(le); err != nil {
-		le.Close()
-		return nil, SnapshotInfo{}, fmt.Errorf("setsim: load %s: %w", path, err)
-	}
-	return le, st.info(le.NumDocs(), le.NumLive()), nil
+	return written, nil
 }
 
 // saveLiveV5 writes a settled engine as a fresh v5 store: generation-1
 // packages plus the manifest, removing any stale WAL (this snapshot
 // starts a new history; walStart is 0 and no records precede it).
 func saveLiveV5(path string, le *LiveEngine) error {
-	log := le.Log()
-	routing := le.Routing()
-	shards := le.NumShards()
-	sums := summaryScalars(le)
-
-	live := make([][]core.DocRef, shards)
-	var dead []core.DocRef
-	liveN := 0
+	log, routing := le.Log(), le.Routing()
+	st := &core.CheckpointState{
+		NextID:    len(log),
+		Live:      make([][]core.DocRef, le.NumShards()),
+		Summaries: le.ShardSummaries(),
+	}
 	for id, d := range log {
+		ref := core.DocRef{ID: collection.SetID(id), Source: d.Source}
 		if d.Deleted {
-			dead = append(dead, core.DocRef{ID: collection.SetID(id), Source: d.Source})
+			st.Dead = append(st.Dead, ref)
 			continue
 		}
-		sh := routing[id]
-		live[sh] = append(live[sh], core.DocRef{ID: collection.SetID(id), Source: d.Source})
-		liveN++
+		st.Live[routing[id]] = append(st.Live[routing[id]], ref)
+		st.LiveN++
 	}
-
-	m := &manifestV5{
-		tkName: le.Tokenizer().Name(),
-		shards: shards,
-		gen:    1,
-		nextID: len(log),
-		liveN:  liveN,
-		dead:   dead,
-		sums:   sums,
-	}
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-	for si, docs := range live {
-		if len(docs) == 0 {
-			continue
-		}
-		name := packName(base, m.gen, si)
-		if err := writePackFile(filepath.Join(dir, name), si, m.gen, docs, sums[si], m.nextID, m.liveN); err != nil {
-			cleanup()
-			return err
-		}
-		written = append(written, name)
-		m.refs = append(m.refs, SegpackRef{Name: name, Shard: si, Docs: len(docs)})
-	}
-	if err := writeManifestFile(path, m); err != nil {
-		cleanup()
+	if _, err := writeGeneration(path, le.Tokenizer().Name(), 1, st); err != nil {
 		return err
 	}
 	// A stale WAL from an earlier durable store at this path would
@@ -559,81 +458,23 @@ func saveLiveV5(path string, le *LiveEngine) error {
 	return nil
 }
 
-// summaryScalars extracts each shard's persisted summary scalars.
-func summaryScalars(le *LiveEngine) []ShardSummaryInfo {
-	sums := make([]ShardSummaryInfo, le.NumShards())
-	for i, s := range le.ShardSummaries() {
-		if s == nil || i >= len(sums) {
-			continue
-		}
-		sums[i] = scalarsOf(s)
-	}
-	return sums
-}
-
-func scalarsOf(s *route.Summary) ShardSummaryInfo {
-	var si ShardSummaryInfo
-	si.Docs = s.Docs()
-	si.LenMin, si.LenMax = s.LenRange()
-	si.HotTokens = s.HotTokens()
-	si.SketchSlots, si.SketchOccupied = s.SketchSlots()
-	return si
-}
-
 // durableStore persists checkpoints for a durable engine: it is the
 // core.CheckpointSink attached by OpenDurable. Checkpoint runs under
 // the engine's compaction mutex, so fields need no further locking.
 type durableStore struct {
-	path      string
-	dir, base string
-	tkName    string
-	wal       *wal.Log
-	gen       uint64
-	curPacks  []string // basenames the current manifest references
+	path     string
+	tkName   string
+	wal      *wal.Log
+	gen      uint64
+	curPacks []string // basenames the current manifest references
 }
 
-// Checkpoint writes the compaction round's state as a new generation:
-// packages, manifest (atomic rename), WAL truncation, old-generation
-// removal — in that order, so a crash at any point leaves a
-// recoverable store.
+// Checkpoint writes the compaction round's state as a new generation,
+// then truncates the WAL and removes the old generation's packages — in
+// that order, so a crash at any point leaves a recoverable store.
 func (ds *durableStore) Checkpoint(st *core.CheckpointState) error {
-	gen := ds.gen + 1
-	sums := make([]ShardSummaryInfo, len(st.Live))
-	for si, s := range st.Summaries {
-		if s != nil {
-			sums[si] = scalarsOf(s)
-		}
-	}
-	m := &manifestV5{
-		tkName:   ds.tkName,
-		shards:   len(st.Live),
-		gen:      gen,
-		walStart: st.WALSeq,
-		nextID:   st.NextID,
-		liveN:    st.LiveN,
-		dead:     st.Dead,
-		sums:     sums,
-	}
-	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			os.Remove(filepath.Join(ds.dir, name))
-		}
-	}
-	for si, docs := range st.Live {
-		if len(docs) == 0 {
-			continue
-		}
-		name := packName(ds.base, gen, si)
-		if err := writePackFile(filepath.Join(ds.dir, name), si, gen, docs, sums[si], st.NextID, st.LiveN); err != nil {
-			cleanup()
-			return err
-		}
-		written = append(written, name)
-		m.refs = append(m.refs, SegpackRef{Name: name, Shard: si, Docs: len(docs)})
-	}
-	if err := writeManifestFile(ds.path, m); err != nil {
-		cleanup()
+	written, err := writeGeneration(ds.path, ds.tkName, ds.gen+1, st)
+	if err != nil {
 		return err
 	}
 	// The checkpoint is durable from here: the remaining steps only
@@ -642,14 +483,10 @@ func (ds *durableStore) Checkpoint(st *core.CheckpointState) error {
 	// them via walStart).
 	ds.wal.TruncateThrough(st.WALSeq) //nolint:errcheck // see above
 	old := ds.curPacks
-	ds.gen, ds.curPacks = gen, written
-	kept := make(map[string]bool, len(written))
-	for _, name := range written {
-		kept[name] = true
-	}
+	ds.gen, ds.curPacks = ds.gen+1, written
 	for _, name := range old {
-		if !kept[name] {
-			os.Remove(filepath.Join(ds.dir, name))
+		if !slices.Contains(written, name) {
+			os.Remove(filepath.Join(filepath.Dir(ds.path), name))
 		}
 	}
 	return nil
@@ -661,115 +498,56 @@ func (ds *durableStore) Checkpoint(st *core.CheckpointState) error {
 // then the engine is wired to journal every mutation into the WAL and
 // persist checkpoints at full compactions (bounded by
 // cfg.CheckpointEvery). A missing manifest starts an empty store; a
-// v1–v4 snapshot at path is upgraded to v5 at the first checkpoint. In
-// both of those cases a crash may have left a WAL with no manifest
+// version-1 snapshot at path is upgraded to v5 at the first checkpoint.
+// In both of those cases a crash may have left a WAL with no manifest
 // covering it (the first checkpoint never ran), so the whole surviving
 // log replays into the engine before it goes live. Close the engine to
 // flush and close the WAL.
 func OpenDurable(path string, cfg LiveConfig, opts DurableOptions) (*LiveEngine, SnapshotInfo, error) {
-	var le *LiveEngine
-	var info SnapshotInfo
-	var m *manifestV5
-	tkName := ""
-
-	f, err := os.Open(path)
-	switch {
-	case os.IsNotExist(err):
+	var s *snapshot
+	if _, err := os.Stat(path); os.IsNotExist(err) {
 		// Fresh store: nothing checkpointed yet. Tokenizer defaults like
 		// NewLive's callers expect.
-		tk := tokenize.QGramTokenizer{Q: 3}
-		if cfg.Shards <= 0 {
-			cfg.Shards = 1
+		s = &snapshot{
+			info: SnapshotInfo{Version: snapV5, Shards: max(cfg.Shards, 1)},
+			tk:   tokenize.QGramTokenizer{Q: 3},
 		}
-		le = core.NewLive(tk, cfg)
-		tkName = tk.Name()
-		info = SnapshotInfo{Version: snapV5, Shards: cfg.Shards}
-	case err != nil:
+	} else if s, err = loadSnapshot(path); err != nil {
 		return nil, SnapshotInfo{}, err
-	default:
-		version, verr := sniffVersion(f)
-		if verr != nil {
-			f.Close()
-			return nil, SnapshotInfo{}, fmt.Errorf("setsim: load %s: %w", path, verr)
-		}
-		if version == snapV5 {
-			st, lerr := loadStore(path, f)
-			f.Close()
-			if lerr != nil {
-				return nil, SnapshotInfo{}, fmt.Errorf("setsim: load %s: %w", path, lerr)
-			}
-			le, info, err = openLiveV5(path, st, cfg)
-			if err != nil {
-				return nil, SnapshotInfo{}, err
-			}
-			m = st.m
-			tkName = st.m.tkName
-		} else {
-			// Legacy upgrade path: load through the version-aware live
-			// loader; the first checkpoint rewrites the store as v5.
-			f.Close()
-			le, info, err = OpenLive(path, cfg)
-			if err != nil {
-				return nil, SnapshotInfo{}, err
-			}
-			tkName = le.Tokenizer().Name()
-		}
 	}
-
-	// Without a v5 manifest no checkpoint covers the WAL, so every
-	// surviving record is tail: a crash before the first checkpoint.
+	m := s.m
 	if m == nil {
-		st := &storeState{}
-		winfo, rerr := wal.Replay(walPath(path), 0, func(rec wal.Record) error {
-			st.tail = append(st.tail, rec)
-			return nil
-		})
-		switch {
-		case rerr != nil && !os.IsNotExist(rerr):
-			le.Close()
-			return nil, SnapshotInfo{}, fmt.Errorf("setsim: wal %s: %w", walPath(path), rerr)
-		case rerr == nil:
-			if err := st.replayTail(le); err != nil {
-				le.Close()
-				return nil, SnapshotInfo{}, err
-			}
-			info.Docs, info.Live = le.NumDocs(), le.NumLive()
-			info.WALTail = len(st.tail)
-			info.WALTorn = winfo.Torn
+		// Without a v5 manifest no checkpoint covers the WAL, so every
+		// surviving record is tail: a crash before the first checkpoint.
+		m = &manifestV5{tkName: s.tk.Name()}
+		if err := s.attachTail(path, 0); err != nil {
+			return nil, SnapshotInfo{}, err
 		}
 	}
-
-	wlog, winfo, err := wal.Open(walPath(path), wal.Options{Sync: opts.Sync, GroupWindow: opts.GroupWindow})
+	le, err := s.replay(path, cfg)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	wlog, winfo, err := wal.Open(walPath(path), wal.Options{Sync: opts.Sync})
 	if err != nil {
 		le.Close()
 		return nil, SnapshotInfo{}, fmt.Errorf("setsim: wal %s: %w", walPath(path), err)
 	}
-	var walStart uint64
-	ds := &durableStore{
-		path:   path,
-		dir:    filepath.Dir(path),
-		base:   filepath.Base(path),
-		tkName: tkName,
-		wal:    wlog,
-	}
-	if m != nil {
-		walStart = m.walStart
-		ds.gen = m.gen
-		for _, ref := range m.refs {
-			ds.curPacks = append(ds.curPacks, ref.Name)
-		}
-	}
 	// A log whose first record is past the checkpoint horizon has lost
 	// history: a rotated WAL survived but its manifest did not, or the
 	// manifest is older than the log.
-	if winfo.First > walStart+1 {
+	if winfo.First > m.walStart+1 {
 		wlog.Close()
 		le.Close()
 		return nil, SnapshotInfo{}, fmt.Errorf("%w: wal starts at %d but manifest covers only through %d",
-			collection.ErrBadCollection, winfo.First, walStart)
+			collection.ErrBadCollection, winfo.First, m.walStart)
 	}
-	le.SetDurable(wlog, ds, walStart)
-	return le, info, nil
+	ds := &durableStore{path: path, tkName: m.tkName, wal: wlog, gen: m.gen}
+	for _, ref := range m.refs {
+		ds.curPacks = append(ds.curPacks, ref.Name)
+	}
+	le.SetDurable(wlog, ds, m.walStart)
+	return le, s.info, nil
 }
 
 // PackCheck is one package's verification outcome.
@@ -796,9 +574,8 @@ type VerifyReport struct {
 }
 
 // Verify checks a snapshot's integrity without building an engine: the
-// manifest (or legacy snapshot) checksum, every package's every block
-// checksum, and the WAL tail. Legacy versions (1–4) have one payload
-// checksum, verified by parsing.
+// manifest checksum, every package's every block checksum, and the WAL
+// tail. A version-1 file has one payload checksum, verified by parsing.
 func Verify(path string) (*VerifyReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -812,12 +589,6 @@ func Verify(path string) (*VerifyReport, error) {
 	rep := &VerifyReport{Version: version, OK: true}
 	if version == 1 {
 		if _, err := collection.Read(f); err != nil {
-			return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
-		}
-		return rep, nil
-	}
-	if version != snapV5 {
-		if _, _, _, _, err := readSnapshot(f); err != nil {
 			return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
 		}
 		return rep, nil
