@@ -1,5 +1,6 @@
 // Command ssindex builds and inspects disk-resident inverted-list
-// indexes (the binary format of internal/invlist).
+// indexes (internal/invlist's list files: segment packages of the flat
+// index's arenas).
 //
 // Usage:
 //
@@ -7,6 +8,7 @@
 //	ssindex stat   -index index.bin [-in strings.txt]
 //	ssindex stat   -snap corpus.sscol [-shards N] [-v]
 //	ssindex verify -snap corpus.sssnap
+//	ssindex verify -index index.bin
 //
 // build tokenizes one string per input line into q-grams and writes the
 // weight-sorted lists, id-sorted lists and skip indexes. stat validates
@@ -21,8 +23,9 @@
 //
 // verify checks a snapshot's integrity without building an engine: the
 // manifest (or version-1 payload) checksum, every segment package's
-// every block CRC, and the write-ahead log tail. It exits non-zero when
-// any checksum fails.
+// every block CRC, and the write-ahead log tail. With -index it checks
+// a list file the same way, block by block. It exits non-zero when any
+// checksum fails.
 package main
 
 import (
@@ -59,6 +62,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       ssindex stat   -index index.bin")
 	fmt.Fprintln(os.Stderr, "       ssindex stat   -snap corpus.sscol [-shards N] [-v]")
 	fmt.Fprintln(os.Stderr, "       ssindex verify -snap corpus.sssnap")
+	fmt.Fprintln(os.Stderr, "       ssindex verify -index index.bin")
 	os.Exit(2)
 }
 
@@ -169,12 +173,18 @@ func snapStat(path string, shards int, verbose bool) {
 	}
 }
 
-// verifyCmd checks every checksum a snapshot carries: the manifest (or
-// version-1 payload), each segment package block by block, and the WAL.
+// verifyCmd checks every checksum a snapshot carries — the manifest (or
+// version-1 payload), each segment package block by block, and the WAL —
+// or every block checksum of a list file.
 func verifyCmd(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	snap := fs.String("snap", "", "snapshot file (version 1 or 5)")
+	index := fs.String("index", "", "list file")
 	fs.Parse(args)
+	if *index != "" {
+		verifyIndex(*index)
+		return
+	}
 	if *snap == "" {
 		usage()
 	}
@@ -206,11 +216,26 @@ func verifyCmd(args []string) {
 	fmt.Println("ok")
 }
 
+// verifyIndex opens a list file, which validates its tables, and checks
+// every block of every record.
+func verifyIndex(path string) {
+	st, err := invlist.OpenFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer st.Close()
+	blocks, err := st.Verify()
+	if err != nil {
+		fatal(fmt.Errorf("%s: %d block checksum(s) ok, then FAILED: %w", path, blocks, err))
+	}
+	fmt.Printf("%s: list file, %d block checksum(s) ok\nok\n", path, blocks)
+}
+
 func printSizes(st *invlist.FileStore) {
 	z := st.Sizes()
 	t := eval.NewTable("storage", "section", "bytes")
 	t.AddRow("weight-sorted lists", eval.Bytes(z.WeightLists))
-	t.AddRow("id-sorted lists (varint)", eval.Bytes(z.IDLists))
+	t.AddRow("id-sorted lists", eval.Bytes(z.IDLists))
 	t.AddRow("skip indexes", eval.Bytes(z.SkipIndexes))
 	t.AddRow("total", eval.Bytes(z.Total()))
 	fmt.Println(t)

@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/invlist"
 	"repro/internal/tokenize"
 	"repro/setsim"
 )
@@ -99,22 +98,12 @@ func main() {
 	switch {
 	case *load != "" && *lists != "":
 		// On-disk lists need the raw collection; the version-1 format only.
-		lf, err := os.Open(*load)
+		engine, err := setsim.LoadWithLists(*load, *lists, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		c, rerr := collection.Read(lf)
-		lf.Close()
-		if rerr != nil {
-			fatal(rerr)
-		}
-		st, err := invlist.OpenFile(*lists)
-		if err != nil {
-			fatal(err)
-		}
-		defer st.Close()
-		cfg.Store = st
-		engine := core.NewEngine(c, cfg)
+		defer engine.Store().Close()
+		c := engine.Collection()
 		fmt.Fprintf(os.Stderr, "indexed %d sets, %d grams (disk lists)\n", c.NumSets(), c.NumTokens())
 		doQuery = staticQuery(engine, alg, *tau, *k)
 		source = c.Source

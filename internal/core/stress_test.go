@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -129,6 +131,68 @@ func TestFileStoreBackedEngine(t *testing.T) {
 				t.Fatalf("%v on FileStore: %v", alg, err)
 			}
 			assertSameResults(t, diskEngine, q, tau, alg, got, want)
+		}
+	}
+}
+
+// TestListFileDetectsEveryFlip flips one bit at a time across a whole
+// list file — every byte of the package header and footer, every 61st
+// byte between — and requires each mutant to be refused: OpenFile fails,
+// or the selection that reads the damaged arena (SF the weight-sorted
+// one, SortByID the id-sorted one) returns an error wrapping
+// invlist.ErrCorrupt. A selection that does succeed must return the
+// MemStore engine's answer; nothing may panic.
+func TestListFileDetectsEveryFlip(t *testing.T) {
+	e := buildEngine(t, 300, 75, 7, Config{SkipInterval: 8})
+	c := e.Collection()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lists.bin")
+	if err := invlist.WriteFile(path, c, 8); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := e.PrepareCounts(c.Set(17))
+	const tau = 0.3
+	want, _, err := e.Select(q, tau, Naive, nil)
+	if err != nil || len(want) < 2 {
+		t.Fatalf("reference selection: %d results, err %v", len(want), err)
+	}
+	mutant := filepath.Join(dir, "mutant.bin")
+	for at := 0; at < len(valid); at++ {
+		if at >= 16 && at < len(valid)-24 && at%61 != 0 {
+			continue
+		}
+		bad := append([]byte(nil), valid...)
+		bad[at] ^= 1 << (at % 8)
+		if err := os.WriteFile(mutant, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := invlist.OpenFile(mutant)
+		if err != nil {
+			if !errors.Is(err, invlist.ErrCorrupt) {
+				t.Fatalf("flip at byte %d: OpenFile error %v does not wrap ErrCorrupt", at, err)
+			}
+			continue
+		}
+		disk := NewEngine(c, Config{Store: fs, NoHashes: true, NoRelational: true})
+		detected := false
+		for _, alg := range []Algorithm{SF, SortByID} {
+			got, _, err := disk.Select(q, tau, alg, nil)
+			switch {
+			case errors.Is(err, invlist.ErrCorrupt):
+				detected = true
+			case err != nil:
+				t.Fatalf("flip at byte %d: %v error %v does not wrap ErrCorrupt", at, alg, err)
+			default:
+				assertSameResults(t, disk, q, tau, alg, got, want)
+			}
+		}
+		fs.Close()
+		if !detected {
+			t.Fatalf("flip at byte %d of %d went undetected", at, len(valid))
 		}
 	}
 }

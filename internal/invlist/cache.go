@@ -6,7 +6,7 @@ import (
 )
 
 // cacheShardCount is the number of independently locked LRU shards in a
-// blockCache. Concurrent FileStore queries touch disjoint (token, block)
+// blockCache. Concurrent FileStore queries touch disjoint (arena, block)
 // keys almost always, so spreading them over per-shard mutexes removes
 // the single global lock the cache used to serialize on. Must be a power
 // of two.
@@ -32,15 +32,15 @@ type cacheShard struct {
 	misses   uint64
 }
 
+// blockKey names one checksum block of a list file's posting arenas.
 type blockKey struct {
-	token uint32
-	start int // index of the block's first posting
+	arena uint32 // index of the arena record
+	block int    // index of the checksum block within it
 }
 
-// shardFor hashes a key to its shard. Block starts are aligned multiples
-// of readBlockCount, so both fields are mixed to avoid aliasing.
+// shardFor hashes a key to its shard, mixing both fields.
 func (c *blockCache) shardFor(key blockKey) *cacheShard {
-	h := uint64(key.token)*0x9E3779B97F4A7C15 + uint64(uint(key.start))*0xBF58476D1CE4E5B9
+	h := uint64(key.arena)*0x9E3779B97F4A7C15 + uint64(uint(key.block))*0xBF58476D1CE4E5B9
 	return &c.shards[(h>>32)&(cacheShardCount-1)]
 }
 

@@ -1,409 +1,274 @@
 package invlist
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/collection"
+	"repro/internal/segpack"
 	"repro/internal/tokenize"
 )
 
-// File format (little endian):
-//
-//	header:  magic "SSIDX1\n\x00" | tocCRC uint32 | numTokens uint32
-//	TOC:     per token: wOff u64 | wCount u32 | iOff u64 | iBytes u32 |
-//	         iCount u32 | sOff u64 | sCount u32
-//	data:    weight-sorted postings: fixed 16B (id u64, len float64 bits)
-//	         id-sorted postings: uvarint id-delta + raw float64 len
-//	         skip entries: fixed 12B (len float64 bits, pos u32)
-//
-// Offsets are absolute file offsets. The TOC is CRC-protected; postings
-// sections are bounds-checked on read so truncation or offset corruption
-// surfaces as an error instead of a crash.
-const fileMagic = "SSIDX1\n\x00"
-
+// Record and metadata names of the list-file package (layout in the
+// package comment) and the sizes its reader works in.
 const (
-	tocEntrySize   = 8 + 4 + 8 + 4 + 4 + 8 + 4
-	postingSize    = 16
-	skipEntrySize  = 12
-	headerSize     = 8 + 4 + 4
-	readBlockCount = 256 // postings fetched per sequential read
+	arenaWeight = iota // a cursor and a cache key name an arena by index
+	arenaByID
+	recOff      = "off"
+	recSkips    = "skips"
+	recSkipOff  = "skipoff"
+	postingSize = 16                                     // bytes per Posting, in memory and in an arena record
+	perBlock    = segpack.DefaultBlockSize / postingSize // postings per checksum block: the read and cache unit
+	cacheBlocks = 64                                     // block-cache budget: 4 MiB decoded, 4 blocks a shard
 )
 
-// ErrCorrupt reports a structurally invalid index file.
+var arenas = [2]string{arenaWeight: "weight", arenaByID: "byid"}
+var metaKeys = [4]string{"interval", "sets", "tokens", "postings"}
+
+// ErrCorrupt reports a structurally invalid or checksum-failing list
+// file, including one in the format older builds wrote.
 var ErrCorrupt = errors.New("invlist: corrupt index file")
 
-type tocEntry struct {
-	wOff   uint64
-	wCount uint32
-	iOff   uint64
-	iBytes uint32
-	iCount uint32
-	sOff   uint64
-	sCount uint32
+// corrupt marks a segpack format failure as a list-file one; nil and
+// operating-system errors pass through.
+func corrupt(err error) error {
+	if errors.Is(err, segpack.ErrCorrupt) || errors.Is(err, segpack.ErrVersion) || errors.Is(err, segpack.ErrNoRecord) {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return err
 }
 
-// WriteFile builds the disk-resident index for c at path. skipInterval ≤ 0
-// selects SkipInterval.
-func WriteFile(path string, c *collection.Collection, skipInterval int) (err error) {
-	f, err := os.Create(path)
+// WriteFile builds the disk-resident index for c at path: the MemStore
+// BuildMem returns, slice for slice, so both stores answer every scan and
+// seek identically. skipInterval ≤ 0 selects SkipInterval.
+func WriteFile(path string, c *collection.Collection, skipInterval int) error {
+	ms := BuildMem(c, skipInterval)
+	w, err := segpack.Create(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
+	for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.weight)} {
+		w.SetMeta(metaKeys[i], []byte(strconv.Itoa(v)))
+	}
+	// The writer's errors are sticky and Close reports the first.
+	w.AddRecord(arenas[arenaWeight], encodePostings(ms.weight))
+	w.AddRecord(arenas[arenaByID], encodePostings(ms.byID))
+	w.AddRecord(recOff, encodeTable(ms.off))
+	w.AddRecord(recSkips, encodeTable(ms.skips))
+	w.AddRecord(recSkipOff, encodeTable(ms.skipOff))
+	return w.Close()
+}
+
+func encodePostings(ps []Posting) []byte {
+	b := make([]byte, 0, len(ps)*postingSize)
+	for _, p := range ps {
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.ID))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Len))
+	}
+	return b
+}
+
+func decodePostings(b []byte) []Posting {
+	ps := make([]Posting, len(b)/postingSize)
+	for i := range ps {
+		id, l := binary.LittleEndian.Uint64(b[i*postingSize:]), binary.LittleEndian.Uint64(b[i*postingSize+8:])
+		ps[i] = Posting{ID: collection.SetID(id), Len: math.Float64frombits(l)}
+	}
+	return ps
+}
+
+// encodeTable serializes a []uint32 or []float64.
+func encodeTable(v any) []byte {
+	var b bytes.Buffer
+	binary.Write(&b, binary.LittleEndian, v) // cannot fail: fixed-size data into memory
+	return b.Bytes()
+}
+
+// FileStore serves the lists of a file written by WriteFile. It holds the
+// MemStore the file holds except for the posting arenas, which it reads
+// from their records one checksum block at a time, each verified before
+// it is decoded, through a shared block cache. It is safe for concurrent
+// readers: cursors hold their own position and the cache is synchronized.
+type FileStore struct {
+	pack  *segpack.FileReader
+	m     MemStore // weight and byID stay nil
+	sets  int
+	cache *blockCache
+}
+
+// OpenFile opens and validates a list file. A file that is not a
+// well-formed list package fails with an error wrapping ErrCorrupt.
+func OpenFile(path string) (*FileStore, error) {
+	pack, err := segpack.Open(path)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	s := &FileStore{pack: pack, cache: newBlockCache(cacheBlocks)}
+	if err := s.load(); err != nil {
+		pack.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// load reads the metadata and the three tables and checks them against
+// each other and the arena records, so that every position a cursor can
+// compute lies inside a block the package holds.
+func (s *FileStore) load() error {
+	var meta [4]int
+	for i, key := range metaKeys {
+		v, _ := s.pack.Meta(key)
+		n, err := strconv.Atoi(string(v))
+		if err != nil || n < 0 {
+			return fmt.Errorf("%w: bad %s tag %q", ErrCorrupt, key, v)
 		}
-	}()
-
-	n := c.NumTokens()
-	toc := make([]tocEntry, n)
-	off := uint64(headerSize + n*tocEntrySize)
-
-	// Pass 1: lay out and write the data region.
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
+		meta[i] = n
+	}
+	m, tokens, postings := &s.m, meta[2], meta[3]
+	m.interval, s.sets = meta[0], meta[1]
+	var e1, e2, e3 error
+	m.off, e1 = readTable[uint32](s.pack, recOff)
+	m.skipOff, e2 = readTable[uint32](s.pack, recSkipOff)
+	m.skips, e3 = readTable[float64](s.pack, recSkips)
+	if err := errors.Join(e1, e2, e3); err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var buf [16]byte
-	// The file holds the lists and skip samples of the in-memory index,
-	// so both stores answer every scan and seek identically.
-	ms := BuildMem(c, skipInterval)
-	for t := range toc {
-		wl := ms.weight[ms.off[t]:ms.off[t+1]]
-		e := &toc[t]
-		e.wOff, e.wCount = off, uint32(len(wl))
-		for _, p := range wl {
-			binary.LittleEndian.PutUint64(buf[0:], uint64(p.ID))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Len))
-			if _, err := w.Write(buf[:16]); err != nil {
-				return err
-			}
-		}
-		off += uint64(len(wl)) * postingSize
-
-		ps := ms.byID[ms.off[t]:ms.off[t+1]]
-		e.iOff, e.iCount = off, uint32(len(ps))
-		var prev uint64
-		for _, p := range ps {
-			nb := binary.PutUvarint(buf[:10], uint64(p.ID)-prev)
-			prev = uint64(p.ID)
-			binary.LittleEndian.PutUint64(buf[nb:], math.Float64bits(p.Len))
-			if _, err := w.Write(buf[:nb+8]); err != nil {
-				return err
-			}
-			e.iBytes += uint32(nb + 8)
-		}
-		off += uint64(e.iBytes)
-
-		samples := ms.skips[ms.skipOff[t]:ms.skipOff[t+1]]
-		e.sOff, e.sCount = off, uint32(len(samples))
-		for j, l := range samples {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(l))
-			binary.LittleEndian.PutUint32(buf[8:], uint32((j+1)*ms.interval))
-			if _, err := w.Write(buf[:12]); err != nil {
-				return err
-			}
-		}
-		off += uint64(e.sCount) * skipEntrySize
+	arena := int64(postings) * postingSize
+	m.sizes = Sizes{WeightLists: arena, IDLists: arena, SkipIndexes: int64(len(m.skips)) * skipSampleBytes}
+	ok := m.interval > 0 && s.pack.BlockSize() == segpack.DefaultBlockSize &&
+		len(m.off)-1 == tokens && len(m.skipOff)-1 == tokens &&
+		m.off[0] == 0 && int(m.off[tokens]) == postings &&
+		m.skipOff[0] == 0 && int(m.skipOff[tokens]) == len(m.skips) &&
+		s.pack.RecordSize(arenas[0]) == arena && s.pack.RecordSize(arenas[1]) == arena
+	for t := 0; ok && t < tokens; t++ {
+		// (n-1)/interval samples for n postings, as BuildMem lays them
+		// out, keeps every SeekLen landing position inside the list.
+		n := int64(m.off[t+1]) - int64(m.off[t])
+		ok = n >= 0 && int64(m.skipOff[t+1])-int64(m.skipOff[t]) == max(n-1, 0)/int64(m.interval)
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	// Pass 2: header + TOC at the front.
-	tocBytes := make([]byte, n*tocEntrySize)
-	for t, e := range toc {
-		b := tocBytes[t*tocEntrySize:]
-		binary.LittleEndian.PutUint64(b[0:], e.wOff)
-		binary.LittleEndian.PutUint32(b[8:], e.wCount)
-		binary.LittleEndian.PutUint64(b[12:], e.iOff)
-		binary.LittleEndian.PutUint32(b[20:], e.iBytes)
-		binary.LittleEndian.PutUint32(b[24:], e.iCount)
-		binary.LittleEndian.PutUint64(b[28:], e.sOff)
-		binary.LittleEndian.PutUint32(b[36:], e.sCount)
-	}
-	header := make([]byte, headerSize)
-	copy(header, fileMagic)
-	binary.LittleEndian.PutUint32(header[8:], crc32.ChecksumIEEE(tocBytes))
-	binary.LittleEndian.PutUint32(header[12:], uint32(n))
-	if _, err := f.WriteAt(header, 0); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(tocBytes, headerSize); err != nil {
-		return err
+	if !ok {
+		return fmt.Errorf("%w: offset tables disagree with the arenas", ErrCorrupt)
 	}
 	return nil
 }
 
-// FileStore reads a disk-resident index written by WriteFile. It is safe
-// for concurrent readers: cursors hold their own buffers and use ReadAt,
-// and the shared block cache is internally synchronized.
-type FileStore struct {
-	f     *os.File
-	toc   []tocEntry
-	size  int64
-	cache *blockCache
+// readTable reads a record of little-endian values.
+func readTable[T uint32 | float64](pack *segpack.FileReader, name string) ([]T, error) {
+	raw, err := pack.ReadRecord(name)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	var zero T
+	out := make([]T, len(raw)/binary.Size(zero))
+	if binary.Size(out) != len(raw) {
+		return nil, fmt.Errorf("%w: record %q is %d bytes long", ErrCorrupt, name, len(raw))
+	}
+	binary.Read(bytes.NewReader(raw), binary.LittleEndian, out) // cannot fail: sized to raw
+	return out, nil
 }
 
-// DefaultCacheBlocks is the block-cache capacity OpenFile installs:
-// 256 blocks × 256 postings × 16 bytes = 1 MiB of hot decoded postings.
-const DefaultCacheBlocks = 256
-
-// OpenFile opens and validates an index file with the default block
-// cache.
-func OpenFile(path string) (*FileStore, error) {
-	return OpenFileCached(path, DefaultCacheBlocks)
-}
-
-// OpenFileCached opens an index file with a block cache of the given
-// capacity (0 disables caching).
-func OpenFileCached(path string, cacheBlocks int) (*FileStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// open returns a cursor over token t's list in arena a.
+func (s *FileStore) open(t tokenize.Token, a uint32) Cursor {
+	lo, hi := s.m.span(t)
+	if lo == hi {
+		return Empty()
 	}
-	st, err := newFileStore(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	st.cache = newBlockCache(cacheBlocks)
-	return st, nil
-}
-
-func newFileStore(f *os.File) (*FileStore, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	header := make([]byte, headerSize)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(headerSize)), header); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if string(header[:8]) != fileMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	wantCRC := binary.LittleEndian.Uint32(header[8:])
-	n := int(binary.LittleEndian.Uint32(header[12:]))
-	if n < 0 || int64(headerSize)+int64(n)*tocEntrySize > fi.Size() {
-		return nil, fmt.Errorf("%w: token count %d exceeds file size", ErrCorrupt, n)
-	}
-	tocBytes := make([]byte, n*tocEntrySize)
-	if _, err := f.ReadAt(tocBytes, headerSize); err != nil {
-		return nil, fmt.Errorf("%w: short TOC: %v", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(tocBytes) != wantCRC {
-		return nil, fmt.Errorf("%w: TOC checksum mismatch", ErrCorrupt)
-	}
-	toc := make([]tocEntry, n)
-	for t := range toc {
-		b := tocBytes[t*tocEntrySize:]
-		e := &toc[t]
-		e.wOff = binary.LittleEndian.Uint64(b[0:])
-		e.wCount = binary.LittleEndian.Uint32(b[8:])
-		e.iOff = binary.LittleEndian.Uint64(b[12:])
-		e.iBytes = binary.LittleEndian.Uint32(b[20:])
-		e.iCount = binary.LittleEndian.Uint32(b[24:])
-		e.sOff = binary.LittleEndian.Uint64(b[28:])
-		e.sCount = binary.LittleEndian.Uint32(b[36:])
-		end := e.sOff + uint64(e.sCount)*skipEntrySize
-		if e.wOff > uint64(fi.Size()) || end > uint64(fi.Size()) {
-			return nil, fmt.Errorf("%w: token %d section out of bounds", ErrCorrupt, t)
-		}
-	}
-	return &FileStore{f: f, toc: toc, size: fi.Size()}, nil
+	return &fileCursor{s: s, arena: a, base: int(lo), count: int(hi - lo),
+		skip: s.m.skips[s.m.skipOff[t]:s.m.skipOff[t+1]]}
 }
 
 // WeightCursor implements Store.
-func (s *FileStore) WeightCursor(t tokenize.Token) Cursor {
-	if int(t) >= len(s.toc) || s.toc[t].wCount == 0 {
-		return Empty()
-	}
-	e := s.toc[t]
-	return &fileWeightCursor{
-		f:     s.f,
-		token: uint32(t),
-		cache: s.cache,
-		off:   int64(e.wOff),
-		count: int(e.wCount),
-		sOff:  int64(e.sOff),
-		sCnt:  int(e.sCount),
-	}
-}
+func (s *FileStore) WeightCursor(t tokenize.Token) Cursor { return s.open(t, arenaWeight) }
 
 // IDCursor implements Store.
-func (s *FileStore) IDCursor(t tokenize.Token) Cursor {
-	if int(t) >= len(s.toc) || s.toc[t].iCount == 0 {
-		return Empty()
-	}
-	e := s.toc[t]
-	c := &fileIDCursor{count: int(e.iCount)}
-	// id-sorted lists are consumed front to back in full by the merge
-	// baseline, so read them in one sequential pass.
-	raw := make([]byte, e.iBytes)
-	if _, err := s.f.ReadAt(raw, int64(e.iOff)); err != nil {
-		c.err = fmt.Errorf("%w: id list read: %v", ErrCorrupt, err)
-		return c
-	}
-	c.postings = make([]Posting, 0, e.iCount)
-	var prev uint64
-	for len(raw) > 0 && len(c.postings) < int(e.iCount) {
-		delta, nb := binary.Uvarint(raw)
-		if nb <= 0 || len(raw) < nb+8 {
-			c.err = fmt.Errorf("%w: id list varint", ErrCorrupt)
-			return c
-		}
-		prev += delta
-		l := math.Float64frombits(binary.LittleEndian.Uint64(raw[nb:]))
-		c.postings = append(c.postings, Posting{ID: collection.SetID(prev), Len: l})
-		raw = raw[nb+8:]
-	}
-	if len(c.postings) != int(e.iCount) {
-		c.err = fmt.Errorf("%w: id list truncated", ErrCorrupt)
-	}
-	return c
-}
+func (s *FileStore) IDCursor(t tokenize.Token) Cursor { return s.open(t, arenaByID) }
 
 // ListLen implements Store.
-func (s *FileStore) ListLen(t tokenize.Token) int {
-	if int(t) >= len(s.toc) {
-		return 0
-	}
-	return int(s.toc[t].wCount)
+func (s *FileStore) ListLen(t tokenize.Token) int { return s.m.ListLen(t) }
+
+// Sizes implements Store: the accounting of the MemStore the file holds.
+func (s *FileStore) Sizes() Sizes { return s.m.sizes }
+
+// BuiltFrom reports whether c has the set count and the per-token list
+// lengths of the collection the file was built from.
+func (s *FileStore) BuiltFrom(c *collection.Collection) bool {
+	return s.sets == c.NumSets() && slices.Equal(s.m.off, c.TokenOffsets())
 }
 
-// Sizes implements Store.
-func (s *FileStore) Sizes() Sizes {
-	var z Sizes
-	for _, e := range s.toc {
-		z.WeightLists += int64(e.wCount) * postingSize
-		z.IDLists += int64(e.iBytes)
-		z.SkipIndexes += int64(e.sCount) * skipEntrySize
-	}
-	return z
+// Verify checks every block checksum: blocks verified, first failure.
+func (s *FileStore) Verify() (int, error) {
+	blocks, err := s.pack.Verify()
+	return blocks, corrupt(err)
 }
 
 // Close implements Store.
-func (s *FileStore) Close() error { return s.f.Close() }
+func (s *FileStore) Close() error { return s.pack.Close() }
 
 // CacheStats reports block-cache hits and misses since open.
 func (s *FileStore) CacheStats() CacheStats { return s.cache.stats() }
 
-// Err exposes a cursor's deferred I/O error, if the concrete cursor type
-// supports it. Algorithms surface it at the end of a scan.
-func Err(c Cursor) error {
-	type errCursor interface{ Error() error }
-	if ec, ok := c.(errCursor); ok {
-		return ec.Error()
-	}
-	return nil
-}
-
-type fileWeightCursor struct {
-	f     *os.File
-	token uint32
-	cache *blockCache
-	off   int64 // file offset of posting 0
-	count int
-	pos   int // index of current posting
-	sOff  int64
-	sCnt  int
-	skips []skipEnt // lazily loaded
-
-	block      []Posting // decoded window
-	blockStart int       // index of block[0]
+// fileCursor iterates one list of either order. A read or checksum
+// failure invalidates the cursor and is reported by Err.
+type fileCursor struct {
+	s          *FileStore
+	arena      uint32 // arenaWeight or arenaByID
+	base       int    // arena position of the list's first posting
+	count      int
+	pos        int
+	skip       []float64 // skip[j] == Len of weight posting (j+1)·interval
+	block      []Posting // decoded checksum block holding the last posting read
+	blockStart int       // arena position of block[0]
 	err        error
 }
 
-type skipEnt struct {
-	len float64
-	pos int
-}
+func (c *fileCursor) Valid() bool { return c.err == nil && c.pos < c.count }
+func (c *fileCursor) Next()       { c.pos++ }
+func (c *fileCursor) Count() int  { return c.count }
 
-func (c *fileWeightCursor) Error() error { return c.err }
-
-func (c *fileWeightCursor) Valid() bool { return c.err == nil && c.pos < c.count }
-
-func (c *fileWeightCursor) Count() int { return c.count }
-
-func (c *fileWeightCursor) Posting() Posting {
+func (c *fileCursor) Posting() Posting {
 	if !c.Valid() {
 		panic("invlist: Posting on invalid cursor")
 	}
-	if c.block == nil || c.pos < c.blockStart || c.pos >= c.blockStart+len(c.block) {
-		c.load(c.pos)
-		if c.err != nil {
+	at := c.base + c.pos
+	if i := at - c.blockStart; i < 0 || i >= len(c.block) {
+		if c.load(at / perBlock); c.err != nil {
 			return Posting{}
 		}
 	}
-	return c.block[c.pos-c.blockStart]
+	return c.block[at-c.blockStart]
 }
 
-func (c *fileWeightCursor) Next() { c.pos++ }
-
-// load decodes the cache-aligned block containing posting index from,
-// consulting the store's shared block cache first.
-func (c *fileWeightCursor) load(from int) {
-	from -= from % readBlockCount // align so concurrent cursors share blocks
-	key := blockKey{token: c.token, start: from}
-	if blk, ok := c.cache.get(key); ok {
-		c.block, c.blockStart = blk, from
-		return
-	}
-	n := readBlockCount
-	if from+n > c.count {
-		n = c.count - from
-	}
-	raw := make([]byte, n*postingSize)
-	if _, err := c.f.ReadAt(raw, c.off+int64(from)*postingSize); err != nil {
-		c.err = fmt.Errorf("%w: posting read: %v", ErrCorrupt, err)
-		return
-	}
-	block := make([]Posting, n)
-	for i := 0; i < n; i++ {
-		b := raw[i*postingSize:]
-		block[i] = Posting{
-			ID:  collection.SetID(binary.LittleEndian.Uint64(b)),
-			Len: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+// load makes block b of the cursor's arena current: cached, or verified.
+func (c *fileCursor) load(b int) {
+	key := blockKey{arena: c.arena, block: b}
+	blk, ok := c.s.cache.get(key)
+	if !ok {
+		raw, err := c.s.pack.ReadBlock(arenas[c.arena], b)
+		if err != nil {
+			c.err = corrupt(err)
+			return
 		}
+		blk = decodePostings(raw)
+		c.s.cache.put(key, blk)
 	}
-	c.cache.put(key, block)
-	c.block, c.blockStart = block, from
+	c.block, c.blockStart = blk, b*perBlock
 }
 
-func (c *fileWeightCursor) SeekLen(min float64) (skipped, walked int) {
-	if !c.Valid() {
+// SeekLen lands where memCursor.SeekLen lands — k samples below min put
+// the cursor at position k·interval — so both stores skip and walk alike.
+func (c *fileCursor) SeekLen(min float64) (skipped, walked int) {
+	if c.arena != arenaWeight || !c.Valid() {
 		return 0, 0
 	}
-	if c.skips == nil {
-		raw := make([]byte, c.sCnt*skipEntrySize)
-		if _, err := c.f.ReadAt(raw, c.sOff); err != nil {
-			c.err = fmt.Errorf("%w: skip index read: %v", ErrCorrupt, err)
-			return 0, 0
-		}
-		c.skips = make([]skipEnt, c.sCnt)
-		for i := range c.skips {
-			b := raw[i*skipEntrySize:]
-			c.skips[i] = skipEnt{
-				len: math.Float64frombits(binary.LittleEndian.Uint64(b)),
-				pos: int(binary.LittleEndian.Uint32(b[8:])),
-			}
-		}
-	}
 	start := c.pos
-	// Greatest skip entry with len strictly below min; jumping there is
-	// safe because the list is length-sorted.
-	lo := sort.Search(len(c.skips), func(i int) bool { return c.skips[i].len >= min })
-	if lo > 0 && c.skips[lo-1].pos > c.pos {
-		c.pos = c.skips[lo-1].pos
+	if pos := sort.SearchFloat64s(c.skip, min) * c.s.m.interval; pos > c.pos {
+		c.pos = pos
 	}
 	skipped = c.pos - start
 	for c.Valid() && c.Posting().Len < min {
@@ -412,22 +277,3 @@ func (c *fileWeightCursor) SeekLen(min float64) (skipped, walked int) {
 	}
 	return skipped, walked
 }
-
-type fileIDCursor struct {
-	postings []Posting
-	count    int
-	pos      int
-	err      error
-}
-
-func (c *fileIDCursor) Error() error { return c.err }
-func (c *fileIDCursor) Valid() bool  { return c.err == nil && c.pos < len(c.postings) }
-func (c *fileIDCursor) Posting() Posting {
-	if !c.Valid() {
-		panic("invlist: Posting on invalid cursor")
-	}
-	return c.postings[c.pos]
-}
-func (c *fileIDCursor) Next()                      { c.pos++ }
-func (c *fileIDCursor) SeekLen(float64) (int, int) { return 0, 0 }
-func (c *fileIDCursor) Count() int                 { return c.count }

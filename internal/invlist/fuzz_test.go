@@ -33,9 +33,13 @@ func FuzzOpenFile(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)*2/3])
-	mut := append([]byte(nil), valid...)
-	mut[headerSize+5] ^= 0xff
-	f.Add(mut)
+	// One flip inside the record table (which ends 24 bytes from the end)
+	// and one inside the first arena record (which starts at byte 16).
+	for _, at := range []int{len(valid) - 24 - 5, 16 + 5} {
+		mut := append([]byte(nil), valid...)
+		mut[at] ^= 0xff
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f.bin")

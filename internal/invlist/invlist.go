@@ -7,11 +7,24 @@
 // first entry of a given length. The skip index is static: the length of
 // every SkipInterval-th posting, binary-searched.
 //
-// Two stores are provided: MemStore keeps the lists in memory, as two
-// posting arenas and one arena of skip samples; FileStore is the
-// disk-resident binary format (one file, varint-compressed id-sorted
-// lists, fixed-width weight-sorted lists, serialized skip entries) with
-// sequential block reads. Both seek by the same rule: jump to the last
+// Two stores are provided. MemStore keeps the lists in memory as five
+// flat slices: two posting arenas, the offset table they share, one arena
+// of skip samples and its offset table. FileStore serves the same five
+// slices from a list file, which is one segment package
+// (internal/segpack) holding them as five fixed-width little-endian
+// records:
+//
+//	weight   postings × 16 B (id u64, len float64 bits), (Len, ID) order
+//	byid     postings × 16 B, ID order
+//	off      (tokens+1) × u32 arena offsets, shared by both orders
+//	skips    float64 bits per skip sample
+//	skipoff  (tokens+1) × u32 offsets into skips
+//
+// with the skip interval and the sets/tokens/postings counts of the
+// collection as decimal metadata tags (interval, sets, tokens, postings).
+// The three tables are read at open; postings are read from the arena
+// records one checksum block at a time, verified before use, through a
+// block cache. Both stores seek by the same rule: jump to the last
 // sampled position whose length is below the target, then walk.
 package invlist
 
@@ -74,6 +87,15 @@ func RawPostings(c Cursor) (list []Posting, pos int, ok bool) {
 	return nil, 0, false
 }
 
+// Err exposes a disk-backed cursor's deferred read or checksum error;
+// algorithms surface it at the end of a scan. Other cursors cannot fail.
+func Err(c Cursor) error {
+	if fc, ok := c.(*fileCursor); ok {
+		return fc.err
+	}
+	return nil
+}
+
 // Store provides the inverted lists of a corpus.
 type Store interface {
 	// WeightCursor opens the (len, id)-sorted list of token t.
@@ -92,7 +114,7 @@ type Store interface {
 // Sizes itemizes index storage in bytes, mirroring the bars of Fig. 5.
 type Sizes struct {
 	WeightLists int64 // weight-sorted postings
-	IDLists     int64 // id-sorted postings (varint-compressed on disk)
+	IDLists     int64 // id-sorted postings
 	SkipIndexes int64 // skip entries over weight-sorted lists
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,6 +273,70 @@ func TestFileSeekLenMatchesMem(t *testing.T) {
 	}
 }
 
+// TestFileCursorCrossesChecksumBlocks covers what short lists never do: a
+// list longer than one checksum block, a SeekLen that lands in a later
+// block than the one the cursor started in, and a drain across the block
+// boundary — all equal to the MemStore posting for posting and in the
+// seek's skipped and walked counts.
+func TestFileCursorCrossesChecksumBlocks(t *testing.T) {
+	c := randomBuilder(12000, 14, 2, 12).Build() // 8 distinct 3-grams: long lists
+	path := filepath.Join(t.TempDir(), "idx.bin")
+	if err := WriteFile(path, c, 8); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ms := BuildMem(c, 8)
+	var tk tokenize.Token
+	for tok := 0; tok < c.NumTokens(); tok++ {
+		if ms.ListLen(tokenize.Token(tok)) > ms.ListLen(tk) {
+			tk = tokenize.Token(tok)
+		}
+	}
+	if ms.ListLen(tk) <= perBlock {
+		t.Fatalf("longest list has %d postings, need more than a block's %d", ms.ListLen(tk), perBlock)
+	}
+	// List position of the first posting past the list's first block
+	// boundary, which falls at a multiple of perBlock in arena positions.
+	base := int(ms.off[tk])
+	past := (base/perBlock+1)*perBlock - base
+	full := drain(ms.WeightCursor(tk))
+	// Seek to the first length that begins in a later block, and to the
+	// last length of the list.
+	first := past
+	for full[first].Len == full[past-1].Len {
+		first++
+	}
+	for _, target := range []int{first, len(full) - 1} {
+		fc, mc := fs.WeightCursor(tk), ms.WeightCursor(tk)
+		fsk, fwk := fc.SeekLen(full[target].Len)
+		msk, mwk := mc.SeekLen(full[target].Len)
+		if fsk != msk || fwk != mwk || msk+mwk < past || msk == 0 {
+			t.Fatalf("SeekLen to posting %d: file skipped %d walked %d, mem skipped %d walked %d (block boundary at %d)",
+				target, fsk, fwk, msk, mwk, past)
+		}
+		if got, want := drain(fc), drain(mc); !slices.Equal(got, want) {
+			t.Fatalf("after SeekLen to posting %d: file and mem postings differ", target)
+		}
+	}
+	if !slices.Equal(drain(fs.WeightCursor(tk)), full) {
+		t.Fatal("weight list drained across the block boundary differs from mem")
+	}
+	ic := fs.IDCursor(tk)
+	if sk, wk := ic.SeekLen(full[past].Len); sk != 0 || wk != 0 {
+		t.Fatalf("SeekLen moved an id-sorted cursor: skipped %d walked %d", sk, wk)
+	}
+	if !slices.Equal(drain(ic), drain(ms.IDCursor(tk))) {
+		t.Fatal("id list drained across the block boundary differs from mem")
+	}
+	if st := fs.CacheStats(); st.Misses < 2 {
+		t.Fatalf("cache stats %+v: expected reads of more than one block", st)
+	}
+}
+
 func TestFileSizes(t *testing.T) {
 	c := buildCollection(t, 300, 9)
 	path := filepath.Join(t.TempDir(), "idx.bin")
@@ -283,14 +348,9 @@ func TestFileSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	z := fs.Sizes()
-	if z.WeightLists <= 0 || z.IDLists <= 0 {
-		t.Errorf("file sizes not populated: %+v", z)
-	}
-	// Varint id lists must compress better than fixed-width weight lists.
-	if z.IDLists >= z.WeightLists {
-		t.Errorf("id lists (%d) should be smaller than weight lists (%d)",
-			z.IDLists, z.WeightLists)
+	// The file holds the MemStore's slices, so it accounts for them alike.
+	if got, want := fs.Sizes(), BuildMem(c, 0).Sizes(); got != want || got.Total() <= 0 {
+		t.Errorf("file sizes %+v, want the MemStore's %+v", got, want)
 	}
 }
 
@@ -317,10 +377,17 @@ func TestOpenFileCorruption(t *testing.T) {
 		}
 	}
 
+	// Package layout: 16-byte header, records, record table, 24-byte
+	// footer locating and checksumming the table.
+	const header, footer = 16, 24
 	check("badmagic", func(b []byte) []byte { b[0] ^= 0xff; return b })
-	check("badtoc", func(b []byte) []byte { b[headerSize+3] ^= 0xff; return b })
-	check("truncated", func(b []byte) []byte { return b[:headerSize/2] })
-	check("shorttoc", func(b []byte) []byte { return b[:headerSize+4] })
+	check("badtable", func(b []byte) []byte { b[len(b)-footer-3] ^= 0xff; return b })
+	check("badtablecrc", func(b []byte) []byte { b[len(b)-footer+13] ^= 0xff; return b })
+	check("truncated", func(b []byte) []byte { return b[:header/2] })
+	check("shortfooter", func(b []byte) []byte { return b[:len(b)-footer/2] })
+	check("empty", func(b []byte) []byte { return nil })
+	// A list file of the format older builds wrote is refused, not read.
+	check("oldformat", func(b []byte) []byte { return append([]byte("SSIDX1\n\x00"), b[8:]...) })
 }
 
 func TestFileTruncatedData(t *testing.T) {
@@ -334,8 +401,8 @@ func TestFileTruncatedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut the last 40% of the data region; the TOC stays intact, so Open
-	// must fail its bounds check.
+	// Cut the last 40% of the file: the record table and footer go with
+	// it, so Open must fail.
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +469,9 @@ func TestBlockCacheBehaviour(t *testing.T) {
 	// shard so the capacity-2 LRU behaviour is deterministic.
 	c := newBlockCache(2 * cacheShardCount) // per-shard capacity 2
 	var keys []blockKey
-	want := c.shardFor(blockKey{token: 1})
-	for tok := uint32(1); len(keys) < 3; tok++ {
-		k := blockKey{token: tok}
+	want := c.shardFor(blockKey{block: 1})
+	for blk := 1; len(keys) < 3; blk++ {
+		k := blockKey{block: blk}
 		if c.shardFor(k) == want {
 			keys = append(keys, k)
 		}
@@ -450,11 +517,11 @@ func TestBlockCacheBehaviour(t *testing.T) {
 func TestBlockCacheSharding(t *testing.T) {
 	// Keys spread over shards; total stats aggregate across them.
 	c := newBlockCache(64)
-	for tok := uint32(0); tok < 32; tok++ {
-		c.put(blockKey{token: tok}, []Posting{{ID: collection.SetID(tok)}})
+	for tok := 0; tok < 32; tok++ {
+		c.put(blockKey{block: tok}, []Posting{{ID: collection.SetID(tok)}})
 	}
-	for tok := uint32(0); tok < 32; tok++ {
-		blk, ok := c.get(blockKey{token: tok})
+	for tok := 0; tok < 32; tok++ {
+		blk, ok := c.get(blockKey{block: tok})
 		if !ok || blk[0].ID != collection.SetID(tok) {
 			t.Fatalf("token %d missing after spread insert", tok)
 		}
@@ -471,7 +538,7 @@ func TestFileStoreCacheHits(t *testing.T) {
 	if err := WriteFile(path, c, 8); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileCached(path, 64)
+	fs, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +564,12 @@ func TestFileStoreCacheHits(t *testing.T) {
 		t.Fatalf("second scan missed: %+v -> %+v", after1, after2)
 	}
 	// Cached and uncached stores must agree.
-	raw, err := OpenFileCached(path, 0)
+	raw, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	raw.cache = newBlockCache(0)
 	a, b := drain(fs.WeightCursor(longest)), drain(raw.WeightCursor(longest))
 	if len(a) != len(b) {
 		t.Fatal("cached and uncached scans differ")

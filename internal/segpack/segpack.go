@@ -427,6 +427,31 @@ func (pr *Reader) ReadRecord(name string) ([]byte, error) {
 	return data, nil
 }
 
+// ReadBlock reads checksummed block b of a record — payload bytes
+// [b·BlockSize, (b+1)·BlockSize), cut short at the record's end — and
+// verifies its checksum before returning it, so a caller that reads a
+// record piecemeal never sees an unverified byte.
+func (pr *Reader) ReadBlock(name string, b int) ([]byte, error) {
+	i, ok := pr.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoRecord, name)
+	}
+	e := pr.recs[i]
+	if b < 0 || b >= len(e.crcs) {
+		return nil, fmt.Errorf("%w: record %q has no block %d", ErrCorrupt, name, b)
+	}
+	start := int64(b) * pr.blockSize
+	data := make([]byte, min(pr.blockSize, e.length-start))
+	if _, err := pr.r.ReadAt(data, e.off+start); err != nil {
+		return nil, fmt.Errorf("%w: record %q block %d: %v", ErrCorrupt, name, b, err)
+	}
+	if crc32.ChecksumIEEE(data) != e.crcs[b] {
+		return nil, fmt.Errorf("%w: record %q block %d/%d checksum mismatch",
+			ErrCorrupt, name, b, len(e.crcs))
+	}
+	return data, nil
+}
+
 // VerifyRecord re-reads one record and checks its block checksums,
 // returning the number of blocks verified.
 func (pr *Reader) VerifyRecord(name string) (int, error) {

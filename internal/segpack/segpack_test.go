@@ -91,6 +91,56 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadBlock: a record read block by block is the record, each block
+// is verified on its own, and damage in one block leaves the others
+// readable.
+func TestReadBlock(t *testing.T) {
+	big := make([]byte, 2*DefaultBlockSize+100)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	data := buildPkg(t, map[string][]byte{"big": big, "empty": {}}, nil)
+	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for b := 0; b < r.Blocks("big"); b++ {
+		blk, err := r.ReadBlock("big", b)
+		if err != nil {
+			t.Fatalf("ReadBlock(big, %d): %v", b, err)
+		}
+		got = append(got, blk...)
+	}
+	if !bytes.Equal(got, big) {
+		t.Fatalf("blocks concatenate to %d bytes, want the %d-byte record", len(got), len(big))
+	}
+	for _, b := range []int{-1, 3} {
+		if _, err := r.ReadBlock("big", b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ReadBlock(big, %d) = %v, want ErrCorrupt", b, err)
+		}
+	}
+	if _, err := r.ReadBlock("empty", 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadBlock(empty, 0) = %v, want ErrCorrupt", err)
+	}
+	if _, err := r.ReadBlock("nope", 0); !errors.Is(err, ErrNoRecord) {
+		t.Errorf("ReadBlock(nope, 0) = %v, want ErrNoRecord", err)
+	}
+
+	mut := append([]byte(nil), data...)
+	mut[headerSize+DefaultBlockSize+9] ^= 1 // inside block 1 of "big", the first record
+	r, err = NewReader(bytes.NewReader(mut), int64(len(mut)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		_, err := r.ReadBlock("big", b)
+		if bad := errors.Is(err, ErrCorrupt); bad != (b == 1) || (err != nil && !bad) {
+			t.Errorf("after a flip in block 1, ReadBlock(big, %d) = %v", b, err)
+		}
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.sspk")
 	fw, err := Create(path)

@@ -464,15 +464,17 @@ func Load(path string, cfg Config) (*Engine, error) {
 	return e, err
 }
 
-// SaveLists additionally writes the disk-resident inverted-list file
-// (the invlist binary format) so that queries can run against on-disk
-// lists via LoadWithLists instead of rebuilding an in-memory store.
+// SaveLists additionally writes the disk-resident inverted-list file (a
+// segment package of the engine's flat list index) so that queries can
+// run against on-disk lists via LoadWithLists instead of rebuilding an
+// in-memory store.
 func SaveLists(path string, e *Engine) error {
 	return invlist.WriteFile(path, e.Collection(), 0)
 }
 
 // LoadWithLists opens a collection saved with Save plus a list file
-// written by SaveLists, and serves queries from the on-disk lists.
+// written by SaveLists, and serves queries from the on-disk lists. A list
+// file built from a different collection is refused.
 func LoadWithLists(collectionPath, listsPath string, cfg Config) (*Engine, error) {
 	f, err := os.Open(collectionPath)
 	if err != nil {
@@ -486,6 +488,10 @@ func LoadWithLists(collectionPath, listsPath string, cfg Config) (*Engine, error
 	store, err := invlist.OpenFile(listsPath)
 	if err != nil {
 		return nil, fmt.Errorf("setsim: open lists %s: %w", listsPath, err)
+	}
+	if !store.BuiltFrom(c) {
+		store.Close()
+		return nil, fmt.Errorf("setsim: lists %s were not built from collection %s", listsPath, collectionPath)
 	}
 	cfg.Store = store
 	return core.NewEngine(c, cfg), nil

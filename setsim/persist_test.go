@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/setsim"
@@ -74,6 +75,43 @@ func TestLoadWithLists(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("%v on disk lists: %d results, want %d", alg, len(got), len(want))
 		}
+	}
+}
+
+// TestLoadWithListsMismatchedPair: a list file built from one corpus must
+// not be served beside the collection of another — the postings would be
+// scored against the wrong lengths and ids. Both directions are refused,
+// including a pair with equal set counts, and the error names both files.
+func TestLoadWithListsMismatchedPair(t *testing.T) {
+	dir := t.TempDir()
+	save := func(name string, lines []string) (col, lists string) {
+		col, lists = filepath.Join(dir, name+".sscol"), filepath.Join(dir, name+".ssidx")
+		e := setsim.Build(lines, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+		if err := setsim.Save(col, e); err != nil {
+			t.Fatal(err)
+		}
+		if err := setsim.SaveLists(lists, e); err != nil {
+			t.Fatal(err)
+		}
+		return col, lists
+	}
+	colA, listsA := save("a", corpus)
+	colB, listsB := save("b", []string{"alpha beta", "alpha gamma", "beta gamma delta"})
+	colC, listsC := save("c", []string{"alpha beta", "alpha gamma", "beta gamma"})
+	for _, pair := range [][2]string{{colA, listsB}, {colB, listsA}, {colB, listsC}, {colC, listsB}} {
+		_, err := setsim.LoadWithLists(pair[0], pair[1], setsim.ListsOnly())
+		if err == nil {
+			t.Errorf("LoadWithLists(%s, %s) served a mismatched pair", filepath.Base(pair[0]), filepath.Base(pair[1]))
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, pair[0]) || !strings.Contains(msg, pair[1]) {
+			t.Errorf("mismatch error %q does not name both files", msg)
+		}
+	}
+	if e, err := setsim.LoadWithLists(colB, listsB, setsim.ListsOnly()); err != nil {
+		t.Errorf("matching pair refused: %v", err)
+	} else {
+		e.Store().Close()
 	}
 }
 
