@@ -17,8 +17,9 @@
 // durable store) and prints its layout — the stored shard count and, for
 // a durable store, the similarity-aware routing table (live docs per
 // shard), each shard's pruning summary and the manifest (generation,
-// segment-package list, WAL tail length) — plus segment and compaction
-// stats under -v. -shards overrides the stored shard count when
+// segment-package list, WAL tail length, and where the open spent its
+// time: load, the one build round, tail replay) — plus segment and
+// compaction stats under -v. -shards overrides the stored shard count when
 // replaying the snapshot (0 keeps it).
 //
 // verify checks a snapshot's integrity without building an engine: the
@@ -33,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/collection"
 	"repro/internal/eval"
@@ -133,8 +135,8 @@ func statCmd(args []string) {
 }
 
 // snapStat opens a snapshot of either format version through the live
-// loader — which validates checksums and replays the document log — and
-// prints what it holds.
+// loader — which validates checksums and bulk-loads the document log —
+// and prints what it holds.
 func snapStat(path string, shards int, verbose bool) {
 	le, info, err := setsim.OpenLive(path, setsim.LiveConfig{
 		Config: setsim.ListsOnly(), NoBackground: true, Shards: shards,
@@ -153,8 +155,9 @@ func snapStat(path string, shards int, verbose bool) {
 		}
 	}
 	if info.Version >= 5 {
-		fmt.Printf("manifest: generation %d, %d segment package(s), wal covered through seq %d\n",
-			info.Generation, len(info.Segpacks), info.WALStart)
+		fmt.Printf("manifest: generation %d, %d segment package(s), wal covered through seq %d; open: load %v, build %v, tail replay %v\n",
+			info.Generation, len(info.Segpacks), info.WALStart,
+			info.LoadTime.Round(time.Microsecond), info.BuildTime.Round(time.Microsecond), info.TailTime.Round(time.Microsecond))
 		for _, ref := range info.Segpacks {
 			fmt.Printf("  package %s: shard %d, %d docs\n", ref.Name, ref.Shard, ref.Docs)
 		}

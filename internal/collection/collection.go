@@ -70,7 +70,16 @@ func NewBuilderWithDict(dict *tokenize.Dict, tk tokenize.Tokenizer, keepSource b
 // tokens are skipped (the paper's measure is undefined on empty sets) and
 // Add reports false for them.
 func (b *Builder) Add(s string) bool {
-	counts := tokenize.Counts(b.dict, b.tk, s, b.scratch)
+	return b.AddCounts(s, tokenize.Counts(b.dict, b.tk, s, &b.scratch))
+}
+
+// AddCounts is Add for a string already decomposed: counts must be what
+// tokenize.Counts returns for s under the builder's dictionary and
+// tokenizer. A build that tokenized its corpus once — to intern, count
+// frequencies and route — hands every shard's builder the same vectors
+// instead of tokenizing again. The builder keeps counts; the caller must
+// not modify it afterwards.
+func (b *Builder) AddCounts(s string, counts []tokenize.Count) bool {
 	if len(counts) == 0 {
 		return false
 	}

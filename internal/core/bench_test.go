@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/tokenize"
 )
 
 // Core-path benchmarks: cold (first query on a fresh engine, pools
@@ -235,4 +236,21 @@ func BenchmarkSelectWarmLiveVsStatic(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBuildSharded measures the static sharded build end to end on
+// a topic-clustered word corpus at 8 routed shards: the one tokenizing
+// round, the clusterer, the per-shard collections and their indexes.
+func BenchmarkBuildSharded(b *testing.B) {
+	docs := clusteredDocs(8, 2500, 13)
+	cfg := Config{NoHashes: true, NoRelational: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		se := BuildSharded(tokenize.WordTokenizer{}, docs, false, 8, cfg)
+		if se.NumDocs() != len(docs) {
+			b.Fatalf("built %d of %d documents", se.NumDocs(), len(docs))
+		}
+		se.Close()
+	}
 }

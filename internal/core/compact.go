@@ -26,7 +26,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/collection"
@@ -57,16 +58,10 @@ func (le *LiveEngine) compactLoop() {
 	}
 }
 
-// docRef is one surviving document headed into a new segment.
-type docRef struct {
-	id     collection.SetID
-	source string
-}
-
-// shardWork is one shard's share of a compaction round. A nil fold map
-// marks a shard the round leaves untouched.
+// shardWork is one shard's share of a compaction round: the segments the
+// round folds and the memtable prefix it consumes. A nil fold map marks
+// a shard the round leaves untouched.
 type shardWork struct {
-	work []docRef
 	fold map[*liveSegment]bool
 	memN int
 }
@@ -86,135 +81,55 @@ func (le *LiveEngine) compactOnce(full bool) bool {
 
 	// A durable engine escalates to a full round — and checkpoints —
 	// once the un-checkpointed WAL tail is long enough, or whenever an
-	// explicit full round finds anything new to persist.
-	pending := le.walPending()
+	// explicit full round finds anything new to persist. The sinks are
+	// read under the lock SetDurable sets them under: recovery attaches
+	// them while a round kicked by its tail replay may be starting.
+	le.mu.RLock()
+	pending, sink := le.walPending(), le.ckptSink
+	le.mu.RUnlock()
 	if le.cfg.CheckpointEvery > 0 && pending >= uint64(le.cfg.CheckpointEvery) {
 		full = true
 	}
-	ckpt := le.ckptSink != nil && full && pending > 0
+	ckpt := sink != nil && full && pending > 0
 
 	works, all, needRoute, mutAt, cap, ok := le.gather(full, ckpt)
 	if !ok {
 		return false
 	}
-
-	// One dictionary for every segment built this round, interned over
-	// the union of survivors in global id order: after a full compaction
-	// each shard assigns the same token ids a monolithic rebuild would,
-	// which keeps query preparation — and so every accumulation order —
-	// identical across the partitions.
-	dict := tokenize.NewDict()
-	var toks []string
+	// The survivors are tokenized here, once, with no lock held: the
+	// sources were copied out. Insert validated every document, so add
+	// cannot refuse one.
+	r := newSegmentRound(le.tk)
 	for _, ref := range all {
-		toks = le.tk.Tokens(toks[:0], ref.source)
-		for _, t := range toks {
-			dict.Intern(t)
-		}
+		r.add(ref)
 	}
+	assign, segs := le.runRound(r, works, needRoute, mutAt, start)
 
-	// Re-cluster a full routed round: the clusterer sees the same
-	// documents in the same order with the same token ids and idf a
-	// static build's pass 1 would produce, so the partition matches the
-	// static one deterministically. The per-shard work lists gathered
-	// under the old routing are redistributed before any index builds.
-	var reassign []int32
-	if needRoute {
-		docToks := make([][]tokenize.Token, len(all))
-		var scratch []string
-		for i, ref := range all {
-			counts := tokenize.Counts(dict, le.tk, ref.source, scratch)
-			dt := make([]tokenize.Token, len(counts))
-			for j, c := range counts {
-				dt[j] = c.Token
-			}
-			docToks[i] = dt
-		}
-		reassign = route.Partition(docToks, le.roundIDF(dict), le.nShards)
-		for si := range works {
-			works[si].work = works[si].work[:0]
-		}
-		// all ascends by id, so every redistributed list stays id-sorted.
-		for i, ref := range all {
-			works[reassign[i]].work = append(works[reassign[i]].work, ref)
-		}
-	}
-
-	// Build the replacement segments without holding the lock: the
-	// sources were copied out and the builders are private. Insert
-	// validated every document, so Add cannot produce an empty set.
-	builders := make([]*collection.Builder, len(works))
-	idLists := make([][]collection.SetID, len(works))
-	identities := make([]bool, len(works))
-	for si := range works {
-		w := &works[si]
-		if w.fold == nil || len(w.work) == 0 {
-			continue // untouched shard, or every gathered doc was deleted
-		}
-		b := collection.NewBuilderWithDict(dict, le.tk, true)
-		ids := make([]collection.SetID, 0, len(w.work))
-		identity := true
-		for _, ref := range w.work {
-			if b.Add(ref.source) {
-				if ref.id != collection.SetID(len(ids)) {
-					identity = false
-				}
-				ids = append(ids, ref.id)
-			}
-		}
-		builders[si], idLists[si], identities[si] = b, ids, identity
-	}
-	colls, builtN, builtMut := le.bakeStats(builders)
-	segs := make([]*liveSegment, len(works))
-	for si := range works {
-		if colls[si] == nil {
-			continue
-		}
-		segs[si] = &liveSegment{
-			eng:      NewEngine(colls[si], le.cfg.Config),
-			ids:      idLists[si],
-			builtN:   builtN,
-			builtMut: builtMut,
-			identity: identities[si],
-		}
-		if !le.cfg.NoRoute {
-			segs[si].sum = route.Summarize(colls[si])
-		}
-	}
-
-	le.swapSegments(works, segs, all, reassign, mutAt)
-	le.compactions.Add(1)
-	le.lastCompactNs.Store(int64(time.Since(start)))
-	le.lastCompactDocs.Store(int64(len(all)))
-
-	// Persist the round as a checkpoint: the work lists are exactly the
-	// live documents per shard (post-reassignment), and cap froze the
-	// WAL horizon and dead log consistently with them. Mutations applied
-	// since gather are not in the state — their records sit past
-	// cap.walSeq, so the surviving WAL tail replays them. The sink call
-	// does the disk work under compactMu only; mutations and queries
-	// proceed.
+	// Persist the round as a checkpoint: the round's documents under
+	// their final assignment are exactly the live documents per shard,
+	// and cap froze the WAL horizon and dead log consistently with them.
+	// Mutations applied since gather are not in the state — their records
+	// sit past cap.walSeq, so the surviving WAL tail replays them. The
+	// sink call does the disk work under compactMu only; mutations and
+	// queries proceed.
 	if cap != nil {
 		st := &CheckpointState{
 			WALSeq:    cap.walSeq,
 			NextID:    cap.nextID,
 			LiveN:     cap.liveN,
-			Live:      make([][]DocRef, len(works)),
+			Live:      make([][]DocRef, le.nShards),
 			Dead:      cap.dead,
-			Summaries: make([]*route.Summary, len(segs)),
+			Summaries: make([]*route.Summary, le.nShards),
 		}
-		for si := range works {
-			refs := make([]DocRef, len(works[si].work))
-			for i, ref := range works[si].work {
-				refs[i] = DocRef{ID: ref.id, Source: ref.source}
-			}
-			st.Live[si] = refs
+		for i, ref := range r.docs {
+			st.Live[assign[i]] = append(st.Live[assign[i]], DocRef{ID: ref.id, Source: ref.source})
 		}
 		for si, g := range segs {
 			if g != nil {
 				st.Summaries[si] = g.sum
 			}
 		}
-		if err := le.ckptSink.Checkpoint(st); err != nil {
+		if err := sink.Checkpoint(st); err != nil {
 			le.ckptErr = err
 		} else {
 			le.ckptErr = nil
@@ -224,17 +139,68 @@ func (le *LiveEngine) compactOnce(full bool) bool {
 	return true
 }
 
-// gather pins the current snapshot and copies out, per shard, the
-// surviving documents of the segments to fold plus the memtable prefix.
-// all is the id-sorted union across shards (the dictionary interning
-// order). A shard whose round would be pure churn — no memtable, at most
-// one segment to fold, no tombstones to reclaim, no statistics drift —
-// is skipped (nil fold map); ok is false when every shard is skipped.
-// needRoute marks a full round on a routed multi-shard engine with
-// mutations the routing table has not absorbed: every shard then
-// participates (documents may move between shards even if a shard looks
-// clean in isolation) and the caller re-clusters; mutAt is the mutation
-// count the fresh routing will reflect.
+// runRound turns a tokenized round into one fresh segment per shard that
+// receives documents and publishes them; it returns the shard of each
+// round document and the new segments by shard. Every segment of the
+// round shares the round's dictionary — interned over the survivors in
+// global id order, so after a full round each shard assigns the token
+// ids a monolithic rebuild would, which keeps query preparation, and so
+// every accumulation order, identical across the partitions — and one
+// statistics snapshot.
+//
+// With needRoute the round re-clusters: the clusterer sees the same
+// documents in the same order with the same token ids and idf a static
+// build derives, so the partition matches the static one
+// deterministically; otherwise every document stays in the shard it was
+// gathered from. The index builds run with no engine lock held.
+func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute bool, mutAt uint64, start time.Time) ([]int32, []*liveSegment) {
+	var assign, reassign []int32 // reassign: assign when it moves documents, else nil
+	if needRoute {
+		assign = r.partition(le.roundIDF(r.dict), le.nShards)
+		reassign = assign
+	} else {
+		assign = make([]int32, len(r.docs))
+		for i, ref := range r.docs {
+			assign[i] = ref.shard
+		}
+	}
+	builders, ids := r.builders(assign, le.nShards, true)
+	colls, builtN, builtMut := le.bakeStats(builders)
+	segs := make([]*liveSegment, le.nShards)
+	for si, c := range colls {
+		if c == nil {
+			continue // untouched shard, or every gathered doc was deleted
+		}
+		segs[si] = &liveSegment{
+			eng:      NewEngine(c, le.cfg.Config),
+			ids:      ids[si],
+			builtN:   builtN,
+			builtMut: builtMut,
+			// ids ascend strictly from ≥ 0, so the last one tells.
+			identity: ids[si][len(ids[si])-1] == collection.SetID(len(ids[si])-1),
+		}
+		if !le.cfg.NoRoute {
+			segs[si].sum = route.Summarize(c)
+		}
+	}
+	le.swapSegments(works, segs, r.docs, reassign, mutAt)
+	le.compactions.Add(1)
+	le.lastCompactNs.Store(int64(time.Since(start)))
+	le.lastCompactDocs.Store(int64(len(r.docs)))
+	return assign, segs
+}
+
+// gather pins the current snapshot and copies out the surviving
+// documents of the segments to fold plus the memtable prefixes: all is
+// their id-sorted union across shards (the round's interning order),
+// each tagged with the shard holding it. A shard whose round would be
+// pure churn — no memtable, at most one segment to fold, no tombstones to
+// reclaim, no statistics drift — is skipped (nil fold map); ok is false
+// when every shard is skipped. needRoute marks a full round on a routed
+// multi-shard engine with mutations the routing table has not absorbed:
+// every shard then participates (documents may move between shards even
+// if a shard looks clean in isolation) and the round re-clusters; mutAt
+// is the mutation count the fresh routing will reflect.
 //
 // A checkpoint round (ckpt set; implies full) also forces every shard
 // to participate — the checkpoint state must cover the whole corpus,
@@ -254,7 +220,7 @@ func (le *LiveEngine) gather(full, ckpt bool) (works []shardWork, all []docRef, 
 			}
 		}
 	}
-	needRoute = full && le.nShards > 1 && !le.cfg.NoRoute && le.mutations != le.lastRouteMut
+	needRoute = le.needRouteLocked(full)
 	mutAt = le.mutations
 	if ckpt {
 		cap = &ckptCapture{walSeq: le.wal.Seq(), nextID: len(le.log), liveN: le.liveN}
@@ -266,6 +232,11 @@ func (le *LiveEngine) gather(full, ckpt bool) (works []shardWork, all []docRef, 
 	}
 	works = make([]shardWork, len(snap.shards))
 	any := false
+	survivor := func(id collection.SetID, si int) {
+		if !le.log[id].deleted {
+			all = append(all, docRef{id: id, source: le.log[id].source, shard: int32(si)})
+		}
+	}
 	for si := range snap.shards {
 		sh := &snap.shards[si]
 		w := &works[si]
@@ -288,28 +259,28 @@ func (le *LiveEngine) gather(full, ckpt bool) (works []shardWork, all []docRef, 
 		w.fold = fold
 		w.memN = len(sh.mem)
 		for _, g := range sh.segs {
-			if !fold[g] {
-				continue
-			}
-			for _, gid := range g.ids {
-				if !le.log[gid].deleted {
-					w.work = append(w.work, docRef{id: gid, source: le.log[gid].source})
+			if fold[g] {
+				for _, gid := range g.ids {
+					survivor(gid, si)
 				}
 			}
 		}
 		for _, d := range sh.mem[:w.memN] {
-			if !le.log[d.id].deleted {
-				w.work = append(w.work, docRef{id: d.id, source: le.log[d.id].source})
-			}
+			survivor(d.id, si)
 		}
-		sort.Slice(w.work, func(i, j int) bool { return w.work[i].id < w.work[j].id })
-		all = append(all, w.work...)
 	}
 	if !any {
 		return nil, nil, false, 0, nil, false
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	slices.SortFunc(all, func(a, b docRef) int { return cmp.Compare(a.id, b.id) })
 	return works, all, needRoute, mutAt, cap, true
+}
+
+// needRouteLocked reports whether a round over the engine's current
+// state must re-cluster: a full round on a routed multi-shard engine
+// with mutations the routing table has not absorbed.
+func (le *LiveEngine) needRouteLocked(full bool) bool {
+	return full && le.nShards > 1 && !le.cfg.NoRoute && le.mutations != le.lastRouteMut
 }
 
 // roundIDF computes the idf weight of every round-dictionary token under
@@ -342,7 +313,7 @@ func (le *LiveEngine) bakeStats(builders []*collection.Builder) ([]*collection.C
 	dfFn := func(t string) int { return le.df[t] }
 	colls := make([]*collection.Collection, len(builders))
 	for i, b := range builders {
-		if b != nil {
+		if b.Len() > 0 {
 			colls[i] = b.BuildWithStats(builtN, dfFn)
 		}
 	}

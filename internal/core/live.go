@@ -19,8 +19,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,6 +250,15 @@ type LiveEngine struct {
 
 // NewLive creates an empty mutable engine.
 func NewLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
+	le := newLive(tk, cfg)
+	le.startCompactor()
+	return le
+}
+
+// newLive is NewLive short of starting the compaction goroutine: a bulk
+// load fills the engine first and starts the compactor only once its
+// round has published.
+func newLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 	if cfg.FlushThreshold <= 0 {
 		cfg.FlushThreshold = 1024
 	}
@@ -282,24 +293,120 @@ func NewLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 			Skipped:     le.shardsSkipped.Load(),
 		}
 	})
-	if !cfg.NoBackground {
-		le.wg.Add(1)
-		go le.compactLoop()
-	}
 	return le
 }
 
-// BuildLive bulk-loads a corpus into a fresh LiveEngine and compacts it
-// into a single segment, the mutable twin of Build. Strings that produce
-// no tokens are skipped; ids are assigned in input order among the kept
-// strings.
-func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
-	le := NewLive(tk, cfg)
-	for _, s := range corpus {
-		le.Insert(s) //nolint:errcheck // ErrNoTokens skips, like Build
+// startCompactor starts the background compaction goroutine, which Close
+// stops and waits for. A NoBackground engine has none.
+func (le *LiveEngine) startCompactor() {
+	if !le.cfg.NoBackground {
+		le.wg.Add(1)
+		go le.compactLoop()
 	}
-	le.Compact()
+}
+
+// BuildLive bulk-loads a corpus into a fresh LiveEngine holding one
+// segment per shard, the mutable twin of Build. Strings that produce no
+// tokens are skipped; ids are assigned in input order among the kept
+// strings. Each kept string is tokenized once and goes straight into its
+// segment: the engine is the one inserting them one by one and calling
+// Compact would leave.
+func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
+	start := time.Now()
+	le := newLive(tk, cfg)
+	r := newSegmentRound(tk)
+	log := make([]liveDoc, 0, len(corpus))
+	for _, s := range corpus {
+		if r.add(docRef{id: collection.SetID(len(log)), source: s}) {
+			log = append(log, liveDoc{source: s})
+		}
+	}
+	le.load(log, r, start)
 	return le
+}
+
+// RestoreLive rebuilds a LiveEngine from a document log — every document
+// ever inserted, in id order, tombstoned entries included so ids are
+// preserved — as recovery does from a checkpoint. The live documents are
+// tokenized once and built straight into one segment per shard; no
+// memtable, mutation-path insert or intermediate compaction is involved,
+// and the engine is the one that replaying the log through Insert and
+// Delete and calling Compact would leave, because that engine's state is
+// a pure function of (live set, id order, shard count). A live document
+// that yields no tokens fails the restore with an error wrapping
+// ErrNoTokens.
+func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
+	start := time.Now()
+	le := newLive(tk, cfg)
+	r := newSegmentRound(tk)
+	log := make([]liveDoc, len(docs))
+	for id, d := range docs {
+		log[id] = liveDoc{source: d.Source, deleted: d.Deleted}
+		if !d.Deleted && !r.add(docRef{id: collection.SetID(id), source: d.Source}) {
+			return nil, fmt.Errorf("document %d: %w", id, ErrNoTokens)
+		}
+	}
+	le.load(log, r, start)
+	return le, nil
+}
+
+// load installs a document log into a fresh engine and runs r — the
+// log's live documents, already tokenized — as the engine's first round,
+// then starts the compactor. The log, tombstone bitmap, df table, liveN,
+// mutation counter and hash routing are installed in one critical
+// section, as the Insert/Delete history of the log would have left them;
+// the round then re-clusters and builds exactly as the full compaction
+// closing that history would.
+func (le *LiveEngine) load(log []liveDoc, r *segmentRound, start time.Time) {
+	needRoute, mutAt := le.installLog(log, r)
+	if len(log) > 0 {
+		works := make([]shardWork, le.nShards)
+		for si := range works {
+			works[si].fold = map[*liveSegment]bool{}
+		}
+		le.runRound(r, works, needRoute, mutAt, start)
+	}
+	le.startCompactor()
+}
+
+// installLog is load's critical section. It also tags every round
+// document with the shard the hash routing puts it in, which is where
+// the round leaves it unless it re-clusters.
+func (le *LiveEngine) installLog(log []liveDoc, r *segmentRound) (needRoute bool, mutAt uint64) {
+	le.mu.Lock()
+	defer le.mu.Unlock()
+	le.log = log
+	le.route = make([]int32, len(log))
+	words := make([]uint64, (len(log)+63)/64)
+	dead := 0
+	for id, d := range log {
+		// Hash routing, as at insert; the round's re-clustering rewrites
+		// the live documents' entries.
+		le.route[id] = int32(shardOf(collection.SetID(id), le.nShards))
+		if d.deleted {
+			words[id>>6] |= 1 << (uint(id) & 63)
+			dead++
+		}
+	}
+	if dead > 0 {
+		t := &tombstones{bits: make([]atomic.Uint64, len(words))}
+		for w, bits := range words {
+			t.bits[w].Store(bits)
+		}
+		le.del.Store(t)
+	}
+	// Only live documents are in the round, so its frequencies are the
+	// live frequencies a delete would have decremented down to.
+	le.df = make(map[string]int, len(r.df))
+	for t, n := range r.df {
+		le.df[r.dict.String(tokenize.Token(t))] = n
+	}
+	le.liveN = len(log) - dead
+	le.mutations = uint64(len(log) + dead)
+	for i := range r.docs {
+		r.docs[i].shard = le.route[r.docs[i].id]
+	}
+	return le.needRouteLocked(true), le.mutations
 }
 
 // Close stops the background compaction goroutine, rejects further
@@ -471,7 +578,12 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	id := collection.SetID(len(le.log))
 	le.log = append(le.log, liveDoc{source: s})
 	for _, t := range toks {
-		le.df[t]++
+		if n, ok := le.df[t]; ok {
+			le.df[t] = n + 1
+		} else {
+			// t is a substring of the document: a key must not pin it.
+			le.df[strings.Clone(t)] = 1
+		}
 	}
 	le.liveN++
 	le.mutations++

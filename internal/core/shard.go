@@ -78,15 +78,16 @@ type ShardedEngine struct {
 	lastSpread    atomic.Int64 // ns, most recent fan-out max-min shard elapsed
 }
 
-// BuildSharded tokenizes docs and builds a K-shard engine over them.
-// The build is two-pass: the first pass interns every token into the
-// shared dictionary in global document order (matching a monolithic
-// build token id for token id) and counts global document frequencies;
-// the second routes each document — by the similarity-aware clusterer,
-// or by shardOf(globalID, K) under Config.NoRoute — and freezes every
-// shard against the global statistics. shards < 1 is treated as 1; a
-// 1-shard engine is a monolithic engine behind the executor's
-// single-shard bypass.
+// BuildSharded tokenizes docs — each exactly once, through a segment
+// round (round.go) — and builds a K-shard engine over them. The round
+// interns every token into the shared dictionary in global document
+// order (matching a monolithic build token id for token id) and counts
+// global document frequencies; the documents are then routed — by the
+// similarity-aware clusterer over the round's vectors, or by
+// shardOf(globalID, K) under Config.NoRoute — and every shard's builder
+// receives its documents' vectors pre-counted and is frozen against the
+// global statistics. shards < 1 is treated as 1; a 1-shard engine is a
+// monolithic engine behind the executor's single-shard bypass.
 func BuildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, cfg Config) *ShardedEngine {
 	return buildSharded(tk, docs, keepSource, shards, nil, cfg)
 }
@@ -105,80 +106,36 @@ func buildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 		shards = 1
 	}
 	routed := !cfg.NoRoute && shards > 1
-	// Pass 1: shared dictionary (global token ids) + global df and N,
-	// plus — when clustering — each accepted document's distinct tokens.
-	dict := tokenize.NewDict()
-	var df []int
-	var scratch []string
-	var docToks [][]tokenize.Token
-	n := 0
+	// Accepted documents take dense global ids in input order.
+	r := newSegmentRound(tk)
 	for _, s := range docs {
-		counts := tokenize.Counts(dict, tk, s, scratch)
-		if len(counts) == 0 {
-			continue
-		}
-		n++
-		for _, c := range counts {
-			for int(c.Token) >= len(df) {
-				df = append(df, 0)
-			}
-			df[c.Token]++
-		}
-		if routed && preAssign == nil {
-			toks := make([]tokenize.Token, len(counts))
-			for i, c := range counts {
-				toks[i] = c.Token
-			}
-			docToks = append(docToks, toks)
-		}
+		r.add(docRef{id: collection.SetID(len(r.docs)), source: s})
 	}
+	n := len(r.docs)
 	var assign []int32
 	switch {
 	case routed && validAssign(preAssign, n, shards):
 		assign = preAssign
 	case routed:
-		idf := make([]float64, len(df))
-		for t, d := range df {
+		idf := make([]float64, len(r.df))
+		for t, d := range r.df {
 			idf[t] = sim.IDF(d, n)
 		}
-		assign = route.Partition(docToks, idf, shards)
+		assign = r.partition(idf, shards)
 	default:
 		assign = make([]int32, n)
 		for gid := range assign {
 			assign[gid] = int32(shardOf(collection.SetID(gid), shards))
 		}
 	}
-	// Pass 2: route documents by the global id they are about to get and
-	// bake the global statistics into every shard. A document rejected
-	// here (no tokens) was also rejected in pass 1, so gid stays aligned
-	// with the assignment table.
-	builders := make([]*collection.Builder, shards)
-	ids := make([][]collection.SetID, shards)
-	for i := range builders {
-		builders[i] = collection.NewBuilderWithDict(dict, tk, keepSource)
-	}
-	gid := collection.SetID(0)
-	for _, s := range docs {
-		sh := int(assign[gid])
-		if builders[sh].Add(s) {
-			ids[sh] = append(ids[sh], gid)
-			gid++
-		}
-	}
+	builders, ids := r.builders(assign, shards, keepSource)
 	engines := make([]*Engine, shards)
-	dfFn := func(t string) int {
-		tok, ok := dict.Lookup(t)
-		if !ok {
-			return 0
-		}
-		return df[tok]
-	}
 	var sums []*route.Summary
 	if routed {
 		sums = make([]*route.Summary, shards)
 	}
 	for i := range builders {
-		engines[i] = NewEngine(builders[i].BuildWithStats(n, dfFn), cfg)
+		engines[i] = NewEngine(builders[i].BuildWithStats(n, r.dfOf), cfg)
 		if routed {
 			sums[i] = route.Summarize(engines[i].Collection())
 		}

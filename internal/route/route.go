@@ -68,30 +68,38 @@ func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 
 	// Deterministic seeding: k evenly spaced documents donate their
 	// signatures as the initial centroids.
-	cents := make([]map[tokenize.Token]float64, k)
+	cents := centroids{k: k, row: make([]int32, len(idf)), tok: make([]tokenize.Token, 1), w: make([]float64, k)}
 	for j := 0; j < k; j++ {
-		c := make(map[tokenize.Token]float64, sigLen)
 		for _, t := range sigs[j*n/k] {
-			c[t] = idf[t]
+			cents.at(t)[j] = idf[t]
 		}
-		cents[j] = c
 	}
 
 	counts := make([]int, k)
+	dots := make([]float64, k)
 	for it := 0; it < iterations; it++ {
 		for j := range counts {
 			counts[j] = 0
 		}
 		moved := 0
 		for i, sig := range sigs {
+			// Every cluster's dot accumulates over the signature in the same
+			// order, zero terms included (a token outside every support reads
+			// the all-zero row), so each sum is the one a per-cluster loop over
+			// sparse centroids would produce, bit for bit.
+			for j := range dots {
+				dots[j] = 0
+			}
+			for _, t := range sig {
+				wt := idf[t]
+				for j, c := range cents.weights(t) {
+					dots[j] += wt * c
+				}
+			}
 			best, bestDot := -1, 0.0
-			for j := 0; j < k; j++ {
+			for j, dot := range dots {
 				if counts[j] >= capPer {
 					continue
-				}
-				var dot float64
-				for _, t := range sig {
-					dot += idf[t] * cents[j][t]
 				}
 				if best < 0 || dot > bestDot {
 					best, bestDot = j, dot
@@ -113,9 +121,37 @@ func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 		if moved == 0 || it == iterations-1 {
 			break
 		}
-		rebuild(cents, sigs, assign, counts, idf)
+		cents.rebuild(sigs, assign, counts, idf)
 	}
 	return assign
+}
+
+// centroids holds the k cluster centroids as dense rows over the tokens
+// in any centroid's support: row[t] is token t's row number, tok[r] the
+// token of row r, and w[r*k+j] its weight in cluster j's centroid. Row 0
+// is all zeros and belongs to every token in no support, so a lookup
+// never branches.
+type centroids struct {
+	k   int
+	row []int32
+	tok []tokenize.Token
+	w   []float64
+}
+
+// weights returns token t's weight in each of the k centroids.
+func (c *centroids) weights(t tokenize.Token) []float64 {
+	r := int(c.row[t]) * c.k
+	return c.w[r : r+c.k]
+}
+
+// at is weights for writing: it gives t a row of its own first.
+func (c *centroids) at(t tokenize.Token) []float64 {
+	if c.row[t] == 0 {
+		c.row[t] = int32(len(c.tok))
+		c.tok = append(c.tok, t)
+		c.w = append(c.w, make([]float64, c.k)...)
+	}
+	return c.weights(t)
 }
 
 // signature selects the up-to-sigLen highest-idf tokens of doc,
@@ -167,49 +203,49 @@ func leastLoaded(counts []int, capPer int) int {
 
 // rebuild recomputes every centroid from its members' signatures,
 // normalizes by cluster size (so large clusters do not out-shout small
-// ones), and trims to the centroidCap strongest tokens. The trim sorts
-// the full entry list (weight descending, token ascending), so the kept
-// support is deterministic despite map iteration.
-func rebuild(cents []map[tokenize.Token]float64, sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
-	for j := range cents {
-		cents[j] = make(map[tokenize.Token]float64, centroidCap)
+// ones), and trims to the centroidCap strongest tokens (weight
+// descending, token ascending).
+func (c *centroids) rebuild(sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
+	for _, t := range c.tok[1:] {
+		c.row[t] = 0
 	}
+	c.tok, c.w = c.tok[:1], c.w[:c.k]
 	for i, sig := range sigs {
-		c := cents[assign[i]]
+		j := assign[i]
 		for _, t := range sig {
-			c[t] += idf[t]
+			c.at(t)[j] += idf[t]
 		}
 	}
 	type entry struct {
 		t tokenize.Token
 		w float64
 	}
-	var scratch []entry
-	for j := range cents {
+	var support []entry
+	for j := 0; j < c.k; j++ {
 		if counts[j] == 0 {
 			continue
 		}
 		inv := 1 / float64(counts[j])
-		if len(cents[j]) <= centroidCap {
-			for t := range cents[j] {
-				cents[j][t] *= inv
+		support = support[:0]
+		for r, t := range c.tok[1:] {
+			if w := c.w[(r+1)*c.k+j]; w > 0 {
+				support = append(support, entry{t, w})
 			}
-			continue
 		}
-		scratch = scratch[:0]
-		for t, w := range cents[j] {
-			scratch = append(scratch, entry{t, w})
-		}
-		sort.Slice(scratch, func(a, b int) bool {
-			if scratch[a].w != scratch[b].w {
-				return scratch[a].w > scratch[b].w
+		if len(support) > centroidCap {
+			sort.Slice(support, func(a, b int) bool {
+				if support[a].w != support[b].w {
+					return support[a].w > support[b].w
+				}
+				return support[a].t < support[b].t
+			})
+			for _, e := range support[centroidCap:] {
+				c.weights(e.t)[j] = 0
 			}
-			return scratch[a].t < scratch[b].t
-		})
-		trimmed := make(map[tokenize.Token]float64, centroidCap)
-		for _, e := range scratch[:centroidCap] {
-			trimmed[e.t] = e.w * inv
+			support = support[:centroidCap]
 		}
-		cents[j] = trimmed
+		for _, e := range support {
+			c.weights(e.t)[j] = e.w * inv
+		}
 	}
 }

@@ -2,7 +2,9 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/collection"
@@ -194,4 +196,150 @@ func mustLookup(d *tokenize.Dict, s string) tokenize.Token {
 		return tokenize.Token(1 << 30)
 	}
 	return t
+}
+
+// partitionRef is Partition as it was while the centroids were
+// map[Token]float64: the reference the dense rows must reproduce
+// assignment for assignment.
+func partitionRef(docs [][]tokenize.Token, idf []float64, k int) []int32 {
+	n := len(docs)
+	assign := make([]int32, n)
+	if k <= 1 || n == 0 {
+		return assign
+	}
+	sigs := make([][]tokenize.Token, n)
+	for i, doc := range docs {
+		sigs[i] = signature(doc, idf)
+	}
+	capPer := n/k + n/(4*k) + 1
+	cents := make([]map[tokenize.Token]float64, k)
+	for j := 0; j < k; j++ {
+		c := make(map[tokenize.Token]float64, sigLen)
+		for _, t := range sigs[j*n/k] {
+			c[t] = idf[t]
+		}
+		cents[j] = c
+	}
+	counts := make([]int, k)
+	for it := 0; it < iterations; it++ {
+		for j := range counts {
+			counts[j] = 0
+		}
+		moved := 0
+		for i, sig := range sigs {
+			best, bestDot := -1, 0.0
+			for j := 0; j < k; j++ {
+				if counts[j] >= capPer {
+					continue
+				}
+				var dot float64
+				for _, t := range sig {
+					dot += idf[t] * cents[j][t]
+				}
+				if best < 0 || dot > bestDot {
+					best, bestDot = j, dot
+				}
+			}
+			if best < 0 || bestDot <= 0 {
+				best = leastLoaded(counts, capPer)
+			}
+			if assign[i] != int32(best) {
+				assign[i] = int32(best)
+				moved++
+			}
+			counts[best]++
+		}
+		if moved == 0 || it == iterations-1 {
+			break
+		}
+		rebuildRef(cents, sigs, assign, counts, idf)
+	}
+	return assign
+}
+
+func rebuildRef(cents []map[tokenize.Token]float64, sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
+	for j := range cents {
+		cents[j] = make(map[tokenize.Token]float64, centroidCap)
+	}
+	for i, sig := range sigs {
+		c := cents[assign[i]]
+		for _, t := range sig {
+			c[t] += idf[t]
+		}
+	}
+	type entry struct {
+		t tokenize.Token
+		w float64
+	}
+	var scratch []entry
+	for j := range cents {
+		if counts[j] == 0 {
+			continue
+		}
+		inv := 1 / float64(counts[j])
+		if len(cents[j]) <= centroidCap {
+			for t := range cents[j] {
+				cents[j][t] *= inv
+			}
+			continue
+		}
+		scratch = scratch[:0]
+		for t, w := range cents[j] {
+			scratch = append(scratch, entry{t, w})
+		}
+		sort.Slice(scratch, func(a, b int) bool {
+			if scratch[a].w != scratch[b].w {
+				return scratch[a].w > scratch[b].w
+			}
+			return scratch[a].t < scratch[b].t
+		})
+		trimmed := make(map[tokenize.Token]float64, centroidCap)
+		for _, e := range scratch[:centroidCap] {
+			trimmed[e.t] = e.w * inv
+		}
+		cents[j] = trimmed
+	}
+}
+
+// TestPartitionMatchesMapReference runs the dense clusterer against the
+// map-backed one over corpora that exercise what could diverge: supports
+// above and below centroidCap (trimmed and untrimmed rebuilds), skewed
+// vocabularies where many dots tie, documents sharing no token with any
+// centroid, more clusters than topics, and k that does not divide n.
+func TestPartitionMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []struct{ n, vocab, docLen int }{
+		{1, 10, 3}, {9, 12, 4}, {300, 40, 6}, {1500, 400, 12}, {2500, 6000, 10}, {4000, 900, 5},
+	} {
+		zipf := rand.NewZipf(rng, 1.3, 4, uint64(shape.vocab-1))
+		df := make([]int, shape.vocab)
+		docs := make([][]tokenize.Token, shape.n)
+		for i := range docs {
+			seen := map[tokenize.Token]bool{}
+			for w := 0; w < 1+rng.Intn(shape.docLen); w++ {
+				tok := tokenize.Token(zipf.Uint64())
+				if rng.Intn(3) == 0 {
+					tok = tokenize.Token(rng.Intn(shape.vocab)) // a uniform tail beside the Zipf head
+				}
+				if !seen[tok] {
+					seen[tok] = true
+					docs[i] = append(docs[i], tok)
+					df[tok]++
+				}
+			}
+			sort.Slice(docs[i], func(a, b int) bool { return docs[i][a] < docs[i][b] })
+		}
+		idf := make([]float64, shape.vocab)
+		for tok, d := range df {
+			idf[tok] = math.Log2(1 + float64(shape.n)/math.Max(float64(d), 0.5))
+		}
+		for _, k := range []int{1, 2, 3, 8, 16} {
+			got, want := Partition(docs, idf, k), partitionRef(docs, idf, k)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d vocab=%d k=%d: doc %d assigned to %d, reference %d", shape.n, shape.vocab, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

@@ -9,8 +9,9 @@ import (
 
 // FuzzTokenize cross-checks both tokenizer families on arbitrary input.
 // Word tokens must be non-empty, lowercase, and free of separator runes;
-// q-grams must have exactly the documented rune width and count (for
-// both padded and unpadded modes); both tokenizers must be deterministic
+// q-grams must equal the []rune reference loop's and have exactly the
+// documented rune width and count (for both padded and unpadded modes);
+// both tokenizers must be deterministic
 // and must preserve the dst prefix they append to.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Main Street", 3, false)
@@ -19,6 +20,9 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("héllo, Wörld!", 4, true)
 	f.Add("\x00\xff\xfe", 3, false)
 	f.Add("ααααα βββ 123", 2, true)
+	for i, s := range qgramRefInputs {
+		f.Add(s, i, i%2 == 0)
+	}
 	f.Fuzz(func(t *testing.T, s string, q int, pad bool) {
 		words := WordTokenizer{}.Tokens(nil, s)
 		for _, w := range words {
@@ -53,6 +57,7 @@ func FuzzTokenize(f *testing.F) {
 		qq++
 		tk := QGramTokenizer{Q: qq, Pad: pad}
 		grams := tk.Tokens(nil, s)
+		checkAgainstRef(t, tk, s)
 		n := utf8.RuneCountInString(s) // ToLower is rune-count-preserving
 		if pad {
 			if n > 0 {

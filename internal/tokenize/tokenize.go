@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a dense integer identifier for a token string, assigned by a Dict.
@@ -73,34 +74,48 @@ func (t QGramTokenizer) Name() string {
 }
 
 // Tokens implements Tokenizer. Gram boundaries respect UTF-8 rune
-// boundaries: each gram is a window of Q runes, not Q bytes.
+// boundaries: each gram is a window of Q runes, not Q bytes. The grams
+// are substrings of the lowered (and padded) string — strings.ToLower
+// returns valid UTF-8 for any input that is not plain lower-case ASCII,
+// so walking rune widths by byte offset yields exactly the windows a
+// []rune conversion would — and cost no allocation of their own; they
+// pin that string for as long as they are retained (Dict.Intern clones).
 func (t QGramTokenizer) Tokens(dst []string, s string) []string {
 	q := t.Q
 	if q <= 0 {
 		return dst
 	}
-	runes := []rune(strings.ToLower(s))
+	s = strings.ToLower(s)
 	if t.Pad {
-		padded := make([]rune, 0, len(runes)+2*(q-1))
-		for i := 0; i < q-1; i++ {
-			padded = append(padded, '#')
-		}
-		padded = append(padded, runes...)
-		for i := 0; i < q-1; i++ {
-			padded = append(padded, '$')
-		}
-		runes = padded
+		s = strings.Repeat("#", q-1) + s + strings.Repeat("$", q-1)
 	}
-	if len(runes) < q {
-		if len(runes) > 0 {
-			dst = append(dst, string(runes))
+	end := 0
+	for n := 0; n < q; n++ {
+		if end == len(s) {
+			// Fewer than Q runes: the whole string is the one gram.
+			if len(s) > 0 {
+				dst = append(dst, s)
+			}
+			return dst
 		}
-		return dst
+		end += runeWidth(s, end)
 	}
-	for i := 0; i+q <= len(runes); i++ {
-		dst = append(dst, string(runes[i:i+q]))
+	for start := 0; ; start += runeWidth(s, start) {
+		dst = append(dst, s[start:end])
+		if end == len(s) {
+			return dst
+		}
+		end += runeWidth(s, end)
 	}
-	return dst
+}
+
+// runeWidth is the byte width of the rune starting at s[i].
+func runeWidth(s string, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	_, w := utf8.DecodeRuneInString(s[i:])
+	return w
 }
 
 func itoa(n int) string {
@@ -153,11 +168,14 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[string]Token)}
 }
 
-// Intern returns the Token for s, assigning a fresh id if s is new.
+// Intern returns the Token for s, assigning a fresh id if s is new. A new
+// string is cloned: tokenizers return substrings of the document, and the
+// dictionary must not pin every document that introduced a token.
 func (d *Dict) Intern(s string) Token {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
+	s = strings.Clone(s)
 	id := Token(len(d.strings))
 	d.ids[s] = id
 	d.strings = append(d.strings, s)
@@ -184,10 +202,15 @@ type Count struct {
 }
 
 // Counts tokenizes s with tk, interns every token in d, and returns the
-// token-frequency pairs sorted by ascending Token. The scratch slice, if
-// non-nil, is reused for the intermediate string tokens.
-func Counts(d *Dict, tk Tokenizer, s string, scratch []string) []Count {
-	toks := tk.Tokens(scratch[:0], s)
+// token-frequency pairs sorted by ascending Token. scratch, if non-nil,
+// holds the intermediate string tokens and keeps the grown buffer for the
+// next call; its contents are garbage afterwards.
+func Counts(d *Dict, tk Tokenizer, s string, scratch *[]string) []Count {
+	if scratch == nil {
+		scratch = new([]string)
+	}
+	toks := tk.Tokens((*scratch)[:0], s)
+	*scratch = toks
 	if len(toks) == 0 {
 		return nil
 	}

@@ -3,10 +3,12 @@ package tokenize
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestWordTokenizer(t *testing.T) {
@@ -255,7 +257,7 @@ func BenchmarkCounts(b *testing.B) {
 	var scratch []string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Counts(d, tk, "benchmark string with words", scratch)
+		Counts(d, tk, "benchmark string with words", &scratch)
 	}
 }
 
@@ -283,5 +285,100 @@ func TestParseName(t *testing.T) {
 		if _, err := ParseName(bad); err == nil {
 			t.Errorf("ParseName(%q) succeeded", bad)
 		}
+	}
+}
+
+// refQGrams is the []rune window loop QGramTokenizer.Tokens ran before
+// its windows became substrings: the reference the byte-offset walk must
+// reproduce gram for gram.
+func refQGrams(t QGramTokenizer, dst []string, s string) []string {
+	q := t.Q
+	if q <= 0 {
+		return dst
+	}
+	runes := []rune(strings.ToLower(s))
+	if t.Pad {
+		padded := make([]rune, 0, len(runes)+2*(q-1))
+		for i := 0; i < q-1; i++ {
+			padded = append(padded, '#')
+		}
+		padded = append(padded, runes...)
+		for i := 0; i < q-1; i++ {
+			padded = append(padded, '$')
+		}
+		runes = padded
+	}
+	if len(runes) < q {
+		if len(runes) > 0 {
+			dst = append(dst, string(runes))
+		}
+		return dst
+	}
+	for i := 0; i+q <= len(runes); i++ {
+		dst = append(dst, string(runes[i:i+q]))
+	}
+	return dst
+}
+
+// checkAgainstRef requires tk's grams of s to equal the reference's.
+func checkAgainstRef(t *testing.T, tk QGramTokenizer, s string) {
+	t.Helper()
+	got, want := tk.Tokens(nil, s), refQGrams(tk, nil, s)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s of %q:\n got %q\nwant %q", tk.Name(), s, got, want)
+	}
+}
+
+// qgramRefInputs are the shapes the substring walk could get wrong:
+// ASCII, multi-byte runes, mixed case, runes whose lower-casing changes
+// their byte length (İ is 2 bytes and lowers to the 3-byte i̇; Ⱥ is 2
+// bytes and lowers to the 3-byte ⱥ), invalid UTF-8, and inputs shorter
+// than Q.
+var qgramRefInputs = []string{
+	"", "a", "ab", "abc", "main street", "Main Street", "MAIN",
+	"héllo wörld", "ααααα βββ 123", "日本語のテキスト", "İstanbul", "ȺȾ mixed Ⱥ", "aİ",
+	"\x00\xff\xfe", "ok\xffok", "é", "éé",
+}
+
+func TestQGramMatchesRuneReference(t *testing.T) {
+	for _, s := range qgramRefInputs {
+		for q := 1; q <= 5; q++ {
+			checkAgainstRef(t, QGramTokenizer{Q: q}, s)
+			checkAgainstRef(t, QGramTokenizer{Q: q, Pad: true}, s)
+		}
+	}
+}
+
+// TestTokensAllocations pins the tokenizers to the allocations their
+// inputs force: none for a lower-case ASCII word into a warm dst (the
+// tokens are substrings of the input), one when strings.ToLower has to
+// build the lowered copy.
+func TestTokensAllocations(t *testing.T) {
+	for _, tk := range []Tokenizer{QGramTokenizer{Q: 3}, WordTokenizer{}} {
+		dst := tk.Tokens(nil, "approximately")
+		for _, c := range []struct {
+			in   string
+			want float64
+		}{{"approximately", 0}, {"Approximately", 1}} {
+			got := testing.AllocsPerRun(100, func() { dst = tk.Tokens(dst[:0], c.in) })
+			if got != c.want {
+				t.Errorf("%s.Tokens(%q): %v allocs per run, want %v", tk.Name(), c.in, got, c.want)
+			}
+		}
+	}
+}
+
+// TestCountsKeepsScratch: the token buffer grown by one call serves the
+// next, and Intern does not retain the document a new token came from.
+func TestCountsKeepsScratch(t *testing.T) {
+	d := NewDict()
+	var scratch []string
+	doc := "approximately"
+	Counts(d, QGramTokenizer{Q: 3}, doc, &scratch)
+	if cap(scratch) < len(doc)-2 {
+		t.Fatalf("scratch capacity %d after a call that produced %d grams", cap(scratch), len(doc)-2)
+	}
+	if g := d.String(0); unsafe.StringData(g) == unsafe.StringData(doc) {
+		t.Fatal("interned token aliases the document it was cut from")
 	}
 }

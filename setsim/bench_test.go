@@ -1,0 +1,72 @@
+package setsim_test
+
+import (
+	"math/rand"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/setsim"
+)
+
+// benchWords generates n pronounceable lower-case words from a skewed
+// syllable distribution, so 3-grams repeat the way a name corpus's do.
+func benchWords(rng *rand.Rand, n int) []string {
+	syllables := strings.Fields("an ber co da el fi gor ha in jo ka lu mi nor os pe qua ri son ta ul ver wi xa yo zen man ton ley ing")
+	out := make([]string, n)
+	for i := range out {
+		var sb strings.Builder
+		for k := 2 + rng.Intn(4); k > 0; k-- {
+			sb.WriteString(syllables[int(rng.ExpFloat64()*6)%len(syllables)])
+		}
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// BenchmarkRecover measures crash recovery: one OpenDurable + Close per
+// iteration of a store holding an 8 k-word checkpoint and a 256-record
+// WAL tail. The thresholds stay out of reach, so an iteration is the
+// load, the one build round and the tail replay, with no flush racing
+// them; the three are reported as their own metrics.
+func BenchmarkRecover(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "store.sssnap")
+	words := benchWords(rand.New(rand.NewSource(1)), 8000+256)
+	cfg := setsim.LiveConfig{Config: setsim.ListsOnly(), FlushThreshold: 1 << 30, CheckpointEvery: -1}
+	opts := setsim.DurableOptions{Sync: setsim.SyncOff}
+	le, _, err := setsim.OpenDurable(path, cfg, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, w := range words {
+		if i == 8000 {
+			if err := le.CheckpointNow(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := le.Insert(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	le.Close()
+
+	var load, build, tail float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		le, info, err := setsim.OpenDurable(path, cfg, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Live != len(words) || info.WALTail != 256 {
+			b.Fatalf("recovered %d live documents and a %d-record tail", info.Live, info.WALTail)
+		}
+		load += info.LoadTime.Seconds()
+		build += info.BuildTime.Seconds()
+		tail += info.TailTime.Seconds()
+		le.Close()
+	}
+	b.ReportMetric(1e3*load/float64(b.N), "load-ms/op")
+	b.ReportMetric(1e3*build/float64(b.N), "build-ms/op")
+	b.ReportMetric(1e3*tail/float64(b.N), "tail-ms/op")
+}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -528,6 +529,7 @@ func TestOneGenerationWriter(t *testing.T) {
 			want.WALStart, got.WALStart, len(walRecs(history)))
 	}
 	got.WALStart = 0
+	got.LoadTime, want.LoadTime = 0, 0 // wall-clock, not file content
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint manifest decodes to\n%+v\nSaveLive's to\n%+v", got, want)
 	}
@@ -680,5 +682,69 @@ func TestDurableSyncPolicies(t *testing.T) {
 	}
 	if _, err := setsim.ParseSyncPolicy("bogus"); err == nil {
 		t.Error("ParseSyncPolicy accepted bogus")
+	}
+}
+
+// TestDurableRecoveryIsOneRound: opening a checkpointed store with an
+// empty WAL tail bulk-loads it — one build round, nothing left in a
+// memtable, no background round racing the load — and the info says
+// where the open spent its time.
+func TestDurableRecoveryIsOneRound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.sssnap")
+	cfg := killPointConfig(2)
+	le, _, err := setsim.OpenDurable(path, cfg, setsim.DurableOptions{Sync: setsim.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, le, append(append([]mutOp(nil), killPhaseA...), killPhaseB...))
+	if err := le.CheckpointNow(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	le.Close()
+
+	// The background compactor stays on for the opens: with thresholds
+	// out of reach it must find nothing to do after the load's round.
+	cfg.NoBackground = false
+	check := func(label string, re *setsim.LiveEngine, info setsim.SnapshotInfo, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer re.Close()
+		if info.WALTail != 0 {
+			t.Fatalf("%s: WAL tail of %d records, want none", label, info.WALTail)
+		}
+		if st := re.Stats(); st.Compactions != 1 || st.Memtable != 0 || st.Tombstones != 0 || st.Live != info.Live {
+			t.Errorf("%s: %+v, want one round, no memtable, no tombstones, %d live", label, st, info.Live)
+		}
+		if info.LoadTime <= 0 || info.BuildTime <= 0 {
+			t.Errorf("%s: load %v, build %v; want both measured", label, info.LoadTime, info.BuildTime)
+		}
+	}
+	re, info, err := setsim.OpenLive(path, cfg)
+	check("OpenLive", re, info, err)
+	re, info, err = setsim.OpenDurable(path, cfg, setsim.DurableOptions{Sync: setsim.SyncOff})
+	check("OpenDurable", re, info, err)
+}
+
+// TestDurableOpenCloseLeavesNoGoroutine: a recovered engine's compactor
+// starts after the load's round and Close still stops and waits for it.
+// A hang here is caught by the test binary's -timeout.
+func TestDurableOpenCloseLeavesNoGoroutine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.sssnap")
+	buildKillPointStore(t, path)
+	cfg := killPointConfig(2)
+	cfg.NoBackground = false
+	cfg.FlushThreshold = 2 // the tail replay kicks the compactor
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		le, _, err := setsim.OpenDurable(path, cfg, setsim.DurableOptions{Sync: setsim.SyncOff})
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		le.Close()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before 100 open/close cycles, %d after", before, after)
 	}
 }

@@ -36,10 +36,12 @@ var (
 // NewLive creates an empty mutable engine.
 func NewLive(tk Tokenizer, cfg LiveConfig) *LiveEngine { return core.NewLive(tk, cfg) }
 
-// BuildLive bulk-loads a corpus into a mutable engine and compacts it
-// into a single segment — the mutable twin of Build. Strings that
-// produce no tokens are skipped; ids are assigned in input order among
-// the kept strings.
+// BuildLive bulk-loads a corpus into a mutable engine holding one
+// segment per shard — the mutable twin of Build. Strings that produce no
+// tokens are skipped; ids are assigned in input order among the kept
+// strings. Each kept string is tokenized once and built straight into
+// its segment; the result is the engine that inserting them one by one
+// and calling Compact would leave, without the memtable in between.
 func BuildLive(corpus []string, tk Tokenizer, cfg LiveConfig) *LiveEngine {
 	return core.BuildLive(corpus, tk, cfg)
 }

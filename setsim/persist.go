@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -100,6 +101,14 @@ type SnapshotInfo struct {
 	WALTorn bool
 	// Segpacks lists the segment packages the manifest references.
 	Segpacks []SegpackRef
+
+	// Where the open spent its time. LoadTime is reading and validating
+	// the files (manifest or collection, segment packages, WAL) and is the
+	// only one a static open (Open, OpenSharded) fills; BuildTime is the
+	// one round that tokenizes the checkpointed documents and builds their
+	// segments; TailTime is replaying the WAL tail through the mutation
+	// path.
+	LoadTime, BuildTime, TailTime time.Duration
 }
 
 // Save writes the engine's collection (dictionary, sets, sources) to
@@ -235,6 +244,7 @@ type snapshot struct {
 // names the path and wraps ErrUnknownVersion or
 // collection.ErrBadCollection.
 func loadSnapshot(path string) (*snapshot, error) {
+	start := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -244,6 +254,7 @@ func loadSnapshot(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("setsim: load %s: %w", path, err)
 	}
+	s.info.LoadTime = time.Since(start)
 	return s, nil
 }
 
@@ -336,11 +347,16 @@ func (s *snapshot) liveDocs() (docs []string, assign []int32) {
 }
 
 // replay rebuilds a mutable engine from the snapshot — the recovery
-// algorithm: the checkpointed log is replayed, tombstoned entries
-// included so ids are preserved, and compacted; then the WAL tail runs
-// through the normal mutation path (no WAL is attached yet, so nothing
-// is re-journaled). The engine is bitwise-equivalent to one that
-// replayed the surviving history with a compaction at the checkpoint.
+// algorithm: the checkpointed log is bulk-loaded (core.RestoreLive: the
+// live documents tokenized once and built straight into one segment per
+// shard, tombstoned entries installed so ids are preserved), then the
+// WAL tail runs through the normal mutation path (no WAL is attached
+// yet, so nothing is re-journaled). The engine is bitwise-equivalent to
+// one that replayed the surviving history with a compaction at the
+// checkpoint: a compacted engine's state is a pure function of (live
+// set, id order, shard count), and the bulk load computes that function
+// once instead of reaching it through the history. It stamps the info's
+// BuildTime and TailTime.
 func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 	if err := s.needSources(path); err != nil {
 		return nil, err
@@ -348,21 +364,18 @@ func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = s.info.Shards
 	}
-	le := core.NewLive(s.tk, cfg)
+	wrap := func(err error) error { return fmt.Errorf("setsim: load %s: replay: %w", path, err) }
+	start := time.Now()
+	le, err := core.RestoreLive(s.log, s.tk, cfg)
+	if err != nil {
+		return nil, wrap(err)
+	}
+	s.info.BuildTime = time.Since(start)
 	fail := func(err error) (*LiveEngine, error) {
 		le.Close()
-		return nil, fmt.Errorf("setsim: load %s: replay: %w", path, err)
+		return nil, wrap(err)
 	}
-	for _, d := range s.log {
-		id, err := le.Insert(d.Source)
-		if err != nil {
-			return fail(err)
-		}
-		if d.Deleted {
-			le.Delete(id)
-		}
-	}
-	le.Compact()
+	start = time.Now()
 	for _, rec := range s.tail {
 		switch rec.Op {
 		case wal.OpInsert:
@@ -376,6 +389,7 @@ func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 			}
 		}
 	}
+	s.info.TailTime = time.Since(start)
 	return le, nil
 }
 
@@ -430,19 +444,24 @@ func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotI
 }
 
 // OpenLive loads a snapshot of either version as a mutable engine and
-// reports what was read. The document log is replayed — tombstoned
-// entries included, preserving ids — and compacted before OpenLive
-// returns. When cfg.Shards is unset the engine restores the shard count
-// it was saved with; setting cfg.Shards overrides it. The saved routing
-// is not replayed: the closing Compact re-clusters deterministically,
-// reproducing the same partition the snapshot carried (hash partitioning
-// under cfg.NoRoute).
+// reports what was read, including where the time went
+// (SnapshotInfo.LoadTime, BuildTime, TailTime). The document log is
+// bulk-loaded: every live document is tokenized once and built straight
+// into its shard's segment, tombstoned entries keep their ids, and the
+// engine OpenLive returns is the one replaying the log through Insert and
+// Delete and compacting would have produced — without the memtable, the
+// per-document snapshots or any intermediate compaction. When cfg.Shards
+// is unset the engine restores the shard count it was saved with;
+// setting cfg.Shards overrides it. The saved routing is not reused: the
+// load's round re-clusters deterministically, reproducing the same
+// partition the snapshot carried (hash partitioning under cfg.NoRoute).
+// The background compactor starts only after that round has published.
 //
 // For a durable store this is crash recovery: the checkpoint log from
-// the manifest's segment packages is replayed and compacted, then the
-// WAL tail — every intact record past the checkpoint, a torn final
-// record excluded — replays through the normal mutation path. Use
-// OpenDurable to continue journaling into the same store.
+// the manifest's segment packages is bulk-loaded, then the WAL tail —
+// every intact record past the checkpoint, a torn final record excluded
+// — replays through the normal mutation path. Use OpenDurable to
+// continue journaling into the same store.
 func OpenLive(path string, cfg LiveConfig) (*LiveEngine, SnapshotInfo, error) {
 	s, err := loadSnapshot(path)
 	if err != nil {

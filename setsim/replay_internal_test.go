@@ -1,0 +1,85 @@
+package setsim
+
+import (
+	"errors"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/route"
+)
+
+// countingTokenizer counts Tokens calls. OpenLive takes its tokenizer
+// from the snapshot, so the wrapper goes in between load and replay.
+type countingTokenizer struct {
+	Tokenizer
+	calls *atomic.Int64
+}
+
+func (c countingTokenizer) Tokens(dst []string, s string) []string {
+	c.calls.Add(1)
+	return c.Tokenizer.Tokens(dst, s)
+}
+
+// TestOpenLiveTokenizesEachLiveDocumentOnce: recovering a checkpointed
+// store costs one Tokens call per live document — tombstoned ones are not
+// tokenized at all — and one build round.
+func TestOpenLiveTokenizesEachLiveDocumentOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.sssnap")
+	cfg := LiveConfig{Config: ListsOnly(), NoBackground: true, Shards: 3}
+	le := NewLive(QGramTokenizer{Q: 3}, cfg)
+	for i, s := range []string{"main street", "market square", "river bank", "high street", "station road", "mill lane", "church walk"} {
+		id, err := le.Insert(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 1 {
+			le.Delete(id)
+		}
+	}
+	live := le.NumLive()
+	if err := SaveLive(path, le); err != nil {
+		t.Fatal(err)
+	}
+	le.Close()
+
+	s, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	s.tk = countingTokenizer{Tokenizer: s.tk, calls: &calls}
+	re, err := s.replay(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n := calls.Load(); n != int64(live) {
+		t.Errorf("%d Tokens calls recovering %d live documents (%d in the log)", n, live, re.NumDocs())
+	}
+	if st := re.Stats(); st.Compactions != 1 || st.Memtable != 0 {
+		t.Errorf("recovered store: %+v, want one round and no memtable", st)
+	}
+}
+
+// TestOpenRejectsTokenlessCheckpointedDocument: a live checkpointed
+// document that yields no tokens cannot have been inserted; the open
+// fails with the mutation path's ErrNoTokens, wrapped, from both openers.
+func TestOpenRejectsTokenlessCheckpointedDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.sssnap")
+	st := &core.CheckpointState{
+		NextID: 2, LiveN: 2,
+		Live:      [][]core.DocRef{{{ID: 0, Source: "main street"}, {ID: 1, Source: ""}}},
+		Summaries: make([]*route.Summary, 1),
+	}
+	if _, err := writeGeneration(path, QGramTokenizer{Q: 3}.Name(), 1, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenLive(path, LiveConfig{NoBackground: true}); !errors.Is(err, ErrNoTokens) {
+		t.Errorf("OpenLive: error %v, want one wrapping ErrNoTokens", err)
+	}
+	if _, _, err := OpenDurable(path, LiveConfig{NoBackground: true}, DurableOptions{Sync: SyncOff}); !errors.Is(err, ErrNoTokens) {
+		t.Errorf("OpenDurable: error %v, want one wrapping ErrNoTokens", err)
+	}
+}

@@ -146,8 +146,11 @@ func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
 	return core.NewEngine(b.Build(), cfg)
 }
 
-// BuildSharded tokenizes a corpus once and indexes it across shards
-// hash partitions, each a complete engine sharing the corpus-wide token
+// BuildSharded tokenizes a corpus once — one Tokens call per string,
+// whose token-frequency vector then serves the dictionary, the document
+// frequencies, the clusterer and the shard's collection alike — and
+// indexes it across shards partitions (similarity-aware, or hash under
+// cfg.NoRoute), each a complete engine sharing the corpus-wide token
 // dictionary and statistics. Queries fan out over a bounded worker pool
 // and merge; every result — ids, scores, order — is bitwise-identical
 // to Build over the same corpus. shards ≤ 1 builds a single partition.

@@ -23,11 +23,20 @@
 // packages IS the routing. Recovery loads the manifest, reads every
 // package (verifying block checksums), reconstructs the document log —
 // live docs from the packages, tombstoned docs from the manifest's dead
-// list, together covering the id space exactly — replays it into a
-// live engine, compacts, then replays the WAL tail (records past
+// list, together covering the id space exactly — bulk-loads it into a
+// live engine (core.RestoreLive: every live document tokenized once and
+// built straight into one segment per shard, the tombstoned ones
+// installed as tombstones so ids are preserved, the background compactor
+// started only afterwards), then replays the WAL tail (records past
 // walStart) through the normal mutation path. The recovered engine
 // answers queries bitwise-identically to an engine that replayed the
-// same surviving history with a compaction at the checkpoint.
+// same surviving history with a compaction at the checkpoint, because a
+// compacted engine's state is a pure function of (live set, id order,
+// shard count): the bulk load evaluates that function once, where
+// re-inserting the log and compacting evaluated it through the memtable,
+// a snapshot per document and however many background rounds raced the
+// load. SnapshotInfo reports the three phases' durations (LoadTime,
+// BuildTime, TailTime).
 //
 // One writer, writeGeneration, persists a settled state — SaveLive's and
 // every checkpoint's alike — and follows write-ahead ordering:
@@ -48,6 +57,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -520,9 +530,11 @@ func OpenDurable(path string, cfg LiveConfig, opts DurableOptions) (*LiveEngine,
 		// Without a v5 manifest no checkpoint covers the WAL, so every
 		// surviving record is tail: a crash before the first checkpoint.
 		m = &manifestV5{tkName: s.tk.Name()}
+		start := time.Now()
 		if err := s.attachTail(path, 0); err != nil {
 			return nil, SnapshotInfo{}, err
 		}
+		s.info.LoadTime += time.Since(start)
 	}
 	le, err := s.replay(path, cfg)
 	if err != nil {
