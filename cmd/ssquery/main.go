@@ -195,8 +195,8 @@ func main() {
 			fmt.Printf("%.4f\t%s\n", r.Score, source(r.ID))
 		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "  [%d results, %v, read %d/%d postings, %.1f%% pruned, %d probes]\n",
-				len(res), st.Elapsed, st.ElementsRead, st.ListTotal, st.PruningPower(), st.RandomProbes)
+			fmt.Fprintf(os.Stderr, "  [%d results, %v, read %d/%d postings, skipped %d, %.1f%% pruned, %d probes]\n",
+				len(res), st.Elapsed, st.ElementsRead, st.ListTotal, st.ElementsSkipped, st.PruningPower(), st.RandomProbes)
 		}
 	}
 

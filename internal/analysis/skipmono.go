@@ -17,8 +17,14 @@ import (
 //     iteration re-seeks the same cursor, and any non-increasing target
 //     sequence no-ops from the second iteration on. (The sanctioned
 //     pattern opens a fresh cursor per iteration, as openLists does.)
+//
 //   - A second SeekLen on the same cursor in one function: only the
 //     first can be assumed to move.
+//
+//   - SeekLen on a cursor the function was handed (reached through a
+//     parameter or its receiver): the cursor outlives the call, so every
+//     further call is a re-seek, and only the callers can keep the targets
+//     from decreasing.
 //
 // Call sites whose target sequence is provably non-decreasing can opt
 // out with //ssvet:monotone <reason>.
@@ -107,6 +113,19 @@ func checkSkipMono(pass *Pass, u funcUnit) {
 			return true
 		}
 		seen[obj] = true
+		if handedIn(u, obj) && !pass.Annotated(call, "monotone") {
+			pass.Reportf(call.Pos(),
+				"SeekLen on cursor %q that this function did not open; every call re-seeks it, and forward-only seeks silently no-op unless the callers' targets are non-decreasing (annotate //ssvet:monotone <reason>)",
+				recv.Name)
+		}
 		return true
 	})
+}
+
+// handedIn reports whether obj is a parameter or the receiver of u.
+func handedIn(u funcUnit, obj types.Object) bool {
+	in := func(fl *ast.FieldList) bool {
+		return fl != nil && fl.Pos() <= obj.Pos() && obj.Pos() < fl.End()
+	}
+	return in(u.typ.Params) || (u.decl != nil && in(u.decl.Recv))
 }

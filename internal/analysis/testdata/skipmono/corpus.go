@@ -72,6 +72,18 @@ func risingSeek(st store, steps int) {
 type lists struct{ cur *cursor }
 
 func fieldDoubleSeek(l *lists, lo, hi float64) {
-	l.cur.SeekLen(lo)
+	l.cur.SeekLen(lo) // want "SeekLen on cursor .l. that this function did not open"
 	l.cur.SeekLen(hi) // want "repeated SeekLen on cursor .l."
+}
+
+// seekTo seeks a cursor its receiver carries: one call site, but every
+// call of the method is a re-seek.
+func (l *lists) seekTo(min float64) {
+	l.cur.SeekLen(min) // want "SeekLen on cursor .l. that this function did not open"
+}
+
+// seekToRising is the same method with its callers' contract stated.
+func (l *lists) seekToRising(min float64) {
+	//ssvet:monotone callers pass the sorted targets in order
+	l.cur.SeekLen(min)
 }

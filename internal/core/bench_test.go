@@ -57,13 +57,13 @@ func getBenchClustered(b *testing.B) (*Engine, []Query) {
 
 func benchSelectWarm(b *testing.B, alg Algorithm, tau float64) {
 	e := getBenchEngine(b)
-	benchSelectWarmOn(b, e, benchQueries(b, e, 16), alg, tau)
+	benchSelectWarmOn(b, e, benchQueries(b, e, 16), alg, tau, nil)
 }
 
-func benchSelectWarmOn(b *testing.B, e *Engine, qs []Query, alg Algorithm, tau float64) {
+func benchSelectWarmOn(b *testing.B, e *Engine, qs []Query, alg Algorithm, tau float64, opts *Options) {
 	// Warm the scratch pool and any cursor state before measuring.
 	for _, q := range qs {
-		if _, _, err := e.Select(q, tau, alg, nil); err != nil {
+		if _, _, err := e.Select(q, tau, alg, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func benchSelectWarmOn(b *testing.B, e *Engine, qs []Query, alg Algorithm, tau f
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := e.Select(qs[i%len(qs)], tau, alg, nil)
+		_, st, err := e.Select(qs[i%len(qs)], tau, alg, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,13 +91,22 @@ func BenchmarkSelectWarmINRA(b *testing.B)     { benchSelectWarm(b, INRA, 0.8) }
 func BenchmarkSelectWarmSF(b *testing.B)       { benchSelectWarm(b, SF, 0.8) }
 func BenchmarkSelectWarmHybrid(b *testing.B)   { benchSelectWarm(b, Hybrid, 0.8) }
 
+// BenchmarkSelectWarmSFNoSkipIndex is BenchmarkSelectWarmSF as the paper
+// writes SF: no skip index, so past µᵢ every posting up to maxLen(C) is
+// read where the default seeks to its candidates. Read beside its twin,
+// it prices the initial seek and the completion seeks together.
+func BenchmarkSelectWarmSFNoSkipIndex(b *testing.B) {
+	e := getBenchEngine(b)
+	benchSelectWarmOn(b, e, benchQueries(b, e, 16), SF, 0.8, &Options{NoSkipIndex: true})
+}
+
 func BenchmarkSelectWarmINRAManyCandidates(b *testing.B) {
 	e, qs := getBenchClustered(b)
-	benchSelectWarmOn(b, e, qs, INRA, 0.8)
+	benchSelectWarmOn(b, e, qs, INRA, 0.8, nil)
 }
 func BenchmarkSelectWarmHybridManyCandidates(b *testing.B) {
 	e, qs := getBenchClustered(b)
-	benchSelectWarmOn(b, e, qs, Hybrid, 0.8)
+	benchSelectWarmOn(b, e, qs, Hybrid, 0.8, nil)
 }
 
 func BenchmarkSelectWarmINRALowTau(b *testing.B) { benchSelectWarm(b, INRA, 0.5) }
@@ -121,21 +130,35 @@ func BenchmarkSelectCold(b *testing.B) {
 }
 
 // BenchmarkSelectTopKWarm measures the steady-state top-k path.
-func BenchmarkSelectTopKWarm(b *testing.B) {
+func BenchmarkSelectTopKWarm(b *testing.B) { benchTopKWarm(b, nil) }
+
+// BenchmarkSelectTopKWarmNoSkipIndex is its sequential-completion twin.
+// Top-k opens its lists at their heads, so the whole difference between
+// the two is completeSF.
+func BenchmarkSelectTopKWarmNoSkipIndex(b *testing.B) {
+	benchTopKWarm(b, &Options{NoSkipIndex: true})
+}
+
+func benchTopKWarm(b *testing.B, opts *Options) {
 	e := getBenchEngine(b)
 	qs := benchQueries(b, e, 16)
 	for _, q := range qs {
-		if _, _, err := e.SelectTopK(q, 10, SF, nil); err != nil {
+		if _, _, err := e.SelectTopK(q, 10, SF, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	var reads int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.SelectTopK(qs[i%len(qs)], 10, SF, nil); err != nil {
+		_, st, err := e.SelectTopK(qs[i%len(qs)], 10, SF, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		reads += st.ElementsRead
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(reads)/float64(b.N), "elems/op")
 }
 
 // BenchmarkSelectTopKLive measures SF top-10 on one multi-segment live

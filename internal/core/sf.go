@@ -105,6 +105,16 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			if p.Len > bound {
 				break
 			}
+			// Past µᵢ nothing more is admitted: seek to what is left of C
+			// instead of reading up to it. NoSkipIndex, "read and discard
+			// instead of seek", keeps the paper's sequential completion.
+			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
+				if !completeSF(s, cc, l, c[mergePtr:], q.Len, suffix[i], tau, nil, nil, stats) {
+					s.i0, s.i1 = c, news
+					return nil, cc.err
+				}
+				break
+			}
 
 			stats.ElementsRead++
 			l.next()
@@ -177,6 +187,55 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 	s.i0 = c
 	s.results = out
 	return out, listsErr(lists)
+}
+
+// completeSF finishes a list whose frontier has passed µᵢ. From there on
+// the list can admit nothing — the caller has seen the admission test
+// itself fail on the frontier posting, which µᵢ restates up to rounding —
+// and the paper's SF reads on only to complete the candidates it already
+// holds, a few of which lie among very many postings of no interest. The
+// unpassed tail of C, rest, and the list are both in (len, id) order, so
+// completeSF intersects them by seeking the list to each live candidate
+// in turn. A candidate that misses τ even with this list's full weight
+// is dropped unsought; one found receives the summand the sequential scan
+// would have added, so scores are bitwise the same; the candidates the
+// list ends before are absent from it. Viability against the remaining
+// lists is left to the caller's end-of-list sweep, which tests every
+// survivor. tau is the fixed threshold of a selection; with bound set it
+// is the rising top-k threshold instead, re-read for every candidate and
+// offered each completed lower bound. Reports false when cancelled.
+func completeSF(s *queryScratch, cc *canceller, l *listState, rest []int32, lenQ, mass, tau float64, bound *kthBound, shared *sharedTau, stats *Stats) bool {
+	charged := l.pos
+	for _, slot := range rest {
+		if cc.stop() {
+			return false
+		}
+		cand := &s.sf[slot]
+		if cand.dead {
+			continue
+		}
+		if bound != nil {
+			tau = liveTau(bound, shared)
+		}
+		if !sim.Meets(cand.lower+mass/(lenQ*cand.len), tau) {
+			cand.dead = true
+			continue
+		}
+		if !l.seekTo(cc, cand.len, cand.id, &charged, stats) {
+			return false
+		}
+		p, ok := l.frontier()
+		if !ok {
+			break
+		}
+		if p.ID == cand.id {
+			cand.lower += l.w(lenQ, p.Len)
+			if bound != nil {
+				offerShared(bound, shared, cand.id, cand.lower)
+			}
+		}
+	}
+	return true
 }
 
 // sfBefore reports whether candidate cand precedes posting position p in

@@ -1,0 +1,296 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/collection"
+	"repro/internal/invlist"
+	"repro/internal/sim"
+	"repro/internal/tokenize"
+)
+
+// sfSurface is one engine shape behind the two calls the test makes, so
+// the same checks run over every layer that reaches selectSF and topkSF.
+type sfSurface struct {
+	name string
+	// split marks a corpus cut into lists of a few dozen postings, where
+	// there is next to nothing for a seek to jump over.
+	split  bool
+	sel    func(s string, tau float64, alg Algorithm, o *Options) ([]Result, Stats, error)
+	topk   func(s string, k int, alg Algorithm, o *Options) ([]Result, Stats, error)
+	closer func()
+}
+
+// surfaceOf wraps an engine's Prepare, Select and SelectTopK, whatever
+// its prepared-query type.
+func surfaceOf[Q any](name string, split bool, prepare func(string) Q,
+	sel func(Q, float64, Algorithm, *Options) ([]Result, Stats, error),
+	topk func(Q, int, Algorithm, *Options) ([]Result, Stats, error), closer func()) sfSurface {
+	return sfSurface{
+		name:  name,
+		split: split,
+		sel: func(s string, tau float64, alg Algorithm, o *Options) ([]Result, Stats, error) {
+			return sel(prepare(s), tau, alg, o)
+		},
+		topk: func(s string, k int, alg Algorithm, o *Options) ([]Result, Stats, error) {
+			return topk(prepare(s), k, alg, o)
+		},
+		closer: closer,
+	}
+}
+
+// sfSeekSurfaces builds the shapes of the issue over the fixture corpus:
+// the static engine on a MemStore and on a FileStore opened from a
+// written list file (the cursor path of seekTo), routed shards at
+// K ∈ {1, 4, 7}, and a live engine with segments, a memtable and
+// tombstones.
+func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
+	t.Helper()
+	c := buildPipelineCollection(docs)
+	mem := NewEngine(c, Config{})
+	out := []sfSurface{surfaceOf("mem", false, mem.Prepare, mem.Select, mem.SelectTopK, func() {})}
+
+	path := filepath.Join(t.TempDir(), "lists.ssidx")
+	if err := invlist.WriteFile(path, c, 8); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := invlist.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := NewEngine(c, Config{Store: fs})
+	out = append(out, surfaceOf("file", false, file.Prepare, file.Select, file.SelectTopK, func() { fs.Close() }))
+
+	for _, K := range []int{1, 4, 7} {
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
+		out = append(out, surfaceOf(fmt.Sprintf("sharded/K=%d", K), K > 1, se.Prepare, se.Select, se.SelectTopK, func() { se.Close() }))
+	}
+
+	// Partial compactions flush the memtable into segments kept apart
+	// (FlushThreshold is the size below which one is folded again), so
+	// the deletes that follow become segment tombstones.
+	le := NewLive(liveTestTK, LiveConfig{
+		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+		FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
+	})
+	for i, s := range docs[:300] {
+		if _, err := le.Insert(s); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if i == 139 || i == 219 || i == 279 {
+			le.compactOnce(false)
+		}
+	}
+	for i := 3; i < 300; i += 7 {
+		le.Delete(collection.SetID(i))
+	}
+	if st := le.Stats(); st.Segments < 2 || st.Memtable == 0 || st.Tombstones < 40 {
+		t.Fatalf("live scenario not established: %+v", st)
+	}
+	return append(out, surfaceOf("live", true, le.Prepare, le.Select, le.SelectTopK, func() { le.Close() }))
+}
+
+// assertNearNaive holds a selection against the full scan: the same sets
+// with scores within sim.ScoreEpsilon, except that a set scoring inside
+// the epsilon band around τ may be on either side.
+func assertNearNaive(t *testing.T, label string, got, naive []Result, tau float64) {
+	t.Helper()
+	inBand := func(score float64) bool { return math.Abs(score-tau) <= 2*sim.ScoreEpsilon }
+	want := map[collection.SetID]float64{}
+	for _, r := range naive {
+		want[r.ID] = r.Score
+	}
+	for _, r := range got {
+		w, ok := want[r.ID]
+		if !ok {
+			if !inBand(r.Score) {
+				t.Fatalf("%s: id %d (score %.12f) is not in the full scan's answer", label, r.ID, r.Score)
+			}
+			continue
+		}
+		if math.Abs(r.Score-w) > sim.ScoreEpsilon {
+			t.Fatalf("%s: id %d scored %.12f, full scan %.12f", label, r.ID, r.Score, w)
+		}
+		delete(want, r.ID)
+	}
+	for id, w := range want {
+		if !inBand(w) {
+			t.Fatalf("%s: id %d (score %.12f) of the full scan's answer is missing", label, id, w)
+		}
+	}
+}
+
+// TestSFCompletionSeeks pins what seeking past µᵢ must and must not
+// change. It must not change an answer: against NoSkipIndex, which keeps
+// the paper's posting-by-posting completion, ids, score bits and order are
+// equal for selection over the τ grid and for top-k, on every engine shape
+// and on both paths of seekTo, and both stay within sim.ScoreEpsilon of
+// the full scan. It must read less where there is something to seek over,
+// on long queries. And it must stay cancellable inside the new loop.
+func TestSFCompletionSeeks(t *testing.T) {
+	docs := pipelineDocs(500, 1234, 6)
+	// The fixture queries, then the long-query class: documents of 14
+	// characters and more, whose dozen lists leave SF candidates to
+	// complete in every list but the first.
+	queries := []string{docs[3], docs[57], docs[120], docs[261], docs[402], docs[499]}
+	firstLong := len(queries)
+	for _, d := range docs {
+		if len(d) >= 14 && len(queries) < firstLong+12 {
+			queries = append(queries, d)
+		}
+	}
+	paper := &Options{NoSkipIndex: true}
+	taus := []float64{0.5, 0.7, 0.8, 0.95}
+	ks := []int{1, 10, 1 << 20}
+
+	for _, sf := range sfSeekSurfaces(t, docs) {
+		t.Run(sf.name, func(t *testing.T) {
+			defer sf.closer()
+			selReads, selPaper := 0, 0
+			topkReads, topkPaper := map[int]int{}, map[int]int{}
+			for qi, qs := range queries {
+				for _, tau := range taus {
+					label := fmt.Sprintf("select %q τ=%g", qs, tau)
+					got, st, err := sf.sel(qs, tau, SF, nil)
+					want, stPaper, errPaper := sf.sel(qs, tau, SF, paper)
+					naive, _, errNaive := sf.sel(qs, tau, Naive, nil)
+					if err != nil || errPaper != nil || errNaive != nil {
+						t.Fatalf("%s: %v, %v, %v", label, err, errPaper, errNaive)
+					}
+					assertBitwise(t, label, got, want)
+					assertNearNaive(t, label, got, naive, tau)
+					if st.ElementsRead+st.ElementsSkipped > st.ListTotal {
+						t.Fatalf("%s: read %d + skipped %d of %d", label, st.ElementsRead, st.ElementsSkipped, st.ListTotal)
+					}
+					if qi >= firstLong {
+						selReads += st.ElementsRead
+						selPaper += stPaper.ElementsRead
+					}
+				}
+				for _, k := range ks {
+					label := fmt.Sprintf("top-%d %q", k, qs)
+					got, st, err := sf.topk(qs, k, SF, nil)
+					want, stPaper, errPaper := sf.topk(qs, k, SF, paper)
+					naive, _, errNaive := sf.topk(qs, k, Naive, nil)
+					if err != nil || errPaper != nil || errNaive != nil {
+						t.Fatalf("%s: %v, %v, %v", label, err, errPaper, errNaive)
+					}
+					assertBitwise(t, label, got, want)
+					if len(got) != len(naive) {
+						t.Fatalf("%s: %d results, full scan %d", label, len(got), len(naive))
+					}
+					for i := range got {
+						// Ties at a rank may order ids differently; the
+						// score sequence is what top-k defines.
+						if math.Abs(got[i].Score-naive[i].Score) > sim.ScoreEpsilon {
+							t.Fatalf("%s: rank %d scored %.12f, full scan %.12f", label, i, got[i].Score, naive[i].Score)
+						}
+					}
+					if qi >= firstLong {
+						topkReads[k] += st.ElementsRead
+						topkPaper[k] += stPaper.ElementsRead
+					}
+				}
+			}
+			if sf.split {
+				// Nothing to gain here, and a gallop's last probe can land
+				// past the posting the sequential scan stops at, so hold
+				// the excess small. Top-k reads of concurrent shards depend
+				// on how their rising bounds interleave and are not compared.
+				if selReads*100 > selPaper*102 {
+					t.Errorf("selection on long queries read %d postings, over 2%% above the %d without seeking", selReads, selPaper)
+				}
+				return
+			}
+			if selReads >= selPaper {
+				t.Errorf("selection on long queries read %d postings, %d without seeking", selReads, selPaper)
+			}
+			// At k = 1<<20 the bound never rises, no list is ever past µᵢ
+			// and nothing is sought.
+			for _, k := range []int{1, 10} {
+				if topkReads[k] >= topkPaper[k] {
+					t.Errorf("top-%d on long queries read %d postings, %d without seeking", k, topkReads[k], topkPaper[k])
+				}
+			}
+			t.Logf("long queries: selection read %d (sequential %d), top-1 %d (%d), top-10 %d (%d)",
+				selReads, selPaper, topkReads[1], topkPaper[1], topkReads[10], topkPaper[10])
+		})
+	}
+
+	// A query cancelled while completeSF runs stops there: with a
+	// candidate at every third posting of a long list the loop makes
+	// several thousand polls, and the canceller, started one call past a
+	// poll, looks at the context for the first time well inside it. The
+	// FileStore twin has one candidate behind a run of equal lengths as
+	// long as the list, so its poll falls inside seekTo's walk.
+	t.Run("cancel", func(t *testing.T) {
+		const n = 6000
+		b := collection.NewBuilder(tokenize.WordTokenizer{}, true)
+		for i := 0; i < n; i++ {
+			b.Add("shared")
+		}
+		c := b.Build()
+		path := filepath.Join(t.TempDir(), "ties.ssidx")
+		if err := invlist.WriteFile(path, c, 0); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := invlist.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		tok := NewEngine(c, Config{NoHashes: true, NoRelational: true}).Prepare("shared").Tokens[0]
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+
+		mem := invlist.BuildMem(c, 0)
+		for _, tc := range []struct {
+			name  string
+			store invlist.Store
+			every int // a candidate at every every-th posting
+		}{{"mem", mem, 3}, {"file", fs, n - 1}} {
+			for _, ctx := range []context.Context{context.Background(), cancelled} {
+				s := &queryScratch{}
+				cur := tc.store.WeightCursor(tok.Token)
+				l := listState{cur: cur, idfSq: tok.IDFSq}
+				if list, pos, ok := invlist.RawPostings(cur); ok {
+					l.mem, l.pos = list, pos
+				}
+				var rest []int32
+				for id := tc.every; id < n; id += tc.every {
+					s.sf = append(s.sf, sfCand{id: collection.SetID(id), len: c.Length(collection.SetID(id))})
+					rest = append(rest, int32(len(s.sf)-1))
+				}
+				cc := &canceller{ctx: ctx, n: 1}
+				var st Stats
+				done := completeSF(s, cc, &l, rest, 1, tok.IDFSq, minPositiveTau, nil, nil, &st)
+				if ctx == cancelled {
+					if done || !errors.Is(cc.err, context.Canceled) {
+						t.Fatalf("%s: completion ran on under a cancelled context (done=%v, err=%v)", tc.name, done, cc.err)
+					}
+					if st.ElementsRead+st.ElementsSkipped == 0 || st.ElementsRead+st.ElementsSkipped > cancelInterval {
+						t.Errorf("%s: cancelled after %d read + %d skipped postings, want within (0, %d]",
+							tc.name, st.ElementsRead, st.ElementsSkipped, cancelInterval)
+					}
+					continue
+				}
+				if !done || cc.err != nil {
+					t.Fatalf("%s: completion stopped without a cancel (done=%v, err=%v)", tc.name, done, cc.err)
+				}
+				for _, slot := range rest {
+					if s.sf[slot].lower <= 0 {
+						t.Fatalf("%s: candidate %d was not completed", tc.name, s.sf[slot].id)
+					}
+				}
+				if st.ElementsRead+st.ElementsSkipped > n {
+					t.Errorf("%s: read %d + skipped %d of %d", tc.name, st.ElementsRead, st.ElementsSkipped, n)
+				}
+			}
+		}
+	})
+}

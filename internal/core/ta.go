@@ -67,6 +67,77 @@ func (l *listState) frontier() (invlist.Posting, bool) {
 	return l.cur.Posting(), true
 }
 
+// seekTo advances the list to the first posting at or after position
+// (setLen, id) in weight order and reports false when cancelled. It only
+// moves forward, so a caller's targets must not decrease. A raw slice is
+// galloped from pos — doubling steps, then a binary search of the last
+// step (Ding & König's skip through the long side of an intersection) —
+// and a disk-backed cursor takes the skip index to setLen and walks the
+// run of equal lengths.
+//
+// A posting is charged to ElementsRead the first time a search compares
+// it, and one passed uncompared to ElementsSkipped. A gallop overshoots
+// its landing point, so the postings already charged run ahead of pos:
+// *charged counts them (the caller starts it at pos), and a later search
+// that compares one of them again does not charge it again.
+func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, charged *int, stats *Stats) bool {
+	if l.mem == nil {
+		//ssvet:monotone the caller visits C in (len, id) order, so the targets never decrease
+		skipped, walked := l.cur.SeekLen(setLen)
+		stats.ElementsSkipped += skipped
+		stats.ElementsRead += walked
+		for l.cur.Valid() && precedes(l.cur.Posting(), setLen, id) {
+			if cc.stop() {
+				return false
+			}
+			stats.ElementsRead++
+			l.cur.Next()
+		}
+		return true
+	}
+	// Everything below lo precedes the target; the answer is in [lo, hi].
+	list, lo, hi := l.mem, l.pos, l.pos
+	old, top, read := *charged, *charged, stats.ElementsRead
+	for step := 1; ; step *= 2 {
+		if hi >= len(list) {
+			hi = len(list)
+			break
+		}
+		if cc.stop() {
+			return false
+		}
+		if hi >= old {
+			stats.ElementsRead++
+			top = hi + 1
+		}
+		if !precedes(list[hi], setLen, id) {
+			break
+		}
+		lo = hi + 1
+		hi += step
+	}
+	for lo < hi {
+		if cc.stop() {
+			return false
+		}
+		mid := int(uint(lo+hi) >> 1)
+		if mid >= old {
+			stats.ElementsRead++
+			top = max(top, mid+1)
+		}
+		if precedes(list[mid], setLen, id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	l.pos = lo
+	top = max(top, lo)
+	stats.ElementsSkipped += top - old - (stats.ElementsRead - read)
+	*charged = top
+	return true
+}
+
 // w returns the contribution a set of length len would receive from this
 // list: idf²/(len(q)·len(s)).
 func (l *listState) w(lenQ, setLen float64) float64 {
@@ -145,6 +216,13 @@ func beforeOrAt(a invlist.Posting, len float64, id collection.SetID) bool {
 		return a.Len < len
 	}
 	return a.ID <= id
+}
+
+// precedes reports whether posting a comes strictly before position
+// (len, id) in weight-list order. A set has one length, so a posting with
+// the position's id is the position itself.
+func precedes(a invlist.Posting, len float64, id collection.SetID) bool {
+	return a.ID != id && beforeOrAt(a, len, id)
 }
 
 // selectTA implements the Threshold Algorithm with random accesses: on

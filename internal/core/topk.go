@@ -300,6 +300,13 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 			if p.Len > stop {
 				break
 			}
+			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
+				if !completeSF(s, cc, l, c[mergePtr:], q.Len, suffix[i], tau, bound, shared, stats) {
+					s.i0, s.i1 = c, news
+					return nil, cc.err
+				}
+				break
+			}
 			stats.ElementsRead++
 			l.next()
 			if slot := s.tbl.get(p.ID); slot >= 0 {

@@ -43,7 +43,12 @@ func ExampleEngine_SelectTopK() {
 }
 
 // ExampleEngine_Select_statistics shows the access statistics every query
-// reports — the quantities the paper's evaluation plots.
+// reports — the quantities the paper's evaluation plots. Both lists hold
+// two postings. SF reads "beta gamma" off the "beta" list and stops at the
+// longer "alpha beta". The "gamma" list can admit nothing new, so SF seeks
+// it to its one candidate, finds "beta gamma" there and is done: "gamma
+// delta" behind it, equally long, which the paper's read-to-maxLen(C)
+// completion would have read as a third posting, is never touched.
 func ExampleEngine_Select_statistics() {
 	corpus := []string{"alpha beta", "beta gamma", "gamma delta", "delta epsilon"}
 	idx := setsim.Build(corpus, setsim.WordTokenizer{}, setsim.ListsOnly())
@@ -54,5 +59,5 @@ func ExampleEngine_Select_statistics() {
 	}
 	fmt.Printf("read %d of %d postings\n", stats.ElementsRead, stats.ListTotal)
 	// Output:
-	// read 3 of 4 postings
+	// read 2 of 4 postings
 }
