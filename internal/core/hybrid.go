@@ -22,7 +22,9 @@ import (
 // the back of all lists until a viable candidate is found" computes over
 // its per-list partitions. Keeping that bound eager is what holds Hybrid's
 // scan depth at or below SF's (Lemma 4): a long candidate that is no
-// longer viable must not extend it.
+// longer viable must not extend it. Once F < τ a list seeks to its next
+// live candidate instead of reading up to it (seekCandidate), as iNRA's
+// do.
 func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -52,6 +54,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 	defer func() { s.results = out }()
 
 	admitNew := true // true while F ≥ τ
+	seek := false    // the gate has shut and the skip index is on
 	for {
 		popped := false
 		for i := range lists {
@@ -61,6 +64,17 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 			}
 			if cc.stop() {
 				return nil, cc.err
+			}
+			if seek {
+				if !s.seekCandidate(cc, l, i, stats) {
+					return nil, cc.err
+				}
+				// Settle what the seek jumped over now: a list it leaves
+				// paused is not passed again below.
+				var live bool
+				if out, live = e.passCandidates(s, cc, lists, i, q, tau, out); !live {
+					return nil, cc.err
+				}
 			}
 			p, ok := l.frontier()
 			if !ok || p.Len > hi {
@@ -73,8 +87,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 				if p.Len > need {
 					continue // paused; may resume when maxLen(C) grows
 				}
-				stats.ElementsRead++
-				l.next()
+				s.pop(l, i, stats)
 				popped = true
 				if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
 					s.imp[slot].resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
@@ -103,6 +116,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 				continue
 			}
 			admitNew = false // F only falls: the gate stays shut
+			seek = !o.NoSkipIndex
 		}
 		if s.maxLiveLen() < 0 {
 			return out, listsErr(lists)

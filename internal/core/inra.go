@@ -137,13 +137,58 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 // pointer, one per list because round-robin advances all lists at once.
 // Dead entries stay in the sequence until maxLiveLen pops them off its end.
 
-// resetOrder empties the candidate order and rewinds n list pointers.
+// resetOrder empties the candidate order and rewinds n list pointers and
+// charge marks.
 func (s *queryScratch) resetOrder(n int) {
 	s.ord = s.ord[:0]
 	s.ptr = s.ptr[:0]
+	s.chg = s.chg[:0]
 	for len(s.ptr) < n {
 		s.ptr = append(s.ptr, 0)
+		s.chg = append(s.chg, 0)
 	}
+}
+
+// pop reads list j's frontier posting and moves past it. A posting a
+// seek already compared was charged to ElementsRead then (s.chg[j]) and
+// is not charged again; before any seek, and always on a disk-backed
+// cursor, whose pos stays 0, every pop is charged.
+func (s *queryScratch) pop(l *listState, j int, stats *Stats) {
+	if l.pos >= s.chg[j] {
+		stats.ElementsRead++
+	}
+	l.next()
+}
+
+// seekCandidate is the read step of round-robin list j once F < τ has
+// shut the admission gate. From then on the list can only settle the
+// candidates it has yet to pass, a short (len, id)-ordered sequence
+// against a long list, so instead of reading up to the next of them
+// posting by posting it seeks there (listState.seekTo, as SF does past
+// µᵢ): the target is the first live entry of ord from ptr[j] on that the
+// frontier has not passed — never one behind it, which a cursor's SeekLen
+// could not rewind to. With none left the list is done. The caller's pop
+// then reads the posting the seek lands on, an exact hit resolving the
+// candidate as seen, and passCandidates settles everything the seek
+// jumped over. Reports false when cancelled.
+//
+//ssvet:hot
+func (s *queryScratch) seekCandidate(cc *canceller, l *listState, j int, stats *Stats) bool {
+	p, ok := l.frontier()
+	if !ok {
+		return true
+	}
+	for _, slot := range s.ord[s.ptr[j]:] {
+		if c := &s.imp[slot]; !c.dead && beforeOrAt(p, c.len, c.id) {
+			if p.ID == c.id {
+				return true // dense candidates: the frontier is already there
+			}
+			s.chg[j] = max(s.chg[j], l.pos)
+			return l.seekTo(cc, c.len, c.id, &s.chg[j], stats)
+		}
+	}
+	l.done = true
+	return true
 }
 
 // orderInsert files a candidate just admitted from list seenIn at its
@@ -272,7 +317,9 @@ func frontierBound(lists []listState, lenQ, hi float64) float64 {
 // While F ≥ τ nothing is scanned, so no order is kept either: admission
 // stays a slab append. When F first drops below τ the candidate set is
 // frozen; one sweep settles it, only the survivors are ordered, and from
-// then on absences are resolved event-driven (passCandidates).
+// then on absences are resolved event-driven (passCandidates) and each
+// list seeks to its next live candidate instead of reading up to it
+// (seekCandidate).
 func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -286,6 +333,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 	defer func() { s.results = out }()
 
 	admitNew := true // true while F ≥ τ
+	seek := false    // the gate has shut and the skip index is on
 	for {
 		alive := false
 		for i := range lists {
@@ -296,10 +344,12 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 			if cc.stop() {
 				return nil, cc.err
 			}
+			if seek && !s.seekCandidate(cc, l, i, stats) {
+				return nil, cc.err
+			}
 			p, ok := l.frontier()
 			if ok {
-				stats.ElementsRead++
-				l.next()
+				s.pop(l, i, stats)
 			}
 			if !ok || p.Len > hi {
 				l.done = true
@@ -324,7 +374,10 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 				continue // scanning is pointless while F ≥ τ (§V)
 			}
 			// F < τ (or every list is done): no new candidate can qualify.
+			// NoSkipIndex, "read and discard instead of seek", keeps the
+			// paper's sequential round-robin to the end.
 			admitNew = false
+			seek = !o.NoSkipIndex
 			stats.CandidateScans++
 			for ci := range s.imp {
 				if cc.stop() {

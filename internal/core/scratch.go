@@ -47,6 +47,7 @@ type queryScratch struct {
 	i0, i1, i2 []int32 // SF candidate list / new arrivals / merge target
 	ord        []int32 // iNRA/Hybrid candidate slots in (len, id) order
 	ptr        []int32 // per list: ord[:ptr[j]] lies before list j's frontier
+	chg        []int   // per list: postings charged to ElementsRead end here (seekTo)
 
 	results []Result // result accumulator; copied out before pooling
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -125,51 +127,73 @@ func assertNearNaive(t *testing.T, label string, got, naive []Result, tau float6
 	}
 }
 
-// TestSFCompletionSeeks pins what seeking past µᵢ must and must not
-// change. It must not change an answer: against NoSkipIndex, which keeps
-// the paper's posting-by-posting completion, ids, score bits and order are
-// equal for selection over the τ grid and for top-k, on every engine shape
-// and on both paths of seekTo, and both stay within sim.ScoreEpsilon of
-// the full scan. It must read less where there is something to seek over,
-// on long queries. And it must stay cancellable inside the new loop.
+// TestSFCompletionSeeks pins what seeking to candidates must and must not
+// change: SF's past µᵢ (completeSF), and iNRA's and Hybrid's once F < τ
+// has shut the admission gate (seekCandidate). It must not change an
+// answer: against NoSkipIndex, which keeps the paper's posting-by-posting
+// reads, ids, score bits and order are equal for selection over the τ
+// grid and for SF top-k, on every engine shape and on both paths of
+// seekTo, and both stay within sim.ScoreEpsilon of the full scan. It must
+// read less where there is something to seek over, on long queries. And
+// it must stay cancellable inside the new loops.
 func TestSFCompletionSeeks(t *testing.T) {
 	docs := pipelineDocs(500, 1234, 6)
+	// The wide class, in TestWideQueries' shape: long strings over a small
+	// alphabet, so queries of 70 and more lists whose candidates qualify
+	// while absent from many of them. There a Hybrid seek often lands past
+	// an absent candidate and leaves its list paused, which is the case
+	// the pass right after the seek exists for.
+	rng := rand.New(rand.NewSource(1235))
+	for i := 0; i < 60; i++ {
+		var sb strings.Builder
+		for j := 40 + rng.Intn(60); j > 0; j-- {
+			sb.WriteByte(byte('a' + rng.Intn(5)))
+		}
+		docs = append(docs, sb.String())
+	}
 	// The fixture queries, then the long-query class: documents of 14
 	// characters and more, whose dozen lists leave SF candidates to
-	// complete in every list but the first.
+	// complete in every list but the first, and four wide ones.
 	queries := []string{docs[3], docs[57], docs[120], docs[261], docs[402], docs[499]}
 	firstLong := len(queries)
-	for _, d := range docs {
+	for _, d := range docs[:500] {
 		if len(d) >= 14 && len(queries) < firstLong+12 {
 			queries = append(queries, d)
 		}
 	}
+	queries = append(queries, docs[500], docs[520], docs[529], docs[559])
 	paper := &Options{NoSkipIndex: true}
 	taus := []float64{0.5, 0.7, 0.8, 0.95}
 	ks := []int{1, 10, 1 << 20}
+	algs := []Algorithm{SF, INRA, Hybrid}
 
 	for _, sf := range sfSeekSurfaces(t, docs) {
 		t.Run(sf.name, func(t *testing.T) {
 			defer sf.closer()
-			selReads, selPaper := 0, 0
+			selReads, selPaper := map[Algorithm]int{}, map[Algorithm]int{}
 			topkReads, topkPaper := map[int]int{}, map[int]int{}
 			for qi, qs := range queries {
 				for _, tau := range taus {
-					label := fmt.Sprintf("select %q τ=%g", qs, tau)
-					got, st, err := sf.sel(qs, tau, SF, nil)
-					want, stPaper, errPaper := sf.sel(qs, tau, SF, paper)
 					naive, _, errNaive := sf.sel(qs, tau, Naive, nil)
-					if err != nil || errPaper != nil || errNaive != nil {
-						t.Fatalf("%s: %v, %v, %v", label, err, errPaper, errNaive)
+					if errNaive != nil {
+						t.Fatalf("select %q τ=%g: full scan: %v", qs, tau, errNaive)
 					}
-					assertBitwise(t, label, got, want)
-					assertNearNaive(t, label, got, naive, tau)
-					if st.ElementsRead+st.ElementsSkipped > st.ListTotal {
-						t.Fatalf("%s: read %d + skipped %d of %d", label, st.ElementsRead, st.ElementsSkipped, st.ListTotal)
-					}
-					if qi >= firstLong {
-						selReads += st.ElementsRead
-						selPaper += stPaper.ElementsRead
+					for _, alg := range algs {
+						label := fmt.Sprintf("%v %q τ=%g", alg, qs, tau)
+						got, st, err := sf.sel(qs, tau, alg, nil)
+						want, stPaper, errPaper := sf.sel(qs, tau, alg, paper)
+						if err != nil || errPaper != nil {
+							t.Fatalf("%s: %v, %v", label, err, errPaper)
+						}
+						assertBitwise(t, label, got, want)
+						assertNearNaive(t, label, got, naive, tau)
+						if st.ElementsRead+st.ElementsSkipped > st.ListTotal {
+							t.Fatalf("%s: read %d + skipped %d of %d", label, st.ElementsRead, st.ElementsSkipped, st.ListTotal)
+						}
+						if qi >= firstLong {
+							selReads[alg] += st.ElementsRead
+							selPaper[alg] += stPaper.ElementsRead
+						}
 					}
 				}
 				for _, k := range ks {
@@ -197,18 +221,22 @@ func TestSFCompletionSeeks(t *testing.T) {
 					}
 				}
 			}
-			if sf.split {
-				// Nothing to gain here, and a gallop's last probe can land
-				// past the posting the sequential scan stops at, so hold
-				// the excess small. Top-k reads of concurrent shards depend
-				// on how their rising bounds interleave and are not compared.
-				if selReads*100 > selPaper*102 {
-					t.Errorf("selection on long queries read %d postings, over 2%% above the %d without seeking", selReads, selPaper)
+			for _, alg := range algs {
+				if sf.split {
+					// Nothing to gain here, and a gallop's last probe can
+					// land past the posting the sequential scan stops at,
+					// so hold the excess small.
+					if selReads[alg]*100 > selPaper[alg]*102 {
+						t.Errorf("%v selection on long queries read %d postings, over 2%% above the %d without seeking", alg, selReads[alg], selPaper[alg])
+					}
+				} else if selReads[alg] >= selPaper[alg] {
+					t.Errorf("%v selection on long queries read %d postings, %d without seeking", alg, selReads[alg], selPaper[alg])
 				}
-				return
 			}
-			if selReads >= selPaper {
-				t.Errorf("selection on long queries read %d postings, %d without seeking", selReads, selPaper)
+			if sf.split {
+				// Top-k reads of concurrent shards depend on how their
+				// rising bounds interleave and are not compared.
+				return
 			}
 			// At k = 1<<20 the bound never rises, no list is ever past µᵢ
 			// and nothing is sought.
@@ -217,8 +245,9 @@ func TestSFCompletionSeeks(t *testing.T) {
 					t.Errorf("top-%d on long queries read %d postings, %d without seeking", k, topkReads[k], topkPaper[k])
 				}
 			}
-			t.Logf("long queries: selection read %d (sequential %d), top-1 %d (%d), top-10 %d (%d)",
-				selReads, selPaper, topkReads[1], topkPaper[1], topkReads[10], topkPaper[10])
+			t.Logf("long queries: selection read SF %d (sequential %d), iNRA %d (%d), Hybrid %d (%d); SF top-1 %d (%d), top-10 %d (%d)",
+				selReads[SF], selPaper[SF], selReads[INRA], selPaper[INRA], selReads[Hybrid], selPaper[Hybrid],
+				topkReads[1], topkPaper[1], topkReads[10], topkPaper[10])
 		})
 	}
 
@@ -227,7 +256,11 @@ func TestSFCompletionSeeks(t *testing.T) {
 	// several thousand polls, and the canceller, started one call past a
 	// poll, looks at the context for the first time well inside it. The
 	// FileStore twin has one candidate behind a run of equal lengths as
-	// long as the list, so its poll falls inside seekTo's walk.
+	// long as the list, so its poll falls inside seekTo's walk. The same
+	// holds for seekCandidate, iNRA's and Hybrid's read step once the gate
+	// has shut, which polls only inside its seek: a canceller due to poll
+	// on its first call stops it there with the context's error, and
+	// without a cancel it lands on its candidate at the end of the list.
 	t.Run("cancel", func(t *testing.T) {
 		const n = 6000
 		b := collection.NewBuilder(tokenize.WordTokenizer{}, true)
@@ -255,12 +288,16 @@ func TestSFCompletionSeeks(t *testing.T) {
 			every int // a candidate at every every-th posting
 		}{{"mem", mem, 3}, {"file", fs, n - 1}} {
 			for _, ctx := range []context.Context{context.Background(), cancelled} {
-				s := &queryScratch{}
-				cur := tc.store.WeightCursor(tok.Token)
-				l := listState{cur: cur, idfSq: tok.IDFSq}
-				if list, pos, ok := invlist.RawPostings(cur); ok {
-					l.mem, l.pos = list, pos
+				open := func() listState {
+					cur := tc.store.WeightCursor(tok.Token)
+					l := listState{cur: cur, idfSq: tok.IDFSq}
+					if list, pos, ok := invlist.RawPostings(cur); ok {
+						l.mem, l.pos = list, pos
+					}
+					return l
 				}
+				s := &queryScratch{}
+				l := open()
 				var rest []int32
 				for id := tc.every; id < n; id += tc.every {
 					s.sf = append(s.sf, sfCand{id: collection.SetID(id), len: c.Length(collection.SetID(id))})
@@ -269,6 +306,19 @@ func TestSFCompletionSeeks(t *testing.T) {
 				cc := &canceller{ctx: ctx, n: 1}
 				var st Stats
 				done := completeSF(s, cc, &l, rest, 1, tok.IDFSq, minPositiveTau, nil, nil, &st)
+
+				last := collection.SetID(n - 1)
+				rs, rl := &queryScratch{}, open()
+				rs.resetOrder(1)
+				rs.imp = append(rs.imp, impCand{id: last, len: c.Length(last)})
+				rs.ord = append(rs.ord, 0)
+				seekCC := &canceller{ctx: ctx}
+				sought := rs.seekCandidate(seekCC, &rl, 0, &Stats{})
+				if p, ok := rl.frontier(); ctx == cancelled && (sought || !errors.Is(seekCC.err, context.Canceled)) ||
+					ctx != cancelled && (!sought || !ok || p.ID != last) {
+					t.Fatalf("%s: seekCandidate returned %v with err %v, frontier %+v", tc.name, sought, seekCC.err, p)
+				}
+
 				if ctx == cancelled {
 					if done || !errors.Is(cc.err, context.Canceled) {
 						t.Fatalf("%s: completion ran on under a cancelled context (done=%v, err=%v)", tc.name, done, cc.err)

@@ -79,45 +79,58 @@ func TestPruningOrdering(t *testing.T) {
 		queries, sumSortByID, sumNRA, sumINRA, sumSF, sumHybrid, sumPaperSF, sumPaperHybrid)
 }
 
-// TestEventDrivenAccessPattern pins what the event-driven candidate
-// bookkeeping of iNRA and Hybrid must and must not change. It replaced
-// one candidate sweep per round by per-list merge pointers, so at most
-// one sweep is left per iNRA query (the one that freezes the candidate
-// set when F drops below τ) and none per Hybrid query; and it is
-// bookkeeping only, so the access pattern — postings read, rounds,
-// candidates admitted — over the TestPruningOrdering queries is exactly
-// what the sweeping implementation produced (recorded at c0a3741).
+// TestEventDrivenAccessPattern pins the access pattern of iNRA and Hybrid
+// — postings read, rounds, candidates admitted — over the
+// TestPruningOrdering queries. The event-driven candidate bookkeeping
+// replaced one candidate sweep per round by per-list merge pointers, so
+// at most one sweep is left per iNRA query (the one that freezes the
+// candidate set when F drops below τ) and none per Hybrid query. Under
+// NoSkipIndex, the paper's access pattern, that bookkeeping changed
+// nothing: the counts are the sweeping implementation's (recorded at
+// c0a3741, with the opening seek read as a walk). By default two seeks
+// change the reads and rounds: once F < τ a list seeks to its next live
+// candidate instead of reading up to it (seekCandidate), and the opening
+// SeekLen searches its landing block instead of walking it. Admission is
+// untouched by both, so the admissions are the same in either mode.
 func TestEventDrivenAccessPattern(t *testing.T) {
 	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
 	type sums struct{ read, rounds, inserted int }
-	recorded := map[float64]map[Algorithm]sums{
-		0.5: {INRA: {5557, 618, 2313}, Hybrid: {5502, 626, 2260}},
-		0.8: {INRA: {3874, 342, 556}, Hybrid: {3548, 366, 524}},
+	recorded := map[bool]map[float64]map[Algorithm]sums{
+		false: {
+			0.5: {INRA: {5458, 585, 2313}, Hybrid: {5422, 588, 2260}},
+			0.8: {INRA: {3615, 331, 556}, Hybrid: {3327, 349, 524}},
+		},
+		true: {
+			0.5: {INRA: {5557, 618, 2313}, Hybrid: {5502, 626, 2260}},
+			0.8: {INRA: {4498, 342, 556}, Hybrid: {4172, 366, 524}},
+		},
 	}
-	for _, tau := range []float64{0.5, 0.8} {
-		rng := rand.New(rand.NewSource(6))
-		got := map[Algorithm]sums{}
-		for trial := 0; trial < 15; trial++ {
-			qid := collection.SetID(rng.Intn(e.c.NumSets()))
-			q := e.PrepareCounts(e.c.Set(qid))
-			for alg, maxScans := range map[Algorithm]int{INRA: 1, Hybrid: 0} {
-				_, st, err := e.Select(q, tau, alg, nil)
-				if err != nil {
-					t.Fatal(err)
+	for _, paper := range []bool{false, true} {
+		for _, tau := range []float64{0.5, 0.8} {
+			rng := rand.New(rand.NewSource(6))
+			got := map[Algorithm]sums{}
+			for trial := 0; trial < 15; trial++ {
+				qid := collection.SetID(rng.Intn(e.c.NumSets()))
+				q := e.PrepareCounts(e.c.Set(qid))
+				for alg, maxScans := range map[Algorithm]int{INRA: 1, Hybrid: 0} {
+					_, st, err := e.Select(q, tau, alg, &Options{NoSkipIndex: paper})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.CandidateScans > maxScans {
+						t.Errorf("%v τ=%g query %d: %d candidate scans, want at most %d", alg, tau, qid, st.CandidateScans, maxScans)
+					}
+					s := got[alg]
+					s.read += st.ElementsRead
+					s.rounds += st.Rounds
+					s.inserted += st.CandidatesInserted
+					got[alg] = s
 				}
-				if st.CandidateScans > maxScans {
-					t.Errorf("%v τ=%g query %d: %d candidate scans, want at most %d", alg, tau, qid, st.CandidateScans, maxScans)
-				}
-				s := got[alg]
-				s.read += st.ElementsRead
-				s.rounds += st.Rounds
-				s.inserted += st.CandidatesInserted
-				got[alg] = s
 			}
-		}
-		for alg, want := range recorded[tau] {
-			if got[alg] != want {
-				t.Errorf("%v τ=%g: {read rounds inserted} = %v, the sweeping implementation had %v", alg, tau, got[alg], want)
+			for alg, want := range recorded[paper][tau] {
+				if got[alg] != want {
+					t.Errorf("%v τ=%g NoSkipIndex=%v: {read rounds inserted} = %v, want %v", alg, tau, paper, got[alg], want)
+				}
 			}
 		}
 	}

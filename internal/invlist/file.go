@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/collection"
@@ -235,8 +234,14 @@ func (c *fileCursor) Posting() Posting {
 	if !c.Valid() {
 		panic("invlist: Posting on invalid cursor")
 	}
-	at := c.base + c.pos
-	if i := at - c.blockStart; i < 0 || i >= len(c.block) {
+	return c.at(c.pos)
+}
+
+// at returns the posting at list position i, loading its block; a read or
+// checksum failure sets err and returns the zero posting.
+func (c *fileCursor) at(i int) Posting {
+	at := c.base + i
+	if j := at - c.blockStart; j < 0 || j >= len(c.block) {
 		if c.load(at / perBlock); c.err != nil {
 			return Posting{}
 		}
@@ -260,20 +265,37 @@ func (c *fileCursor) load(b int) {
 	c.block, c.blockStart = blk, b*perBlock
 }
 
-// SeekLen lands where memCursor.SeekLen lands — k samples below min put
-// the cursor at position k·interval — so both stores skip and walk alike.
-func (c *fileCursor) SeekLen(min float64) (skipped, walked int) {
-	if c.arena != arenaWeight || !c.Valid() {
+// SeekLen lands and searches the landing block as memCursor.SeekLen does
+// (searchBlock, here over postings read through the block cache), so both
+// stores skip and walk alike. A block that fails to read stops the search
+// and leaves the cursor invalid: no further block is loaded.
+func (c *fileCursor) SeekLen(target float64) (skipped, walked int) {
+	if c.arena != arenaWeight || !c.Valid() || c.at(c.pos).Len >= target || c.err != nil {
 		return 0, 0
 	}
 	start := c.pos
-	if pos := sort.SearchFloat64s(c.skip, min) * c.s.m.interval; pos > c.pos {
-		c.pos = pos
+	lo, end := landing(c.skip, c.s.m.interval, target, c.pos, c.count)
+	below := func(i int) bool {
+		if c.err != nil {
+			return false
+		}
+		p := c.at(i)
+		return c.err == nil && p.Len < target
 	}
-	skipped = c.pos - start
-	for c.Valid() && c.Posting().Len < min {
-		c.pos++
+	hi, step := lo, 1
+	for hi < end && below(hi) {
 		walked++
+		lo, hi, step = hi+1, hi+step, 2*step
 	}
-	return skipped, walked
+	for hi = min(hi, end); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if below(mid) {
+			walked++
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c.pos = lo
+	return c.pos - start - walked, walked
 }

@@ -17,25 +17,50 @@ func dupCollection(n int, seed int64) *collection.Collection {
 	return randomBuilder(n, seed, 3, 4).Build()
 }
 
-// refSeek is the rule the skip list used to implement, by linear scan:
-// from pos, jump to the largest sampled position (a positive multiple of
-// interval) whose length is below min if that moves forward, then walk to
-// the first posting with Len ≥ min.
-func refSeek(list []Posting, pos, interval int, min float64) (newPos, skipped, walked int) {
-	if pos >= len(list) || list[pos].Len >= min {
+// refSeek is the seek rule by linear scans: from pos, jump to the largest
+// sampled position (a positive multiple of interval) whose length is below
+// target if that moves forward — the landing point the skip list used to
+// produce — and find the first posting with Len ≥ target. The postings a
+// search of the landing block compares below that answer are walked, the
+// rest of the way skipped: the search probes the landing point, then
+// 1, 3, 7, … past it until a probe reaches the answer or the block end,
+// then halves what is left of the last step.
+func refSeek(list []Posting, pos, interval int, target float64) (newPos, skipped, walked int) {
+	if pos >= len(list) || list[pos].Len >= target {
 		return pos, 0, 0
 	}
 	land := pos
 	for m := interval; m < len(list); m += interval {
-		if list[m].Len < min && m > land {
+		if list[m].Len < target && m > land {
 			land = m
 		}
 	}
-	end := land
-	for end < len(list) && list[end].Len < min {
-		end++
+	end := len(list)
+	for m := interval; m < len(list); m += interval {
+		if m > land {
+			end = m
+			break
+		}
 	}
-	return end, land - pos, end - land
+	ans := land
+	for ans < len(list) && list[ans].Len < target {
+		ans++
+	}
+	lo, hi := land, land
+	for step := 1; hi < end && hi < ans; step *= 2 {
+		walked++
+		lo = hi + 1
+		hi += step
+	}
+	for hi = min(hi, end); lo < hi; {
+		if mid := (lo + hi) / 2; mid < ans {
+			walked++
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return ans, ans - pos - walked, walked
 }
 
 // TestSeekLenMatchesReference drives chains of non-decreasing seeks,
