@@ -176,7 +176,8 @@ func lvalueRootedInScratch(pass *Pass, l ast.Expr) bool {
 // (out := s.results[:0]), values built from other derived variables
 // (c = merged), and results of calls fed a scratch-rooted argument
 // (suffix := resliceFloats(s.f0, n)). Two passes reach the fixpoint for
-// the rotation idioms (old := c; s.i2 = old[:0]).
+// buffer rotations such as SF's c, next = next, c[:0], whichever order
+// their assignments appear in.
 func scratchDerived(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	info := pass.TypesInfo
 	derived := map[types.Object]bool{}

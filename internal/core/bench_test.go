@@ -139,15 +139,37 @@ func BenchmarkSelectTopKWarmNoSkipIndex(b *testing.B) {
 	benchTopKWarm(b, &Options{NoSkipIndex: true})
 }
 
+// BenchmarkSelectTopKWarmLongQueries is top-10 over queries of 18 to 26
+// grams, two member documents run together: the shape of the top-k tail,
+// whose cost grows with the postings read and the candidates every list
+// merges. BenchmarkSelectTopKWarm's member queries of about 8 grams never
+// reach those candidate counts.
+func BenchmarkSelectTopKWarmLongQueries(b *testing.B) {
+	e := getBenchEngine(b)
+	rng := rand.New(rand.NewSource(12))
+	var qs []Query
+	for len(qs) < 16 {
+		a := e.c.Source(collection.SetID(rng.Intn(e.c.NumSets())))
+		c := e.c.Source(collection.SetID(rng.Intn(e.c.NumSets())))
+		if q := e.Prepare(a + c); len(q.Tokens) >= 18 && len(q.Tokens) <= 26 {
+			qs = append(qs, q)
+		}
+	}
+	benchTopKWarmOn(b, e, qs, nil)
+}
+
 func benchTopKWarm(b *testing.B, opts *Options) {
 	e := getBenchEngine(b)
-	qs := benchQueries(b, e, 16)
+	benchTopKWarmOn(b, e, benchQueries(b, e, 16), opts)
+}
+
+func benchTopKWarmOn(b *testing.B, e *Engine, qs []Query, opts *Options) {
 	for _, q := range qs {
 		if _, _, err := e.SelectTopK(q, 10, SF, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var reads int
+	var reads, cands int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -156,9 +178,11 @@ func benchTopKWarm(b *testing.B, opts *Options) {
 			b.Fatal(err)
 		}
 		reads += st.ElementsRead
+		cands += st.CandidatesInserted
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(reads)/float64(b.N), "elems/op")
+	b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
 }
 
 // BenchmarkSelectTopKLive measures SF top-10 on one multi-segment live

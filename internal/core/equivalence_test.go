@@ -201,8 +201,9 @@ func TestQuickRandomInstances(t *testing.T) {
 			}
 			// A duplicate-length-heavy instance: short strings over two
 			// letters, so most sets repeat another's token set exactly
-			// and (len, id) ties decide the candidate order of iNRA and
-			// Hybrid, on every list-positioning path.
+			// and (len, id) ties decide the candidate order of iNRA,
+			// Hybrid and SF — and SF's merge of C with each list — on
+			// every list-positioning path, for selection and top-k.
 			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{NoHashes: true, NoRelational: true})
 			for trial := 0; trial < 10; trial++ {
 				q := ties.PrepareCounts(ties.c.Set(collection.SetID(rng.Intn(ties.c.NumSets()))))
@@ -211,14 +212,51 @@ func TestQuickRandomInstances(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, alg := range []Algorithm{INRA, Hybrid} {
-					for _, o := range []*Options{nil, {NoLengthBound: true}, {NoSkipIndex: true}} {
+				for _, o := range []*Options{nil, {NoLengthBound: true}, {NoSkipIndex: true}} {
+					for _, alg := range []Algorithm{INRA, Hybrid, SF} {
 						got, _, err := ties.Select(q, tau, alg, o)
 						if err != nil {
 							t.Fatalf("%v %+v: %v", alg, o, err)
 						}
 						assertSameResults(t, ties, q, tau, alg, got, want)
 					}
+					for _, k := range []int{1, 10, ties.c.NumSets()} {
+						got, _, err := ties.SelectTopK(q, k, SF, o)
+						if err != nil {
+							t.Fatalf("SF top-%d %+v: %v", k, o, err)
+						}
+						assertTopK(t, ties, q, k, SF, got)
+					}
+				}
+			}
+			// The same shape on a live store whose segments carry
+			// tombstones, so SF top-k refuses deleted candidates while
+			// length ties decide its merge.
+			docs := tieDocs(rng, 200+rng.Intn(100))
+			le := NewLive(liveTestTK, LiveConfig{
+				Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+				FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
+			})
+			defer le.Close()
+			for i, d := range docs {
+				if _, err := le.Insert(d); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+				if i%64 == 63 {
+					le.compactOnce(false)
+				}
+			}
+			for i := 0; i < len(docs); i += 3 {
+				le.Delete(collection.SetID(i))
+			}
+			if st := le.Stats(); st.Segments < 2 || st.Tombstones == 0 {
+				t.Fatalf("live scenario not established: %+v", st)
+			}
+			for trial := 0; trial < 5; trial++ {
+				// Ids 1 mod 3 survive every delete.
+				lq := le.Prepare(docs[1+3*rng.Intn(len(docs)/3)])
+				for _, k := range []int{1, 10, len(docs)} {
+					assertLiveTopKTies(t, le, lq, k)
 				}
 			}
 		})

@@ -72,10 +72,16 @@ func TestKthBoundRandomized(t *testing.T) {
 		best := map[collection.SetID]float64{}
 		for op := 0; op < 200; op++ {
 			id := collection.SetID(rng.Intn(20))
-			// Lower bounds only grow in the algorithms; emulate that.
-			s := best[id] + rng.Float64()
+			// Lower bounds only grow in the algorithms; emulate that. An
+			// id's first offer takes offerNew, as a newcomer's does in SF.
+			old, seen := best[id]
+			s := old + rng.Float64()
 			best[id] = s
-			b.offer(id, s)
+			if seen {
+				b.offer(id, s)
+			} else {
+				b.offerNew(id, s)
+			}
 			// Reference: k-th largest of best values.
 			var vals []float64
 			for _, v := range best {

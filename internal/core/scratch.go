@@ -40,14 +40,13 @@ type queryScratch struct {
 
 	tbl idTable // SetID → slab-slot index (also TA's seen-set)
 
-	nra []nraCand // candidate slabs, one per candidate shape
+	nra []nraCand // candidate slabs of NRA and iNRA/Hybrid
 	imp []impCand
-	sf  []sfCand
 
-	i0, i1, i2 []int32 // SF candidate list / new arrivals / merge target
-	ord        []int32 // iNRA/Hybrid candidate slots in (len, id) order
-	ptr        []int32 // per list: ord[:ptr[j]] lies before list j's frontier
-	chg        []int   // per list: postings charged to ElementsRead end here (seekTo)
+	sfc, sfn []sfCand // SF's C and the next list's C, both in (len, id) order
+	ord      []int32  // iNRA/Hybrid candidate slots in (len, id) order
+	ptr      []int32  // per list: ord[:ptr[j]] lies before list j's frontier
+	chg      []int    // per list: postings charged to ElementsRead end here (seekTo)
 
 	results []Result // result accumulator; copied out before pooling
 
@@ -121,6 +120,12 @@ func (e *Engine) putScratch(s *queryScratch) { e.scratch.Put(s) }
 // mark a candidate dead in its slab entry instead of removing the key,
 // which keeps probing tombstone-free. A dead slot's key may be re-put to
 // point at a fresh slab entry when the id is readmitted.
+//
+// The table grows at half load. It is pooled with the scratch and keeps
+// its high-water capacity, so the load a query probes at is its own
+// candidate count against the largest one the scratch has served; short
+// linear probes at any load up to one half keep iNRA's and Hybrid's
+// per-posting lookup cheap on candidate-dense queries.
 type idTable struct {
 	keys []collection.SetID
 	vals []int32 // slab slot + 1; 0 marks an empty cell
@@ -170,7 +175,7 @@ func (t *idTable) put(id collection.SetID, slot int32) {
 			t.keys[i] = id
 			t.vals[i] = slot + 1
 			t.used++
-			if t.used*4 >= len(t.vals)*3 {
+			if t.used*2 >= len(t.vals) {
 				t.grow()
 			}
 			return

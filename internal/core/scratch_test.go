@@ -149,6 +149,39 @@ func TestIDTable(t *testing.T) {
 	}
 }
 
+// TestIDTableGrowsAtHalfLoad pins the table's load factor: no put leaves
+// it half full or more, and reset keeps the grown capacity, so a warm
+// table takes a query as large again without growing.
+func TestIDTableGrowsAtHalfLoad(t *testing.T) {
+	var tbl idTable
+	tbl.reset()
+	const n = 3000
+	put := func(round int) (grew int) {
+		for i := 0; i < n; i++ {
+			size := len(tbl.vals)
+			tbl.put(collection.SetID(i*13), int32(i))
+			if len(tbl.vals) != size {
+				grew++
+			}
+			if tbl.used*2 >= len(tbl.vals) {
+				t.Fatalf("round %d, put %d: %d of %d cells used", round, i+1, tbl.used, len(tbl.vals))
+			}
+		}
+		return grew
+	}
+	if grew := put(0); grew == 0 {
+		t.Fatal("the table never grew")
+	}
+	size := len(tbl.vals)
+	tbl.reset()
+	if len(tbl.vals) != size || tbl.used != 0 {
+		t.Fatalf("reset: %d cells, %d used; want %d, 0", len(tbl.vals), tbl.used, size)
+	}
+	if grew := put(1); grew != 0 {
+		t.Fatalf("the warm table grew %d times", grew)
+	}
+}
+
 // TestScratchMaskArena verifies that masks handed out before an arena
 // growth stay valid: growth must abandon the old backing array, never
 // copy over it. Masks for ≤ 64 lists live entirely in the inline word

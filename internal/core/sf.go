@@ -11,14 +11,12 @@ import (
 // unresolved lists — the unprocessed suffix — so its upper bound is the
 // uniform lower + suffixIdfSq/(len(q)·len) and no per-list bit vector is
 // needed. That uniformity is what makes SF's bookkeeping so cheap (§VI).
-// Candidates live in the scratch slab; the paper's candidate list C and
-// its per-list new arrivals are slices of slab indexes.
+// The paper's candidate list C is a (len, id)-ordered array of these
+// values, and each list's scan builds the next list's C beside it.
 type sfCand struct {
-	id      collection.SetID
-	len     float64
-	lower   float64
-	seenCur bool // surfaced in the list currently being scanned
-	dead    bool
+	id    collection.SetID
+	len   float64
+	lower float64
 }
 
 // selectSF is Algorithm 3. Lists are processed in decreasing idf order
@@ -26,9 +24,16 @@ type sfCand struct {
 // cutoff λᵢ = Σ_{j≥i} idf² / (τ·len(q)) (Eq. 2) bounds the length of any
 // *new* viable candidate, and the scan extends past min(λᵢ, len(q)/τ)
 // only as far as the longest still-viable candidate, whose score must be
-// completed. Candidates live in a single (len, id)-sorted index slice
-// that is merged with each list's new arrivals — one cheap sweep per
-// list.
+// completed.
+//
+// C and every list share the (len, id) order (Order Preservation), so one
+// merge pass per list does all the candidate work: a merge pointer walks C
+// beside the scan, the frontier posting is an old candidate exactly when
+// it is the entry under the pointer, and the next list's C is built as the
+// scan moves — every old candidate the frontier passes that is still
+// viable, and every admitted posting, appended where it stands. A
+// candidate dropped from C never needs remembering: its upper bound missed
+// τ, and the admission test of every later list is no easier (§9).
 func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -47,10 +52,9 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 		lambda[i] = suffix[i] / (tauP * q.Len)
 	}
 
-	s.sf = s.sf[:0]
-	s.tbl.reset()
-	c := s.i0[:0] // sorted by (len, id); the paper's candidate list C
-
+	// C, and the next list's C while a scan builds it; both in (len, id)
+	// order.
+	c, next := s.sfc[:0], s.sfn[:0]
 	for i := range lists {
 		l := &lists[i]
 		if len(c) == 0 && lambda[i] < lo {
@@ -64,43 +68,37 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			mu = hi
 		}
 
-		news := s.i1[:0]
-		mergePtr := 0            // first old candidate not yet passed
-		lastViable := len(c) - 1 // last alive old candidate
-		for lastViable >= 0 && s.sf[c[lastViable]].dead {
-			lastViable--
-		}
-
+		m := 0         // merge pointer: c[:m] is passed, its survivors are in next
+		lastOld := 0.0 // length of the last old candidate kept in next
 		for !l.done && l.valid() {
 			if cc.stop() {
-				s.i0, s.i1 = c, news
+				s.sfc, s.sfn = c, next
 				return nil, cc.err
 			}
 			p := l.posting()
 
-			// Resolve old candidates the scan has passed: unseen ones
-			// are absent from this list (Order Preservation), and any
-			// candidate's continued viability is lower + remaining
-			// suffix mass.
-			for mergePtr < len(c) && sfBefore(&s.sf[c[mergePtr]], p) {
-				cand := &s.sf[c[mergePtr]]
-				mergePtr++
-				if cand.dead {
-					continue
+			// Settle the old candidates the scan has passed: one not seen
+			// here is absent from this list (Order Preservation), and a
+			// candidate stays viable while lower + the remaining suffix
+			// mass meets τ.
+			for m < len(c) && sfBefore(&c[m], p) {
+				if sim.Meets(c[m].lower+suffix[i+1]/(q.Len*c[m].len), tau) {
+					next = append(next, c[m])
+					lastOld = c[m].len
 				}
-				if !sim.Meets(cand.lower+suffix[i+1]/(q.Len*cand.len), tau) {
-					cand.dead = true
-					for lastViable >= 0 && s.sf[c[lastViable]].dead {
-						lastViable--
-					}
-				}
+				m++
 			}
 
 			// Stop rule: nothing new past µᵢ can qualify, and nothing
-			// old past maxLen(C) needs completing.
-			bound := mu
-			if lastViable >= 0 && s.sf[c[lastViable]].len > bound {
-				bound = s.sf[c[lastViable]].len
+			// old past maxLen(C) needs completing. maxLen(C) is C's last
+			// entry until the pointer passes it, then the last old
+			// survivor; a newcomer never extends it.
+			bound, maxLen := mu, lastOld
+			if m < len(c) {
+				maxLen = c[len(c)-1].len
+			}
+			if maxLen > bound {
+				bound = maxLen
 			}
 			if p.Len > bound {
 				break
@@ -109,82 +107,48 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			// instead of reading up to it. NoSkipIndex, "read and discard
 			// instead of seek", keeps the paper's sequential completion.
 			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				if !completeSF(s, cc, l, c[mergePtr:], q.Len, suffix[i], tau, nil, nil, stats) {
-					s.i0, s.i1 = c, news
+				var ok bool
+				if next, ok = completeSF(cc, l, c[m:], next, q.Len, suffix[i], suffix[i+1], tau, nil, nil, stats); !ok {
+					s.sfc, s.sfn = c, next
 					return nil, cc.err
 				}
+				m = len(c)
 				break
 			}
 
 			stats.ElementsRead++
 			l.next()
 
-			if slot := s.tbl.get(p.ID); slot >= 0 {
-				cand := &s.sf[slot]
-				if !cand.dead && !cand.seenCur {
-					cand.lower += l.w(q.Len, p.Len)
-					cand.seenCur = true
-				}
+			if m < len(c) && c[m].id == p.ID {
+				c[m].lower += l.w(q.Len, p.Len)
 				continue
 			}
 			// New candidate: best case is appearing in every remaining
 			// list, Σ_{j≥i} idf²/(len(q)·len) — the λᵢ test of line 9.
 			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true})
-				slot := int32(len(s.sf) - 1)
-				s.tbl.put(p.ID, slot)
-				news = append(news, slot)
+				next = append(next, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len)})
 				stats.CandidatesInserted++
 			}
 		}
 
-		// End-of-list sweep (the paper's single candidate scan per
-		// list): resolve candidates the scan never reached, decide
-		// viability with the remaining suffix, merge in the new
-		// arrivals, and reset the seen flags.
+		// The paper's single candidate scan per list: the entries of C
+		// the scan never reached are tested here and carried into next.
 		stats.CandidateScans++
-		merged := s.i2[:0]
-		oi, ni := 0, 0
-		for oi < len(c) || ni < len(news) {
-			if cc.stop() {
-				s.i0, s.i1, s.i2 = c, news, merged
-				return nil, cc.err
-			}
-			var slot int32
-			if oi < len(c) && (ni >= len(news) || sfCandBefore(&s.sf[c[oi]], &s.sf[news[ni]])) {
-				slot = c[oi]
-				oi++
-				take := &s.sf[slot]
-				if take.dead {
-					continue
-				}
-				if !sim.Meets(take.lower+suffix[i+1]/(q.Len*take.len), tau) {
-					take.dead = true
-					continue
-				}
-			} else {
-				slot = news[ni]
-				ni++
-			}
-			s.sf[slot].seenCur = false
-			merged = append(merged, slot)
+		var ok bool
+		if next, ok = keepViable(cc, c[m:], next, q.Len, suffix[i+1], tau); !ok {
+			s.sfc, s.sfn = c, next
+			return nil, cc.err
 		}
-		// Rotate the index buffers: merged becomes C; the old C's
-		// backing array is reused for the next merge target.
-		old := c
-		c = merged
-		s.i1 = news
-		s.i2 = old[:0]
+		c, next = next, c[:0]
 	}
 
 	out := s.results[:0]
-	for _, slot := range c {
-		cand := &s.sf[slot]
-		if !cand.dead && sim.Meets(cand.lower, tau) {
+	for _, cand := range c {
+		if sim.Meets(cand.lower, tau) {
 			out = append(out, Result{ID: cand.id, Score: cand.lower})
 		}
 	}
-	s.i0 = c
+	s.sfc, s.sfn = c, next
 	s.results = out
 	return out, listsErr(lists)
 }
@@ -195,38 +159,33 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 // and the paper's SF reads on only to complete the candidates it already
 // holds, a few of which lie among very many postings of no interest. The
 // unpassed tail of C, rest, and the list are both in (len, id) order, so
-// completeSF intersects them by seeking the list to each live candidate
-// in turn. A candidate that misses τ even with this list's full weight
+// completeSF intersects them by seeking the list to each candidate in
+// turn. A candidate that misses τ even with this list's full weight, mass,
 // is dropped unsought; one found receives the summand the sequential scan
 // would have added, so scores are bitwise the same; the candidates the
-// list ends before are absent from it. Viability against the remaining
-// lists is left to the caller's end-of-list sweep, which tests every
-// survivor. tau is the fixed threshold of a selection; with bound set it
-// is the rising top-k threshold instead, re-read for every candidate and
-// offered each completed lower bound. Reports false when cancelled.
-func completeSF(s *queryScratch, cc *canceller, l *listState, rest []int32, lenQ, mass, tau float64, bound *kthBound, shared *sharedTau, stats *Stats) bool {
+// list ends before are absent from it. Each settled candidate is appended
+// to next when it stays viable against the remaining lists' mass, after.
+// tau is the fixed threshold of a selection; with bound set it is the
+// rising top-k threshold instead, re-read for every candidate and offered
+// each completed lower bound. Reports false when cancelled.
+func completeSF(cc *canceller, l *listState, rest, next []sfCand, lenQ, mass, after, tau float64, bound *kthBound, shared *sharedTau, stats *Stats) ([]sfCand, bool) {
 	charged := l.pos
-	for _, slot := range rest {
+	for j, cand := range rest {
 		if cc.stop() {
-			return false
-		}
-		cand := &s.sf[slot]
-		if cand.dead {
-			continue
+			return next, false
 		}
 		if bound != nil {
 			tau = liveTau(bound, shared)
 		}
 		if !sim.Meets(cand.lower+mass/(lenQ*cand.len), tau) {
-			cand.dead = true
 			continue
 		}
 		if !l.seekTo(cc, cand.len, cand.id, &charged, stats) {
-			return false
+			return next, false
 		}
 		p, ok := l.frontier()
 		if !ok {
-			break
+			return keepViable(cc, rest[j:], next, lenQ, after, tau)
 		}
 		if p.ID == cand.id {
 			cand.lower += l.w(lenQ, p.Len)
@@ -234,8 +193,27 @@ func completeSF(s *queryScratch, cc *canceller, l *listState, rest []int32, lenQ
 				offerShared(bound, shared, cand.id, cand.lower)
 			}
 		}
+		if sim.Meets(cand.lower+after/(lenQ*cand.len), tau) {
+			next = append(next, cand)
+		}
 	}
-	return true
+	return next, true
+}
+
+// keepViable ends a list for the candidates of C its scan never reached.
+// They are absent from the list (Order Preservation), so each is appended
+// to next exactly when lower plus the remaining lists' mass, after, still
+// meets τ. Reports false when cancelled.
+func keepViable(cc *canceller, rest, next []sfCand, lenQ, after, tau float64) ([]sfCand, bool) {
+	for _, cand := range rest {
+		if cc.stop() {
+			return next, false
+		}
+		if sim.Meets(cand.lower+after/(lenQ*cand.len), tau) {
+			next = append(next, cand)
+		}
+	}
+	return next, true
 }
 
 // sfBefore reports whether candidate cand precedes posting position p in
@@ -245,11 +223,4 @@ func sfBefore(cand *sfCand, p invlist.Posting) bool {
 		return cand.len < p.Len
 	}
 	return cand.id < p.ID
-}
-
-func sfCandBefore(a, b *sfCand) bool {
-	if a.len != b.len {
-		return a.len < b.len
-	}
-	return a.id < b.id
 }

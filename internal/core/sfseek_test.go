@@ -296,16 +296,14 @@ func TestSFCompletionSeeks(t *testing.T) {
 					}
 					return l
 				}
-				s := &queryScratch{}
 				l := open()
-				var rest []int32
+				var rest []sfCand
 				for id := tc.every; id < n; id += tc.every {
-					s.sf = append(s.sf, sfCand{id: collection.SetID(id), len: c.Length(collection.SetID(id))})
-					rest = append(rest, int32(len(s.sf)-1))
+					rest = append(rest, sfCand{id: collection.SetID(id), len: c.Length(collection.SetID(id))})
 				}
 				cc := &canceller{ctx: ctx, n: 1}
 				var st Stats
-				done := completeSF(s, cc, &l, rest, 1, tok.IDFSq, minPositiveTau, nil, nil, &st)
+				kept, done := completeSF(cc, &l, rest, nil, 1, tok.IDFSq, 0, minPositiveTau, nil, nil, &st)
 
 				last := collection.SetID(n - 1)
 				rs, rl := &queryScratch{}, open()
@@ -332,9 +330,12 @@ func TestSFCompletionSeeks(t *testing.T) {
 				if !done || cc.err != nil {
 					t.Fatalf("%s: completion stopped without a cancel (done=%v, err=%v)", tc.name, done, cc.err)
 				}
-				for _, slot := range rest {
-					if s.sf[slot].lower <= 0 {
-						t.Fatalf("%s: candidate %d was not completed", tc.name, s.sf[slot].id)
+				if len(kept) != len(rest) {
+					t.Fatalf("%s: %d of %d candidates kept", tc.name, len(kept), len(rest))
+				}
+				for i, cand := range kept {
+					if cand.id != rest[i].id || cand.lower <= 0 {
+						t.Fatalf("%s: candidate %d was not completed", tc.name, rest[i].id)
 					}
 				}
 				if st.ElementsRead+st.ElementsSkipped > n {

@@ -136,6 +136,62 @@ func TestEventDrivenAccessPattern(t *testing.T) {
 	}
 }
 
+// TestSFAccessPattern pins Shortest-First's access pattern — postings
+// read and skipped, candidates admitted, candidate scans — over the
+// TestPruningOrdering queries, for selection and top-k, with and without
+// the skip index. How C is stored and merged must not move any of these
+// counts: they fix which postings are read and which candidates are
+// admitted. A membership test on length alone,
+// instead of the id under the merge pointer, misattributes length ties
+// and changes the admissions here.
+func TestSFAccessPattern(t *testing.T) {
+	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
+	type sums struct{ read, skipped, inserted, scans int }
+	recorded := map[bool]map[string]sums{
+		false: {
+			"τ=0.5": {4405, 768, 2462, 134}, "τ=0.8": {2306, 1704, 708, 134},
+			"k=1": {3667, 999, 2449, 134}, "k=10": {5634, 251, 3754, 134},
+		},
+		true: {
+			"τ=0.5": {4967, 0, 2462, 134}, "τ=0.8": {3601, 0, 708, 134},
+			"k=1": {4628, 0, 2449, 134}, "k=10": {5863, 0, 3754, 134},
+		},
+	}
+	for _, paper := range []bool{false, true} {
+		o := &Options{NoSkipIndex: paper}
+		got := map[string]sums{}
+		add := func(key string, st Stats, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := got[key]
+			s.read += st.ElementsRead
+			s.skipped += st.ElementsSkipped
+			s.inserted += st.CandidatesInserted
+			s.scans += st.CandidateScans
+			got[key] = s
+		}
+		rng := rand.New(rand.NewSource(6))
+		for trial := 0; trial < 15; trial++ {
+			qid := collection.SetID(rng.Intn(e.c.NumSets()))
+			q := e.PrepareCounts(e.c.Set(qid))
+			for _, tau := range []float64{0.5, 0.8} {
+				_, st, err := e.Select(q, tau, SF, o)
+				add(fmt.Sprintf("τ=%g", tau), st, err)
+			}
+			for _, k := range []int{1, 10} {
+				_, st, err := e.SelectTopK(q, k, SF, o)
+				add(fmt.Sprintf("k=%d", k), st, err)
+			}
+		}
+		for key, want := range recorded[paper] {
+			if got[key] != want {
+				t.Errorf("SF %s NoSkipIndex=%v: {read skipped inserted scans} = %v, want %v", key, paper, got[key], want)
+			}
+		}
+	}
+}
+
 // TestLengthBoundingEffect mirrors Fig. 8: disabling Theorem 1 must
 // increase elements read for the improved algorithms.
 func TestLengthBoundingEffect(t *testing.T) {

@@ -205,6 +205,12 @@ func (b *kthBound) offer(id collection.SetID, score float64) {
 		}
 		return
 	}
+	b.offerNew(id, score)
+}
+
+// offerNew is offer for an id never offered since reset, which cannot be
+// in the heap, so the position-map lookup is skipped.
+func (b *kthBound) offerNew(id collection.SetID, score float64) {
 	if len(b.scores) < b.k {
 		b.ids = append(b.ids, id)
 		b.scores = append(b.scores, score)
@@ -241,10 +247,10 @@ func offerShared(b *kthBound, shared *sharedTau, id collection.SetID, score floa
 // topkSF runs Shortest-First with the rising bound: per-list cutoffs λᵢ
 // and viability tests are re-evaluated against the current τ, which
 // tightens as candidate lower bounds accumulate. The candidate machinery
-// is the same slab-and-index-slice layout as selectSF. A posting lv
-// reports tombstoned is tested once, when it would become a candidate:
-// it takes a dead slot in the id-table, which its later postings fall
-// through, and never reaches the bound, C or the results.
+// is selectSF's one merge pass per list, each viability test reading the
+// τ current when its candidate is passed. A posting lv reports tombstoned
+// is refused each time it would become a candidate, so it never reaches
+// the bound, C or the results.
 func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *liveView, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, o, stats) // no static Theorem 1 window: τ starts at ~0
 	n := len(lists)
@@ -256,125 +262,84 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 
 	bound := &s.kth
 	bound.reset(k)
-	s.sf = s.sf[:0]
-	s.tbl.reset()
-	c := s.i0[:0]
+	c, next := s.sfc[:0], s.sfn[:0]
 
 	for i := range lists {
 		l := &lists[i]
-		news := s.i1[:0]
-		mergePtr := 0
-		lastViable := len(c) - 1
-		for lastViable >= 0 && s.sf[c[lastViable]].dead {
-			lastViable--
-		}
+		m, lastOld := 0, 0.0
 		for !l.done && l.valid() {
 			if cc.stop() {
-				s.i0, s.i1 = c, news
+				s.sfc, s.sfn = c, next
 				return nil, cc.err
 			}
 			p := l.posting()
 			tau := liveTau(bound, shared)
 			hi := q.Len / effTau(tau)
-			for mergePtr < len(c) && sfBefore(&s.sf[c[mergePtr]], p) {
-				cand := &s.sf[c[mergePtr]]
-				mergePtr++
-				if cand.dead {
-					continue
+			for m < len(c) && sfBefore(&c[m], p) {
+				if sim.Meets(c[m].lower+suffix[i+1]/(q.Len*c[m].len), tau) {
+					next = append(next, c[m])
+					lastOld = c[m].len
 				}
-				if !sim.Meets(cand.lower+suffix[i+1]/(q.Len*cand.len), tau) {
-					cand.dead = true
-					for lastViable >= 0 && s.sf[c[lastViable]].dead {
-						lastViable--
-					}
-				}
+				m++
 			}
 			mu := suffix[i] / (effTau(tau) * q.Len)
 			if hi < mu {
 				mu = hi
 			}
-			stop := mu
-			if lastViable >= 0 && s.sf[c[lastViable]].len > stop {
-				stop = s.sf[c[lastViable]].len
+			stop, maxLen := mu, lastOld
+			if m < len(c) {
+				maxLen = c[len(c)-1].len
+			}
+			if maxLen > stop {
+				stop = maxLen
 			}
 			if p.Len > stop {
 				break
 			}
 			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				if !completeSF(s, cc, l, c[mergePtr:], q.Len, suffix[i], tau, bound, shared, stats) {
-					s.i0, s.i1 = c, news
+				var ok bool
+				if next, ok = completeSF(cc, l, c[m:], next, q.Len, suffix[i], suffix[i+1], tau, bound, shared, stats); !ok {
+					s.sfc, s.sfn = c, next
 					return nil, cc.err
 				}
+				m = len(c)
 				break
 			}
 			stats.ElementsRead++
 			l.next()
-			if slot := s.tbl.get(p.ID); slot >= 0 {
-				cand := &s.sf[slot]
-				if !cand.dead && !cand.seenCur {
-					cand.lower += l.w(q.Len, p.Len)
-					cand.seenCur = true
-					offerShared(bound, shared, cand.id, cand.lower)
-				}
+			if m < len(c) && c[m].id == p.ID {
+				c[m].lower += l.w(q.Len, p.Len)
+				offerShared(bound, shared, p.ID, c[m].lower)
 				continue
 			}
-			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				dead := lv.dead(p.ID)
-				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true, dead: dead})
-				slot := int32(len(s.sf) - 1)
-				s.tbl.put(p.ID, slot)
-				if dead {
-					continue
+			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) && !lv.dead(p.ID) {
+				w := l.w(q.Len, p.Len)
+				next = append(next, sfCand{id: p.ID, len: p.Len, lower: w})
+				bound.offerNew(p.ID, w)
+				if shared != nil {
+					shared.raise(bound.tau())
 				}
-				news = append(news, slot)
-				offerShared(bound, shared, p.ID, s.sf[slot].lower)
 				stats.CandidatesInserted++
 			}
 		}
 
 		stats.CandidateScans++
-		tau := liveTau(bound, shared)
-		merged := s.i2[:0]
-		oi, ni := 0, 0
-		for oi < len(c) || ni < len(news) {
-			if cc.stop() {
-				s.i0, s.i1, s.i2 = c, news, merged
-				return nil, cc.err
-			}
-			var slot int32
-			if oi < len(c) && (ni >= len(news) || sfCandBefore(&s.sf[c[oi]], &s.sf[news[ni]])) {
-				slot = c[oi]
-				oi++
-				take := &s.sf[slot]
-				if take.dead {
-					continue
-				}
-				if !sim.Meets(take.lower+suffix[i+1]/(q.Len*take.len), tau) {
-					take.dead = true
-					continue
-				}
-			} else {
-				slot = news[ni]
-				ni++
-			}
-			s.sf[slot].seenCur = false
-			merged = append(merged, slot)
+		var ok bool
+		if next, ok = keepViable(cc, c[m:], next, q.Len, suffix[i+1], liveTau(bound, shared)); !ok {
+			s.sfc, s.sfn = c, next
+			return nil, cc.err
 		}
-		old := c
-		c = merged
-		s.i1 = news
-		s.i2 = old[:0]
+		c, next = next, c[:0]
 	}
 
 	tau := liveTau(bound, shared)
 	out := s.results[:0]
-	for _, slot := range c {
-		cand := &s.sf[slot]
-		if !cand.dead && sim.Meets(cand.lower, tau) {
+	for _, cand := range c {
+		if sim.Meets(cand.lower, tau) {
 			out = append(out, Result{ID: cand.id, Score: cand.lower})
 		}
 	}
-	s.i0 = c
+	s.sfc, s.sfn = c, next
 	s.results = out
 	return out, listsErr(lists)
 }
