@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/invlist"
 	"repro/internal/tokenize"
 )
 
@@ -107,6 +109,24 @@ func BenchmarkSelectWarmINRAManyCandidates(b *testing.B) {
 func BenchmarkSelectWarmHybridManyCandidates(b *testing.B) {
 	e, qs := getBenchClustered(b)
 	benchSelectWarmOn(b, e, qs, Hybrid, 0.8, nil)
+}
+
+// BenchmarkSelectWarmINRAFileStore is BenchmarkSelectWarmINRAManyCandidates
+// over the clustered corpus's list file: the cursor path of listState,
+// whose every move reloads the head through Valid and Posting.
+func BenchmarkSelectWarmINRAFileStore(b *testing.B) {
+	mem, qs := getBenchClustered(b)
+	path := filepath.Join(b.TempDir(), "lists.ssidx")
+	if err := invlist.WriteFile(path, mem.c, 0); err != nil {
+		b.Fatal(err)
+	}
+	fs, err := invlist.OpenFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	e := NewEngine(mem.c, Config{Store: fs, NoHashes: true, NoRelational: true})
+	benchSelectWarmOn(b, e, qs, INRA, 0.8, nil)
 }
 
 func BenchmarkSelectWarmINRALowTau(b *testing.B) { benchSelectWarm(b, INRA, 0.5) }

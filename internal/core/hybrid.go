@@ -59,7 +59,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 		popped := false
 		for i := range lists {
 			l := &lists[i]
-			if l.done {
+			if l.ended() {
 				continue
 			}
 			if cc.stop() {
@@ -78,7 +78,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 			}
 			p, ok := l.frontier()
 			if !ok || p.Len > hi {
-				l.done = true
+				l.finish()
 			} else {
 				need := mu[i]
 				if m := s.maxLiveLen(); m > need {
@@ -105,8 +105,8 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 		stats.Rounds++
 
 		if !popped {
-			// Every list is done or paused beyond maxLen(C): its pointer
-			// has passed every candidate, so all of them are settled
+			// Every list has ended or is paused beyond maxLen(C): its
+			// pointer has passed every candidate, so all of them are settled
 			// (Order Preservation), and no unseen element can qualify
 			// (the λ argument).
 			return out, listsErr(lists)

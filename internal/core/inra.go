@@ -60,14 +60,11 @@ func (c *impCand) resolveSeen(i int, idfSq, w float64) {
 }
 
 // ruledOut applies Order Preservation (Property 1): candidate (len, id)
-// is definitively absent from list l if l is done, or if l's frontier has
-// advanced past the position (len, id) in weight-list order.
+// is definitively absent from list l if l's frontier has advanced past
+// the position (len, id) in weight-list order — which an ended list's
+// endOfList head always has.
 func ruledOut(l *listState, len float64, id collection.SetID) bool {
-	p, ok := l.frontier()
-	if !ok {
-		return true
-	}
-	return !beforeOrAt(p, len, id)
+	return !beforeOrAt(l.head, len, id)
 }
 
 // resolveAbsences applies Order Preservation to every still-unresolved
@@ -93,34 +90,41 @@ func resolveAbsences(c *impCand, lists []listState) {
 // lists). When the best case reaches τ the candidate is appended to the
 // scratch's impCand slab, indexed in the scratch id-table, and its slab
 // slot returned; a hopeless posting returns -1 with nothing retained.
+// The test runs on locals before any candidate is built, since most
+// postings it sees are rejected; it is upper()'s expression, so the
+// verdict is bitwise the same. Over more than 64 lists the mask's
+// overflow words are carved before the test, and a rejected posting
+// leaves them unused in the arena.
 //
 //ssvet:hot
 func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q Query, tau float64) int32 {
-	c := impCand{
-		id:       p.ID,
-		len:      p.Len,
-		resolved: s.newCandMask(len(lists)),
-	}
+	resolved := s.newCandMask(len(lists))
+	resolved.Set(seenIn)
+	nResolved := 1
 	var possible float64
 	for j := range lists {
 		if j == seenIn {
 			continue
 		}
 		if ruledOut(&lists[j], p.Len, p.ID) {
-			c.resolved.Set(j)
-			c.nResolved++
+			resolved.Set(j)
+			nResolved++
 			continue
 		}
 		possible += lists[j].idfSq
 	}
-	c.remIdfSq = possible
-	c.resolved.Set(seenIn)
-	c.nResolved++
-	c.lower = lists[seenIn].w(q.Len, p.Len)
-	if !sim.Meets(c.upper(q.Len), tau) {
+	lower := lists[seenIn].w(q.Len, p.Len)
+	if !sim.Meets(lower+possible/(q.Len*p.Len), tau) {
 		return -1
 	}
-	s.imp = append(s.imp, c)
+	s.imp = append(s.imp, impCand{
+		id:        p.ID,
+		len:       p.Len,
+		lower:     lower,
+		resolved:  resolved,
+		nResolved: nResolved,
+		remIdfSq:  possible,
+	})
 	slot := int32(len(s.imp) - 1)
 	s.tbl.put(p.ID, slot)
 	return slot
@@ -131,7 +135,7 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 // weight list is stored in — and each list j owns a merge pointer s.ptr[j]
 // into it: ord[:ptr[j]] are candidates j's frontier has passed and that
 // are settled with respect to j, ord[ptr[j]:] everything it has yet to
-// pass (nothing once j is done). Property 1 then decides a candidate's
+// pass (nothing once j has ended). Property 1 then decides a candidate's
 // absence from j once, at the moment the frontier moves past it, instead
 // of a sweep re-deriving every absence every round. It is SF's merge
 // pointer, one per list because round-robin advances all lists at once.
@@ -167,9 +171,9 @@ func (s *queryScratch) pop(l *listState, j int, stats *Stats) {
 // posting by posting it seeks there (listState.seekTo, as SF does past
 // µᵢ): the target is the first live entry of ord from ptr[j] on that the
 // frontier has not passed — never one behind it, which a cursor's SeekLen
-// could not rewind to. With none left the list is done. The caller's pop
-// then reads the posting the seek lands on, an exact hit resolving the
-// candidate as seen, and passCandidates settles everything the seek
+// could not rewind to. With none left the list is finished. The caller's
+// pop then reads the posting the seek lands on, an exact hit resolving
+// the candidate as seen, and passCandidates settles everything the seek
 // jumped over. Reports false when cancelled.
 //
 //ssvet:hot
@@ -187,7 +191,7 @@ func (s *queryScratch) seekCandidate(cc *canceller, l *listState, j int, stats *
 			return l.seekTo(cc, c.len, c.id, &s.chg[j], stats)
 		}
 	}
-	l.done = true
+	l.finish()
 	return true
 }
 
@@ -268,18 +272,19 @@ func (e *Engine) settle(s *queryScratch, q Query, tau float64, c *impCand, n int
 }
 
 // passCandidates advances list j's pointer over the candidates its
-// frontier has passed; call it after every pop and every done transition
-// of j. Each live one is marked absent from j unless it was seen there,
-// and settled. It returns false when the query was cancelled.
+// frontier has passed — all of them once j has ended; call it after every
+// move and every finish of j. Each live one is marked absent from j unless
+// it was seen there, and settled. It returns false when the query was
+// cancelled.
 //
 //ssvet:hot
 func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listState, j int, q Query, tau float64, out []Result) ([]Result, bool) {
 	l := &lists[j]
-	p, open := l.frontier()
+	p := l.head
 	k := int(s.ptr[j])
 	for ; k < len(s.ord); k++ {
 		c := &s.imp[s.ord[k]]
-		if open && beforeOrAt(p, c.len, c.id) {
+		if beforeOrAt(p, c.len, c.id) {
 			break
 		}
 		if c.dead {
@@ -297,10 +302,11 @@ func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listStat
 
 // frontierBound is F, the best score a set not yet seen in any list could
 // still reach: the frontier weights of the lists inside the length window.
+// An ended list's endOfList head lies outside every window.
 func frontierBound(lists []listState, lenQ, hi float64) float64 {
 	var f float64
 	for i := range lists {
-		if p, ok := lists[i].frontier(); ok && p.Len <= hi {
+		if p := lists[i].head; p.Len <= hi {
 			f += lists[i].w(lenQ, p.Len)
 		}
 	}
@@ -338,7 +344,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 		alive := false
 		for i := range lists {
 			l := &lists[i]
-			if l.done {
+			if l.ended() {
 				continue
 			}
 			if cc.stop() {
@@ -352,7 +358,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 				s.pop(l, i, stats)
 			}
 			if !ok || p.Len > hi {
-				l.done = true
+				l.finish()
 			} else {
 				alive = true
 				if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
@@ -373,7 +379,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 			if alive && sim.Meets(frontierBound(lists, q.Len, hi), tau) {
 				continue // scanning is pointless while F ≥ τ (§V)
 			}
-			// F < τ (or every list is done): no new candidate can qualify.
+			// F < τ (or every list has ended): no new candidate can qualify.
 			// NoSkipIndex, "read and discard instead of seek", keeps the
 			// paper's sequential round-robin to the end.
 			admitNew = false

@@ -62,7 +62,6 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 			}
 			p, ok := l.frontier()
 			if !ok {
-				l.done = true
 				fw[i] = 0
 				continue
 			}

@@ -149,7 +149,7 @@ func (d *orderDriver) pop(i int) {
 		l.next()
 	}
 	if !ok || p.Len > d.hi {
-		l.done = true
+		l.finish()
 	} else if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
 		s.imp[slot].resolveSeen(i, l.idfSq, l.w(d.q.Len, p.Len))
 	} else {
@@ -164,7 +164,8 @@ func (d *orderDriver) pop(i int) {
 		}
 	}
 	// A pop that leaves nothing inside the window ends the list as far as
-	// the candidates are concerned (the next visit marks it done).
+	// the candidates are concerned (one left past the window is finished
+	// on its next visit).
 	if np, more := l.frontier(); !more || np.Len > d.hi {
 		for _, slot := range s.ord {
 			if c := &s.imp[slot]; !c.dead && !c.resolved.Has(i) {
@@ -236,15 +237,15 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 		// gets its turn.
 		open := 0
 		for i := range d.lists {
-			if !d.lists[i].done {
+			if !d.lists[i].ended() {
 				open++
 			}
 		}
 		for open > 0 {
 			i := rng.Intn(len(d.lists))
-			for burst := 1 + rng.Intn(6); burst > 0 && !d.lists[i].done; burst-- {
+			for burst := 1 + rng.Intn(6); burst > 0 && !d.lists[i].ended(); burst-- {
 				d.pop(i)
-				if d.lists[i].done {
+				if d.lists[i].ended() {
 					open--
 				}
 			}

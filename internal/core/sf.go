@@ -70,12 +70,11 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 
 		m := 0         // merge pointer: c[:m] is passed, its survivors are in next
 		lastOld := 0.0 // length of the last old candidate kept in next
-		for !l.done && l.valid() {
+		for p, ok := l.frontier(); ok; p, ok = l.frontier() {
 			if cc.stop() {
 				s.sfc, s.sfn = c, next
 				return nil, cc.err
 			}
-			p := l.posting()
 
 			// Settle the old candidates the scan has passed: one not seen
 			// here is absent from this list (Order Preservation), and a

@@ -289,11 +289,8 @@ func TestSFCompletionSeeks(t *testing.T) {
 		}{{"mem", mem, 3}, {"file", fs, n - 1}} {
 			for _, ctx := range []context.Context{context.Background(), cancelled} {
 				open := func() listState {
-					cur := tc.store.WeightCursor(tok.Token)
-					l := listState{cur: cur, idfSq: tok.IDFSq}
-					if list, pos, ok := invlist.RawPostings(cur); ok {
-						l.mem, l.pos = list, pos
-					}
+					l := listState{cur: tc.store.WeightCursor(tok.Token), idfSq: tok.IDFSq}
+					l.attach()
 					return l
 				}
 				l := open()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -56,8 +57,33 @@ func TestMassiveLengthTies(t *testing.T) {
 }
 
 // TestWideQueries exercises queries with more than 64 distinct tokens so
-// the candidates' multi-word list masks are covered.
+// the candidates' multi-word list masks are covered: random 2-gram
+// queries, and one word query built so that every candidate is admitted
+// with lists past the first 64 already ruled out. iNRA's and Hybrid's
+// reads and admissions, summed over the queries, are pinned as well.
 func TestWideQueries(t *testing.T) {
+	work := map[Algorithm][2]int{}
+	check := func(e *Engine, q Query) {
+		t.Helper()
+		for _, tau := range []float64{0.5, 0.8} {
+			want, _, err := e.Select(q, tau, Naive, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range Algorithms() {
+				got, st, err := e.Select(q, tau, alg, nil)
+				if err != nil {
+					t.Fatalf("%v: %v", alg, err)
+				}
+				assertSameResults(t, e, q, tau, alg, got, want)
+				if alg == INRA || alg == Hybrid {
+					w := work[alg]
+					work[alg] = [2]int{w[0] + st.ElementsRead, w[1] + st.CandidatesInserted}
+				}
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(72))
 	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 2}, true)
 	for i := 0; i < 400; i++ {
@@ -71,23 +97,52 @@ func TestWideQueries(t *testing.T) {
 	e := NewEngine(b.Build(), Config{})
 	for trial := 0; trial < 8; trial++ {
 		qid := collection.SetID(rng.Intn(e.c.NumSets()))
-		q := e.PrepareCounts(e.c.Set(qid))
-		if len(q.Tokens) <= 64 {
-			continue
+		if q := e.PrepareCounts(e.c.Set(qid)); len(q.Tokens) > 64 {
+			check(e, q)
 		}
-		for _, tau := range []float64{0.5, 0.8} {
-			want, _, err := e.Select(q, tau, Naive, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, alg := range Algorithms() {
-				got, _, err := e.Select(q, tau, alg, nil)
-				if err != nil {
-					t.Fatalf("%v: %v", alg, err)
-				}
-				assertSameResults(t, e, q, tau, alg, got, want)
+	}
+
+	// The query is 64 rare words and 6 common ones, which sort last. The
+	// common words fill 200 short documents below the length window, and
+	// inside it they occur only in the query document. The rare words also
+	// share 20 near copies of it, each missing two of them, which are
+	// shorter and so come first in every list. A rare list's near copy is
+	// thus admitted while every common list's frontier is the query
+	// document, already past it: lists 64–69 are ruled out at admission.
+	var rare []string
+	for i := 0; i < 64; i++ {
+		rare = append(rare, fmt.Sprintf("r%d", i))
+	}
+	common := "c0 c1 c2 c3 c4 c5"
+	wb := collection.NewBuilder(tokenize.WordTokenizer{}, true)
+	for i := 0; i < 200; i++ {
+		wb.Add(fmt.Sprintf("%s f%d", common, i))
+	}
+	for i := 0; i < 20; i++ {
+		var words []string
+		for k, w := range rare {
+			if k != i && k != (7*i+3)%64 {
+				words = append(words, w)
 			}
 		}
+		wb.Add(strings.Join(words, " "))
+	}
+	query := strings.Join(rare, " ") + " " + common
+	wb.Add(query)
+	we := NewEngine(wb.Build(), Config{})
+	if q := we.Prepare(query); len(q.Tokens) != 70 {
+		t.Fatalf("word query has %d tokens, want 70", len(q.Tokens))
+	} else {
+		check(we, q)
+	}
+
+	// The answers alone need not notice admission bookkeeping that goes
+	// wrong past the first 64 lists, only the work does.
+	if want := [2]int{21721, 743}; work[INRA] != want {
+		t.Errorf("iNRA summed {read, inserted} = %v, want %v", work[INRA], want)
+	}
+	if want := [2]int{21736, 743}; work[Hybrid] != want {
+		t.Errorf("Hybrid summed {read, inserted} = %v, want %v", work[Hybrid], want)
 	}
 }
 

@@ -9,63 +9,82 @@ import (
 )
 
 // listState is the per-list scan state shared by the sorted-access
-// algorithms: a weight-sorted cursor plus liveness bookkeeping. For
-// MemStore cursors the raw posting slice is captured once at open time
-// (mem/pos), so the per-posting hot loop is an indexed slice read with
-// no interface dispatch; disk-backed cursors fall back to the Cursor
-// interface.
+// algorithms: a weight-sorted cursor plus its frontier. For MemStore
+// cursors the raw posting slice is captured once at open time (mem/pos),
+// so the per-posting hot loop is an indexed slice read with no interface
+// dispatch; disk-backed cursors fall back to the Cursor interface.
+//
+// head is the frontier itself, kept as a field the way mergeEntry.head is
+// the merge's: the next unread posting, or endOfList once the list has
+// ended — run out, or finished by its algorithm. Every move reloads it,
+// so the Order Preservation tests that read it on every admission are
+// plain loads. A finished list is never moved again: a move would reload
+// head and bring the list back.
 type listState struct {
 	cur   invlist.Cursor
 	mem   []invlist.Posting // raw in-memory list; nil → interface path
 	pos   int               // current index into mem
 	idfSq float64
-	// done means no further postings will be read: the list is exhausted
-	// or its frontier crossed the Theorem 1 upper length bound.
-	done bool
+	head  invlist.Posting
 }
 
-// valid reports whether an unread posting remains.
-func (l *listState) valid() bool {
-	if l.mem != nil {
-		return l.pos < len(l.mem)
+// endOfList is the head of an ended list. Its infinite length lies past
+// every position, so Order Preservation rules every candidate out of the
+// list, and it fails every frontier bound's p.Len ≤ hi.
+var endOfList = invlist.Posting{Len: math.Inf(1)}
+
+// attach takes up the cursor at its current position: its raw slice, when
+// it has one, and its head.
+func (l *listState) attach() {
+	list, pos, ok := invlist.RawPostings(l.cur)
+	if !ok {
+		l.load()
+		return
 	}
-	return l.cur.Valid()
+	l.mem, l.pos = list, pos
+	if pos < len(list) {
+		l.head = list[pos]
+	} else {
+		l.head = endOfList
+	}
 }
 
-// posting returns the current entry; the list must be valid.
-func (l *listState) posting() invlist.Posting {
-	if l.mem != nil {
-		return l.mem[l.pos]
+// load sets head from the cursor interface. The raw-slice paths set it
+// inline: a call per posting there costs SF measurably.
+func (l *listState) load() {
+	if l.cur.Valid() {
+		l.head = l.cur.Posting()
+	} else {
+		l.head = endOfList
 	}
-	return l.cur.Posting()
 }
 
 // next advances to the following entry.
 func (l *listState) next() {
 	if l.mem != nil {
 		l.pos++
+		if l.pos < len(l.mem) {
+			l.head = l.mem[l.pos]
+		} else {
+			l.head = endOfList
+		}
 		return
 	}
 	l.cur.Next()
+	l.load()
 }
 
-// frontier returns the next unread posting. ok is false when the list is
-// done or exhausted.
+// finish ends the list: no further posting of it will be read.
+func (l *listState) finish() { l.head = endOfList }
+
+// frontier returns the next unread posting. ok is false once the list has
+// ended.
 func (l *listState) frontier() (invlist.Posting, bool) {
-	if l.done {
-		return invlist.Posting{}, false
-	}
-	if l.mem != nil {
-		if l.pos < len(l.mem) {
-			return l.mem[l.pos], true
-		}
-		return invlist.Posting{}, false
-	}
-	if !l.cur.Valid() {
-		return invlist.Posting{}, false
-	}
-	return l.cur.Posting(), true
+	return l.head, l.head.Len <= math.MaxFloat64
 }
+
+// ended reports whether the list has ended.
+func (l *listState) ended() bool { return l.head.Len > math.MaxFloat64 }
 
 // seekTo advances the list to the first posting at or after position
 // (setLen, id) in weight order and reports false when cancelled. It only
@@ -88,11 +107,13 @@ func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, c
 		stats.ElementsRead += walked
 		for l.cur.Valid() && precedes(l.cur.Posting(), setLen, id) {
 			if cc.stop() {
+				l.load()
 				return false
 			}
 			stats.ElementsRead++
 			l.cur.Next()
 		}
+		l.load()
 		return true
 	}
 	// Everything below lo precedes the target; the answer is in [lo, hi].
@@ -132,6 +153,11 @@ func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, c
 		}
 	}
 	l.pos = lo
+	if lo < len(list) {
+		l.head = list[lo]
+	} else {
+		l.head = endOfList
+	}
 	top = max(top, lo)
 	stats.ElementsSkipped += top - old - (stats.ElementsRead - read)
 	*charged = top
@@ -182,7 +208,6 @@ func (e *Engine) openLists(s *queryScratch, cc *canceller, q Query, lo float64, 
 			cur = e.store.WeightCursor(qt.Token)
 		}
 		s.wcurs[i] = cur
-		l := listState{cur: cur, idfSq: qt.IDFSq}
 		if lo > 0 {
 			if o.NoSkipIndex {
 				for cur.Valid() && cur.Posting().Len < lo {
@@ -198,13 +223,10 @@ func (e *Engine) openLists(s *queryScratch, cc *canceller, q Query, lo float64, 
 				stats.ElementsRead += walked
 			}
 		}
-		// Capture the raw slice after seeking so mem/pos reflect the
+		// Attach after seeking so mem/pos and the head reflect the
 		// cursor's final position.
-		if list, pos, ok := invlist.RawPostings(cur); ok {
-			l.mem, l.pos = list, pos
-		}
-		l.done = !l.valid()
-		s.lists = append(s.lists, l)
+		s.lists = append(s.lists, listState{cur: cur, idfSq: qt.IDFSq})
+		s.lists[len(s.lists)-1].attach()
 	}
 	return s.lists
 }
@@ -263,23 +285,19 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 		alive := false
 		for i := range lists {
 			l := &lists[i]
-			if l.done {
+			p, ok := l.frontier()
+			if !ok {
 				continue
 			}
 			if cc.stop() {
 				s.results = out
 				return nil, cc.err
 			}
-			p, ok := l.frontier()
-			if !ok {
-				l.done = true
-				continue
-			}
 			stats.ElementsRead++
 			l.next()
 			if p.Len > hi {
 				// Theorem 1: nothing below this point can qualify.
-				l.done = true
+				l.finish()
 				continue
 			}
 			alive = true
@@ -337,13 +355,7 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 		}
 		// Unseen-element bound: an id surfacing after every frontier has
 		// score at most F.
-		var f float64
-		for i := range lists {
-			if p, ok := lists[i].frontier(); ok && p.Len <= hi {
-				f += lists[i].w(q.Len, p.Len)
-			}
-		}
-		if !sim.Meets(f, tau) {
+		if !sim.Meets(frontierBound(lists, q.Len, hi), tau) {
 			s.results = out
 			return out, listsErr(lists)
 		}

@@ -267,12 +267,11 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 	for i := range lists {
 		l := &lists[i]
 		m, lastOld := 0, 0.0
-		for !l.done && l.valid() {
+		for p, ok := l.frontier(); ok; p, ok = l.frontier() {
 			if cc.stop() {
 				s.sfc, s.sfn = c, next
 				return nil, cc.err
 			}
-			p := l.posting()
 			tau := liveTau(bound, shared)
 			hi := q.Len / effTau(tau)
 			for m < len(c) && sfBefore(&c[m], p) {
@@ -372,21 +371,17 @@ func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, lv *li
 		alive := false
 		for i := range lists {
 			l := &lists[i]
-			if l.done {
+			p, ok := l.frontier()
+			if !ok {
 				continue
 			}
 			if cc.stop() {
 				return nil, cc.err
 			}
-			p, ok := l.frontier()
-			if !ok {
-				l.done = true
-				continue
-			}
 			stats.ElementsRead++
 			l.next()
 			if p.Len > hi {
-				l.done = true
+				l.finish()
 				continue
 			}
 			alive = true
