@@ -129,8 +129,7 @@ func runFig5(env *experiments.Env) {
 	t.AddRow("base table", eval.Bytes(z.Relational.BaseTable), "(data)")
 	t.AddRow("q-gram table", eval.Bytes(z.Relational.QGramTable), "SQL")
 	t.AddRow("composite B-tree", eval.Bytes(z.Relational.BTree), "SQL")
-	t.AddRow("inverted lists (by weight)", eval.Bytes(z.Lists.WeightLists), "TA/NRA/iTA/iNRA/SF/Hybrid")
-	t.AddRow("inverted lists (by id)", eval.Bytes(z.Lists.IDLists), "sort-by-id")
+	t.AddRow("inverted lists (by weight)", eval.Bytes(z.Lists.WeightLists), "sort-by-id/TA/NRA/iTA/iNRA/SF/Hybrid")
 	t.AddRow("skip lists", eval.Bytes(z.Lists.SkipIndexes), "iTA/iNRA/SF/Hybrid")
 	t.AddRow("extendible hashing", eval.Bytes(z.ExtHash), "TA/iTA")
 	fmt.Println(t)

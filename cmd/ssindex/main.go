@@ -11,7 +11,7 @@
 //	ssindex verify -index index.bin
 //
 // build tokenizes one string per input line into q-grams and writes the
-// weight-sorted lists, id-sorted lists and skip indexes. stat validates
+// (len, id)-sorted lists and their skip indexes. stat validates
 // the file and prints storage accounting; with -snap it instead opens a
 // saved snapshot (either format: a version-1 collection or a version-5
 // durable store) and prints its layout — the stored shard count and, for
@@ -238,7 +238,6 @@ func printSizes(st *invlist.FileStore) {
 	z := st.Sizes()
 	t := eval.NewTable("storage", "section", "bytes")
 	t.AddRow("weight-sorted lists", eval.Bytes(z.WeightLists))
-	t.AddRow("id-sorted lists", eval.Bytes(z.IDLists))
 	t.AddRow("skip indexes", eval.Bytes(z.SkipIndexes))
 	t.AddRow("total", eval.Bytes(z.Total()))
 	fmt.Println(t)

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/collection"
+	"repro/internal/invlist"
 	"repro/internal/tokenize"
 )
 
@@ -203,14 +205,37 @@ func TestQuickRandomInstances(t *testing.T) {
 			// letters, so most sets repeat another's token set exactly
 			// and (len, id) ties decide the candidate order of iNRA,
 			// Hybrid and SF — and SF's merge of C with each list — on
-			// every list-positioning path, for selection and top-k.
+			// every list-positioning path, for selection and top-k. The
+			// (len, id) heap of the merge baseline, serial and parallel,
+			// runs over the in-memory lists and over a list file of them.
 			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{NoHashes: true, NoRelational: true})
+			path := filepath.Join(t.TempDir(), "ties.lists")
+			if err := invlist.WriteFile(path, ties.c, 4); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := invlist.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			tiesOnDisk := NewEngine(ties.c, Config{Store: fs, NoHashes: true, NoRelational: true})
 			for trial := 0; trial < 10; trial++ {
 				q := ties.PrepareCounts(ties.c.Set(collection.SetID(rng.Intn(ties.c.NumSets()))))
 				tau := 0.25 + rng.Float64()*0.74
 				want, _, err := ties.Select(q, tau, Naive, nil)
 				if err != nil {
 					t.Fatal(err)
+				}
+				for _, eng := range []*Engine{ties, tiesOnDisk} {
+					got, _, err := eng.Select(q, tau, SortByID, nil)
+					if err != nil {
+						t.Fatalf("SortByID: %v", err)
+					}
+					assertSameResults(t, eng, q, tau, SortByID, got, want)
+					if got, _, err = eng.SelectSortByIDParallel(q, tau, 3); err != nil {
+						t.Fatalf("SelectSortByIDParallel: %v", err)
+					}
+					assertSameResults(t, eng, q, tau, SortByID, got, want)
 				}
 				for _, o := range []*Options{nil, {NoLengthBound: true}, {NoSkipIndex: true}} {
 					for _, alg := range []Algorithm{INRA, Hybrid, SF} {

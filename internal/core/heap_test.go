@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/collection"
 	"repro/internal/dataset"
 	"repro/internal/tokenize"
 )
@@ -51,5 +52,39 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 	if growth, budget := built-before, index*3/2+(rest-before); growth > budget {
 		t.Errorf("build retained %d bytes; budget %d = 1.5 × %d index bytes + %d collection bytes",
 			growth, budget, index, rest-before)
+	}
+}
+
+// TestListsOnlyRetainsOnePostingArena holds what a ListsOnly engine keeps
+// alive to one copy of its postings. The heap the build adds may exceed
+// what remains once the store is dropped by the 16-byte postings of every
+// list, the two offset tables and the skip samples, plus the allocator's
+// rounding of those four arrays to whole pages. A second posting arena
+// (an id-sorted copy of every list) does not fit. The race detector's
+// shadow memory lies outside the Go heap, so the bound holds under it.
+func TestListsOnlyRetainsOnePostingArena(t *testing.T) {
+	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 3}, false)
+	for _, w := range dataset.Words(dataset.IMDBLike(rand.New(rand.NewSource(9)), 20000)) {
+		b.Add(w)
+	}
+	c := b.Build()
+
+	before := retainedHeap()
+	e := NewEngine(c, Config{NoHashes: true, NoRelational: true})
+	built := retainedHeap()
+	postings := 0
+	for tk := 0; tk < c.NumTokens(); tk++ {
+		postings += e.store.ListLen(tokenize.Token(tk))
+	}
+	tables := 2*4*int64(c.NumTokens()+1) + e.store.Sizes().SkipIndexes
+	e.store = nil
+	rest := retainedHeap()
+	runtime.KeepAlive(e)
+
+	const rounding = 4 * 8 << 10 // a page for each of the four arrays
+	arena := 16 * int64(postings)
+	if growth, budget := built-before, arena+tables+rounding+(rest-before); growth > budget {
+		t.Errorf("ListsOnly engine retained %d bytes; budget %d = %d posting bytes + %d table bytes + %d rounding + %d bytes besides the store",
+			growth, budget, arena, tables, rounding, rest-before)
 	}
 }

@@ -53,7 +53,9 @@ func (e *Engine) SelectBatchCtx(ctx context.Context, queries []Query, tau float6
 // across workers, each worker heap-merges its share into a partial score
 // map, and the partials are summed before the threshold filter. This is
 // the natural parallelization of §III-B's algorithm — every worker's
-// reads are sequential within its own lists. It is
+// reads are sequential within its own lists. Like selectSortByID it
+// reads the weight lists: a worker's map sums an id's weights in list
+// order, so where the id sits within a list never mattered. It is
 // SelectSortByIDParallelCtx with a background context.
 func (e *Engine) SelectSortByIDParallel(q Query, tau float64, workers int) ([]Result, Stats, error) {
 	return e.SelectSortByIDParallelCtx(context.Background(), q, tau, workers)
@@ -78,7 +80,7 @@ func (e *Engine) SelectSortByIDParallelCtx(ctx context.Context, q Query, tau flo
 	start := time.Now()
 
 	// Each worker draws its own scratch from the engine pool: a reusable
-	// partial-score map plus an id cursor that is re-pointed (not
+	// partial-score map plus a cursor that is re-pointed (not
 	// reallocated) at each of the worker's lists. The scratches are
 	// returned only after the partials have been merged.
 	scratches := make([]*queryScratch, workers)
@@ -103,9 +105,9 @@ func (e *Engine) SelectSortByIDParallelCtx(ctx context.Context, q Query, tau flo
 			for i := w; i < len(q.Tokens); i += workers {
 				qt := q.Tokens[i]
 				if reuser != nil {
-					cur = reuser.IDCursorReuse(qt.Token, cur)
+					cur = reuser.WeightCursorReuse(qt.Token, cur)
 				} else {
-					cur = e.store.IDCursor(qt.Token)
+					cur = e.store.WeightCursor(qt.Token)
 				}
 				if list, pos, ok := invlist.RawPostings(cur); ok {
 					for ; pos < len(list); pos++ {

@@ -25,9 +25,8 @@ import (
 //   - each algorithm resets exactly the fields it uses at entry, not at
 //     exit, so a panic or early error return cannot poison the pool.
 type queryScratch struct {
-	lists  []listState      // per query-token scan state
-	wcurs  []invlist.Cursor // reusable weight cursors, slot i ↔ list i
-	idcurs []invlist.Cursor // reusable id cursors (merge baseline)
+	lists []listState      // per query-token scan state
+	wcurs []invlist.Cursor // reusable weight cursors, slot i ↔ list i
 
 	f0 []float64 // suffix idf² sums (SF/Hybrid), len n+1
 	f1 []float64 // λ/µ cutoffs (SF/Hybrid), frontier weights (NRA)

@@ -4,11 +4,17 @@ import (
 	"repro/internal/invlist"
 )
 
-// selectSortByID is the multiway-merge baseline of §III-B: the id-sorted
-// list of every query token is scanned in full; a heap over the list
-// heads aggregates each id's complete score as it surfaces. It performs
-// no pruning — its cost is the total volume of the query lists — but
-// touches only sets that share at least one token with the query.
+// selectSortByID is the multiway-merge baseline of §III-B: the list of
+// every query token is scanned in full; a heap over the list heads
+// aggregates each id's complete score as it surfaces. It performs no
+// pruning — its cost is the total volume of the query lists — but touches
+// only sets that share at least one token with the query.
+//
+// The paper merges id-sorted lists. These are the weight lists, in (len,
+// id) order: that order is global (Order Preservation, Property 1), so a
+// heap ordered by (len, id) brings every posting of one set to the top
+// together exactly as an id heap over id-sorted lists does, and no second
+// copy of the lists is kept for this one algorithm.
 //
 // The heap is hand-rolled over the scratch's mergeEntry slab (container/
 // heap boxes every Push/Pop through interface{}), each entry caches its
@@ -16,20 +22,19 @@ import (
 func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau float64, stats *Stats) ([]Result, error) {
 	fillIDFSq(s, q)
 	reuser, _ := e.store.(invlist.CursorReuser)
-	for len(s.idcurs) < len(q.Tokens) {
-		//ssvet:scratchread cursor-reuse cache: stale cursors are kept on purpose and rebound via IDCursorReuse below
-		s.idcurs = append(s.idcurs, nil)
+	for len(s.wcurs) < len(q.Tokens) {
+		s.wcurs = append(s.wcurs, nil)
 	}
 	h := s.merge[:0]
 	defer func() { s.merge = h[:0] }()
 	for i, qt := range q.Tokens {
 		var cur invlist.Cursor
 		if reuser != nil {
-			cur = reuser.IDCursorReuse(qt.Token, s.idcurs[i])
+			cur = reuser.WeightCursorReuse(qt.Token, s.wcurs[i])
 		} else {
-			cur = e.store.IDCursor(qt.Token)
+			cur = e.store.WeightCursor(qt.Token)
 		}
-		s.idcurs[i] = cur
+		s.wcurs[i] = cur
 		ent := mergeEntry{cur: cur, idfSq: qt.IDFSq}
 		if list, pos, ok := invlist.RawPostings(cur); ok {
 			ent.mem, ent.pos = list, pos
@@ -54,7 +59,8 @@ func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau flo
 		score := h[0].idfSq / (q.Len * p.Len)
 		h = mergeAdvance(h, stats)
 		// Aggregate every list positioned at the same id; each pop has
-		// a complete score once no head carries that id anymore.
+		// a complete score once no head carries that id anymore. A set
+		// has one length, so its postings are adjacent in heap order.
 		for len(h) > 0 && h[0].head.ID == p.ID {
 			score += h[0].idfSq / (q.Len * p.Len)
 			h = mergeAdvance(h, stats)
@@ -66,7 +72,7 @@ func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau flo
 			out = e.emitRescored(s, q, p.ID, tau, out)
 		}
 	}
-	for _, cur := range s.idcurs[:len(q.Tokens)] {
+	for _, cur := range s.wcurs[:len(q.Tokens)] {
 		if err := invlist.Err(cur); err != nil {
 			return nil, err
 		}
@@ -124,6 +130,7 @@ func mergeAdvance(h []mergeEntry, stats *Stats) []mergeEntry {
 	return h
 }
 
+// mergeSiftDown restores (len, id) heap order below slot i.
 func mergeSiftDown(h []mergeEntry, i int) {
 	for {
 		l := 2*i + 1
@@ -131,13 +138,21 @@ func mergeSiftDown(h []mergeEntry, i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(h) && h[r].head.ID < h[l].head.ID {
+		if r := l + 1; r < len(h) && headBefore(h[r].head, h[l].head) {
 			m = r
 		}
-		if h[i].head.ID <= h[m].head.ID {
+		if !headBefore(h[m].head, h[i].head) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+}
+
+// headBefore reports whether list head a comes strictly before b in
+// (len, id) order; the heads of one set are equal, so neither comes
+// first. One comparator serves both places of the sift-down: an id-only
+// comparison in either one pops a set's postings apart.
+func headBefore(a, b invlist.Posting) bool {
+	return a.Len < b.Len || (a.Len == b.Len && a.ID < b.ID)
 }

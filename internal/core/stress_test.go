@@ -193,10 +193,12 @@ func TestFileStoreBackedEngine(t *testing.T) {
 // TestListFileDetectsEveryFlip flips one bit at a time across a whole
 // list file — every byte of the package header and footer, every 61st
 // byte between — and requires each mutant to be refused: OpenFile fails,
-// or the selection that reads the damaged arena (SF the weight-sorted
-// one, SortByID the id-sorted one) returns an error wrapping
+// or a selection that reads the damaged block (SF, or SortByID, which
+// reads every posting of the query's lists) returns an error wrapping
 // invlist.ErrCorrupt. A selection that does succeed must return the
-// MemStore engine's answer; nothing may panic.
+// MemStore engine's answer; nothing may panic. Every record of the file
+// is read by open or by these selections: a record nothing reads would
+// let its flips go undetected.
 func TestListFileDetectsEveryFlip(t *testing.T) {
 	e := buildEngine(t, 300, 75, 7, Config{SkipInterval: 8})
 	c := e.Collection()

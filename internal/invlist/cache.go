@@ -6,8 +6,8 @@ import (
 )
 
 // cacheShardCount is the number of independently locked LRU shards in a
-// blockCache. Concurrent FileStore queries touch disjoint (arena, block)
-// keys almost always, so spreading them over per-shard mutexes removes
+// blockCache. Concurrent FileStore queries touch disjoint blocks almost
+// always, so spreading them over per-shard mutexes removes
 // the single global lock the cache used to serialize on. Must be a power
 // of two.
 const cacheShardCount = 16
@@ -26,26 +26,20 @@ type blockCache struct {
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
-	lru      *list.List // front = most recent; values are *cacheEntry
-	items    map[blockKey]*list.Element
+	lru      *list.List            // front = most recent; values are *cacheEntry
+	items    map[int]*list.Element // keyed by block index in the arena
 	hits     uint64
 	misses   uint64
 }
 
-// blockKey names one checksum block of a list file's posting arenas.
-type blockKey struct {
-	arena uint32 // index of the arena record
-	block int    // index of the checksum block within it
-}
-
-// shardFor hashes a key to its shard, mixing both fields.
-func (c *blockCache) shardFor(key blockKey) *cacheShard {
-	h := uint64(key.arena)*0x9E3779B97F4A7C15 + uint64(uint(key.block))*0xBF58476D1CE4E5B9
+// shardFor hashes a block index to its shard.
+func (c *blockCache) shardFor(key int) *cacheShard {
+	h := uint64(uint(key)) * 0xBF58476D1CE4E5B9
 	return &c.shards[(h>>32)&(cacheShardCount-1)]
 }
 
 type cacheEntry struct {
-	key   blockKey
+	key   int
 	block []Posting
 }
 
@@ -62,13 +56,13 @@ func newBlockCache(capacity int) *blockCache {
 	for i := range c.shards {
 		c.shards[i].capacity = per
 		c.shards[i].lru = list.New()
-		c.shards[i].items = make(map[blockKey]*list.Element)
+		c.shards[i].items = make(map[int]*list.Element)
 	}
 	return c
 }
 
 // get returns the cached block for key, if present.
-func (c *blockCache) get(key blockKey) ([]Posting, bool) {
+func (c *blockCache) get(key int) ([]Posting, bool) {
 	if c == nil || c.capacity <= 0 {
 		return nil, false
 	}
@@ -86,7 +80,7 @@ func (c *blockCache) get(key blockKey) ([]Posting, bool) {
 
 // put inserts a decoded block, evicting the shard's least recently used
 // entry when full. The block must not be mutated after insertion.
-func (c *blockCache) put(key blockKey, block []Posting) {
+func (c *blockCache) put(key int, block []Posting) {
 	if c == nil || c.capacity <= 0 {
 		return
 	}

@@ -17,8 +17,7 @@ import (
 // Record and metadata names of the list-file package (layout in the
 // package comment) and the sizes its reader works in.
 const (
-	arenaWeight = iota // a cursor and a cache key name an arena by index
-	arenaByID
+	recWeight   = "weight"
 	recOff      = "off"
 	recSkips    = "skips"
 	recSkipOff  = "skipoff"
@@ -27,7 +26,6 @@ const (
 	cacheBlocks = 64                                     // block-cache budget: 4 MiB decoded, 4 blocks a shard
 )
 
-var arenas = [2]string{arenaWeight: "weight", arenaByID: "byid"}
 var metaKeys = [4]string{"interval", "sets", "tokens", "postings"}
 
 // ErrCorrupt reports a structurally invalid or checksum-failing list
@@ -44,8 +42,9 @@ func corrupt(err error) error {
 }
 
 // WriteFile builds the disk-resident index for c at path: the MemStore
-// BuildMem returns, slice for slice, so both stores answer every scan and
-// seek identically. skipInterval ≤ 0 selects SkipInterval.
+// BuildMem returns, slice for slice, as four records, so both stores
+// answer every scan and seek identically. skipInterval ≤ 0 selects
+// SkipInterval.
 func WriteFile(path string, c *collection.Collection, skipInterval int) error {
 	ms := BuildMem(c, skipInterval)
 	w, err := segpack.Create(path)
@@ -56,8 +55,7 @@ func WriteFile(path string, c *collection.Collection, skipInterval int) error {
 		w.SetMeta(metaKeys[i], []byte(strconv.Itoa(v)))
 	}
 	// The writer's errors are sticky and Close reports the first.
-	w.AddRecord(arenas[arenaWeight], encodePostings(ms.weight))
-	w.AddRecord(arenas[arenaByID], encodePostings(ms.byID))
+	w.AddRecord(recWeight, encodePostings(ms.weight))
 	w.AddRecord(recOff, encodeTable(ms.off))
 	w.AddRecord(recSkips, encodeTable(ms.skips))
 	w.AddRecord(recSkipOff, encodeTable(ms.skipOff))
@@ -90,19 +88,22 @@ func encodeTable(v any) []byte {
 }
 
 // FileStore serves the lists of a file written by WriteFile. It holds the
-// MemStore the file holds except for the posting arenas, which it reads
-// from their records one checksum block at a time, each verified before
-// it is decoded, through a shared block cache. It is safe for concurrent
+// MemStore the file holds except for the posting arena, which it reads
+// from its record one checksum block at a time, each verified before it
+// is decoded, through a shared block cache. It is safe for concurrent
 // readers: cursors hold their own position and the cache is synchronized.
 type FileStore struct {
 	pack  *segpack.FileReader
-	m     MemStore // weight and byID stay nil
+	m     MemStore // weight stays nil
 	sets  int
 	cache *blockCache
 }
 
 // OpenFile opens and validates a list file. A file that is not a
-// well-formed list package fails with an error wrapping ErrCorrupt.
+// well-formed list package fails with an error wrapping ErrCorrupt. The
+// "byid" record of a file written before the id-sorted copy was dropped
+// is not required and not read; a block of it that fails its checksum
+// surfaces only through Verify.
 func OpenFile(path string) (*FileStore, error) {
 	pack, err := segpack.Open(path)
 	if err != nil {
@@ -117,7 +118,7 @@ func OpenFile(path string) (*FileStore, error) {
 }
 
 // load reads the metadata and the three tables and checks them against
-// each other and the arena records, so that every position a cursor can
+// each other and the arena record, so that every position a cursor can
 // compute lies inside a block the package holds.
 func (s *FileStore) load() error {
 	var meta [4]int
@@ -139,12 +140,12 @@ func (s *FileStore) load() error {
 		return err
 	}
 	arena := int64(postings) * postingSize
-	m.sizes = Sizes{WeightLists: arena, IDLists: arena, SkipIndexes: int64(len(m.skips)) * skipSampleBytes}
+	m.sizes = Sizes{WeightLists: arena, SkipIndexes: int64(len(m.skips)) * skipSampleBytes}
 	ok := m.interval > 0 && s.pack.BlockSize() == segpack.DefaultBlockSize &&
 		len(m.off)-1 == tokens && len(m.skipOff)-1 == tokens &&
 		m.off[0] == 0 && int(m.off[tokens]) == postings &&
 		m.skipOff[0] == 0 && int(m.skipOff[tokens]) == len(m.skips) &&
-		s.pack.RecordSize(arenas[0]) == arena && s.pack.RecordSize(arenas[1]) == arena
+		s.pack.RecordSize(recWeight) == arena
 	for t := 0; ok && t < tokens; t++ {
 		// (n-1)/interval samples for n postings, as BuildMem lays them
 		// out, keeps every SeekLen landing position inside the list.
@@ -152,7 +153,7 @@ func (s *FileStore) load() error {
 		ok = n >= 0 && int64(m.skipOff[t+1])-int64(m.skipOff[t]) == max(n-1, 0)/int64(m.interval)
 	}
 	if !ok {
-		return fmt.Errorf("%w: offset tables disagree with the arenas", ErrCorrupt)
+		return fmt.Errorf("%w: offset tables disagree with the arena", ErrCorrupt)
 	}
 	return nil
 }
@@ -172,21 +173,15 @@ func readTable[T uint32 | float64](pack *segpack.FileReader, name string) ([]T, 
 	return out, nil
 }
 
-// open returns a cursor over token t's list in arena a.
-func (s *FileStore) open(t tokenize.Token, a uint32) Cursor {
+// WeightCursor implements Store.
+func (s *FileStore) WeightCursor(t tokenize.Token) Cursor {
 	lo, hi := s.m.span(t)
 	if lo == hi {
 		return Empty()
 	}
-	return &fileCursor{s: s, arena: a, base: int(lo), count: int(hi - lo),
+	return &fileCursor{s: s, base: int(lo), count: int(hi - lo),
 		skip: s.m.skips[s.m.skipOff[t]:s.m.skipOff[t+1]]}
 }
-
-// WeightCursor implements Store.
-func (s *FileStore) WeightCursor(t tokenize.Token) Cursor { return s.open(t, arenaWeight) }
-
-// IDCursor implements Store.
-func (s *FileStore) IDCursor(t tokenize.Token) Cursor { return s.open(t, arenaByID) }
 
 // ListLen implements Store.
 func (s *FileStore) ListLen(t tokenize.Token) int { return s.m.ListLen(t) }
@@ -212,12 +207,11 @@ func (s *FileStore) Close() error { return s.pack.Close() }
 // CacheStats reports block-cache hits and misses since open.
 func (s *FileStore) CacheStats() CacheStats { return s.cache.stats() }
 
-// fileCursor iterates one list of either order. A read or checksum
-// failure invalidates the cursor and is reported by Err.
+// fileCursor iterates one list. A read or checksum failure invalidates
+// the cursor and is reported by Err.
 type fileCursor struct {
 	s          *FileStore
-	arena      uint32 // arenaWeight or arenaByID
-	base       int    // arena position of the list's first posting
+	base       int // arena position of the list's first posting
 	count      int
 	pos        int
 	skip       []float64 // skip[j] == Len of weight posting (j+1)·interval
@@ -249,18 +243,17 @@ func (c *fileCursor) at(i int) Posting {
 	return c.block[at-c.blockStart]
 }
 
-// load makes block b of the cursor's arena current: cached, or verified.
+// load makes block b of the arena current: cached, or verified.
 func (c *fileCursor) load(b int) {
-	key := blockKey{arena: c.arena, block: b}
-	blk, ok := c.s.cache.get(key)
+	blk, ok := c.s.cache.get(b)
 	if !ok {
-		raw, err := c.s.pack.ReadBlock(arenas[c.arena], b)
+		raw, err := c.s.pack.ReadBlock(recWeight, b)
 		if err != nil {
 			c.err = corrupt(err)
 			return
 		}
 		blk = decodePostings(raw)
-		c.s.cache.put(key, blk)
+		c.s.cache.put(b, blk)
 	}
 	c.block, c.blockStart = blk, b*perBlock
 }
@@ -270,7 +263,7 @@ func (c *fileCursor) load(b int) {
 // stores skip and walk alike. A block that fails to read stops the search
 // and leaves the cursor invalid: no further block is loaded.
 func (c *fileCursor) SeekLen(target float64) (skipped, walked int) {
-	if c.arena != arenaWeight || !c.Valid() || c.at(c.pos).Len >= target || c.err != nil {
+	if !c.Valid() || c.at(c.pos).Len >= target || c.err != nil {
 		return 0, 0
 	}
 	start := c.pos

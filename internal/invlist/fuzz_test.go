@@ -58,11 +58,6 @@ func FuzzOpenFile(f *testing.F) {
 				_ = cur.Posting()
 				cur.Next()
 			}
-			idc := st.IDCursor(tokenize.Token(tok))
-			for i := 0; idc.Valid() && i < 1000; i++ {
-				_ = idc.Posting()
-				idc.Next()
-			}
 			sc := st.WeightCursor(tokenize.Token(tok))
 			sc.SeekLen(1.5)
 			for i := 0; sc.Valid() && i < 1000; i++ {

@@ -1,31 +1,32 @@
 // Package invlist implements the paper's inverted-list indexes (§III-B,
 // §VIII): for every token, a list of (set id, normalized length) postings
-// stored in two sort orders — by ascending id for the multiway-merge
-// baseline, and by ascending length (equivalently, descending per-token
-// contribution wᵢ) for TA/NRA-style algorithms — plus a skip index per
-// weight-sorted list so that Length Boundedness can jump directly to the
-// first entry of a given length. The skip index is static: the length of
-// every SkipInterval-th posting, binary-searched.
+// in one order, by ascending length (equivalently, descending per-token
+// contribution wᵢ) and then id, plus a skip index per list so that Length
+// Boundedness can jump directly to the first entry of a given length. The
+// order is global (the paper's Order Preservation, Property 1), so the
+// multiway-merge baseline merges these same lists by (length, id) instead
+// of keeping a second, id-sorted copy. The skip index is static: the
+// length of every SkipInterval-th posting, binary-searched.
 //
-// Two stores are provided. MemStore keeps the lists in memory as five
-// flat slices: two posting arenas, the offset table they share, one arena
-// of skip samples and its offset table. FileStore serves the same five
-// slices from a list file, which is one segment package
-// (internal/segpack) holding them as five fixed-width little-endian
-// records:
+// Two stores are provided. MemStore keeps the lists in memory as four
+// flat slices: the posting arena, its offset table, one arena of skip
+// samples and its offset table. FileStore serves the same four slices
+// from a list file, which is one segment package (internal/segpack)
+// holding them as four fixed-width little-endian records:
 //
 //	weight   postings × 16 B (id u64, len float64 bits), (Len, ID) order
-//	byid     postings × 16 B, ID order
-//	off      (tokens+1) × u32 arena offsets, shared by both orders
+//	off      (tokens+1) × u32 arena offsets
 //	skips    float64 bits per skip sample
 //	skipoff  (tokens+1) × u32 offsets into skips
 //
 // with the skip interval and the sets/tokens/postings counts of the
 // collection as decimal metadata tags (interval, sets, tokens, postings).
-// The three tables are read at open; postings are read from the arena
-// records one checksum block at a time, verified before use, through a
-// block cache. Both stores seek by the same rule: jump to the last
-// sampled position whose length is below the target, then walk.
+// Files written before the id-sorted copy was dropped also hold a "byid"
+// record; it is never read. The three tables are read at open; postings
+// are read from the arena record one checksum block at a time, verified
+// before use, through a block cache. Both stores seek by the same rule:
+// jump to the last sampled position whose length is below the target,
+// then gallop through the block that follows.
 package invlist
 
 import (
@@ -55,8 +56,8 @@ type Cursor interface {
 	// index without being materialized; walked counts postings the
 	// cursor had to read and discard inside the final skip block —
 	// callers charge those as element reads. Only forward seeks are
-	// supported. On id-sorted cursors SeekLen is a no-op (those lists
-	// are not length-ordered).
+	// supported. On the id-sorted cursor of MemStore.IDCursor SeekLen is
+	// a no-op (that list is not length-ordered).
 	SeekLen(min float64) (skipped, walked int)
 	// Count returns the total number of postings in the list.
 	Count() int
@@ -71,8 +72,6 @@ type Cursor interface {
 type CursorReuser interface {
 	// WeightCursorReuse is WeightCursor, reusing prev when possible.
 	WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor
-	// IDCursorReuse is IDCursor, reusing prev when possible.
-	IDCursorReuse(t tokenize.Token, prev Cursor) Cursor
 }
 
 // RawPostings exposes the backing slice and current position of a cursor
@@ -101,8 +100,6 @@ type Store interface {
 	// WeightCursor opens the (len, id)-sorted list of token t.
 	// Unknown tokens yield an empty cursor.
 	WeightCursor(t tokenize.Token) Cursor
-	// IDCursor opens the id-sorted list of token t.
-	IDCursor(t tokenize.Token) Cursor
 	// ListLen reports the number of postings for token t.
 	ListLen(t tokenize.Token) int
 	// Sizes reports storage accounting for the Fig. 5 experiment.
@@ -114,12 +111,11 @@ type Store interface {
 // Sizes itemizes index storage in bytes, mirroring the bars of Fig. 5.
 type Sizes struct {
 	WeightLists int64 // weight-sorted postings
-	IDLists     int64 // id-sorted postings
 	SkipIndexes int64 // skip entries over weight-sorted lists
 }
 
 // Total returns the sum of all components.
-func (s Sizes) Total() int64 { return s.WeightLists + s.IDLists + s.SkipIndexes }
+func (s Sizes) Total() int64 { return s.WeightLists + s.SkipIndexes }
 
 // emptyCursor is the cursor over a non-existent list.
 type emptyCursor struct{}

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/segpack"
 	"repro/internal/tokenize"
 )
 
@@ -175,10 +177,10 @@ func TestSizesPopulated(t *testing.T) {
 	c := buildCollection(t, 300, 6)
 	st := BuildMem(c, 2)
 	z := st.Sizes()
-	if z.WeightLists <= 0 || z.IDLists <= 0 || z.SkipIndexes <= 0 {
+	if z.WeightLists <= 0 || z.SkipIndexes <= 0 {
 		t.Errorf("sizes not populated: %+v", z)
 	}
-	if z.Total() != z.WeightLists+z.IDLists+z.SkipIndexes {
+	if z.Total() != z.WeightLists+z.SkipIndexes {
 		t.Errorf("Total mismatch")
 	}
 	// One 8-byte sampled length per skip entry, every 2nd posting after
@@ -224,15 +226,71 @@ func TestFileRoundTrip(t *testing.T) {
 				t.Fatalf("token %d weight posting %d: file %+v mem %+v", tok, i, fw[i], mw[i])
 			}
 		}
-		fi, mi := drain(fs.IDCursor(tk)), drain(ms.IDCursor(tk))
-		if len(fi) != len(mi) {
-			t.Fatalf("token %d id list sizes differ", tok)
+	}
+	if names := fs.pack.Records(); !slices.Equal(names, []string{recWeight, recOff, recSkips, recSkipOff}) {
+		t.Fatalf("list file records %q, want the four of the package layout", names)
+	}
+}
+
+// TestOpenFileWithByIDRecord opens a list file laid out as builds that
+// kept an id-sorted copy wrote it — five records, weight, byid, off,
+// skips and skipoff, the byid arena as large as the weight arena — and
+// requires every list and seek to be served as from a file WriteFile
+// writes, and Verify to check the unread record's blocks too.
+func TestOpenFileWithByIDRecord(t *testing.T) {
+	c := randomBuilder(12000, 31, 2, 12).Build() // lists longer than a checksum block
+	ms := BuildMem(c, 8)
+	byID := make([]Posting, 0, len(ms.weight))
+	c.TokenSets(func(_ tokenize.Token, ids []collection.SetID) {
+		for _, id := range ids {
+			byID = append(byID, Posting{ID: id, Len: c.Length(id)})
 		}
-		for i := range fi {
-			if fi[i] != mi[i] {
-				t.Fatalf("token %d id posting %d mismatch", tok, i)
-			}
+	})
+	path := filepath.Join(t.TempDir(), "old.bin")
+	w, err := segpack.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.weight)} {
+		w.SetMeta(metaKeys[i], []byte(strconv.Itoa(v)))
+	}
+	w.AddRecord(recWeight, encodePostings(ms.weight))
+	w.AddRecord("byid", encodePostings(byID))
+	w.AddRecord(recOff, encodeTable(ms.off))
+	w.AddRecord(recSkips, encodeTable(ms.skips))
+	w.AddRecord(recSkipOff, encodeTable(ms.skipOff))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if fs.pack.RecordSize("byid") != fs.pack.RecordSize(recWeight) {
+		t.Fatal("test file lacks a full byid record")
+	}
+	if !fs.BuiltFrom(c) || fs.Sizes() != ms.Sizes() {
+		t.Fatalf("sizes %+v, want the MemStore's %+v", fs.Sizes(), ms.Sizes())
+	}
+	for tok := 0; tok < c.NumTokens(); tok++ {
+		tk := tokenize.Token(tok)
+		full := drain(ms.WeightCursor(tk))
+		if got := drain(fs.WeightCursor(tk)); !slices.Equal(got, full) {
+			t.Fatalf("token %d: list differs from the MemStore's", tok)
 		}
+		target := full[len(full)/2].Len
+		fc, mc := fs.WeightCursor(tk), ms.WeightCursor(tk)
+		fsk, fwk := fc.SeekLen(target)
+		msk, mwk := mc.SeekLen(target)
+		if fsk != msk || fwk != mwk || !slices.Equal(drain(fc), drain(mc)) || Err(fc) != nil {
+			t.Fatalf("token %d SeekLen(%g): file (%d, %d), mem (%d, %d), or the postings after differ", tok, target, fsk, fwk, msk, mwk)
+		}
+	}
+	blocks, err := fs.Verify()
+	if err != nil || blocks < fs.pack.Blocks(recWeight)+fs.pack.Blocks("byid") {
+		t.Fatalf("Verify: %d blocks, %v", blocks, err)
 	}
 }
 
@@ -324,13 +382,6 @@ func TestFileCursorCrossesChecksumBlocks(t *testing.T) {
 	}
 	if !slices.Equal(drain(fs.WeightCursor(tk)), full) {
 		t.Fatal("weight list drained across the block boundary differs from mem")
-	}
-	ic := fs.IDCursor(tk)
-	if sk, wk := ic.SeekLen(full[past].Len); sk != 0 || wk != 0 {
-		t.Fatalf("SeekLen moved an id-sorted cursor: skipped %d walked %d", sk, wk)
-	}
-	if !slices.Equal(drain(ic), drain(ms.IDCursor(tk))) {
-		t.Fatal("id list drained across the block boundary differs from mem")
 	}
 	if st := fs.CacheStats(); st.Misses < 2 {
 		t.Fatalf("cache stats %+v: expected reads of more than one block", st)
@@ -468,12 +519,11 @@ func TestBlockCacheBehaviour(t *testing.T) {
 	// Eviction is per shard; collect three keys that hash to the same
 	// shard so the capacity-2 LRU behaviour is deterministic.
 	c := newBlockCache(2 * cacheShardCount) // per-shard capacity 2
-	var keys []blockKey
-	want := c.shardFor(blockKey{block: 1})
+	var keys []int
+	want := c.shardFor(1)
 	for blk := 1; len(keys) < 3; blk++ {
-		k := blockKey{block: blk}
-		if c.shardFor(k) == want {
-			keys = append(keys, k)
+		if c.shardFor(blk) == want {
+			keys = append(keys, blk)
 		}
 	}
 	k1, k2, k3 := keys[0], keys[1], keys[2]
@@ -518,10 +568,10 @@ func TestBlockCacheSharding(t *testing.T) {
 	// Keys spread over shards; total stats aggregate across them.
 	c := newBlockCache(64)
 	for tok := 0; tok < 32; tok++ {
-		c.put(blockKey{block: tok}, []Posting{{ID: collection.SetID(tok)}})
+		c.put(tok, []Posting{{ID: collection.SetID(tok)}})
 	}
 	for tok := 0; tok < 32; tok++ {
-		blk, ok := c.get(blockKey{block: tok})
+		blk, ok := c.get(tok)
 		if !ok || blk[0].ID != collection.SetID(tok) {
 			t.Fatalf("token %d missing after spread insert", tok)
 		}

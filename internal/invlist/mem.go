@@ -1,6 +1,8 @@
 package invlist
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/collection"
@@ -18,13 +20,12 @@ const SkipInterval = 64
 const skipSampleBytes = 8
 
 // MemStore keeps all inverted lists in memory as a static flat index:
-// two posting arenas sharing one offset table, and one arena of sampled
-// lengths serving as every weight list's skip index. It is immutable
-// once built and safe for concurrent readers.
+// one posting arena with its offset table, and one arena of sampled
+// lengths serving as every list's skip index. It is immutable once built
+// and safe for concurrent readers.
 type MemStore struct {
 	weight []Posting // token t's (Len, ID)-sorted list is weight[off[t]:off[t+1]]
-	byID   []Posting // token t's ID-sorted list is byID[off[t]:off[t+1]]
-	off    []uint32  // NumTokens+1 arena offsets, shared by both orders
+	off    []uint32  // NumTokens+1 arena offsets
 	// skips[skipOff[t]:skipOff[t+1]] are token t's skip samples: sample j
 	// is the length of the weight-list posting at position (j+1)·interval.
 	// Position 0 is never sampled: a skip entry there can never shorten a
@@ -38,7 +39,7 @@ type MemStore struct {
 // BuildMem constructs a MemStore over every token of c. skipInterval ≤ 0
 // selects SkipInterval. The build makes a constant number of allocations
 // and sorts nothing but the set ids: filling the buckets in (Len, ID)
-// order of the sets leaves every weight list (Len, ID)-sorted.
+// order of the sets leaves every list (Len, ID)-sorted.
 func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	if skipInterval <= 0 {
 		skipInterval = SkipInterval
@@ -47,18 +48,13 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	n := c.NumTokens()
 	st := &MemStore{
 		weight:   make([]Posting, off[n]),
-		byID:     make([]Posting, off[n]),
 		off:      off,
 		skipOff:  make([]uint32, n+1),
 		interval: skipInterval,
 	}
-	fill := func(arena []Posting, order []collection.SetID) {
-		c.FillBuckets(off, order, func(slot uint32, id collection.SetID) {
-			arena[slot] = Posting{ID: id, Len: c.Length(id)}
-		})
-	}
-	fill(st.byID, nil)
-	fill(st.weight, c.SetsByLength())
+	c.FillBuckets(off, c.SetsByLength(), func(slot uint32, id collection.SetID) {
+		st.weight[slot] = Posting{ID: id, Len: c.Length(id)}
+	})
 
 	for t := 0; t < n; t++ {
 		count := int(off[t+1] - off[t])
@@ -75,13 +71,12 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 
 	st.sizes = Sizes{
 		WeightLists: int64(len(st.weight)) * postingSize,
-		IDLists:     int64(len(st.byID)) * postingSize,
 		SkipIndexes: int64(len(st.skips)) * skipSampleBytes,
 	}
 	return st
 }
 
-// span returns token t's range in the posting arenas, empty for a token
+// span returns token t's range in the posting arena, empty for a token
 // the store does not know.
 func (s *MemStore) span(t tokenize.Token) (lo, hi uint32) {
 	if int(t) >= len(s.off)-1 {
@@ -90,12 +85,14 @@ func (s *MemStore) span(t tokenize.Token) (lo, hi uint32) {
 	return s.off[t], s.off[t+1]
 }
 
-// open positions a cursor at the start of token t's list in the chosen
-// order. prev, when it is a cursor this store handed out earlier, is
-// rebound in place — to an exhausted cursor for an unknown or empty
-// token, so the caller's cursor slot stays reusable either way;
-// otherwise a new cursor is returned.
-func (s *MemStore) open(t tokenize.Token, prev Cursor, byLen bool) Cursor {
+// WeightCursor implements Store.
+func (s *MemStore) WeightCursor(t tokenize.Token) Cursor { return s.WeightCursorReuse(t, nil) }
+
+// WeightCursorReuse implements CursorReuser: prev, when it is a cursor
+// this store handed out earlier, is rebound in place — to an exhausted
+// cursor for an unknown or empty token, so the caller's cursor slot stays
+// reusable either way; otherwise a new cursor is returned.
+func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
 	lo, hi := s.span(t)
 	mc, reuse := prev.(*memCursor)
 	if !reuse {
@@ -104,33 +101,23 @@ func (s *MemStore) open(t tokenize.Token, prev Cursor, byLen bool) Cursor {
 		}
 		mc = new(memCursor)
 	}
-	*mc = memCursor{byLen: byLen}
-	switch {
-	case lo == hi: // stays exhausted
-	case byLen:
+	*mc = memCursor{byLen: true}
+	if lo < hi {
 		mc.list = s.weight[lo:hi]
 		mc.skip = s.skips[s.skipOff[t]:s.skipOff[t+1]]
 		mc.interval = s.interval
-	default:
-		mc.list = s.byID[lo:hi]
 	}
 	return mc
 }
 
-// WeightCursor implements Store.
-func (s *MemStore) WeightCursor(t tokenize.Token) Cursor { return s.open(t, nil, true) }
-
-// IDCursor implements Store.
-func (s *MemStore) IDCursor(t tokenize.Token) Cursor { return s.open(t, nil, false) }
-
-// WeightCursorReuse implements CursorReuser.
-func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
-	return s.open(t, prev, true)
-}
-
-// IDCursorReuse implements CursorReuser for the id-sorted lists.
-func (s *MemStore) IDCursorReuse(t tokenize.Token, prev Cursor) Cursor {
-	return s.open(t, prev, false)
+// IDCursor opens token t's list in ascending id order: a sorted copy of
+// its weight list, made per call. No query path reads it — the merge
+// baseline merges the weight lists — and SeekLen does not move it.
+func (s *MemStore) IDCursor(t tokenize.Token) Cursor {
+	lo, hi := s.span(t)
+	list := slices.Clone(s.weight[lo:hi])
+	slices.SortFunc(list, func(a, b Posting) int { return cmp.Compare(a.ID, b.ID) })
+	return &memCursor{list: list}
 }
 
 // ListLen implements Store.
@@ -150,8 +137,8 @@ type memCursor struct {
 	skip     []float64 // skip[j] == list[(j+1)*interval].Len
 	interval int
 	// byLen marks a cursor over a length-sorted list, the only kind
-	// SeekLen moves. It is independent of skip, which is empty for any
-	// weight list no longer than one interval.
+	// SeekLen moves (IDCursor's copies are not). It is independent of
+	// skip, which is empty for any weight list no longer than one interval.
 	byLen bool
 	pos   int
 }

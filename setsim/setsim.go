@@ -95,7 +95,8 @@ type (
 const (
 	// Naive scans the whole collection; the correctness oracle.
 	Naive = core.Naive
-	// SortByID merges id-sorted inverted lists (no pruning).
+	// SortByID merges every query list in full (no pruning): the paper's
+	// sort-by-id baseline, run over the (len, id)-ordered lists.
 	SortByID = core.SortByID
 	// SQL runs the relational baseline plan.
 	SQL = core.SQL
