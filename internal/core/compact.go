@@ -323,7 +323,8 @@ func (le *LiveEngine) bakeStats(builders []*collection.Builder) ([]*collection.C
 // swapSegments publishes the post-compaction snapshot: in every
 // participating shard the folded segments are replaced by its new
 // segment (nil when every gathered document had been deleted) and the
-// consumed memtable prefix is dropped; untouched shards carry over.
+// consumed memtable prefix is dropped, its index rebuilt over the tail;
+// untouched shards carry over.
 // Tombstone accounting is recounted from the log. A re-clustered round
 // (reassign non-nil, aligned with all) rewrites the routing table for
 // every compacted document and records the mutation count it reflects.
@@ -349,16 +350,24 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 		for _, g := range sh.segs {
 			if !w.fold[g] {
 				segs = append(segs, g)
+				continue
 			}
+			// Deletes find segments through the current snapshot, so none
+			// reaches a folded one again: count every document of it as
+			// possibly dead, and queries still pinned on it check each
+			// result's tombstone instead of trusting a frozen count.
+			g.dead.Store(int64(len(g.ids)))
 		}
 		if newSegs[si] != nil {
 			segs = append(segs, newSegs[si])
 		}
 		// The memtable may have grown since gather; keep the unconsumed
-		// tail.
+		// tail, and index it afresh: its positions shift by the consumed
+		// prefix, and queries pinned earlier keep the old lists.
 		mem := make([]memDoc, len(sh.mem)-w.memN)
 		copy(mem, sh.mem[w.memN:])
 		shards[si] = liveShard{segs: segs, mem: mem}
+		le.memIdx[si] = indexMem(mem)
 	}
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	// Documents deleted between gather and here survived into the new

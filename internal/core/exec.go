@@ -271,13 +271,12 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 	}
 	if len(sh.mem) > 0 {
 		cc := &canceller{ctx: ctx}
-		stats.ListTotal += len(sh.mem)
 		tau := p.tau
 		if p.kind == planTopK {
 			tau = max(shared.load(), minPositiveTau)
 		}
 		var err error
-		out, err = scanMemtable(cc, sh.mem, lq.mem, tau, del, &stats, out)
+		out, err = le.scanMemtable(cc, sh.mem, lq.mem.shardLists(si), &lq.mem, tau, del, &stats, out)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -2,11 +2,13 @@
 // LSM-style segment store. Committed documents live in immutable
 // segments — each a full Engine over its sub-corpus, built with the
 // global corpus statistics baked in via collection.BuildWithStats — and
-// recent mutations live in a small memtable scanned linearly at query
-// time. Deletes set a bit in a global tombstone bitmap consulted when
-// results are emitted, so they take effect immediately without touching
-// any index. A background compaction goroutine (compact.go) folds the
-// memtable and small or drifted segments into fresh segments.
+// recent mutations live in a small memtable with its own inverted lists
+// of memtable positions, so a query scores only the memtable documents
+// that share a token with it. Deletes set a bit in a global tombstone
+// bitmap consulted when results are emitted, so they take effect
+// immediately without touching any index. A background compaction
+// goroutine (compact.go) folds the memtable and small or drifted
+// segments into fresh segments.
 //
 // Readers never lock: Prepare pins the current snapshot (an atomically
 // swapped, copy-on-write value) and every Select runs against that
@@ -198,16 +200,22 @@ type LiveEngine struct {
 	m       *metrics.Registry
 	nShards int
 
-	// mu guards the document log, the global df table, liveN, the
-	// mutation counter, and snapshot publication. Queries take no lock;
-	// Prepare takes it briefly in read mode to get a consistent (stats,
-	// snapshot) pair.
+	// mu guards the document log, the global df table, the memtable
+	// index, liveN, the mutation counter, and snapshot publication.
+	// Queries take no lock; Prepare takes it briefly in read mode to get
+	// a consistent (stats, snapshot, memtable lists) triple.
 	mu        sync.RWMutex
 	log       []liveDoc
 	df        map[string]int // live document frequency by token string
 	liveN     int            // live documents (inserted minus deleted)
 	mutations uint64
 	closed    bool
+	// memIdx is each shard's memtable index: token → the ascending
+	// positions in that shard's published memtable of the documents
+	// holding it. Writers only append past the list headers pinned
+	// queries hold or install fresh lists, never truncate and reuse one,
+	// so a header copied under mu stays exact for its snapshot.
+	memIdx []map[string][]int32
 	// route maps every global id to the shard holding it: hash-assigned
 	// at insert, rewritten by full compactions when the similarity-aware
 	// clusterer redistributes the corpus. Parallel to log; guarded by mu.
@@ -246,6 +254,10 @@ type LiveEngine struct {
 	// Per-segment pruning counters, mirrored into metrics.ShardGauges.
 	boundChecks   atomic.Uint64
 	shardsSkipped atomic.Uint64
+
+	// memAcc pools the memtable scan's per-position score accumulators
+	// (*[]float64).
+	memAcc sync.Pool
 }
 
 // NewLive creates an empty mutable engine.
@@ -281,6 +293,7 @@ func newLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 		nShards:   cfg.Shards,
 		m:         metrics.NewRegistry(),
 		df:        map[string]int{},
+		memIdx:    make([]map[string][]int32, cfg.Shards),
 		compactCh: make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
 	}
@@ -602,13 +615,45 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	le.route = append(le.route, int32(sh))
 	shards := make([]liveShard, len(old.shards))
 	copy(shards, old.shards)
+	pos := int32(len(shards[sh].mem))
 	// Appending to the owning shard's shared backing array is safe:
 	// readers pinned on the old snapshot are bounded by its shorter
 	// slice header.
 	//ssvet:cowfrozen append past the pinned readers' slice headers; old snapshots never see the new element
 	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: toks, len: math.Sqrt(len2)})
+	le.indexMemLocked(sh, pos, toks)
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	return id
+}
+
+// indexMemLocked appends memtable position pos to the lists of toks in
+// shard sh's memtable index. The append lands past every header a
+// pinned query copied, so those queries keep seeing their snapshot's
+// lists. A new key is the document's own token: the document stays in
+// the memtable, pinning it anyway, until a compaction replaces the map.
+func (le *LiveEngine) indexMemLocked(sh int, pos int32, toks []string) {
+	idx := le.memIdx[sh]
+	if idx == nil {
+		idx = map[string][]int32{}
+		le.memIdx[sh] = idx
+	}
+	for _, t := range toks {
+		idx[t] = append(idx[t], pos)
+	}
+}
+
+// indexMem builds a memtable index over mem, nil when mem is empty.
+func indexMem(mem []memDoc) map[string][]int32 {
+	if len(mem) == 0 {
+		return nil
+	}
+	idx := make(map[string][]int32, len(mem))
+	for pos, d := range mem {
+		for _, t := range d.toks {
+			idx[t] = append(idx[t], int32(pos))
+		}
+	}
+	return idx
 }
 
 func (le *LiveEngine) deleteLocked(id collection.SetID) bool {
@@ -834,10 +879,10 @@ func (le *LiveEngine) gauges() metrics.LiveGauges {
 
 // LiveQuery is a query pinned to one snapshot: per-segment prepared
 // queries for every shard (each against that segment's dictionary and
-// baked statistics) plus the token weights the memtable scans score
-// with. It may be reused across Select calls; mutations applied after
-// Prepare are invisible to it, except deletions, which the emit-time
-// tombstone check always honours.
+// baked statistics) plus the token weights and memtable lists the
+// memtable scans score with. It may be reused across Select calls;
+// mutations applied after Prepare are invisible to it, except deletions,
+// which the emit-time tombstone check always honours.
 type LiveQuery struct {
 	snap  *liveSnapshot
 	segQ  [][]Query // [shard][segment]
@@ -867,11 +912,12 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 		idfSq[i] = w * w
 		len2 += idfSq[i]
 	}
+	lists := le.memListsLocked(snap, toks)
 	le.mu.RUnlock()
 	lq := LiveQuery{
 		snap:  snap,
 		segQ:  make([][]Query, len(snap.shards)),
-		mem:   memQuery{toks: toks, idfSq: idfSq, qLen: math.Sqrt(len2)},
+		mem:   memQuery{toks: toks, idfSq: idfSq, qLen: math.Sqrt(len2), lists: lists},
 		known: known,
 	}
 	for si := range snap.shards {

@@ -1,47 +1,100 @@
-// The memtable scan: recent inserts are not indexed — each query walks
-// the (small, flush-bounded) memtable linearly, intersecting its sorted
-// distinct tokens with the query's by a string merge. Correctness does
-// not depend on the memtable being small, only latency does; the flush
-// threshold bounds it.
+// The memtable scan: recent inserts are not in any segment, but each
+// shard's memtable keeps inverted lists of memtable positions
+// (LiveEngine.memIdx), so a query touches only the documents that share
+// a token with it. Scores accumulate per position in ascending query
+// token order — the order a sorted string merge of the document against
+// the query adds its matches in — so every memtable score is bitwise the
+// merge's. Correctness does not depend on the memtable being small, only
+// latency does; the flush threshold bounds it.
 package core
 
-import (
-	"repro/internal/kernel"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // memQuery is the memtable half of a LiveQuery: the query's sorted
 // distinct token strings with their squared idf weights under the global
-// statistics pinned at Prepare time, plus the normalized query length.
+// statistics pinned at Prepare time, the normalized query length, and
+// the memtable lists of those tokens as of the pinned snapshot.
 type memQuery struct {
 	toks  []string
 	idfSq []float64
 	qLen  float64
+	// lists[si*len(toks)+i] is shard si's memtable list of toks[i]. It is
+	// nil when no shard of the pinned snapshot had a memtable.
+	lists [][]int32
+}
+
+// shardLists returns shard si's memtable lists, parallel to toks.
+func (mq *memQuery) shardLists(si int) [][]int32 {
+	n := len(mq.toks)
+	return mq.lists[si*n : (si+1)*n]
+}
+
+// memListsLocked copies the headers of toks' memtable lists for every
+// shard of snap holding a memtable. le.mu must be held: it is what makes
+// the lists and the snapshot's memtables agree on every position.
+func (le *LiveEngine) memListsLocked(snap *liveSnapshot, toks []string) [][]int32 {
+	if snap.memDocs() == 0 {
+		return nil
+	}
+	lists := make([][]int32, len(snap.shards)*len(toks))
+	for si := range snap.shards {
+		if len(snap.shards[si].mem) == 0 {
+			continue
+		}
+		idx := le.memIdx[si]
+		for i, t := range toks {
+			lists[si*len(toks)+i] = idx[t]
+		}
+	}
+	return lists
 }
 
 // scanMemtable appends every live memtable document scoring ≥ τ to out.
-// Documents are scanned in insertion order, which is ascending id order,
-// so the appended results extend an already-ascending result slice
-// without re-sorting when the caller merges a single segment. A top-k
-// passes the k-th bound its segments raised as τ: the memtable runs
-// last, so only documents that can still make the top k are appended.
-func scanMemtable(cc *canceller, mem []memDoc, mq memQuery, tau float64, del *tombstones, stats *Stats, out []Result) ([]Result, error) {
-	for _, d := range mem {
+// lists are the shard's memtable lists of the query's tokens, pinned
+// with mem. Each posting of token i adds idfSq[i] to its position's
+// accumulator, in ascending i; positions are then emitted in ascending
+// order, which is ascending id order, so the appended results extend an
+// already-ascending result slice without re-sorting when the caller
+// merges a single segment. A top-k passes the k-th bound its segments
+// raised as τ: the memtable runs last, so only documents that can still
+// make the top k are appended.
+func (le *LiveEngine) scanMemtable(cc *canceller, mem []memDoc, lists [][]int32, mq *memQuery, tau float64, del *tombstones, stats *Stats, out []Result) ([]Result, error) {
+	p, _ := le.memAcc.Get().(*[]float64)
+	if p == nil {
+		p = new([]float64)
+	}
+	defer le.memAcc.Put(p)
+	if cap(*p) < len(mem) {
+		*p = make([]float64, len(mem))
+	}
+	acc := (*p)[:len(mem)]
+	clear(acc)
+	for _, l := range lists {
+		stats.ListTotal += len(l)
+	}
+	for i, l := range lists {
 		if cc.stop() {
 			return out, cc.err
 		}
+		w := mq.idfSq[i]
+		for _, pos := range l {
+			acc[pos] += w
+		}
+	}
+	for pos, dot := range acc {
+		// Weights are positive, so only untouched positions hold 0.
+		if dot <= 0 {
+			continue
+		}
+		if cc.stop() {
+			return out, cc.err
+		}
+		d := &mem[pos]
 		if del.has(d.id) {
 			stats.ElementsSkipped++
 			continue
 		}
 		stats.ElementsRead++
-		// kernel.DotStrings is the same ascending-order merge this loop
-		// always ran (with a galloping cutover for long documents), so
-		// live scores stay bitwise identical to the segment path's.
-		dot := kernel.DotStrings(d.toks, mq.toks, mq.idfSq)
-		if dot <= 0 {
-			continue
-		}
 		score := dot / (mq.qLen * d.len)
 		if sim.Meets(score, tau) {
 			out = append(out, Result{ID: d.id, Score: score})

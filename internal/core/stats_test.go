@@ -291,6 +291,42 @@ func TestReadsAndSkipsWithinListTotal(t *testing.T) {
 			}
 		}
 	}
+	// A live engine adds the memtable, whose lists hold memtable
+	// positions, and tombstones in both the segments and the memtable.
+	corpus := randomCorpus(2000, 7, 8)
+	for _, shards := range []int{1, 2} {
+		le := BuildLive(corpus[:1500], liveTestTK, LiveConfig{
+			Config: Config{SkipInterval: 8}, NoBackground: true, Shards: shards,
+		})
+		for _, s := range corpus[1500:] {
+			if _, err := le.Insert(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := collection.SetID(0); id < 2000; id += 9 {
+			le.Delete(id)
+		}
+		if st := le.Stats(); st.Segments == 0 || st.Memtable == 0 || st.Tombstones == 0 {
+			t.Fatalf("shards=%d: live store lacks segments, memtable or tombstones: %+v", shards, st)
+		}
+		for trial := 0; trial < 8; trial++ {
+			s := corpus[rng.Intn(len(corpus))]
+			lq := le.Prepare(s)
+			for _, alg := range Algorithms() {
+				for _, tau := range []float64{0.5, 0.8} {
+					_, st, err := le.Select(lq, tau, alg, nil)
+					check(fmt.Sprintf("live shards=%d %v τ=%g query %q", shards, alg, tau, s), st, err)
+				}
+			}
+			for _, alg := range []Algorithm{Naive, SF, INRA} {
+				for _, k := range []int{1, 5, 50} {
+					_, st, err := le.SelectTopK(lq, k, alg, nil)
+					check(fmt.Sprintf("live shards=%d %v top-%d query %q", shards, alg, k, s), st, err)
+				}
+			}
+		}
+		le.Close()
+	}
 }
 
 // TestTAProbes checks that the TA family performs random accesses and the

@@ -21,6 +21,7 @@ const (
 	recOff      = "off"
 	recSkips    = "skips"
 	recSkipOff  = "skipoff"
+	recByID     = "byid"                                 // retired id-sorted arena; refused at open
 	postingSize = 16                                     // bytes per Posting, in memory and in an arena record
 	perBlock    = segpack.DefaultBlockSize / postingSize // postings per checksum block: the read and cache unit
 	cacheBlocks = 64                                     // block-cache budget: 4 MiB decoded, 4 blocks a shard
@@ -100,10 +101,7 @@ type FileStore struct {
 }
 
 // OpenFile opens and validates a list file. A file that is not a
-// well-formed list package fails with an error wrapping ErrCorrupt. The
-// "byid" record of a file written before the id-sorted copy was dropped
-// is not required and not read; a block of it that fails its checksum
-// surfaces only through Verify.
+// well-formed list package fails with an error wrapping ErrCorrupt.
 func OpenFile(path string) (*FileStore, error) {
 	pack, err := segpack.Open(path)
 	if err != nil {
@@ -117,10 +115,14 @@ func OpenFile(path string) (*FileStore, error) {
 	return s, nil
 }
 
-// load reads the metadata and the three tables and checks them against
-// each other and the arena record, so that every position a cursor can
-// compute lies inside a block the package holds.
+// load refuses the retired layout, reads the metadata and the three
+// tables and checks them against each other and the arena record, so that
+// every position a cursor can compute lies inside a block the package
+// holds.
 func (s *FileStore) load() error {
+	if s.pack.RecordSize(recByID) >= 0 {
+		return fmt.Errorf("%w: retired %q record; rebuild the file", ErrCorrupt, recByID)
+	}
 	var meta [4]int
 	for i, key := range metaKeys {
 		v, _ := s.pack.Meta(key)

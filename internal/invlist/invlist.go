@@ -21,12 +21,11 @@
 //
 // with the skip interval and the sets/tokens/postings counts of the
 // collection as decimal metadata tags (interval, sets, tokens, postings).
-// Files written before the id-sorted copy was dropped also hold a "byid"
-// record; it is never read. The three tables are read at open; postings
-// are read from the arena record one checksum block at a time, verified
-// before use, through a block cache. Both stores seek by the same rule:
-// jump to the last sampled position whose length is below the target,
-// then gallop through the block that follows.
+// The three tables are read at open; postings are read from the arena
+// record one checksum block at a time, verified before use, through a
+// block cache. Both stores seek by the same rule: jump to the last
+// sampled position whose length is below the target, then gallop through
+// the block that follows.
 package invlist
 
 import (

@@ -323,28 +323,3 @@ func TestDotCountsMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-func TestDotStringsMatchesScalar(t *testing.T) {
-	doc := []string{"ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "ibex", "jay"}
-	qt := []string{"bee", "cow", "dog", "jay", "yak"}
-	qw := []float64{1, 2, 4, 8, 16}
-	if got := DotStrings(doc, qt, qw); got != 1+4+8 {
-		t.Fatalf("DotStrings = %v, want 13", got)
-	}
-	// Skewed enough to engage galloping.
-	long := make([]string, 0, 200)
-	for i := 0; i < 200; i++ {
-		long = append(long, string(rune('a'+i/26))+string(rune('a'+i%26)))
-	}
-	var want float64
-	for j, t := range qt {
-		for _, d := range long {
-			if d == t {
-				want += qw[j]
-			}
-		}
-	}
-	if got := DotStrings(long, qt, qw); got != want {
-		t.Fatalf("DotStrings(long) = %v, want %v", got, want)
-	}
-}
