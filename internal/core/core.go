@@ -266,16 +266,6 @@ func (e *Engine) HashSizeBytes() int64 {
 	return total
 }
 
-// MemberSizeBytes totals the word-packed membership bitmaps (the kernel
-// counterpart of HashSizeBytes; 0 with kernels disabled).
-func (e *Engine) MemberSizeBytes() int64 {
-	var total int64
-	for i := range e.member {
-		total += e.member[i].SizeBytes()
-	}
-	return total
-}
-
 // RelationalSizes exposes the SQL baseline's storage accounting.
 func (e *Engine) RelationalSizes() relational.Sizes {
 	if e.rel == nil {

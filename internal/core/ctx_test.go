@@ -154,38 +154,36 @@ func TestSelectBatchCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestParallelCtxCancelled covers the intra-query parallel variants.
+// TestParallelCtxCancelled: a cancelled batch stops the full-volume
+// baselines too. Naive and SortByID read every posting when they run to
+// completion, so every entry must carry the context error with no
+// results and only a prefix of its list volume read, whatever the worker
+// count.
 func TestParallelCtxCancelled(t *testing.T) {
 	e := buildEngine(t, 2000, 83, 6, Config{NoHashes: true, NoRelational: true})
-	q := lowTauQuery(e, 84)
+	queries := []Query{lowTauQuery(e, 84), lowTauQuery(e, 90)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res, st, err := e.SelectSortByIDParallelCtx(ctx, q, 0.5, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("sort-by-id: err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Error("sort-by-id: results returned on cancellation")
-	}
-	if st.ElementsRead > st.ListTotal/2 {
-		t.Errorf("sort-by-id: read %d of %d", st.ElementsRead, st.ListTotal)
-	}
-
-	for _, workers := range []int{1, 4} {
-		res, _, err = e.SelectNaiveParallelCtx(ctx, q, 0.5, workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("naive workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if res != nil {
-			t.Errorf("naive workers=%d: results returned on cancellation", workers)
+	for _, alg := range []Algorithm{Naive, SortByID} {
+		for _, workers := range []int{1, 4} {
+			for i, r := range e.SelectBatchCtx(ctx, queries, 0.5, alg, nil, workers) {
+				if !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("%v workers=%d entry %d: err = %v, want context.Canceled", alg, workers, i, r.Err)
+				}
+				if r.Results != nil {
+					t.Errorf("%v workers=%d entry %d: results returned on cancellation", alg, workers, i)
+				}
+				if r.Stats.ElementsRead > r.Stats.ListTotal/2 {
+					t.Errorf("%v workers=%d entry %d: read %d of %d", alg, workers, i, r.Stats.ElementsRead, r.Stats.ListTotal)
+				}
+			}
 		}
 	}
 }
 
 // TestElapsedPopulated: Stats.Elapsed must be set by every entry point —
-// Select, SelectTopK, SelectSortByIDParallel, SelectNaiveParallel, and
-// the per-query stats of SelectBatch.
+// Select, SelectTopK, and the per-query stats of SelectBatch.
 func TestElapsedPopulated(t *testing.T) {
 	e := buildEngine(t, 400, 85, 6, Config{NoHashes: true, NoRelational: true})
 	q := lowTauQuery(e, 86)
@@ -199,36 +197,10 @@ func TestElapsedPopulated(t *testing.T) {
 	if _, st, err := e.SelectTopK(q, 5, INRA, nil); err != nil || st.Elapsed <= 0 {
 		t.Errorf("SelectTopK(INRA): elapsed=%v err=%v", st.Elapsed, err)
 	}
-	if _, st, err := e.SelectSortByIDParallel(q, 0.6, 3); err != nil || st.Elapsed <= 0 {
-		t.Errorf("SelectSortByIDParallel: elapsed=%v err=%v", st.Elapsed, err)
-	}
-	if _, st, err := e.SelectNaiveParallel(q, 0.6, 3); err != nil || st.Elapsed <= 0 {
-		t.Errorf("SelectNaiveParallel: elapsed=%v err=%v", st.Elapsed, err)
-	}
 	for i, r := range e.SelectBatch([]Query{q, q}, 0.6, SF, nil, 2) {
 		if r.Err != nil || r.Stats.Elapsed <= 0 {
 			t.Errorf("SelectBatch[%d]: elapsed=%v err=%v", i, r.Stats.Elapsed, r.Err)
 		}
-	}
-}
-
-// TestSelectNaiveParallelValidation: the former signature skipped the
-// validation every sibling performs; bad input must now error instead of
-// silently returning wrong results.
-func TestSelectNaiveParallelValidation(t *testing.T) {
-	e := buildEngine(t, 60, 87, 6, Config{NoHashes: true, NoRelational: true})
-	if _, _, err := e.SelectNaiveParallel(Query{}, 0.5, 2); err != ErrEmptyQuery {
-		t.Errorf("empty query err = %v, want ErrEmptyQuery", err)
-	}
-	q := e.PrepareCounts(e.c.Set(0))
-	if _, _, err := e.SelectNaiveParallel(q, 0, 2); err != ErrBadThreshold {
-		t.Errorf("tau=0 err = %v, want ErrBadThreshold", err)
-	}
-	if _, _, err := e.SelectNaiveParallel(q, 1.5, 2); err != ErrBadThreshold {
-		t.Errorf("tau=1.5 err = %v, want ErrBadThreshold", err)
-	}
-	if _, st, err := e.SelectNaiveParallel(q, 0.5, 2); err != nil || st.ListTotal == 0 {
-		t.Errorf("valid query: err=%v ListTotal=%d", err, st.ListTotal)
 	}
 }
 
@@ -244,8 +216,8 @@ func TestEngineMetrics(t *testing.T) {
 	if _, _, err := e.SelectTopK(q, 3, SF, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.SelectSortByIDParallel(q, 0.6, 2); err != nil {
-		t.Fatal(err)
+	if r := e.SelectBatch([]Query{q}, 0.6, SortByID, nil, 2); r[0].Err != nil {
+		t.Fatal(r[0].Err)
 	}
 	if _, _, err := e.Select(q, 0.6, TA, nil); err != ErrNoHashIndex {
 		t.Fatalf("TA err = %v, want ErrNoHashIndex", err)

@@ -206,8 +206,8 @@ func TestQuickRandomInstances(t *testing.T) {
 			// and (len, id) ties decide the candidate order of iNRA,
 			// Hybrid and SF — and SF's merge of C with each list — on
 			// every list-positioning path, for selection and top-k. The
-			// (len, id) heap of the merge baseline, serial and parallel,
-			// runs over the in-memory lists and over a list file of them.
+			// (len, id) heap of the merge baseline runs over the in-memory
+			// lists and over a list file of them.
 			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{NoHashes: true, NoRelational: true})
 			path := filepath.Join(t.TempDir(), "ties.lists")
 			if err := invlist.WriteFile(path, ties.c, 4); err != nil {
@@ -230,10 +230,6 @@ func TestQuickRandomInstances(t *testing.T) {
 					got, _, err := eng.Select(q, tau, SortByID, nil)
 					if err != nil {
 						t.Fatalf("SortByID: %v", err)
-					}
-					assertSameResults(t, eng, q, tau, SortByID, got, want)
-					if got, _, err = eng.SelectSortByIDParallel(q, tau, 3); err != nil {
-						t.Fatalf("SelectSortByIDParallel: %v", err)
 					}
 					assertSameResults(t, eng, q, tau, SortByID, got, want)
 				}

@@ -288,7 +288,7 @@ func (le *LiveEngine) liveShardRun(ctx context.Context, lq LiveQuery, si int, p 
 }
 
 // normWorkers resolves a caller-facing worker count: ≤ 0 selects
-// GOMAXPROCS, the shared convention of every batch and parallel entry
+// GOMAXPROCS, the shared convention of every batch and self-join entry
 // point.
 func normWorkers(workers int) int {
 	if workers <= 0 {

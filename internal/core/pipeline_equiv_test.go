@@ -106,8 +106,8 @@ func computePipelineFingerprints(t *testing.T) map[string]string {
 	f := &pipelineFP{m: map[string]string{}}
 
 	// Monolithic engine: full index set, all algorithms, a τ grid, the
-	// ablation options, top-k, batch, the intra-query parallel variants
-	// and the self-join.
+	// ablation options, top-k, batch (SF and the naive scan) and the
+	// self-join.
 	eng := NewEngine(buildPipelineCollection(docs), Config{})
 	for _, alg := range pipelineAllAlgs() {
 		for _, tau := range []float64{0.5, 0.7, 0.8, 0.95} {
@@ -135,27 +135,21 @@ func computePipelineFingerprints(t *testing.T) map[string]string {
 			})
 		}
 	}
-	f.add("mono/batch", func(h interface{ Write([]byte) (int, error) }) {
-		queries := make([]Query, len(queryDocs))
-		for i, qs := range queryDocs {
-			queries[i] = eng.Prepare(qs)
+	batch := func(alg Algorithm) func(h interface{ Write([]byte) (int, error) }) {
+		return func(h interface{ Write([]byte) (int, error) }) {
+			queries := make([]Query, len(queryDocs))
+			for i, qs := range queryDocs {
+				queries[i] = eng.Prepare(qs)
+			}
+			for _, br := range eng.SelectBatch(queries, 0.6, alg, nil, 4) {
+				fpFold(h, br.Results, br.Err)
+			}
 		}
-		for _, br := range eng.SelectBatch(queries, 0.6, SF, nil, 4) {
-			fpFold(h, br.Results, br.Err)
-		}
-	})
-	f.add("mono/par/sortbyid", func(h interface{ Write([]byte) (int, error) }) {
-		for _, qs := range queryDocs {
-			res, _, err := eng.SelectSortByIDParallel(eng.Prepare(qs), 0.6, 4)
-			fpFold(h, res, err)
-		}
-	})
-	f.add("mono/par/naive", func(h interface{ Write([]byte) (int, error) }) {
-		for _, qs := range queryDocs {
-			res, _, err := eng.SelectNaiveParallel(eng.Prepare(qs), 0.6, 4)
-			fpFold(h, res, err)
-		}
-	})
+	}
+	f.add("mono/batch", batch(SF))
+	// The key names the parallel naive scan whose fingerprint the naive
+	// batch reproduces bit for bit.
+	f.add("mono/par/naive", batch(Naive))
 	f.add("mono/join/sf", func(h interface{ Write([]byte) (int, error) }) {
 		pairs, err := eng.SelfJoin(0.85, SF, nil, 4)
 		var b [8]byte

@@ -12,7 +12,7 @@
 //	        threshold selection, score sort + cut to k with the
 //	        CAS-circulated sharedTau bound for top-k (exec.go).
 //
-// The shape files (core.go, topk.go, shard.go, live.go, parallel.go)
+// The shape files (core.go, topk.go, shard.go, live.go, batch.go)
 // are thin adapters over this spine: plan construction plus
 // shape-specific snapshot acquisition. The bound arithmetic the route
 // stage consumes lives in shardprune.go.

@@ -47,10 +47,6 @@ func TestErrorPathStatsContract(t *testing.T) {
 		check("ShardedEngine.Select/"+name, ErrBadThreshold, res, st, err)
 		res, st, err = le.Select(lq, tau, SF, nil)
 		check("LiveEngine.Select/"+name, ErrBadThreshold, res, st, err)
-		res, st, err = eng.SelectSortByIDParallel(q, tau, 4)
-		check("SelectSortByIDParallel/"+name, ErrBadThreshold, res, st, err)
-		res, st, err = eng.SelectNaiveParallel(q, tau, 4)
-		check("SelectNaiveParallel/"+name, ErrBadThreshold, res, st, err)
 		if _, err := eng.SelfJoin(tau, SF, nil, 2); err != ErrBadThreshold {
 			t.Errorf("SelfJoin/%s: err = %v, want ErrBadThreshold", name, err)
 		}
@@ -64,10 +60,6 @@ func TestErrorPathStatsContract(t *testing.T) {
 	check("ShardedEngine.Select/empty", ErrEmptyQuery, res, st, err)
 	res, st, err = le.Select(lempty, -1, SF, nil)
 	check("LiveEngine.Select/empty", ErrEmptyQuery, res, st, err)
-	res, st, err = eng.SelectSortByIDParallel(empty, -1, 4)
-	check("SelectSortByIDParallel/empty", ErrEmptyQuery, res, st, err)
-	res, st, err = eng.SelectNaiveParallel(empty, -1, 4)
-	check("SelectNaiveParallel/empty", ErrEmptyQuery, res, st, err)
 	res, st, err = le.Select(LiveQuery{}, 0.5, SF, nil)
 	check("LiveEngine.Select/zero-LiveQuery", ErrEmptyQuery, res, st, err)
 

@@ -11,8 +11,8 @@ import (
 )
 
 // These tests exist for `go test -race`: several engines sharing one
-// inverted-list store, hammered concurrently through every parallel
-// entry point, with cancellation racing against in-flight scans. They
+// inverted-list store, hammered concurrently through the batch worker
+// pool, with cancellation racing against in-flight scans. They
 // validate the package's documented claim that all engine indexes are
 // safe for concurrent readers.
 
@@ -35,7 +35,7 @@ func TestRaceSelectBatchSharedStore(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for _, e := range []*Engine{e1, e2} {
-		for _, alg := range []Algorithm{SF, INRA, SortByID} {
+		for _, alg := range []Algorithm{Naive, SF, INRA, SortByID} {
 			wg.Add(1)
 			go func(e *Engine, alg Algorithm) {
 				defer wg.Done()
@@ -47,33 +47,6 @@ func TestRaceSelectBatchSharedStore(t *testing.T) {
 				}
 			}(e, alg)
 		}
-	}
-	wg.Wait()
-}
-
-func TestRaceIntraQueryParallelSharedStore(t *testing.T) {
-	e1, e2 := buildSharedStoreEngines(t, 600, 93)
-	rng := rand.New(rand.NewSource(94))
-	queries := make([]Query, 6)
-	for i := range queries {
-		queries[i] = e1.PrepareCounts(e1.Collection().Set(collection.SetID(rng.Intn(e1.Collection().NumSets()))))
-	}
-	var wg sync.WaitGroup
-	for _, e := range []*Engine{e1, e2} {
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			for _, q := range queries {
-				if _, _, err := e.SelectSortByIDParallel(q, 0.5, 4); err != nil {
-					t.Errorf("sort-by-id parallel: %v", err)
-					return
-				}
-				if _, _, err := e.SelectNaiveParallel(q, 0.5, 4); err != nil {
-					t.Errorf("naive parallel: %v", err)
-					return
-				}
-			}
-		}(e)
 	}
 	wg.Wait()
 }
@@ -97,10 +70,8 @@ func TestRaceCancelMidFlight(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		for _, q := range queries {
-			// Errors (including ctx.Err) are expected once cancel fires.
-			e2.SelectSortByIDParallelCtx(ctx, q, 0.3, 4)
-		}
+		// Errors (including ctx.Err) are expected once cancel fires.
+		e2.SelectBatchCtx(ctx, queries, 0.3, SortByID, nil, 4)
 	}()
 	cancel()
 	wg.Wait()

@@ -49,12 +49,11 @@ type queryScratch struct {
 
 	results []Result // result accumulator; copied out before pooling
 
-	merge   []mergeEntry                 // sort-by-id merge heap
-	scores  map[collection.SetID]float64 // parallel-merge partial scores
-	idfSq   map[tokenize.Token]float64   // naive scan's token-weight lookup
-	relToks []relational.QueryToken      // SQL baseline's converted tokens
-	kth     kthBound                     // top-k rising bound
-	strs    []string                     // Prepare's raw token buffer
+	merge   []mergeEntry               // sort-by-id merge heap
+	idfSq   map[tokenize.Token]float64 // naive scan's token-weight lookup
+	relToks []relational.QueryToken    // SQL baseline's converted tokens
+	kth     kthBound                   // top-k rising bound
+	strs    []string                   // Prepare's raw token buffer
 }
 
 // newCandMask returns a zeroed candidate mask over n lists. The common

@@ -28,9 +28,6 @@ type Setup struct {
 	SkipInterval int
 }
 
-// DefaultSetup mirrors the paper's experiment design at ~1/70 scale.
-func DefaultSetup() Setup { return Setup{Seed: 1, Rows: 100000, Queries: 100} }
-
 // Env is a built experimental environment: the synthetic corpus, the
 // word collection (each word decomposed into 3-grams, as in §VIII-A) and
 // a fully indexed engine.

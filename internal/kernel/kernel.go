@@ -58,11 +58,6 @@ func (s *Set) Len() int { return s.n }
 // Dense reports whether the set chose the contiguous-directory layout.
 func (s *Set) Dense() bool { return s.keys == nil && len(s.words) > 0 }
 
-// SizeBytes reports the packed index's storage footprint.
-func (s *Set) SizeBytes() int64 {
-	return int64(len(s.keys))*8 + int64(len(s.words))*8
-}
-
 // Contains reports whether id is a member.
 //
 //ssvet:hot
@@ -229,15 +224,6 @@ func visitCommon(a, b *Set, f func(blockBase uint64, word uint64)) {
 			}
 		}
 	}
-}
-
-// IntersectCount returns |a ∩ b| by block-AND + popcount.
-func IntersectCount(a, b *Set) int {
-	n := 0
-	visitCommon(a, b, func(_ uint64, w uint64) {
-		n += bits.OnesCount64(w)
-	})
-	return n
 }
 
 // Intersect appends the ids present in both sets onto dst in ascending

@@ -75,11 +75,6 @@ func TestSetLayouts(t *testing.T) {
 	if sparse.Dense() {
 		t.Errorf("scattered id range chose dense layout")
 	}
-	for _, s := range []*Set{&dense, &sparse} {
-		if s.SizeBytes() <= 0 {
-			t.Errorf("SizeBytes = %d, want > 0", s.SizeBytes())
-		}
-	}
 }
 
 func TestSetContains(t *testing.T) {
@@ -163,9 +158,6 @@ func TestIntersectEdgeCases(t *testing.T) {
 				if !sameIDs(got, want) {
 					t.Errorf("Intersect = %v, want %v", got, want)
 				}
-			}
-			if n := IntersectCount(&sa, &sb); n != len(want) {
-				t.Errorf("IntersectCount = %d, want %d", n, len(want))
 			}
 		})
 	}
