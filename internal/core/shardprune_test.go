@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -168,6 +169,39 @@ func TestPrunedShardedPrunesClusteredCorpus(t *testing.T) {
 	if ratio := g.PruneRatio(); ratio < 0.5 {
 		t.Fatalf("prune ratio %.2f on clustered corpus, want >= 0.5 (%d/%d skipped)",
 			ratio, g.Skipped, g.BoundChecks)
+	}
+}
+
+// TestPrunedTopKVisitsOneShard pins what whole topics buy a routed
+// top-k: a query drawn from the corpus shares tokens with its own
+// topic's shard only, so the route stage leaves one shard and the
+// executor runs it inline. The corpus is the benchmark's clustered shape
+// (64 topics × 60 words, 6 draws per document, topic = i mod 64) at a
+// size and seed where the partition splits no topic. A partitioner that
+// scatters topics makes these queries visit about three shards each.
+func TestPrunedTopKVisitsOneShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	docs := make([]string, 12800)
+	words := make([]string, 6)
+	for i := range docs {
+		for j := range words {
+			words[j] = fmt.Sprintf("t%02dw%02d", i%64, rng.Intn(60))
+		}
+		docs[i] = strings.Join(words, " ")
+	}
+	se := BuildSharded(tokenize.WordTokenizer{}, docs, true, 8, Config{})
+	defer se.Close()
+	const queries = 200
+	for i := 0; i < queries; i++ {
+		q := se.Prepare(docs[rng.Intn(len(docs))])
+		if _, _, err := se.SelectTopK(q, 10, SF, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := se.Metrics().Snapshot().Shard
+	if visited := float64(g.BoundChecks-g.Skipped) / queries; visited > 1.1 {
+		t.Fatalf("top-k visits %.2f shards per query on whole topics, want <= 1.1 (%d of %d bound checks skipped)",
+			visited, g.Skipped, g.BoundChecks)
 	}
 }
 

@@ -32,9 +32,6 @@ const (
 	// document's clustering signature. Rare tokens identify a document's
 	// topic; frequent ones appear everywhere and carry no routing signal.
 	sigLen = 8
-	// centroidCap bounds a centroid's token support between iterations,
-	// keeping the dot products cheap and the trim deterministic.
-	centroidCap = 128
 	// iterations bounds the Lloyd rounds; assignment usually stabilizes
 	// in two or three on clustered data and the loop exits early when a
 	// round moves nothing.
@@ -45,11 +42,12 @@ const (
 // assignment vector. docs[i] holds document i's distinct token ids
 // (ascending); idf[t] is token t's global idf weight. The clustering is
 // greedy k-means over sparse signatures with a per-cluster capacity cap
-// (~25% above the even share) so no shard degenerates, and every step —
-// seeding, tie-breaks, trimming — is deterministic: the same documents
-// in the same order always produce the same partition, which is what
-// lets a live engine's full compaction reproduce the static build's
-// routing bit for bit.
+// (~25% above the even share) so no shard degenerates. A centroid keeps
+// every token of its members' signatures, so a topic's whole vocabulary
+// pulls its documents together. Every step — seeding, sums, tie-breaks —
+// is deterministic: the same documents in the same order always produce
+// the same partition, which is what lets a live engine's full compaction
+// reproduce the static build's routing bit for bit.
 func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 	n := len(docs)
 	assign := make([]int32, n)
@@ -201,10 +199,9 @@ func leastLoaded(counts []int, capPer int) int {
 	return best
 }
 
-// rebuild recomputes every centroid from its members' signatures,
-// normalizes by cluster size (so large clusters do not out-shout small
-// ones), and trims to the centroidCap strongest tokens (weight
-// descending, token ascending).
+// rebuild recomputes every centroid as the mean of its members'
+// signatures: each token's idf summed over the members, scaled by
+// 1/|cluster| so large clusters do not out-shout small ones.
 func (c *centroids) rebuild(sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
 	for _, t := range c.tok[1:] {
 		c.row[t] = 0
@@ -216,36 +213,13 @@ func (c *centroids) rebuild(sigs [][]tokenize.Token, assign []int32, counts []in
 			c.at(t)[j] += idf[t]
 		}
 	}
-	type entry struct {
-		t tokenize.Token
-		w float64
-	}
-	var support []entry
-	for j := 0; j < c.k; j++ {
-		if counts[j] == 0 {
-			continue
+	for j, n := range counts {
+		if n == 0 {
+			continue // an empty cluster's column is all zeros already
 		}
-		inv := 1 / float64(counts[j])
-		support = support[:0]
-		for r, t := range c.tok[1:] {
-			if w := c.w[(r+1)*c.k+j]; w > 0 {
-				support = append(support, entry{t, w})
-			}
-		}
-		if len(support) > centroidCap {
-			sort.Slice(support, func(a, b int) bool {
-				if support[a].w != support[b].w {
-					return support[a].w > support[b].w
-				}
-				return support[a].t < support[b].t
-			})
-			for _, e := range support[centroidCap:] {
-				c.weights(e.t)[j] = 0
-			}
-			support = support[:centroidCap]
-		}
-		for _, e := range support {
-			c.weights(e.t)[j] = e.w * inv
+		inv := 1 / float64(n)
+		for r := c.k + j; r < len(c.w); r += c.k {
+			c.w[r] *= inv
 		}
 	}
 }

@@ -3,11 +3,14 @@ package route
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
 
@@ -259,7 +262,7 @@ func partitionRef(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 
 func rebuildRef(cents []map[tokenize.Token]float64, sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
 	for j := range cents {
-		cents[j] = make(map[tokenize.Token]float64, centroidCap)
+		cents[j] = make(map[tokenize.Token]float64)
 	}
 	for i, sig := range sigs {
 		c := cents[assign[i]]
@@ -267,45 +270,22 @@ func rebuildRef(cents []map[tokenize.Token]float64, sigs [][]tokenize.Token, ass
 			c[t] += idf[t]
 		}
 	}
-	type entry struct {
-		t tokenize.Token
-		w float64
-	}
-	var scratch []entry
 	for j := range cents {
 		if counts[j] == 0 {
 			continue
 		}
 		inv := 1 / float64(counts[j])
-		if len(cents[j]) <= centroidCap {
-			for t := range cents[j] {
-				cents[j][t] *= inv
-			}
-			continue
+		for t := range cents[j] {
+			cents[j][t] *= inv
 		}
-		scratch = scratch[:0]
-		for t, w := range cents[j] {
-			scratch = append(scratch, entry{t, w})
-		}
-		sort.Slice(scratch, func(a, b int) bool {
-			if scratch[a].w != scratch[b].w {
-				return scratch[a].w > scratch[b].w
-			}
-			return scratch[a].t < scratch[b].t
-		})
-		trimmed := make(map[tokenize.Token]float64, centroidCap)
-		for _, e := range scratch[:centroidCap] {
-			trimmed[e.t] = e.w * inv
-		}
-		cents[j] = trimmed
 	}
 }
 
 // TestPartitionMatchesMapReference runs the dense clusterer against the
-// map-backed one over corpora that exercise what could diverge: supports
-// above and below centroidCap (trimmed and untrimmed rebuilds), skewed
-// vocabularies where many dots tie, documents sharing no token with any
-// centroid, more clusters than topics, and k that does not divide n.
+// map-backed one over corpora that exercise what could diverge: centroid
+// supports from a handful of tokens to thousands, skewed vocabularies
+// where many dots tie, documents sharing no token with any centroid, more
+// clusters than topics, and k that does not divide n.
 func TestPartitionMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, shape := range []struct{ n, vocab, docLen int }{
@@ -339,6 +319,72 @@ func TestPartitionMatchesMapReference(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d vocab=%d k=%d: doc %d assigned to %d, reference %d", shape.n, shape.vocab, k, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// topicCorpus is the benchmark's clustered shape as token ids: 64 topics
+// with disjoint 60-word vocabularies (topic tp owns ids 60·tp … 60·tp+59),
+// document i drawing 6 words with replacement from topic i mod 64. It
+// returns each document's distinct ids, ascending, and the corpus idf.
+func topicCorpus(n int, seed int64) ([][]tokenize.Token, []float64) {
+	const topics, vocab, draws = 64, 60, 6
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([][]tokenize.Token, n)
+	df := make([]int, topics*vocab)
+	flat := make([]tokenize.Token, 0, n*draws)
+	for i := range docs {
+		start, base := len(flat), (i%topics)*vocab
+		for d := 0; d < draws; d++ {
+			flat = append(flat, tokenize.Token(base+rng.Intn(vocab)))
+		}
+		slices.Sort(flat[start:])
+		doc := slices.Compact(flat[start:])
+		flat = flat[:start+len(doc)]
+		docs[i] = doc[:len(doc):len(doc)]
+		for _, t := range doc {
+			df[t]++
+		}
+	}
+	idf := make([]float64, len(df))
+	for t, d := range df {
+		idf[t] = sim.IDF(d, n)
+	}
+	return docs, idf
+}
+
+// TestPartitionKeepsTopicsWhole pins the purity the routed top-k relies
+// on: a topic whose documents land on two shards makes every query of
+// that topic visit both. On the benchmark's clustered shape at k = 8,
+// no topic may split at 200 000 documents, and at smaller sizes the
+// topics average at most 1.10 shards each. Centroids cut to their 128
+// strongest tokens split 21–64 of the 64 topics here.
+func TestPartitionKeepsTopicsWhole(t *testing.T) {
+	const topics, k = 64, 8
+	for _, n := range []int{3200, 12800, 50000, 100000, 200000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			docs, idf := topicCorpus(n, seed)
+			assign := Partition(docs, idf, k)
+			var shardsOf [topics]uint64
+			for i, sh := range assign {
+				shardsOf[i%topics] |= 1 << sh
+			}
+			split, spread := 0, 0
+			for _, m := range shardsOf {
+				c := bits.OnesCount64(m)
+				spread += c
+				if c > 1 {
+					split++
+				}
+			}
+			perTopic := float64(spread) / topics
+			t.Logf("n=%d seed=%d: %d split topics, %.3f shards per topic", n, seed, split, perTopic)
+			if n == 200000 && split > 0 {
+				t.Errorf("n=%d seed=%d: %d of %d topics split across shards", n, seed, split, topics)
+			}
+			if perTopic > 1.10 {
+				t.Errorf("n=%d seed=%d: %.3f shards per topic, want <= 1.10", n, seed, perTopic)
 			}
 		}
 	}
