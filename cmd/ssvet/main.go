@@ -1,12 +1,11 @@
 // Command ssvet runs the repository's custom static-analysis suite
 // (internal/analysis) over every package in the module and exits
 // non-zero on any diagnostic. It is the CI gate for the engine's
-// hot-path invariants: scratch check-out/check-in pairing, canceller
-// polling in scan loops, allocation-free warm paths, epsilon float
+// hot-path invariants: canceller polling in scan loops, paper counters
+// on posting loops, allocation-free warm paths, epsilon float
 // comparison, lock hygiene, the concurrency disciplines of the
-// lock-free core (atomic field ownership, copy-on-write publication,
-// monotone CAS loops, scratch reset), and the stdlib-only import
-// constraint.
+// lock-free core (atomic field ownership, copy-on-write publication),
+// live escape hatches, and the stdlib-only import constraint.
 //
 // Usage:
 //

@@ -4,20 +4,24 @@
 // mechanically enforces the repository's hot-path invariants.
 //
 // PR 2 made the warm query path allocation-free; the conventions that
-// keep it that way — scratch check-out/check-in discipline,
-// copy-out-before-release, canceller polling in every scan loop, lock
-// hygiene in the sharded block cache — were enforced only by code review
-// and a handful of runtime tests. The analyzers in this package encode
-// each convention as a machine-checked rule, so a missed putScratch or
-// an unpolled posting loop fails CI instead of silently reintroducing
-// leaks, hangs past deadlines, or aliased-result corruption
-// (DESIGN.md §10, "Enforced invariants").
+// keep it that way — canceller polling in every scan loop, no
+// allocation in a hot function, paper counters on every posting loop,
+// lock hygiene in the sharded block cache, atomic and copy-on-write
+// discipline — were enforced only by code review and a handful of
+// runtime tests. The analyzers in this package encode each convention
+// as a machine-checked rule, so an unpolled posting loop or an
+// allocation on the warm path fails CI instead of silently
+// reintroducing hangs past deadlines or garbage per query (DESIGN.md
+// §10, "Enforced invariants"). Conventions with only one or two sites —
+// the scratch pool's check-out/reset/check-in, the CAS loops, the
+// algorithm dispatch — are pinned by runtime tests in the packages that
+// own them instead.
 //
-// Analyzers match repository conventions by name (a type named
-// "queryScratch", a method named "putScratch", a canceller method named
-// "stop"), not by import path. This keeps every analyzer testable
-// against small self-contained corpora under testdata/ and keeps the
-// rules robust to package moves.
+// Analyzers match repository conventions by name (a canceller method
+// named "stop", a Stats field named "ElementsRead"), not by import
+// path. This keeps every analyzer testable against small
+// self-contained corpora under testdata/ and keeps the rules robust to
+// package moves.
 //
 // Escape hatches are explicit annotations, each requiring a reason:
 //
@@ -25,20 +29,12 @@
 //	//ssvet:floatexact <reason> — this ==/!= on floats is intentional
 //	//ssvet:coldalloc <reason>  — this allocation in a hot function is
 //	                              a guarded cold path
-//	//ssvet:monotone <reason>   — this repeated SeekLen's targets are
-//	                              provably non-decreasing
 //	//ssvet:nostats <reason>    — this posting loop's work is accounted
 //	                              by its caller
 //	//ssvet:atomicplain <reason> — this plain access to an atomically
 //	                              owned field is safe (quiescence proof)
 //	//ssvet:cowfrozen <reason>  — this write through a published
 //	                              snapshot is safe (bounded visibility)
-//	//ssvet:casstore <reason>   — this blind Store on a CAS-managed
-//	                              field is safe (no racer exists here)
-//	//ssvet:casshape <reason>   — this CompareAndSwap deviates from the
-//	                              monotone retry-loop shape on purpose
-//	//ssvet:scratchread <reason> — this scratch field is intentionally
-//	                              read before its reset
 //	//ssvet:hot                 — (in a function's doc comment) opt the
 //	                              function into the hotalloc rules
 //
@@ -209,19 +205,14 @@ func docAnnotated(fd *ast.FuncDecl, verb string) bool {
 // honoured.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		ScratchPair,
 		CtxPoll,
 		HotAlloc,
 		FloatEq,
-		AlgSwitch,
 		LockScope,
 		StdlibOnly,
-		SkipMono,
 		StatsAcct,
 		AtomicField,
-		CasMono,
 		CowPublish,
-		ScratchReset,
 		AnnLive,
 	}
 }
@@ -381,14 +372,10 @@ func useObj(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// funcsOf yields every function body of a file with its name and decl:
-// declared functions and, via walkLits, each function literal as an
-// independent unit (a literal's loops and scratch use are analyzed in
-// the scope that owns them).
+// funcUnit is one function body of a file: a declared function or,
+// independently, each function literal inside one (a literal's loops
+// are analyzed in the scope that owns them).
 type funcUnit struct {
-	name string
-	decl *ast.FuncDecl // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
 	body *ast.BlockStmt
 	typ  *ast.FuncType
 }
@@ -400,16 +387,10 @@ func funcUnits(f *ast.File) []funcUnit {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		units = append(units, funcUnit{name: fd.Name.Name, decl: fd, body: fd.Body, typ: fd.Type})
-		name := fd.Name.Name
+		units = append(units, funcUnit{body: fd.Body, typ: fd.Type})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				units = append(units, funcUnit{
-					name: name + " (func literal)",
-					lit:  lit,
-					body: lit.Body,
-					typ:  lit.Type,
-				})
+				units = append(units, funcUnit{body: lit.Body, typ: lit.Type})
 			}
 			return true
 		})

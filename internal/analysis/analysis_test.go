@@ -142,23 +142,16 @@ func testCorpusSuite(t *testing.T, dirname string) {
 	}
 }
 
-func TestScratchPairCorpus(t *testing.T) { testCorpus(t, ScratchPair, "scratchpair") }
 func TestCtxPollCorpus(t *testing.T)     { testCorpus(t, CtxPoll, "ctxpoll") }
 func TestCtxPollLaxCorpus(t *testing.T)  { testCorpus(t, CtxPoll, "ctxpoll_lax") }
 func TestHotAllocCorpus(t *testing.T)    { testCorpus(t, HotAlloc, "hotalloc") }
 func TestFloatEqCorpus(t *testing.T)     { testCorpus(t, FloatEq, "floateq") }
-func TestAlgSwitchCorpus(t *testing.T)   { testCorpus(t, AlgSwitch, "algswitch") }
 func TestLockScopeCorpus(t *testing.T)   { testCorpus(t, LockScope, "lockscope") }
 func TestStdlibOnlyCorpus(t *testing.T)  { testCorpus(t, StdlibOnly, "stdlibonly") }
-func TestSkipMonoCorpus(t *testing.T)    { testCorpus(t, SkipMono, "skipmono") }
 func TestStatsAcctCorpus(t *testing.T)   { testCorpus(t, StatsAcct, "statsacct") }
 func TestAtomicFieldCorpus(t *testing.T) { testCorpus(t, AtomicField, "atomicfield") }
-func TestCasMonoCorpus(t *testing.T)     { testCorpus(t, CasMono, "casmono") }
 func TestCowPublishCorpus(t *testing.T)  { testCorpus(t, CowPublish, "cowpublish") }
-func TestScratchResetCorpus(t *testing.T) {
-	testCorpus(t, ScratchReset, "scratchreset")
-}
-func TestAnnLiveCorpus(t *testing.T) { testCorpusSuite(t, "annlive") }
+func TestAnnLiveCorpus(t *testing.T)     { testCorpusSuite(t, "annlive") }
 
 // The whole-module load is shared by the cleanliness and self-check
 // tests: type-checking the module once is expensive enough.
@@ -273,60 +266,6 @@ func read(x *c) uint64 { return atomic.LoadUint64(&x.n) }
 `,
 		},
 		{
-			name:     "casmono",
-			analyzer: CasMono,
-			bad: `package seed
-
-import "sync/atomic"
-
-type b struct{ v atomic.Uint64 }
-
-func raise(x *b, n uint64) {
-	for {
-		old := x.v.Load()
-		if old >= n {
-			return
-		}
-		if x.v.CompareAndSwap(old, n) {
-			return
-		}
-	}
-}
-
-func reset(x *b) { x.v.Store(0) }
-`,
-			good: `package seed
-
-import "sync/atomic"
-
-type b struct{ v atomic.Uint64 }
-
-func raise(x *b, n uint64) {
-	for {
-		old := x.v.Load()
-		if old >= n {
-			return
-		}
-		if x.v.CompareAndSwap(old, n) {
-			return
-		}
-	}
-}
-
-func reset(x *b) {
-	for {
-		old := x.v.Load()
-		if old == 0 {
-			return
-		}
-		if x.v.CompareAndSwap(old, 0) {
-			return
-		}
-	}
-}
-`,
-		},
-		{
 			name:     "cowpublish",
 			analyzer: CowPublish,
 			bad: `package seed
@@ -355,51 +294,6 @@ func pub(e *eng) {
 	s := &snap{}
 	s.n = 1
 	e.p.Store(s)
-}
-`,
-		},
-		{
-			name:     "scratchreset",
-			analyzer: ScratchReset,
-			bad: `package seed
-
-import "sync"
-
-type queryScratch struct{ ids []int }
-
-var pool = sync.Pool{New: func() any { return &queryScratch{} }}
-
-func getScratch() *queryScratch  { return pool.Get().(*queryScratch) }
-func putScratch(s *queryScratch) { pool.Put(s) }
-
-func run(n int) int {
-	s := getScratch()
-	defer putScratch(s)
-	for i := 0; i < n; i++ {
-		s.ids = append(s.ids, i)
-	}
-	return len(s.ids)
-}
-`,
-			good: `package seed
-
-import "sync"
-
-type queryScratch struct{ ids []int }
-
-var pool = sync.Pool{New: func() any { return &queryScratch{} }}
-
-func getScratch() *queryScratch  { return pool.Get().(*queryScratch) }
-func putScratch(s *queryScratch) { pool.Put(s) }
-
-func run(n int) int {
-	s := getScratch()
-	defer putScratch(s)
-	s.ids = s.ids[:0]
-	for i := 0; i < n; i++ {
-		s.ids = append(s.ids, i)
-	}
-	return len(s.ids)
 }
 `,
 		},

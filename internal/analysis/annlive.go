@@ -28,14 +28,10 @@ var knownVerbs = map[string]bool{
 	"nopoll":      true,
 	"floatexact":  true,
 	"coldalloc":   true,
-	"monotone":    true,
 	"nostats":     true,
 	"hot":         true,
 	"atomicplain": true,
 	"cowfrozen":   true,
-	"casstore":    true,
-	"casshape":    true,
-	"scratchread": true,
 }
 
 func runAnnLive(pass *Pass) {
@@ -59,7 +55,7 @@ func runAnnLive(pass *Pass) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
 	for _, a := range dead {
 		if !knownVerbs[a.verb] {
-			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: atomicplain, casshape, casstore, coldalloc, cowfrozen, floatexact, hot, monotone, nopoll, nostats, scratchread)", a.verb)
+			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: atomicplain, coldalloc, cowfrozen, floatexact, hot, nopoll, nostats)", a.verb)
 			continue
 		}
 		pass.Reportf(a.pos, "//ssvet:%s annotation no longer suppresses any finding; remove the dead escape hatch", a.verb)

@@ -23,31 +23,22 @@ import (
 // only kind the analyzers reason about — and deterministic, because
 // implementors are scanned in package order and scope order.
 //
-// The graph also carries two module-wide facts the concurrency
-// analyzers share, collected during the same single pass that builds
-// the edges:
-//
-//   - AtomicFnFields: struct fields whose address is passed to a
-//     sync/atomic function (atomic.AddUint64(&c.hits, 1)) anywhere in
-//     the module. Such a field is atomically owned everywhere: a plain
-//     read or write of it in any other function is a race.
-//   - CASFields: atomic-typed struct fields that are the receiver of a
-//     CompareAndSwap call anywhere in the module. Such a field is
-//     CAS-managed: a blind Store or Swap elsewhere can lose a racing
-//     update.
+// The graph also carries one module-wide fact atomicfield keys on,
+// collected during the same single pass that builds the edges:
+// AtomicFnFields, the struct fields whose address is passed to a
+// sync/atomic function (atomic.AddUint64(&c.hits, 1)) anywhere in the
+// module. Such a field is atomically owned everywhere: a plain read or
+// write of it in any other function is a race.
 type CallGraph struct {
 	nodes map[*types.Func]*cgNode
 	named []*types.Named                // module-declared named types, for CHA
 	impls map[*types.Func][]*types.Func // memoized CHA expansions
 
 	AtomicFnFields map[*types.Var]bool
-	CASFields      map[*types.Var]bool
 }
 
 type cgNode struct {
-	fn      *types.Func
 	decl    *ast.FuncDecl
-	pkg     *Package
 	callees []*types.Func // deduped, in order of first reference
 }
 
@@ -63,7 +54,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		nodes:          map[*types.Func]*cgNode{},
 		impls:          map[*types.Func][]*types.Func{},
 		AtomicFnFields: map[*types.Var]bool{},
-		CASFields:      map[*types.Var]bool{},
 	}
 	// Register every declared function first, so edges can tell declared
 	// module functions from imported ones.
@@ -86,12 +76,12 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					g.nodes[fn] = &cgNode{fn: fn, decl: fd, pkg: pkg}
+					g.nodes[fn] = &cgNode{decl: fd}
 				}
 			}
 		}
 	}
-	// One pass per body: collect edges and the shared atomic facts.
+	// One pass per body: collect edges and the shared atomic fields.
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
 			continue
@@ -113,7 +103,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 							node.callees = append(node.callees, callee)
 						}
 					case *ast.CallExpr:
-						g.collectAtomicFacts(pkg.Info, n)
+						g.collectAtomicFnFields(pkg.Info, n)
 					}
 					return true
 				})
@@ -123,29 +113,20 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// collectAtomicFacts records, for one call, the module facts the
-// concurrency analyzers key on: fields handed to sync/atomic functions
-// by address, and atomic fields that are CompareAndSwap receivers.
-func (g *CallGraph) collectAtomicFacts(info *types.Info, call *ast.CallExpr) {
+// collectAtomicFnFields records the fields one call hands to a
+// sync/atomic function by address.
+func (g *CallGraph) collectAtomicFnFields(info *types.Info, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !isAtomicPkgFunc(info, sel) {
 		return
 	}
-	if isAtomicPkgFunc(info, sel) {
-		for _, arg := range call.Args {
-			un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-			if !ok || un.Op.String() != "&" {
-				continue
-			}
-			if v := selectedField(info, un.X); v != nil {
-				g.AtomicFnFields[v] = true
-			}
+	for _, arg := range call.Args {
+		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+		if !ok || un.Op.String() != "&" {
+			continue
 		}
-		return
-	}
-	if sel.Sel.Name == "CompareAndSwap" && isAtomicNamed(info.TypeOf(sel.X)) {
-		if v := selectedField(info, sel.X); v != nil {
-			g.CASFields[v] = true
+		if v := selectedField(info, un.X); v != nil {
+			g.AtomicFnFields[v] = true
 		}
 	}
 }
@@ -155,14 +136,6 @@ func (g *CallGraph) collectAtomicFacts(info *types.Info, call *ast.CallExpr) {
 func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl {
 	if n := g.nodes[fn]; n != nil {
 		return n.decl
-	}
-	return nil
-}
-
-// declPkg returns the loaded package that declares fn, or nil.
-func (g *CallGraph) declPkg(fn *types.Func) *Package {
-	if n := g.nodes[fn]; n != nil {
-		return n.pkg
 	}
 	return nil
 }
@@ -288,21 +261,22 @@ func (p *Pass) StaticCallee(call *ast.CallExpr) *types.Func {
 	if p.TypesInfo == nil {
 		return nil
 	}
-	return staticCallee(p.TypesInfo, call)
-}
-
-// Callees resolves a call expression to its possible targets through
-// the call graph: the static callee, expanded across interface dispatch
-// when the callee is abstract.
-func (p *Pass) Callees(call *ast.CallExpr) []*types.Func {
-	fn := p.StaticCallee(call)
-	if fn == nil {
+	var id *ast.Ident
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	case *ast.IndexExpr:
+		id, _ = ast.Unparen(fn.X).(*ast.Ident)
+	case *ast.IndexListExpr:
+		id, _ = ast.Unparen(fn.X).(*ast.Ident)
+	}
+	if id == nil {
 		return nil
 	}
-	if p.Graph != nil && isAbstractMethod(fn) {
-		return append([]*types.Func{fn}, p.Graph.implementations(fn)...)
-	}
-	return []*types.Func{fn}
+	fn, _ := useObj(p.TypesInfo, id).(*types.Func)
+	return fn
 }
 
 // Reaches reports whether pred holds for fn or anything it reaches

@@ -29,7 +29,7 @@ import (
 // A plain assignment or ++/-- whose left-hand side reaches memory
 // through a published alias is a finding. Atomic method calls through
 // an alias (t.bits[w].Store(...)) are not plain writes and are left to
-// the casmono/atomicfield rules.
+// atomicfield.
 //
 // Escape hatch: //ssvet:cowfrozen <reason>, for writes whose visibility
 // is provably bounded (e.g. appending within capacity past every

@@ -104,10 +104,3 @@ func frozenDead(xs []int) {
 	//ssvet:cowfrozen plain slice, nobody published it // want "no longer suppresses any finding"
 	xs[0] = 1
 }
-
-// staleDead annotates a read scratchreset never charges — no pooled
-// scratch in sight.
-func staleDead(xs []int) int {
-	//ssvet:scratchread warm reuse // want "no longer suppresses any finding"
-	return xs[0]
-}

@@ -302,7 +302,8 @@ func (c *Collection) TokenSets(fn func(t tokenize.Token, ids []SetID)) {
 }
 
 // Validate performs internal consistency checks, returning a descriptive
-// error on the first violation. Used by tests and the ssindex tool.
+// error on the first violation. It has no caller outside tests: it is
+// the oracle the build, round-trip and fuzz tests hold a collection to.
 func (c *Collection) Validate() error {
 	for id, set := range c.sets {
 		for i := 1; i < len(set); i++ {

@@ -53,6 +53,26 @@ func TestWarmQueryAllocations(t *testing.T) {
 	}
 }
 
+// warmPrepareAllocs is what a warm Prepare allocates on the input of
+// TestWarmPrepareAllocations, all of it for the Query it returns. A
+// Prepare that drops its scratch instead of returning it to the pool
+// regrows the raw token buffer on every call: 13 allocations.
+const warmPrepareAllocs = 8
+
+// TestWarmPrepareAllocations pins Prepare's scratch round trip: the raw
+// token buffer comes from the query pool and must go back to it.
+func TestWarmPrepareAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	e := buildEngine(t, 3000, 21, 7, Config{})
+	const s = "abcdefgabcdefg"
+	e.Prepare(s)
+	if avg := testing.AllocsPerRun(20, func() { e.Prepare(s) }); avg > warmPrepareAllocs {
+		t.Errorf("warm Prepare: %.2f allocs, budget %d", avg, warmPrepareAllocs)
+	}
+}
+
 // TestWarmKernelAllocations pins both sides of the build-time kernel
 // selection to the warm budget: the word-packed path must stay inside
 // it (masks carve from the scratch arena, kernel sets are built once at

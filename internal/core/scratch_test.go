@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/collection"
 )
@@ -200,4 +204,98 @@ func TestScratchMaskArena(t *testing.T) {
 	if !first.Has(3) || !first.Has(100) || first.Has(4) || first.Has(101) {
 		t.Fatal("early mask corrupted by arena growth")
 	}
+}
+
+// TestScratchStateIndependentOfHistory pins the reset discipline of the
+// pooled scratch: every algorithm must reslice each scratch field it
+// reads before using it, so after q₀ then q the warm scratch holds
+// exactly the state q would leave once every field was reset. The
+// reference is a scratch with the warm one's capacities after q₀ and
+// every length zero: a truly fresh scratch is no reference for the
+// overflow arena, which grows by abandoning its backing array, so its
+// final length depends on the capacity it started from. The check reads
+// len() of every top-level slice field and compares it on each field
+// the reference run left non-empty; a missing reset shows up as q₀'s
+// entries still sitting in front of q's. Each query of the list runs
+// after the one before it, the first after the last. The first two span
+// more than 64 lists at a low threshold, so candidate masks spill into
+// the arena and one wide query follows the other.
+//
+// Two fields are exempt. wcurs is a cursor-reuse cache: stale cursors
+// are kept on purpose and rebound by WeightCursorReuse (openLists).
+// relToks is kept at full capacity and read through a local reslice
+// (selectSQL).
+func TestScratchStateIndependentOfHistory(t *testing.T) {
+	e := buildEngine(t, 1500, 21, 7, Config{})
+	rng := rand.New(rand.NewSource(37))
+	type histQuery struct {
+		q   Query
+		tau float64
+	}
+	var qs []histQuery
+	for len(qs) < 2 {
+		var long strings.Builder
+		for long.Len() < 160 {
+			long.WriteByte(byte('a' + rng.Intn(7)))
+		}
+		q := e.Prepare(long.String())
+		if len(q.Tokens) <= 64 {
+			t.Fatalf("wide query spans %d lists, want more than 64", len(q.Tokens))
+		}
+		qs = append(qs, histQuery{q, 0.2})
+	}
+	for len(qs) < 4 {
+		qs = append(qs, histQuery{e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets())))), 0.6})
+	}
+	exempt := map[string]bool{"wcurs": true, "relToks": true}
+	check := func(label string, plan func(histQuery) (queryPlan, error)) {
+		run := func(s *queryScratch, hq histQuery) {
+			p, err := plan(hq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.runAlg(s, &canceller{ctx: context.Background()}, hq.q, &p, &Stats{}, nil); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		for i, q0 := range qs {
+			j := (i + 1) % len(qs)
+			warm := e.getScratch()
+			run(warm, q0)
+			ref := &queryScratch{}
+			refFields := scratchSlices(ref)
+			for name, v := range scratchSlices(warm) {
+				refFields[name].Set(reflect.MakeSlice(v.Type(), 0, v.Cap()))
+			}
+			run(warm, qs[j])
+			run(ref, qs[j])
+			got := scratchSlices(warm)
+			for name, v := range refFields {
+				if v.Len() > 0 && !exempt[name] && got[name].Len() != v.Len() {
+					t.Errorf("%s, q%d after q%d: scratch field %s has len %d, reset reference %d",
+						label, j, i, name, got[name].Len(), v.Len())
+				}
+			}
+			e.putScratch(warm)
+		}
+	}
+	for _, alg := range []Algorithm{Naive, SortByID, SQL, TA, NRA, ITA, INRA, SF, Hybrid} {
+		check(alg.String(), func(hq histQuery) (queryPlan, error) { return selectPlan(hq.q, hq.tau, alg, nil) })
+	}
+	for _, alg := range []Algorithm{INRA, SF} {
+		check("top-k "+alg.String(), func(hq histQuery) (queryPlan, error) { return topkPlan(hq.q, 10, alg, nil) })
+	}
+}
+
+// scratchSlices returns every top-level slice field of s by name, as a
+// settable value (the fields are unexported).
+func scratchSlices(s *queryScratch) map[string]reflect.Value {
+	out := map[string]reflect.Value{}
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			out[v.Type().Field(i).Name] = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		}
+	}
+	return out
 }

@@ -276,7 +276,7 @@ func (se *ShardedEngine) putBuffers(fb *fanBuffers) {
 		fb.res[i], fb.sts[i], fb.errs[i] = nil, Stats{}, nil
 	}
 	fb.order = fb.order[:0]
-	//ssvet:casstore pool reset: the fan-out has joined, no CAS racer can hold this buffer
+	// A blind Store, not a CAS: the fan-out has joined, so no raise can race this pool reset.
 	fb.shared.bits.Store(0)
 	fb.shared.raises.Store(0)
 	se.buffers.Put(fb)

@@ -101,7 +101,7 @@ func (l *listState) ended() bool { return l.head.Len > math.MaxFloat64 }
 // that compares one of them again does not charge it again.
 func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, charged *int, stats *Stats) bool {
 	if l.mem == nil {
-		//ssvet:monotone the caller visits C in (len, id) order, so the targets never decrease
+		// Forward-only seek: the caller visits C in (len, id) order, so the targets never decrease.
 		skipped, walked := l.cur.SeekLen(setLen)
 		stats.ElementsSkipped += skipped
 		stats.ElementsRead += walked
@@ -196,7 +196,7 @@ func listsErr(lists []listState) error {
 func (e *Engine) openLists(s *queryScratch, cc *canceller, q Query, lo float64, o *Options, stats *Stats) []listState {
 	reuser, _ := e.store.(invlist.CursorReuser)
 	for len(s.wcurs) < len(q.Tokens) {
-		//ssvet:scratchread cursor-reuse cache: stale cursors are kept on purpose and rebound via WeightCursorReuse below
+		// Cursor-reuse cache: stale cursors are kept on purpose and rebound via WeightCursorReuse below.
 		s.wcurs = append(s.wcurs, nil)
 	}
 	s.lists = s.lists[:0]

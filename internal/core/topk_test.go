@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/collection"
@@ -128,4 +130,39 @@ func TestTopKPrunesAgainstFullScan(t *testing.T) {
 		t.Errorf("SF top-k read everything: %d of %d", st.ElementsRead, st.ListTotal)
 	}
 	t.Logf("SF top-5 read %d of %d (%.1f%% pruned)", st.ElementsRead, st.ListTotal, st.PruningPower())
+}
+
+// TestSharedTauConcurrentRaise pins sharedTau.raise's CAS loop: the
+// shared bound only ever rises. Eight goroutines raise interleaved
+// increasing values, so most raises store; each goroutine checks that
+// the bound never falls below a value it saw or raised before, and the
+// round must end at the largest value raised. A blind Store anywhere on
+// the raise path lets a stale smaller value overwrite a larger one.
+func TestSharedTauConcurrentRaise(t *testing.T) {
+	const rounds, workers, per = 1000, 8, 500
+	for r := 0; r < rounds; r++ {
+		var st sharedTau
+		var drops atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				seen := 0.0
+				for i := 0; i < per; i++ {
+					cur := st.load()
+					if cur < seen {
+						drops.Add(1)
+					}
+					v := float64(i*workers+w+1) / (workers * per)
+					st.raise(v)
+					seen = max(seen, cur, v)
+				}
+			}()
+		}
+		wg.Wait()
+		if n, got := drops.Load(), st.load(); n > 0 || got != 1 {
+			t.Fatalf("round %d: the bound fell %d times, final %g, want 1", r, n, got)
+		}
+	}
 }

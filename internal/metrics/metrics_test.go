@@ -151,3 +151,30 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("reads sum = %g, want %d", s.Reads.Sum, workers*per*7)
 	}
 }
+
+// TestHistogramConcurrentSum pins Observe's CAS loop on the float sum:
+// a lost update under contention leaves Sum short of Count. Integral
+// observations keep the float sum exact in any order. Many short rounds
+// catch a lost update far more reliably than one long one: each round's
+// goroutine starts are a fresh chance for two of them to interleave.
+func TestHistogramConcurrentSum(t *testing.T) {
+	const rounds, workers, per = 400, 8, 500
+	for r := 0; r < rounds; r++ {
+		h := NewHistogram([]float64{1})
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					h.Observe(1)
+				}
+			}()
+		}
+		wg.Wait()
+		s := h.Snapshot()
+		if s.Count != workers*per || s.Sum != workers*per {
+			t.Fatalf("round %d: Count = %d, Sum = %g; want both %d", r, s.Count, s.Sum, workers*per)
+		}
+	}
+}
