@@ -7,10 +7,12 @@ import (
 )
 
 // FloatEq forbids == and != on floating-point values. Similarity scores
-// and set lengths are sums of float64 idf weights, so exact equality is
-// only ever "accidentally true": thresholds must go through the epsilon
-// comparison (sim.Meets / sim.ScoreEpsilon) and zero-tests must use
-// inequalities.
+// and set lengths are sums of float64 idf weights. Every algorithm but
+// SQL emits one canonical sum (core/rescore.go), so two scores of one
+// set are equal by construction; but a threshold meets a user's τ, and
+// SQL's sum and the rounding of Eq. 1 itself sit an ulp or so from the
+// exact value. So thresholds must go through the epsilon comparison
+// (sim.Meets / sim.ScoreEpsilon) and zero-tests must use inequalities.
 //
 // Two tie-break idioms are exempt, both orderings whose correctness
 // does not depend on exactness (inexactness only perturbs the sort

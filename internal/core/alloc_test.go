@@ -73,48 +73,37 @@ func TestWarmPrepareAllocations(t *testing.T) {
 	}
 }
 
-// TestWarmKernelAllocations pins both sides of the build-time kernel
-// selection to the warm budget: the word-packed path must stay inside
-// it (masks carve from the scratch arena, kernel sets are built once at
-// index time, the rescore arrays are scratch slabs), and the scalar
-// NoKernel fallback must not regress either — it is the reference the
-// equivalence suite compares against, so it has to stay on the same
-// allocation-free footing.
+// TestWarmKernelAllocations pins the word-packed paths to the warm
+// budget: masks carve from the scratch arena, kernel sets are built once
+// at index time, and the rescore's token arrays and match-mask words are
+// scratch slabs. TA/iTA probe the packed bitmaps; SortByID, NRA, iNRA,
+// Hybrid and Naive score through the rescore.
 func TestWarmKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	for _, cfg := range []struct {
-		label string
-		cfg   Config
-	}{
-		{"kernel=on", Config{NoRelational: true}},
-		{"kernel=off", Config{NoRelational: true, NoKernel: true}},
-	} {
-		e := buildEngine(t, 5000, 3, 8, cfg.cfg)
-		rng := rand.New(rand.NewSource(19))
-		queries := make([]Query, 8)
-		for i := range queries {
-			queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
+	e := buildEngine(t, 5000, 3, 8, Config{NoRelational: true})
+	rng := rand.New(rand.NewSource(19))
+	queries := make([]Query, 8)
+	for i := range queries {
+		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
+	}
+	for _, alg := range []Algorithm{TA, NRA, INRA, Hybrid, SortByID, Naive} {
+		for _, q := range queries {
+			if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, alg := range []Algorithm{TA, NRA, INRA, Hybrid} {
-			for _, q := range queries {
-				if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
-					t.Fatal(err)
-				}
+		i := 0
+		avg := testing.AllocsPerRun(4*len(queries), func() {
+			q := queries[i%len(queries)]
+			i++
+			if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
+				t.Fatal(err)
 			}
-			i := 0
-			avg := testing.AllocsPerRun(4*len(queries), func() {
-				q := queries[i%len(queries)]
-				i++
-				if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg > warmAllocBudget {
-				t.Errorf("%s %v: %.2f allocs per warm query, budget %.0f",
-					cfg.label, alg, avg, warmAllocBudget)
-			}
+		})
+		if avg > warmAllocBudget {
+			t.Errorf("%v: %.2f allocs per warm query, budget %.0f", alg, avg, warmAllocBudget)
 		}
 	}
 }

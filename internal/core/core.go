@@ -96,9 +96,7 @@ type Stats struct {
 	// denominator of pruning power).
 	ListTotal int
 	// RandomProbes counts membership probes on the TA-family random
-	// access path: packed-bitmap Contains tests with kernels on, or
-	// extendible-hash page fetches on the scalar fallback. Both paths
-	// probe the same (list, id) pairs, so the count is path-invariant.
+	// access path (packed-bitmap Contains tests).
 	RandomProbes int
 	// CandidateScans counts candidate-set sweep passes.
 	CandidateScans int
@@ -127,19 +125,13 @@ func (s Stats) PruningPower() float64 {
 type Engine struct {
 	c     *collection.Collection
 	store invlist.Store
-	// hashes holds one extendible-hash index per token (id → length),
-	// the random-access path of TA/iTA; nil when disabled.
+	// hashes holds one extendible-hash index per token (id → length):
+	// its presence makes TA/iTA available and its size is Fig. 5's; nil
+	// when disabled.
 	hashes []*exthash.Table
-	// member holds one word-packed membership bitmap per token — the
-	// kernel fast path for TA/iTA random accesses. nil (hashes absent,
-	// Config.NoKernel, or a NewEngineWithHashes assembly) selects the
-	// extendible-hash probes.
+	// member holds one word-packed membership bitmap per token, TA/iTA's
+	// random access; built exactly when hashes is.
 	member []kernel.Set
-	// nokern disables every word-packed kernel on the query path (the
-	// build-time selection of Config.NoKernel), pinning the scalar
-	// loops the kernels replaced; results are bitwise identical either
-	// way, so this is a benchmarking toggle, not a semantic one.
-	nokern bool
 	rel    *relational.Engine
 	// m aggregates per-query latency/read/outcome metrics across every
 	// selection entry point (Select, SelectTopK, the parallel variants).
@@ -163,11 +155,6 @@ type Config struct {
 	// HashPageSize is the extendible-hashing page size in bytes
 	// (≤ 0 selects the paper's tuned 1KB pages).
 	HashPageSize int
-	// NoKernel disables the word-packed intersection kernels: TA/iTA
-	// probe extendible hashes instead of packed bitmaps, and the
-	// candidate-scan and rescoring loops run their scalar forms. Every
-	// algorithm returns bitwise-identical results either way.
-	NoKernel bool
 	// NoRoute disables similarity-aware partitioning on BuildSharded:
 	// documents are hash-routed (PR 5 behavior) and no per-shard
 	// summaries are built, so no shard is ever pruned. A build-time
@@ -182,26 +169,16 @@ func NewEngine(c *collection.Collection, cfg Config) *Engine {
 	if e.store == nil {
 		e.store = invlist.BuildMem(c, cfg.SkipInterval)
 	}
-	e.nokern = cfg.NoKernel
 	if !cfg.NoHashes {
 		e.hashes = make([]*exthash.Table, c.NumTokens())
-		if !cfg.NoKernel {
-			e.member = make([]kernel.Set, c.NumTokens())
-		}
-		var sb kernel.SetBuilder
 		c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
 			h := exthash.New(cfg.HashPageSize)
 			for _, id := range ids {
 				h.Put(uint64(id), c.Length(id))
-				if e.member != nil {
-					sb.Add(uint64(id)) // TokenSets yields ascending ids
-				}
 			}
 			e.hashes[t] = h
-			if e.member != nil {
-				e.member[t] = sb.Build()
-			}
 		})
+		e.member = memberSets(c)
 	}
 	if !cfg.NoRelational {
 		e.rel = relational.Build(c)
@@ -228,11 +205,30 @@ func (e *Engine) wireCacheMetrics() {
 	})
 }
 
+// memberSets builds TA/iTA's random-access path: one word-packed
+// membership bitmap per token.
+func memberSets(c *collection.Collection) []kernel.Set {
+	member := make([]kernel.Set, c.NumTokens())
+	var sb kernel.SetBuilder
+	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
+		for _, id := range ids {
+			sb.Add(uint64(id)) // TokenSets yields ascending ids
+		}
+		member[t] = sb.Build()
+	})
+	return member
+}
+
 // NewEngineWithHashes assembles an engine from prebuilt components. The
 // tuning ablations use it to swap one index (e.g. extendible hashing at a
-// different page size) without rebuilding the rest.
+// different page size) without rebuilding the rest. The hash indexes
+// gate TA/iTA and are sized for Fig. 5; the probes themselves go through
+// the membership bitmaps built here, as on NewEngine.
 func NewEngineWithHashes(c *collection.Collection, store invlist.Store, hashes []*exthash.Table) *Engine {
 	e := &Engine{c: c, store: store, hashes: hashes, m: metrics.NewRegistry()}
+	if hashes != nil {
+		e.member = memberSets(c)
+	}
 	e.wireCacheMetrics()
 	return e
 }

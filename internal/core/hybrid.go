@@ -28,7 +28,7 @@ import (
 func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	n := len(lists)
 
 	suffix := resliceFloats(s.f0, n+1)

@@ -329,7 +329,7 @@ func frontierBound(lists []listState, lenQ, hi float64) float64 {
 func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	n := len(lists)
 	s.tbl.reset()
 	s.imp = s.imp[:0]

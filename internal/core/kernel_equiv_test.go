@@ -8,36 +8,38 @@ import (
 	"repro/internal/tokenize"
 )
 
-// The kernel contract: Config.NoKernel selects the scalar reference
-// loops, and the word-packed kernels must return bitwise-identical
-// output to them — same ids, same order, same float64 score bits — on
-// every execution surface. These tests build engine pairs over the same
-// corpus differing only in NoKernel and compare exhaustively.
+// The one-score contract: every algorithm but SQL emits the canonical
+// score (core/rescore.go), so its answer is Naive's on the same engine —
+// same ids, same order, same float64 score bits — on every execution
+// surface. The word-packed kernels (packed-bitmap probes, mask sweeps,
+// the rescore's match) run on every path below; Naive, which scores every
+// set by the canonical rescore, is the reference. SQL sums its stored
+// partial weights in the relational engine's order and is held within
+// sim.ScoreEpsilon elsewhere (TestAllAlgorithmsMatchOracle).
 
-var kernelEquivAlgs = []Algorithm{Naive, SortByID, SQL, TA, NRA, ITA, INRA, SF, Hybrid}
+var kernelEquivAlgs = []Algorithm{SortByID, TA, NRA, ITA, INRA, SF, Hybrid}
 var kernelEquivTaus = []float64{0.4, 0.6, 0.75, 0.9, 0.99}
 
-// TestKernelOffEquivalence compares threshold selection between the
-// kernel and scalar engines for every algorithm across a τ grid.
+// TestKernelOffEquivalence compares threshold selection of every
+// algorithm with Naive's across a τ grid.
 func TestKernelOffEquivalence(t *testing.T) {
 	docs := randomDocs(2500, 71, 7)
-	kern := engineFromDocs(docs, Config{})
-	scalar := engineFromDocs(docs, Config{NoKernel: true})
-	if kern.member == nil || scalar.member != nil {
-		t.Fatal("NoKernel wiring: member index built on the wrong engine")
+	e := engineFromDocs(docs, Config{})
+	if e.member == nil {
+		t.Fatal("member index not built: TA/iTA would probe extendible hashes")
 	}
 	rng := rand.New(rand.NewSource(72))
 	for qi := 0; qi < 40; qi++ {
-		q := kern.PrepareCounts(kern.c.Set(collection.SetID(rng.Intn(kern.c.NumSets()))))
+		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 		tau := kernelEquivTaus[qi%len(kernelEquivTaus)]
+		want, _, err := e.Select(q, tau, Naive, nil)
+		if err != nil {
+			t.Fatalf("naive: %v", err)
+		}
 		for _, alg := range kernelEquivAlgs {
-			got, _, err := kern.Select(q, tau, alg, nil)
+			got, _, err := e.Select(q, tau, alg, nil)
 			if err != nil {
-				t.Fatalf("%v kernel: %v", alg, err)
-			}
-			want, _, err := scalar.Select(q, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("%v scalar: %v", alg, err)
+				t.Fatalf("%v: %v", alg, err)
 			}
 			assertBitwise(t, alg.String(), got, want)
 		}
@@ -46,23 +48,22 @@ func TestKernelOffEquivalence(t *testing.T) {
 
 // TestKernelOffEquivalenceTopK is the same property for top-k selection,
 // whose rising threshold makes the candidate-scan kernels fire under a
-// moving τ.
+// moving τ: the (score desc, id asc) prefix, bitwise.
 func TestKernelOffEquivalenceTopK(t *testing.T) {
 	docs := randomDocs(2500, 73, 7)
-	kern := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
-	scalar := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true, NoKernel: true})
+	e := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
 	rng := rand.New(rand.NewSource(74))
 	for qi := 0; qi < 30; qi++ {
-		q := kern.PrepareCounts(kern.c.Set(collection.SetID(rng.Intn(kern.c.NumSets()))))
+		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 		k := 1 + rng.Intn(25)
+		want, _, err := e.SelectTopK(q, k, Naive, nil)
+		if err != nil {
+			t.Fatalf("naive: %v", err)
+		}
 		for _, alg := range []Algorithm{INRA, SF} {
-			got, _, err := kern.SelectTopK(q, k, alg, nil)
+			got, _, err := e.SelectTopK(q, k, alg, nil)
 			if err != nil {
-				t.Fatalf("%v kernel: %v", alg, err)
-			}
-			want, _, err := scalar.SelectTopK(q, k, alg, nil)
-			if err != nil {
-				t.Fatalf("%v scalar: %v", alg, err)
+				t.Fatalf("%v: %v", alg, err)
 			}
 			assertBitwise(t, alg.String(), got, want)
 		}
@@ -70,19 +71,18 @@ func TestKernelOffEquivalenceTopK(t *testing.T) {
 }
 
 // TestKernelOffEquivalenceBatch drives the parallel batch executor (run
-// with -race) on both engines and compares every answer.
+// with -race) and compares every answer with Naive's batch.
 func TestKernelOffEquivalenceBatch(t *testing.T) {
 	docs := randomDocs(2000, 75, 7)
-	kern := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
-	scalar := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true, NoKernel: true})
+	e := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
 	rng := rand.New(rand.NewSource(76))
 	queries := make([]Query, 48)
 	for i := range queries {
-		queries[i] = kern.PrepareCounts(kern.c.Set(collection.SetID(rng.Intn(kern.c.NumSets()))))
+		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 	}
-	for _, alg := range []Algorithm{NRA, INRA, SF, Hybrid} {
-		got := kern.SelectBatch(queries, 0.7, alg, nil, 8)
-		want := scalar.SelectBatch(queries, 0.7, alg, nil, 8)
+	want := e.SelectBatch(queries, 0.7, Naive, nil, 8)
+	for _, alg := range []Algorithm{SortByID, NRA, INRA, SF, Hybrid} {
+		got := e.SelectBatch(queries, 0.7, alg, nil, 8)
 		for i := range queries {
 			if got[i].Err != nil || want[i].Err != nil {
 				t.Fatalf("%v query %d: %v / %v", alg, i, got[i].Err, want[i].Err)
@@ -92,25 +92,25 @@ func TestKernelOffEquivalenceBatch(t *testing.T) {
 	}
 }
 
-// TestKernelOffEquivalenceSharded checks that kernels preserve the
-// scatter-gather contract: a kernel-enabled sharded engine at every
-// shard count agrees bitwise with the scalar monolithic engine.
+// TestKernelOffEquivalenceSharded checks the scatter-gather contract
+// against the same reference: a sharded engine at every shard count, per
+// algorithm, agrees bitwise with Naive on the monolithic engine.
 func TestKernelOffEquivalenceSharded(t *testing.T) {
 	docs := randomDocs(1500, 77, 7)
-	scalar := engineFromDocs(docs, Config{NoKernel: true})
+	mono := engineFromDocs(docs, Config{NoRelational: true})
 	rng := rand.New(rand.NewSource(78))
 	for _, K := range shardKs {
-		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, false, K, Config{})
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, false, K, Config{NoRelational: true})
 		for qi := 0; qi < 15; qi++ {
-			q := se.PrepareCounts(scalar.c.Set(collection.SetID(rng.Intn(scalar.c.NumSets()))))
-			for _, alg := range []Algorithm{TA, NRA, ITA, INRA, SF, Hybrid} {
+			q := se.PrepareCounts(mono.c.Set(collection.SetID(rng.Intn(mono.c.NumSets()))))
+			want, _, err := mono.Select(q, 0.7, Naive, nil)
+			if err != nil {
+				t.Fatalf("naive: %v", err)
+			}
+			for _, alg := range kernelEquivAlgs {
 				got, _, err := se.Select(q, 0.7, alg, nil)
 				if err != nil {
 					t.Fatalf("K=%d %v sharded: %v", K, alg, err)
-				}
-				want, _, err := scalar.Select(q, 0.7, alg, nil)
-				if err != nil {
-					t.Fatalf("%v scalar: %v", alg, err)
 				}
 				assertBitwise(t, alg.String(), got, want)
 			}
@@ -120,34 +120,33 @@ func TestKernelOffEquivalenceSharded(t *testing.T) {
 }
 
 // TestKernelOffEquivalenceLive runs the insert/delete/compact lifecycle
-// on a kernel and a scalar live engine in lockstep and compares answers
-// in the mixed state (memtable + segments + tombstones) and after full
+// and compares every algorithm with Naive over the same pinned query,
+// selection and top-k, in the mixed state (memtable + segments + tombstones) and after full
 // compaction.
 func TestKernelOffEquivalenceLive(t *testing.T) {
 	corpus := randomCorpus(900, 79, 7)
-	mk := func(cfg Config) *LiveEngine {
-		le := NewLive(liveTestTK, LiveConfig{Config: cfg, NoBackground: true, FlushThreshold: 64})
-		t.Cleanup(le.Close)
-		return le
-	}
-	kern := mk(Config{NoHashes: true, NoRelational: true})
-	scalar := mk(Config{NoHashes: true, NoRelational: true, NoKernel: true})
+	// Partial compactions flush the memtable into segments kept apart,
+	// baked at different statistics, and the deletes that follow fall on
+	// segments and memtable alike.
+	le := NewLive(liveTestTK, LiveConfig{
+		Config: Config{NoRelational: true}, NoBackground: true,
+		FlushThreshold: 64, DriftBound: 1e9, MaxSegments: 1 << 20,
+	})
+	t.Cleanup(le.Close)
 	var gids []collection.SetID
 	for i, s := range corpus {
-		id, err := kern.Insert(s)
+		id, err := le.Insert(s)
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		id2, err := scalar.Insert(s)
-		if err != nil || id2 != id {
-			t.Fatalf("scalar insert %d: id %d vs %d, %v", i, id2, id, err)
-		}
 		gids = append(gids, id)
+		if i == 299 || i == 599 {
+			le.compactOnce(false)
+		}
 	}
 	for i := range gids {
 		if i%5 == 0 {
-			kern.Delete(gids[i])
-			scalar.Delete(gids[i])
+			le.Delete(gids[i])
 		}
 	}
 	check := func(stage string) {
@@ -155,21 +154,37 @@ func TestKernelOffEquivalenceLive(t *testing.T) {
 		for qi := 0; qi < 20; qi++ {
 			s := corpus[rng.Intn(len(corpus))]
 			tau := kernelEquivTaus[qi%len(kernelEquivTaus)]
-			for _, alg := range []Algorithm{NRA, INRA, SF, Hybrid} {
-				got, _, err := kern.Select(kern.Prepare(s), tau, alg, nil)
+			lq := le.Prepare(s)
+			want, _, err := le.Select(lq, tau, Naive, nil)
+			if err != nil {
+				t.Fatalf("%s naive: %v", stage, err)
+			}
+			for _, alg := range kernelEquivAlgs {
+				got, _, err := le.Select(lq, tau, alg, nil)
 				if err != nil {
-					t.Fatalf("%s %v kernel: %v", stage, alg, err)
-				}
-				want, _, err := scalar.Select(scalar.Prepare(s), tau, alg, nil)
-				if err != nil {
-					t.Fatalf("%s %v scalar: %v", stage, alg, err)
+					t.Fatalf("%s %v: %v", stage, alg, err)
 				}
 				assertBitwise(t, stage+"/"+alg.String(), got, want)
+			}
+			k := 1 + rng.Intn(25)
+			want, _, err = le.SelectTopK(lq, k, Naive, nil)
+			if err != nil {
+				t.Fatalf("%s naive top-%d: %v", stage, k, err)
+			}
+			for _, alg := range []Algorithm{INRA, SF} {
+				got, _, err := le.SelectTopK(lq, k, alg, nil)
+				if err != nil {
+					t.Fatalf("%s %v top-%d: %v", stage, alg, k, err)
+				}
+				assertBitwise(t, stage+"/top-k/"+alg.String(), got, want)
 			}
 		}
 	}
 	check("mixed")
-	if !kern.Compact() || !scalar.Compact() {
+	if st := le.Stats(); st.Segments < 2 || st.Memtable == 0 || st.Tombstones == 0 {
+		t.Fatalf("mixed state not established: %+v", st)
+	}
+	if !le.Compact() {
 		t.Fatal("Compact reported no work")
 	}
 	check("compacted")

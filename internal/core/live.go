@@ -912,6 +912,17 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 		idfSq[i] = w * w
 		len2 += idfSq[i]
 	}
+	// The memtable scan adds a document's summands in the order of
+	// toks: decreasing idf, the order of Query.Tokens (core/rescore.go).
+	// Ties keep string order where prepare breaks them by token id; no
+	// tie-break is needed, since equal-idf tokens add equal summands.
+	// len2 is summed above, in string order.
+	for i := 1; i < len(toks); i++ {
+		for j := i; j > 0 && idfSq[j-1] < idfSq[j]; j-- {
+			toks[j-1], toks[j] = toks[j], toks[j-1]
+			idfSq[j-1], idfSq[j] = idfSq[j], idfSq[j-1]
+		}
+	}
 	lists := le.memListsLocked(snap, toks)
 	le.mu.RUnlock()
 	lq := LiveQuery{

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -168,57 +168,19 @@ func liveTopKOracle(t *testing.T, le *LiveEngine, lq LiveQuery, k int) []Result 
 }
 
 // assertLiveTopK checks every top-k algorithm against liveTopKOracle
-// over the same pinned query. Scores are compared with the mixed-state
-// tolerance: segment weights are baked at different statistics epochs,
-// so cross-algorithm accumulation orders differ by ulps, not bitwise.
+// over the same pinned query, bitwise. Segments baked at different
+// statistics epochs score one token set differently, but within a
+// segment every algorithm emits the canonical score, so the (score desc,
+// id asc) prefix is one answer.
 func assertLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
 	t.Helper()
-	checkLiveTopK(t, le, lq, k, false)
-}
-
-// assertLiveTopKTies is assertLiveTopK for stores where many documents
-// repeat another's token set. Their scores differ by the same ulps, so
-// two of them may rank in either order: a rank may hold another id than
-// the oracle's exactly when that id is live, emitted once, and truly
-// scores the oracle's score there.
-func assertLiveTopKTies(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
-	t.Helper()
-	checkLiveTopK(t, le, lq, k, true)
-}
-
-func checkLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int, ties bool) {
-	t.Helper()
-	all := liveTopKOracle(t, le, lq, math.MaxInt)
-	want := all[:min(k, len(all))]
-	truth := make(map[collection.SetID]float64, len(all))
-	for _, r := range all {
-		truth[r.ID] = r.Score
-	}
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
+	want := liveTopKOracle(t, le, lq, k)
 	for _, alg := range []Algorithm{Naive, SF, INRA} {
 		got, _, err := le.SelectTopK(lq, k, alg, nil)
 		if err != nil {
 			t.Fatalf("top-%d %v: %v", k, alg, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("top-%d %v: %d results, oracle %d", k, alg, len(got), len(want))
-		}
-		seen := make(map[collection.SetID]bool, len(got))
-		for i := range want {
-			if _, live := le.Source(got[i].ID); !live {
-				t.Fatalf("top-%d %v: deleted id %d emitted", k, alg, got[i].ID)
-			}
-			if seen[got[i].ID] {
-				t.Fatalf("top-%d %v: id %d emitted twice", k, alg, got[i].ID)
-			}
-			seen[got[i].ID] = true
-			if got[i].ID != want[i].ID && (!ties || !near(truth[got[i].ID], want[i].Score)) {
-				t.Fatalf("top-%d %v result %d: id %d (true score %.12f), oracle %d", k, alg, i, got[i].ID, truth[got[i].ID], want[i].ID)
-			}
-			if !near(got[i].Score, want[i].Score) {
-				t.Fatalf("top-%d %v id %d: score %.12f, oracle %.12f", k, alg, got[i].ID, got[i].Score, want[i].Score)
-			}
-		}
+		assertBitwise(t, fmt.Sprintf("top-%d %v", k, alg), got, want)
 	}
 }
 
@@ -428,17 +390,7 @@ func TestLiveMixedStateAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%v τ=%g: %d results, naive %d", alg, tau, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("%v τ=%g result %d: id %d, naive %d", alg, tau, i, got[i].ID, want[i].ID)
-				}
-				if d := got[i].Score - want[i].Score; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("%v τ=%g id %d: score %.12f, naive %.12f", alg, tau, got[i].ID, got[i].Score, want[i].Score)
-				}
-			}
+			assertBitwise(t, fmt.Sprintf("%v τ=%g", alg, tau), got, want)
 		}
 	}
 }

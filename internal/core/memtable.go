@@ -1,19 +1,23 @@
 // The memtable scan: recent inserts are not in any segment, but each
 // shard's memtable keeps inverted lists of memtable positions
 // (LiveEngine.memIdx), so a query touches only the documents that share
-// a token with it. Scores accumulate per position in ascending query
-// token order — the order a sorted string merge of the document against
-// the query adds its matches in — so every memtable score is bitwise the
-// merge's. Correctness does not depend on the memtable being small, only
-// latency does; the flush threshold bounds it.
+// a token with it. Each position accumulates its summands
+// idf²/(len(q)·len(d)) in decreasing idf, the order every static
+// algorithm adds a set's weights in (core/rescore.go), so the order of
+// the summands does not depend on how tokens are named. The lengths
+// len(q) and len(d) are still summed in token-string order (Prepare,
+// Insert). Correctness does not
+// depend on the memtable being small, only latency does; the flush
+// threshold bounds it.
 package core
 
 import "repro/internal/sim"
 
-// memQuery is the memtable half of a LiveQuery: the query's sorted
-// distinct token strings with their squared idf weights under the global
-// statistics pinned at Prepare time, the normalized query length, and
-// the memtable lists of those tokens as of the pinned snapshot.
+// memQuery is the memtable half of a LiveQuery: the query's distinct
+// token strings in decreasing idf with their squared idf weights under
+// the global statistics pinned at Prepare time, the normalized query
+// length, and the memtable lists of those tokens as of the pinned
+// snapshot.
 type memQuery struct {
 	toks  []string
 	idfSq []float64
@@ -51,13 +55,13 @@ func (le *LiveEngine) memListsLocked(snap *liveSnapshot, toks []string) [][]int3
 
 // scanMemtable appends every live memtable document scoring ≥ τ to out.
 // lists are the shard's memtable lists of the query's tokens, pinned
-// with mem. Each posting of token i adds idfSq[i] to its position's
-// accumulator, in ascending i; positions are then emitted in ascending
-// order, which is ascending id order, so the appended results extend an
-// already-ascending result slice without re-sorting when the caller
-// merges a single segment. A top-k passes the k-th bound its segments
-// raised as τ: the memtable runs last, so only documents that can still
-// make the top k are appended.
+// with mem. Each posting of token i adds idfSq[i]/(qLen·len(d)) to its
+// position's accumulator, in ascending i; positions are then emitted in
+// ascending order, which is ascending id order, so the appended results
+// extend an already-ascending result slice without re-sorting when the
+// caller merges a single segment. A top-k passes the k-th bound its
+// segments raised as τ: the memtable runs last, so only documents that
+// can still make the top k are appended.
 func (le *LiveEngine) scanMemtable(cc *canceller, mem []memDoc, lists [][]int32, mq *memQuery, tau float64, del *tombstones, stats *Stats, out []Result) ([]Result, error) {
 	p, _ := le.memAcc.Get().(*[]float64)
 	if p == nil {
@@ -78,12 +82,12 @@ func (le *LiveEngine) scanMemtable(cc *canceller, mem []memDoc, lists [][]int32,
 		}
 		w := mq.idfSq[i]
 		for _, pos := range l {
-			acc[pos] += w
+			acc[pos] += w / (mq.qLen * mem[pos].len)
 		}
 	}
-	for pos, dot := range acc {
+	for pos, score := range acc {
 		// Weights are positive, so only untouched positions hold 0.
-		if dot <= 0 {
+		if score <= 0 {
 			continue
 		}
 		if cc.stop() {
@@ -95,7 +99,6 @@ func (le *LiveEngine) scanMemtable(cc *canceller, mem []memDoc, lists [][]int32,
 			continue
 		}
 		stats.ElementsRead++
-		score := dot / (mq.qLen * d.len)
 		if sim.Meets(score, tau) {
 			out = append(out, Result{ID: d.id, Score: score})
 		}

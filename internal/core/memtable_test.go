@@ -14,32 +14,44 @@ import (
 )
 
 // refScanMemtable is the memtable scan as a per-document string merge:
-// each live document's sorted distinct tokens merged against the query's,
-// the matched weights added in ascending query-token order. The indexed
-// scan must reproduce it bitwise.
+// each live document's sorted distinct tokens merged against the query's
+// (sorted here by string), marking the query tokens it holds, then the
+// marked summands idf²/(len(q)·len(d)) added in decreasing idf — the
+// canonical order of core/rescore.go, sorted here rather than taken from
+// Prepare's token order. The indexed scan must reproduce it bitwise.
 func refScanMemtable(mem []memDoc, mq *memQuery, tau float64, del *tombstones) []Result {
+	byStr := make([]int, len(mq.toks))
+	for i := range byStr {
+		byStr[i] = i
+	}
+	sort.Slice(byStr, func(a, b int) bool { return mq.toks[byStr[a]] < mq.toks[byStr[b]] })
 	var out []Result
 	for _, d := range mem {
 		if del.has(d.id) {
 			continue
 		}
-		var dot float64
-		for i, j := 0, 0; i < len(d.toks) && j < len(mq.toks); {
-			switch {
-			case d.toks[i] == mq.toks[j]:
-				dot += mq.idfSq[j]
+		var matched []float64
+		for i, j := 0, 0; i < len(d.toks) && j < len(byStr); {
+			switch qt := mq.toks[byStr[j]]; {
+			case d.toks[i] == qt:
+				matched = append(matched, mq.idfSq[byStr[j]])
 				i++
 				j++
-			case d.toks[i] < mq.toks[j]:
+			case d.toks[i] < qt:
 				i++
 			default:
 				j++
 			}
 		}
-		if dot <= 0 {
+		sort.Sort(sort.Reverse(sort.Float64Slice(matched)))
+		var score float64
+		for _, w := range matched {
+			score += w / (mq.qLen * d.len)
+		}
+		if score <= 0 {
 			continue
 		}
-		if score := dot / (mq.qLen * d.len); sim.Meets(score, tau) {
+		if sim.Meets(score, tau) {
 			out = append(out, Result{ID: d.id, Score: score})
 		}
 	}

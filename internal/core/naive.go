@@ -5,15 +5,15 @@ import (
 	"repro/internal/sim"
 )
 
-// selectNaive scans the whole collection, scoring every set directly from
-// Eq. 1 with the query's precomputed weights (including the length mass
-// of out-of-vocabulary tokens, which the inverted-list algorithms also
-// carry in q.Len). It is the correctness oracle for all indexed
+// selectNaive scans the whole collection, scoring every set from Eq. 1
+// with the query's precomputed weights (including the length mass of
+// out-of-vocabulary tokens, which the inverted-list algorithms also carry
+// in q.Len) by the canonical rescore, so every other algorithm's answer
+// is bitwise its own. It is the correctness oracle for all indexed
 // algorithms and the "no index available" case of §III-A, where a linear
-// scan of the base table is unavoidable. The token-weight lookup map is
-// scratch state, cleared (not reallocated) per query.
+// scan of the base table is unavoidable.
 func (e *Engine) selectNaive(s *queryScratch, cc *canceller, q Query, tau float64, stats *Stats) ([]Result, error) {
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	out := s.results[:0]
 	defer func() { s.results = out }()
 	//ssvet:nostats base-table scan reads sets, not postings; ElementsRead/ListTotal measure inverted-index access only
@@ -22,16 +22,10 @@ func (e *Engine) selectNaive(s *queryScratch, cc *canceller, q Query, tau float6
 			return nil, cc.err
 		}
 		sid := collection.SetID(id)
-		var dot float64
-		for _, cnt := range e.c.Set(sid) {
-			if w, ok := s.idfSq[cnt.Token]; ok {
-				dot += w
-			}
-		}
-		if dot <= 0 {
+		score := e.rescore(s, q, sid)
+		if score <= 0 {
 			continue
 		}
-		score := dot / (q.Len * e.c.Length(sid))
 		if sim.Meets(score, tau) {
 			out = append(out, Result{ID: sid, Score: score})
 		}

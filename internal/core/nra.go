@@ -32,7 +32,7 @@ type nraCand struct {
 // (dead is permanent: a readmitted id gets a fresh slab entry).
 func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64, stats *Stats) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, &Options{NoLengthBound: true}, stats)
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	n := len(lists)
 	s.tbl.reset()
 	s.nra = s.nra[:0]
@@ -114,10 +114,7 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 		case !sim.Meets(f, tau):
 			// Scan the candidate set (mitigation: only once F < τ).
 			stats.CandidateScans++
-			var active kernel.Mask
-			if !e.nokern {
-				active = s.activeMask(fw)
-			}
+			active := s.activeMask(fw)
 			for ci := scanFrom; ci < len(s.nra); ci++ {
 				c := &s.nra[ci]
 				if c.dead {
@@ -129,13 +126,7 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 				if cc.stop() {
 					return nil, cc.err
 				}
-				var upper float64
-				var complete bool
-				if e.nokern {
-					upper, complete = upperAbsentScalar(c.lower, &c.seen, fw)
-				} else {
-					upper, complete = kernel.UpperAbsent(c.lower, &c.seen, &active, fw)
-				}
+				upper, complete := kernel.UpperAbsent(c.lower, &c.seen, &active, fw)
 				if complete {
 					if meetsPre(c.lower, tau) {
 						out = e.emitRescored(s, q, c.id, tau, out)
@@ -163,24 +154,4 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 			}
 		}
 	}
-}
-
-// upperAbsentScalar is the scalar form of kernel.UpperAbsent — the
-// original per-list branch loop, kept verbatim as the NoKernel path and
-// as the reference the kernel equivalence tests compare against.
-// fw[i] == 0 means list i is exhausted; the candidate is definitively
-// absent from it.
-func upperAbsentScalar(base float64, seen *kernel.Mask, fw []float64) (upper float64, complete bool) {
-	upper = base
-	complete = true
-	for i := range fw {
-		if seen.Has(i) {
-			continue
-		}
-		if fw[i] > 0 {
-			upper += fw[i]
-			complete = false
-		}
-	}
-	return upper, complete
 }

@@ -92,7 +92,7 @@ func TestHybridResumesPausedList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, e, q, tau, Hybrid, got, want)
+	assertSameResults(t, Hybrid, tau, got, want)
 	var pattern strings.Builder
 	readsOf := map[collection.SetID]int{}
 	for _, r := range tap.reads {
@@ -230,7 +230,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 		s := &queryScratch{}
 		d := &orderDriver{t: t, e: e, s: s, q: q, tau: tau, hi: hi}
 		d.lists = e.openLists(s, nil, q, lo, opts, &Stats{})
-		fillIDFSq(s, q)
+		sortQueryTokens(s, q)
 		s.tbl.reset()
 		s.resetOrder(len(d.lists))
 		// Bursts: a list pops several postings in a row before another
@@ -259,7 +259,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		sortResults(d.out)
-		assertSameResults(t, e, q, tau, Hybrid, d.out, want)
+		assertSameResults(t, Hybrid, tau, d.out, want)
 		outOfOrder += d.outOfOrder
 		doneWhilePending += d.doneWhilePending
 		resurfaced += d.resurfaced

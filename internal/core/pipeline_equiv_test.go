@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
 
@@ -336,5 +337,127 @@ func TestPipelineFixtures(t *testing.T) {
 	}
 	if bad == 0 && len(keys) == 0 {
 		t.Fatal("fixture file is empty")
+	}
+}
+
+// TestPipelineFixtureGroupsAgree reads the recorded fixtures and holds
+// every (shape, op, parameter) group to one fingerprint: every algorithm
+// but SQL emits the canonical score, so each returns the same ids, in the
+// same order, with the same score bits. SQL sums the relational engine's
+// stored partial weights in its own order and is left out.
+func TestPipelineFixtureGroupsAgree(t *testing.T) {
+	data, err := os.ReadFile(pipelineFixturesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixtures map[string]string
+	if err := json.Unmarshal(data, &fixtures); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, alg := range pipelineAllAlgs() {
+		names[alg.String()] = true
+	}
+	type member struct{ key, fp string }
+	groups := map[string][]member{}
+	for key, fp := range fixtures {
+		parts := strings.Split(key, "/")
+		for i := len(parts) - 1; i >= 0; i-- {
+			if names[parts[i]] {
+				if parts[i] != SQL.String() {
+					parts[i] = "*"
+					g := strings.Join(parts, "/")
+					groups[g] = append(groups[g], member{key, fp})
+				}
+				break
+			}
+		}
+	}
+	multi := 0
+	for g, ms := range groups {
+		if len(ms) < 2 {
+			continue
+		}
+		multi++
+		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+		for _, m := range ms[1:] {
+			if m.fp != ms[0].fp {
+				t.Errorf("group %s: %s = %s, %s = %s", g, m.key, m.fp, ms[0].key, ms[0].fp)
+			}
+		}
+	}
+	if multi < 60 {
+		t.Fatalf("only %d multi-algorithm groups in %d fixtures", multi, len(fixtures))
+	}
+}
+
+// TestScoresNearDocumentOrderSum holds every score the monolithic and
+// sharded engines emit on the pipeline corpus — every algorithm, SQL
+// included, selection over a τ grid and top-k — within sim.ScoreEpsilon
+// of Eq. 1 summed the other way round: idf² over the document's tokens in
+// token order, divided once. The canonical order moves scores by ulps,
+// never by more.
+func TestScoresNearDocumentOrderSum(t *testing.T) {
+	docs := pipelineDocs(500, 1234, 6)
+	queryDocs := []string{docs[3], docs[57], docs[120], docs[261], docs[402], docs[499]}
+	eng := NewEngine(buildPipelineCollection(docs), Config{})
+	c := eng.Collection()
+	type engine interface {
+		Prepare(string) Query
+		Select(Query, float64, Algorithm, *Options) ([]Result, Stats, error)
+		SelectTopK(Query, int, Algorithm, *Options) ([]Result, Stats, error)
+	}
+	shapes := map[string]engine{"mono": eng}
+	for _, K := range []int{2, 8} {
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
+		defer se.Close()
+		shapes[fmt.Sprintf("sharded/K=%d", K)] = se
+	}
+	checked := 0
+	for _, qs := range queryDocs {
+		q := eng.Prepare(qs)
+		idfSq := map[tokenize.Token]float64{}
+		for _, qt := range q.Tokens {
+			idfSq[qt.Token] = qt.IDFSq
+		}
+		ref := func(id collection.SetID) float64 {
+			var dot float64
+			for _, cnt := range c.Set(id) {
+				dot += idfSq[cnt.Token]
+			}
+			return dot / (q.Len * c.Length(id))
+		}
+		near := func(label string, rs []Result) {
+			for _, r := range rs {
+				if w := ref(r.ID); math.Abs(r.Score-w) > sim.ScoreEpsilon {
+					t.Fatalf("%s %q: id %d scored %.17g, document-order sum %.17g", label, qs, r.ID, r.Score, w)
+				}
+				checked++
+			}
+		}
+		for name, sh := range shapes {
+			sq := sh.Prepare(qs)
+			for _, alg := range pipelineAllAlgs() {
+				for _, tau := range []float64{0.5, 0.7, 0.8, 0.95} {
+					rs, _, err := sh.Select(sq, tau, alg, nil)
+					if err != nil {
+						t.Fatalf("%s %v τ=%g: %v", name, alg, tau, err)
+					}
+					near(fmt.Sprintf("%s %v τ=%g", name, alg, tau), rs)
+				}
+			}
+			for _, alg := range pipelineTopKA {
+				for _, k := range pipelineKs {
+					rs, _, err := sh.SelectTopK(sq, k, alg, nil)
+					if err != nil {
+						t.Fatalf("%s top-%d %v: %v", name, k, alg, err)
+					}
+					near(fmt.Sprintf("%s top-%d %v", name, k, alg), rs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no score checked")
 	}
 }

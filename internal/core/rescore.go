@@ -1,80 +1,83 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/collection"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/tokenize"
 )
 
-// Canonical emission scoring.
+// One score.
 //
-// The algorithms whose score accumulation order depends on list state —
-// SortByID (heap pop order among equal ids), TA/iTA (the sum starts at
-// whichever list surfaced the id first), NRA, iNRA, Hybrid and top-k
-// iNRA (round-robin encounter order) — would emit scores that drift by
-// an ulp or two when the same document meets the same query inside a
-// different partition of the corpus: the summands are identical but
-// float addition is not associative. The sharded executor requires
-// per-document scores to be bitwise partition-independent, so those
-// algorithms emit a canonical rescore instead: the same dot product,
-// re-summed in the document's token order, which depends only on the
-// document and the query. Naive, SQL and SF/top-k SF already accumulate
-// in a partition-independent order and emit their accumulated values
-// directly.
+// Eq. 1 is a sum, and float addition is not associative, so the engine
+// fixes one summation order for every algorithm: Shortest-First's. SF
+// reads the lists in query order (decreasing idf) and adds list i's
+// weight idf(i)²/(len(q)·len(s)) — listState.w — as it meets the set.
+// Every score the engine emits is that sum over the query tokens the set
+// holds, added in query order, so the answer is bitwise the same
+// whatever the algorithm or the partition of the corpus. The order of
+// the summands does not depend on how tokens are numbered (equal-idf
+// tokens add equal summands), but the two lengths in the denominator
+// are float sums too, taken in token-id order (the collection's set
+// lengths, prepare's len(q)): a renumbering of tokens can still move a
+// score's last bit through a length.
+//
+// SF and top-k SF emit the sum they accumulated. TA and iTA probe every
+// other list for the id they surface and add their hits in list order,
+// the surfacing list included, so they emit theirs directly too. The
+// algorithms whose accumulation order follows list state — SortByID
+// (heap pop order), NRA, iNRA, Hybrid and top-k iNRA (round-robin
+// encounter order) — emit rescore's value instead, and Naive scores
+// every set with it.
 //
 // The rescore is exact, not an approximation: at every emission site the
 // algorithm has proven the accumulated value to be the complete score
-// (all lists resolved), and the canonical sum ranges over exactly the
-// same terms.
+// (all lists resolved), and the rescore ranges over exactly the same
+// terms.
 
-// fillIDFSq loads the query's squared token weights into the scratch
-// lookup map (cleared — not reallocated — per query) and into the
-// token-ascending (qtok, qw) arrays the kernel dot product merges
-// against document token order. Query tokens are idf-sorted, so the
-// arrays are re-sorted here; queries are a handful of tokens, and the
-// insertion sort runs on scratch-backed slices without allocating.
-func fillIDFSq(s *queryScratch, q Query) {
-	if s.idfSq == nil {
-		s.idfSq = make(map[tokenize.Token]float64, len(q.Tokens))
-	} else {
-		clear(s.idfSq)
-	}
+// sortQueryTokens loads the query's tokens in ascending token order, with
+// each one's query position, into the scratch arrays the match kernel
+// merges against document token order, and sizes the overflow words of
+// the match mask. Queries are a handful of tokens, and the insertion
+// sort runs on scratch-backed slices without allocating.
+func sortQueryTokens(s *queryScratch, q Query) {
 	s.qtok = s.qtok[:0]
-	s.qw = s.qw[:0]
-	for _, qt := range q.Tokens {
-		s.idfSq[qt.Token] = qt.IDFSq
+	s.qpos = s.qpos[:0]
+	for i, qt := range q.Tokens {
 		s.qtok = append(s.qtok, qt.Token)
-		s.qw = append(s.qw, qt.IDFSq)
+		s.qpos = append(s.qpos, i)
 	}
 	for i := 1; i < len(s.qtok); i++ {
 		for j := i; j > 0 && s.qtok[j-1] > s.qtok[j]; j-- {
 			s.qtok[j-1], s.qtok[j] = s.qtok[j], s.qtok[j-1]
-			s.qw[j-1], s.qw[j] = s.qw[j], s.qw[j-1]
+			s.qpos[j-1], s.qpos[j] = s.qpos[j], s.qpos[j-1]
 		}
 	}
+	s.qhi = resliceWords(s.qhi, kernel.HiWords(len(q.Tokens)))
 }
 
-// rescore computes the exact Eq. 1 score of set id by the canonical
-// document-order dot product. s.idfSq/s.qtok/s.qw must have been loaded
-// by fillIDFSq for the current query.
-//
-// Both paths visit the matched tokens in ascending token order — the
-// document's storage order — so the kernel merge (with its galloping
-// cutover for long documents) returns the bitwise-identical sum the
-// scalar map-probe loop produced.
+// rescore computes the exact Eq. 1 score of set id in the canonical
+// order: one merge of the document against the token-sorted query marks
+// the query positions it holds, and their weights are added in ascending
+// position — exactly listState.w's expression, in SF's order. It is 0
+// for a set that shares no token with the query. sortQueryTokens must
+// have loaded the scratch for the current query.
 func (e *Engine) rescore(s *queryScratch, q Query, id collection.SetID) float64 {
-	if e.nokern {
-		var dot float64
-		for _, cnt := range e.c.Set(id) {
-			if w, ok := s.idfSq[cnt.Token]; ok {
-				dot += w
-			}
-		}
-		return dot / (q.Len * e.c.Length(id))
+	m := kernel.Mask{Hi: s.qhi}
+	clear(m.Hi)
+	kernel.MatchCounts(e.c.Set(id), s.qtok, s.qpos, &m)
+	den := q.Len * e.c.Length(id)
+	var score float64
+	for w := m.Lo; w != 0; w &= w - 1 {
+		score += q.Tokens[bits.TrailingZeros64(w)].IDFSq / den
 	}
-	dot := kernel.DotCounts(e.c.Set(id), s.qtok, s.qw)
-	return dot / (q.Len * e.c.Length(id))
+	for wi, w := range m.Hi {
+		for ; w != 0; w &= w - 1 {
+			score += q.Tokens[64+wi<<6+bits.TrailingZeros64(w)].IDFSq / den
+		}
+	}
+	return score
 }
 
 // rescoreSlack widens the accumulated-score pre-filter that guards a

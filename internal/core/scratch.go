@@ -11,10 +11,10 @@ import (
 // queryScratch is the reusable per-query working state of every selection
 // algorithm: list states and cursors, candidate slabs with their
 // open-addressing index, float and mask arenas, the result buffer, and
-// the small auxiliary maps of the baselines. One scratch serves one query
-// at a time; the Engine keeps a sync.Pool of them so a warm query
-// allocates nothing on the steady-state path (DESIGN.md, "Performance
-// model and allocation discipline").
+// the small buffers of the rescore and the baselines. One scratch serves
+// one query at a time; the Engine keeps a sync.Pool of them so a warm
+// query allocates nothing on the steady-state path (DESIGN.md,
+// "Performance model and allocation discipline").
 //
 // Invariants every algorithm must respect:
 //   - everything reachable from the scratch may be overwritten by the
@@ -34,8 +34,9 @@ type queryScratch struct {
 	arena []uint64 // backing storage for candidate mask overflow words
 	kw    []uint64 // active-mask overflow words (NRA candidate scans)
 
-	qtok []tokenize.Token // query tokens sorted ascending (kernel dot)
-	qw   []float64        // idf² weights parallel to qtok
+	qtok []tokenize.Token // query tokens sorted ascending (rescore's match)
+	qpos []int            // query position of each qtok
+	qhi  []uint64         // rescore's match-mask overflow words
 
 	tbl idTable // SetID → slab-slot index (also TA's seen-set)
 
@@ -49,11 +50,10 @@ type queryScratch struct {
 
 	results []Result // result accumulator; copied out before pooling
 
-	merge   []mergeEntry               // sort-by-id merge heap
-	idfSq   map[tokenize.Token]float64 // naive scan's token-weight lookup
-	relToks []relational.QueryToken    // SQL baseline's converted tokens
-	kth     kthBound                   // top-k rising bound
-	strs    []string                   // Prepare's raw token buffer
+	merge   []mergeEntry            // sort-by-id merge heap
+	relToks []relational.QueryToken // SQL baseline's converted tokens
+	kth     kthBound                // top-k rising bound
+	strs    []string                // Prepare's raw token buffer
 }
 
 // newCandMask returns a zeroed candidate mask over n lists. The common

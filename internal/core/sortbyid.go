@@ -20,7 +20,7 @@ import (
 // heap boxes every Push/Pop through interface{}), each entry caches its
 // head posting, and MemStore lists are iterated as raw slices.
 func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau float64, stats *Stats) ([]Result, error) {
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	reuser, _ := e.store.(invlist.CursorReuser)
 	for len(s.wcurs) < len(q.Tokens) {
 		s.wcurs = append(s.wcurs, nil)

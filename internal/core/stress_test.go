@@ -50,7 +50,7 @@ func TestMassiveLengthTies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
-				assertSameResults(t, e, q, tau, alg, got, want)
+				assertSameResults(t, alg, tau, got, want)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func TestWideQueries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
-				assertSameResults(t, e, q, tau, alg, got, want)
+				assertSameResults(t, alg, tau, got, want)
 				if alg == INRA || alg == Hybrid {
 					w := work[alg]
 					work[alg] = [2]int{w[0] + st.ElementsRead, w[1] + st.CandidatesInserted}
@@ -185,7 +185,7 @@ func TestFileStoreBackedEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v on FileStore: %v", alg, err)
 			}
-			assertSameResults(t, diskEngine, q, tau, alg, got, want)
+			assertSameResults(t, alg, tau, got, want)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestListFileDetectsEveryFlip(t *testing.T) {
 			case err != nil:
 				t.Fatalf("flip at byte %d: %v error %v does not wrap ErrCorrupt", at, alg, err)
 			default:
-				assertSameResults(t, disk, q, tau, alg, got, want)
+				assertSameResults(t, alg, tau, got, want)
 			}
 		}
 		fs.Close()
@@ -275,7 +275,7 @@ func TestSingleTokenQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
-			assertSameResults(t, e, q, tau, alg, got, want)
+			assertSameResults(t, alg, tau, got, want)
 		}
 	}
 }

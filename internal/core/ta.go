@@ -248,8 +248,8 @@ func precedes(a invlist.Posting, len float64, id collection.SetID) bool {
 }
 
 // selectTA implements the Threshold Algorithm with random accesses: on
-// every new id surfaced by sorted access, the extendible-hash index of
-// every other list is probed to complete the score immediately. The scan
+// every new id surfaced by sorted access, every other list is probed
+// (its membership bitmap) to complete the score immediately. The scan
 // stops when the frontier bound F = Σ wᵢ(fᵢ) falls below τ. With
 // improved=true this is iTA (§V): Theorem 1 bounds the scanned length
 // range and Magnitude Boundedness skips the probes for sets whose
@@ -270,8 +270,6 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 	if cc.stop() {
 		return nil, cc.err
 	}
-	fillIDFSq(s, q)
-
 	var allIdfSq float64
 	for _, qt := range q.Tokens {
 		allIdfSq += qt.IDFSq
@@ -313,39 +311,21 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 					continue
 				}
 			}
-			score := l.w(q.Len, p.Len)
-			if e.member != nil {
-				// Kernel path: membership is a packed-bitmap Contains —
-				// a shift-and-mask on the dense layout, a binary search
-				// over block keys on the sparse one — instead of an
-				// extendible-hash page scan. Probe order (ascending j,
-				// skipping the surfacing list) matches the scalar path,
-				// so the accumulated score is bitwise identical.
-				for j := range lists {
-					if j == i {
+			// Every other list is probed, so the hits are added in list
+			// order, the surfacing list's own weight at its place: SF's
+			// order, which makes the sum the canonical score.
+			var score float64
+			for j := range lists {
+				if j != i {
+					stats.RandomProbes++
+					if !e.member[q.Tokens[j].Token].Contains(uint64(p.ID)) {
 						continue
 					}
-					stats.RandomProbes++
-					if e.member[q.Tokens[j].Token].Contains(uint64(p.ID)) {
-						score += lists[j].w(q.Len, p.Len)
-					}
 				}
-			} else {
-				for j := range lists {
-					if j == i {
-						continue
-					}
-					stats.RandomProbes++
-					if _, found := e.hashes[q.Tokens[j].Token].Get(uint64(p.ID)); found {
-						score += lists[j].w(q.Len, p.Len)
-					}
-				}
+				score += lists[j].w(q.Len, p.Len)
 			}
-			// The sum starts at whichever list surfaced the id, so it
-			// is order-dependent; the canonical rescore decides the
-			// emission and supplies the value.
-			if meetsPre(score, tau) {
-				out = e.emitRescored(s, q, p.ID, tau, out)
+			if sim.Meets(score, tau) {
+				out = append(out, Result{ID: p.ID, Score: score})
 			}
 		}
 		stats.Rounds++

@@ -352,7 +352,7 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 // bound, counted alive or emitted.
 func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, lv *liveView, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
 	lists := e.openLists(s, cc, q, 0, o, stats)
-	fillIDFSq(s, q)
+	sortQueryTokens(s, q)
 	n := len(lists)
 	s.tbl.reset()
 	s.imp = s.imp[:0]

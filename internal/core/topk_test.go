@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,45 +11,15 @@ import (
 	"repro/internal/collection"
 )
 
-func scoreMap(e *Engine, q Query) map[collection.SetID]float64 {
-	all, _ := e.selectNaive(&queryScratch{}, nil, q, minPositiveTau, nil)
-	m := make(map[collection.SetID]float64, len(all))
-	for _, r := range all {
-		m[r.ID] = r.Score
-	}
-	return m
-}
-
-// assertTopK verifies got against the oracle: the score sequence must
-// match the true top-k sequence (ties at the boundary may swap ids), and
-// every reported score must be the set's true score.
+// assertTopK holds got to the oracle's top-k, Naive's: the (score desc,
+// id asc) prefix of the full scan, bitwise.
 func assertTopK(t *testing.T, e *Engine, q Query, k int, alg Algorithm, got []Result) {
 	t.Helper()
-	truth := scoreMap(e, q)
 	want, err := e.topkNaive(&queryScratch{}, nil, q, k, &liveView{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%v k=%d: got %d results, want %d", alg, k, len(got), len(want))
-	}
-	for i := range got {
-		if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-			t.Fatalf("%v k=%d rank %d: score %.12f, oracle %.12f",
-				alg, k, i, got[i].Score, want[i].Score)
-		}
-		ts, ok := truth[got[i].ID]
-		if !ok || math.Abs(got[i].Score-ts) > 1e-9 {
-			t.Fatalf("%v k=%d: id %d reported %.12f, true %.12f",
-				alg, k, got[i].ID, got[i].Score, ts)
-		}
-	}
-	// Descending order.
-	for i := 1; i < len(got); i++ {
-		if got[i].Score > got[i-1].Score+1e-12 {
-			t.Fatalf("%v: results not sorted by score", alg)
-		}
-	}
+	assertBitwise(t, fmt.Sprintf("%v k=%d", alg, k), got, want)
 }
 
 func TestTopKMatchesOracle(t *testing.T) {

@@ -285,7 +285,11 @@ func TestUpperAbsentMatchesScalar(t *testing.T) {
 func TestDotCountsMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
+		// Queries past 64 tokens take DotCounts' windowed path.
 		nd, nq := r.Intn(400), r.Intn(12)
+		if trial%4 == 0 {
+			nq = 60 + r.Intn(90)
+		}
 		doc := make([]tokenize.Count, 0, nd)
 		tok := tokenize.Token(0)
 		for i := 0; i < nd; i++ {
@@ -312,6 +316,44 @@ func TestDotCountsMatchesScalar(t *testing.T) {
 		}
 		if got := DotCounts(doc, qt, qw); got != want {
 			t.Fatalf("trial %d: DotCounts = %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestMatchCountsMarksPositions checks the match kernel against a
+// scalar merge on both of its paths (sorted merge, galloping seek), for
+// queries inside one mask word and past it: exactly the positions at[j]
+// of the query tokens the document holds are set.
+func TestMatchCountsMarksPositions(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		nd, nq := r.Intn(400), r.Intn(12)
+		if trial%3 == 0 {
+			nq = 60 + r.Intn(90)
+		}
+		doc := make([]tokenize.Count, 0, nd)
+		tok := tokenize.Token(0)
+		for i := 0; i < nd; i++ {
+			tok += tokenize.Token(1 + r.Intn(5))
+			doc = append(doc, tokenize.Count{Token: tok, TF: 1})
+		}
+		qt := make([]tokenize.Token, 0, nq)
+		tok = 0
+		for i := 0; i < nq; i++ {
+			tok += tokenize.Token(1 + r.Intn(8))
+			qt = append(qt, tok)
+		}
+		at := r.Perm(nq)
+		m := Mask{Hi: make([]uint64, HiWords(nq))}
+		MatchCounts(doc, qt, at, &m)
+		in := map[tokenize.Token]bool{}
+		for _, c := range doc {
+			in[c.Token] = true
+		}
+		for j, tk := range qt {
+			if m.Has(at[j]) != in[tk] {
+				t.Fatalf("trial %d: token %d (position %d) marked %v, in document %v", trial, tk, at[j], m.Has(at[j]), in[tk])
+			}
 		}
 	}
 }
