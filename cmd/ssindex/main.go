@@ -139,7 +139,7 @@ func statCmd(args []string) {
 // and prints what it holds.
 func snapStat(path string, shards int, verbose bool) {
 	le, info, err := setsim.OpenLive(path, setsim.LiveConfig{
-		Config: setsim.ListsOnly(), NoBackground: true, Shards: shards,
+		NoBackground: true, Shards: shards,
 	})
 	if err != nil {
 		fatal(err)

@@ -7,7 +7,8 @@
 //	ssquery -load corpus.sscol [-lists corpus.ssidx] [flags] [query ...]
 //
 // With no query arguments it reads queries from stdin, one per line.
-// -k > 0 switches to top-k mode (ignores -tau). -load opens either
+// -k > 0 switches to top-k mode (ignores -tau; -alg naive or sf, any
+// other algorithm exits 2 before indexing). -load opens either
 // snapshot version: a version-1 collection saved with -save (or
 // setsim.Save), or a version-5 durable store (manifest + segment
 // packages + write-ahead log, as setsim.SaveLive and setsim.OpenDurable
@@ -57,7 +58,7 @@ func main() {
 	q := flag.Int("q", 3, "q-gram size")
 	tau := flag.Float64("tau", 0.8, "similarity threshold")
 	algName := flag.String("alg", "sf", "algorithm: naive|sort-by-id|sql|ta|nra|ita|inra|sf|hybrid")
-	k := flag.Int("k", 0, "top-k mode when > 0 (sf or inra only)")
+	k := flag.Int("k", 0, "top-k mode when > 0 (naive or sf only)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 disables); expired queries abort mid-scan")
 	shards := flag.Int("shards", 0, "routed partitions to fan queries across (0 = unsharded, or a snapshot's saved count)")
 	verbose := flag.Bool("v", false, "print access statistics and a final metrics summary")
@@ -79,13 +80,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
 		os.Exit(2)
 	}
-
-	cfg := core.Config{}
-	if alg != core.TA && alg != core.ITA {
-		cfg.NoHashes = true
-	}
-	if alg != core.SQL {
-		cfg.NoRelational = true
+	if *k > 0 && alg != core.Naive && alg != core.SF {
+		fmt.Fprintf(os.Stderr, "ssquery: -k: %v %q (top-k runs naive or sf)\n", core.ErrUnknownAlg, *algName)
+		os.Exit(2)
 	}
 
 	// The three corpus sources share one query surface.
@@ -98,7 +95,7 @@ func main() {
 	switch {
 	case *load != "" && *lists != "":
 		// On-disk lists need the raw collection; the version-1 format only.
-		engine, err := setsim.LoadWithLists(*load, *lists, cfg)
+		engine, err := setsim.LoadWithLists(*load, *lists, core.Config{})
 		if err != nil {
 			fatal(err)
 		}
@@ -109,9 +106,7 @@ func main() {
 		source = c.Source
 		summary = func() { fmt.Fprintln(os.Stderr, engine.Metrics().Snapshot()) }
 	case *load != "":
-		le, info, err := setsim.OpenLive(*load, setsim.LiveConfig{
-			Config: cfg, NoBackground: true, Shards: *shards,
-		})
+		le, info, err := setsim.OpenLive(*load, setsim.LiveConfig{NoBackground: true, Shards: *shards})
 		if err != nil {
 			fatal(err)
 		}
@@ -143,7 +138,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		se := core.BuildSharded(tokenize.QGramTokenizer{Q: *q}, lines, true, *shards, cfg)
+		se := core.BuildSharded(tokenize.QGramTokenizer{Q: *q}, lines, true, *shards, core.Config{})
 		defer se.Close()
 		fmt.Fprintf(os.Stderr, "indexed %d sets across %d shards\n", se.NumDocs(), se.NumShards())
 		doQuery = shardedQuery(se, alg, *tau, *k)
@@ -172,7 +167,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "saved collection to %s\n", *save)
 		}
-		engine := core.NewEngine(c, cfg)
+		engine := core.NewEngine(c, core.Config{})
 		fmt.Fprintf(os.Stderr, "indexed %d sets, %d grams\n", c.NumSets(), c.NumTokens())
 		doQuery = staticQuery(engine, alg, *tau, *k)
 		source = c.Source

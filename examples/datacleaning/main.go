@@ -23,7 +23,7 @@ func main() {
 	records := cu.Records
 	fmt.Printf("customer table: %d records (%d true entities)\n\n", len(records), 60)
 
-	idx := setsim.Build(records, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(records, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 
 	// One selection query per record, fanned out over a worker pool.
 	queries := make([]setsim.Query, len(records))

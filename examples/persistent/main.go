@@ -28,7 +28,7 @@ func main() {
 	// Build from a synthetic word corpus and persist both files.
 	rng := rand.New(rand.NewSource(5))
 	words := dataset.Words(dataset.IMDBLike(rng, 30000))
-	idx := setsim.Build(words, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(words, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	if err := setsim.Save(colPath, idx); err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 		len(words), ci.Size()/1024, li.Size()/1024)
 
 	// Reopen: queries now run against the on-disk lists.
-	disk, err := setsim.LoadWithLists(colPath, listPath, setsim.ListsOnly())
+	disk, err := setsim.LoadWithLists(colPath, listPath, setsim.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,7 @@ func main() {
 
 	// Build the index: 3-gram tokens, inverted lists + skip lists only
 	// (SF needs nothing more).
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 
 	query := "Maine Str."
 	q := idx.Prepare(query)

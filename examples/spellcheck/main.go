@@ -21,7 +21,7 @@ func main() {
 	words := dataset.Words(rows)
 	fmt.Printf("dictionary: %d distinct words from %d rows\n\n", len(words), len(rows))
 
-	idx := setsim.Build(words, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(words, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 
 	// Misspell 200 random dictionary words with 1-2 edits.
 	probes := make([]string, 200)

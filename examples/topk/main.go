@@ -20,7 +20,7 @@ func main() {
 
 	// Index whole titles as word sets — top-k over records rather than
 	// words, the "related titles" use case.
-	idx := setsim.Build(rows, setsim.WordTokenizer{}, setsim.ListsOnly())
+	idx := setsim.Build(rows, setsim.WordTokenizer{}, setsim.Config{})
 
 	probe := rows[rng.Intn(len(rows))]
 	fmt.Printf("probe: %q\n\n", probe)

@@ -22,7 +22,7 @@ func TestWarmQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{NoRelational: true})
+	e := buildEngine(t, 5000, 3, 8, Config{})
 	rng := rand.New(rand.NewSource(17))
 	queries := make([]Query, 8)
 	for i := range queries {
@@ -82,7 +82,7 @@ func TestWarmKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{NoRelational: true})
+	e := buildEngine(t, 5000, 3, 8, Config{})
 	rng := rand.New(rand.NewSource(19))
 	queries := make([]Query, 8)
 	for i := range queries {
@@ -115,29 +115,27 @@ func TestWarmTopKAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 5000, 3, 8, Config{})
 	rng := rand.New(rand.NewSource(18))
 	queries := make([]Query, 8)
 	for i := range queries {
 		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 	}
-	for _, alg := range []Algorithm{INRA, SF} {
-		for _, q := range queries {
-			if _, _, err := e.SelectTopK(q, 10, alg, nil); err != nil {
-				t.Fatal(err)
-			}
+	for _, q := range queries {
+		if _, _, err := e.SelectTopK(q, 10, SF, nil); err != nil {
+			t.Fatal(err)
 		}
-		i := 0
-		avg := testing.AllocsPerRun(4*len(queries), func() {
-			q := queries[i%len(queries)]
-			i++
-			if _, _, err := e.SelectTopK(q, 10, alg, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > warmAllocBudget {
-			t.Errorf("topk %v: %.2f allocs per warm query, budget %.0f", alg, avg, warmAllocBudget)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(4*len(queries), func() {
+		q := queries[i%len(queries)]
+		i++
+		if _, _, err := e.SelectTopK(q, 10, SF, nil); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if avg > warmAllocBudget {
+		t.Errorf("topk sf: %.2f allocs per warm query, budget %.0f", avg, warmAllocBudget)
 	}
 }
 
@@ -152,7 +150,7 @@ func TestWarmShardedAllocations(t *testing.T) {
 	}
 	docs := randomDocs(5000, 3, 8)
 	for _, K := range []int{1, 4} {
-		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{NoRelational: true})
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
 		rng := rand.New(rand.NewSource(17))
 		queries := make([]Query, 8)
 		for i := range queries {

@@ -45,10 +45,13 @@ func TestSelectBatchEmpty(t *testing.T) {
 }
 
 func TestSelectBatchPropagatesErrors(t *testing.T) {
-	e := buildEngine(t, 50, 54, 6, Config{NoHashes: true})
-	queries := []Query{e.PrepareCounts(e.c.Set(0))}
+	e := buildEngine(t, 50, 54, 6, Config{})
+	queries := []Query{e.PrepareCounts(e.c.Set(0)), {}}
 	out := e.SelectBatch(queries, 0.8, TA, nil, 2)
-	if out[0].Err != ErrNoHashIndex {
-		t.Errorf("err = %v, want ErrNoHashIndex", out[0].Err)
+	if out[0].Err != nil {
+		t.Errorf("entry 0 err = %v, want nil", out[0].Err)
+	}
+	if out[1].Err != ErrEmptyQuery {
+		t.Errorf("entry 1 err = %v, want ErrEmptyQuery", out[1].Err)
 	}
 }

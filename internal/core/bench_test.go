@@ -21,7 +21,7 @@ var benchEngine *Engine
 func getBenchEngine(b *testing.B) *Engine {
 	b.Helper()
 	if benchEngine == nil {
-		benchEngine = buildEngine(b, 20000, 7, 8, Config{NoRelational: true})
+		benchEngine = buildEngine(b, 20000, 7, 8, Config{})
 	}
 	return benchEngine
 }
@@ -51,7 +51,7 @@ var (
 func getBenchClustered(b *testing.B) (*Engine, []Query) {
 	b.Helper()
 	if benchClustered == nil {
-		benchClustered = wordEngineFromDocs(clusteredDocs(8, 3000, 13), Config{NoHashes: true, NoRelational: true})
+		benchClustered = wordEngineFromDocs(clusteredDocs(8, 3000, 13), Config{})
 		benchClusteredQueries = benchQueries(b, benchClustered, 16)
 	}
 	return benchClustered, benchClusteredQueries
@@ -125,7 +125,7 @@ func BenchmarkSelectWarmINRAFileStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fs.Close()
-	e := NewEngine(mem.c, Config{Store: fs, NoHashes: true, NoRelational: true})
+	e := NewEngine(mem.c, Config{Store: fs})
 	benchSelectWarmOn(b, e, qs, INRA, 0.8, nil)
 }
 
@@ -141,7 +141,7 @@ func BenchmarkSelectCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fresh := NewEngineWithHashes(e.c, e.store, e.hashes)
+		fresh := NewEngine(e.c, Config{Store: e.store})
 		b.StartTimer()
 		if _, _, err := fresh.Select(qs[i%len(qs)], 0.8, SF, nil); err != nil {
 			b.Fatal(err)
@@ -212,8 +212,8 @@ func benchTopKWarmOn(b *testing.B, e *Engine, qs []Query, opts *Options) {
 func BenchmarkSelectTopKLive(b *testing.B) {
 	corpus := randomCorpus(20000, 7, 8)
 	le := NewLive(liveTestTK, LiveConfig{
-		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
-		DriftBound: 1e9, MaxSegments: 1 << 20,
+		NoBackground: true,
+		DriftBound:   1e9, MaxSegments: 1 << 20,
 	})
 	defer le.Close()
 	for i, s := range corpus {
@@ -276,8 +276,7 @@ func BenchmarkSelectBatchParallel(b *testing.B) {
 // (identity id mapping, zero tombstones, order preserved).
 func BenchmarkSelectWarmLiveVsStatic(b *testing.B) {
 	corpus := randomCorpus(20000, 7, 8)
-	cfg := Config{NoRelational: true}
-	le := BuildLive(corpus, liveTestTK, LiveConfig{Config: cfg, NoBackground: true})
+	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	e := getBenchEngine(b) // same generator parameters: identical corpus
 	sqs := make([]Query, 16)
@@ -310,11 +309,10 @@ func BenchmarkSelectWarmLiveVsStatic(b *testing.B) {
 // round, the clusterer, the per-shard collections and their indexes.
 func BenchmarkBuildSharded(b *testing.B) {
 	docs := clusteredDocs(8, 2500, 13)
-	cfg := Config{NoHashes: true, NoRelational: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := BuildSharded(tokenize.WordTokenizer{}, docs, false, 8, cfg)
+		se := BuildSharded(tokenize.WordTokenizer{}, docs, false, 8, Config{})
 		if se.NumDocs() != len(docs) {
 			b.Fatalf("built %d of %d documents", se.NumDocs(), len(docs))
 		}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/collection"
-	"repro/internal/exthash"
 	"repro/internal/invlist"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -122,17 +121,19 @@ func (s Stats) PruningPower() float64 {
 }
 
 // Engine ties a collection to its indexes and runs selection queries.
+// NewEngine builds only the inverted lists; what only TA/iTA or SQL
+// read is built by the first query that needs it (see buildFor).
 type Engine struct {
 	c     *collection.Collection
 	store invlist.Store
-	// hashes holds one extendible-hash index per token (id → length):
-	// its presence makes TA/iTA available and its size is Fig. 5's; nil
-	// when disabled.
-	hashes []*exthash.Table
 	// member holds one word-packed membership bitmap per token, TA/iTA's
-	// random access; built exactly when hashes is.
-	member []kernel.Set
-	rel    *relational.Engine
+	// random access; built under memberOnce by the first TA/iTA query.
+	member     []kernel.Set
+	memberOnce sync.Once
+	// rel is the SQL baseline's relational engine; built under relOnce
+	// by the first SQL query or RelationalSizes call.
+	rel     *relational.Engine
+	relOnce sync.Once
 	// m aggregates per-query latency/read/outcome metrics across every
 	// selection entry point (Select, SelectTopK, the parallel variants).
 	m *metrics.Registry
@@ -141,20 +142,12 @@ type Engine struct {
 	scratch sync.Pool
 }
 
-// Config controls which indexes NewEngine builds.
+// Config controls how NewEngine builds the inverted lists.
 type Config struct {
 	// Store supplies the inverted lists; nil builds an in-memory store.
 	Store invlist.Store
 	// SkipInterval is the skip-index spacing for the built MemStore.
 	SkipInterval int
-	// NoHashes skips building the per-list extendible hash indexes
-	// (TA and iTA become unavailable).
-	NoHashes bool
-	// NoRelational skips building the SQL baseline's engine.
-	NoRelational bool
-	// HashPageSize is the extendible-hashing page size in bytes
-	// (≤ 0 selects the paper's tuned 1KB pages).
-	HashPageSize int
 	// NoRoute disables similarity-aware partitioning on BuildSharded:
 	// documents are hash-routed (PR 5 behavior) and no per-shard
 	// summaries are built, so no shard is ever pruned. A build-time
@@ -163,29 +156,45 @@ type Config struct {
 	NoRoute bool
 }
 
-// NewEngine builds the indexes for c per cfg.
+// NewEngine builds the inverted lists for c per cfg.
 func NewEngine(c *collection.Collection, cfg Config) *Engine {
 	e := &Engine{c: c, store: cfg.Store, m: metrics.NewRegistry()}
 	if e.store == nil {
 		e.store = invlist.BuildMem(c, cfg.SkipInterval)
 	}
-	if !cfg.NoHashes {
-		e.hashes = make([]*exthash.Table, c.NumTokens())
-		c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
-			h := exthash.New(cfg.HashPageSize)
-			for _, id := range ids {
-				h.Put(uint64(id), c.Length(id))
-			}
-			e.hashes[t] = h
-		})
-		e.member = memberSets(c)
-	}
-	if !cfg.NoRelational {
-		e.rel = relational.Build(c)
-	}
 	e.wireCacheMetrics()
 	return e
 }
+
+// buildFor builds, once per engine, what alg reads besides the inverted
+// lists: TA/iTA's membership bitmaps or SQL's relational tables. The
+// sync.Once makes concurrent first queries share one build and publishes
+// the finished structure to every one of them. runPlan calls it before
+// starting the query clock, so Stats.Elapsed measures only the query.
+func (e *Engine) buildFor(alg Algorithm) {
+	switch alg {
+	case TA, ITA:
+		e.memberOnce.Do(e.buildMember)
+	case SQL:
+		e.relOnce.Do(e.buildRel)
+	}
+}
+
+// buildMember builds TA/iTA's random-access path: one word-packed
+// membership bitmap per token.
+func (e *Engine) buildMember() {
+	member := make([]kernel.Set, e.c.NumTokens())
+	var sb kernel.SetBuilder
+	e.c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
+		for _, id := range ids {
+			sb.Add(uint64(id)) // TokenSets yields ascending ids
+		}
+		member[t] = sb.Build()
+	})
+	e.member = member
+}
+
+func (e *Engine) buildRel() { e.rel = relational.Build(e.c) }
 
 // cacheStatser is implemented by stores with a block cache (FileStore).
 type cacheStatser interface {
@@ -205,34 +214,6 @@ func (e *Engine) wireCacheMetrics() {
 	})
 }
 
-// memberSets builds TA/iTA's random-access path: one word-packed
-// membership bitmap per token.
-func memberSets(c *collection.Collection) []kernel.Set {
-	member := make([]kernel.Set, c.NumTokens())
-	var sb kernel.SetBuilder
-	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
-		for _, id := range ids {
-			sb.Add(uint64(id)) // TokenSets yields ascending ids
-		}
-		member[t] = sb.Build()
-	})
-	return member
-}
-
-// NewEngineWithHashes assembles an engine from prebuilt components. The
-// tuning ablations use it to swap one index (e.g. extendible hashing at a
-// different page size) without rebuilding the rest. The hash indexes
-// gate TA/iTA and are sized for Fig. 5; the probes themselves go through
-// the membership bitmaps built here, as on NewEngine.
-func NewEngineWithHashes(c *collection.Collection, store invlist.Store, hashes []*exthash.Table) *Engine {
-	e := &Engine{c: c, store: store, hashes: hashes, m: metrics.NewRegistry()}
-	if hashes != nil {
-		e.member = memberSets(c)
-	}
-	e.wireCacheMetrics()
-	return e
-}
-
 // Metrics exposes the engine's query metrics registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.m }
 
@@ -250,23 +231,10 @@ func (e *Engine) Collection() *collection.Collection { return e.c }
 // Store exposes the inverted-list store.
 func (e *Engine) Store() invlist.Store { return e.store }
 
-// HashSizeBytes totals the extendible-hash indexes (Fig. 5's largest
-// inverted-list component).
-func (e *Engine) HashSizeBytes() int64 {
-	var total int64
-	for _, h := range e.hashes {
-		if h != nil {
-			total += h.SizeBytes()
-		}
-	}
-	return total
-}
-
-// RelationalSizes exposes the SQL baseline's storage accounting.
+// RelationalSizes exposes the SQL baseline's storage accounting,
+// building its tables if no SQL query has yet.
 func (e *Engine) RelationalSizes() relational.Sizes {
-	if e.rel == nil {
-		return relational.Sizes{}
-	}
+	e.buildFor(SQL)
 	return e.rel.Sizes()
 }
 
@@ -274,8 +242,6 @@ func (e *Engine) RelationalSizes() relational.Sizes {
 var (
 	ErrEmptyQuery   = errors.New("core: query has no tokens")
 	ErrBadThreshold = errors.New("core: threshold must be in (0, 1]")
-	ErrNoHashIndex  = errors.New("core: TA/iTA require hash indexes (Config.NoHashes was set)")
-	ErrNoRelational = errors.New("core: SQL baseline disabled (Config.NoRelational was set)")
 	ErrUnknownAlg   = errors.New("core: unknown algorithm")
 )
 

@@ -69,7 +69,7 @@ func TestSelectCtxPreCancelled(t *testing.T) {
 // TestSelectCtxDeadline: an expired deadline behaves like cancellation
 // but surfaces context.DeadlineExceeded.
 func TestSelectCtxDeadline(t *testing.T) {
-	e := buildEngine(t, 1000, 73, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 1000, 73, 6, Config{})
 	q := lowTauQuery(e, 74)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -103,7 +103,7 @@ func TestSelectCtxBackground(t *testing.T) {
 // TestSelectCtxNoSkipIndexCancel: the NoSkipIndex sequential seek is an
 // unbounded read loop and must also notice cancellation.
 func TestSelectCtxNoSkipIndexCancel(t *testing.T) {
-	e := buildEngine(t, 3000, 77, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 3000, 77, 6, Config{})
 	q := lowTauQuery(e, 78)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -118,11 +118,11 @@ func TestSelectCtxNoSkipIndexCancel(t *testing.T) {
 
 // TestSelectTopKCtxCancelled covers the top-k variants.
 func TestSelectTopKCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 2000, 79, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 2000, 79, 6, Config{})
 	q := lowTauQuery(e, 80)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []Algorithm{Naive, SF, INRA} {
+	for _, alg := range []Algorithm{Naive, SF} {
 		res, st, err := e.SelectTopKCtx(ctx, q, 10, alg, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", alg, err)
@@ -139,7 +139,7 @@ func TestSelectTopKCtxCancelled(t *testing.T) {
 // TestSelectBatchCtxCancelled: every entry of a cancelled batch carries
 // the context error; none report silently-empty success.
 func TestSelectBatchCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 800, 81, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 800, 81, 6, Config{})
 	queries := make([]Query, 20)
 	for i := range queries {
 		queries[i] = lowTauQuery(e, int64(82+i))
@@ -160,7 +160,7 @@ func TestSelectBatchCtxCancelled(t *testing.T) {
 // results and only a prefix of its list volume read, whatever the worker
 // count.
 func TestParallelCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 2000, 83, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 2000, 83, 6, Config{})
 	queries := []Query{lowTauQuery(e, 84), lowTauQuery(e, 90)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -185,7 +185,7 @@ func TestParallelCtxCancelled(t *testing.T) {
 // TestElapsedPopulated: Stats.Elapsed must be set by every entry point —
 // Select, SelectTopK, and the per-query stats of SelectBatch.
 func TestElapsedPopulated(t *testing.T) {
-	e := buildEngine(t, 400, 85, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 400, 85, 6, Config{})
 	q := lowTauQuery(e, 86)
 
 	if _, st, err := e.Select(q, 0.6, SF, nil); err != nil || st.Elapsed <= 0 {
@@ -193,9 +193,6 @@ func TestElapsedPopulated(t *testing.T) {
 	}
 	if _, st, err := e.SelectTopK(q, 5, SF, nil); err != nil || st.Elapsed <= 0 {
 		t.Errorf("SelectTopK(SF): elapsed=%v err=%v", st.Elapsed, err)
-	}
-	if _, st, err := e.SelectTopK(q, 5, INRA, nil); err != nil || st.Elapsed <= 0 {
-		t.Errorf("SelectTopK(INRA): elapsed=%v err=%v", st.Elapsed, err)
 	}
 	for i, r := range e.SelectBatch([]Query{q, q}, 0.6, SF, nil, 2) {
 		if r.Err != nil || r.Stats.Elapsed <= 0 {
@@ -207,7 +204,7 @@ func TestElapsedPopulated(t *testing.T) {
 // TestEngineMetrics: the engine's registry sees every entry point and
 // classifies outcomes.
 func TestEngineMetrics(t *testing.T) {
-	e := buildEngine(t, 400, 88, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 400, 88, 6, Config{})
 	q := lowTauQuery(e, 89)
 
 	if _, _, err := e.Select(q, 0.6, SF, nil); err != nil {
@@ -219,8 +216,8 @@ func TestEngineMetrics(t *testing.T) {
 	if r := e.SelectBatch([]Query{q}, 0.6, SortByID, nil, 2); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
-	if _, _, err := e.Select(q, 0.6, TA, nil); err != ErrNoHashIndex {
-		t.Fatalf("TA err = %v, want ErrNoHashIndex", err)
+	if _, _, err := e.SelectTopK(q, 3, INRA, nil); err != ErrUnknownAlg {
+		t.Fatalf("top-k INRA err = %v, want ErrUnknownAlg", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -204,7 +204,7 @@ func TestQuickRandomInstances(t *testing.T) {
 			// every list-positioning path, for selection and top-k. The
 			// (len, id) heap of the merge baseline runs over the in-memory
 			// lists and over a list file of them.
-			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{NoHashes: true, NoRelational: true})
+			ties := engineFromDocs(tieDocs(rng, 150+rng.Intn(200)), Config{})
 			path := filepath.Join(t.TempDir(), "ties.lists")
 			if err := invlist.WriteFile(path, ties.c, 4); err != nil {
 				t.Fatal(err)
@@ -214,7 +214,7 @@ func TestQuickRandomInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close()
-			tiesOnDisk := NewEngine(ties.c, Config{Store: fs, NoHashes: true, NoRelational: true})
+			tiesOnDisk := NewEngine(ties.c, Config{Store: fs})
 			for trial := 0; trial < 10; trial++ {
 				q := ties.PrepareCounts(ties.c.Set(collection.SetID(rng.Intn(ties.c.NumSets()))))
 				tau := 0.25 + rng.Float64()*0.74
@@ -251,7 +251,7 @@ func TestQuickRandomInstances(t *testing.T) {
 			// length ties decide its merge.
 			docs := tieDocs(rng, 200+rng.Intn(100))
 			le := NewLive(liveTestTK, LiveConfig{
-				Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+				NoBackground:   true,
 				FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
 			})
 			defer le.Close()
@@ -337,20 +337,39 @@ func TestSelectValidation(t *testing.T) {
 	}
 }
 
+// TestEngineWithoutOptionalIndexes holds the default engine to building
+// only the inverted lists: the list-only algorithms and top-k leave TA's
+// bitmaps and SQL's tables unbuilt, and the first TA, iTA or SQL query
+// builds what it reads and answers as Naive does.
 func TestEngineWithoutOptionalIndexes(t *testing.T) {
-	e := buildEngine(t, 100, 2, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 100, 2, 6, Config{})
 	q := e.PrepareCounts(e.c.Set(0))
-	if _, _, err := e.Select(q, 0.8, TA, nil); err != ErrNoHashIndex {
-		t.Errorf("TA without hashes err = %v", err)
+	want, _, err := e.Select(q, 0.8, Naive, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := e.Select(q, 0.8, SQL, nil); err != ErrNoRelational {
-		t.Errorf("SQL without relational err = %v", err)
-	}
-	// The list-only algorithms must still work.
 	for _, alg := range []Algorithm{SortByID, NRA, INRA, SF, Hybrid} {
-		if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
-			t.Errorf("%v: %v", alg, err)
+		got, _, err := e.Select(q, 0.8, alg, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
 		}
+		assertSameResults(t, alg, 0.8, got, want)
+	}
+	if _, _, err := e.SelectTopK(q, 5, SF, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.member != nil || e.rel != nil {
+		t.Fatalf("list-only queries built member=%v rel=%v", e.member != nil, e.rel != nil)
+	}
+	for _, alg := range []Algorithm{TA, ITA, SQL} {
+		got, _, err := e.Select(q, 0.8, alg, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		assertSameResults(t, alg, 0.8, got, want)
+	}
+	if e.member == nil || e.rel == nil {
+		t.Fatalf("TA/SQL queries left member=%v rel=%v unbuilt", e.member != nil, e.rel != nil)
 	}
 }
 

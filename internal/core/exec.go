@@ -15,7 +15,7 @@ import (
 
 // runAlg is the execute stage's single dispatch point: one switch maps
 // the plan onto an algorithm implementation, for both merge disciplines
-// (the nine threshold algorithms; Naive, SF and INRA for top-k).
+// (the nine threshold algorithms; Naive and SF for top-k).
 //
 //ssvet:hot
 func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, stats *Stats, shared *sharedTau) ([]Result, error) {
@@ -25,8 +25,6 @@ func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, s
 			return e.topkNaive(s, cc, q, p.k, &p.live)
 		case SF:
 			return e.topkSF(s, cc, q, p.k, &p.live, &p.opts, stats, shared)
-		case INRA:
-			return e.topkINRA(s, cc, q, p.k, &p.live, &p.opts, stats, shared)
 		default:
 			return nil, ErrUnknownAlg
 		}
@@ -56,13 +54,17 @@ func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, s
 }
 
 // runPlan executes a validated plan on one engine — the pipeline unit
-// the fan-outs compose: list-total accounting, scratch checkout, the
+// the fan-outs compose: the first-use build of what the algorithm reads
+// besides the lists, list-total accounting, scratch checkout, the
 // planned algorithm, the merge-discipline ordering and the one copy out
 // of scratch. Metrics observe exactly once per run. shared, when
 // non-nil, circulates the cross-shard top-k bound into the algorithm.
 //
 //ssvet:hot
 func (e *Engine) runPlan(ctx context.Context, q Query, p queryPlan, shared *sharedTau) ([]Result, Stats, error) {
+	if p.kind == planSelect {
+		e.buildFor(p.alg)
+	}
 	var stats Stats
 	for _, qt := range q.Tokens {
 		stats.ListTotal += e.store.ListLen(qt.Token)

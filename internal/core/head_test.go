@@ -29,7 +29,6 @@ func TestListHeadTracksCursor(t *testing.T) {
 	docs := pipelineDocs(300, 2901, 5)
 	docs = append(docs, docs[:100]...)
 	c := buildPipelineCollection(docs)
-	cfg := Config{NoHashes: true, NoRelational: true}
 
 	path := filepath.Join(t.TempDir(), "lists.ssidx")
 	if err := invlist.WriteFile(path, c, 8); err != nil {
@@ -41,7 +40,7 @@ func TestListHeadTracksCursor(t *testing.T) {
 	}
 	defer fs.Close()
 
-	le := NewLive(liveTestTK, LiveConfig{Config: cfg, NoBackground: true, FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20})
+	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20})
 	defer le.Close()
 	for i, s := range docs[:300] {
 		if _, err := le.Insert(s); err != nil {
@@ -70,7 +69,7 @@ func TestListHeadTracksCursor(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		e    *Engine
-	}{{"mem", NewEngine(c, cfg)}, {"file", NewEngine(c, Config{Store: fs, NoHashes: true, NoRelational: true})}, {"live-segment", seg.eng}} {
+	}{{"mem", NewEngine(c, Config{})}, {"file", NewEngine(c, Config{Store: fs})}, {"live-segment", seg.eng}} {
 		for _, noSkip := range []bool{false, true} {
 			name := fmt.Sprintf("%s/NoSkipIndex=%v", tc.name, noSkip)
 			s := &queryScratch{}

@@ -37,7 +37,7 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 	words = words[:2000]
 
 	before := retainedHeap()
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, words, false, 4, Config{NoHashes: true, NoRelational: true})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, words, false, 4, Config{})
 	defer se.Close()
 	built := retainedHeap()
 
@@ -55,12 +55,14 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 	}
 }
 
-// TestListsOnlyRetainsOnePostingArena holds what a ListsOnly engine keeps
-// alive to one copy of its postings. The heap the build adds may exceed
-// what remains once the store is dropped by the 16-byte postings of every
-// list, the two offset tables and the skip samples, plus the allocator's
-// rounding of those four arrays to whole pages. A second posting arena
-// (an id-sorted copy of every list) does not fit. The race detector's
+// TestListsOnlyRetainsOnePostingArena holds what a default engine keeps
+// alive to one copy of its postings: Config{} builds the lists only, and
+// TA's bitmaps and SQL's tables wait for their first query. The heap the
+// build adds may exceed what remains once the store is dropped by the
+// 16-byte postings of every list, the two offset tables and the skip
+// samples, plus the allocator's rounding of those four arrays to whole
+// pages. A second posting arena (an id-sorted copy of every list), the
+// bitmaps or the tables do not fit. The race detector's
 // shadow memory lies outside the Go heap, so the bound holds under it.
 func TestListsOnlyRetainsOnePostingArena(t *testing.T) {
 	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 3}, false)
@@ -70,7 +72,7 @@ func TestListsOnlyRetainsOnePostingArena(t *testing.T) {
 	c := b.Build()
 
 	before := retainedHeap()
-	e := NewEngine(c, Config{NoHashes: true, NoRelational: true})
+	e := NewEngine(c, Config{})
 	built := retainedHeap()
 	postings := 0
 	for tk := 0; tk < c.NumTokens(); tk++ {
@@ -84,7 +86,7 @@ func TestListsOnlyRetainsOnePostingArena(t *testing.T) {
 	const rounding = 4 * 8 << 10 // a page for each of the four arrays
 	arena := 16 * int64(postings)
 	if growth, budget := built-before, arena+tables+rounding+(rest-before); growth > budget {
-		t.Errorf("ListsOnly engine retained %d bytes; budget %d = %d posting bytes + %d table bytes + %d rounding + %d bytes besides the store",
+		t.Errorf("default engine retained %d bytes; budget %d = %d posting bytes + %d table bytes + %d rounding + %d bytes besides the store",
 			growth, budget, arena, tables, rounding, rest-before)
 	}
 }

@@ -71,8 +71,8 @@ func ruledOut(l *listState, len float64, id collection.SetID) bool {
 // list of c at once: any list whose frontier has passed (c.len, c.id) is
 // marked resolved-absent. It walks only the clear bits of the resolved
 // mask, in ascending list order. This is the sweep form of the rule —
-// iNRA's one candidate scan and top-k iNRA's per-round scans use it;
-// passCandidates is the event-driven form.
+// iNRA's one candidate scan uses it; passCandidates is the event-driven
+// form.
 //
 //ssvet:hot
 func resolveAbsences(c *impCand, lists []listState) {

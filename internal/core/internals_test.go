@@ -185,7 +185,7 @@ func TestBeforeOrAt(t *testing.T) {
 }
 
 func TestAdmitRejectsHopeless(t *testing.T) {
-	e := buildEngine(t, 300, 92, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 300, 92, 6, Config{})
 	q := e.PrepareCounts(e.c.Set(0))
 	s := &queryScratch{}
 	s.tbl.reset()
@@ -207,7 +207,7 @@ func TestAdmitRejectsHopeless(t *testing.T) {
 // TestFileStoreConcurrentReaders validates the documented claim that a
 // FileStore serves concurrent cursors safely (run with -race).
 func TestFileStoreConcurrentReaders(t *testing.T) {
-	e := buildEngine(t, 400, 93, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 400, 93, 6, Config{})
 	dir := t.TempDir()
 	path := dir + "/lists.bin"
 	if err := invlist.WriteFile(path, e.c, 8); err != nil {
@@ -218,7 +218,7 @@ func TestFileStoreConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	disk := NewEngine(e.c, Config{Store: fs, NoHashes: true, NoRelational: true})
+	disk := NewEngine(e.c, Config{Store: fs})
 
 	queries := make([]Query, 30)
 	rng := rand.New(rand.NewSource(94))

@@ -25,9 +25,6 @@ var kernelEquivTaus = []float64{0.4, 0.6, 0.75, 0.9, 0.99}
 func TestKernelOffEquivalence(t *testing.T) {
 	docs := randomDocs(2500, 71, 7)
 	e := engineFromDocs(docs, Config{})
-	if e.member == nil {
-		t.Fatal("member index not built: TA/iTA would probe extendible hashes")
-	}
 	rng := rand.New(rand.NewSource(72))
 	for qi := 0; qi < 40; qi++ {
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
@@ -51,7 +48,7 @@ func TestKernelOffEquivalence(t *testing.T) {
 // moving τ: the (score desc, id asc) prefix, bitwise.
 func TestKernelOffEquivalenceTopK(t *testing.T) {
 	docs := randomDocs(2500, 73, 7)
-	e := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
+	e := engineFromDocs(docs, Config{})
 	rng := rand.New(rand.NewSource(74))
 	for qi := 0; qi < 30; qi++ {
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
@@ -60,13 +57,11 @@ func TestKernelOffEquivalenceTopK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		for _, alg := range []Algorithm{INRA, SF} {
-			got, _, err := e.SelectTopK(q, k, alg, nil)
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			assertBitwise(t, alg.String(), got, want)
+		got, _, err := e.SelectTopK(q, k, SF, nil)
+		if err != nil {
+			t.Fatalf("sf: %v", err)
 		}
+		assertBitwise(t, "sf", got, want)
 	}
 }
 
@@ -74,7 +69,7 @@ func TestKernelOffEquivalenceTopK(t *testing.T) {
 // with -race) and compares every answer with Naive's batch.
 func TestKernelOffEquivalenceBatch(t *testing.T) {
 	docs := randomDocs(2000, 75, 7)
-	e := engineFromDocs(docs, Config{NoHashes: true, NoRelational: true})
+	e := engineFromDocs(docs, Config{})
 	rng := rand.New(rand.NewSource(76))
 	queries := make([]Query, 48)
 	for i := range queries {
@@ -97,10 +92,10 @@ func TestKernelOffEquivalenceBatch(t *testing.T) {
 // algorithm, agrees bitwise with Naive on the monolithic engine.
 func TestKernelOffEquivalenceSharded(t *testing.T) {
 	docs := randomDocs(1500, 77, 7)
-	mono := engineFromDocs(docs, Config{NoRelational: true})
+	mono := engineFromDocs(docs, Config{})
 	rng := rand.New(rand.NewSource(78))
 	for _, K := range shardKs {
-		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, false, K, Config{NoRelational: true})
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, false, K, Config{})
 		for qi := 0; qi < 15; qi++ {
 			q := se.PrepareCounts(mono.c.Set(collection.SetID(rng.Intn(mono.c.NumSets()))))
 			want, _, err := mono.Select(q, 0.7, Naive, nil)
@@ -129,7 +124,7 @@ func TestKernelOffEquivalenceLive(t *testing.T) {
 	// baked at different statistics, and the deletes that follow fall on
 	// segments and memtable alike.
 	le := NewLive(liveTestTK, LiveConfig{
-		Config: Config{NoRelational: true}, NoBackground: true,
+		NoBackground:   true,
 		FlushThreshold: 64, DriftBound: 1e9, MaxSegments: 1 << 20,
 	})
 	t.Cleanup(le.Close)
@@ -171,13 +166,11 @@ func TestKernelOffEquivalenceLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s naive top-%d: %v", stage, k, err)
 			}
-			for _, alg := range []Algorithm{INRA, SF} {
-				got, _, err := le.SelectTopK(lq, k, alg, nil)
-				if err != nil {
-					t.Fatalf("%s %v top-%d: %v", stage, alg, k, err)
-				}
-				assertBitwise(t, stage+"/top-k/"+alg.String(), got, want)
+			got, _, err := le.SelectTopK(lq, k, SF, nil)
+			if err != nil {
+				t.Fatalf("%s sf top-%d: %v", stage, k, err)
 			}
+			assertBitwise(t, stage+"/top-k/sf", got, want)
 		}
 	}
 	check("mixed")

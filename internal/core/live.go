@@ -1009,7 +1009,7 @@ func mergeLiveFan(outs [][]Result, sts []Stats, errs []error) ([]Result, Stats, 
 }
 
 // SelectTopK returns the k highest-scoring live documents (alg ∈ {Naive,
-// INRA, SF}), sorted by descending score with ties broken by ascending
+// SF}), sorted by descending score with ties broken by ascending
 // id. It is SelectTopKCtx with a background context.
 func (le *LiveEngine) SelectTopK(q LiveQuery, k int, alg Algorithm, opts *Options) ([]Result, Stats, error) {
 	return le.SelectTopKCtx(context.Background(), q, k, alg, opts)

@@ -114,7 +114,7 @@ func TestLiveStaticEquivalence(t *testing.T) {
 // path and its supported algorithms.
 func TestLiveTopKEquivalence(t *testing.T) {
 	corpus := randomCorpus(400, 11, 6)
-	le, e, surv := liveVsStatic(t, corpus, Config{NoHashes: true, NoRelational: true},
+	le, e, surv := liveVsStatic(t, corpus, Config{},
 		func(i int) bool { return i%7 == 3 })
 	defer le.Close()
 
@@ -124,7 +124,7 @@ func TestLiveTopKEquivalence(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		sq := e.Prepare(s)
 		lq := le.Prepare(s)
-		for _, alg := range []Algorithm{Naive, SF, INRA} {
+		for _, alg := range []Algorithm{Naive, SF} {
 			want, _, err := e.SelectTopK(sq, k, alg, nil)
 			if err != nil {
 				t.Fatalf("static top-%d %v: %v", k, alg, err)
@@ -175,7 +175,7 @@ func liveTopKOracle(t *testing.T, le *LiveEngine, lq LiveQuery, k int) []Result 
 func assertLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
 	t.Helper()
 	want := liveTopKOracle(t, le, lq, k)
-	for _, alg := range []Algorithm{Naive, SF, INRA} {
+	for _, alg := range []Algorithm{Naive, SF} {
 		got, _, err := le.SelectTopK(lq, k, alg, nil)
 		if err != nil {
 			t.Fatalf("top-%d %v: %v", k, alg, err)
@@ -195,7 +195,7 @@ func TestLiveTopKTombstones(t *testing.T) {
 		// FlushThreshold is the size below which a partial compaction
 		// folds a segment again: 16 keeps every flushed segment apart.
 		le := NewLive(liveTestTK, LiveConfig{
-			Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+			NoBackground:   true,
 			FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20, Shards: shards,
 		})
 		for i, s := range corpus {
@@ -281,7 +281,7 @@ func TestLiveTopKDeletesAddNoWork(t *testing.T) {
 	bases := randomCorpus(80, 41, 12)
 	rng := rand.New(rand.NewSource(42))
 	le := NewLive(liveTestTK, LiveConfig{
-		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+		NoBackground:   true,
 		FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
 	})
 	defer le.Close()
@@ -383,14 +383,11 @@ func TestLiveMixedStateAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range Algorithms() {
-			if alg == SQL || alg == TA || alg == ITA {
-				continue // hash/relational indexes disabled in this config
-			}
 			got, _, err := le.Select(lq, tau, alg, nil)
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
-			assertBitwise(t, fmt.Sprintf("%v τ=%g", alg, tau), got, want)
+			assertSameResults(t, alg, tau, got, want)
 		}
 	}
 }
@@ -528,7 +525,7 @@ func TestLiveErrors(t *testing.T) {
 // cancellation on the live path.
 func TestLiveBatchAndCancel(t *testing.T) {
 	corpus := randomCorpus(200, 31, 6)
-	le := BuildLive(corpus, liveTestTK, LiveConfig{Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true})
+	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	queries := make([]LiveQuery, 10)
 	for i := range queries {
@@ -555,7 +552,7 @@ func TestLiveBatchAndCancel(t *testing.T) {
 func TestLiveStress(t *testing.T) {
 	corpus := randomCorpus(300, 41, 6)
 	le := NewLive(liveTestTK, LiveConfig{
-		Config:         Config{NoHashes: true, NoRelational: true},
+		Config:         Config{},
 		FlushThreshold: 32,
 		MaxSegments:    3,
 	})
@@ -607,10 +604,9 @@ func TestLiveStress(t *testing.T) {
 						return
 					}
 				} else {
-					// Both bounded top-k paths read the tombstones the
+					// The bounded top-k path reads the tombstones the
 					// mutators are setting.
-					alg := []Algorithm{INRA, SF}[i/2%2]
-					if _, _, err := le.SelectTopK(lq, 5, alg, nil); err != nil && err != ErrEmptyQuery {
+					if _, _, err := le.SelectTopK(lq, 5, SF, nil); err != nil && err != ErrEmptyQuery {
 						errCh <- err
 						return
 					}
@@ -652,7 +648,7 @@ func TestLiveWarmAllocations(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	corpus := randomCorpus(5000, 3, 8)
-	le := BuildLive(corpus, liveTestTK, LiveConfig{Config: Config{NoRelational: true}, NoBackground: true})
+	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	queries := make([]LiveQuery, 8)
 	for i := range queries {

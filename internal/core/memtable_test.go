@@ -90,7 +90,7 @@ func TestMemtableIndexMatchesScan(t *testing.T) {
 			corpus := randomCorpus(1500, 51, 6)
 			rng := rand.New(rand.NewSource(int64(52 + shards)))
 			le := NewLive(liveTestTK, LiveConfig{
-				Config:       Config{NoHashes: true, NoRelational: true},
+				Config:       Config{},
 				NoBackground: true, FlushThreshold: 24, Shards: shards,
 			})
 			defer le.Close()
@@ -151,7 +151,7 @@ func TestMemtableIndexMatchesScan(t *testing.T) {
 					}
 				}
 				for _, k := range []int{1, 5, 20} {
-					for _, alg := range []Algorithm{Naive, SF, INRA} {
+					for _, alg := range []Algorithm{Naive, SF} {
 						got, _, err := le.SelectTopK(lq, k, alg, nil)
 						if err != nil && !errors.Is(err, ErrEmptyQuery) {
 							t.Fatalf("top-%d %v: %v", k, alg, err)
@@ -230,7 +230,7 @@ func TestPinnedQueryHonoursLaterDeletes(t *testing.T) {
 	corpus := randomCorpus(200, 61, 5)
 	for _, shards := range []int{1, 3} {
 		le := BuildLive(corpus, liveTestTK, LiveConfig{
-			Config:       Config{NoHashes: true, NoRelational: true},
+			Config:       Config{},
 			NoBackground: true, Shards: shards,
 		})
 		lq := le.Prepare(corpus[0])
@@ -243,7 +243,7 @@ func TestPinnedQueryHonoursLaterDeletes(t *testing.T) {
 		if !le.Delete(0) {
 			t.Fatal("Delete(0) reported false")
 		}
-		for _, alg := range []Algorithm{Naive, SF, INRA} {
+		for _, alg := range []Algorithm{Naive, SF} {
 			sel, _, err := le.Select(lq, 0.5, alg, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -75,7 +75,7 @@ func TestHybridResumesPausedList(t *testing.T) {
 	}
 	c := b.Build()
 	tap := &tapStore{Store: invlist.BuildMem(c, 4)}
-	e := NewEngine(c, Config{Store: tap, NoHashes: true, NoRelational: true})
+	e := NewEngine(c, Config{Store: tap})
 	const tau, x = 0.6, collection.SetID(5)
 	q := e.Prepare("a b")
 	if len(q.Tokens) != 2 || e.c.Source(x) != "a b u" {
@@ -222,7 +222,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 	var outOfOrder, doneWhilePending, resurfaced int
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e := buildEngine(t, 150+rng.Intn(250), seed*17+3, 2+rng.Intn(3), Config{NoHashes: true, NoRelational: true})
+		e := buildEngine(t, 150+rng.Intn(250), seed*17+3, 2+rng.Intn(3), Config{})
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 		tau := 0.3 + 0.6*rng.Float64()
 		opts := &Options{NoLengthBound: seed%3 == 0}

@@ -90,7 +90,7 @@ func (f *pipelineFP) add(key string, folds func(h interface{ Write([]byte) (int,
 var (
 	pipelineTaus  = []float64{0.5, 0.8}
 	pipelineKs    = []int{1, 3, 10, 25}
-	pipelineTopKA = []Algorithm{Naive, SF, INRA}
+	pipelineTopKA = []Algorithm{Naive, SF}
 )
 
 func pipelineAllAlgs() []Algorithm {
@@ -106,7 +106,7 @@ func computePipelineFingerprints(t *testing.T) map[string]string {
 	queryDocs := []string{docs[3], docs[57], docs[120], docs[261], docs[402], docs[499]}
 	f := &pipelineFP{m: map[string]string{}}
 
-	// Monolithic engine: full index set, all algorithms, a τ grid, the
+	// Monolithic default engine: all algorithms, a τ grid, the
 	// ablation options, top-k, batch (SF and the naive scan) and the
 	// self-join.
 	eng := NewEngine(buildPipelineCollection(docs), Config{})

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/invlist"
+	"repro/internal/tokenize"
 )
 
 // These tests exist for `go test -race`: several engines sharing one
@@ -21,8 +22,8 @@ import (
 // read replicas against one mapped index.
 func buildSharedStoreEngines(tb testing.TB, n int, seed int64) (*Engine, *Engine) {
 	tb.Helper()
-	e1 := buildEngine(tb, n, seed, 6, Config{NoHashes: true, NoRelational: true})
-	e2 := NewEngineWithHashes(e1.Collection(), e1.Store(), nil)
+	e1 := buildEngine(tb, n, seed, 6, Config{})
+	e2 := NewEngine(e1.Collection(), Config{Store: e1.Store()})
 	return e1, e2
 }
 
@@ -80,7 +81,7 @@ func TestRaceCancelMidFlight(t *testing.T) {
 // TestRaceFileStoreBatch runs the batch pool against a disk-resident
 // store shared by two engines (the persistent serving configuration).
 func TestRaceFileStoreBatch(t *testing.T) {
-	e := buildEngine(t, 400, 97, 6, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 400, 97, 6, Config{})
 	path := t.TempDir() + "/lists.bin"
 	if err := invlist.WriteFile(path, e.Collection(), 8); err != nil {
 		t.Fatal(err)
@@ -90,8 +91,8 @@ func TestRaceFileStoreBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d1 := NewEngineWithHashes(e.Collection(), st, nil)
-	d2 := NewEngineWithHashes(e.Collection(), st, nil)
+	d1 := NewEngine(e.Collection(), Config{Store: st})
+	d2 := NewEngine(e.Collection(), Config{Store: st})
 	rng := rand.New(rand.NewSource(98))
 	queries := make([]Query, 16)
 	for i := range queries {
@@ -111,4 +112,95 @@ func TestRaceFileStoreBatch(t *testing.T) {
 		}(d)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentFirstUse races the first TA, iTA and SQL queries of three
+// fresh engines — static, a 4-shard BuildSharded and a multi-segment
+// LiveEngine — so every engine, shard and segment builds its membership
+// bitmaps and relational tables while other goroutines wait on the same
+// build. Under -race a second build, or a reader seeing a half-built
+// slice, is reported; every answer must equal Naive's on its engine.
+func TestConcurrentFirstUse(t *testing.T) {
+	docs := randomDocs(900, 111, 6)
+	static := engineFromDocs(docs, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	defer se.Close()
+	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 64, DriftBound: 1e9, MaxSegments: 1 << 20})
+	defer le.Close()
+	for i, d := range docs {
+		if _, err := le.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+		if i == 299 || i == 599 {
+			le.compactOnce(false)
+		}
+	}
+	if st := le.Stats(); st.Segments < 2 || st.Memtable == 0 {
+		t.Fatalf("live engine not multi-segment: %+v", st)
+	}
+
+	type selectFn func(d string, alg Algorithm) ([]Result, error)
+	const tau = 0.6
+	shapes := map[string]selectFn{
+		"static": func(d string, alg Algorithm) ([]Result, error) {
+			res, _, err := static.Select(static.Prepare(d), tau, alg, nil)
+			return res, err
+		},
+		"sharded": func(d string, alg Algorithm) ([]Result, error) {
+			res, _, err := se.Select(se.Prepare(d), tau, alg, nil)
+			return res, err
+		},
+		"live": func(d string, alg Algorithm) ([]Result, error) {
+			res, _, err := le.Select(le.Prepare(d), tau, alg, nil)
+			return res, err
+		},
+	}
+	queries := []string{docs[5], docs[305], docs[605], docs[899]}
+	algs := []Algorithm{TA, ITA, SQL}
+	const perAlg = 3
+	type run struct {
+		shape string
+		alg   Algorithm
+		res   [][]Result
+		err   error
+	}
+	var runs []*run
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for name, sel := range shapes {
+		for _, alg := range algs {
+			for g := 0; g < perAlg; g++ {
+				r := &run{shape: name, alg: alg}
+				runs = append(runs, r)
+				wg.Add(1)
+				go func(sel selectFn) {
+					defer wg.Done()
+					<-start
+					for _, d := range queries {
+						res, err := sel(d, r.alg)
+						if err != nil {
+							r.err = err
+							return
+						}
+						r.res = append(r.res, res)
+					}
+				}(sel)
+			}
+		}
+	}
+	close(start)
+	wg.Wait()
+
+	for _, r := range runs {
+		if r.err != nil {
+			t.Fatalf("%s %v: %v", r.shape, r.alg, r.err)
+		}
+		for qi, d := range queries {
+			want, err := shapes[r.shape](d, Naive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, r.alg, tau, r.res[qi], want)
+		}
+	}
 }

@@ -27,8 +27,8 @@ import (
 // other list for the id they surface and add their hits in list order,
 // the surfacing list included, so they emit theirs directly too. The
 // algorithms whose accumulation order follows list state — SortByID
-// (heap pop order), NRA, iNRA, Hybrid and top-k iNRA (round-robin
-// encounter order) — emit rescore's value instead, and Naive scores
+// (heap pop order), NRA, iNRA and Hybrid (round-robin encounter
+// order) — emit rescore's value instead, and Naive scores
 // every set with it.
 //
 // The rescore is exact, not an approximation: at every emission site the

@@ -65,7 +65,7 @@ func requireSameLiveEngine(t *testing.T, label string, got, want *LiveEngine, qu
 				assertBitwise(t, fmt.Sprintf("%s %q %v τ=%g", label, s, alg, tau), g, w)
 			}
 		}
-		for _, alg := range []Algorithm{Naive, SF, INRA} {
+		for _, alg := range []Algorithm{Naive, SF} {
 			g, _, gerr := got.SelectTopK(gq, 7, alg, nil)
 			w, _, werr := want.SelectTopK(wq, 7, alg, nil)
 			if !errors.Is(gerr, werr) {

@@ -11,12 +11,11 @@ import (
 	"repro/internal/collection"
 )
 
-// freshReference runs q on a brand-new engine sharing the same indexes.
+// freshReference runs q on a brand-new engine sharing the same lists.
 // Its scratch pool is empty, so the query executes on zero-valued scratch
 // state — the fresh-allocation reference the pooled path must match.
 func freshReference(e *Engine, q Query, tau float64, alg Algorithm) ([]Result, error) {
-	fresh := NewEngineWithHashes(e.c, e.store, e.hashes)
-	fresh.rel = e.rel // share the SQL baseline too
+	fresh := NewEngine(e.c, Config{Store: e.store})
 	res, _, err := fresh.Select(q, tau, alg, nil)
 	return res, err
 }
@@ -66,23 +65,21 @@ func TestScratchReuseEquivalence(t *testing.T) {
 // path, whose rising-bound state (kthBound heap and position map) is also
 // pooled.
 func TestScratchReuseEquivalenceTopK(t *testing.T) {
-	e := buildEngine(t, 3000, 23, 7, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 3000, 23, 7, Config{})
 	rng := rand.New(rand.NewSource(24))
 	for qi := 0; qi < 60; qi++ {
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 		k := 1 + rng.Intn(20)
-		for _, alg := range []Algorithm{INRA, SF} {
-			got, _, err := e.SelectTopK(q, k, alg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := NewEngineWithHashes(e.c, e.store, e.hashes)
-			want, _, err := fresh.SelectTopK(q, k, alg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, alg.String(), got, want)
+		got, _, err := e.SelectTopK(q, k, SF, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fresh := NewEngine(e.c, Config{Store: e.store})
+		want, _, err := fresh.SelectTopK(q, k, SF, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, SF.String(), got, want)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestScratchReuseEquivalenceTopK(t *testing.T) {
 // repeated so scratches migrate between goroutines, each answer checked
 // against the fresh-allocation reference.
 func TestScratchConcurrentBatchEquivalence(t *testing.T) {
-	e := buildEngine(t, 2000, 25, 7, Config{NoHashes: true, NoRelational: true})
+	e := buildEngine(t, 2000, 25, 7, Config{})
 	rng := rand.New(rand.NewSource(26))
 	queries := make([]Query, 48)
 	for i := range queries {
@@ -254,6 +251,7 @@ func TestScratchStateIndependentOfHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.buildFor(p.alg) // runPlan's first-use build, which runAlg skips
 			if _, err := e.runAlg(s, &canceller{ctx: context.Background()}, hq.q, &p, &Stats{}, nil); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -282,9 +280,7 @@ func TestScratchStateIndependentOfHistory(t *testing.T) {
 	for _, alg := range []Algorithm{Naive, SortByID, SQL, TA, NRA, ITA, INRA, SF, Hybrid} {
 		check(alg.String(), func(hq histQuery) (queryPlan, error) { return selectPlan(hq.q, hq.tau, alg, nil) })
 	}
-	for _, alg := range []Algorithm{INRA, SF} {
-		check("top-k "+alg.String(), func(hq histQuery) (queryPlan, error) { return topkPlan(hq.q, 10, alg, nil) })
-	}
+	check("top-k sf", func(hq histQuery) (queryPlan, error) { return topkPlan(hq.q, 10, SF, nil) })
 }
 
 // scratchSlices returns every top-level slice field of s by name, as a

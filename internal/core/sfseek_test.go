@@ -75,7 +75,7 @@ func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
 	// (FlushThreshold is the size below which one is folded again), so
 	// the deletes that follow become segment tombstones.
 	le := NewLive(liveTestTK, LiveConfig{
-		Config: Config{NoHashes: true, NoRelational: true}, NoBackground: true,
+		NoBackground:   true,
 		FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
 	})
 	for i, s := range docs[:300] {
@@ -236,7 +236,7 @@ func TestSFCompletionSeeks(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fs.Close()
-		tok := NewEngine(c, Config{NoHashes: true, NoRelational: true}).Prepare("shared").Tokens[0]
+		tok := NewEngine(c, Config{}).Prepare("shared").Tokens[0]
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 

@@ -116,7 +116,7 @@ func TestShardedTopKMatchesMonolithic(t *testing.T) {
 				qid := collection.SetID(rng.Intn(mono.c.NumSets()))
 				q := mono.PrepareCounts(mono.c.Set(qid))
 				for _, k := range []int{1, 3, 10, 25} {
-					for _, alg := range []Algorithm{Naive, SF, INRA} {
+					for _, alg := range []Algorithm{Naive, SF} {
 						want, _, err := mono.SelectTopK(q, k, alg, nil)
 						if err != nil {
 							t.Fatalf("mono %v k=%d: %v", alg, k, err)
@@ -298,7 +298,7 @@ func TestShardedLiveMatchesMonolithicLive(t *testing.T) {
 					assertBitwise(t, fmt.Sprintf("%s %v τ=%g", state, alg, tau), got, want)
 				}
 			}
-			for _, alg := range []Algorithm{Naive, SF, INRA} {
+			for _, alg := range []Algorithm{Naive, SF} {
 				want, _, err := mono.SelectTopK(qm, 10, alg, nil)
 				if err != nil {
 					t.Fatalf("%s mono topk %v: %v", state, alg, err)

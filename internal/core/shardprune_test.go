@@ -104,7 +104,7 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 					assertBitwise(t, fmt.Sprintf("hashed %v τ=%g", alg, tau), got, want)
 				}
 				for _, k := range []int{1, 3, 10, 25} {
-					for _, alg := range []Algorithm{Naive, SF, INRA} {
+					for _, alg := range []Algorithm{Naive, SF} {
 						want, _, err := mono.SelectTopK(qm, k, alg, nil)
 						if err != nil {
 							t.Fatalf("mono topk %v k=%d: %v", alg, k, err)
@@ -288,7 +288,7 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 				}
 			}
 			for _, k := range []int{1, 4, 16} {
-				for _, alg := range []Algorithm{Naive, SF, INRA} {
+				for _, alg := range []Algorithm{Naive, SF} {
 					want, _, err := mono.SelectTopK(qm, k, alg, nil)
 					if err != nil {
 						t.Fatalf("%s mono topk %v: %v", state, alg, err)

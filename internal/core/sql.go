@@ -10,9 +10,6 @@ import "repro/internal/relational"
 // come from the query scratch; the relational engine's own group-by state
 // is outside this layer's allocation discipline.
 func (e *Engine) selectSQL(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
-	if e.rel == nil {
-		return nil, ErrNoRelational
-	}
 	if cap(s.relToks) < len(q.Tokens) {
 		s.relToks = make([]relational.QueryToken, len(q.Tokens))
 	}

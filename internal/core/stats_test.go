@@ -284,11 +284,9 @@ func TestReadsAndSkipsWithinListTotal(t *testing.T) {
 				check(fmt.Sprintf("%v τ=%g query %d", alg, tau, qid), st, err)
 			}
 		}
-		for _, alg := range []Algorithm{SF, INRA} {
-			for _, k := range []int{1, 5, 50} {
-				_, st, err := e.SelectTopK(q, k, alg, nil)
-				check(fmt.Sprintf("%v top-%d query %d", alg, k, qid), st, err)
-			}
+		for _, k := range []int{1, 5, 50} {
+			_, st, err := e.SelectTopK(q, k, SF, nil)
+			check(fmt.Sprintf("sf top-%d query %d", k, qid), st, err)
 		}
 	}
 	// A live engine adds the memtable, whose lists hold memtable
@@ -318,7 +316,7 @@ func TestReadsAndSkipsWithinListTotal(t *testing.T) {
 					check(fmt.Sprintf("live shards=%d %v τ=%g query %q", shards, alg, tau, s), st, err)
 				}
 			}
-			for _, alg := range []Algorithm{Naive, SF, INRA} {
+			for _, alg := range []Algorithm{Naive, SF} {
 				for _, k := range []int{1, 5, 50} {
 					_, st, err := le.SelectTopK(lq, k, alg, nil)
 					check(fmt.Sprintf("live shards=%d %v top-%d query %q", shards, alg, k, s), st, err)

@@ -234,7 +234,7 @@ func TestListFileDetectsEveryFlip(t *testing.T) {
 			}
 			continue
 		}
-		disk := NewEngine(c, Config{Store: fs, NoHashes: true, NoRelational: true})
+		disk := NewEngine(c, Config{Store: fs})
 		detected := false
 		for _, alg := range []Algorithm{SF, SortByID} {
 			got, _, err := disk.Select(q, tau, alg, nil)

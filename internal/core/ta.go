@@ -255,9 +255,6 @@ func precedes(a invlist.Posting, len float64, id collection.SetID) bool {
 // range and Magnitude Boundedness skips the probes for sets whose
 // best-case score cannot reach τ.
 func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, improved bool, o *Options, stats *Stats) ([]Result, error) {
-	if e.hashes == nil {
-		return nil, ErrNoHashIndex
-	}
 	lo, hi := 0.0, math.MaxFloat64
 	if improved {
 		lo, hi = lengthWindow(q, tau, o)

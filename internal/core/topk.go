@@ -12,15 +12,15 @@ import (
 )
 
 // Top-k processing is the first extension the paper's conclusion plans
-// (§X). Both variants below turn the selection threshold τ into a rising
-// bound: the k-th largest score lower bound seen so far. Lower bounds
-// only grow, so every pruning rule of the selection algorithms stays
-// sound with the dynamic τ substituted in.
+// (§X). Shortest-First answers it by turning the selection threshold τ
+// into a rising bound: the k-th largest score lower bound seen so far.
+// Lower bounds only grow, so every pruning rule of the selection
+// algorithms stays sound with the dynamic τ substituted in.
 
 // SelectTopK returns the k highest-scoring sets for q, using alg ∈
-// {Naive, INRA, SF}. Ties at the k-th position are broken by ascending
-// id. Results are sorted by descending score. It is SelectTopKCtx with a
-// background context.
+// {Naive, SF}; any other algorithm returns ErrUnknownAlg. Ties at the
+// k-th position are broken by ascending id. Results are sorted by
+// descending score. It is SelectTopKCtx with a background context.
 func (e *Engine) SelectTopK(q Query, k int, alg Algorithm, opts *Options) ([]Result, Stats, error) {
 	return e.SelectTopKCtx(context.Background(), q, k, alg, opts)
 }
@@ -341,123 +341,4 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 	s.sfc, s.sfn = c, next
 	s.results = out
 	return out, listsErr(lists)
-}
-
-// topkINRA runs iNRA's round-robin with the rising bound, over the same
-// candidate slab and id-table as selectINRA. It keeps the per-round
-// candidate sweep selectINRA replaced with passCandidates: τ rises here,
-// so a candidate can lose viability without any frontier passing it, and
-// only a sweep re-tests every candidate against the new bound. A posting
-// lv reports tombstoned is admitted dead: it is never offered to the
-// bound, counted alive or emitted.
-func (e *Engine) topkINRA(s *queryScratch, cc *canceller, q Query, k int, lv *liveView, o *Options, stats *Stats, shared *sharedTau) ([]Result, error) {
-	lists := e.openLists(s, cc, q, 0, o, stats)
-	sortQueryTokens(s, q)
-	n := len(lists)
-	s.tbl.reset()
-	s.imp = s.imp[:0]
-	s.arena = s.arena[:0]
-	live := 0
-	bound := &s.kth
-	bound.reset(k)
-	out := s.results[:0]
-	defer func() { s.results = out }()
-
-	scanFrom := 0 // s.imp[:scanFrom] is all dead; dead never revives
-
-	for {
-		tau := liveTau(bound, shared)
-		hi := q.Len / effTau(tau)
-		alive := false
-		for i := range lists {
-			l := &lists[i]
-			p, ok := l.frontier()
-			if !ok {
-				continue
-			}
-			if cc.stop() {
-				return nil, cc.err
-			}
-			stats.ElementsRead++
-			l.next()
-			if p.Len > hi {
-				l.finish()
-				continue
-			}
-			alive = true
-			if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
-				c := &s.imp[slot]
-				c.resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
-				offerShared(bound, shared, c.id, c.lower)
-				if c.nResolved == n {
-					// Round-robin accumulation order is list-state
-					// dependent; every completion emits the canonical
-					// rescore (the final sortTopK cut then ranks
-					// partition-independent values).
-					out = append(out, Result{ID: c.id, Score: e.rescore(s, q, c.id)})
-					c.dead = true
-					live--
-				}
-				continue
-			}
-			if slot := admit(s, lists, i, p, q, tau); slot >= 0 {
-				if lv.dead(p.ID) {
-					s.imp[slot].dead = true
-					continue
-				}
-				live++
-				offerShared(bound, shared, p.ID, s.imp[slot].lower)
-				stats.CandidatesInserted++
-			}
-		}
-		stats.Rounds++
-
-		if !alive {
-			for ci := scanFrom; ci < len(s.imp); ci++ {
-				c := &s.imp[ci]
-				if !c.dead {
-					out = append(out, Result{ID: c.id, Score: e.rescore(s, q, c.id)})
-				}
-			}
-			return out, listsErr(lists)
-		}
-
-		tau = liveTau(bound, shared)
-		if sim.Meets(frontierBound(lists, q.Len, hi), tau) {
-			continue
-		}
-		stats.CandidateScans++
-		for ci := scanFrom; ci < len(s.imp); ci++ {
-			c := &s.imp[ci]
-			if c.dead {
-				if ci == scanFrom {
-					scanFrom++
-				}
-				continue
-			}
-			if cc.stop() {
-				return nil, cc.err
-			}
-			resolveAbsences(c, lists)
-			if c.nResolved == n {
-				out = append(out, Result{ID: c.id, Score: e.rescore(s, q, c.id)})
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-				continue
-			}
-			if !sim.Meets(c.upper(q.Len), tau) {
-				c.dead = true
-				live--
-				if ci == scanFrom {
-					scanFrom++
-				}
-			}
-		}
-		if live == 0 {
-			return out, listsErr(lists)
-		}
-	}
 }

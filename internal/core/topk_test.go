@@ -29,13 +29,11 @@ func TestTopKMatchesOracle(t *testing.T) {
 		qid := collection.SetID(rng.Intn(e.c.NumSets()))
 		q := e.PrepareCounts(e.c.Set(qid))
 		for _, k := range []int{1, 3, 10, 50} {
-			for _, alg := range []Algorithm{SF, INRA} {
-				got, _, err := e.SelectTopK(q, k, alg, nil)
-				if err != nil {
-					t.Fatalf("%v: %v", alg, err)
-				}
-				assertTopK(t, e, q, k, alg, got)
+			got, _, err := e.SelectTopK(q, k, SF, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertTopK(t, e, q, k, SF, got)
 		}
 	}
 }
@@ -49,13 +47,11 @@ func TestTopKModifiedQueries(t *testing.T) {
 		if len(q.Tokens) == 0 {
 			continue
 		}
-		for _, alg := range []Algorithm{SF, INRA} {
-			got, _, err := e.SelectTopK(q, 5, alg, nil)
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			assertTopK(t, e, q, 5, alg, got)
+		got, _, err := e.SelectTopK(q, 5, SF, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertTopK(t, e, q, 5, SF, got)
 	}
 }
 
@@ -76,9 +72,11 @@ func TestTopKEdgeCases(t *testing.T) {
 	if _, _, err := e.SelectTopK(Query{}, 5, SF, nil); err != ErrEmptyQuery {
 		t.Errorf("empty query err = %v", err)
 	}
-	// Unsupported algorithm errors.
-	if _, _, err := e.SelectTopK(q, 5, SortByID, nil); err != ErrUnknownAlg {
-		t.Errorf("unsupported alg err = %v", err)
+	// Only Naive and SF answer top-k; every other algorithm errors.
+	for _, alg := range []Algorithm{SortByID, SQL, TA, NRA, ITA, INRA, Hybrid} {
+		if _, _, err := e.SelectTopK(q, 5, alg, nil); err != ErrUnknownAlg {
+			t.Errorf("top-k %v err = %v, want ErrUnknownAlg", alg, err)
+		}
 	}
 	// k=1 must return the exact match for a self-query.
 	one, _, err := e.SelectTopK(q, 1, SF, nil)

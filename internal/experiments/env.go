@@ -30,7 +30,7 @@ type Setup struct {
 
 // Env is a built experimental environment: the synthetic corpus, the
 // word collection (each word decomposed into 3-grams, as in §VIII-A) and
-// a fully indexed engine.
+// the engine over it.
 type Env struct {
 	Setup Setup
 	Rows  []string
@@ -40,7 +40,8 @@ type Env struct {
 	rng   *rand.Rand
 }
 
-// BuildEnv synthesizes the corpus and builds every index.
+// BuildEnv synthesizes the corpus and builds its inverted lists (the
+// engine builds TA's bitmaps and SQL's tables on their first query).
 func BuildEnv(s Setup) *Env {
 	rng := rand.New(rand.NewSource(s.Seed))
 	rows := dataset.IMDBLike(rng, s.Rows)

@@ -6,9 +6,9 @@
 // walked with galloping (doubling) seek instead of a linear merge.
 //
 // The package is deliberately primitive: it knows nothing about
-// postings, scores or scratch pools. Core builds one Set per token at
-// index time (replacing extendible-hash probes on the TA random-access
-// path), uses Mask for per-candidate list bitsets, and uses the Dot*
+// postings, scores or scratch pools. Core builds one Set per token on
+// the first TA/iTA query (replacing extendible-hash probes on the TA
+// random-access path), uses Mask for per-candidate list bitsets, and uses the Dot*
 // kernels for the canonical rescoring dot product. Every kernel
 // preserves the visit order of the scalar loop it replaces, so floating
 // point sums come out bitwise identical — the property the sharded and

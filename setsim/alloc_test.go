@@ -33,8 +33,8 @@ func openDurableCorpus(t *testing.T, corpus []string, shards int) *setsim.LiveEn
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "alloc.sssnap")
 	le, _, err := setsim.OpenDurable(path, setsim.LiveConfig{
-		Config: setsim.Config{NoRelational: true}, NoBackground: true,
-		Shards: shards, CheckpointEvery: -1,
+		NoBackground: true,
+		Shards:       shards, CheckpointEvery: -1,
 	}, setsim.DurableOptions{Sync: setsim.SyncOff})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestDurableWarmAllocations(t *testing.T) {
 func buildLiveCorpus(t *testing.T, corpus []string, shards int) *setsim.LiveEngine {
 	t.Helper()
 	le := setsim.NewLive(setsim.QGramTokenizer{Q: 3}, setsim.LiveConfig{
-		Config: setsim.Config{NoRelational: true}, NoBackground: true,
-		Shards: shards, CheckpointEvery: -1,
+		NoBackground: true,
+		Shards:       shards, CheckpointEvery: -1,
 	})
 	for _, s := range corpus {
 		if _, err := le.Insert(s); err != nil {
@@ -155,19 +155,16 @@ func TestDurableWarmTopKAllocations(t *testing.T) {
 		queries[i] = le.Prepare(corpus[i*11])
 		baseQueries[i] = base.Prepare(corpus[i*11])
 	}
-	for _, alg := range []setsim.Algorithm{setsim.INRA, setsim.SF} {
-		alg := alg
-		got := measureWarm(t, queries, func(lq setsim.LiveQuery) error {
-			_, _, err := le.SelectTopK(lq, 10, alg, nil)
-			return err
-		})
-		want := measureWarm(t, baseQueries, func(lq setsim.LiveQuery) error {
-			_, _, err := base.SelectTopK(lq, 10, alg, nil)
-			return err
-		})
-		if got > want {
-			t.Errorf("topk %v: %.1f allocs per warm durable query, WAL-free baseline %.1f", alg, got, want)
-		}
+	got := measureWarm(t, queries, func(lq setsim.LiveQuery) error {
+		_, _, err := le.SelectTopK(lq, 10, setsim.SF, nil)
+		return err
+	})
+	want := measureWarm(t, baseQueries, func(lq setsim.LiveQuery) error {
+		_, _, err := base.SelectTopK(lq, 10, setsim.SF, nil)
+		return err
+	})
+	if got > want {
+		t.Errorf("topk sf: %.1f allocs per warm durable query, WAL-free baseline %.1f", got, want)
 	}
 }
 

@@ -32,7 +32,7 @@ func benchWords(rng *rand.Rand, n int) []string {
 func BenchmarkRecover(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "store.sssnap")
 	words := benchWords(rand.New(rand.NewSource(1)), 8000+256)
-	cfg := setsim.LiveConfig{Config: setsim.ListsOnly(), FlushThreshold: 1 << 30, CheckpointEvery: -1}
+	cfg := setsim.LiveConfig{FlushThreshold: 1 << 30, CheckpointEvery: -1}
 	opts := setsim.DurableOptions{Sync: setsim.SyncOff}
 	le, _, err := setsim.OpenDurable(path, cfg, opts)
 	if err != nil {

@@ -186,8 +186,8 @@ var (
 
 func killPointConfig(shards int) setsim.LiveConfig {
 	return setsim.LiveConfig{
-		Config: setsim.ListsOnly(), NoBackground: true,
-		Shards: shards, CheckpointEvery: -1,
+		NoBackground: true,
+		Shards:       shards, CheckpointEvery: -1,
 	}
 }
 
@@ -516,11 +516,11 @@ func TestOneGenerationWriter(t *testing.T) {
 	}
 	de.Close()
 
-	_, want, err := setsim.Open(saved, setsim.ListsOnly())
+	_, want, err := setsim.Open(saved, setsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := setsim.Open(ckpt, setsim.ListsOnly())
+	_, got, err := setsim.Open(ckpt, setsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,23 +558,23 @@ var snapshotLoaders = []struct {
 	open func(string) error
 }{
 	{"Load", func(p string) error {
-		_, err := setsim.Load(p, setsim.ListsOnly())
+		_, err := setsim.Load(p, setsim.Config{})
 		return err
 	}},
 	{"Open", func(p string) error {
-		_, _, err := setsim.Open(p, setsim.ListsOnly())
+		_, _, err := setsim.Open(p, setsim.Config{})
 		return err
 	}},
 	{"OpenSharded", func(p string) error {
-		_, _, err := setsim.OpenSharded(p, setsim.ListsOnly(), 2)
+		_, _, err := setsim.OpenSharded(p, setsim.Config{}, 2)
 		return err
 	}},
 	{"OpenLive", func(p string) error {
-		_, _, err := setsim.OpenLive(p, setsim.LiveConfig{Config: setsim.ListsOnly(), NoBackground: true})
+		_, _, err := setsim.OpenLive(p, setsim.LiveConfig{NoBackground: true})
 		return err
 	}},
 	{"OpenDurable", func(p string) error {
-		le, _, err := setsim.OpenDurable(p, setsim.LiveConfig{Config: setsim.ListsOnly(), NoBackground: true}, setsim.DurableOptions{})
+		le, _, err := setsim.OpenDurable(p, setsim.LiveConfig{NoBackground: true}, setsim.DurableOptions{})
 		if err == nil {
 			le.Close()
 		}

@@ -10,7 +10,7 @@ import (
 // string corpus and run one selection query.
 func ExampleBuild() {
 	corpus := []string{"Main Street", "Maine Street", "Florham Park"}
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 
 	q := idx.Prepare("Maine Str.")
 	results, _, err := idx.Select(q, 0.7, setsim.SF, nil)
@@ -28,7 +28,7 @@ func ExampleBuild() {
 // instead of a threshold.
 func ExampleEngine_SelectTopK() {
 	corpus := []string{"main street", "maine street", "wall street", "florham park"}
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 
 	res, _, err := idx.SelectTopK(idx.Prepare("main street"), 2, setsim.SF, nil)
 	if err != nil {
@@ -51,7 +51,7 @@ func ExampleEngine_SelectTopK() {
 // completion would have read as a third posting, is never touched.
 func ExampleEngine_Select_statistics() {
 	corpus := []string{"alpha beta", "beta gamma", "gamma delta", "delta epsilon"}
-	idx := setsim.Build(corpus, setsim.WordTokenizer{}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.WordTokenizer{}, setsim.Config{})
 
 	_, stats, err := idx.Select(idx.Prepare("beta gamma"), 0.9, setsim.SF, nil)
 	if err != nil {

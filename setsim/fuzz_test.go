@@ -20,13 +20,13 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	f.Add("repeat repeat repeat", "repeat", "unique tokens here", "repeat tokens")
 	f.Fuzz(func(t *testing.T, a, b, c, query string) {
 		corpus := []string{a, b, c}
-		orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 2, Pad: true}, setsim.ListsOnly())
+		orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 2, Pad: true}, setsim.Config{})
 
 		path := filepath.Join(t.TempDir(), "corpus.sscol")
 		if err := setsim.Save(path, orig); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		loaded, err := setsim.Load(path, setsim.ListsOnly())
+		loaded, err := setsim.Load(path, setsim.Config{})
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -64,7 +64,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		// one deletion so tombstones are persisted. The reloaded engine
 		// must preserve ids and hide the deleted document.
 		live := setsim.NewLive(setsim.QGramTokenizer{Q: 2, Pad: true}, setsim.LiveConfig{
-			Config: setsim.ListsOnly(), NoBackground: true,
+			NoBackground: true,
 		})
 		defer live.Close()
 		var ids []setsim.SetID
@@ -81,7 +81,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			t.Fatalf("save live: %v", err)
 		}
 		reloaded, info, err := setsim.OpenLive(lpath, setsim.LiveConfig{
-			Config: setsim.ListsOnly(), NoBackground: true,
+			NoBackground: true,
 		})
 		if err != nil {
 			t.Fatalf("open live: %v", err)
@@ -117,7 +117,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		// A legacy file must load as a live engine too (ids re-derived by
 		// replay), and Open must accept both versions as a static engine.
 		if fromLegacy, info, err := setsim.OpenLive(path, setsim.LiveConfig{
-			Config: setsim.ListsOnly(), NoBackground: true,
+			NoBackground: true,
 		}); err != nil {
 			t.Fatalf("open live from legacy: %v", err)
 		} else {
@@ -126,7 +126,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			}
 			fromLegacy.Close()
 		}
-		if _, info, err := setsim.Open(lpath, setsim.ListsOnly()); err != nil || info.Version != 5 {
+		if _, info, err := setsim.Open(lpath, setsim.Config{}); err != nil || info.Version != 5 {
 			t.Fatalf("static open of v5 snapshot: info %+v err %v", info, err)
 		}
 
@@ -135,7 +135,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		// a checkpointed v5 store. The reference engine applies the same
 		// mutations through the ordinary in-memory path (OpenDurable's
 		// fresh-store tokenizer, not the q=2 one above).
-		dcfg := setsim.LiveConfig{Config: setsim.ListsOnly(), NoBackground: true, CheckpointEvery: -1}
+		dcfg := setsim.LiveConfig{NoBackground: true, CheckpointEvery: -1}
 		dpath := filepath.Join(t.TempDir(), "corpus.sssnap")
 		de, _, err := setsim.OpenDurable(dpath, dcfg, setsim.DurableOptions{Sync: setsim.SyncOff})
 		if err != nil {
@@ -191,7 +191,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 				t.Fatalf("checkpoint: %v", err)
 			}
 			re.Close()
-			if _, cinfo, err := setsim.Open(dpath, setsim.ListsOnly()); err != nil ||
+			if _, cinfo, err := setsim.Open(dpath, setsim.Config{}); err != nil ||
 				cinfo.Version != 5 || cinfo.WALTail != 0 || cinfo.Live != ref.NumLive() {
 				t.Fatalf("post-checkpoint open: info %+v err %v, want v5 with empty tail and %d live",
 					cinfo, err, ref.NumLive())

@@ -14,11 +14,11 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.sscol")
-	orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	if err := setsim.Save(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := setsim.Load(path, setsim.ListsOnly())
+	loaded, err := setsim.Load(path, setsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestLoadWithLists(t *testing.T) {
 	dir := t.TempDir()
 	colPath := filepath.Join(dir, "corpus.sscol")
 	listPath := filepath.Join(dir, "corpus.ssidx")
-	orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	if err := setsim.Save(colPath, orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := setsim.SaveLists(listPath, orig); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := setsim.LoadWithLists(colPath, listPath, setsim.ListsOnly())
+	disk, err := setsim.LoadWithLists(colPath, listPath, setsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLoadWithListsMismatchedPair(t *testing.T) {
 	dir := t.TempDir()
 	save := func(name string, lines []string) (col, lists string) {
 		col, lists = filepath.Join(dir, name+".sscol"), filepath.Join(dir, name+".ssidx")
-		e := setsim.Build(lines, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+		e := setsim.Build(lines, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 		if err := setsim.Save(col, e); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestLoadWithListsMismatchedPair(t *testing.T) {
 	colB, listsB := save("b", []string{"alpha beta", "alpha gamma", "beta gamma delta"})
 	colC, listsC := save("c", []string{"alpha beta", "alpha gamma", "beta gamma"})
 	for _, pair := range [][2]string{{colA, listsB}, {colB, listsA}, {colB, listsC}, {colC, listsB}} {
-		_, err := setsim.LoadWithLists(pair[0], pair[1], setsim.ListsOnly())
+		_, err := setsim.LoadWithLists(pair[0], pair[1], setsim.Config{})
 		if err == nil {
 			t.Errorf("LoadWithLists(%s, %s) served a mismatched pair", filepath.Base(pair[0]), filepath.Base(pair[1]))
 			continue
@@ -108,7 +108,7 @@ func TestLoadWithListsMismatchedPair(t *testing.T) {
 			t.Errorf("mismatch error %q does not name both files", msg)
 		}
 	}
-	if e, err := setsim.LoadWithLists(colB, listsB, setsim.ListsOnly()); err != nil {
+	if e, err := setsim.LoadWithLists(colB, listsB, setsim.Config{}); err != nil {
 		t.Errorf("matching pair refused: %v", err)
 	} else {
 		e.Store().Close()
@@ -141,7 +141,7 @@ func TestUnknownSnapshotVersion(t *testing.T) {
 // snapshot.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	live := setsim.NewLive(setsim.QGramTokenizer{Q: 3}, setsim.LiveConfig{
-		Config: setsim.ListsOnly(), NoBackground: true, Shards: 4,
+		NoBackground: true, Shards: 4,
 	})
 	defer live.Close()
 	var ids []setsim.SetID
@@ -158,7 +158,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	se, info, err := setsim.OpenSharded(path, setsim.ListsOnly(), 0)
+	se, info, err := setsim.OpenSharded(path, setsim.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("restored route[%d] = %d, want %d", i, gotRoute[i], wantRoute[i])
 		}
 	}
-	mono, _, err := setsim.Open(path, setsim.ListsOnly())
+	mono, _, err := setsim.Open(path, setsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,24 +220,24 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := setsim.Load(filepath.Join(t.TempDir(), "missing"), setsim.ListsOnly()); err == nil {
+	if _, err := setsim.Load(filepath.Join(t.TempDir(), "missing"), setsim.Config{}); err == nil {
 		t.Error("Load of missing file succeeded")
 	}
 	// A lists file is not a collection file.
 	dir := t.TempDir()
 	colPath := filepath.Join(dir, "c")
 	listPath := filepath.Join(dir, "l")
-	e := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	e := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	if err := setsim.Save(colPath, e); err != nil {
 		t.Fatal(err)
 	}
 	if err := setsim.SaveLists(listPath, e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setsim.Load(listPath, setsim.ListsOnly()); err == nil {
+	if _, err := setsim.Load(listPath, setsim.Config{}); err == nil {
 		t.Error("Load of a lists file succeeded")
 	}
-	if _, err := setsim.LoadWithLists(listPath, colPath, setsim.ListsOnly()); err == nil {
+	if _, err := setsim.LoadWithLists(listPath, colPath, setsim.Config{}); err == nil {
 		t.Error("LoadWithLists with swapped files succeeded")
 	}
 }

@@ -27,7 +27,7 @@ func (c countingTokenizer) Tokens(dst []string, s string) []string {
 // tokenized at all — and one build round.
 func TestOpenLiveTokenizesEachLiveDocumentOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.sssnap")
-	cfg := LiveConfig{Config: ListsOnly(), NoBackground: true, Shards: 3}
+	cfg := LiveConfig{NoBackground: true, Shards: 3}
 	le := NewLive(QGramTokenizer{Q: 3}, cfg)
 	for i, s := range []string{"main street", "market square", "river bank", "high street", "station road", "mill lane", "church walk"} {
 		id, err := le.Insert(s)

@@ -5,14 +5,16 @@
 //
 // A selection query asks: given a query string decomposed into a token
 // set, which strings in an indexed corpus have IDF similarity at least τ?
-// The library indexes a corpus once (inverted lists in two sort orders,
-// skip lists, optional extendible hashing and a relational baseline) and
-// answers queries with any of the paper's algorithms — the Shortest-First
-// (SF) algorithm is the recommended default.
+// The library indexes a corpus once (inverted lists in (length, id)
+// order with skip samples) and answers queries with any of the paper's
+// algorithms — the Shortest-First (SF) algorithm is the recommended
+// default. The structures only one baseline reads, TA/iTA's membership
+// bitmaps and SQL's relational tables, are built by the first query
+// that needs them.
 //
 // Basic usage:
 //
-//	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+//	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 //	q := idx.Prepare("query string")
 //	results, stats, err := idx.Select(q, 0.8, setsim.SF, nil)
 //
@@ -38,7 +40,7 @@ import (
 type (
 	// Engine indexes one corpus and answers selection queries.
 	Engine = core.Engine
-	// Config selects which indexes Build constructs.
+	// Config controls how Build constructs the inverted lists.
 	Config = core.Config
 	// Query is a preprocessed query set (see Engine.Prepare).
 	Query = core.Query
@@ -119,8 +121,6 @@ const (
 var (
 	ErrEmptyQuery   = core.ErrEmptyQuery
 	ErrBadThreshold = core.ErrBadThreshold
-	ErrNoHashIndex  = core.ErrNoHashIndex
-	ErrNoRelational = core.ErrNoRelational
 	ErrUnknownAlg   = core.ErrUnknownAlg
 )
 
@@ -160,9 +160,8 @@ func BuildSharded(corpus []string, tk Tokenizer, shards int, cfg Config) *Sharde
 	return core.BuildSharded(tk, corpus, true, shards, cfg)
 }
 
-// ListsOnly is the lightest index configuration: inverted lists and skip
-// lists only. TA/iTA (which need extendible hashing) and the SQL
-// baseline are unavailable; SF, Hybrid, iNRA, NRA and SortByID all work.
-func ListsOnly() Config {
-	return Config{NoHashes: true, NoRelational: true}
-}
+// ListsOnly returns Config{}, which builds the inverted lists only.
+//
+// Deprecated: pass Config{}. Every algorithm works on it; TA/iTA's
+// bitmaps and SQL's tables are built on first use.
+func ListsOnly() Config { return Config{} }

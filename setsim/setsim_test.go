@@ -17,7 +17,7 @@ var corpus = []string{
 }
 
 func TestBuildAndSelect(t *testing.T) {
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	q := idx.Prepare("main street")
 	res, stats, err := idx.Select(q, 0.9, setsim.SF, nil)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 }
 
 func TestTopKPublic(t *testing.T) {
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	q := idx.Prepare("main street")
 	res, _, err := idx.SelectTopK(q, 3, setsim.SF, nil)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestTopKPublic(t *testing.T) {
 }
 
 func TestBatchPublic(t *testing.T) {
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	queries := []setsim.Query{idx.Prepare("main street"), idx.Prepare("park")}
 	out := idx.SelectBatch(queries, 0.5, setsim.SF, nil, 2)
 	if len(out) != 2 {
@@ -99,7 +99,7 @@ func TestBatchPublic(t *testing.T) {
 
 func TestWordTokenizerPublic(t *testing.T) {
 	idx := setsim.Build([]string{"alpha beta gamma", "beta gamma delta"},
-		setsim.WordTokenizer{}, setsim.ListsOnly())
+		setsim.WordTokenizer{}, setsim.Config{})
 	q := idx.Prepare("beta gamma")
 	res, _, err := idx.Select(q, 0.3, setsim.SF, nil)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestWordTokenizerPublic(t *testing.T) {
 }
 
 func TestSelfJoinPublic(t *testing.T) {
-	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.ListsOnly())
+	idx := setsim.Build(corpus, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
 	pairs, err := idx.SelfJoin(0.45, setsim.SF, nil, 2)
 	if err != nil {
 		t.Fatal(err)
