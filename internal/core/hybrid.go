@@ -14,17 +14,16 @@ import (
 // long candidate first seen in an earlier list, so pausing (not the
 // paper's literal "mark complete") is required for correctness.
 //
-// Candidates are one (len, id)-ordered sequence with a merge pointer per
-// list (see passCandidates) plus a hash table on ids. Every candidate is
-// thereby always resolved against every current frontier and dropped the
-// moment it stops being viable, so maxLen(C) is simply the last live entry
-// of the sequence — what the paper's "dropping elements repeatedly from
-// the back of all lists until a viable candidate is found" computes over
-// its per-list partitions. Keeping that bound eager is what holds Hybrid's
-// scan depth at or below SF's (Lemma 4): a long candidate that is no
-// longer viable must not extend it. Once F < τ a list seeks to its next
-// live candidate instead of reading up to it (seekCandidate), as iNRA's
-// do.
+// Everything else is iNRA's loop (roundRobin): admission is a slab
+// append while F ≥ τ, one sweep freezes the candidate set, and from then
+// on a merge pointer per list settles candidates as the frontiers pass
+// them, so maxLen(C) is the last live entry of the (len, id)-ordered
+// sequence. Until that sweep nothing dies, and the pause bound is the
+// longest candidate admitted so far. That bound is looser than the
+// paper's eager maxLen(C), so a list may read past the point where the
+// last live candidate has become hopeless: Hybrid trades a few reads
+// (Lemma 4's scan depth) for not resolving every candidate after every
+// pop.
 func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
@@ -46,80 +45,5 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 		}
 	}
 
-	s.tbl.reset()
-	s.imp = s.imp[:0]
-	s.arena = s.arena[:0]
-	s.resetOrder(n)
-	out := s.results[:0]
-	defer func() { s.results = out }()
-
-	admitNew := true // true while F ≥ τ
-	seek := false    // the gate has shut and the skip index is on
-	for {
-		popped := false
-		for i := range lists {
-			l := &lists[i]
-			if l.ended() {
-				continue
-			}
-			if cc.stop() {
-				return nil, cc.err
-			}
-			if seek {
-				if !s.seekCandidate(cc, l, i, stats) {
-					return nil, cc.err
-				}
-				// Settle what the seek jumped over now: a list it leaves
-				// paused is not passed again below.
-				var live bool
-				if out, live = e.passCandidates(s, cc, lists, i, q, tau, out); !live {
-					return nil, cc.err
-				}
-			}
-			p, ok := l.frontier()
-			if !ok || p.Len > hi {
-				l.finish()
-			} else {
-				need := mu[i]
-				if m := s.maxLiveLen(); m > need {
-					need = m
-				}
-				if p.Len > need {
-					continue // paused; may resume when maxLen(C) grows
-				}
-				s.pop(l, i, stats)
-				popped = true
-				if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
-					s.imp[slot].resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
-				} else if admitNew {
-					if slot := admit(s, lists, i, p, q, tau); slot >= 0 {
-						s.orderInsert(slot, i)
-						stats.CandidatesInserted++
-					}
-				}
-			}
-			if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
-				return nil, cc.err
-			}
-		}
-		stats.Rounds++
-
-		if !popped {
-			// Every list has ended or is paused beyond maxLen(C): its
-			// pointer has passed every candidate, so all of them are settled
-			// (Order Preservation), and no unseen element can qualify
-			// (the λ argument).
-			return out, listsErr(lists)
-		}
-		if admitNew {
-			if sim.Meets(frontierBound(lists, q.Len, hi), tau) {
-				continue
-			}
-			admitNew = false // F only falls: the gate stays shut
-			seek = !o.NoSkipIndex
-		}
-		if s.maxLiveLen() < 0 {
-			return out, listsErr(lists)
-		}
-	}
+	return e.roundRobin(s, cc, lists, q, tau, hi, mu, o, stats)
 }

@@ -130,8 +130,9 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 	return slot
 }
 
-// Event-driven Order Preservation. iNRA and Hybrid keep their candidates
-// in one sequence s.ord of slab slots in (len, id) order — the order every
+// Event-driven Order Preservation. From the sweep that shuts the
+// admission gate on, iNRA and Hybrid keep their candidates in one
+// sequence s.ord of slab slots in (len, id) order — the order every
 // weight list is stored in — and each list j owns a merge pointer s.ptr[j]
 // into it: ord[:ptr[j]] are candidates j's frontier has passed and that
 // are settled with respect to j, ord[ptr[j]:] everything it has yet to
@@ -193,34 +194,6 @@ func (s *queryScratch) seekCandidate(cc *canceller, l *listState, j int, stats *
 	}
 	l.finish()
 	return true
-}
-
-// orderInsert files a candidate just admitted from list seenIn at its
-// (len, id) position. Pointers beyond that position shift with the
-// entries they cover; a pointer at it covers the newcomer exactly when
-// admit found that list's frontier already past it. seenIn's own pointer
-// stays behind: the pass that follows the pop settles the newcomer.
-//
-//ssvet:hot
-func (s *queryScratch) orderInsert(slot int32, seenIn int) {
-	c := &s.imp[slot]
-	lo, hi := 0, len(s.ord)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if o := &s.imp[s.ord[mid]]; beforeOrAt(invlist.Posting{ID: o.id, Len: o.len}, c.len, c.id) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.ord = append(s.ord, 0)
-	copy(s.ord[lo+1:], s.ord[lo:])
-	s.ord[lo] = slot
-	for j, p := range s.ptr {
-		if int(p) > lo || (int(p) == lo && j != seenIn && c.resolved.Has(j)) {
-			s.ptr[j]++
-		}
-	}
 }
 
 // sortOrder puts the order into (len, id) sequence. SortFunc only calls
@@ -319,17 +292,31 @@ func frontierBound(lists []listState, lenQ, hi float64) float64 {
 // absences from frontiers, and Magnitude Boundedness for tight upper
 // bounds — plus the F < τ gate before admitting new candidates and
 // before scanning the candidate set.
-//
-// While F ≥ τ nothing is scanned, so no order is kept either: admission
-// stays a slab append. When F first drops below τ the candidate set is
-// frozen; one sweep settles it, only the survivors are ordered, and from
-// then on absences are resolved event-driven (passCandidates) and each
-// list seeks to its next live candidate instead of reading up to it
-// (seekCandidate).
 func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64, o *Options, stats *Stats) ([]Result, error) {
 	lo, hi := lengthWindow(q, tau, o)
 	lists := e.openLists(s, cc, q, lo, o, stats)
 	sortQueryTokens(s, q)
+	return e.roundRobin(s, cc, lists, q, tau, hi, nil, o, stats)
+}
+
+// roundRobin is the round-robin loop of iNRA and Hybrid. While F ≥ τ
+// nothing is scanned, so no order is kept either: admission stays a slab
+// append. When F first drops below τ (or no list reads in a round) the
+// candidate set is frozen; one sweep settles it, only the survivors are
+// ordered, and from then on absences are resolved event-driven
+// (passCandidates) and each list seeks to its next live candidate
+// instead of reading up to it (seekCandidate).
+//
+// mu is nil for iNRA. Hybrid passes its per-list cutoffs µᵢ, and list i
+// then sits out a round while its frontier is longer than max(µᵢ, m).
+// Until the sweep m is the longest candidate admitted so far: no
+// candidate dies while admission is open, so it covers every live one,
+// and a list paused on it still resumes when an admission raises it past
+// the frontier. From the sweep on m is maxLen(C) itself, read off the
+// order right after the list's pass. Both bounds lie inside the length
+// window, so a Hybrid list whose frontier has left it pauses for good
+// instead of reading one posting past it as iNRA's does.
+func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q Query, tau, hi float64, mu []float64, o *Options, stats *Stats) ([]Result, error) {
 	n := len(lists)
 	s.tbl.reset()
 	s.imp = s.imp[:0]
@@ -340,6 +327,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 
 	admitNew := true // true while F ≥ τ
 	seek := false    // the gate has shut and the skip index is on
+	m := -1.0        // Hybrid's maxLen(C) bound
 	for {
 		alive := false
 		for i := range lists {
@@ -354,6 +342,20 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 				return nil, cc.err
 			}
 			p, ok := l.frontier()
+			if mu != nil && ok {
+				if !admitNew {
+					// Settle what a seek jumped over now: a list it leaves
+					// paused does not pop, and maxLen(C) must not count
+					// candidates the pass kills.
+					if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
+						return nil, cc.err
+					}
+					m = s.maxLiveLen()
+				}
+				if p.Len > max(mu[i], m) {
+					continue // paused; may resume when m grows
+				}
+			}
 			if ok {
 				s.pop(l, i, stats)
 			}
@@ -365,6 +367,7 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 					s.imp[slot].resolveSeen(i, l.idfSq, l.w(q.Len, p.Len))
 				} else if admitNew && admit(s, lists, i, p, q, tau) >= 0 {
 					stats.CandidatesInserted++
+					m = max(m, p.Len)
 				}
 			}
 			if !admitNew {
@@ -379,9 +382,9 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 			if alive && sim.Meets(frontierBound(lists, q.Len, hi), tau) {
 				continue // scanning is pointless while F ≥ τ (§V)
 			}
-			// F < τ (or every list has ended): no new candidate can qualify.
-			// NoSkipIndex, "read and discard instead of seek", keeps the
-			// paper's sequential round-robin to the end.
+			// F < τ, or every list has ended or paused: no new candidate
+			// can qualify. NoSkipIndex, "read and discard instead of
+			// seek", keeps the paper's sequential round-robin to the end.
 			admitNew = false
 			seek = !o.NoSkipIndex
 			stats.CandidateScans++
@@ -399,6 +402,11 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 			// entries the sweep already resolved in it, changing nothing.
 			s.sortOrder()
 		}
+		// With the gate shut the query is done once no candidate is live.
+		// A round with no read gets here with none: every list has ended
+		// or paused beyond maxLen(C), so each has passed every candidate
+		// and the sweep or its pass settled it (Order Preservation), and
+		// no unseen element can qualify (the λ argument).
 		if s.maxLiveLen() < 0 {
 			return out, listsErr(lists)
 		}

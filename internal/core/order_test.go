@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/invlist"
+	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
 
@@ -123,25 +124,28 @@ func TestHybridResumesPausedList(t *testing.T) {
 	t.Logf("access pattern %s, rounds %d", pat, st.Rounds)
 }
 
-// orderDriver replays the candidate bookkeeping of selectINRA/selectHybrid
-// under a test-chosen pop schedule, checking the order's invariants after
-// every event. Unlike the algorithms it never stops admitting, so dead ids
-// can resurface and be readmitted.
+// orderDriver replays the candidate bookkeeping of roundRobin under a
+// test-chosen pop schedule. While the gate is open it admits by slab
+// append, as the algorithms do; freeze then shuts the gate the way they
+// do, and from there on every pop is followed by the list's pass and the
+// order's invariants are checked after every event.
 type orderDriver struct {
-	t     *testing.T
-	e     *Engine
-	s     *queryScratch
-	q     Query
-	tau   float64
-	hi    float64
-	lists []listState
-	out   []Result
+	t      *testing.T
+	e      *Engine
+	s      *queryScratch
+	q      Query
+	tau    float64
+	hi     float64
+	lists  []listState
+	out    []Result
+	frozen bool
+	passed []bool // list j has had a pass since the freeze
 	// how often each situation the mechanism must survive came up
-	outOfOrder, doneWhilePending, resurfaced int
+	outOfOrder, doneWhilePending int
 }
 
 // pop advances list i by one posting, or retires it, exactly as a round
-// of selectINRA does for one list.
+// of roundRobin does for one list that is not paused.
 func (d *orderDriver) pop(i int) {
 	s, l := d.s, &d.lists[i]
 	p, ok := l.frontier()
@@ -152,16 +156,15 @@ func (d *orderDriver) pop(i int) {
 		l.finish()
 	} else if slot := s.tbl.get(p.ID); slot >= 0 && !s.imp[slot].dead {
 		s.imp[slot].resolveSeen(i, l.idfSq, l.w(d.q.Len, p.Len))
-	} else {
-		if slot >= 0 {
-			d.resurfaced++
+	} else if !d.frozen {
+		n := len(s.imp)
+		if admit(s, d.lists, i, p, d.q, d.tau) >= 0 && n > 0 &&
+			!beforeOrAt(invlist.Posting{ID: s.imp[n-1].id, Len: s.imp[n-1].len}, p.Len, p.ID) {
+			d.outOfOrder++
 		}
-		if slot = admit(s, d.lists, i, p, d.q, d.tau); slot >= 0 {
-			if n := len(s.ord); n > 0 && !beforeOrAt(invlist.Posting{ID: s.imp[s.ord[n-1]].id, Len: s.imp[s.ord[n-1]].len}, p.Len, p.ID) {
-				d.outOfOrder++
-			}
-			s.orderInsert(slot, i)
-		}
+	}
+	if !d.frozen {
+		return
 	}
 	// A pop that leaves nothing inside the window ends the list as far as
 	// the candidates are concerned (one left past the window is finished
@@ -179,10 +182,32 @@ func (d *orderDriver) pop(i int) {
 	if !live {
 		d.t.Fatal("passCandidates reported cancellation without a canceller")
 	}
+	d.passed[i] = true
 	d.check(fmt.Sprintf("after pop of list %d (%v)", i, p))
+	s.maxLiveLen()
+	d.check(fmt.Sprintf("after maxLiveLen following list %d", i))
 }
 
-// check asserts the invariants the algorithms rely on.
+// freeze shuts the admission gate as roundRobin does: one sweep settles
+// every candidate, and the survivors are sorted into the order with every
+// pointer at 0.
+func (d *orderDriver) freeze() {
+	s := d.s
+	d.frozen = true
+	d.passed = make([]bool, len(d.lists))
+	for ci := range s.imp {
+		c := &s.imp[ci]
+		resolveAbsences(c, d.lists)
+		if d.out = d.e.settle(s, d.q, d.tau, c, len(d.lists), d.out); !c.dead {
+			s.ord = append(s.ord, int32(ci))
+		}
+	}
+	s.sortOrder()
+	d.check("after the freeze")
+}
+
+// check asserts the invariants the algorithms rely on once the gate has
+// shut.
 func (d *orderDriver) check(when string) {
 	d.t.Helper()
 	s := d.s
@@ -196,7 +221,9 @@ func (d *orderDriver) check(when string) {
 		for k, slot := range s.ord {
 			c := &s.imp[slot]
 			passed := ruledOut(&d.lists[j], c.len, c.id)
-			if passed != (k < int(s.ptr[j])) {
+			// Until its first pass a list's pointer stays at 0 behind
+			// entries the sweep already resolved.
+			if k < int(s.ptr[j]) && !passed || d.passed[j] && passed && k >= int(s.ptr[j]) {
 				d.t.Fatalf("%s: list %d pointer %d, but entry %d (%g,%d) passed=%v", when, j, s.ptr[j], k, c.len, c.id, passed)
 			}
 			if passed && !c.dead && !c.resolved.Has(j) {
@@ -212,14 +239,16 @@ func (d *orderDriver) check(when string) {
 }
 
 // TestCandidateOrderUnderRandomSchedules drives the shared mechanism with
-// pop schedules no round-robin produces — one list racing ahead, lists
-// retired by the length window or by exhaustion while candidates wait on
-// them — over tie-heavy corpora, and demands the oracle's answer once
-// every list is done. The counters prove the named situations occurred:
-// candidates admitted out of (len, id) order across lists, a list going
-// done while candidates are pending in it, a dead id resurfacing later.
+// pop schedules no round-robin produces — one list racing ahead, the gate
+// shutting after a random prefix, lists retired by the length window or
+// by exhaustion while candidates wait on them — over tie-heavy corpora,
+// and demands the oracle's answer once every list is done. The counters
+// prove the named situations occurred: candidates admitted out of
+// (len, id) order across lists, and a list going done while candidates
+// are pending in it. No candidate dies while admission is open, so a dead
+// id can no longer resurface and be readmitted.
 func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
-	var outOfOrder, doneWhilePending, resurfaced int
+	var outOfOrder, doneWhilePending int
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := buildEngine(t, 150+rng.Intn(250), seed*17+3, 2+rng.Intn(3), Config{})
@@ -241,19 +270,28 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 				open++
 			}
 		}
+		gate := rng.Intn(60)
 		for open > 0 {
 			i := rng.Intn(len(d.lists))
 			for burst := 1 + rng.Intn(6); burst > 0 && !d.lists[i].ended(); burst-- {
+				// Past the prefix the gate shuts once F < τ, and not
+				// before: a set that has surfaced nowhere yet could still
+				// qualify.
+				if gate--; gate < 0 && !d.frozen && !sim.Meets(frontierBound(d.lists, q.Len, hi), tau) {
+					d.freeze()
+				}
 				d.pop(i)
 				if d.lists[i].ended() {
 					open--
 				}
 			}
 		}
+		if !d.frozen {
+			d.freeze()
+		}
 		if m := s.maxLiveLen(); m >= 0 {
 			t.Fatalf("seed %d: every list done, yet a candidate of length %g is still live", seed, m)
 		}
-		d.check("after maxLiveLen")
 		want, _, err := e.Select(q, tau, Naive, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -262,12 +300,10 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 		assertSameResults(t, Hybrid, tau, d.out, want)
 		outOfOrder += d.outOfOrder
 		doneWhilePending += d.doneWhilePending
-		resurfaced += d.resurfaced
 	}
-	if outOfOrder == 0 || doneWhilePending == 0 || resurfaced == 0 {
-		t.Errorf("schedules never produced a situation: out-of-order admissions %d, done-while-pending %d, resurfaced dead ids %d",
-			outOfOrder, doneWhilePending, resurfaced)
+	if outOfOrder == 0 || doneWhilePending == 0 {
+		t.Errorf("schedules never produced a situation: out-of-order admissions %d, done-while-pending %d",
+			outOfOrder, doneWhilePending)
 	}
-	t.Logf("out-of-order admissions %d, lists done while candidates pending %d, dead ids resurfacing %d",
-		outOfOrder, doneWhilePending, resurfaced)
+	t.Logf("out-of-order admissions %d, lists done while candidates pending %d", outOfOrder, doneWhilePending)
 }
