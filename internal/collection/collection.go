@@ -1,7 +1,16 @@
 // Package collection holds the set database D: every input string
-// decomposed into a token-frequency vector, plus the corpus statistics
+// decomposed into its distinct tokens, plus the corpus statistics
 // (document frequencies, idf weights, normalized lengths) that the
 // similarity measures and query algorithms consume.
+//
+// The sets live in one flat arena, compressed-sparse-row style: every
+// set's distinct token ids, ascending and back to back, with an offset
+// per set. The paper's measure (Eq. 1) has no tf component, so the
+// engine only ever asks which tokens a set holds, and Tokens answers
+// with a slice of the arena. Term frequencies — read by the TF/IDF and
+// BM25 measures of Table I and by the file writer — are 1 for almost
+// every entry; the few that exceed 1 sit in a side table keyed by arena
+// position, and Set rebuilds a set's token-frequency vector from both.
 package collection
 
 import (
@@ -19,15 +28,23 @@ import (
 // table; we use a dense 64-bit id and keep the source string retrievable.
 type SetID uint64
 
+// tfEntry is one side-table entry: the term frequency of the arena entry
+// at pos, which exceeds 1.
+type tfEntry struct {
+	pos, tf uint32
+}
+
 // Collection is an immutable database of token sets built by a Builder.
 type Collection struct {
 	dict      *tokenize.Dict
 	tk        tokenize.Tokenizer
-	sets      [][]tokenize.Count // per set, sorted by token
-	source    []string           // original strings (may be empty if not retained)
-	df        []int              // per token document frequency
-	idf       []float64          // per token idf weight
-	lens      []float64          // per set normalized length (IDF semantics)
+	toks      []tokenize.Token // every set's distinct tokens, ascending within a set, sets back to back
+	off       []uint32         // set i is toks[off[i]:off[i+1]]; len(off) = NumSets()+1
+	tfs       []tfEntry        // the entries whose TF exceeds 1, ascending by pos
+	source    []string         // original strings (may be empty if not retained)
+	df        []int            // per token document frequency
+	idf       []float64        // per token idf weight
+	lens      []float64        // per set normalized length (IDF semantics)
 	avgTokens float64
 	// statsN, when nonzero, is the externally supplied database size the
 	// idf weights were computed against (BuildWithStats): the collection
@@ -37,15 +54,21 @@ type Collection struct {
 	statsN int
 }
 
-// Builder accumulates strings and produces a Collection. Builders are not
-// safe for concurrent use.
+// Builder accumulates strings and produces a Collection. It appends
+// each set straight into the arena the Collection keeps, so a warm
+// builder adding a string whose tokens are all interned allocates
+// nothing but its arrays' amortized growth. Builders are not safe for
+// concurrent use.
 type Builder struct {
 	dict       *tokenize.Dict
 	tk         tokenize.Tokenizer
-	sets       [][]tokenize.Count
+	toks       []tokenize.Token
+	off        []uint32
+	tfs        []tfEntry
 	source     []string
 	keepSource bool
-	scratch    []string
+	vec        []tokenize.Count // Add's vector, reused
+	scratch    tokenize.Scratch
 	tokenCount int
 }
 
@@ -53,7 +76,7 @@ type Builder struct {
 // If keepSource is true the original strings are retained and retrievable
 // through Collection.Source.
 func NewBuilder(tk tokenize.Tokenizer, keepSource bool) *Builder {
-	return &Builder{dict: tokenize.NewDict(), tk: tk, keepSource: keepSource}
+	return NewBuilderWithDict(tokenize.NewDict(), tk, keepSource)
 }
 
 // NewBuilderWithDict returns a Builder interning tokens into a shared,
@@ -63,30 +86,51 @@ func NewBuilder(tk tokenize.Tokenizer, keepSource bool) *Builder {
 // is what makes per-shard scores bitwise-equal to a monolithic build.
 // The dict must not be mutated concurrently with Add.
 func NewBuilderWithDict(dict *tokenize.Dict, tk tokenize.Tokenizer, keepSource bool) *Builder {
-	return &Builder{dict: dict, tk: tk, keepSource: keepSource}
+	return &Builder{dict: dict, tk: tk, keepSource: keepSource, off: []uint32{0}}
+}
+
+// Grow makes room for sets more sets holding entries more distinct
+// tokens between them, allocating exactly that much: a caller that
+// knows its totals up front then adds them without regrowing the arena,
+// and Build keeps the arrays as they are.
+func (b *Builder) Grow(sets, entries int) {
+	b.toks = grow(b.toks, entries)
+	b.off = grow(b.off, sets)
+	if b.keepSource {
+		b.source = grow(b.source, sets)
+	}
 }
 
 // Add tokenizes s and appends it as the next set. Strings that produce no
 // tokens are skipped (the paper's measure is undefined on empty sets) and
 // Add reports false for them.
 func (b *Builder) Add(s string) bool {
-	return b.AddCounts(s, tokenize.Counts(b.dict, b.tk, s, &b.scratch))
+	b.vec = tokenize.Counts(b.vec[:0], b.dict, b.tk, s, &b.scratch)
+	return b.AddCounts(s, b.vec)
 }
 
 // AddCounts is Add for a string already decomposed: counts must be what
-// tokenize.Counts returns for s under the builder's dictionary and
+// tokenize.Counts appends for s under the builder's dictionary and
 // tokenizer. A build that tokenized its corpus once — to intern, count
 // frequencies and route — hands every shard's builder the same vectors
-// instead of tokenizing again. The builder keeps counts; the caller must
-// not modify it afterwards.
+// instead of tokenizing again. AddCounts copies counts into the arena;
+// the caller keeps it. It panics past 2^32 entries, the reach of the
+// arena's 4-byte offsets.
 func (b *Builder) AddCounts(s string, counts []tokenize.Count) bool {
 	if len(counts) == 0 {
 		return false
 	}
+	if uint64(len(b.toks))+uint64(len(counts)) > math.MaxUint32 {
+		panic("collection: more than 2^32 entries in one collection")
+	}
 	for _, c := range counts {
+		if c.TF > 1 {
+			b.tfs = append(b.tfs, tfEntry{pos: uint32(len(b.toks)), tf: c.TF})
+		}
+		b.toks = append(b.toks, c.Token)
 		b.tokenCount += int(c.TF)
 	}
-	b.sets = append(b.sets, counts)
+	b.off = append(b.off, uint32(len(b.toks)))
 	if b.keepSource {
 		b.source = append(b.source, s)
 	}
@@ -94,7 +138,7 @@ func (b *Builder) AddCounts(s string, counts []tokenize.Count) bool {
 }
 
 // Len reports the number of sets added so far.
-func (b *Builder) Len() int { return len(b.sets) }
+func (b *Builder) Len() int { return len(b.off) - 1 }
 
 // Build freezes the builder into a Collection, computing document
 // frequencies, idf weights and normalized lengths. The builder must not
@@ -119,11 +163,15 @@ func (b *Builder) BuildWithStats(statsN int, df func(token string) int) *Collect
 }
 
 func (b *Builder) build(statsN int, dfFn func(token string) int) *Collection {
+	// The collection keeps its arrays for life: ones grown by append
+	// are copied to their exact length, so no spare capacity is retained.
 	c := &Collection{
 		dict:   b.dict,
 		tk:     b.tk,
-		sets:   b.sets,
-		source: b.source,
+		toks:   fit(b.toks),
+		off:    fit(b.off),
+		tfs:    fit(b.tfs),
+		source: fit(b.source),
 		df:     make([]int, b.dict.Len()),
 		statsN: statsN,
 	}
@@ -132,10 +180,8 @@ func (b *Builder) build(statsN int, dfFn func(token string) int) *Collection {
 			c.df[t] = dfFn(c.dict.String(tokenize.Token(t)))
 		}
 	} else {
-		for _, set := range c.sets {
-			for _, cnt := range set {
-				c.df[cnt.Token]++ // one per containing set: counts are deduped
-			}
+		for _, t := range c.toks {
+			c.df[t]++ // one per containing set: a set's tokens are distinct
 		}
 	}
 	n := c.StatsN()
@@ -143,24 +189,43 @@ func (b *Builder) build(statsN int, dfFn func(token string) int) *Collection {
 	for t, df := range c.df {
 		c.idf[t] = sim.IDF(df, n)
 	}
-	c.lens = make([]float64, len(c.sets))
-	for i, set := range c.sets {
+	c.lens = make([]float64, c.NumSets())
+	for i := range c.lens {
 		var sum float64
-		for _, cnt := range set {
-			w := c.idf[cnt.Token]
+		for _, t := range c.Tokens(SetID(i)) {
+			w := c.idf[t]
 			sum += w * w
 		}
 		c.lens[i] = sqrt(sum)
 	}
-	if len(c.sets) > 0 {
-		c.avgTokens = float64(b.tokenCount) / float64(len(c.sets))
+	if len(c.lens) > 0 {
+		c.avgTokens = float64(b.tokenCount) / float64(len(c.lens))
 	}
-	b.sets, b.source, b.dict = nil, nil, nil
+	b.toks, b.tfs, b.source, b.dict = nil, nil, nil, nil
 	return c
 }
 
+// grow returns s with room for n more elements, reallocating to exactly
+// that capacity when it lacks it.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	g := make(S, len(s), len(s)+n)
+	copy(g, s)
+	return g
+}
+
+// fit returns s without spare capacity, copying it when it has some.
+func fit[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
+}
+
 // NumSets implements sim.Stats.
-func (c *Collection) NumSets() int { return len(c.sets) }
+func (c *Collection) NumSets() int { return len(c.off) - 1 }
 
 // StatsN is the database size the idf weights were computed against: the
 // externally supplied size for BuildWithStats collections, NumSets
@@ -171,7 +236,7 @@ func (c *Collection) StatsN() int {
 	if c.statsN > 0 {
 		return c.statsN
 	}
-	return len(c.sets)
+	return c.NumSets()
 }
 
 // DF implements sim.Stats.
@@ -197,9 +262,41 @@ func (c *Collection) IDFWeight(t tokenize.Token) float64 {
 // Length returns the normalized length of set id.
 func (c *Collection) Length(id SetID) float64 { return c.lens[id] }
 
-// Set returns the token-frequency vector of set id, sorted by token.
-// The returned slice must not be modified.
-func (c *Collection) Set(id SetID) []tokenize.Count { return c.sets[id] }
+// Tokens returns the distinct tokens of set id, ascending. The slice
+// aliases the collection's arena and must not be modified; its capacity
+// ends at its length, so an append copies instead of overwriting the
+// next set. It does not allocate: query paths read sets through it.
+func (c *Collection) Tokens(id SetID) []tokenize.Token {
+	hi := c.off[id+1]
+	return c.toks[c.off[id]:hi:hi]
+}
+
+// Set returns the token-frequency vector of set id, sorted by token:
+// its Tokens, each with its term frequency. The vector is rebuilt from
+// the arena and the TF side table into a fresh slice the caller owns,
+// so Set allocates; it serves the readers of term frequencies (Table
+// I's measures, the file writer, the self-join's queries) and no query
+// path.
+func (c *Collection) Set(id SetID) []tokenize.Count {
+	return c.appendSet(make([]tokenize.Count, 0, c.off[id+1]-c.off[id]), id)
+}
+
+// appendSet appends the token-frequency vector of set id to dst. The
+// side entries of the set start where a binary search for its first
+// arena position lands, and are met in arena order.
+func (c *Collection) appendSet(dst []tokenize.Count, id SetID) []tokenize.Count {
+	lo := c.off[id]
+	k, _ := slices.BinarySearchFunc(c.tfs, lo, func(e tfEntry, pos uint32) int { return cmp.Compare(e.pos, pos) })
+	for i, t := range c.Tokens(id) {
+		tf := uint32(1)
+		if k < len(c.tfs) && c.tfs[k].pos == lo+uint32(i) {
+			tf = c.tfs[k].tf
+			k++
+		}
+		dst = append(dst, tokenize.Count{Token: t, TF: tf})
+	}
+	return dst
+}
 
 // Source returns the original string of set id. It panics if the
 // collection was built without keepSource.
@@ -229,15 +326,8 @@ func (c *Collection) NumTokens() int { return len(c.df) }
 // global frequencies in BuildWithStats collections.
 func (c *Collection) TokenOffsets() []uint32 {
 	off := make([]uint32, len(c.df)+1)
-	total := 0
-	for _, set := range c.sets {
-		total += len(set)
-		for _, cnt := range set {
-			off[cnt.Token+1]++
-		}
-	}
-	if total > math.MaxUint32 {
-		panic("collection: more than 2^32 postings in one collection")
+	for _, t := range c.toks {
+		off[t+1]++
 	}
 	for t := 1; t < len(off); t++ {
 		off[t] += off[t-1]
@@ -255,13 +345,13 @@ func (c *Collection) FillBuckets(off []uint32, order []SetID, put func(slot uint
 	next := make([]uint32, len(c.df))
 	copy(next, off)
 	visit := func(id SetID) {
-		for _, cnt := range c.sets[id] {
-			put(next[cnt.Token], id)
-			next[cnt.Token]++
+		for _, t := range c.Tokens(id) {
+			put(next[t], id)
+			next[t]++
 		}
 	}
 	if order == nil {
-		for id := range c.sets {
+		for id := range c.NumSets() {
 			visit(SetID(id))
 		}
 		return
@@ -274,7 +364,7 @@ func (c *Collection) FillBuckets(off []uint32, order []SetID, put func(slot uint
 // SetsByLength returns every set id ordered by (Length, id) ascending:
 // the visiting order under which FillBuckets yields length-sorted lists.
 func (c *Collection) SetsByLength() []SetID {
-	order := make([]SetID, len(c.sets))
+	order := make([]SetID, c.NumSets())
 	for i := range order {
 		order[i] = SetID(i)
 	}
@@ -305,27 +395,41 @@ func (c *Collection) TokenSets(fn func(t tokenize.Token, ids []SetID)) {
 // error on the first violation. It has no caller outside tests: it is
 // the oracle the build, round-trip and fuzz tests hold a collection to.
 func (c *Collection) Validate() error {
-	for id, set := range c.sets {
+	n := c.NumSets()
+	if n < 0 || c.off[0] != 0 || int(c.off[n]) != len(c.toks) {
+		return fmt.Errorf("collection: set offsets do not span the arena of %d entries", len(c.toks))
+	}
+	if len(c.lens) != n || (c.source != nil && len(c.source) != n) {
+		return fmt.Errorf("collection: %d lengths and %d sources for %d sets", len(c.lens), len(c.source), n)
+	}
+	for id := range n {
+		if c.off[id] >= c.off[id+1] || int(c.off[id+1]) > len(c.toks) {
+			return fmt.Errorf("collection: set %d is empty or overruns the arena", id)
+		}
+		set := c.Tokens(SetID(id))
 		for i := 1; i < len(set); i++ {
-			if set[i-1].Token >= set[i].Token {
+			if set[i-1] >= set[i] {
 				return fmt.Errorf("collection: set %d tokens not strictly sorted", id)
 			}
 		}
-		if len(set) == 0 {
-			return fmt.Errorf("collection: set %d is empty", id)
+		if int(set[len(set)-1]) >= len(c.df) {
+			return fmt.Errorf("collection: set %d holds token %d past the dictionary", id, set[len(set)-1])
 		}
 		if c.lens[id] <= 0 {
 			return fmt.Errorf("collection: set %d has non-positive length %g", id, c.lens[id])
+		}
+	}
+	for k, e := range c.tfs {
+		if int(e.pos) >= len(c.toks) || (k > 0 && c.tfs[k-1].pos >= e.pos) || e.tf < 2 {
+			return fmt.Errorf("collection: TF side entry %d {pos %d, tf %d} out of order or range", k, e.pos, e.tf)
 		}
 	}
 	// BuildWithStats collections store global frequencies, so a local
 	// recount cannot be compared against them.
 	if c.statsN == 0 {
 		df := make([]int, len(c.df))
-		for _, set := range c.sets {
-			for _, cnt := range set {
-				df[cnt.Token]++
-			}
+		for _, t := range c.toks {
+			df[t]++
 		}
 		for t := range df {
 			if df[t] != c.df[t] {

@@ -8,13 +8,15 @@ import (
 )
 
 // FuzzRead hardens the binary collection parser: arbitrary input must
-// produce either a valid collection or an error — never a panic — and a
+// produce either a valid collection or an error — never a panic — whose
+// every Tokens run is its Set's tokens with no spare capacity, and a
 // valid round-trip must re-serialize identically.
 func FuzzRead(f *testing.F) {
 	// Seed with a genuine serialized collection and mutations thereof.
 	b := NewBuilder(tokenize.QGramTokenizer{Q: 3}, true)
 	b.Add("main street")
 	b.Add("maine st")
+	b.Add("mainmain") // a gram with TF > 1
 	var buf bytes.Buffer
 	if err := Write(&buf, b.Build()); err != nil {
 		f.Fatal(err)
@@ -35,6 +37,17 @@ func FuzzRead(f *testing.F) {
 		if verr := c.Validate(); verr != nil {
 			t.Fatalf("Read accepted an inconsistent collection: %v", verr)
 		}
+		for id := range c.NumSets() {
+			toks, set := c.Tokens(SetID(id)), c.Set(SetID(id))
+			if len(toks) != len(set) || cap(toks) != len(toks) {
+				t.Fatalf("set %d: Tokens has len %d cap %d for %d entries", id, len(toks), cap(toks), len(set))
+			}
+			for i, cnt := range set {
+				if toks[i] != cnt.Token {
+					t.Fatalf("set %d: Tokens %v disagree with Set %v", id, toks, set)
+				}
+			}
+		}
 		var out bytes.Buffer
 		if err := Write(&out, c); err != nil {
 			t.Fatalf("re-serialize: %v", err)
@@ -45,6 +58,13 @@ func FuzzRead(f *testing.F) {
 		}
 		if c2.NumSets() != c.NumSets() || c2.NumTokens() != c.NumTokens() {
 			t.Fatal("round-trip changed shape")
+		}
+		var again bytes.Buffer
+		if err := Write(&again, c2); err != nil {
+			t.Fatalf("re-serialize: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatal("round-trip changed the bytes")
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/tokenize"
 )
@@ -52,13 +53,15 @@ func Write(w io.Writer, c *Collection) error {
 	for t := 0; t < c.dict.Len(); t++ {
 		putString(c.dict.String(tokenize.Token(t)))
 	}
-	putU32(uint32(len(c.sets)))
+	putU32(uint32(c.NumSets()))
 	if c.source != nil {
 		put(1)
 	} else {
 		put(0)
 	}
-	for _, set := range c.sets {
+	var set []tokenize.Count
+	for id := range c.NumSets() {
+		set = c.appendSet(set[:0], SetID(id))
 		putUvarint(uint64(len(set)))
 		var prev uint64
 		for _, cnt := range set {
@@ -179,32 +182,36 @@ func Read(r io.Reader) (*Collection, error) {
 		return nil, fail("set table")
 	}
 
-	b := &Builder{dict: dict, tk: tk, keepSource: hasSource}
-	b.sets = make([][]tokenize.Count, numSets)
-	for i := range b.sets {
+	// Sets decode into the builder's arena; their sources follow them
+	// in the file and are set aside once all are read.
+	b := NewBuilderWithDict(dict, tk, false)
+	b.Grow(int(numSets), 0)
+	var set []tokenize.Count
+	for range numSets {
 		n, ok := getUvarint()
 		if !ok || n > uint64(len(payload)-pos) {
 			return nil, fail("set header")
 		}
-		set := make([]tokenize.Count, n)
+		if n == 0 {
+			return nil, fmt.Errorf("%w: empty set", ErrBadCollection)
+		}
+		set = set[:0]
 		var prev uint64
-		for j := range set {
+		for j := uint64(0); j < n; j++ {
 			d, ok1 := getUvarint()
 			tf, ok2 := getUvarint()
 			if !ok1 || !ok2 {
 				return nil, fail("set entry")
 			}
-			prev += d
-			if prev >= uint64(numTokens) || tf == 0 {
+			// Tokens ascend strictly within a set and stay in the
+			// dictionary; a TF fits the 4 bytes it is kept in.
+			if (j > 0 && d == 0) || d >= uint64(numTokens)-prev || tf == 0 || tf > math.MaxUint32 {
 				return nil, fmt.Errorf("%w: invalid set entry", ErrBadCollection)
 			}
-			set[j] = tokenize.Count{Token: tokenize.Token(prev), TF: uint32(tf)}
-			b.tokenCount += int(tf)
+			prev += d
+			set = append(set, tokenize.Count{Token: tokenize.Token(prev), TF: uint32(tf)})
 		}
-		if len(set) == 0 {
-			return nil, fmt.Errorf("%w: empty set", ErrBadCollection)
-		}
-		b.sets[i] = set
+		b.AddCounts("", set)
 	}
 	if hasSource {
 		b.source = make([]string, numSets)

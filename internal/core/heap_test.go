@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -88,5 +89,99 @@ func TestListsOnlyRetainsOnePostingArena(t *testing.T) {
 	if growth, budget := built-before, arena+tables+rounding+(rest-before); growth > budget {
 		t.Errorf("default engine retained %d bytes; budget %d = %d posting bytes + %d table bytes + %d rounding + %d bytes besides the store",
 			growth, budget, arena, tables, rounding, rest-before)
+	}
+}
+
+// TestCollectionRetainsFlatArena holds what a built collection keeps
+// alive to its flat layout: 4 bytes per distinct token of a set (the
+// arena), 4 per set offset, 8 per set length, 8 per entry whose term
+// frequency exceeds 1 (the side table), the two per-token tables (df
+// and idf, 8 bytes each) and the allocator's rounding of those six
+// arrays to whole pages. A per-set vector behind a slice header (24
+// bytes, plus 8 per entry rounded to a size class) does not fit, nor
+// does an arena keeping the spare capacity of append growth. The
+// dictionary is interned before the measurement, so the tokens' strings
+// are not counted.
+func TestCollectionRetainsFlatArena(t *testing.T) {
+	rows := dataset.IMDBLike(rand.New(rand.NewSource(9)), 20000)
+	tk := tokenize.QGramTokenizer{Q: 3}
+	dict := func() *tokenize.Dict {
+		warm := collection.NewBuilder(tk, false)
+		for _, s := range rows {
+			warm.Add(s)
+		}
+		return warm.Build().Dict()
+	}()
+
+	before := retainedHeap()
+	b := collection.NewBuilderWithDict(dict, tk, false)
+	for _, s := range rows {
+		b.Add(s)
+	}
+	c := b.Build()
+	built := retainedHeap()
+	runtime.KeepAlive(rows)
+
+	var entries, repeats int64
+	for id := range c.NumSets() {
+		for _, cnt := range c.Set(collection.SetID(id)) {
+			entries++
+			if cnt.TF > 1 {
+				repeats++
+			}
+		}
+	}
+	sets, tokens := int64(c.NumSets()), int64(c.NumTokens())
+	const rounding = 6 * 8 << 10 // a page for each of the six arrays
+	budget := 4*entries + 4*(sets+1) + 8*sets + 8*repeats + 16*tokens + rounding
+	if growth := built - before; growth > budget {
+		t.Errorf("collection retained %d bytes; budget %d for %d entries, %d sets, %d entries with TF > 1 and %d tokens",
+			growth, budget, entries, sets, repeats, tokens)
+	}
+	t.Logf("collection retained %d bytes, %.2f per entry; budget %d", built-before, float64(built-before)/float64(entries), budget)
+}
+
+// TestBuildAddAllocations pins both build paths to their arenas: once a
+// builder (Builder.Add) or a build round (segmentRound.add) has taken a
+// corpus, adding it again — every token already interned, lower-case
+// input the tokenizer does not copy — allocates nothing per document
+// but the amortized growth of the arrays it appends to. The count is
+// exact: testing.AllocsPerRun would round it down to a whole number.
+func TestBuildAddAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	rows := dataset.IMDBLike(rand.New(rand.NewSource(9)), 5000)
+	for i, s := range rows {
+		rows[i] = strings.ToLower(s)
+	}
+	perDoc := func(add func(s string)) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for _, s := range rows {
+			add(s) // warm-up: intern every token, grow every array
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, s := range rows {
+			add(s)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(len(rows))
+	}
+	const budget = 0.1
+	tk := tokenize.QGramTokenizer{Q: 3}
+
+	b := collection.NewBuilder(tk, true)
+	got := perDoc(func(s string) { b.Add(s) })
+	t.Logf("Builder.Add: %.4f allocations per document", got)
+	if got >= budget {
+		t.Errorf("Builder.Add: %.3f allocations per document, want < %v", got, budget)
+	}
+
+	r := newSegmentRound(tk)
+	got = perDoc(func(s string) { r.add(docRef{id: collection.SetID(len(r.docs)), source: s}) })
+	t.Logf("segmentRound.add: %.4f allocations per document", got)
+	if got >= budget {
+		t.Errorf("segmentRound.add: %.3f allocations per document, want < %v", got, budget)
 	}
 }

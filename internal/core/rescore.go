@@ -66,7 +66,7 @@ func sortQueryTokens(s *queryScratch, q Query) {
 func (e *Engine) rescore(s *queryScratch, q Query, id collection.SetID) float64 {
 	m := kernel.Mask{Hi: s.qhi}
 	clear(m.Hi)
-	kernel.MatchCounts(e.c.Set(id), s.qtok, s.qpos, &m)
+	kernel.MatchTokens(e.c.Tokens(id), s.qtok, s.qpos, &m)
 	den := q.Len * e.c.Length(id)
 	var score float64
 	for w := m.Lo; w != 0; w &= w - 1 {

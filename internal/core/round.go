@@ -6,7 +6,7 @@
 // the round's shared dictionary in global id order. Everything
 // downstream reads those vectors: the document frequencies by token id,
 // the clusterer's distinct-token signatures, and the per-shard
-// collection builders, which receive the vectors pre-counted.
+// collection builders, which copy the vectors into their arenas.
 package core
 
 import (
@@ -26,34 +26,38 @@ type docRef struct {
 // segmentRound accumulates the tokenized documents of one build round.
 // docs ascend by id when the caller adds them in id order, which every
 // caller does: per-shard id lists cut from it are then ascending too.
+// The documents' vectors sit back to back in one arena, so adding a
+// document allocates nothing but the arrays' amortized growth.
 type segmentRound struct {
 	tk      tokenize.Tokenizer
 	dict    *tokenize.Dict
 	docs    []docRef
-	counts  [][]tokenize.Count // counts[i] is docs[i]'s vector, ascending by token
-	df      []int              // df[t]: round documents containing token t
-	scratch []string
+	vecs    []tokenize.Count // every document's vector, back to back, each ascending by token
+	off     []int            // docs[i]'s vector is vecs[off[i]:off[i+1]]
+	df      []int            // df[t]: round documents containing token t
+	scratch tokenize.Scratch
 }
 
 func newSegmentRound(tk tokenize.Tokenizer) *segmentRound {
-	return &segmentRound{tk: tk, dict: tokenize.NewDict()}
+	return &segmentRound{tk: tk, dict: tokenize.NewDict(), off: []int{0}}
 }
 
 // add tokenizes ref's source and appends it to the round. A string that
 // yields no tokens is left out and add reports false.
 func (r *segmentRound) add(ref docRef) bool {
-	counts := tokenize.Counts(r.dict, r.tk, ref.source, &r.scratch)
-	if len(counts) == 0 {
+	n := len(r.vecs)
+	r.vecs = tokenize.Counts(r.vecs, r.dict, r.tk, ref.source, &r.scratch)
+	if len(r.vecs) == n {
 		return false
 	}
 	for len(r.df) < r.dict.Len() {
 		r.df = append(r.df, 0)
 	}
-	for _, c := range counts {
+	for _, c := range r.vecs[n:] {
 		r.df[c.Token]++
 	}
 	r.docs = append(r.docs, ref)
-	r.counts = append(r.counts, counts)
+	r.off = append(r.off, len(r.vecs))
 	return true
 }
 
@@ -70,18 +74,14 @@ func (r *segmentRound) dfOf(token string) int {
 // partition clusters the round's documents into k shards by their
 // distinct tokens, read off the vectors add already produced.
 func (r *segmentRound) partition(idf []float64, k int) []int32 {
-	total := 0
-	for _, counts := range r.counts {
-		total += len(counts)
+	flat := make([]tokenize.Token, len(r.vecs))
+	for i, c := range r.vecs {
+		flat[i] = c.Token
 	}
-	flat := make([]tokenize.Token, 0, total)
-	docToks := make([][]tokenize.Token, len(r.counts))
-	for i, counts := range r.counts {
-		start := len(flat)
-		for _, c := range counts {
-			flat = append(flat, c.Token)
-		}
-		docToks[i] = flat[start:len(flat):len(flat)]
+	docToks := make([][]tokenize.Token, len(r.docs))
+	for i := range docToks {
+		hi := r.off[i+1]
+		docToks[i] = flat[r.off[i]:hi:hi]
 	}
 	return route.Partition(docToks, idf, k)
 }
@@ -89,26 +89,29 @@ func (r *segmentRound) partition(idf []float64, k int) []int32 {
 // builders distributes the round over one collection builder per shard —
 // assign[i] is the shard of docs[i] — handing each its documents'
 // vectors pre-counted, and returns with them each shard's local → global
-// id list. A shard that received nothing has an empty builder.
+// id list. Each builder is sized exactly for its shard's sets and
+// entries, so the collections keep their arenas as built. A shard that
+// received nothing has an empty builder.
 func (r *segmentRound) builders(assign []int32, shards int, keepSource bool) ([]*collection.Builder, [][]collection.SetID) {
+	sets := make([]int, shards)
+	entries := make([]int, shards)
+	for i, sh := range assign {
+		sets[sh]++
+		entries[sh] += r.off[i+1] - r.off[i]
+	}
 	builders := make([]*collection.Builder, shards)
+	// Exact capacities: a segment keeps its id list for life.
+	ids := make([][]collection.SetID, shards)
 	for si := range builders {
 		builders[si] = collection.NewBuilderWithDict(r.dict, r.tk, keepSource)
-	}
-	// Exact capacities: a segment keeps its id list for life.
-	sizes := make([]int, shards)
-	for _, sh := range assign {
-		sizes[sh]++
-	}
-	ids := make([][]collection.SetID, shards)
-	for si, n := range sizes {
-		if n > 0 {
-			ids[si] = make([]collection.SetID, 0, n)
+		builders[si].Grow(sets[si], entries[si])
+		if sets[si] > 0 {
+			ids[si] = make([]collection.SetID, 0, sets[si])
 		}
 	}
 	for i, ref := range r.docs {
 		sh := assign[i]
-		builders[sh].AddCounts(ref.source, r.counts[i])
+		builders[sh].AddCounts(ref.source, r.vecs[r.off[i]:r.off[i+1]])
 		ids[sh] = append(ids[sh], ref.id)
 	}
 	return builders, ids

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"math/bits"
-
-	"repro/internal/tokenize"
-)
+import "repro/internal/tokenize"
 
 // The match kernel intersects a document's sorted distinct tokens with a
 // query's token-ascending tokens and marks which query tokens the
@@ -15,22 +11,21 @@ import (
 // it defines (core sums them in query order, see core/rescore.go), so
 // the merge order never reaches a score.
 
-// MatchCounts sets bit at[j] of m for every query token qt[j] present in
-// doc. doc must be sorted by ascending Token (collection guarantees
-// document token order); qt is sorted by ascending token and at is
-// parallel to it. m must hold every bit at names (HiWords overflow words
-// past 64).
+// MatchTokens sets bit at[j] of m for every query token qt[j] present
+// in doc. doc must be ascending and distinct (a collection's Tokens run
+// is); qt is sorted by ascending token and at is parallel to it. m must
+// hold every bit at names (HiWords overflow words past 64).
 //
 //ssvet:hot
-func MatchCounts(doc []tokenize.Count, qt []tokenize.Token, at []int, m *Mask) {
+func MatchTokens(doc, qt []tokenize.Token, at []int, m *Mask) {
 	if len(doc) >= gallopRatio*len(qt) {
 		i := 0
 		for j, t := range qt {
-			i = gallopCounts(doc, i, t)
+			i = gallopTokens(doc, i, t)
 			if i == len(doc) {
 				return
 			}
-			if doc[i].Token == t {
+			if doc[i] == t {
 				m.Set(at[j])
 				i++
 			}
@@ -39,7 +34,7 @@ func MatchCounts(doc []tokenize.Count, qt []tokenize.Token, at []int, m *Mask) {
 	}
 	i, j := 0, 0
 	for i < len(doc) && j < len(qt) {
-		switch d := doc[i].Token; {
+		switch d := doc[i]; {
 		case d == qt[j]:
 			m.Set(at[j])
 			i++
@@ -52,40 +47,36 @@ func MatchCounts(doc []tokenize.Count, qt []tokenize.Token, at []int, m *Mask) {
 	}
 }
 
-// identity maps a 64-token window of qt onto itself for DotCounts.
-var identity = func() (a [64]int) {
-	for i := range a {
-		a[i] = i
-	}
-	return a
-}()
-
 // DotCounts sums qw[j] over the query tokens qt present in doc, added in
-// ascending token order; doc and qt are as for MatchCounts and qw is
-// parallel to qt. It matches the query 64 tokens at a time, so it never
-// allocates.
+// ascending token order; doc is a token-frequency vector sorted by
+// ascending Token, qt is sorted by ascending token and qw is parallel
+// to it. It is one sorted merge and never allocates.
 func DotCounts(doc []tokenize.Count, qt []tokenize.Token, qw []float64) float64 {
 	var dot float64
-	for lo := 0; lo < len(qt); lo += 64 {
-		hi := min(lo+64, len(qt))
-		var m Mask
-		MatchCounts(doc, qt[lo:hi], identity[:hi-lo], &m)
-		for w := m.Lo; w != 0; w &= w - 1 {
-			dot += qw[lo+bits.TrailingZeros64(w)]
+	i, j := 0, 0
+	for i < len(doc) && j < len(qt) {
+		switch d := doc[i].Token; {
+		case d == qt[j]:
+			dot += qw[j]
+			i++
+			j++
+		case d < qt[j]:
+			i++
+		default:
+			j++
 		}
 	}
 	return dot
 }
 
-// gallopCounts returns the smallest index i ≥ from with doc[i].Token ≥
-// t, or len(doc): the doubling seek of gallopKeys over a posting-count
-// slice.
-func gallopCounts(doc []tokenize.Count, from int, t tokenize.Token) int {
-	if from >= len(doc) || doc[from].Token >= t {
+// gallopTokens returns the smallest index i ≥ from with doc[i] ≥ t, or
+// len(doc): the doubling seek of gallopKeys over a token run.
+func gallopTokens(doc []tokenize.Token, from int, t tokenize.Token) int {
+	if from >= len(doc) || doc[from] >= t {
 		return from
 	}
 	lo, hi, step := from, from+1, 1
-	for hi < len(doc) && doc[hi].Token < t {
+	for hi < len(doc) && doc[hi] < t {
 		lo = hi
 		step <<= 1
 		hi += step
@@ -95,7 +86,7 @@ func gallopCounts(doc []tokenize.Count, from int, t tokenize.Token) int {
 	}
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if doc[mid].Token < t {
+		if doc[mid] < t {
 			lo = mid
 		} else {
 			hi = mid

@@ -8,8 +8,8 @@
 // The package is deliberately primitive: it knows nothing about
 // postings, scores or scratch pools. Core builds one Set per token on
 // the first TA/iTA query (replacing extendible-hash probes on the TA
-// random-access path), uses Mask for per-candidate list bitsets, and uses the Dot*
-// kernels for the canonical rescoring dot product. Every kernel
+// random-access path), uses Mask for per-candidate list bitsets, and uses
+// MatchTokens for the canonical rescore's document merge. Every kernel
 // preserves the visit order of the scalar loop it replaces, so floating
 // point sums come out bitwise identical — the property the sharded and
 // live engines' equivalence suites pin down.

@@ -285,7 +285,7 @@ func TestUpperAbsentMatchesScalar(t *testing.T) {
 func TestDotCountsMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
-		// Queries past 64 tokens take DotCounts' windowed path.
+		// Queries past 64 tokens, as for the match kernel.
 		nd, nq := r.Intn(400), r.Intn(12)
 		if trial%4 == 0 {
 			nq = 60 + r.Intn(90)
@@ -320,10 +320,10 @@ func TestDotCountsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMatchCountsMarksPositions checks the match kernel against a
-// scalar merge on both of its paths (sorted merge, galloping seek), for
-// queries inside one mask word and past it: exactly the positions at[j]
-// of the query tokens the document holds are set.
+// TestMatchCountsMarksPositions checks the match kernel, MatchTokens,
+// against a scalar merge on both of its paths (sorted merge, galloping
+// seek), for queries inside one mask word and past it: exactly the
+// positions at[j] of the query tokens the document holds are set.
 func TestMatchCountsMarksPositions(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
@@ -331,11 +331,11 @@ func TestMatchCountsMarksPositions(t *testing.T) {
 		if trial%3 == 0 {
 			nq = 60 + r.Intn(90)
 		}
-		doc := make([]tokenize.Count, 0, nd)
+		doc := make([]tokenize.Token, 0, nd)
 		tok := tokenize.Token(0)
 		for i := 0; i < nd; i++ {
 			tok += tokenize.Token(1 + r.Intn(5))
-			doc = append(doc, tokenize.Count{Token: tok, TF: 1})
+			doc = append(doc, tok)
 		}
 		qt := make([]tokenize.Token, 0, nq)
 		tok = 0
@@ -345,10 +345,10 @@ func TestMatchCountsMarksPositions(t *testing.T) {
 		}
 		at := r.Perm(nq)
 		m := Mask{Hi: make([]uint64, HiWords(nq))}
-		MatchCounts(doc, qt, at, &m)
+		MatchTokens(doc, qt, at, &m)
 		in := map[tokenize.Token]bool{}
-		for _, c := range doc {
-			in[c.Token] = true
+		for _, d := range doc {
+			in[d] = true
 		}
 		for j, tk := range qt {
 			if m.Has(at[j]) != in[tk] {

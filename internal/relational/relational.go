@@ -82,7 +82,7 @@ func Build(c *collection.Collection) *Engine {
 		if c.HasSource() {
 			e.baseBytes += int64(len(c.Source(collection.SetID(id))))
 		} else {
-			e.baseBytes += int64(len(c.Set(collection.SetID(id)))) * 4
+			e.baseBytes += int64(len(c.Tokens(collection.SetID(id)))) * 4
 		}
 	}
 

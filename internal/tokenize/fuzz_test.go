@@ -150,7 +150,7 @@ func FuzzCounts(f *testing.F) {
 	f.Add("ünïcödé wörds")
 	f.Fuzz(func(t *testing.T, s string) {
 		d := NewDict()
-		counts := Counts(d, WordTokenizer{}, s, nil)
+		counts := Counts(nil, d, WordTokenizer{}, s, nil)
 		emitted := len(WordTokenizer{}.Tokens(nil, s))
 		sum := 0
 		for i, c := range counts {

@@ -201,34 +201,30 @@ type Count struct {
 	TF    uint32
 }
 
-// Counts tokenizes s with tk, interns every token in d, and returns the
-// token-frequency pairs sorted by ascending Token. scratch, if non-nil,
-// holds the intermediate string tokens and keeps the grown buffer for the
-// next call; its contents are garbage afterwards.
-func Counts(d *Dict, tk Tokenizer, s string, scratch *[]string) []Count {
-	if scratch == nil {
-		scratch = new([]string)
+// Scratch holds the buffers Counts reuses from one call to the next: the
+// string tokens and their interned ids. The zero value is ready to use;
+// its contents are garbage between calls.
+type Scratch struct {
+	strs []string
+	ids  []Token
+}
+
+// Counts tokenizes s with tk, interns every token in d, and appends the
+// token-frequency pairs, sorted by ascending Token, to dst. It returns
+// dst unchanged when s has no tokens. sc, if non-nil, keeps the grown
+// intermediate buffers for the next call, so a warm caller appending
+// into a warm dst allocates nothing for a string whose tokens are all
+// interned.
+func Counts(dst []Count, d *Dict, tk Tokenizer, s string, sc *Scratch) []Count {
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	toks := tk.Tokens((*scratch)[:0], s)
-	*scratch = toks
-	if len(toks) == 0 {
-		return nil
+	sc.strs = tk.Tokens(sc.strs[:0], s)
+	sc.ids = sc.ids[:0]
+	for _, t := range sc.strs {
+		sc.ids = append(sc.ids, d.Intern(t))
 	}
-	ids := make([]Token, len(toks))
-	for i, t := range toks {
-		ids[i] = d.Intern(t)
-	}
-	sortTokens(ids)
-	out := make([]Count, 0, len(ids))
-	for i := 0; i < len(ids); {
-		j := i + 1
-		for j < len(ids) && ids[j] == ids[i] {
-			j++
-		}
-		out = append(out, Count{Token: ids[i], TF: uint32(j - i)})
-		i = j
-	}
-	return out
+	return appendRuns(dst, sc.ids)
 }
 
 // LookupCounts is like Counts but never mutates the dictionary: tokens of s
@@ -250,17 +246,22 @@ func LookupCounts(d *Dict, tk Tokenizer, s string, scratch []string) (counts []C
 	if len(ids) == 0 {
 		return nil, unknown
 	}
+	return appendRuns(make([]Count, 0, len(ids)), ids), unknown
+}
+
+// appendRuns sorts ids in place and appends one Count per distinct id,
+// its TF the id's multiplicity.
+func appendRuns(dst []Count, ids []Token) []Count {
 	sortTokens(ids)
-	counts = make([]Count, 0, len(ids))
 	for i := 0; i < len(ids); {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[i] {
 			j++
 		}
-		counts = append(counts, Count{Token: ids[i], TF: uint32(j - i)})
+		dst = append(dst, Count{Token: ids[i], TF: uint32(j - i)})
 		i = j
 	}
-	return counts, unknown
+	return dst
 }
 
 // sortTokens sorts a small token slice in place (insertion sort for short

@@ -149,7 +149,7 @@ func TestDictDenseIDs(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	d := NewDict()
-	counts := Counts(d, WordTokenizer{}, "Main St., Main", nil)
+	counts := Counts(nil, d, WordTokenizer{}, "Main St., Main", nil)
 	if len(counts) != 2 {
 		t.Fatalf("got %d distinct tokens, want 2 (counts=%v)", len(counts), counts)
 	}
@@ -164,7 +164,7 @@ func TestCounts(t *testing.T) {
 
 func TestCountsEmpty(t *testing.T) {
 	d := NewDict()
-	if got := Counts(d, WordTokenizer{}, "!!!", nil); got != nil {
+	if got := Counts(nil, d, WordTokenizer{}, "!!!", nil); got != nil {
 		t.Errorf("Counts of punctuation-only = %v, want nil", got)
 	}
 }
@@ -174,7 +174,7 @@ func TestCountsSorted(t *testing.T) {
 	// Pre-intern in an order that differs from appearance order below.
 	d.Intern("zz")
 	d.Intern("aa")
-	counts := Counts(d, WordTokenizer{}, "aa bb zz aa", nil)
+	counts := Counts(nil, d, WordTokenizer{}, "aa bb zz aa", nil)
 	for i := 1; i < len(counts); i++ {
 		if counts[i-1].Token >= counts[i].Token {
 			t.Fatalf("counts not strictly sorted: %v", counts)
@@ -184,7 +184,7 @@ func TestCountsSorted(t *testing.T) {
 
 func TestLookupCounts(t *testing.T) {
 	d := NewDict()
-	Counts(d, WordTokenizer{}, "alpha beta", nil)
+	Counts(nil, d, WordTokenizer{}, "alpha beta", nil)
 	counts, unknown := LookupCounts(d, WordTokenizer{}, "alpha gamma alpha", nil)
 	if unknown != 1 {
 		t.Errorf("unknown = %d, want 1", unknown)
@@ -231,7 +231,7 @@ func TestCountsQuickTFSum(t *testing.T) {
 		}
 		s := strings.Join(parts, " ")
 		d := NewDict()
-		counts := Counts(d, WordTokenizer{}, s, nil)
+		counts := Counts(nil, d, WordTokenizer{}, s, nil)
 		sum := 0
 		for _, c := range counts {
 			sum += int(c.TF)
@@ -254,10 +254,11 @@ func BenchmarkQGramTokens(b *testing.B) {
 func BenchmarkCounts(b *testing.B) {
 	d := NewDict()
 	tk := QGramTokenizer{Q: 3}
-	var scratch []string
+	var sc Scratch
+	var dst []Count
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Counts(d, tk, "benchmark string with words", &scratch)
+		dst = Counts(dst[:0], d, tk, "benchmark string with words", &sc)
 	}
 }
 
@@ -372,13 +373,34 @@ func TestTokensAllocations(t *testing.T) {
 // next, and Intern does not retain the document a new token came from.
 func TestCountsKeepsScratch(t *testing.T) {
 	d := NewDict()
-	var scratch []string
+	var sc Scratch
 	doc := "approximately"
-	Counts(d, QGramTokenizer{Q: 3}, doc, &scratch)
-	if cap(scratch) < len(doc)-2 {
-		t.Fatalf("scratch capacity %d after a call that produced %d grams", cap(scratch), len(doc)-2)
+	Counts(nil, d, QGramTokenizer{Q: 3}, doc, &sc)
+	if cap(sc.strs) < len(doc)-2 || cap(sc.ids) < len(doc)-2 {
+		t.Fatalf("scratch capacities %d, %d after a call that produced %d grams", cap(sc.strs), cap(sc.ids), len(doc)-2)
 	}
 	if g := d.String(0); unsafe.StringData(g) == unsafe.StringData(doc) {
 		t.Fatal("interned token aliases the document it was cut from")
+	}
+}
+
+// TestCountsAppends: Counts extends dst without touching its prefix,
+// and a warm call on interned tokens into a warm dst allocates nothing.
+func TestCountsAppends(t *testing.T) {
+	d := NewDict()
+	var sc Scratch
+	head := Count{Token: 9, TF: 3}
+	dst := Counts([]Count{head}, d, WordTokenizer{}, "b a b", &sc)
+	want := []Count{head, {Token: 0, TF: 2}, {Token: 1, TF: 1}}
+	if len(dst) != len(want) {
+		t.Fatalf("Counts = %v, want %v", dst, want)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("Counts = %v, want %v", dst, want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { dst = Counts(dst[:1], d, WordTokenizer{}, "b a b", &sc) }); got != 0 {
+		t.Errorf("warm Counts: %v allocs per run, want 0", got)
 	}
 }
