@@ -26,7 +26,6 @@
 // Escape hatches are explicit annotations, each requiring a reason:
 //
 //	//ssvet:nopoll <reason>     — this loop is exempt from ctxpoll
-//	//ssvet:floatexact <reason> — this ==/!= on floats is intentional
 //	//ssvet:coldalloc <reason>  — this allocation in a hot function is
 //	                              a guarded cold path
 //	//ssvet:nostats <reason>    — this posting loop's work is accounted
@@ -207,7 +206,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CtxPoll,
 		HotAlloc,
-		FloatEq,
 		LockScope,
 		StdlibOnly,
 		StatsAcct,

@@ -145,7 +145,6 @@ func testCorpusSuite(t *testing.T, dirname string) {
 func TestCtxPollCorpus(t *testing.T)     { testCorpus(t, CtxPoll, "ctxpoll") }
 func TestCtxPollLaxCorpus(t *testing.T)  { testCorpus(t, CtxPoll, "ctxpoll_lax") }
 func TestHotAllocCorpus(t *testing.T)    { testCorpus(t, HotAlloc, "hotalloc") }
-func TestFloatEqCorpus(t *testing.T)     { testCorpus(t, FloatEq, "floateq") }
 func TestLockScopeCorpus(t *testing.T)   { testCorpus(t, LockScope, "lockscope") }
 func TestStdlibOnlyCorpus(t *testing.T)  { testCorpus(t, StdlibOnly, "stdlibonly") }
 func TestStatsAcctCorpus(t *testing.T)   { testCorpus(t, StatsAcct, "statsacct") }

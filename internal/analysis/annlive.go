@@ -26,7 +26,6 @@ var AnnLive = &Analyzer{
 // knownVerbs are the annotation verbs the suite consumes.
 var knownVerbs = map[string]bool{
 	"nopoll":      true,
-	"floatexact":  true,
 	"coldalloc":   true,
 	"nostats":     true,
 	"hot":         true,
@@ -55,7 +54,7 @@ func runAnnLive(pass *Pass) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
 	for _, a := range dead {
 		if !knownVerbs[a.verb] {
-			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: atomicplain, coldalloc, cowfrozen, floatexact, hot, nopoll, nostats)", a.verb)
+			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: atomicplain, coldalloc, cowfrozen, hot, nopoll, nostats)", a.verb)
 			continue
 		}
 		pass.Reportf(a.pos, "//ssvet:%s annotation no longer suppresses any finding; remove the dead escape hatch", a.verb)

@@ -64,19 +64,6 @@ func bookkeeping(xs []int) int {
 	return s
 }
 
-// exactCompare's annotation is live: floateq would fire on the float ==.
-func exactCompare(a, b float64) bool {
-	//ssvet:floatexact corpus exercises an intentional exact comparison
-	return a == b
-}
-
-// intCompare compares ints; floateq never fires, so the annotation is
-// dead.
-func intCompare(a, b int) bool {
-	//ssvet:floatexact ints are exact anyway // want "no longer suppresses any finding"
-	return a == b
-}
-
 // typod misspells the verb: it can never suppress anything.
 func typod(cur *cursor) int {
 	n := 0

@@ -191,12 +191,11 @@ func (b *Builder) build(statsN int, dfFn func(token string) int) *Collection {
 	}
 	c.lens = make([]float64, c.NumSets())
 	for i := range c.lens {
-		var sum float64
+		var sum sim.SumSq
 		for _, t := range c.Tokens(SetID(i)) {
-			w := c.idf[t]
-			sum += w * w
+			sum.Add(c.idf[t] * c.idf[t])
 		}
-		c.lens[i] = sqrt(sum)
+		c.lens[i] = sum.Len()
 	}
 	if len(c.lens) > 0 {
 		c.avgTokens = float64(b.tokenCount) / float64(len(c.lens))
@@ -438,11 +437,4 @@ func (c *Collection) Validate() error {
 		}
 	}
 	return nil
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -602,10 +601,10 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	le.mutations++
 	// The insert-time normalized length, under the statistics as of this
 	// insert — exactly what a static build ending here would store.
-	var len2 float64
+	var sum sim.SumSq
 	for _, t := range toks {
 		w := sim.IDF(le.df[t], le.liveN)
-		len2 += w * w
+		sum.Add(w * w)
 	}
 	old := le.snap.Load()
 	// Fresh inserts hash-route: clustering them would need the (not yet
@@ -620,7 +619,7 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	// readers pinned on the old snapshot are bounded by its shorter
 	// slice header.
 	//ssvet:cowfrozen append past the pinned readers' slice headers; old snapshots never see the new element
-	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: toks, len: math.Sqrt(len2)})
+	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: toks, len: sum.Len()})
 	le.indexMemLocked(sh, pos, toks)
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	return id
@@ -901,7 +900,7 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 	le.mu.RLock()
 	snap := le.snap.Load()
 	idfSq := make([]float64, len(toks))
-	var len2 float64
+	var sum sim.SumSq
 	known := false
 	for i, t := range toks {
 		df := le.df[t]
@@ -910,13 +909,12 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 		}
 		w := sim.IDF(df, le.liveN)
 		idfSq[i] = w * w
-		len2 += idfSq[i]
+		sum.Add(idfSq[i])
 	}
 	// The memtable scan adds a document's summands in the order of
 	// toks: decreasing idf, the order of Query.Tokens (core/rescore.go).
 	// Ties keep string order where prepare breaks them by token id; no
 	// tie-break is needed, since equal-idf tokens add equal summands.
-	// len2 is summed above, in string order.
 	for i := 1; i < len(toks); i++ {
 		for j := i; j > 0 && idfSq[j-1] < idfSq[j]; j-- {
 			toks[j-1], toks[j] = toks[j], toks[j-1]
@@ -928,7 +926,7 @@ func (le *LiveEngine) Prepare(s string) LiveQuery {
 	lq := LiveQuery{
 		snap:  snap,
 		segQ:  make([][]Query, len(snap.shards)),
-		mem:   memQuery{toks: toks, idfSq: idfSq, qLen: math.Sqrt(len2), lists: lists},
+		mem:   memQuery{toks: toks, idfSq: idfSq, qLen: sum.Len(), lists: lists},
 		known: known,
 	}
 	for si := range snap.shards {

@@ -4,11 +4,11 @@
 // a token with it. Each position accumulates its summands
 // idf²/(len(q)·len(d)) in decreasing idf, the order every static
 // algorithm adds a set's weights in (core/rescore.go), so the order of
-// the summands does not depend on how tokens are named. The lengths
-// len(q) and len(d) are still summed in token-string order (Prepare,
-// Insert). Correctness does not
-// depend on the memtable being small, only latency does; the flush
-// threshold bounds it.
+// the summands does not depend on how tokens are named. Nor do the
+// lengths len(q) and len(d): each is one sim.SumSq, as a segment's are,
+// so a flush moves no score bit. Correctness does not depend on the
+// memtable being small, only latency does; the flush threshold bounds
+// it.
 package core
 
 import "repro/internal/sim"

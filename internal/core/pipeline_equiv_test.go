@@ -34,7 +34,9 @@ func buildPipelineCollection(docs []string) *collection.Collection {
 // order — across all nine algorithms, every engine shape, shard counts
 // 1/2/4/8, pruning on and off, and mutated as well as compacted live
 // states. Regenerate with SSFIXTURES=write only when a change is MEANT
-// to alter answers (none should).
+// to alter answers. The last such change made every length one
+// order-free sum (sim.SumSq), moving 128 of the 344 keys by ulps: 108
+// live, 16 sharded and 4 mono; no other change should.
 
 const pipelineFixturesPath = "testdata/pipeline_fixtures.json"
 

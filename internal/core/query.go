@@ -19,9 +19,11 @@ type QueryToken struct {
 
 // Query is a preprocessed query set. Tokens are distinct (IDF has set
 // semantics) and sorted by decreasing idf — the processing order SF and
-// Hybrid require; Len is the normalized length of Eq. 1, which includes
-// tokens unknown to the corpus (they are smoothed by sim.IDF, keeping
-// Theorem 1 valid for queries with out-of-vocabulary grams).
+// Hybrid require; Len is the normalized length of Eq. 1, one sim.SumSq
+// over every distinct token's idf², so it does not depend on how the
+// tokens are numbered. It includes tokens unknown to the corpus (they
+// are smoothed by sim.IDF, keeping Theorem 1 valid for queries with
+// out-of-vocabulary grams).
 type Query struct {
 	Tokens []QueryToken
 	Len    float64
@@ -85,19 +87,19 @@ func (e *Engine) prepare(counts []tokenize.Count, unknownDistinct int) Query {
 	// size into its weights, and the query must agree with it.
 	n := e.c.StatsN()
 	q := Query{Raw: counts}
-	var len2 float64
+	var sum sim.SumSq
 	for _, c := range counts {
 		w := sim.IDF(e.c.DF(c.Token), n)
 		q.Tokens = append(q.Tokens, QueryToken{Token: c.Token, IDF: w, IDFSq: w * w})
-		len2 += w * w
+		sum.Add(w * w)
 	}
 	// Unknown tokens have empty lists — they cannot contribute matches,
 	// but they lengthen the query exactly as Eq. 1 prescribes.
-	if unknownDistinct > 0 {
-		w := sim.IDF(0, n)
-		len2 += float64(unknownDistinct) * w * w
+	w := sim.IDF(0, n)
+	for range unknownDistinct {
+		sum.Add(w * w)
 	}
-	q.Len = math.Sqrt(len2)
+	q.Len = sum.Len()
 	sort.SliceStable(q.Tokens, func(i, j int) bool {
 		if q.Tokens[i].IDF != q.Tokens[j].IDF {
 			return q.Tokens[i].IDF > q.Tokens[j].IDF

@@ -18,10 +18,9 @@ import (
 // holds, added in query order, so the answer is bitwise the same
 // whatever the algorithm or the partition of the corpus. The order of
 // the summands does not depend on how tokens are numbered (equal-idf
-// tokens add equal summands), but the two lengths in the denominator
-// are float sums too, taken in token-id order (the collection's set
-// lengths, prepare's len(q)): a renumbering of tokens can still move a
-// score's last bit through a length.
+// tokens add equal summands), and neither do the two lengths in the
+// denominator: each is one sim.SumSq, exact in any order and rounded
+// once, so renumbering tokens moves no score bit.
 //
 // SF and top-k SF emit the sum they accumulated. TA and iTA probe every
 // other list for the id they surface and add their hits in list order,

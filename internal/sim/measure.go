@@ -37,20 +37,22 @@ func (IDFMeasure) Name() string { return "IDF" }
 // Score implements Measure.
 func (m IDFMeasure) Score(q, s []tokenize.Count) float64 {
 	n := m.Stats.NumSets()
-	var lenQ2, lenS2, dot float64
+	var sumQ, sumS SumSq
+	var dot float64
 	forEachAligned(q, s,
-		func(c tokenize.Count) { w := IDF(m.Stats.DF(c.Token), n); lenQ2 += w * w },
-		func(c tokenize.Count) { w := IDF(m.Stats.DF(c.Token), n); lenS2 += w * w },
+		func(c tokenize.Count) { w := IDF(m.Stats.DF(c.Token), n); sumQ.Add(w * w) },
+		func(c tokenize.Count) { w := IDF(m.Stats.DF(c.Token), n); sumS.Add(w * w) },
 		func(cq, cs tokenize.Count) {
 			w := IDF(m.Stats.DF(cq.Token), n)
-			lenQ2 += w * w
-			lenS2 += w * w
+			sumQ.Add(w * w)
+			sumS.Add(w * w)
 			dot += w * w
 		})
-	if lenQ2 <= 0 || lenS2 <= 0 {
+	lenQ, lenS := sumQ.Len(), sumS.Len()
+	if lenQ <= 0 || lenS <= 0 {
 		return 0
 	}
-	return dot / sqrt(lenQ2*lenS2)
+	return dot / (lenQ * lenS)
 }
 
 // TFIDFMeasure is classic length-normalized TF/IDF cosine similarity over
@@ -120,8 +122,8 @@ func (m BM25PrimeMeasure) Score(q, s []tokenize.Count) float64 {
 
 func (m BM25Measure) score(q, s []tokenize.Count, dropTF bool) float64 {
 	p := m.Params
-	//ssvet:floatexact zero-value sentinel: detects an unset Params struct, not a computed quantity
-	if p.K1 == 0 && p.B == 0 && p.K3 == 0 {
+	// An unset Params struct: no parameter is positive.
+	if p.K1 <= 0 && p.B <= 0 && p.K3 <= 0 {
 		p = DefaultBM25
 	}
 	n := m.Stats.NumSets()

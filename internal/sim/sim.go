@@ -8,6 +8,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // IDF computes the inverse-document-frequency weight of a token that
@@ -30,14 +31,55 @@ func IDF(df, n int) float64 {
 	return math.Log2(1 + float64(n)/d)
 }
 
-// Length returns the normalized length sqrt(Σ idf_i²) of a set given the
-// idf weights of its distinct tokens.
-func Length(idfs []float64) float64 {
-	var sum float64
-	for _, w := range idfs {
-		sum += w * w
+// SumSq accumulates the squared idf weights of one set or query into
+// its normalized length sqrt(Σ idf²), the denominator factor of Eq. 1.
+// The sum depends only on the multiset of summands, never on the order
+// they are added in: each Add is exact, into a 128-bit fixed-point
+// integer counting units of 2⁻⁵², and Len rounds once. An idf² of at
+// least 1 — every idf is, while N(t) ≤ N — is a whole number of units,
+// so the sum is exact; a smaller summand loses its fraction of a unit
+// on its own, which keeps the result order-free. Token numbering, a
+// memtable's string order and a segment's id order therefore all yield
+// the same length bits. The zero value is an empty sum.
+type SumSq struct{ hi, lo uint64 }
+
+// Add adds one summand, an idf². x must be finite, non-negative and
+// below 2⁷⁶, the accumulator's range; the largest idf²,
+// IDF(0, math.MaxInt)², is 2¹², one unit past a plain uint64's reach.
+func (s *SumSq) Add(x float64) {
+	if x < 0x1p11 { // idf < 45, as while N/N(t) < 2⁴⁵: x·2⁵² fits a signed word
+		var carry uint64
+		s.lo, carry = bits.Add64(s.lo, uint64(int64(x*0x1p52)), 0)
+		s.hi += carry
+		return
 	}
-	return math.Sqrt(sum)
+	s.addLarge(x)
+}
+
+// addLarge is Add for x ≥ 2¹¹. x = top·2¹² + r with 0 ≤ r < 2¹², both
+// parts exact: top counts 2⁶⁴ units, one high word, and r is below 2⁶⁴
+// units, one low word.
+func (s *SumSq) addLarge(x float64) {
+	top := uint64(x * 0x1p-12)
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64((x-float64(top)*0x1p12)*0x1p52), 0)
+	s.hi += top + carry
+}
+
+// Len returns the square root of the sum.
+func (s SumSq) Len() float64 { return math.Sqrt(s.sum()) }
+
+// sum returns the sum rounded once, to the nearest float64.
+func (s SumSq) sum() float64 {
+	// Keep the top 64 bits of the 128; a dropped one becomes a sticky
+	// low bit, below the rounding position of the 53 that survive the
+	// conversion.
+	n := bits.Len64(s.hi)
+	top := s.hi<<(64-n) | s.lo>>n
+	if s.lo<<(64-n) != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), n-52)
 }
 
 // ErrZeroLength reports a similarity evaluation against a zero-length

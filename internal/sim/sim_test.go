@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,12 +40,96 @@ func TestIDFEdgeCases(t *testing.T) {
 	}
 }
 
-func TestLength(t *testing.T) {
-	if got := Length(nil); got != 0 {
-		t.Errorf("Length(nil) = %g", got)
+// TestSumSq holds the length accumulator to a math/big sum of the same
+// idf² values, rounded once to float64 before the root, in shuffled
+// orders: zero summands, the unseen-token weight at the largest N (whose
+// square, 2¹², reaches the high word on its own), weights just below it
+// (whose sums carry out of the low word) and sums past 2⁶⁴ units all
+// included.
+func TestSumSq(t *testing.T) {
+	var zero SumSq
+	if got := zero.Len(); got != 0 {
+		t.Errorf("empty SumSq Len = %g", got)
 	}
-	if got := Length([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Length(3,4) = %g, want 5", got)
+	exact := func(xs []float64) float64 {
+		sum := new(big.Float).SetPrec(256)
+		for _, x := range xs {
+			sum.Add(sum, new(big.Float).SetFloat64(x))
+		}
+		f, _ := sum.Float64()
+		return f
+	}
+	add := func(xs []float64) SumSq {
+		var acc SumSq
+		for _, x := range xs {
+			acc.Add(x)
+		}
+		return acc
+	}
+	if got := add([]float64{9, 16}).Len(); got != 5 {
+		t.Errorf("Len(9+16) = %g, want 5", got)
+	}
+	rng := rand.New(rand.NewSource(44))
+	highWord := 0
+	for trial := 0; trial < 3000; trial++ {
+		xs := make([]float64, 1+rng.Intn(600))
+		for i := range xs {
+			var w float64
+			switch r := rng.Intn(20); {
+			case r == 0:
+				w = IDF(0, math.MaxInt)
+			case r == 1:
+				w = IDF(3, 0) // n = 0: a zero summand
+			case r < 5:
+				w = IDF(1+rng.Intn(64), math.MaxInt)
+			default:
+				n := 1 + rng.Intn(1<<uint(1+rng.Intn(40)))
+				w = IDF(rng.Intn(n+1), n)
+			}
+			xs[i] = w * w
+		}
+		want := exact(xs)
+		for pass := 0; pass < 2; pass++ {
+			acc := add(xs)
+			if acc.hi != 0 {
+				highWord++
+			}
+			if got := acc.sum(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d pass %d: sum = %v, exact sum rounded once = %v", trial, pass, got, want)
+			}
+			if got := acc.Len(); got != math.Sqrt(want) {
+				t.Fatalf("trial %d pass %d: Len = %v, want %v", trial, pass, got, math.Sqrt(want))
+			}
+			rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		}
+	}
+	if highWord == 0 {
+		t.Fatal("no trial reached the high word")
+	}
+	if one := add([]float64{IDF(0, math.MaxInt) * IDF(0, math.MaxInt)}); one.hi == 0 {
+		t.Error("IDF(0, MaxInt)² did not reach the high word")
+	}
+	// 2⁶⁴ + 2¹¹ + 1 units: the top 64 bits end in a tie that only the
+	// sticky bit of the dropped one breaks upwards.
+	if xs := []float64{4096, 0x1p-41, 0x1p-52}; add(xs).sum() != exact(xs) {
+		t.Error("a dropped low bit did not break a rounding tie")
+	}
+	// Summands up to the 128-bit range: 2⁷⁰ is 2¹²² units.
+	if xs := []float64{0x1p70, 3, 0x1.8p65, 0x1p-52}; add(xs).sum() != exact(xs) {
+		t.Errorf("large summands: sum = %v, want %v", add(xs).sum(), exact(xs))
+	}
+	// A summand's fraction of a unit is dropped summand by summand, so
+	// even sums of such summands are order-free.
+	if got := add([]float64{1, 0x1.8p-53, 0x1.8p-53}).sum(); got != 1 {
+		t.Errorf("1 + two 0.75 units = %v, want 1", got)
+	}
+	small := []float64{0.3, 1e-17, 0x1p-53, 2.5, 1e-300, 7}
+	first := add(small)
+	for pass := 0; pass < 20; pass++ {
+		rng.Shuffle(len(small), func(i, j int) { small[i], small[j] = small[j], small[i] })
+		if acc := add(small); acc != first {
+			t.Fatalf("order changed a sum of sub-unit summands: %v vs %v", acc.sum(), first.sum())
+		}
 	}
 }
 
