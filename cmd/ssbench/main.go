@@ -131,6 +131,7 @@ func runFig5(env *experiments.Env) {
 	t.AddRow("composite B-tree", eval.Bytes(z.Relational.BTree), "SQL")
 	t.AddRow("inverted lists (by weight)", eval.Bytes(z.Lists.WeightLists), "sort-by-id/TA/NRA/iTA/iNRA/SF/Hybrid")
 	t.AddRow("skip lists", eval.Bytes(z.Lists.SkipIndexes), "iTA/iNRA/SF/Hybrid")
+	t.AddRow("dense-list bitmaps", eval.Bytes(z.Lists.Bitmaps), "SF")
 	t.AddRow("extendible hashing", eval.Bytes(z.ExtHash), "TA/iTA")
 	fmt.Println(t)
 }

@@ -24,8 +24,9 @@ import (
 //     can never observe cancellation (the gramRows class of bug).
 //
 // A loop is "advancing" when it calls a cursor-advance method (next,
-// Next, SeekLen, mergeAdvance), indexes or ranges over a []Posting, or
-// scans the whole collection (NumSets in its condition). Bounded
+// Next, SeekLen, mergeAdvance), indexes or ranges over a []Posting or a
+// posting-arena column (PostingIDs, PostingLens), or scans the whole
+// collection (NumSets in its condition). Bounded
 // bookkeeping loops are exempt by construction; a genuinely bounded scan
 // is annotated //ssvet:nopoll <reason>.
 var CtxPoll = &Analyzer{
@@ -173,9 +174,21 @@ func loopAdvances(info *types.Info, loop ast.Stmt) bool {
 	return adv
 }
 
+// postingColumns are the named column types of a posting arena, which
+// hot loops index instead of a []Posting.
+var postingColumns = map[string]bool{
+	"PostingIDs":  true,
+	"PostingLens": true,
+}
+
+// isPostingSlice reports whether t holds postings: a []Posting, or a
+// column of a posting arena (PostingIDs, PostingLens).
 func isPostingSlice(t types.Type) bool {
 	if t == nil {
 		return false
+	}
+	if postingColumns[namedTypeName(t)] {
+		return true
 	}
 	sl, ok := t.Underlying().(*types.Slice)
 	if !ok {

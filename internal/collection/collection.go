@@ -339,10 +339,13 @@ func (c *Collection) TokenOffsets() []uint32 {
 // token of a set, calls put with the next free slot of that token's
 // bucket. Each bucket therefore receives its set ids in visiting order,
 // which is how the index builders obtain sorted lists without sorting
-// them.
+// them. The fill allocates nothing: off, shifted up one place, is its
+// cursor table — off[t+1] starts at token t's bucket start and each put
+// advances it, so it ends at the bucket's end, which is off[t+1] again.
+// off is therefore only valid once FillBuckets has returned.
 func (c *Collection) FillBuckets(off []uint32, order []SetID, put func(slot uint32, id SetID)) {
-	next := make([]uint32, len(c.df))
-	copy(next, off)
+	copy(off[1:], off[:len(off)-1])
+	next := off[1:]
 	visit := func(id SetID) {
 		for _, t := range c.Tokens(id) {
 			put(next[t], id)

@@ -94,8 +94,9 @@ type Stats struct {
 	// ListTotal is the combined length of the query tokens' lists (the
 	// denominator of pruning power).
 	ListTotal int
-	// RandomProbes counts membership probes on the TA-family random
-	// access path (packed-bitmap Contains tests).
+	// RandomProbes counts membership probes: the TA family's random
+	// accesses (packed-bitmap Contains tests) and SF's bit tests that
+	// complete candidates on dense lists.
 	RandomProbes int
 	// CandidateScans counts candidate-set sweep passes.
 	CandidateScans int
@@ -121,11 +122,14 @@ func (s Stats) PruningPower() float64 {
 }
 
 // Engine ties a collection to its indexes and runs selection queries.
-// NewEngine builds only the inverted lists; what only TA/iTA or SQL
-// read is built by the first query that needs it (see buildFor).
+// NewEngine builds only the inverted lists and the bitmaps of the dense
+// ones; what only TA/iTA or SQL read is built by the first query that
+// needs it (see buildFor).
 type Engine struct {
 	c     *collection.Collection
 	store invlist.Store
+	// dense holds the membership bitmaps SF completes dense lists with.
+	dense denseLists
 	// member holds one word-packed membership bitmap per token, TA/iTA's
 	// random access; built under memberOnce by the first TA/iTA query.
 	member     []kernel.Set
@@ -156,12 +160,14 @@ type Config struct {
 	NoRoute bool
 }
 
-// NewEngine builds the inverted lists for c per cfg.
+// NewEngine builds the inverted lists for c per cfg, and the bitmaps of
+// the dense ones whatever store holds them.
 func NewEngine(c *collection.Collection, cfg Config) *Engine {
 	e := &Engine{c: c, store: cfg.Store, m: metrics.NewRegistry()}
 	if e.store == nil {
 		e.store = invlist.BuildMem(c, cfg.SkipInterval)
 	}
+	e.dense = buildDense(c, e.store)
 	e.wireCacheMetrics()
 	return e
 }
@@ -230,6 +236,14 @@ func (e *Engine) Collection() *collection.Collection { return e.c }
 
 // Store exposes the inverted-list store.
 func (e *Engine) Store() invlist.Store { return e.store }
+
+// Sizes reports the storage of the engine's lists: the store's, plus the
+// bitmaps of the dense lists.
+func (e *Engine) Sizes() invlist.Sizes {
+	z := e.store.Sizes()
+	z.Bitmaps = int64(len(e.dense.bits)) * 8
+	return z
+}
 
 // RelationalSizes exposes the SQL baseline's storage accounting,
 // building its tables if no SQL query has yet.

@@ -192,9 +192,9 @@ func (h *headModel) check(when string) {
 		}
 		var under invlist.Posting
 		var valid bool
-		if l.mem != nil {
-			if valid = l.pos < len(l.mem); valid {
-				under = l.mem[l.pos]
+		if l.ids != nil {
+			if valid = l.pos < len(l.ids); valid {
+				under = invlist.Posting{ID: collection.SetID(l.ids[l.pos]), Len: l.lens[l.pos]}
 			}
 		} else if valid = l.cur.Valid(); valid {
 			under = l.cur.Posting()

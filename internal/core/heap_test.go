@@ -25,8 +25,9 @@ func retainedHeap() int64 {
 // of postings per list, the shape where per-list overhead rather than
 // postings decides the footprint (a pointer skip list per list once cost
 // 52 of 55 MB on a store like this). The heap the build adds may exceed
-// what remains once the stores are dropped — collections, dictionary,
-// summaries — by at most 1.5× the accounted index size.
+// what remains once the stores and the dense lists' bitmaps are dropped —
+// collections, dictionary, summaries — by at most 1.5× the accounted
+// index size.
 func TestShardedIndexRetainedHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not comparable under the race detector")
@@ -44,8 +45,8 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 
 	var index int64
 	for i := 0; i < se.NumShards(); i++ {
-		index += se.Shard(i).Store().Sizes().Total()
-		se.shards[i].store = nil
+		index += se.Shard(i).Sizes().Total()
+		se.shards[i].store, se.shards[i].dense = nil, denseLists{}
 	}
 	rest := retainedHeap()
 	runtime.KeepAlive(se)
@@ -57,12 +58,13 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 }
 
 // TestListsOnlyRetainsOnePostingArena holds what a default engine keeps
-// alive to one copy of its postings: Config{} builds the lists only, and
-// TA's bitmaps and SQL's tables wait for their first query. The heap the
-// build adds may exceed what remains once the store is dropped by the
-// 16-byte postings of every list, the two offset tables and the skip
-// samples, plus the allocator's rounding of those four arrays to whole
-// pages. A second posting arena (an id-sorted copy of every list), the
+// alive to one copy of its postings: Config{} builds the lists (and the
+// dense lists' bitmaps, which stay with the engine), and TA's bitmaps and
+// SQL's tables wait for their first query. The heap the build adds may
+// exceed what remains once the store is dropped by 16 bytes for every
+// posting (the arena's two columns take 12), the two offset tables and
+// the skip samples, plus the allocator's rounding of those four arrays
+// to whole pages. A second posting arena (an id-sorted copy of every list), the
 // bitmaps or the tables do not fit. The race detector's
 // shadow memory lies outside the Go heap, so the bound holds under it.
 func TestListsOnlyRetainsOnePostingArena(t *testing.T) {

@@ -51,6 +51,7 @@ type queryScratch struct {
 	results []Result // result accumulator; copied out before pooling
 
 	merge   []mergeEntry            // sort-by-id merge heap
+	msrc    []mergeSrc              // its lists' read state
 	relToks []relational.QueryToken // SQL baseline's converted tokens
 	kth     kthBound                // top-k rising bound
 	strs    []string                // Prepare's raw token buffer

@@ -107,7 +107,7 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			// instead of seek", keeps the paper's sequential completion.
 			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
 				var ok bool
-				if next, ok = completeSF(cc, l, c[m:], next, q.Len, suffix[i], suffix[i+1], tau, nil, nil, stats); !ok {
+				if next, ok = completeSF(cc, l, e.dense.of(q.Tokens[i].Token), c[m:], next, q.Len, suffix[i], suffix[i+1], tau, nil, nil, stats); !ok {
 					s.sfc, s.sfn = c, next
 					return nil, cc.err
 				}
@@ -156,18 +156,25 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 // the list can admit nothing — the caller has seen the admission test
 // itself fail on the frontier posting, which µᵢ restates up to rounding —
 // and the paper's SF reads on only to complete the candidates it already
-// holds, a few of which lie among very many postings of no interest. The
-// unpassed tail of C, rest, and the list are both in (len, id) order, so
-// completeSF intersects them by seeking the list to each candidate in
-// turn. A candidate that misses τ even with this list's full weight, mass,
-// is dropped unsought; one found receives the summand the sequential scan
-// would have added, so scores are bitwise the same; the candidates the
-// list ends before are absent from it. Each settled candidate is appended
-// to next when it stays viable against the remaining lists' mass, after.
-// tau is the fixed threshold of a selection; with bound set it is the
-// rising top-k threshold instead, re-read for every candidate and offered
-// each completed lower bound. Reports false when cancelled.
-func completeSF(cc *canceller, l *listState, rest, next []sfCand, lenQ, mass, after, tau float64, bound *kthBound, shared *sharedTau, stats *Stats) ([]sfCand, bool) {
+// holds, a few of which lie among very many postings of no interest. A
+// candidate that misses τ even with this list's full weight, mass, is
+// dropped untested. bits is the list's membership bitmap when the list
+// is dense (Engine.dense), nil otherwise. On a dense list each other
+// candidate is settled by one bit test, counted as a random probe: the
+// unpassed tail of C, rest, lies at or past the frontier, so the bitmap
+// holds a candidate exactly when the rest of the list does. On any other
+// list rest and the list are both in (len, id) order, so completeSF
+// intersects them by seeking the list to each candidate in turn — unless
+// the frontier is already there, which the head test settles for one
+// comparison and seekTo's charge; the candidates the list ends before are
+// absent from it. A candidate found receives the summand the sequential
+// scan would have added, so scores are bitwise the same. Each settled
+// candidate is appended to next when it stays viable against the
+// remaining lists' mass, after. tau is the fixed threshold of a
+// selection; with bound set it is the rising top-k threshold instead,
+// re-read for every candidate and offered each completed lower bound.
+// Reports false when cancelled.
+func completeSF(cc *canceller, l *listState, bits []uint64, rest, next []sfCand, lenQ, mass, after, tau float64, bound *kthBound, shared *sharedTau, stats *Stats) ([]sfCand, bool) {
 	charged := l.pos
 	for j, cand := range rest {
 		if cc.stop() {
@@ -179,15 +186,28 @@ func completeSF(cc *canceller, l *listState, rest, next []sfCand, lenQ, mass, af
 		if !sim.Meets(cand.lower+mass/(lenQ*cand.len), tau) {
 			continue
 		}
-		if !l.seekTo(cc, cand.len, cand.id, &charged, stats) {
-			return next, false
+		found := false
+		if bits != nil {
+			stats.RandomProbes++
+			found = has(bits, cand.id)
+		} else {
+			if precedes(l.head, cand.len, cand.id) {
+				if !l.seekTo(cc, cand.len, cand.id, &charged, stats) {
+					return next, false
+				}
+			} else if l.ids != nil && !l.ended() && l.pos >= charged {
+				// What seekTo charges for a search its first comparison ends.
+				stats.ElementsRead++
+				charged = l.pos + 1
+			}
+			p, ok := l.frontier()
+			if !ok {
+				return keepViable(cc, rest[j:], next, lenQ, after, tau)
+			}
+			found = p.ID == cand.id
 		}
-		p, ok := l.frontier()
-		if !ok {
-			return keepViable(cc, rest[j:], next, lenQ, after, tau)
-		}
-		if p.ID == cand.id {
-			cand.lower += l.w(lenQ, p.Len)
+		if found {
+			cand.lower += l.w(lenQ, cand.len)
 			if bound != nil {
 				offerShared(bound, shared, cand.id, cand.lower)
 			}

@@ -259,7 +259,7 @@ func TestSFCompletionSeeks(t *testing.T) {
 				}
 				cc := &canceller{ctx: ctx, n: 1}
 				var st Stats
-				kept, done := completeSF(cc, &l, rest, nil, 1, tok.IDFSq, 0, minPositiveTau, nil, nil, &st)
+				kept, done := completeSF(cc, &l, nil, rest, nil, 1, tok.IDFSq, 0, minPositiveTau, nil, nil, &st)
 
 				last := collection.SetID(n - 1)
 				rs, rl := &queryScratch{}, open()

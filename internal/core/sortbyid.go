@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/collection"
 	"repro/internal/invlist"
 )
 
@@ -17,16 +18,17 @@ import (
 // copy of the lists is kept for this one algorithm.
 //
 // The heap is hand-rolled over the scratch's mergeEntry slab (container/
-// heap boxes every Push/Pop through interface{}), each entry caches its
-// head posting, and MemStore lists are iterated as raw slices.
+// heap boxes every Push/Pop through interface{}). Each entry caches its
+// head posting and points at its list's read state in the scratch's
+// mergeSrc slab, so a sift moves 32 bytes per entry; MemStore lists are
+// iterated as raw columns.
 func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau float64, stats *Stats) ([]Result, error) {
 	sortQueryTokens(s, q)
 	reuser, _ := e.store.(invlist.CursorReuser)
 	for len(s.wcurs) < len(q.Tokens) {
 		s.wcurs = append(s.wcurs, nil)
 	}
-	h := s.merge[:0]
-	defer func() { s.merge = h[:0] }()
+	srcs := s.msrc[:0]
 	for i, qt := range q.Tokens {
 		var cur invlist.Cursor
 		if reuser != nil {
@@ -35,14 +37,19 @@ func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau flo
 			cur = e.store.WeightCursor(qt.Token)
 		}
 		s.wcurs[i] = cur
-		ent := mergeEntry{cur: cur, idfSq: qt.IDFSq}
-		if list, pos, ok := invlist.RawPostings(cur); ok {
-			ent.mem, ent.pos = list, pos
+		src := mergeSrc{cur: cur}
+		if ids, lens, pos, ok := invlist.RawPostings(cur); ok {
+			src.ids, src.lens, src.pos = ids, lens, pos
 		}
-		if ent.valid() {
-			ent.head = ent.posting()
+		srcs = append(srcs, src)
+	}
+	s.msrc = srcs
+	h := s.merge[:0]
+	defer func() { s.merge = h[:0] }()
+	for i := range srcs {
+		if src := &srcs[i]; src.valid() {
 			stats.ElementsRead++
-			h = append(h, ent)
+			h = append(h, mergeEntry{head: src.posting(), idfSq: q.Tokens[i].IDFSq, src: src})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -80,46 +87,54 @@ func (e *Engine) selectSortByID(s *queryScratch, cc *canceller, q Query, tau flo
 	return out, nil
 }
 
-// mergeEntry is one list head in the multiway merge. For MemStore lists
-// mem/pos iterate the raw posting slice; head caches the current posting
-// so heap comparisons never touch the cursor interface.
+// mergeEntry is one list head in the multiway merge: the head posting,
+// cached so heap comparisons never touch the list, the list's idf², and
+// its read state.
 type mergeEntry struct {
-	cur   invlist.Cursor
-	mem   []invlist.Posting
-	pos   int
 	head  invlist.Posting
 	idfSq float64
+	src   *mergeSrc
 }
 
-func (ent *mergeEntry) valid() bool {
-	if ent.mem != nil {
-		return ent.pos < len(ent.mem)
+// mergeSrc is the read state of one merged list. For MemStore lists
+// ids/lens/pos iterate the raw arena columns; other lists go through the
+// cursor.
+type mergeSrc struct {
+	cur  invlist.Cursor
+	ids  invlist.PostingIDs
+	lens invlist.PostingLens
+	pos  int
+}
+
+func (m *mergeSrc) valid() bool {
+	if m.ids != nil {
+		return m.pos < len(m.ids)
 	}
-	return ent.cur.Valid()
+	return m.cur.Valid()
 }
 
-func (ent *mergeEntry) posting() invlist.Posting {
-	if ent.mem != nil {
-		return ent.mem[ent.pos]
+func (m *mergeSrc) posting() invlist.Posting {
+	if m.ids != nil {
+		return invlist.Posting{ID: collection.SetID(m.ids[m.pos]), Len: m.lens[m.pos]}
 	}
-	return ent.cur.Posting()
+	return m.cur.Posting()
 }
 
-func (ent *mergeEntry) next() {
-	if ent.mem != nil {
-		ent.pos++
+func (m *mergeSrc) next() {
+	if m.ids != nil {
+		m.pos++
 		return
 	}
-	ent.cur.Next()
+	m.cur.Next()
 }
 
 // mergeAdvance advances the root list, pops it if exhausted, and restores
 // the heap order. It returns the (possibly shortened) heap slice.
 func mergeAdvance(h []mergeEntry, stats *Stats) []mergeEntry {
 	ent := &h[0]
-	ent.next()
-	if ent.valid() {
-		ent.head = ent.posting()
+	ent.src.next()
+	if ent.src.valid() {
+		ent.head = ent.src.posting()
 		stats.ElementsRead++
 	} else {
 		n := len(h) - 1

@@ -10,9 +10,10 @@ import (
 
 // listState is the per-list scan state shared by the sorted-access
 // algorithms: a weight-sorted cursor plus its frontier. For MemStore
-// cursors the raw posting slice is captured once at open time (mem/pos),
-// so the per-posting hot loop is an indexed slice read with no interface
-// dispatch; disk-backed cursors fall back to the Cursor interface.
+// cursors the arena's two columns are captured once at open time
+// (ids/lens/pos), so the per-posting hot loop is an indexed slice read
+// with no interface dispatch; disk-backed cursors fall back to the Cursor
+// interface.
 //
 // head is the frontier itself, kept as a field the way mergeEntry.head is
 // the merge's: the next unread posting, or endOfList once the list has
@@ -21,11 +22,14 @@ import (
 // plain loads. A finished list is never moved again: a move would reload
 // head and bring the list back.
 type listState struct {
-	cur   invlist.Cursor
-	mem   []invlist.Posting // raw in-memory list; nil → interface path
-	pos   int               // current index into mem
-	idfSq float64
+	// The fields every admission reads of every list come first, on one
+	// cache line.
 	head  invlist.Posting
+	idfSq float64
+	pos   int                 // current index into ids and lens
+	ids   invlist.PostingIDs  // raw in-memory list's ids; nil → interface path
+	lens  invlist.PostingLens // and their lengths
+	cur   invlist.Cursor
 }
 
 // endOfList is the head of an ended list. Its infinite length lies past
@@ -33,17 +37,23 @@ type listState struct {
 // list, and it fails every frontier bound's p.Len ≤ hi.
 var endOfList = invlist.Posting{Len: math.Inf(1)}
 
-// attach takes up the cursor at its current position: its raw slice, when
-// it has one, and its head.
+// attach takes up the cursor at its current position: its raw columns,
+// when it has them, and its head.
 func (l *listState) attach() {
-	list, pos, ok := invlist.RawPostings(l.cur)
+	ids, lens, pos, ok := invlist.RawPostings(l.cur)
 	if !ok {
 		l.load()
 		return
 	}
-	l.mem, l.pos = list, pos
-	if pos < len(list) {
-		l.head = list[pos]
+	l.ids, l.lens = ids, lens
+	l.setPos(pos)
+}
+
+// setPos moves a raw list to position pos and loads its head.
+func (l *listState) setPos(pos int) {
+	l.pos = pos
+	if pos < len(l.ids) {
+		l.head = invlist.Posting{ID: collection.SetID(l.ids[pos]), Len: l.lens[pos]}
 	} else {
 		l.head = endOfList
 	}
@@ -61,13 +71,8 @@ func (l *listState) load() {
 
 // next advances to the following entry.
 func (l *listState) next() {
-	if l.mem != nil {
-		l.pos++
-		if l.pos < len(l.mem) {
-			l.head = l.mem[l.pos]
-		} else {
-			l.head = endOfList
-		}
+	if l.ids != nil {
+		l.setPos(l.pos + 1)
 		return
 	}
 	l.cur.Next()
@@ -100,7 +105,7 @@ func (l *listState) ended() bool { return l.head.Len > math.MaxFloat64 }
 // *charged counts them (the caller starts it at pos), and a later search
 // that compares one of them again does not charge it again.
 func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, charged *int, stats *Stats) bool {
-	if l.mem == nil {
+	if l.ids == nil {
 		// Forward-only seek: the caller visits C in (len, id) order, so the targets never decrease.
 		skipped, walked := l.cur.SeekLen(setLen)
 		stats.ElementsSkipped += skipped
@@ -117,11 +122,11 @@ func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, c
 		return true
 	}
 	// Everything below lo precedes the target; the answer is in [lo, hi].
-	list, lo, hi := l.mem, l.pos, l.pos
+	ids, lens, lo, hi := l.ids, l.lens, l.pos, l.pos
 	old, top, read := *charged, *charged, stats.ElementsRead
 	for step := 1; ; step *= 2 {
-		if hi >= len(list) {
-			hi = len(list)
+		if hi >= len(ids) {
+			hi = len(ids)
 			break
 		}
 		if cc.stop() {
@@ -131,7 +136,7 @@ func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, c
 			stats.ElementsRead++
 			top = hi + 1
 		}
-		if !precedes(list[hi], setLen, id) {
+		if !precedesAt(lens[hi], ids[hi], setLen, id) {
 			break
 		}
 		lo = hi + 1
@@ -146,18 +151,13 @@ func (l *listState) seekTo(cc *canceller, setLen float64, id collection.SetID, c
 			stats.ElementsRead++
 			top = max(top, mid+1)
 		}
-		if precedes(list[mid], setLen, id) {
+		if precedesAt(lens[mid], ids[mid], setLen, id) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	l.pos = lo
-	if lo < len(list) {
-		l.head = list[lo]
-	} else {
-		l.head = endOfList
-	}
+	l.setPos(lo)
 	top = max(top, lo)
 	stats.ElementsSkipped += top - old - (stats.ElementsRead - read)
 	*charged = top
@@ -223,7 +223,7 @@ func (e *Engine) openLists(s *queryScratch, cc *canceller, q Query, lo float64, 
 				stats.ElementsRead += walked
 			}
 		}
-		// Attach after seeking so mem/pos and the head reflect the
+		// Attach after seeking so ids/lens/pos and the head reflect the
 		// cursor's final position.
 		s.lists = append(s.lists, listState{cur: cur, idfSq: qt.IDFSq})
 		s.lists[len(s.lists)-1].attach()
@@ -245,6 +245,14 @@ func beforeOrAt(a invlist.Posting, len float64, id collection.SetID) bool {
 // the position's id is the position itself.
 func precedes(a invlist.Posting, len float64, id collection.SetID) bool {
 	return a.ID != id && beforeOrAt(a, len, id)
+}
+
+// precedesAt is precedes for the raw-list posting of length pl and id pid.
+func precedesAt(pl float64, pid uint32, len float64, id collection.SetID) bool {
+	if pl != len {
+		return pl < len
+	}
+	return collection.SetID(pid) < id
 }
 
 // selectTA implements the Threshold Algorithm with random accesses: on

@@ -297,7 +297,7 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, lv *live
 			}
 			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
 				var ok bool
-				if next, ok = completeSF(cc, l, c[m:], next, q.Len, suffix[i], suffix[i+1], tau, bound, shared, stats); !ok {
+				if next, ok = completeSF(cc, l, e.dense.of(q.Tokens[i].Token), c[m:], next, q.Len, suffix[i], suffix[i+1], tau, bound, shared, stats); !ok {
 					s.sfc, s.sfn = c, next
 					return nil, cc.err
 				}

@@ -9,8 +9,9 @@ import (
 
 // Fig5Sizes itemizes the index storage of Fig. 5: the SQL approach (base
 // table, q-gram table, composite clustered B-tree) versus the inverted-
-// list approaches (the lists, skip lists, and the paper's extendible
-// hashing for TA/iTA's random access, built here only to be sized).
+// list approaches (the lists, skip lists, the membership bitmaps SF
+// completes dense lists with, and the paper's extendible hashing for
+// TA/iTA's random access, built here only to be sized).
 type Fig5Sizes struct {
 	Relational relational.Sizes
 	Lists      invlist.Sizes
@@ -21,7 +22,7 @@ type Fig5Sizes struct {
 func Fig5(env *Env) Fig5Sizes {
 	return Fig5Sizes{
 		Relational: env.E.RelationalSizes(),
-		Lists:      env.E.Store().Sizes(),
+		Lists:      env.E.Sizes(),
 		ExtHash:    extHashBytes(env.C, 0),
 	}
 }

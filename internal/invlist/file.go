@@ -22,7 +22,7 @@ const (
 	recSkips    = "skips"
 	recSkipOff  = "skipoff"
 	recByID     = "byid"                                 // retired id-sorted arena; refused at open
-	postingSize = 16                                     // bytes per Posting, in memory and in an arena record
+	postingSize = 16                                     // bytes per posting in an arena record and a decoded block
 	perBlock    = segpack.DefaultBlockSize / postingSize // postings per checksum block: the read and cache unit
 	cacheBlocks = 64                                     // block-cache budget: 4 MiB decoded, 4 blocks a shard
 )
@@ -52,22 +52,24 @@ func WriteFile(path string, c *collection.Collection, skipInterval int) error {
 	if err != nil {
 		return err
 	}
-	for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.weight)} {
+	for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.ids)} {
 		w.SetMeta(metaKeys[i], []byte(strconv.Itoa(v)))
 	}
 	// The writer's errors are sticky and Close reports the first.
-	w.AddRecord(recWeight, encodePostings(ms.weight))
+	w.AddRecord(recWeight, encodePostings(ms.ids, ms.lens))
 	w.AddRecord(recOff, encodeTable(ms.off))
 	w.AddRecord(recSkips, encodeTable(ms.skips))
 	w.AddRecord(recSkipOff, encodeTable(ms.skipOff))
 	return w.Close()
 }
 
-func encodePostings(ps []Posting) []byte {
-	b := make([]byte, 0, len(ps)*postingSize)
-	for _, p := range ps {
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.ID))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Len))
+// encodePostings lays out an arena's columns as the record's 16-byte
+// postings.
+func encodePostings(ids PostingIDs, lens PostingLens) []byte {
+	b := make([]byte, 0, len(ids)*postingSize)
+	for i, id := range ids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(lens[i]))
 	}
 	return b
 }
@@ -95,7 +97,7 @@ func encodeTable(v any) []byte {
 // readers: cursors hold their own position and the cache is synchronized.
 type FileStore struct {
 	pack  *segpack.FileReader
-	m     MemStore // weight stays nil
+	m     MemStore // ids and lens stay nil
 	sets  int
 	cache *blockCache
 }
@@ -142,7 +144,7 @@ func (s *FileStore) load() error {
 		return err
 	}
 	arena := int64(postings) * postingSize
-	m.sizes = Sizes{WeightLists: arena, SkipIndexes: int64(len(m.skips)) * skipSampleBytes}
+	m.account(postings)
 	ok := m.interval > 0 && s.pack.BlockSize() == segpack.DefaultBlockSize &&
 		len(m.off)-1 == tokens && len(m.skipOff)-1 == tokens &&
 		m.off[0] == 0 && int(m.off[tokens]) == postings &&

@@ -8,10 +8,11 @@
 // of keeping a second, id-sorted copy. The skip index is static: the
 // length of every SkipInterval-th posting, binary-searched.
 //
-// Two stores are provided. MemStore keeps the lists in memory as four
-// flat slices: the posting arena, its offset table, one arena of skip
-// samples and its offset table. FileStore serves the same four slices
-// from a list file, which is one segment package (internal/segpack)
+// Two stores are provided. MemStore keeps the lists in memory as flat
+// slices: the posting arena, held as two columns (4-byte set ids,
+// PostingIDs, beside 8-byte lengths, PostingLens), its offset table, one
+// arena of skip samples and its offset table. FileStore serves the same
+// lists from a list file, which is one segment package (internal/segpack)
 // holding them as four fixed-width little-endian records:
 //
 //	weight   postings × 16 B (id u64, len float64 bits), (Len, ID) order
@@ -73,16 +74,16 @@ type CursorReuser interface {
 	WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor
 }
 
-// RawPostings exposes the backing slice and current position of a cursor
-// that wraps a plain in-memory posting slice (MemStore cursors). Hot
-// loops use it to iterate postings by index, without one interface
-// dispatch per posting. ok is false for disk-backed cursors; callers
-// must fall back to the Cursor interface.
-func RawPostings(c Cursor) (list []Posting, pos int, ok bool) {
+// RawPostings exposes the backing columns and current position of a
+// cursor over an in-memory posting arena (MemStore cursors): posting i is
+// the set ids[i] of length lens[i]. Hot loops use it to iterate postings
+// by index, without one interface dispatch per posting. ok is false for
+// disk-backed cursors; callers must fall back to the Cursor interface.
+func RawPostings(c Cursor) (ids PostingIDs, lens PostingLens, pos int, ok bool) {
 	if mc, isMem := c.(*memCursor); isMem {
-		return mc.list, mc.pos, true
+		return mc.ids, mc.lens, mc.pos, true
 	}
-	return nil, 0, false
+	return nil, nil, 0, false
 }
 
 // Err exposes a disk-backed cursor's deferred read or checksum error;
@@ -108,13 +109,16 @@ type Store interface {
 }
 
 // Sizes itemizes index storage in bytes, mirroring the bars of Fig. 5.
+// A Store reports its lists and skip indexes; the engine that reads them
+// adds the membership bitmaps it keeps beside its dense lists.
 type Sizes struct {
-	WeightLists int64 // weight-sorted postings
+	WeightLists int64 // weight-sorted postings and the per-token offset tables
 	SkipIndexes int64 // skip entries over weight-sorted lists
+	Bitmaps     int64 // membership bitmaps beside the dense lists
 }
 
 // Total returns the sum of all components.
-func (s Sizes) Total() int64 { return s.WeightLists + s.SkipIndexes }
+func (s Sizes) Total() int64 { return s.WeightLists + s.SkipIndexes + s.Bitmaps }
 
 // emptyCursor is the cursor over a non-existent list.
 type emptyCursor struct{}

@@ -239,7 +239,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestOpenFileWithByIDRecord(t *testing.T) {
 	c := buildCollection(t, 400, 7)
 	ms := BuildMem(c, 8)
-	byID := make([]Posting, 0, len(ms.weight))
+	byID := make([]Posting, 0, len(ms.ids))
 	c.TokenSets(func(_ tokenize.Token, ids []collection.SetID) {
 		for _, id := range ids {
 			byID = append(byID, Posting{ID: id, Len: c.Length(id)})
@@ -251,12 +251,12 @@ func TestOpenFileWithByIDRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.weight)} {
+		for i, v := range [4]int{ms.interval, c.NumSets(), c.NumTokens(), len(ms.ids)} {
 			w.SetMeta(metaKeys[i], []byte(strconv.Itoa(v)))
 		}
-		w.AddRecord(recWeight, encodePostings(ms.weight))
+		w.AddRecord(recWeight, encodePostings(ms.ids, ms.lens))
 		if withByID {
-			w.AddRecord(recByID, encodePostings(byID))
+			w.AddRecord(recByID, encodePostings(idColumns(byID)))
 		}
 		w.AddRecord(recOff, encodeTable(ms.off))
 		w.AddRecord(recSkips, encodeTable(ms.skips))
@@ -617,4 +617,13 @@ func TestFileStoreCacheHits(t *testing.T) {
 			t.Fatal("cached and uncached postings differ")
 		}
 	}
+}
+
+// idColumns splits postings into the arena's id and length columns.
+func idColumns(ps []Posting) (PostingIDs, PostingLens) {
+	ids, lens := make(PostingIDs, len(ps)), make(PostingLens, len(ps))
+	for i, p := range ps {
+		ids[i], lens[i] = uint32(p.ID), p.Len
+	}
+	return ids, lens
 }

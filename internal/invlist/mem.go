@@ -19,13 +19,32 @@ const SkipInterval = 64
 // length. Its position is implicit in the sample's index.
 const skipSampleBytes = 8
 
+// idBytes and lenBytes are the in-memory cost of one MemStore posting:
+// a 4-byte set id beside its 8-byte length.
+const (
+	idBytes  = 4
+	lenBytes = 8
+)
+
+// PostingIDs is the set-id column of a posting arena: posting i of a list
+// is the set PostingIDs[i] of length PostingLens[i]. Set ids fit 4 bytes
+// because a collection's offset tables are 32-bit.
+type PostingIDs []uint32
+
+// PostingLens is the length column of a posting arena, beside its
+// PostingIDs.
+type PostingLens []float64
+
 // MemStore keeps all inverted lists in memory as a static flat index:
-// one posting arena with its offset table, and one arena of sampled
-// lengths serving as every list's skip index. It is immutable once built
-// and safe for concurrent readers.
+// one posting arena, held as an id column and a length column, with its
+// offset table, and one arena of sampled lengths serving as every list's
+// skip index. It is immutable once built and safe for concurrent readers.
 type MemStore struct {
-	weight []Posting // token t's (Len, ID)-sorted list is weight[off[t]:off[t+1]]
-	off    []uint32  // NumTokens+1 arena offsets
+	// Token t's (Len, ID)-sorted list is ids[off[t]:off[t+1]] with the
+	// lengths lens[off[t]:off[t+1]].
+	ids  PostingIDs
+	lens PostingLens
+	off  []uint32 // NumTokens+1 arena offsets
 	// skips[skipOff[t]:skipOff[t+1]] are token t's skip samples: sample j
 	// is the length of the weight-list posting at position (j+1)·interval.
 	// Position 0 is never sampled: a skip entry there can never shorten a
@@ -47,13 +66,14 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	off := c.TokenOffsets()
 	n := c.NumTokens()
 	st := &MemStore{
-		weight:   make([]Posting, off[n]),
+		ids:      make(PostingIDs, off[n]),
+		lens:     make(PostingLens, off[n]),
 		off:      off,
 		skipOff:  make([]uint32, n+1),
 		interval: skipInterval,
 	}
 	c.FillBuckets(off, c.SetsByLength(), func(slot uint32, id collection.SetID) {
-		st.weight[slot] = Posting{ID: id, Len: c.Length(id)}
+		st.ids[slot], st.lens[slot] = uint32(id), c.Length(id)
 	})
 
 	for t := 0; t < n; t++ {
@@ -62,18 +82,25 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	}
 	st.skips = make([]float64, st.skipOff[n])
 	for t := 0; t < n; t++ {
-		w := st.weight[off[t]:off[t+1]]
+		lens := st.lens[off[t]:off[t+1]]
 		samples := st.skips[st.skipOff[t]:st.skipOff[t+1]]
 		for j := range samples {
-			samples[j] = w[(j+1)*skipInterval].Len
+			samples[j] = lens[(j+1)*skipInterval]
 		}
 	}
 
-	st.sizes = Sizes{
-		WeightLists: int64(len(st.weight)) * postingSize,
-		SkipIndexes: int64(len(st.skips)) * skipSampleBytes,
-	}
+	st.account(len(st.ids))
 	return st
+}
+
+// account sets the store's Sizes for an arena of the given number of
+// postings, 12 bytes each, which the two per-token offset tables locate
+// (with the skip samples), and for the skip samples.
+func (s *MemStore) account(postings int) {
+	s.sizes = Sizes{
+		WeightLists: int64(postings)*(idBytes+lenBytes) + 4*int64(len(s.off)+len(s.skipOff)),
+		SkipIndexes: int64(len(s.skips)) * skipSampleBytes,
+	}
 }
 
 // span returns token t's range in the posting arena, empty for a token
@@ -103,7 +130,7 @@ func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
 	}
 	*mc = memCursor{byLen: true}
 	if lo < hi {
-		mc.list = s.weight[lo:hi]
+		mc.ids, mc.lens = s.ids[lo:hi], s.lens[lo:hi]
 		mc.skip = s.skips[s.skipOff[t]:s.skipOff[t+1]]
 		mc.interval = s.interval
 	}
@@ -115,9 +142,16 @@ func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
 // baseline merges the weight lists — and SeekLen does not move it.
 func (s *MemStore) IDCursor(t tokenize.Token) Cursor {
 	lo, hi := s.span(t)
-	list := slices.Clone(s.weight[lo:hi])
-	slices.SortFunc(list, func(a, b Posting) int { return cmp.Compare(a.ID, b.ID) })
-	return &memCursor{list: list}
+	order := make([]uint32, hi-lo)
+	for i := range order {
+		order[i] = lo + uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(s.ids[a], s.ids[b]) })
+	mc := &memCursor{ids: make(PostingIDs, len(order)), lens: make(PostingLens, len(order))}
+	for i, j := range order {
+		mc.ids[i], mc.lens[i] = s.ids[j], s.lens[j]
+	}
+	return mc
 }
 
 // ListLen implements Store.
@@ -133,8 +167,9 @@ func (s *MemStore) Sizes() Sizes { return s.sizes }
 func (s *MemStore) Close() error { return nil }
 
 type memCursor struct {
-	list     []Posting
-	skip     []float64 // skip[j] == list[(j+1)*interval].Len
+	ids      PostingIDs
+	lens     PostingLens
+	skip     []float64 // skip[j] == lens[(j+1)*interval]
 	interval int
 	// byLen marks a cursor over a length-sorted list, the only kind
 	// SeekLen moves (IDCursor's copies are not). It is independent of
@@ -143,10 +178,12 @@ type memCursor struct {
 	pos   int
 }
 
-func (c *memCursor) Valid() bool      { return c.pos < len(c.list) }
-func (c *memCursor) Posting() Posting { return c.list[c.pos] }
-func (c *memCursor) Next()            { c.pos++ }
-func (c *memCursor) Count() int       { return len(c.list) }
+func (c *memCursor) Valid() bool { return c.pos < len(c.ids) }
+func (c *memCursor) Posting() Posting {
+	return Posting{ID: collection.SetID(c.ids[c.pos]), Len: c.lens[c.pos]}
+}
+func (c *memCursor) Next()      { c.pos++ }
+func (c *memCursor) Count() int { return len(c.ids) }
 
 // SeekLen jumps via the skip index to the first posting with Len ≥ min.
 // Entries before the skip landing point are skipped without being touched
@@ -154,12 +191,12 @@ func (c *memCursor) Count() int       { return len(c.list) }
 // searched for inside the landing block (searchBlock): the postings the
 // search compares below it are walked, the rest of the block is skipped.
 func (c *memCursor) SeekLen(min float64) (skipped, walked int) {
-	if !c.byLen || !c.Valid() || c.list[c.pos].Len >= min {
+	if !c.byLen || !c.Valid() || c.lens[c.pos] >= min {
 		return 0, 0
 	}
 	start := c.pos
-	lo, end := landing(c.skip, c.interval, min, c.pos, len(c.list))
-	c.pos, walked = searchBlock(c.list, lo, end, min)
+	lo, end := landing(c.skip, c.interval, min, c.pos, len(c.lens))
+	c.pos, walked = searchBlock(c.lens, lo, end, min)
 	return c.pos - start - walked, walked
 }
 
@@ -186,15 +223,15 @@ func landing(skip []float64, interval int, target float64, pos, n int) (lo, end 
 // of a block a dozen, where a walk paid one per posting. fileCursor.SeekLen
 // runs the same search through its block cache; one copy driven by a
 // comparison closure measured slower than the walk it replaces here.
-func searchBlock(list []Posting, lo, end int, target float64) (pos, walked int) {
+func searchBlock(lens PostingLens, lo, end int, target float64) (pos, walked int) {
 	hi, step := lo, 1
-	for hi < end && list[hi].Len < target {
+	for hi < end && lens[hi] < target {
 		walked++
 		lo, hi, step = hi+1, hi+step, 2*step
 	}
 	for hi = min(hi, end); lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
-		if list[mid].Len < target {
+		if lens[mid] < target {
 			walked++
 			lo = mid + 1
 		} else {

@@ -100,7 +100,7 @@ func TestSeekLenMatchesReference(t *testing.T) {
 			for _, min := range mins {
 				wantPos, wantSk, wantWk := refSeek(list, pos, interval, min)
 				sk, wk := cur.SeekLen(min)
-				_, gotPos, _ := RawPostings(cur)
+				_, _, gotPos, _ := RawPostings(cur)
 				if gotPos != wantPos || sk != wantSk || wk != wantWk {
 					t.Fatalf("interval %d token %d SeekLen(%g) from %d: pos %d (skipped %d, walked %d), want %d (%d, %d)",
 						interval, tok, min, pos, gotPos, sk, wk, wantPos, wantSk, wantWk)
