@@ -1,11 +1,11 @@
 // Command ssvet runs the repository's custom static-analysis suite
 // (internal/analysis) over every package in the module and exits
 // non-zero on any diagnostic. It is the CI gate for the engine's
-// hot-path invariants: canceller polling in scan loops, paper counters
-// on posting loops, allocation-free warm paths, epsilon float
-// comparison, lock hygiene, the concurrency disciplines of the
-// lock-free core (atomic field ownership, copy-on-write publication),
-// live escape hatches, and the stdlib-only import constraint.
+// scan-loop invariants: canceller polling in scan loops, paper counters
+// on posting loops, lock hygiene, live escape hatches, and the
+// stdlib-only import constraint. Copies of typed atomics are go vet's
+// copylocks check; warm-path allocations and copy-on-write publication
+// are pinned by runtime tests in internal/core.
 //
 // Usage:
 //

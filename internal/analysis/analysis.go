@@ -1,21 +1,21 @@
 // Package analysis is the engine behind ssvet: a custom static-analysis
 // suite, written only against the standard library (go/parser, go/ast,
 // go/token, go/types, go/importer — no golang.org/x/tools), that
-// mechanically enforces the repository's hot-path invariants.
+// mechanically enforces the repository's scan-loop invariants.
 //
-// PR 2 made the warm query path allocation-free; the conventions that
-// keep it that way — canceller polling in every scan loop, no
-// allocation in a hot function, paper counters on every posting loop,
-// lock hygiene in the sharded block cache, atomic and copy-on-write
-// discipline — were enforced only by code review and a handful of
-// runtime tests. The analyzers in this package encode each convention
-// as a machine-checked rule, so an unpolled posting loop or an
-// allocation on the warm path fails CI instead of silently
-// reintroducing hangs past deadlines or garbage per query (DESIGN.md
-// §10, "Enforced invariants"). Conventions with only one or two sites —
-// the scratch pool's check-out/reset/check-in, the CAS loops, the
-// algorithm dispatch — are pinned by runtime tests in the packages that
-// own them instead.
+// The suite has five analyzers, each guarding a convention with many
+// sites: canceller polling in every scan loop (ctxpoll), the paper's
+// counters on every posting loop (statsacct), lock hygiene in the sharded block
+// cache (lockscope), stdlib-only imports (stdlibonly), and live escape
+// hatches (annlive). An unpolled posting loop or an unaccounted scan
+// fails CI instead of silently reintroducing hangs past deadlines or
+// deflating the pruning-power numbers (DESIGN.md §10, "Enforced
+// invariants"). Conventions that a runtime test pins more directly are
+// checked there instead: the warm-path allocation budget by the
+// allocation tests, copies of typed atomics by go vet's copylocks
+// check, copy-on-write publication by the frozen-snapshot test, and the
+// scratch pool, CAS loops and algorithm dispatch by the tests of the
+// packages that own them.
 //
 // Analyzers match repository conventions by name (a canceller method
 // named "stop", a Stats field named "ElementsRead"), not by import
@@ -26,16 +26,8 @@
 // Escape hatches are explicit annotations, each requiring a reason:
 //
 //	//ssvet:nopoll <reason>     — this loop is exempt from ctxpoll
-//	//ssvet:coldalloc <reason>  — this allocation in a hot function is
-//	                              a guarded cold path
 //	//ssvet:nostats <reason>    — this posting loop's work is accounted
 //	                              by its caller
-//	//ssvet:atomicplain <reason> — this plain access to an atomically
-//	                              owned field is safe (quiescence proof)
-//	//ssvet:cowfrozen <reason>  — this write through a published
-//	                              snapshot is safe (bounded visibility)
-//	//ssvet:hot                 — (in a function's doc comment) opt the
-//	                              function into the hotalloc rules
 //
 // An annotation with a missing reason is itself a diagnostic: the tool
 // enforces that every exemption documents why it is safe.
@@ -119,7 +111,7 @@ func (p *Pass) Annotated(node ast.Node, verb string) bool {
 	for _, l := range []int{pos.Line, pos.Line - 1} {
 		if a, ok := p.ann.at(pos.Filename, l, verb); ok {
 			a.hit = true
-			if a.reason == "" && verb != "hot" && !a.reported {
+			if a.reason == "" && !a.reported {
 				a.reported = true
 				p.Reportf(node.Pos(), "//ssvet:%s annotation is missing its reason", verb)
 			}
@@ -184,33 +176,15 @@ func collectAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 	return a
 }
 
-// docAnnotated reports whether a function declaration's doc comment
-// carries //ssvet:<verb> (used for function-scoped annotations such as
-// //ssvet:hot, which live in the doc block rather than on a statement).
-func docAnnotated(fd *ast.FuncDecl, verb string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, annPrefix+verb) {
-			return true
-		}
-	}
-	return false
-}
-
 // Analyzers returns the full suite in presentation order. AnnLive must
 // run last: it flags the annotations the preceding analyzers never
 // honoured.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CtxPoll,
-		HotAlloc,
 		LockScope,
 		StdlibOnly,
 		StatsAcct,
-		AtomicField,
-		CowPublish,
 		AnnLive,
 	}
 }
@@ -336,32 +310,6 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// rootIdent returns the leftmost identifier of an lvalue-ish expression:
-// s.results[:0] → s, parts[i] → parts, (x) → x. nil when the expression
-// is not rooted in an identifier (calls, literals, ...).
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // useObj resolves an identifier to its object via Uses then Defs.
 func useObj(info *types.Info, id *ast.Ident) types.Object {
 	if o := info.Uses[id]; o != nil {
@@ -405,41 +353,4 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
-}
-
-// parentMap records each node's syntactic parent within a subtree, for
-// analyzers that classify an expression by the context it appears in.
-func parentMap(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// parentSkipParens returns n's nearest non-paren ancestor.
-func parentSkipParens(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	p := parents[n]
-	for {
-		pe, ok := p.(*ast.ParenExpr)
-		if !ok {
-			return p
-		}
-		p = parents[pe]
-	}
-}
-
-// declaredIn reports whether obj's declaration lies inside the span of
-// body (used for constructor/local-initialization exemptions).
-func declaredIn(obj types.Object, body *ast.BlockStmt) bool {
-	return obj != nil && body != nil && obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
 }

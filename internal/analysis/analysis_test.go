@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -142,15 +143,12 @@ func testCorpusSuite(t *testing.T, dirname string) {
 	}
 }
 
-func TestCtxPollCorpus(t *testing.T)     { testCorpus(t, CtxPoll, "ctxpoll") }
-func TestCtxPollLaxCorpus(t *testing.T)  { testCorpus(t, CtxPoll, "ctxpoll_lax") }
-func TestHotAllocCorpus(t *testing.T)    { testCorpus(t, HotAlloc, "hotalloc") }
-func TestLockScopeCorpus(t *testing.T)   { testCorpus(t, LockScope, "lockscope") }
-func TestStdlibOnlyCorpus(t *testing.T)  { testCorpus(t, StdlibOnly, "stdlibonly") }
-func TestStatsAcctCorpus(t *testing.T)   { testCorpus(t, StatsAcct, "statsacct") }
-func TestAtomicFieldCorpus(t *testing.T) { testCorpus(t, AtomicField, "atomicfield") }
-func TestCowPublishCorpus(t *testing.T)  { testCorpus(t, CowPublish, "cowpublish") }
-func TestAnnLiveCorpus(t *testing.T)     { testCorpusSuite(t, "annlive") }
+func TestCtxPollCorpus(t *testing.T)    { testCorpus(t, CtxPoll, "ctxpoll") }
+func TestCtxPollLaxCorpus(t *testing.T) { testCorpus(t, CtxPoll, "ctxpoll_lax") }
+func TestLockScopeCorpus(t *testing.T)  { testCorpus(t, LockScope, "lockscope") }
+func TestStdlibOnlyCorpus(t *testing.T) { testCorpus(t, StdlibOnly, "stdlibonly") }
+func TestStatsAcctCorpus(t *testing.T)  { testCorpus(t, StatsAcct, "statsacct") }
+func TestAnnLiveCorpus(t *testing.T)    { testCorpusSuite(t, "annlive") }
 
 // The whole-module load is shared by the cleanliness and self-check
 // tests: type-checking the module once is expensive enough.
@@ -184,6 +182,25 @@ func modulePackages(t *testing.T) []*Package {
 func TestModuleHasNoDiagnostics(t *testing.T) {
 	for _, d := range RunAll(modulePackages(t), Analyzers()) {
 		t.Errorf("module not clean: %s", d)
+	}
+}
+
+// TestModuleVets runs go vet over the module. Its copylocks check owns
+// the typed atomics (atomic.Uint64, atomic.Pointer[T], ...): each
+// carries a noCopy marker, so a copy of one, or of a struct or array
+// holding one, is reported, and a copied atomic is a field that a
+// concurrent writer no longer updates. The module makes no
+// function-style sync/atomic call, so no plain access to an atomic
+// field is possible either.
+func TestModuleVets(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	cmd := exec.Command(gobin, "vet", "./...")
+	cmd.Dir = filepath.Join("..", "..")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./...: %v\n%s", err, out)
 	}
 }
 
@@ -226,103 +243,5 @@ func TestAnalyzerBudget(t *testing.T) {
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("full suite over one corpus package took %v; cost budget is 30s", d)
-	}
-}
-
-// Mutation check: seeding a violation of each concurrency analyzer into
-// a scratch package must produce a finding, and the repaired twin must
-// be clean. This is the in-process half of the CI mutation gate — the
-// exit-code half lives in cmd/ssvet.
-func TestMutationSeededViolations(t *testing.T) {
-	cases := []struct {
-		name     string
-		analyzer *Analyzer
-		bad      string
-		good     string
-	}{
-		{
-			name:     "atomicfield",
-			analyzer: AtomicField,
-			bad: `package seed
-
-import "sync/atomic"
-
-type c struct{ n uint64 }
-
-func bump(x *c) { atomic.AddUint64(&x.n, 1) }
-
-func read(x *c) uint64 { return x.n }
-`,
-			good: `package seed
-
-import "sync/atomic"
-
-type c struct{ n uint64 }
-
-func bump(x *c) { atomic.AddUint64(&x.n, 1) }
-
-func read(x *c) uint64 { return atomic.LoadUint64(&x.n) }
-`,
-		},
-		{
-			name:     "cowpublish",
-			analyzer: CowPublish,
-			bad: `package seed
-
-import "sync/atomic"
-
-type snap struct{ n int }
-
-type eng struct{ p atomic.Pointer[snap] }
-
-func pub(e *eng) {
-	s := &snap{}
-	e.p.Store(s)
-	s.n = 1
-}
-`,
-			good: `package seed
-
-import "sync/atomic"
-
-type snap struct{ n int }
-
-type eng struct{ p atomic.Pointer[snap] }
-
-func pub(e *eng) {
-	s := &snap{}
-	s.n = 1
-	e.p.Store(s)
-}
-`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, v := range []struct {
-				label string
-				src   string
-				dirty bool
-			}{
-				{"seeded", tc.bad, true},
-				{"repaired", tc.good, false},
-			} {
-				dir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir, "seed.go"), []byte(v.src), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				pkg, err := corpusLoader(t).CheckDir("repro/internal/analysis/seed_"+tc.name+"_"+v.label, dir)
-				if err != nil {
-					t.Fatalf("%s source does not type-check: %v", v.label, err)
-				}
-				diags := RunPackage(tc.analyzer, pkg)
-				if v.dirty && len(diags) == 0 {
-					t.Errorf("%s violation went undetected by %s", v.label, tc.analyzer.Name)
-				}
-				if !v.dirty && len(diags) != 0 {
-					t.Errorf("%s twin is flagged by %s: %v", v.label, tc.analyzer.Name, diags)
-				}
-			}
-		})
 	}
 }

@@ -13,10 +13,6 @@ import "sort"
 // AnnLive must run last in the suite (Analyzers guarantees the order)
 // and is only meaningful under RunAll, where the per-package annotation
 // table is shared across analyzers.
-//
-// The //ssvet:hot verb is exempt: it is an opt-in marker that widens
-// hotalloc's scope rather than suppressing a finding, so it is live by
-// construction.
 var AnnLive = &Analyzer{
 	Name: "annlive",
 	Doc:  "//ssvet: annotations must still suppress a finding (no dead escape hatches)",
@@ -25,12 +21,8 @@ var AnnLive = &Analyzer{
 
 // knownVerbs are the annotation verbs the suite consumes.
 var knownVerbs = map[string]bool{
-	"nopoll":      true,
-	"coldalloc":   true,
-	"nostats":     true,
-	"hot":         true,
-	"atomicplain": true,
-	"cowfrozen":   true,
+	"nopoll":  true,
+	"nostats": true,
 }
 
 func runAnnLive(pass *Pass) {
@@ -41,9 +33,6 @@ func runAnnLive(pass *Pass) {
 	for _, byLine := range pass.ann.byLine {
 		for _, anns := range byLine {
 			for _, a := range anns {
-				if a.verb == "hot" {
-					continue
-				}
 				if !knownVerbs[a.verb] || !a.hit {
 					dead = append(dead, a)
 				}
@@ -54,7 +43,7 @@ func runAnnLive(pass *Pass) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
 	for _, a := range dead {
 		if !knownVerbs[a.verb] {
-			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: atomicplain, coldalloc, cowfrozen, hot, nopoll, nostats)", a.verb)
+			pass.Reportf(a.pos, "unknown //ssvet: verb %q (known: nopoll, nostats)", a.verb)
 			continue
 		}
 		pass.Reportf(a.pos, "//ssvet:%s annotation no longer suppresses any finding; remove the dead escape hatch", a.verb)

@@ -22,19 +22,10 @@ import (
 // interface. The expansion is sound for module-internal dispatch — the
 // only kind the analyzers reason about — and deterministic, because
 // implementors are scanned in package order and scope order.
-//
-// The graph also carries one module-wide fact atomicfield keys on,
-// collected during the same single pass that builds the edges:
-// AtomicFnFields, the struct fields whose address is passed to a
-// sync/atomic function (atomic.AddUint64(&c.hits, 1)) anywhere in the
-// module. Such a field is atomically owned everywhere: a plain read or
-// write of it in any other function is a race.
 type CallGraph struct {
 	nodes map[*types.Func]*cgNode
 	named []*types.Named                // module-declared named types, for CHA
 	impls map[*types.Func][]*types.Func // memoized CHA expansions
-
-	AtomicFnFields map[*types.Var]bool
 }
 
 type cgNode struct {
@@ -51,9 +42,8 @@ var callGraphBuilds int
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	callGraphBuilds++
 	g := &CallGraph{
-		nodes:          map[*types.Func]*cgNode{},
-		impls:          map[*types.Func][]*types.Func{},
-		AtomicFnFields: map[*types.Var]bool{},
+		nodes: map[*types.Func]*cgNode{},
+		impls: map[*types.Func][]*types.Func{},
 	}
 	// Register every declared function first, so edges can tell declared
 	// module functions from imported ones.
@@ -81,7 +71,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			}
 		}
 	}
-	// One pass per body: collect edges and the shared atomic fields.
+	// One pass per body collects its edges.
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
 			continue
@@ -94,16 +84,16 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 				node := g.nodes[fn]
+				if node == nil {
+					continue
+				}
 				seen := map[*types.Func]bool{}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						if callee, ok := pkg.Info.Uses[n].(*types.Func); ok && node != nil && !seen[callee] {
+					if id, ok := n.(*ast.Ident); ok {
+						if callee, ok := pkg.Info.Uses[id].(*types.Func); ok && !seen[callee] {
 							seen[callee] = true
 							node.callees = append(node.callees, callee)
 						}
-					case *ast.CallExpr:
-						g.collectAtomicFnFields(pkg.Info, n)
 					}
 					return true
 				})
@@ -111,24 +101,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 	return g
-}
-
-// collectAtomicFnFields records the fields one call hands to a
-// sync/atomic function by address.
-func (g *CallGraph) collectAtomicFnFields(info *types.Info, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isAtomicPkgFunc(info, sel) {
-		return
-	}
-	for _, arg := range call.Args {
-		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || un.Op.String() != "&" {
-			continue
-		}
-		if v := selectedField(info, un.X); v != nil {
-			g.AtomicFnFields[v] = true
-		}
-	}
 }
 
 // Decl returns the declaration of a module function, or nil for
@@ -287,71 +259,4 @@ func (p *Pass) Reaches(fn *types.Func, depth int, pred func(*types.Func, *ast.Fu
 		return fn != nil && pred(fn, nil)
 	}
 	return p.Graph.Reaches(fn, depth, pred)
-}
-
-// --- shared atomic-type helpers ---
-
-// isAtomicPkgFunc reports whether sel names a function of the
-// sync/atomic package (atomic.AddUint64, atomic.LoadPointer, ...).
-func isAtomicPkgFunc(info *types.Info, sel *ast.SelectorExpr) bool {
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == "sync/atomic"
-}
-
-// isAtomicNamed reports whether t (or its pointee) is one of the typed
-// atomics declared in sync/atomic (atomic.Uint64, atomic.Pointer[T], ...).
-func isAtomicNamed(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// isAtomicPointer reports whether t (or its pointee) is an
-// atomic.Pointer[T].
-func isAtomicPointer(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && obj.Name() == "Pointer"
-}
-
-// selectedField resolves an expression to the struct field it selects,
-// looking through parens and one level of indexing: c.hits → hits,
-// t.bits[w] → bits. nil when the expression is not a field selection.
-func selectedField(info *types.Info, e ast.Expr) *types.Var {
-	e = ast.Unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		e = ast.Unparen(ix.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
 }

@@ -3,10 +3,7 @@
 // (or use an unknown verb) must be flagged by the full suite.
 package annlive
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 type canceller struct {
 	ctx context.Context
@@ -74,20 +71,9 @@ func typod(cur *cursor) int {
 	return n
 }
 
-type gauge struct{ v uint64 }
-
-func bumpGauge(g *gauge) { atomic.AddUint64(&g.v, 1) }
-
-// teardownRead reads an atomically owned field plainly: atomicfield
-// would fire, so the annotation is live.
-func teardownRead(g *gauge) uint64 {
-	//ssvet:atomicplain corpus: all writers joined at teardown
-	return g.v
-}
-
-// frozenDead annotates a write cowpublish never charges — the slice was
-// never published through an atomic.Pointer.
-func frozenDead(xs []int) {
-	//ssvet:cowfrozen plain slice, nobody published it // want "no longer suppresses any finding"
-	xs[0] = 1
+// retired uses a verb the suite no longer consumes: like a typo, it
+// can never suppress anything.
+func retired(xs []int) []int {
+	//ssvet:coldalloc grows once // want "unknown //ssvet: verb .coldalloc."
+	return append(xs, 1)
 }

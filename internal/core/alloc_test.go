@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -15,9 +16,67 @@ import (
 // buffers — must come from the scratch.
 const warmAllocBudget = 1.0
 
+// warmOptions are the per-query switches the wide arms run under: none,
+// and each of the paper's two ablations.
+var warmOptions = []struct {
+	name string
+	opts *Options
+}{{"default", nil}, {"NSL", &Options{NoSkipIndex: true}}, {"NLB", &Options{NoLengthBound: true}}}
+
+// warmAllocs runs query over queries once to grow every scratch buffer
+// to its high-water mark, then returns its average allocations per call
+// over four more passes.
+func warmAllocs(t *testing.T, queries []Query, query func(Query) error) float64 {
+	t.Helper()
+	for _, q := range queries {
+		if err := query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	return testing.AllocsPerRun(4*len(queries), func() {
+		q := queries[i%len(queries)]
+		i++
+		if err := query(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// wideEngine indexes 2-grams of long strings, as TestWideQueries does,
+// and returns four queries of more than 64 tokens each. Their
+// candidates carry list masks with overflow words, and at τ = 0.5 three
+// of them return more than sortResultsInsertionMax results.
+func wideEngine(t *testing.T) (*Engine, []Query) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(73))
+	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 2}, true)
+	for i := 0; i < 400; i++ {
+		ln := 40 + rng.Intn(60)
+		var sb strings.Builder
+		for j := 0; j < ln; j++ {
+			sb.WriteByte(byte('a' + rng.Intn(12)))
+		}
+		b.Add(sb.String())
+	}
+	e := NewEngine(b.Build(), Config{})
+	var queries []Query
+	for id := 0; id < e.c.NumSets() && len(queries) < 4; id++ {
+		if q := e.PrepareCounts(e.c.Set(collection.SetID(id))); len(q.Tokens) > 64 {
+			queries = append(queries, q)
+		}
+	}
+	if len(queries) < 4 {
+		t.Fatalf("only %d queries of more than 64 tokens", len(queries))
+	}
+	return e, queries
+}
+
 // TestWarmQueryAllocations is the tentpole's regression proof: after a
 // warm-up pass that sizes the pooled scratch, every algorithm must answer
-// MemStore selection queries within warmAllocBudget allocations.
+// MemStore selection queries within warmAllocBudget allocations. The
+// wide arm repeats it for queries of more than 64 lists, under each
+// ablation: the only warm paths past the masks' inline word.
 func TestWarmQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -28,26 +87,27 @@ func TestWarmQueryAllocations(t *testing.T) {
 	for i := range queries {
 		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 	}
-
+	we, wide := wideEngine(t)
+	// SQL is left out: its relational engine allocates per query.
 	for _, alg := range []Algorithm{Naive, SortByID, TA, NRA, ITA, INRA, SF, Hybrid} {
 		for _, tau := range []float64{0.8, 0.5} {
-			// Warm-up: grow every scratch buffer to its high-water mark.
-			for _, q := range queries {
-				if _, _, err := e.Select(q, tau, alg, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i := 0
-			avg := testing.AllocsPerRun(4*len(queries), func() {
-				q := queries[i%len(queries)]
-				i++
-				if _, _, err := e.Select(q, tau, alg, nil); err != nil {
-					t.Fatal(err)
-				}
+			avg := warmAllocs(t, queries, func(q Query) error {
+				_, _, err := e.Select(q, tau, alg, nil)
+				return err
 			})
 			if avg > warmAllocBudget {
 				t.Errorf("%v tau=%.1f: %.2f allocs per warm query, budget %.0f",
 					alg, tau, avg, warmAllocBudget)
+			}
+			for _, o := range warmOptions {
+				avg := warmAllocs(t, wide, func(q Query) error {
+					_, _, err := we.Select(q, tau, alg, o.opts)
+					return err
+				})
+				if avg > warmAllocBudget {
+					t.Errorf("wide %v %s tau=%.1f: %.2f allocs per warm query, budget %.0f",
+						alg, o.name, tau, avg, warmAllocBudget)
+				}
 			}
 		}
 	}
@@ -74,10 +134,11 @@ func TestWarmPrepareAllocations(t *testing.T) {
 }
 
 // TestWarmKernelAllocations pins the word-packed paths to the warm
-// budget: masks carve from the scratch arena, kernel sets are built once
-// at index time, and the rescore's token arrays and match-mask words are
-// scratch slabs. TA/iTA probe the packed bitmaps; SortByID, NRA, iNRA,
-// Hybrid and Naive score through the rescore.
+// budget: masks carve from the scratch arena, TA/iTA's kernel sets are
+// built by the first query that reads them (the warm-up pass here), and
+// the rescore's token arrays and match-mask words are scratch slabs.
+// TA/iTA probe the packed bitmaps; SortByID, NRA, iNRA, Hybrid and
+// Naive score through the rescore.
 func TestWarmKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -89,18 +150,9 @@ func TestWarmKernelAllocations(t *testing.T) {
 		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 	}
 	for _, alg := range []Algorithm{TA, NRA, INRA, Hybrid, SortByID, Naive} {
-		for _, q := range queries {
-			if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		avg := testing.AllocsPerRun(4*len(queries), func() {
-			q := queries[i%len(queries)]
-			i++
-			if _, _, err := e.Select(q, 0.8, alg, nil); err != nil {
-				t.Fatal(err)
-			}
+		avg := warmAllocs(t, queries, func(q Query) error {
+			_, _, err := e.Select(q, 0.8, alg, nil)
+			return err
 		})
 		if avg > warmAllocBudget {
 			t.Errorf("%v: %.2f allocs per warm query, budget %.0f", alg, avg, warmAllocBudget)
@@ -111,6 +163,8 @@ func TestWarmKernelAllocations(t *testing.T) {
 // TestWarmTopKAllocations holds the warm top-k path to selection's
 // budget: the final descending sort is a slices.SortFunc whose
 // comparator captures nothing, so the result copy is all it allocates.
+// The wide arm runs SF and Naive over queries of more than 64 lists,
+// under each ablation.
 func TestWarmTopKAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -121,21 +175,25 @@ func TestWarmTopKAllocations(t *testing.T) {
 	for i := range queries {
 		queries[i] = e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 	}
-	for _, q := range queries {
-		if _, _, err := e.SelectTopK(q, 10, SF, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(4*len(queries), func() {
-		q := queries[i%len(queries)]
-		i++
-		if _, _, err := e.SelectTopK(q, 10, SF, nil); err != nil {
-			t.Fatal(err)
-		}
+	avg := warmAllocs(t, queries, func(q Query) error {
+		_, _, err := e.SelectTopK(q, 10, SF, nil)
+		return err
 	})
 	if avg > warmAllocBudget {
 		t.Errorf("topk sf: %.2f allocs per warm query, budget %.0f", avg, warmAllocBudget)
+	}
+	we, wide := wideEngine(t)
+	for _, alg := range []Algorithm{SF, Naive} {
+		for _, o := range warmOptions {
+			avg := warmAllocs(t, wide, func(q Query) error {
+				_, _, err := we.SelectTopK(q, 10, alg, o.opts)
+				return err
+			})
+			if avg > warmAllocBudget {
+				t.Errorf("wide topk %v %s: %.2f allocs per warm query, budget %.0f",
+					alg, o.name, avg, warmAllocBudget)
+			}
+		}
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 // runAlg is the execute stage's single dispatch point: one switch maps
 // the plan onto an algorithm implementation, for both merge disciplines
 // (the nine threshold algorithms; Naive and SF for top-k).
-//
-//ssvet:hot
 func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, stats *Stats, shared *sharedTau) ([]Result, error) {
 	if p.kind == planTopK {
 		switch p.alg {
@@ -59,8 +57,6 @@ func (e *Engine) runAlg(s *queryScratch, cc *canceller, q Query, p *queryPlan, s
 // planned algorithm, the merge-discipline ordering and the one copy out
 // of scratch. Metrics observe exactly once per run. shared, when
 // non-nil, circulates the cross-shard top-k bound into the algorithm.
-//
-//ssvet:hot
 func (e *Engine) runPlan(ctx context.Context, q Query, p queryPlan, shared *sharedTau) ([]Result, Stats, error) {
 	if p.kind == planSelect {
 		e.buildFor(p.alg)
@@ -119,14 +115,11 @@ func mergeRanked(out []Result, p *queryPlan) []Result {
 // under the plan's discipline. Top-k shards share fb.shared, and a
 // queued shard whose summary bound has fallen below the risen fleet
 // bound is skipped mid-flight without running.
-//
-//ssvet:hot
 func (se *ShardedEngine) runFan(ctx context.Context, q Query, p queryPlan) ([]Result, Stats, error) {
 	start := time.Now()
 	fb := se.getBuffers()
 	act, recheck := se.routeShards(fb, q, &p)
 	if len(act) > 0 {
-		//ssvet:coldalloc the executor's one pooled-dispatch closure per fan-out
 		se.exec.fan(len(act), func(i int) {
 			sh := int(act[i])
 			if recheck {

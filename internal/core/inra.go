@@ -73,8 +73,6 @@ func ruledOut(l *listState, len float64, id collection.SetID) bool {
 // mask, in ascending list order. This is the sweep form of the rule —
 // iNRA's one candidate scan uses it; passCandidates is the event-driven
 // form.
-//
-//ssvet:hot
 func resolveAbsences(c *impCand, lists []listState) {
 	n := len(lists)
 	for j := c.resolved.NextClear(0, n); j >= 0; j = c.resolved.NextClear(j+1, n) {
@@ -95,8 +93,6 @@ func resolveAbsences(c *impCand, lists []listState) {
 // verdict is bitwise the same. Over more than 64 lists the mask's
 // overflow words are carved before the test, and a rejected posting
 // leaves them unused in the arena.
-//
-//ssvet:hot
 func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q Query, tau float64) int32 {
 	resolved := s.newCandMask(len(lists))
 	resolved.Set(seenIn)
@@ -176,8 +172,6 @@ func (s *queryScratch) pop(l *listState, j int, stats *Stats) {
 // pop then reads the posting the seek lands on, an exact hit resolving
 // the candidate as seen, and passCandidates settles everything the seek
 // jumped over. Reports false when cancelled.
-//
-//ssvet:hot
 func (s *queryScratch) seekCandidate(cc *canceller, l *listState, j int, stats *Stats) bool {
 	p, ok := l.frontier()
 	if !ok {
@@ -249,8 +243,6 @@ func (e *Engine) settle(s *queryScratch, q Query, tau float64, c *impCand, n int
 // move and every finish of j. Each live one is marked absent from j unless
 // it was seen there, and settled. It returns false when the query was
 // cancelled.
-//
-//ssvet:hot
 func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listState, j int, q Query, tau float64, out []Result) ([]Result, bool) {
 	l := &lists[j]
 	p := l.head

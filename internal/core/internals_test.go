@@ -109,7 +109,7 @@ func TestSortResults(t *testing.T) {
 	}
 	sortResults(nil) // must not panic
 
-	// Exercise both sides of the insertion/sort.Slice crossover.
+	// Exercise both sides of the insertion/slices.SortFunc crossover.
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{sortResultsInsertionMax, sortResultsInsertionMax + 1, 1000} {
 		rs := make([]Result, n)
@@ -127,7 +127,7 @@ func TestSortResults(t *testing.T) {
 
 // benchSortResults measures sortResults on shuffled inputs of size n; the
 // small sizes guard the insertion-sort fast path that motivated keeping a
-// crossover instead of calling sort.Slice unconditionally.
+// crossover instead of calling slices.SortFunc unconditionally.
 func benchSortResults(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(13))
 	src := make([]Result, n)

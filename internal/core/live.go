@@ -618,7 +618,6 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	// Appending to the owning shard's shared backing array is safe:
 	// readers pinned on the old snapshot are bounded by its shorter
 	// slice header.
-	//ssvet:cowfrozen append past the pinned readers' slice headers; old snapshots never see the new element
 	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: toks, len: sum.Len()})
 	le.indexMemLocked(sh, pos, toks)
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})

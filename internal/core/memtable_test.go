@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -217,6 +218,131 @@ func TestMemtableIndexMatchesScan(t *testing.T) {
 			}
 			if checked < 50 || tails < 5 {
 				t.Fatalf("history too thin: %d checks over a memtable, %d kept tails", checked, tails)
+			}
+		})
+	}
+}
+
+// frozenSnapshot is what a published live snapshot held when it was
+// published: its epoch, each shard's segment pointers and the ids of
+// each memtable within its own slice header.
+type frozenSnapshot struct {
+	snap  *liveSnapshot
+	epoch uint64
+	segs  [][]*liveSegment
+	mem   [][]collection.SetID
+}
+
+func freezeSnapshot(s *liveSnapshot) frozenSnapshot {
+	f := frozenSnapshot{snap: s, epoch: s.epoch}
+	for i := range s.shards {
+		f.segs = append(f.segs, slices.Clone(s.shards[i].segs))
+		var ids []collection.SetID
+		for _, d := range s.shards[i].mem {
+			ids = append(ids, d.id)
+		}
+		f.mem = append(f.mem, ids)
+	}
+	return f
+}
+
+// changed describes how the snapshot now differs from its frozen copy,
+// or returns "" when it does not.
+func (f *frozenSnapshot) changed() string {
+	s := f.snap
+	if s.epoch != f.epoch {
+		return fmt.Sprintf("epoch is now %d", s.epoch)
+	}
+	if len(s.shards) != len(f.segs) {
+		return fmt.Sprintf("has %d shards, published with %d", len(s.shards), len(f.segs))
+	}
+	for i := range s.shards {
+		if !slices.Equal(s.shards[i].segs, f.segs[i]) {
+			return fmt.Sprintf("shard %d: segments %p, published %p", i, s.shards[i].segs, f.segs[i])
+		}
+		mem := s.shards[i].mem
+		if len(mem) != len(f.mem[i]) {
+			return fmt.Sprintf("shard %d: memtable of %d documents, published with %d", i, len(mem), len(f.mem[i]))
+		}
+		for j, d := range mem {
+			if d.id != f.mem[i][j] {
+				return fmt.Sprintf("shard %d: memtable position %d holds id %d, published %d", i, j, d.id, f.mem[i][j])
+			}
+		}
+	}
+	return ""
+}
+
+// TestPublishedSnapshotsStayFrozen holds the live engine to copy-on-write
+// publication: a snapshot stored in le.snap is never written again.
+// Queries pin a snapshot and read it with no lock held, so a mutator
+// that edits a published shard slice, segment list or memtable header in
+// place changes what a running query sees. A random Insert, Delete,
+// Upsert and compaction history (partial, full and tail-keeping rounds)
+// runs on 1 and 3 shards; every snapshot the mutators publish is kept
+// with a copy taken at publication, and after every step each kept
+// snapshot must still equal its copy.
+func TestPublishedSnapshotsStayFrozen(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			corpus := randomCorpus(600, 81, 6)
+			rng := rand.New(rand.NewSource(int64(82 + shards)))
+			le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, Shards: shards})
+			defer le.Close()
+			kept := []frozenSnapshot{freezeSnapshot(le.snap.Load())}
+			observe := func() {
+				if s := le.snap.Load(); s != kept[len(kept)-1].snap {
+					kept = append(kept, freezeSnapshot(s))
+				}
+			}
+			var live []collection.SetID
+			insert := func() {
+				id, err := le.Insert(corpus[rng.Intn(len(corpus))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+				observe()
+			}
+			withSegs := 0
+			for step := 1; step <= 400; step++ {
+				switch r := rng.Intn(100); {
+				case r < 50 || len(live) == 0:
+					insert()
+				case r < 65:
+					i := rng.Intn(len(live))
+					le.Delete(live[i])
+					live = append(live[:i], live[i+1:]...)
+				case r < 80:
+					i := rng.Intn(len(live))
+					id, err := le.Upsert(live[i], corpus[rng.Intn(len(corpus))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					live[i] = id
+				case r < 90:
+					le.compactOnce(false)
+				case r < 95:
+					le.Compact()
+				default:
+					compactKeepingTail(t, le, rng.Intn(2) == 0, func() {
+						for n := 1 + rng.Intn(4); n > 0; n-- {
+							insert()
+						}
+					})
+				}
+				observe()
+				for i := range kept {
+					if msg := kept[i].changed(); msg != "" {
+						t.Fatalf("step %d: the snapshot published at epoch %d changed: %s", step, kept[i].epoch, msg)
+					}
+				}
+				if s := le.snap.Load(); s.numSegs() > 0 && s.memDocs() > 0 {
+					withSegs++
+				}
+			}
+			if len(kept) < 200 || withSegs < 100 {
+				t.Fatalf("history too thin: %d snapshots kept, %d steps with segments and a memtable", len(kept), withSegs)
 			}
 		})
 	}

@@ -191,8 +191,6 @@ func listsErr(lists []listState) error {
 // without allocating. The NoSkipIndex walk polls the canceller: it is an
 // unbounded sequential scan, so it must be interruptible like every
 // other read loop. Callers must check cc.err after openLists returns.
-//
-//ssvet:hot
 func (e *Engine) openLists(s *queryScratch, cc *canceller, q Query, lo float64, o *Options, stats *Stats) []listState {
 	reuser, _ := e.store.(invlist.CursorReuser)
 	for len(s.wcurs) < len(q.Tokens) {

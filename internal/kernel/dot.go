@@ -15,8 +15,6 @@ import "repro/internal/tokenize"
 // in doc. doc must be ascending and distinct (a collection's Tokens run
 // is); qt is sorted by ascending token and at is parallel to it. m must
 // hold every bit at names (HiWords overflow words past 64).
-//
-//ssvet:hot
 func MatchTokens(doc, qt []tokenize.Token, at []int, m *Mask) {
 	if len(doc) >= gallopRatio*len(qt) {
 		i := 0

@@ -59,8 +59,6 @@ func (s *Set) Len() int { return s.n }
 func (s *Set) Dense() bool { return s.keys == nil && len(s.words) > 0 }
 
 // Contains reports whether id is a member.
-//
-//ssvet:hot
 func (s *Set) Contains(id uint64) bool {
 	key := id >> blockShift
 	bit := uint64(1) << (id & blockMask)

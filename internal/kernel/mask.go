@@ -27,8 +27,6 @@ func HiWords(n int) int {
 }
 
 // Has reports whether bit i is set.
-//
-//ssvet:hot
 func (m *Mask) Has(i int) bool {
 	if i < 64 {
 		return m.Lo&(1<<uint(i)) != 0
@@ -38,8 +36,6 @@ func (m *Mask) Has(i int) bool {
 }
 
 // Set sets bit i. Bits ≥ 64 require Hi to have been allocated.
-//
-//ssvet:hot
 func (m *Mask) Set(i int) {
 	if i < 64 {
 		m.Lo |= 1 << uint(i)
@@ -56,8 +52,6 @@ func (m *Mask) Set(i int) {
 // the scalar loop this kernel replaces — so the returned bound is
 // bitwise identical to the scalar one and every downstream pruning
 // decision is unchanged.
-//
-//ssvet:hot
 func UpperAbsent(base float64, seen, active *Mask, w []float64) (upper float64, complete bool) {
 	upper = base
 	complete = true
@@ -83,8 +77,6 @@ func UpperAbsent(base float64, seen, active *Mask, w []float64) (upper float64, 
 // or -1 when every index in the range is set. It is the iteration
 // primitive of the resolve loops: candidates track resolved lists in a
 // Mask, and the scan visits only the unresolved ones, a word at a time.
-//
-//ssvet:hot
 func (m *Mask) NextClear(from, n int) int {
 	if from < 0 {
 		from = 0
