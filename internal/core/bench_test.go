@@ -57,6 +57,24 @@ func getBenchClustered(b *testing.B) (*Engine, []Query) {
 	return benchClustered, benchClusteredQueries
 }
 
+// The dense engine is the q-gram corpus whose common grams' lists cross
+// n/64 postings (denseDocs): those lists carry membership bitmaps, so
+// iNRA and Hybrid finish them with bit tests when the admission gate
+// shuts, and most postings they read while it is open are hopeless.
+var (
+	benchDense        *Engine
+	benchDenseQueries []Query
+)
+
+func getBenchDense(b *testing.B) (*Engine, []Query) {
+	b.Helper()
+	if benchDense == nil {
+		benchDense = engineFromDocs(denseDocs(20000, 8501), Config{})
+		benchDenseQueries = benchQueries(b, benchDense, 16)
+	}
+	return benchDense, benchDenseQueries
+}
+
 func benchSelectWarm(b *testing.B, alg Algorithm, tau float64) {
 	e := getBenchEngine(b)
 	benchSelectWarmOn(b, e, benchQueries(b, e, 16), alg, tau, nil)
@@ -108,6 +126,15 @@ func BenchmarkSelectWarmINRAManyCandidates(b *testing.B) {
 }
 func BenchmarkSelectWarmHybridManyCandidates(b *testing.B) {
 	e, qs := getBenchClustered(b)
+	benchSelectWarmOn(b, e, qs, Hybrid, 0.8, nil)
+}
+
+func BenchmarkSelectWarmINRADense(b *testing.B) {
+	e, qs := getBenchDense(b)
+	benchSelectWarmOn(b, e, qs, INRA, 0.8, nil)
+}
+func BenchmarkSelectWarmHybridDense(b *testing.B) {
+	e, qs := getBenchDense(b)
 	benchSelectWarmOn(b, e, qs, Hybrid, 0.8, nil)
 }
 

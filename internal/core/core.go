@@ -96,8 +96,9 @@ type Stats struct {
 	// denominator of pruning power).
 	ListTotal int
 	// RandomProbes counts membership probes: the TA family's random
-	// accesses (packed-bitmap Contains tests) and SF's bit tests that
-	// complete candidates on dense lists.
+	// accesses (packed-bitmap Contains tests) and the bit tests that
+	// complete candidates on dense lists — SF's past µᵢ, iNRA's and
+	// Hybrid's when the admission gate shuts.
 	RandomProbes int
 	// CandidateScans counts candidate-set sweep passes.
 	CandidateScans int
@@ -129,7 +130,8 @@ func (s Stats) PruningPower() float64 {
 type Engine struct {
 	c     *collection.Collection
 	store invlist.Store
-	// dense holds the membership bitmaps SF completes dense lists with.
+	// dense holds the membership bitmaps SF, iNRA and Hybrid complete
+	// dense lists with.
 	dense denseLists
 	// member holds one word-packed membership bitmap per token, TA/iTA's
 	// random access; built under memberOnce by the first TA/iTA query.

@@ -15,11 +15,12 @@ import (
 const denseFraction = 64
 
 // denseLists holds a membership bitmap over the engine's set ids for
-// every dense list. SF completes its candidates on a dense list with one
-// bit test each where it would otherwise seek the list to every one of
-// them (completeSF): on a long list most seeks land where they started
-// and few hit, and a bit test costs less than either (Ding & König's
-// small-versus-large intersection).
+// every dense list. SF past µᵢ (completeSF), and iNRA and Hybrid when
+// their admission gate shuts (completeDense), complete their candidates
+// on a dense list with one bit test each where they would otherwise seek
+// the list to every one of them: on a long list most seeks land where
+// they started and few hit, and a bit test costs less than either (Ding &
+// König's small-versus-large intersection).
 type denseLists struct {
 	tokens []tokenize.Token // the dense lists' tokens, ascending
 	words  int              // words per bitmap: ⌈NumSets/64⌉

@@ -49,15 +49,17 @@ type denseTarget struct {
 	topk func(s string, k int, alg Algorithm, o *Options) ([]Result, Stats, error)
 }
 
-// TestDenseCompletionMatchesNaive is the differential test of SF's
-// dense-list completion: over a seed sweep of corpora with lists past
-// n/64 postings, every algorithm at τ ∈ {0.5, 0.8, 0.95}, and Naive and
-// SF top-k at k ∈ {1, 10}, with and without the skip index, return
-// Naive's answer bitwise in (score desc, id asc) order — SQL, which sums
-// its stored partial weights, within ScoreEpsilon — on a monolithic
-// engine, a sharded one and a live engine holding segments, a memtable
-// and tombstones. SF must have completed by bit tests (RandomProbes > 0)
-// on every shape, and never when NoSkipIndex reads its lists instead.
+// TestDenseCompletionMatchesNaive is the differential test of dense-list
+// completion — SF's past µᵢ, iNRA's and Hybrid's when the admission gate
+// shuts: over a seed sweep of corpora with lists past n/64 postings,
+// every algorithm at τ ∈ {0.5, 0.8, 0.95}, SF, iNRA and Hybrid again
+// without the skip index, and Naive and SF top-k at k ∈ {1, 10} with and
+// without it, return Naive's answer bitwise in (score desc, id asc) order
+// — SQL, which sums its stored partial weights, within ScoreEpsilon — on
+// a monolithic engine, a sharded one and a live engine holding segments,
+// a memtable and tombstones. SF, iNRA and Hybrid must each have completed
+// by bit tests (RandomProbes > 0) on every shape, and never when
+// NoSkipIndex reads their lists instead.
 func TestDenseCompletionMatchesNaive(t *testing.T) {
 	tk := tokenize.QGramTokenizer{Q: 3}
 	nsl := &Options{NoSkipIndex: true}
@@ -116,7 +118,7 @@ func TestDenseCompletionMatchesNaive(t *testing.T) {
 			queries[i] = docs[rng.Intn(len(docs))]
 		}
 		for _, tg := range targets {
-			probes := 0
+			probes := map[Algorithm]int{}
 			for _, s := range queries {
 				for _, tau := range []float64{0.5, 0.8, 0.95} {
 					want, _, err := tg.sel(s, tau, Naive, nil)
@@ -130,17 +132,17 @@ func TestDenseCompletionMatchesNaive(t *testing.T) {
 							t.Fatalf("%s %v: %v", tg.name, alg, err)
 						}
 						assertSameResults(t, alg, tau, byScore(got), want)
-						if alg == SF {
-							probes += st.RandomProbes
+						probes[alg] += st.RandomProbes
+					}
+					for _, alg := range []Algorithm{SF, INRA, Hybrid} {
+						got, st, err := tg.sel(s, tau, alg, nsl)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					got, st, err := tg.sel(s, tau, SF, nsl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBitwise(t, fmt.Sprintf("%s SF NoSkipIndex τ=%g", tg.name, tau), byScore(got), want)
-					if st.RandomProbes != 0 {
-						t.Errorf("%s SF NoSkipIndex τ=%g: %d random probes, want 0", tg.name, tau, st.RandomProbes)
+						assertBitwise(t, fmt.Sprintf("%s %v NoSkipIndex τ=%g", tg.name, alg, tau), byScore(got), want)
+						if st.RandomProbes != 0 {
+							t.Errorf("%s %v NoSkipIndex τ=%g: %d random probes, want 0", tg.name, alg, tau, st.RandomProbes)
+						}
 					}
 				}
 				all, _, err := tg.sel(s, 1e-9, Naive, nil)
@@ -159,7 +161,7 @@ func TestDenseCompletionMatchesNaive(t *testing.T) {
 							assertBitwise(t, fmt.Sprintf("%s top-%d %v %+v", tg.name, k, alg, o), got, want)
 							switch {
 							case alg == SF && o == nil:
-								probes += st.RandomProbes
+								probes[SF] += st.RandomProbes
 							case alg == SF && st.RandomProbes != 0:
 								t.Errorf("%s top-%d SF NoSkipIndex: %d random probes, want 0", tg.name, k, st.RandomProbes)
 							}
@@ -167,8 +169,10 @@ func TestDenseCompletionMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			if probes == 0 {
-				t.Errorf("seed %d %s: SF completed no candidate by a bit test", seed, tg.name)
+			for _, alg := range []Algorithm{SF, INRA, Hybrid} {
+				if probes[alg] == 0 {
+					t.Errorf("seed %d %s: %v completed no candidate by a bit test", seed, tg.name, alg)
+				}
 			}
 		}
 	}

@@ -82,20 +82,25 @@ func resolveAbsences(c *impCand, lists []listState) {
 	}
 }
 
-// admit evaluates a newly surfaced posting for candidacy: it combines
-// Order Preservation (exclude lists whose frontier already passed the
-// posting) with Magnitude Boundedness (best-case score from the remaining
-// lists). When the best case reaches τ the candidate is appended to the
-// scratch's impCand slab, indexed in the scratch id-table, and its slab
-// slot returned; a hopeless posting returns -1 with nothing retained.
-// The test runs on locals before any candidate is built, since most
-// postings it sees are rejected; it is upper()'s expression, so the
-// verdict is bitwise the same. Over more than 64 lists the mask's
-// overflow words are carved before the test, and a rejected posting
-// leaves them unused in the arena.
+// admit evaluates a newly surfaced posting p, just popped from list
+// seenIn, for candidacy: it combines Order Preservation (exclude lists
+// whose frontier already passed the posting) with Magnitude Boundedness
+// (best-case score from the remaining lists). When the best case reaches
+// τ the candidate is appended to the scratch's impCand slab, indexed in
+// the scratch id-table, and its slab slot returned; a hopeless posting
+// returns -1 with nothing retained. Most postings are hopeless, so the
+// head order's prefix sum (hopeless) rejects them first without a pass
+// over the lists. A posting it passes gets the exact verdict, upper()'s
+// expression computed on locals, so the decision and the admitted
+// candidate's state are bitwise the same as without the filter. Only an
+// admitted posting has its mask carved, so over more than 64 lists the
+// arena holds overflow words for admitted candidates alone.
 func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q Query, tau float64) int32 {
-	resolved := s.newCandMask(len(lists))
-	resolved.Set(seenIn)
+	lower := lists[seenIn].w(q.Len, p.Len)
+	if s.hopeless(lists, seenIn, p, lower, q.Len, tau) {
+		return -1
+	}
+	var lo uint64 // lists 0–63 ruled out; the second pass below sets the rest
 	nResolved := 1
 	var possible float64
 	for j := range lists {
@@ -103,15 +108,24 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 			continue
 		}
 		if ruledOut(&lists[j], p.Len, p.ID) {
-			resolved.Set(j)
+			if j < 64 {
+				lo |= 1 << j
+			}
 			nResolved++
 			continue
 		}
 		possible += lists[j].idfSq
 	}
-	lower := lists[seenIn].w(q.Len, p.Len)
 	if !sim.Meets(lower+possible/(q.Len*p.Len), tau) {
 		return -1
+	}
+	resolved := s.newCandMask(len(lists))
+	resolved.Lo = lo
+	resolved.Set(seenIn)
+	for j := 64; j < len(lists); j++ {
+		if j != seenIn && ruledOut(&lists[j], p.Len, p.ID) {
+			resolved.Set(j)
+		}
 	}
 	s.imp = append(s.imp, impCand{
 		id:        p.ID,
@@ -124,6 +138,77 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 	slot := int32(len(s.imp) - 1)
 	s.tbl.put(p.ID, slot)
 	return slot
+}
+
+// The head order. While the admission gate is open the scratch keeps the
+// lists sorted by head, (len, id): hord holds list indexes in that order,
+// hat[j] is list j's position in it, and hsum[k] the idf² sum of
+// hord[:k]. A list's head only moves forward, so after each pop the
+// popped list moves forward by insertion (rerank), and only the prefix
+// sums over the positions it passed are recomputed. The lists Order
+// Preservation has not ruled out for a posting that list j just popped —
+// its old head — are then the prefix before j's position and the lists
+// after it whose head is that very posting: a prefix sum and a short scan
+// instead of a pass over every list. Each stored sum is a chain of at
+// most n additions of positive terms, so it is within n ulps' relative
+// error of the exact sum in any order; rankSlack covers that with room to
+// spare for any query of fewer than 2²³ lists.
+const rankSlack = 1 + 0x1p-30
+
+// rankLists sets up the head order of lists.
+func (s *queryScratch) rankLists(lists []listState) {
+	n := len(lists)
+	s.hord = s.hord[:0]
+	for j := range n {
+		s.hord = append(s.hord, int32(j))
+	}
+	slices.SortFunc(s.hord, func(a, b int32) int {
+		ha, hb := lists[a].head, lists[b].head
+		return cmp.Or(cmp.Compare(ha.Len, hb.Len), cmp.Compare(ha.ID, hb.ID))
+	})
+	s.hat = slices.Grow(s.hat[:0], n)[:n]
+	s.hsum = resliceFloats(s.hsum, n+1)
+	for k, j := range s.hord {
+		s.hat[j] = int32(k)
+		s.hsum[k+1] = s.hsum[k] + lists[j].idfSq
+	}
+}
+
+// rerank moves list j, whose head has just moved forward (or ended, which
+// moves it behind every live list), to its place in the head order, and
+// recomputes the prefix sums of the positions it passed.
+func (s *queryScratch) rerank(lists []listState, j int) {
+	from := int(s.hat[j])
+	h := lists[j].head
+	k := from
+	for ; k+1 < len(s.hord) && headBefore(lists[s.hord[k+1]].head, h); k++ {
+		s.hord[k] = s.hord[k+1]
+		s.hat[s.hord[k]] = int32(k)
+	}
+	s.hord[k] = int32(j)
+	s.hat[j] = int32(k)
+	for r := from; r < k; r++ {
+		s.hsum[r+1] = s.hsum[r] + lists[s.hord[r]].idfSq
+	}
+}
+
+// hopeless reports that posting p, which list j has just popped and
+// whose weight there is lower, cannot reach τ even with the full weight
+// of every list Order Preservation leaves open: an upper bound of admit's
+// exact test, read off the head order before j is reranked. It rejects
+// only by a relative margin (rankSlack) over the prefix sum, so it never
+// rejects a posting the exact test admits.
+func (s *queryScratch) hopeless(lists []listState, j int, p invlist.Posting, lower, lenQ, tau float64) bool {
+	k := int(s.hat[j])
+	possible := s.hsum[k]
+	for _, r := range s.hord[k+1:] {
+		l := &lists[r]
+		if ruledOut(l, p.Len, p.ID) {
+			break
+		}
+		possible += l.idfSq // an equal head: the posting is l's frontier too
+	}
+	return !sim.Meets(lower+possible*rankSlack/(lenQ*p.Len), tau)
 }
 
 // Event-driven Order Preservation. From the sweep that shuts the
@@ -265,6 +350,47 @@ func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listStat
 	return out, true
 }
 
+// completeDense finishes, the moment the sweep has frozen and ordered
+// the candidate set, every list that still has postings to read and a
+// membership bitmap (Engine.dense). Each live candidate not yet resolved
+// in such a list lies at or past its frontier — the sweep has just ruled
+// out of it every candidate the frontier passed — so the bitmap holds the
+// candidate exactly when the rest of the list does: one bit test, counted
+// as a random probe, resolves it as seen (with the summand the
+// sequential read would add) or absent, and the candidate is settled. The
+// list then has nothing left to settle and is finished, its pointer past
+// the whole order. It is completeSF's argument for round-robin; the
+// canonical rescore decides every emission, so scores are bitwise the
+// same. Reports false when cancelled.
+func (e *Engine) completeDense(s *queryScratch, cc *canceller, lists []listState, q Query, tau float64, out []Result, stats *Stats) ([]Result, bool) {
+	for j := range lists {
+		l := &lists[j]
+		bits := e.dense.of(q.Tokens[j].Token)
+		if l.ended() || bits == nil {
+			continue
+		}
+		for _, slot := range s.ord {
+			c := &s.imp[slot]
+			if c.dead || c.resolved.Has(j) {
+				continue
+			}
+			if cc.stop() {
+				return out, false
+			}
+			stats.RandomProbes++
+			if has(bits, c.id) {
+				c.resolveSeen(j, l.idfSq, l.w(q.Len, c.len))
+			} else {
+				c.resolveAbsent(j, l.idfSq)
+			}
+			out = e.settle(s, q, tau, c, len(lists), out)
+		}
+		l.finish()
+		s.ptr[j] = int32(len(s.ord))
+	}
+	return out, true
+}
+
 // frontierBound is F, the best score a set not yet seen in any list could
 // still reach: the frontier weights of the lists inside the length window.
 // An ended list's endOfList head lies outside every window.
@@ -292,11 +418,14 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 }
 
 // roundRobin is the round-robin loop of iNRA and Hybrid. While F ≥ τ
-// nothing is scanned, so no order is kept either: admission stays a slab
-// append. When F first drops below τ (or no list reads in a round) the
+// nothing is scanned, so no candidate order is kept either: admission
+// stays a slab append, and only the lists are kept in head order, so
+// that a hopeless posting is rejected without a pass over them (admit).
+// When F first drops below τ (or no list reads in a round) the
 // candidate set is frozen; one sweep settles it, only the survivors are
-// ordered, and from then on absences are resolved event-driven
-// (passCandidates) and each list seeks to its next live candidate
+// ordered, the lists with a membership bitmap are finished by bit tests
+// (completeDense), and from then on absences are resolved event-driven
+// (passCandidates) and each other list seeks to its next live candidate
 // instead of reading up to it (seekCandidate).
 //
 // mu is nil for iNRA. Hybrid passes its per-list cutoffs µᵢ, and list i
@@ -316,6 +445,8 @@ func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q
 	s.resetOrder(n)
 	out := s.results[:0]
 	defer func() { s.results = out }()
+
+	s.rankLists(lists)
 
 	admitNew := true // true while F ≥ τ
 	seek := false    // the gate has shut and the skip index is on
@@ -362,10 +493,10 @@ func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q
 					m = max(m, p.Len)
 				}
 			}
-			if !admitNew {
-				if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
-					return nil, cc.err
-				}
+			if admitNew {
+				s.rerank(lists, i)
+			} else if out, ok = e.passCandidates(s, cc, lists, i, q, tau, out); !ok {
+				return nil, cc.err
 			}
 		}
 		stats.Rounds++
@@ -393,6 +524,12 @@ func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q
 			// The pointers stay at 0: a list's first pass walks over the
 			// entries the sweep already resolved in it, changing nothing.
 			s.sortOrder()
+			if seek {
+				var ok bool
+				if out, ok = e.completeDense(s, cc, lists, q, tau, out, stats); !ok {
+					return nil, cc.err
+				}
+			}
 		}
 		// With the gate shut the query is done once no candidate is live.
 		// A round with no read gets here with none: every list has ended

@@ -190,6 +190,7 @@ func TestAdmitRejectsHopeless(t *testing.T) {
 	s := &queryScratch{}
 	s.tbl.reset()
 	lists := e.openLists(s, nil, q, 0, &Options{}, &Stats{})
+	s.rankLists(lists) // the head order roundRobin keeps while admitting
 	// A posting so long that even appearing in every list cannot reach a
 	// high threshold must be rejected.
 	long := invlist.Posting{ID: 999999, Len: q.Len * 100}

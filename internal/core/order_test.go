@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,9 +129,10 @@ func TestHybridResumesPausedList(t *testing.T) {
 
 // orderDriver replays the candidate bookkeeping of roundRobin under a
 // test-chosen pop schedule. While the gate is open it admits by slab
-// append, as the algorithms do; freeze then shuts the gate the way they
-// do, and from there on every pop is followed by the list's pass and the
-// order's invariants are checked after every event.
+// append and reranks the popped list, as the algorithms do; freeze then
+// shuts the gate the way they do, and from there on every pop is followed
+// by the list's pass and the order's invariants are checked after every
+// event.
 type orderDriver struct {
 	t      *testing.T
 	e      *Engine
@@ -164,6 +168,7 @@ func (d *orderDriver) pop(i int) {
 		}
 	}
 	if !d.frozen {
+		s.rerank(d.lists, i)
 		return
 	}
 	// A pop that leaves nothing inside the window ends the list as far as
@@ -262,6 +267,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 		sortQueryTokens(s, q)
 		s.tbl.reset()
 		s.resetOrder(len(d.lists))
+		s.rankLists(d.lists)
 		// Bursts: a list pops several postings in a row before another
 		// gets its turn.
 		open := 0
@@ -306,4 +312,110 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 			outOfOrder, doneWhilePending)
 	}
 	t.Logf("out-of-order admissions %d, lists done while candidates pending %d", outOfOrder, doneWhilePending)
+}
+
+// TestListRankInvariant drives the head order of the round-robin loop
+// (rankLists, rerank, hopeless) through random pop and finish sequences
+// over 1 to 130 lists whose postings share a few (len, id) positions —
+// twelve sets over three lengths, so heads tie across lists all the time
+// and most sets tie on length. After every step the order must be sorted
+// by head with hat its inverse, every prefix sum must equal the sum of
+// its lists' idf² in list order within rankSlack, and the filter must
+// never reject a posting admit's exact test admits, at thresholds on the
+// exact bound's edge. It must also reject every posting the exact bound
+// misses by 1 %, or it filters nothing.
+func TestListRankInvariant(t *testing.T) {
+	steps := 0
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		setLen := make([]float64, 12)
+		for id := range setLen {
+			setLen[id] = []float64{1.5, 2, 2.25}[rng.Intn(3)]
+		}
+		n := 1 + rng.Intn(130)
+		lists := make([]listState, n)
+		for j := range lists {
+			var ids invlist.PostingIDs
+			for id := range setLen {
+				if rng.Intn(3) > 0 {
+					ids = append(ids, uint32(id))
+				}
+			}
+			slices.SortFunc(ids, func(a, b uint32) int {
+				return cmp.Or(cmp.Compare(setLen[a], setLen[b]), cmp.Compare(a, b))
+			})
+			lens := make(invlist.PostingLens, len(ids))
+			for k, id := range ids {
+				lens[k] = setLen[id]
+			}
+			lists[j] = listState{ids: ids, lens: lens, idfSq: math.Ldexp(1+rng.Float64(), rng.Intn(20))}
+			lists[j].setPos(0)
+		}
+		lenQ := 1 + 3*rng.Float64()
+		s := &queryScratch{}
+		s.rankLists(lists)
+		check := func(when string) {
+			t.Helper()
+			for k, j := range s.hord {
+				if s.hat[j] != int32(k) {
+					t.Fatalf("seed %d %s: hat[%d] = %d, but hord[%d] = %d", seed, when, j, s.hat[j], k, j)
+				}
+				if k > 0 && headBefore(lists[j].head, lists[s.hord[k-1]].head) {
+					t.Fatalf("seed %d %s: head order broken at %d", seed, when, k)
+				}
+			}
+			in := make([]bool, n)
+			for k := 0; k <= n; k++ {
+				var exact float64
+				for j := range lists {
+					if in[j] {
+						exact += lists[j].idfSq
+					}
+				}
+				if got := s.hsum[k]; got > exact*rankSlack || exact > got*rankSlack {
+					t.Fatalf("seed %d %s: prefix sum %d is %g, its lists sum to %g", seed, when, k, got, exact)
+				}
+				if k < n {
+					in[s.hord[k]] = true
+				}
+			}
+		}
+		check("at the start")
+		for open := n; open > 0; {
+			j := rng.Intn(n)
+			l := &lists[j]
+			if l.ended() {
+				continue
+			}
+			p := l.head
+			if rng.Intn(8) == 0 {
+				l.finish() // the length window's end
+			} else {
+				l.next()
+			}
+			var possible float64
+			for i := range lists {
+				if i != j && !ruledOut(&lists[i], p.Len, p.ID) {
+					possible += lists[i].idfSq
+				}
+			}
+			lower := l.w(lenQ, p.Len)
+			bound := lower + possible/(lenQ*p.Len)
+			for _, tau := range []float64{bound, bound + sim.ScoreEpsilon, math.Nextafter(bound+sim.ScoreEpsilon, 0)} {
+				if sim.Meets(bound, tau) && s.hopeless(lists, j, p, lower, lenQ, tau) {
+					t.Fatalf("seed %d: list %d's posting %v meets τ = %v exactly, but the filter rejects it", seed, j, p, tau)
+				}
+			}
+			if !s.hopeless(lists, j, p, lower, lenQ, bound*1.01+sim.ScoreEpsilon) {
+				t.Fatalf("seed %d: list %d's posting %v misses τ by 1 %%, but the filter passes it", seed, j, p)
+			}
+			steps++
+			s.rerank(lists, j)
+			if l.ended() {
+				open--
+			}
+			check(fmt.Sprintf("after list %d moved to %v", j, l.head))
+		}
+	}
+	t.Logf("%d pops checked", steps)
 }

@@ -43,10 +43,13 @@ type queryScratch struct {
 	nra []nraCand // candidate slabs of NRA and iNRA/Hybrid
 	imp []impCand
 
-	sfc, sfn []sfCand // SF's C and the next list's C, both in (len, id) order
-	ord      []int32  // iNRA/Hybrid candidate slots in (len, id) order
-	ptr      []int32  // per list: ord[:ptr[j]] lies before list j's frontier
-	chg      []int    // per list: postings charged to ElementsRead end here (seekTo)
+	sfc, sfn []sfCand  // SF's C and the next list's C, both in (len, id) order
+	ord      []int32   // iNRA/Hybrid candidate slots in (len, id) order
+	ptr      []int32   // per list: ord[:ptr[j]] lies before list j's frontier
+	chg      []int     // per list: postings charged to ElementsRead end here (seekTo)
+	hord     []int32   // iNRA/Hybrid lists in head (len, id) order while the gate is open
+	hat      []int32   // per list: its position in hord
+	hsum     []float64 // hsum[k]: idf² sum of hord[:k], len n+1
 
 	results []Result // result accumulator; copied out before pooling
 

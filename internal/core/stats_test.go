@@ -87,10 +87,12 @@ func TestPruningOrdering(t *testing.T) {
 // query makes at most one candidate sweep. Under NoSkipIndex, the paper's
 // access pattern, iNRA's counts are the sweeping implementation's
 // (recorded at c0a3741, with the opening seek read as a walk). By default
-// two seeks change the reads and rounds: once F < τ a list seeks to its
-// next live candidate instead of reading up to it (seekCandidate), and the
-// opening SeekLen searches its landing block instead of walking it.
-// Admission is untouched by both, so the admissions are the same in
+// three things change the reads and rounds. When the gate shuts, a list
+// with a membership bitmap settles every live candidate left in it with
+// one bit test and is finished (completeDense; the default rows were
+// re-pinned for it). From then on every other list seeks to its next live
+// candidate instead of reading up to it (seekCandidate). And the opening
+// SeekLen searches its landing block instead of walking it. Admission is untouched by all three, so the admissions are the same in
 // either mode. Hybrid's rows were re-pinned when it took iNRA's loop: its
 // pause bound until the sweep is the longest candidate admitted, not the
 // longest live one, which reads more at τ = 0.8 but never lets a
@@ -100,8 +102,8 @@ func TestEventDrivenAccessPattern(t *testing.T) {
 	type sums struct{ read, rounds, inserted int }
 	recorded := map[bool]map[float64]map[Algorithm]sums{
 		false: {
-			0.5: {INRA: {5458, 585, 2313}, Hybrid: {5433, 588, 2263}},
-			0.8: {INRA: {3615, 331, 556}, Hybrid: {3584, 345, 502}},
+			0.5: {INRA: {5451, 584, 2313}, Hybrid: {5424, 587, 2263}},
+			0.8: {INRA: {3615, 331, 556}, Hybrid: {3582, 344, 502}},
 		},
 		true: {
 			0.5: {INRA: {5557, 618, 2313}, Hybrid: {5513, 626, 2263}},
