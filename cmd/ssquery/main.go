@@ -149,11 +149,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		b := collection.NewBuilder(tokenize.QGramTokenizer{Q: *q}, true)
-		for _, s := range lines {
-			b.Add(s)
-		}
-		c := b.Build()
+		c := core.BuildCollection(tokenize.QGramTokenizer{Q: *q}, lines, true)
 		if *save != "" {
 			sf, err := os.Create(*save)
 			if err != nil {

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/collection"
+	"repro/internal/par"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
@@ -43,7 +44,7 @@ import (
 // mutations) the engine answers queries bitwise-identically to a static
 // engine built over the live documents with the same shard count.
 func (le *LiveEngine) Compact() bool {
-	return le.compactOnce(true)
+	return le.compact(true, true)
 }
 
 func (le *LiveEngine) compactLoop() {
@@ -66,15 +67,21 @@ type shardWork struct {
 	memN int
 }
 
-// compactOnce runs one compaction round. With full set (or when any
-// shard's segment count or statistics drift exceeds its bound) every
-// segment of every participating shard is folded; otherwise only the
-// memtables and undersized segments are. A full round on a routed
-// multi-shard engine additionally re-clusters the surviving corpus —
-// hash-routed memtable inserts fold into the similarity-aware
-// partitions, reproducing exactly the assignment a static BuildSharded
-// over the live documents would compute.
+// compactOnce runs one compaction round of the background compactor,
+// which runs beside queries and so builds on one goroutine.
 func (le *LiveEngine) compactOnce(full bool) bool {
+	return le.compact(full, false)
+}
+
+// compact runs one compaction round. With full set (or when any shard's
+// segment count or statistics drift exceeds its bound) every segment of
+// every participating shard is folded; otherwise only the memtables and
+// undersized segments are. A full round on a routed multi-shard engine
+// additionally re-clusters the surviving corpus — hash-routed memtable
+// inserts fold into the similarity-aware partitions, reproducing exactly
+// the assignment a static BuildSharded over the live documents would
+// compute. A round a caller waits on (fanOut) runs on roundWorkers.
+func (le *LiveEngine) compact(full, fanOut bool) bool {
 	le.compactMu.Lock()
 	defer le.compactMu.Unlock()
 	start := time.Now()
@@ -97,12 +104,14 @@ func (le *LiveEngine) compactOnce(full bool) bool {
 		return false
 	}
 	// The survivors are tokenized here, once, with no lock held: the
-	// sources were copied out. Insert validated every document, so add
-	// cannot refuse one.
-	r := newSegmentRound(le.tk)
-	for _, ref := range all {
-		r.add(ref)
+	// sources were copied out. Insert validated every document, so the
+	// round cannot refuse one.
+	workers := 1
+	if fanOut {
+		workers = roundWorkers(len(all))
 	}
+	r := newSegmentRound(le.tk, workers)
+	r.addAll(all)
 	assign, segs := le.runRound(r, works, needRoute, mutAt, start)
 
 	// Persist the round as a checkpoint: the round's documents under
@@ -165,13 +174,14 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 		}
 	}
 	builders, ids := r.builders(assign, le.nShards, true)
-	colls, builtN, builtMut := le.bakeStats(builders)
+	colls, builtN, builtMut := le.bakeStats(builders, r.workers)
 	segs := make([]*liveSegment, le.nShards)
-	for si, c := range colls {
+	par.Each(r.workers, len(colls), "shard", func(si int) {
+		c := colls[si]
 		if c == nil {
-			continue // untouched shard, or every gathered doc was deleted
+			return // untouched shard, or every gathered doc was deleted
 		}
-		segs[si] = &liveSegment{
+		g := &liveSegment{
 			eng:      NewEngine(c, le.cfg.Config),
 			ids:      ids[si],
 			builtN:   builtN,
@@ -180,9 +190,10 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 			identity: ids[si][len(ids[si])-1] == collection.SetID(len(ids[si])-1),
 		}
 		if !le.cfg.NoRoute {
-			segs[si].sum = route.Summarize(c)
+			g.sum = route.Summarize(c)
 		}
-	}
+		segs[si] = g
+	})
 	le.swapSegments(works, segs, r.docs, reassign, mutAt)
 	le.compactions.Add(1)
 	le.lastCompactNs.Store(int64(time.Since(start)))
@@ -303,20 +314,22 @@ func (le *LiveEngine) roundIDF(dict *tokenize.Dict) []float64 {
 // bakeStats freezes every round builder under one consistent view of the
 // global statistics — a single read-lock spans all the builds, so the
 // segments of one compaction round share identical baked weights.
-func (le *LiveEngine) bakeStats(builders []*collection.Builder) ([]*collection.Collection, int, uint64) {
+func (le *LiveEngine) bakeStats(builders []*collection.Builder, workers int) ([]*collection.Collection, int, uint64) {
 	le.mu.RLock()
 	defer le.mu.RUnlock()
 	builtN := le.liveN
 	if builtN < 1 {
 		builtN = 1 // matches the BuildWithStats floor; keeps drift finite
 	}
+	// The workers read le.df under the read lock held here; they take
+	// no lock of their own, which a waiting writer would deadlock.
 	dfFn := func(t string) int { return le.df[t] }
 	colls := make([]*collection.Collection, len(builders))
-	for i, b := range builders {
-		if b.Len() > 0 {
+	par.Each(workers, len(builders), "shard", func(i int) {
+		if b := builders[i]; b.Len() > 0 {
 			colls[i] = b.BuildWithStats(builtN, dfFn)
 		}
-	}
+	})
 	return colls, builtN, le.mutations
 }
 

@@ -91,7 +91,7 @@ func (le *LiveEngine) SetDurable(w WALSink, cp CheckpointSink, ckptSeq uint64) {
 // of its checkpoint (nil when nothing new needed persisting). Without
 // durability sinks it degrades to Compact.
 func (le *LiveEngine) CheckpointNow() error {
-	le.compactOnce(true)
+	le.compact(true, true)
 	le.compactMu.Lock()
 	defer le.compactMu.Unlock()
 	return le.ckptErr

@@ -144,11 +144,13 @@ func TestCollectionRetainsFlatArena(t *testing.T) {
 }
 
 // TestBuildAddAllocations pins both build paths to their arenas: once a
-// builder (Builder.Add) or a build round (segmentRound.add) has taken a
-// corpus, adding it again — every token already interned, lower-case
-// input the tokenizer does not copy — allocates nothing per document
-// but the amortized growth of the arrays it appends to. The count is
-// exact: testing.AllocsPerRun would round it down to a whole number.
+// builder (Builder.Add) or a build round (segmentRound.addAll, at two
+// workers) has taken a corpus, adding it again — every token already
+// interned, lower-case input the tokenizer does not copy — allocates
+// nothing per document but the amortized growth of the arrays it
+// appends to: the round's fan-out costs O(workers), not O(documents).
+// The count is exact: testing.AllocsPerRun would round it down to a
+// whole number.
 func TestBuildAddAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -157,16 +159,12 @@ func TestBuildAddAllocations(t *testing.T) {
 	for i, s := range rows {
 		rows[i] = strings.ToLower(s)
 	}
-	perDoc := func(add func(s string)) float64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		for _, s := range rows {
-			add(s) // warm-up: intern every token, grow every array
-		}
+	perDoc := func(procs int, addAll func()) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		addAll() // warm-up: intern every token, grow every array
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, s := range rows {
-			add(s)
-		}
+		addAll()
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(len(rows))
 	}
@@ -174,16 +172,24 @@ func TestBuildAddAllocations(t *testing.T) {
 	tk := tokenize.QGramTokenizer{Q: 3}
 
 	b := collection.NewBuilder(tk, true)
-	got := perDoc(func(s string) { b.Add(s) })
+	got := perDoc(1, func() {
+		for _, s := range rows {
+			b.Add(s)
+		}
+	})
 	t.Logf("Builder.Add: %.4f allocations per document", got)
 	if got >= budget {
 		t.Errorf("Builder.Add: %.3f allocations per document, want < %v", got, budget)
 	}
 
-	r := newSegmentRound(tk)
-	got = perDoc(func(s string) { r.add(docRef{id: collection.SetID(len(r.docs)), source: s}) })
-	t.Logf("segmentRound.add: %.4f allocations per document", got)
+	r := newSegmentRound(tk, 2)
+	refs := make([]docRef, len(rows))
+	for i, s := range rows {
+		refs[i] = docRef{id: collection.SetID(i), source: s}
+	}
+	got = perDoc(2, func() { r.addAll(refs) })
+	t.Logf("segmentRound.addAll: %.4f allocations per document", got)
 	if got >= budget {
-		t.Errorf("segmentRound.add: %.3f allocations per document, want < %v", got, budget)
+		t.Errorf("segmentRound.addAll: %.3f allocations per document, want < %v", got, budget)
 	}
 }

@@ -326,12 +326,11 @@ func (le *LiveEngine) startCompactor() {
 func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 	start := time.Now()
 	le := newLive(tk, cfg)
-	r := newSegmentRound(tk)
-	log := make([]liveDoc, 0, len(corpus))
-	for _, s := range corpus {
-		if r.add(docRef{id: collection.SetID(len(log)), source: s}) {
-			log = append(log, liveDoc{source: s})
-		}
+	r := newSegmentRound(tk, roundWorkers(len(corpus)))
+	r.addCorpus(corpus)
+	log := make([]liveDoc, len(r.docs))
+	for i, ref := range r.docs {
+		log[i].source = ref.source
 	}
 	le.load(log, r, start)
 	return le
@@ -350,13 +349,22 @@ func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngi
 func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
 	start := time.Now()
 	le := newLive(tk, cfg)
-	r := newSegmentRound(tk)
 	log := make([]liveDoc, len(docs))
+	refs := make([]docRef, 0, len(docs))
 	for id, d := range docs {
 		log[id] = liveDoc{source: d.Source, deleted: d.Deleted}
-		if !d.Deleted && !r.add(docRef{id: collection.SetID(id), source: d.Source}) {
-			return nil, fmt.Errorf("document %d: %w", id, ErrNoTokens)
+		if !d.Deleted {
+			refs = append(refs, docRef{id: collection.SetID(id), source: d.Source})
 		}
+	}
+	r := newSegmentRound(tk, roundWorkers(len(refs)))
+	if r.addAll(refs) > 0 {
+		// The first live document missing from the round is the culprit.
+		i := 0
+		for i < len(r.docs) && r.docs[i].id == refs[i].id {
+			i++
+		}
+		return nil, fmt.Errorf("document %d: %w", refs[i].id, ErrNoTokens)
 	}
 	le.load(log, r, start)
 	return le, nil

@@ -71,10 +71,8 @@ func compactKeepingTail(t *testing.T, le *LiveEngine, full bool, insert func()) 
 	if !ok {
 		return
 	}
-	r := newSegmentRound(le.tk)
-	for _, ref := range all {
-		r.add(ref)
-	}
+	r := newSegmentRound(le.tk, 1)
+	r.addAll(all)
 	le.runRound(r, works, needRoute, mutAt, time.Now())
 }
 

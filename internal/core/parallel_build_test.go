@@ -1,0 +1,203 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/collection"
+	"repro/internal/tokenize"
+)
+
+// withWorkers runs build with every round it starts fanned out over
+// workers goroutines, however small: GOMAXPROCS(workers) and no floor.
+func withWorkers(workers int, build func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	defer func(floor int) { parallelFloor = floor }(parallelFloor)
+	parallelFloor = 0
+	build()
+}
+
+// requireSameCollection fails unless got and want hold the same
+// dictionary in id order, the same token arena, offsets, TF table and
+// sources, and the same df, idf and length bits.
+func requireSameCollection(t *testing.T, label string, got, want *collection.Collection) {
+	t.Helper()
+	gd, wd := got.Dict(), want.Dict()
+	if gd.Len() != wd.Len() {
+		t.Fatalf("%s: dictionary of %d tokens, want %d", label, gd.Len(), wd.Len())
+	}
+	for i := 0; i < wd.Len(); i++ {
+		if g, w := gd.String(tokenize.Token(i)), wd.String(tokenize.Token(i)); g != w {
+			t.Fatalf("%s: token %d is %q, want %q", label, i, g, w)
+		}
+	}
+	for tok := 0; tok < want.NumTokens(); tok++ {
+		if g, w := math.Float64bits(got.IDFWeight(tokenize.Token(tok))), math.Float64bits(want.IDFWeight(tokenize.Token(tok))); g != w {
+			t.Fatalf("%s: idf bits of token %d: %x, want %x", label, tok, g, w)
+		}
+	}
+	for id := 0; id < want.NumSets(); id++ {
+		if g, w := math.Float64bits(got.Length(collection.SetID(id))), math.Float64bits(want.Length(collection.SetID(id))); g != w {
+			t.Fatalf("%s: length bits of set %d: %x, want %x", label, id, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: collections differ (arena, offsets, TF table, sources or df)", label)
+	}
+}
+
+// requireSameEngine adds the posting arenas with their skip samples and
+// the dense lists' bitmaps to requireSameCollection.
+func requireSameEngine(t *testing.T, label string, got, want *Engine) {
+	t.Helper()
+	requireSameCollection(t, label, got.c, want.c)
+	if !reflect.DeepEqual(got.store, want.store) {
+		t.Fatalf("%s: posting arenas or skip samples differ", label)
+	}
+	if !reflect.DeepEqual(got.dense, want.dense) {
+		t.Fatalf("%s: dense bitmaps differ", label)
+	}
+}
+
+func requireSameSharded(t *testing.T, label string, got, want *ShardedEngine) {
+	t.Helper()
+	if got.n != want.n || len(got.assign) != len(want.assign) {
+		t.Fatalf("%s: %d documents routed, want %d", label, got.n, want.n)
+	}
+	for i := range want.assign {
+		if got.assign[i] != want.assign[i] {
+			t.Fatalf("%s: document %d routed to shard %d, want %d", label, i, got.assign[i], want.assign[i])
+		}
+	}
+	if !reflect.DeepEqual(got.ids, want.ids) {
+		t.Fatalf("%s: shard id lists differ", label)
+	}
+	if !reflect.DeepEqual(got.sums, want.sums) {
+		t.Fatalf("%s: route summaries differ", label)
+	}
+	for i := range want.shards {
+		requireSameEngine(t, fmt.Sprintf("%s shard %d", label, i), got.shards[i], want.shards[i])
+	}
+}
+
+// requireSameLive compares two settled live engines segment by segment.
+func requireSameLive(t *testing.T, label string, got, want *LiveEngine) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Log(), want.Log()) || !reflect.DeepEqual(got.Routing(), want.Routing()) {
+		t.Fatalf("%s: logs or routing tables differ", label)
+	}
+	if !reflect.DeepEqual(got.df, want.df) || got.liveN != want.liveN {
+		t.Fatalf("%s: live statistics differ", label)
+	}
+	gs, ws := got.snap.Load().shards, want.snap.Load().shards
+	for si := range ws {
+		if len(gs[si].segs) != len(ws[si].segs) || len(gs[si].mem) != len(ws[si].mem) {
+			t.Fatalf("%s shard %d: %d segments and %d memtable documents, want %d and %d",
+				label, si, len(gs[si].segs), len(gs[si].mem), len(ws[si].segs), len(ws[si].mem))
+		}
+		for gi, w := range ws[si].segs {
+			g := gs[si].segs[gi]
+			l := fmt.Sprintf("%s shard %d segment %d", label, si, gi)
+			if !reflect.DeepEqual(g.ids, w.ids) || g.builtN != w.builtN || g.builtMut != w.builtMut ||
+				g.identity != w.identity || g.dead.Load() != w.dead.Load() {
+				t.Fatalf("%s: segment bookkeeping differs", l)
+			}
+			if !reflect.DeepEqual(g.sum, w.sum) {
+				t.Fatalf("%s: route summaries differ", l)
+			}
+			requireSameEngine(t, l, g.eng, w.eng)
+		}
+	}
+}
+
+// builtShapes is one build of every shape TestParallelBuildMatchesSerial
+// compares.
+type builtShapes struct {
+	routed, hashed          *ShardedEngine
+	mono                    *collection.Collection
+	built, restored, folded *LiveEngine // folded: restored, then deletes and a Compact
+}
+
+// TestParallelBuildMatchesSerial: every build path fanned out over four
+// workers builds exactly what it builds on one — BuildSharded routed
+// over 8 shards and hash-routed over 4, the monolithic BuildCollection
+// (which is also Builder.Add's collection), BuildLive over 3 shards, and
+// RestoreLive of a log with tombstones followed by a full Compact. The
+// corpora include documents without tokens, fewer documents than shards
+// and fewer than workers, and none at all.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	words := clusteredDocs(12, 40, 91)
+	grams := randomCorpus(500, 92, 14)
+	for i := 0; i < len(words); i += 37 {
+		words[i] = "" // no tokens: left out, and the ids close up
+	}
+	for i := 0; i < len(grams); i += 41 {
+		grams[i] = "!?"
+	}
+	type corpus struct {
+		name string
+		tk   tokenize.Tokenizer
+		docs []string
+	}
+	corpora := []corpus{
+		{"words", tokenize.WordTokenizer{}, words},
+		{"grams", liveTestTK, grams},
+		{"three docs", tokenize.WordTokenizer{}, []string{"alpha beta", "", "beta gamma"}},
+		{"empty", tokenize.WordTokenizer{}, nil},
+	}
+	for _, cp := range corpora {
+		var serial, parallel builtShapes
+		log := make([]DocState, len(cp.docs))
+		for i, s := range cp.docs {
+			log[i] = DocState{Source: s, Deleted: i%5 == 2 || s == "" || s == "!?"}
+		}
+		for _, run := range []struct {
+			workers int
+			out     *builtShapes
+		}{{1, &serial}, {4, &parallel}} {
+			withWorkers(run.workers, func() {
+				o := run.out
+				o.routed = BuildSharded(cp.tk, cp.docs, true, 8, Config{})
+				o.hashed = BuildSharded(cp.tk, cp.docs, false, 4, Config{NoRoute: true})
+				o.mono = BuildCollection(cp.tk, cp.docs, true)
+				o.built = BuildLive(cp.docs, cp.tk, LiveConfig{NoBackground: true, Shards: 3})
+				var err error
+				if o.restored, err = RestoreLive(log, cp.tk, LiveConfig{NoBackground: true, Shards: 3}); err != nil {
+					t.Fatalf("%s: RestoreLive: %v", cp.name, err)
+				}
+				if o.folded, err = RestoreLive(log, cp.tk, LiveConfig{NoBackground: true, Shards: 3}); err != nil {
+					t.Fatalf("%s: RestoreLive: %v", cp.name, err)
+				}
+				for id, d := range log {
+					if !d.Deleted && id%3 == 0 {
+						o.folded.Delete(collection.SetID(id))
+					}
+				}
+				o.folded.Compact()
+			})
+		}
+		requireSameSharded(t, cp.name+" routed", parallel.routed, serial.routed)
+		requireSameSharded(t, cp.name+" NoRoute", parallel.hashed, serial.hashed)
+		requireSameCollection(t, cp.name+" monolithic", parallel.mono, serial.mono)
+		requireSameEngine(t, cp.name+" monolithic engine", NewEngine(parallel.mono, Config{}), NewEngine(serial.mono, Config{}))
+		requireSameLive(t, cp.name+" BuildLive", parallel.built, serial.built)
+		requireSameLive(t, cp.name+" RestoreLive", parallel.restored, serial.restored)
+		requireSameLive(t, cp.name+" RestoreLive+Compact", parallel.folded, serial.folded)
+
+		b := collection.NewBuilder(cp.tk, true)
+		for _, s := range cp.docs {
+			b.Add(s)
+		}
+		requireSameCollection(t, cp.name+" Builder.Add", parallel.mono, b.Build())
+
+		for _, se := range []*ShardedEngine{serial.routed, serial.hashed, parallel.routed, parallel.hashed} {
+			se.Close()
+		}
+		for _, le := range []*LiveEngine{serial.built, serial.restored, serial.folded, parallel.built, parallel.restored, parallel.folded} {
+			le.Close()
+		}
+	}
+}

@@ -1,19 +1,52 @@
 // A segment round is the one place documents become index input. Every
-// build path — BuildSharded, a compaction round, and the bulk load
-// behind BuildLive and recovery — feeds its documents through add, which
-// holds the only tokenizer call on those paths: each document is
-// decomposed exactly once into its token-frequency vector, interning into
-// the round's shared dictionary in global id order. Everything
-// downstream reads those vectors: the document frequencies by token id,
-// the clusterer's distinct-token signatures, and the per-shard
-// collection builders, which copy the vectors into their arenas.
+// build path — BuildSharded, the monolithic BuildCollection, a
+// compaction round, and the bulk load behind BuildLive and recovery —
+// feeds its documents through addAll, which holds the only tokenizer
+// call on those paths: each document is decomposed exactly once into
+// its token-frequency vector, interning into the round's shared
+// dictionary in global id order. Everything downstream reads those
+// vectors: the document frequencies by token id, the clusterer's
+// distinct-token signatures, and the per-shard collection builders,
+// which copy the vectors into their arenas.
+//
+// A round runs each stage on its workers. addAll tokenizes contiguous
+// chunks of documents side by side against chunk-local token numbers
+// (tokenize.Chunk), interns the chunks' vocabularies into the round's
+// dictionary one chunk after another in document order — which assigns
+// exactly the ids one serial pass would — has each chunk sort its
+// vectors into its own stretch of the presized arena, and counts df in
+// one serial pass; the clusterer scores documents side by side
+// (route.PartitionWorkers); and the shards fill and build side by side.
+// Every stage's output is the serial build's, bit for bit.
 package core
 
 import (
+	"runtime"
+	"slices"
+
 	"repro/internal/collection"
+	"repro/internal/par"
 	"repro/internal/route"
 	"repro/internal/tokenize"
 )
+
+// parallelFloor is the smallest round that fans out. Below it a round
+// runs on one goroutine: on two cores, tokenizing 500–1000 short
+// documents in two chunks costs a quarter more than in one, and up to
+// ~10 000 it saves under a sixth of a stage that is itself a fraction
+// of a small store's set-up.
+var parallelFloor = 10000
+
+// roundWorkers is the worker count of a round of n documents that a
+// caller waits on — a build, a bulk load or recovery, an explicit
+// Compact: every core, once the round reaches parallelFloor. The
+// background compactor runs beside queries and takes one.
+func roundWorkers(n int) int {
+	if n < parallelFloor {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // docRef is one document headed into a round: its global id, its source,
 // and — for a compaction round — the shard currently holding it.
@@ -26,39 +59,92 @@ type docRef struct {
 // segmentRound accumulates the tokenized documents of one build round.
 // docs ascend by id when the caller adds them in id order, which every
 // caller does: per-shard id lists cut from it are then ascending too.
-// The documents' vectors sit back to back in one arena, so adding a
-// document allocates nothing but the arrays' amortized growth.
+// The documents' vectors sit back to back in one arena, so adding
+// documents allocates nothing per document but the arrays' amortized
+// growth.
 type segmentRound struct {
 	tk      tokenize.Tokenizer
+	workers int
 	dict    *tokenize.Dict
 	docs    []docRef
 	vecs    []tokenize.Count // every document's vector, back to back, each ascending by token
 	off     []int            // docs[i]'s vector is vecs[off[i]:off[i+1]]
 	df      []int            // df[t]: round documents containing token t
-	scratch tokenize.Scratch
+	chunks  []tokenize.Chunk // one per worker, kept warm for the next addAll
 }
 
-func newSegmentRound(tk tokenize.Tokenizer) *segmentRound {
-	return &segmentRound{tk: tk, dict: tokenize.NewDict(), off: []int{0}}
+func newSegmentRound(tk tokenize.Tokenizer, workers int) *segmentRound {
+	return &segmentRound{tk: tk, workers: max(1, workers), dict: tokenize.NewDict(), off: []int{0}}
 }
 
-// add tokenizes ref's source and appends it to the round. A string that
-// yields no tokens is left out and add reports false.
-func (r *segmentRound) add(ref docRef) bool {
-	n := len(r.vecs)
-	r.vecs = tokenize.Counts(r.vecs, r.dict, r.tk, ref.source, &r.scratch)
-	if len(r.vecs) == n {
-		return false
+// addAll tokenizes refs and appends, in order, every one that yields
+// tokens; it reports how many yielded none and were left out. Each
+// caller keeps its own id and rejection rule.
+func (r *segmentRound) addAll(refs []docRef) (dropped int) {
+	k := par.NumChunks(r.workers, len(refs))
+	for len(r.chunks) < k {
+		r.chunks = append(r.chunks, tokenize.Chunk{})
 	}
+	chunks := r.chunks[:k]
+	par.Chunks(k, len(refs), "tokenize", func(c, lo, hi int) {
+		ch := &chunks[c]
+		ch.Reset()
+		for _, ref := range refs[lo:hi] {
+			ch.Add(r.tk, ref.source)
+		}
+	})
+	// Chunk order, then first appearance within a chunk: the order of
+	// first appearance over the whole round, which serial interning
+	// would have followed.
+	for c := range chunks {
+		chunks[c].Intern(r.dict)
+	}
+	par.Chunks(k, len(refs), "tokenize", func(c, _, _ int) { chunks[c].Count() })
+	// Each chunk fills its own stretch of the arena.
+	base := make([]int, k+1)
+	base[0] = len(r.vecs)
+	for c := range chunks {
+		base[c+1] = base[c] + chunks[c].Total()
+	}
+	r.vecs = slices.Grow(r.vecs, base[k]-base[0])[:base[k]]
+	par.Chunks(k, len(refs), "tokenize", func(c, _, _ int) { chunks[c].Fill(r.vecs[base[c]:base[c+1]]) })
+
+	r.docs = slices.Grow(r.docs, len(refs))
+	r.off = slices.Grow(r.off, len(refs))
 	for len(r.df) < r.dict.Len() {
 		r.df = append(r.df, 0)
 	}
-	for _, c := range r.vecs[n:] {
-		r.df[c.Token]++
+	i, at := 0, base[0]
+	for c := range chunks {
+		ch := &chunks[c]
+		for d := 0; d < ch.Len(); d, i = d+1, i+1 {
+			n := ch.Entries(d)
+			if n == 0 {
+				dropped++
+				continue
+			}
+			for _, e := range r.vecs[at : at+n] {
+				r.df[e.Token]++
+			}
+			at += n
+			r.docs = append(r.docs, refs[i])
+			r.off = append(r.off, at)
+		}
 	}
-	r.docs = append(r.docs, ref)
-	r.off = append(r.off, len(r.vecs))
-	return true
+	return dropped
+}
+
+// addCorpus adds docs with the builds' numbering: the documents that
+// yield tokens take dense ids in input order.
+func (r *segmentRound) addCorpus(docs []string) {
+	refs := make([]docRef, len(docs))
+	for i, s := range docs {
+		refs[i].source = s
+	}
+	r.addAll(refs)
+	for i := range r.docs {
+		r.docs[i].id = collection.SetID(i)
+	}
 }
 
 // dfOf is the round's document frequency of a token string: the df
@@ -72,7 +158,7 @@ func (r *segmentRound) dfOf(token string) int {
 }
 
 // partition clusters the round's documents into k shards by their
-// distinct tokens, read off the vectors add already produced.
+// distinct tokens, read off the vectors addAll already produced.
 func (r *segmentRound) partition(idf []float64, k int) []int32 {
 	flat := make([]tokenize.Token, len(r.vecs))
 	for i, c := range r.vecs {
@@ -83,7 +169,7 @@ func (r *segmentRound) partition(idf []float64, k int) []int32 {
 		hi := r.off[i+1]
 		docToks[i] = flat[r.off[i]:hi:hi]
 	}
-	return route.Partition(docToks, idf, k)
+	return route.PartitionWorkers(docToks, idf, k, r.workers)
 }
 
 // builders distributes the round over one collection builder per shard —
@@ -91,28 +177,44 @@ func (r *segmentRound) partition(idf []float64, k int) []int32 {
 // vectors pre-counted, and returns with them each shard's local → global
 // id list. Each builder is sized exactly for its shard's sets and
 // entries, so the collections keep their arenas as built. A shard that
-// received nothing has an empty builder.
+// received nothing has an empty builder. The shards fill side by side,
+// each walking the round in document order.
 func (r *segmentRound) builders(assign []int32, shards int, keepSource bool) ([]*collection.Builder, [][]collection.SetID) {
-	sets := make([]int, shards)
-	entries := make([]int, shards)
-	for i, sh := range assign {
-		sets[sh]++
-		entries[sh] += r.off[i+1] - r.off[i]
-	}
 	builders := make([]*collection.Builder, shards)
-	// Exact capacities: a segment keeps its id list for life.
 	ids := make([][]collection.SetID, shards)
-	for si := range builders {
-		builders[si] = collection.NewBuilderWithDict(r.dict, r.tk, keepSource)
-		builders[si].Grow(sets[si], entries[si])
-		if sets[si] > 0 {
-			ids[si] = make([]collection.SetID, 0, sets[si])
+	par.Each(r.workers, shards, "shard", func(si int) {
+		sh := int32(si)
+		sets, entries := 0, 0
+		for i, a := range assign {
+			if a == sh {
+				sets++
+				entries += r.off[i+1] - r.off[i]
+			}
 		}
-	}
-	for i, ref := range r.docs {
-		sh := assign[i]
-		builders[sh].AddCounts(ref.source, r.vecs[r.off[i]:r.off[i+1]])
-		ids[sh] = append(ids[sh], ref.id)
-	}
+		b := collection.NewBuilderWithDict(r.dict, r.tk, keepSource)
+		b.Grow(sets, entries)
+		if sets > 0 {
+			// Exact capacity: a segment keeps its id list for life.
+			ids[si] = make([]collection.SetID, 0, sets)
+		}
+		for i, ref := range r.docs {
+			if assign[i] == sh {
+				b.AddCounts(ref.source, r.vecs[r.off[i]:r.off[i+1]])
+				ids[si] = append(ids[si], ref.id)
+			}
+		}
+		builders[si] = b
+	})
 	return builders, ids
+}
+
+// BuildCollection tokenizes docs through one segment round and freezes
+// them into a monolithic collection: the documents that yield tokens
+// take dense ids in input order. The collection is the one
+// collection.Builder's Add over docs builds, byte for byte.
+func BuildCollection(tk tokenize.Tokenizer, docs []string, keepSource bool) *collection.Collection {
+	r := newSegmentRound(tk, roundWorkers(len(docs)))
+	r.addCorpus(docs)
+	builders, _ := r.builders(make([]int32, len(r.docs)), 1, keepSource)
+	return builders[0].Build()
 }

@@ -188,9 +188,14 @@ func (c countingTokenizer) Tokens(dst []string, s string) []string {
 }
 
 // TestBuildsTokenizeOnce: every build path decomposes each document it
-// indexes exactly once — the sharded static build, a full compaction
+// indexes exactly once, with its rounds fanned out over four workers —
+// the sharded static build, the monolithic build, a full compaction
 // (re-clustering included) and the bulk load.
 func TestBuildsTokenizeOnce(t *testing.T) {
+	withWorkers(4, func() { testBuildsTokenizeOnce(t) })
+}
+
+func testBuildsTokenizeOnce(t *testing.T) {
 	docs := randomCorpus(300, 77, 6)
 	var calls atomic.Int64
 	tk := countingTokenizer{Tokenizer: liveTestTK, calls: &calls}
@@ -199,6 +204,13 @@ func TestBuildsTokenizeOnce(t *testing.T) {
 	se.Close()
 	if n := calls.Swap(0); n != int64(len(docs)) {
 		t.Errorf("BuildSharded: %d Tokens calls for %d documents", n, len(docs))
+	}
+
+	if c := BuildCollection(tk, docs, true); c.NumSets() != len(docs) {
+		t.Fatalf("BuildCollection kept %d of %d documents", c.NumSets(), len(docs))
+	}
+	if n := calls.Swap(0); n != int64(len(docs)) {
+		t.Errorf("BuildCollection: %d Tokens calls for %d documents", n, len(docs))
 	}
 
 	le := NewLive(tk, LiveConfig{NoBackground: true, Shards: 4})

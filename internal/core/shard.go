@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
@@ -107,10 +108,8 @@ func buildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 	}
 	routed := !cfg.NoRoute && shards > 1
 	// Accepted documents take dense global ids in input order.
-	r := newSegmentRound(tk)
-	for _, s := range docs {
-		r.add(docRef{id: collection.SetID(len(r.docs)), source: s})
-	}
+	r := newSegmentRound(tk, roundWorkers(len(docs)))
+	r.addCorpus(docs)
 	n := len(r.docs)
 	var assign []int32
 	switch {
@@ -134,12 +133,14 @@ func buildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 	if routed {
 		sums = make([]*route.Summary, shards)
 	}
-	for i := range builders {
+	// The shards share only the round's dictionary and df, which nothing
+	// writes any more.
+	par.Each(r.workers, shards, "shard", func(i int) {
 		engines[i] = NewEngine(builders[i].BuildWithStats(n, r.dfOf), cfg)
 		if routed {
 			sums[i] = route.Summarize(engines[i].Collection())
 		}
-	}
+	})
 	return newSharded(engines, ids, assign, sums, n)
 }
 

@@ -22,8 +22,10 @@
 package route
 
 import (
-	"sort"
+	"runtime"
+	"slices"
 
+	"repro/internal/par"
 	"repro/internal/tokenize"
 )
 
@@ -47,8 +49,19 @@ const (
 // pulls its documents together. Every step — seeding, sums, tie-breaks —
 // is deterministic: the same documents in the same order always produce
 // the same partition, which is what lets a live engine's full compaction
-// reproduce the static build's routing bit for bit.
+// reproduce the static build's routing bit for bit. Partition runs on
+// runtime.GOMAXPROCS(0) workers; see PartitionWorkers.
 func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
+	return PartitionWorkers(docs, idf, k, runtime.GOMAXPROCS(0))
+}
+
+// PartitionWorkers is Partition on the given number of workers, with
+// the same result for every count. Signatures and each iteration's dot
+// products are computed side by side, in contiguous chunks of
+// documents, and the centroid rebuild sums the clusters side by side,
+// each in document order; the capacity pass, which depends on order,
+// stays on one goroutine in document order.
+func PartitionWorkers(docs [][]tokenize.Token, idf []float64, k, workers int) []int32 {
 	n := len(docs)
 	assign := make([]int32, n)
 	if k <= 1 || n == 0 {
@@ -56,9 +69,11 @@ func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 	}
 
 	sigs := make([][]tokenize.Token, n)
-	for i, doc := range docs {
-		sigs[i] = signature(doc, idf)
-	}
+	par.Chunks(workers, n, "partition", func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sigs[i] = signature(docs[i], idf)
+		}
+	})
 
 	// Capacity ~25% above the even share: k·capPer ≥ n always holds, so
 	// the assignment loop can never find every cluster full.
@@ -66,49 +81,48 @@ func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 
 	// Deterministic seeding: k evenly spaced documents donate their
 	// signatures as the initial centroids.
-	cents := centroids{k: k, row: make([]int32, len(idf)), tok: make([]tokenize.Token, 1), w: make([]float64, k)}
+	cents := newCentroids(k, sigs, len(idf))
 	for j := 0; j < k; j++ {
 		for _, t := range sigs[j*n/k] {
-			cents.at(t)[j] = idf[t]
+			cents.weights(t)[j] = idf[t]
 		}
 	}
 
+	// pref[i] is document i's preferred cluster: the first maximal dot
+	// product over every cluster, full or not, or -1 when no centroid
+	// shares a token with it.
+	pref := make([]int32, n)
 	counts := make([]int, k)
 	dots := make([]float64, k)
 	for it := 0; it < iterations; it++ {
+		par.Chunks(workers, n, "partition", func(_, lo, hi int) {
+			dots := make([]float64, k)
+			for i := lo; i < hi; i++ {
+				cents.score(dots, sigs[i], idf)
+				pref[i] = -1
+				for j, dot := range dots {
+					if dot > 0 && (pref[i] < 0 || dot > dots[pref[i]]) {
+						pref[i] = int32(j)
+					}
+				}
+			}
+		})
 		for j := range counts {
 			counts[j] = 0
 		}
 		moved := 0
-		for i, sig := range sigs {
-			// Every cluster's dot accumulates over the signature in the same
-			// order, zero terms included (a token outside every support reads
-			// the all-zero row), so each sum is the one a per-cluster loop over
-			// sparse centroids would produce, bit for bit.
-			for j := range dots {
-				dots[j] = 0
-			}
-			for _, t := range sig {
-				wt := idf[t]
-				for j, c := range cents.weights(t) {
-					dots[j] += wt * c
-				}
-			}
-			best, bestDot := -1, 0.0
-			for j, dot := range dots {
-				if counts[j] >= capPer {
-					continue
-				}
-				if best < 0 || dot > bestDot {
-					best, bestDot = j, dot
-				}
-			}
-			if best < 0 || bestDot <= 0 {
-				// No open cluster shares a token with this document (or
-				// all are full, which the capacity slack rules out):
-				// balance it onto the least-loaded open cluster, lowest
-				// index on ties.
+		for i, p := range pref {
+			// An open preferred cluster is also the first maximum among the
+			// open clusters, which is what the capacity pass picks; a full
+			// one sends the document back to be scored against the open
+			// clusters alone.
+			best := int(p)
+			switch {
+			case p < 0:
 				best = leastLoaded(counts, capPer)
+			case counts[p] >= capPer:
+				cents.score(dots, sigs[i], idf)
+				best = openBest(dots, counts, capPer)
 			}
 			if assign[i] != int32(best) {
 				assign[i] = int32(best)
@@ -119,37 +133,81 @@ func Partition(docs [][]tokenize.Token, idf []float64, k int) []int32 {
 		if moved == 0 || it == iterations-1 {
 			break
 		}
-		cents.rebuild(sigs, assign, counts, idf)
+		cents.rebuild(sigs, assign, counts, idf, workers)
 	}
 	return assign
 }
 
+// score sets dots[j] to the dot product of sig with centroid j. Every
+// cluster's dot accumulates over the signature in the same order, zero
+// terms included (a token outside every support reads the all-zero
+// row), so each sum is the one a per-cluster loop over sparse centroids
+// would produce, bit for bit.
+func (c *centroids) score(dots []float64, sig []tokenize.Token, idf []float64) {
+	for j := range dots {
+		dots[j] = 0
+	}
+	for _, t := range sig {
+		wt := idf[t]
+		for j, w := range c.weights(t) {
+			dots[j] += wt * w
+		}
+	}
+}
+
+// openBest is the capacity pass's choice for a document whose preferred
+// cluster is full: the first maximal dot among the open clusters, or —
+// when none shares a token with the document — the least-loaded open
+// cluster, lowest index on ties.
+func openBest(dots []float64, counts []int, capPer int) int {
+	best, bestDot := -1, 0.0
+	for j, dot := range dots {
+		if counts[j] >= capPer {
+			continue
+		}
+		if best < 0 || dot > bestDot {
+			best, bestDot = j, dot
+		}
+	}
+	if best < 0 || bestDot <= 0 {
+		best = leastLoaded(counts, capPer)
+	}
+	return best
+}
+
 // centroids holds the k cluster centroids as dense rows over the tokens
-// in any centroid's support: row[t] is token t's row number, tok[r] the
-// token of row r, and w[r*k+j] its weight in cluster j's centroid. Row 0
-// is all zeros and belongs to every token in no support, so a lookup
-// never branches.
+// of every signature: row[t] is token t's row number and w[r*k+j] its
+// weight in cluster j's centroid. A token outside a centroid's support
+// has weight 0 there, which adds to a dot product exactly what no term
+// at all does. Row 0 is all zeros and belongs to every token in no
+// signature, so a lookup never branches. The rows are fixed for the
+// whole clustering; cols is the rebuild's column-major scratch.
 type centroids struct {
-	k   int
-	row []int32
-	tok []tokenize.Token
-	w   []float64
+	k, rows int
+	row     []int32
+	w       []float64
+	cols    []float64
+}
+
+// newCentroids gives every token of any signature a row of zeros.
+func newCentroids(k int, sigs [][]tokenize.Token, ntok int) *centroids {
+	c := &centroids{k: k, rows: 1, row: make([]int32, ntok)}
+	for _, sig := range sigs {
+		for _, t := range sig {
+			if c.row[t] == 0 {
+				c.row[t] = int32(c.rows)
+				c.rows++
+			}
+		}
+	}
+	c.w = make([]float64, c.rows*k)
+	return c
 }
 
 // weights returns token t's weight in each of the k centroids.
 func (c *centroids) weights(t tokenize.Token) []float64 {
 	r := int(c.row[t]) * c.k
 	return c.w[r : r+c.k]
-}
-
-// at is weights for writing: it gives t a row of its own first.
-func (c *centroids) at(t tokenize.Token) []float64 {
-	if c.row[t] == 0 {
-		c.row[t] = int32(len(c.tok))
-		c.tok = append(c.tok, t)
-		c.w = append(c.w, make([]float64, c.k)...)
-	}
-	return c.weights(t)
 }
 
 // signature selects the up-to-sigLen highest-idf tokens of doc,
@@ -177,7 +235,7 @@ func signature(doc []tokenize.Token, idf []float64) []tokenize.Token {
 			sig[minAt] = t
 		}
 	}
-	sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
+	slices.Sort(sig)
 	return sig
 }
 
@@ -201,25 +259,39 @@ func leastLoaded(counts []int, capPer int) int {
 
 // rebuild recomputes every centroid as the mean of its members'
 // signatures: each token's idf summed over the members, scaled by
-// 1/|cluster| so large clusters do not out-shout small ones.
-func (c *centroids) rebuild(sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64) {
-	for _, t := range c.tok[1:] {
-		c.row[t] = 0
+// 1/|cluster| so large clusters do not out-shout small ones. The
+// clusters are summed side by side, each into its own column and each
+// in document order, so every weight is the serial sum bit for bit.
+func (c *centroids) rebuild(sigs [][]tokenize.Token, assign []int32, counts []int, idf []float64, workers int) {
+	if c.cols == nil {
+		c.cols = make([]float64, len(c.w))
 	}
-	c.tok, c.w = c.tok[:1], c.w[:c.k]
-	for i, sig := range sigs {
-		j := assign[i]
-		for _, t := range sig {
-			c.at(t)[j] += idf[t]
+	clear(c.cols)
+	par.Chunks(workers, c.k, "partition", func(_, lo, hi int) {
+		for i, sig := range sigs {
+			j := int(assign[i])
+			if j < lo || j >= hi {
+				continue
+			}
+			col := c.cols[j*c.rows : (j+1)*c.rows]
+			for _, t := range sig {
+				col[c.row[t]] += idf[t]
+			}
 		}
-	}
-	for j, n := range counts {
-		if n == 0 {
-			continue // an empty cluster's column is all zeros already
+		for j := lo; j < hi; j++ {
+			if counts[j] == 0 {
+				continue // an empty cluster's column is all zeros already
+			}
+			inv := 1 / float64(counts[j])
+			col := c.cols[j*c.rows : (j+1)*c.rows]
+			for r := range col {
+				col[r] *= inv
+			}
 		}
-		inv := 1 / float64(n)
-		for r := c.k + j; r < len(c.w); r += c.k {
-			c.w[r] *= inv
+	})
+	for r := 0; r < c.rows; r++ {
+		for j := 0; j < c.k; j++ {
+			c.w[r*c.k+j] = c.cols[j*c.rows+r]
 		}
 	}
 }

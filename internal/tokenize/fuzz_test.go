@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -8,7 +9,8 @@ import (
 )
 
 // FuzzTokenize cross-checks both tokenizer families on arbitrary input.
-// Word tokens must be non-empty, lowercase, and free of separator runes;
+// Word tokens must be non-empty, lowercase, free of separator runes and
+// those of the lowered rune walk;
 // q-grams must equal the []rune reference loop's and have exactly the
 // documented rune width and count (for both padded and unpadded modes);
 // both tokenizers must be deterministic
@@ -37,6 +39,11 @@ func FuzzTokenize(f *testing.F) {
 			if w != strings.ToLower(w) {
 				t.Fatalf("word %q not lowercased", w)
 			}
+		}
+		// The plain lower-case ASCII pass must split exactly as the
+		// lowered rune walk does.
+		if ref := lowerWords(nil, strings.ToLower(s)); !slices.Equal(words, ref) {
+			t.Fatalf("word tokens %q, lowered rune walk gives %q", words, ref)
 		}
 		again := WordTokenizer{}.Tokens(nil, s)
 		if len(again) != len(words) {

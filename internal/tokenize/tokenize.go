@@ -20,6 +20,9 @@ type Token uint32
 // A Tokenizer decomposes a string into an ordered list of token strings.
 // The output may contain duplicates; callers that need set semantics
 // deduplicate downstream (see Counts).
+//
+// Tokens must be safe for concurrent use: concurrent queries prepare
+// through it, and a build tokenizes its corpus in chunks side by side.
 type Tokenizer interface {
 	// Tokens appends the tokens of s to dst and returns the extended slice.
 	Tokens(dst []string, s string) []string
@@ -34,10 +37,34 @@ type WordTokenizer struct{}
 // Name implements Tokenizer.
 func (WordTokenizer) Name() string { return "word" }
 
-// Tokens implements Tokenizer.
+// Tokens implements Tokenizer. Plain lower-case ASCII, which
+// strings.ToLower would return as it is, is split in the same pass that
+// checks it; anything else is lowered first.
 func (WordTokenizer) Tokens(dst []string, s string) []string {
+	start, n := -1, len(dst)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			if start < 0 {
+				start = i
+			}
+		case c >= utf8.RuneSelf || 'A' <= c && c <= 'Z':
+			return lowerWords(dst[:n], strings.ToLower(s))
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// lowerWords appends the words of a lowered string.
+func lowerWords(dst []string, lower string) []string {
 	start := -1
-	lower := strings.ToLower(s)
 	for i, r := range lower {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			if start < 0 {
@@ -175,7 +202,11 @@ func (d *Dict) Intern(s string) Token {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
-	s = strings.Clone(s)
+	return d.add(strings.Clone(s))
+}
+
+// add interns s, which is not yet interned and pins nothing.
+func (d *Dict) add(s string) Token {
 	id := Token(len(d.strings))
 	d.ids[s] = id
 	d.strings = append(d.strings, s)
@@ -227,6 +258,126 @@ func Counts(dst []Count, d *Dict, tk Tokenizer, s string, sc *Scratch) []Count {
 	return appendRuns(dst, sc.ids)
 }
 
+// A Chunk tokenizes a run of documents against token numbers of its
+// own, so that several chunks of one corpus can tokenize side by side
+// and then enter one Dict. Add each document; Intern the chunks into the
+// Dict one after another in corpus order; Count each chunk (side by side
+// again); then Fill each chunk's share of one arena. Intern enters a
+// chunk's tokens in order of their first appearance in the run, so
+// interning the chunks in corpus order gives every token the id a single
+// Counts pass over the whole corpus would have given it, and the vectors
+// Fill writes are what Counts would have appended, document by document.
+// The zero value is ready to use. A Chunk keeps its token table and
+// buffers across Reset, so tokenizing a run over the same vocabulary
+// again allocates nothing.
+type Chunk struct {
+	slots   map[string]Token // token string (a clone) → slot, kept across runs
+	strs    []string         // slot → token string
+	seen    []uint32         // slot → the last run it appeared in
+	run     uint32           // the current run, from 1
+	order   []Token          // the run's slots in order of first appearance
+	toks    []Token          // every document's tokens back to back: slots, sorted Dict ids after Count
+	docs    []int            // document i's tokens are toks[docs[i]:docs[i+1]]
+	remap   []Token          // slot → Dict id, for the run's slots
+	entries []int            // entries[i]: document i's distinct tokens, after Count
+	total   int              // the sum of entries
+	scratch []string
+}
+
+// Reset empties the chunk for another run of documents.
+func (c *Chunk) Reset() {
+	if c.slots == nil {
+		c.slots = make(map[string]Token)
+	}
+	clear(c.scratch) // the substrings pin their documents
+	c.run++
+	c.order, c.toks, c.docs = c.order[:0], c.toks[:0], append(c.docs[:0], 0)
+}
+
+// Add tokenizes s with tk and appends it as the chunk's next document.
+// A token string is cloned the first time the chunk meets it: a table
+// keyed by substrings of documents scattered over the heap costs a cache
+// miss per lookup.
+func (c *Chunk) Add(tk Tokenizer, s string) {
+	if c.run == 0 {
+		c.Reset()
+	}
+	c.scratch = tk.Tokens(c.scratch[:0], s)
+	for _, t := range c.scratch {
+		slot, ok := c.slots[t]
+		if !ok {
+			slot = Token(len(c.strs))
+			t = strings.Clone(t)
+			c.slots[t] = slot
+			c.strs = append(c.strs, t)
+			c.seen = append(c.seen, 0)
+		}
+		if c.seen[slot] != c.run {
+			c.seen[slot] = c.run
+			c.order = append(c.order, slot)
+		}
+		c.toks = append(c.toks, slot)
+	}
+	c.docs = append(c.docs, len(c.toks))
+}
+
+// Len reports the number of documents added since the last Reset.
+func (c *Chunk) Len() int { return max(0, len(c.docs)-1) }
+
+// Intern enters the run's token strings into d in order of first
+// appearance. Chunks of one corpus must be interned one at a time, in
+// corpus order.
+func (c *Chunk) Intern(d *Dict) {
+	if n := len(c.strs); len(c.remap) < n {
+		c.remap = append(c.remap, make([]Token, n-len(c.remap))...)
+	}
+	for _, slot := range c.order {
+		// The chunk's strings are clones already: the Dict shares them.
+		id, ok := d.ids[c.strs[slot]]
+		if !ok {
+			id = d.add(c.strs[slot])
+		}
+		c.remap[slot] = id
+	}
+}
+
+// Count renumbers every document's tokens to the Dict ids Intern
+// assigned, sorts them, and counts the distinct ones.
+func (c *Chunk) Count() {
+	c.entries, c.total = c.entries[:0], 0
+	for i := 0; i < c.Len(); i++ {
+		ids := c.toks[c.docs[i]:c.docs[i+1]]
+		for j, l := range ids {
+			ids[j] = c.remap[l]
+		}
+		sortTokens(ids)
+		n := 0
+		for j := range ids {
+			if j == 0 || ids[j] != ids[j-1] {
+				n++
+			}
+		}
+		c.entries = append(c.entries, n)
+		c.total += n
+	}
+}
+
+// Entries reports document i's vector length, after Count; it is 0 for a
+// document with no tokens.
+func (c *Chunk) Entries(i int) int { return c.entries[i] }
+
+// Total reports the chunk's vector lengths summed, after Count.
+func (c *Chunk) Total() int { return c.total }
+
+// Fill writes every document's token-frequency vector, ascending by
+// Token, back to back into dst, which must hold exactly Total entries.
+func (c *Chunk) Fill(dst []Count) {
+	dst = dst[:0:len(dst)]
+	for i := 0; i < c.Len(); i++ {
+		dst = appendSortedRuns(dst, c.toks[c.docs[i]:c.docs[i+1]])
+	}
+}
+
 // LookupCounts is like Counts but never mutates the dictionary: tokens of s
 // that were never interned are dropped. It additionally reports the number
 // of token occurrences (with multiplicity) that were unknown.
@@ -253,6 +404,11 @@ func LookupCounts(d *Dict, tk Tokenizer, s string, scratch []string) (counts []C
 // its TF the id's multiplicity.
 func appendRuns(dst []Count, ids []Token) []Count {
 	sortTokens(ids)
+	return appendSortedRuns(dst, ids)
+}
+
+// appendSortedRuns is appendRuns for ids already sorted.
+func appendSortedRuns(dst []Count, ids []Token) []Count {
 	for i := 0; i < len(ids); {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[i] {

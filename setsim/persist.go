@@ -408,12 +408,8 @@ func Open(path string, cfg Config) (*Engine, SnapshotInfo, error) {
 	if s.col != nil {
 		return core.NewEngine(s.col, cfg), s.info, nil
 	}
-	b := collection.NewBuilder(s.tk, true)
 	docs, _ := s.liveDocs()
-	for _, d := range docs {
-		b.Add(d)
-	}
-	return core.NewEngine(b.Build(), cfg), s.info, nil
+	return core.NewEngine(core.BuildCollection(s.tk, docs, true), cfg), s.info, nil
 }
 
 // OpenSharded loads a snapshot of either version as a sharded static

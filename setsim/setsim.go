@@ -85,7 +85,9 @@ type (
 
 // Tokenizers.
 type (
-	// Tokenizer decomposes strings into tokens.
+	// Tokenizer decomposes strings into tokens. Its Tokens method must be
+	// safe for concurrent use: concurrent queries prepare through it, and
+	// the builds tokenize their corpus on every core.
 	Tokenizer = tokenize.Tokenizer
 	// WordTokenizer splits on non-alphanumeric runs, lowercased.
 	WordTokenizer = tokenize.WordTokenizer
@@ -138,13 +140,11 @@ func NewEngine(c *Collection, cfg Config) *Engine { return core.NewEngine(c, cfg
 
 // Build tokenizes and indexes a corpus in one step. Strings that produce
 // no tokens are skipped; ids are assigned in input order among the kept
-// strings.
+// strings. The corpus is tokenized on every core (tk.Tokens must be safe
+// for concurrent use) into the collection a Builder's Add over it would
+// build, byte for byte.
 func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
-	b := collection.NewBuilder(tk, true)
-	for _, s := range corpus {
-		b.Add(s)
-	}
-	return core.NewEngine(b.Build(), cfg)
+	return core.NewEngine(core.BuildCollection(tk, corpus, true), cfg)
 }
 
 // BuildSharded tokenizes a corpus once — one Tokens call per string,
@@ -152,10 +152,14 @@ func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
 // frequencies, the clusterer and the shard's collection alike — and
 // indexes it across shards partitions (similarity-aware, or hash under
 // cfg.NoRoute), each a complete engine sharing the corpus-wide token
-// dictionary and statistics. Queries fan out over a bounded worker pool
-// and merge; every result — ids, scores, order — is bitwise-identical
-// to Build over the same corpus. shards ≤ 1 builds a single partition.
-// Call Close when done to stop the fan-out workers.
+// dictionary and statistics. The build runs on every core: the corpus
+// is tokenized in chunks (tk.Tokens must be safe for concurrent use),
+// the clusterer scores documents side by side and the shards build side
+// by side, and the engine is bit for bit the one a single core builds.
+// Queries fan out over a bounded worker pool and merge; every result —
+// ids, scores, order — is bitwise-identical to Build over the same
+// corpus. shards ≤ 1 builds a single partition. Call Close when done to
+// stop the fan-out workers.
 func BuildSharded(corpus []string, tk Tokenizer, shards int, cfg Config) *ShardedEngine {
 	return core.BuildSharded(tk, corpus, true, shards, cfg)
 }
