@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,6 +31,7 @@ func (f *fakeRun) run(dir, workload string, seed int64, seconds float64) (runRes
 	if f.fail[key] {
 		res.Correct, res.Failed = false, 3
 	}
+	res.Machine = machine{Nproc: 2, Go: "go1.0", Kernel: dir}
 	return res, nil
 }
 
@@ -97,11 +101,16 @@ func TestCompareReportsFailedRun(t *testing.T) {
 		},
 		fail: map[string]bool{"ref/2": true},
 	}
-	cfg := config{refDir: "ref", changeDir: "chg", workloads: []string{"w"}, metrics: testMetrics, pairs: 3, seed: 1}
+	path := filepath.Join(t.TempDir(), "history.json")
+	cfg := config{refDir: "ref", changeDir: "chg", workloads: []string{"w"}, metrics: testMetrics, pairs: 3, seed: 1, record: path}
 	var out, log strings.Builder
 	code, err := compare(cfg, f.run, &out, &log)
 	if err != nil || code != 1 {
 		t.Fatalf("compare = %d, %v; want exit 1 for the failed run", code, err)
+	}
+	var rows []historyRow
+	if raw, err := os.ReadFile(path); err != nil || json.Unmarshal(raw, &rows) != nil || len(rows) != 1 || rows[0].IncorrectRuns != 1 {
+		t.Errorf("recorded %+v (%v), want one row with one incorrect run", rows, err)
 	}
 	if !strings.Contains(log.String(), "w reference seed 2: correct=false, 3 failed operations") {
 		t.Errorf("failed run not reported:\n%s", log.String())
@@ -109,5 +118,64 @@ func TestCompareReportsFailedRun(t *testing.T) {
 	// Every pair still counts: 81/82/83 against 101/102/103.
 	if !strings.Contains(out.String(), "| `lat` | 102 (101.5/102.5) | 82 (81.5/82.5) | 0.804× | 3/3 | gain |") {
 		t.Errorf("table:\n%s", out.String())
+	}
+}
+
+// TestRecordAppendsRows runs two compares with -record on one file: the
+// file must stay one JSON array, hold the first row unchanged and the
+// second after it, and each row must read back as the compare wrote it,
+// with the machine of the first change run's header.
+func TestRecordAppendsRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.json")
+	f := &fakeRun{value: func(dir string, seed int64) float64 {
+		return map[string]float64{"chg": 80, "ref": 100}[dir] + float64(seed)
+	}}
+	cfg := config{refDir: "ref", changeDir: "chg", workloads: []string{"w", "v"}, metrics: testMetrics, pairs: 3, seed: 1,
+		seconds: 2, record: path, change: "worktree", changeParent: "abc", refCommit: "def"}
+	if code, err := compare(cfg, f.run, io.Discard, io.Discard); code != 0 || err != nil {
+		t.Fatalf("first compare = %d, %v", code, err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.seed, cfg.change, cfg.changeParent = 11, "abd", ""
+	if code, err := compare(cfg, f.run, io.Discard, io.Discard); code != 0 || err != nil {
+		t.Fatalf("second compare = %d, %v", code, err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(string(raw), strings.TrimSuffix(strings.TrimSuffix(string(first), "\n"), "\n]")) {
+		t.Fatalf("history after two compares:\n%s\nafter one:\n%s", raw, first)
+	}
+	var rows []historyRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want := historyRow{Change: "worktree", ChangeParent: "abc", Ref: "def", Seed: 1, Pairs: 3, Seconds: 2,
+		Machine: machine{Nproc: 2, Go: "go1.0", Kernel: "chg"}}
+	// Seeds 1–3: the change's runs are 81/82/83, the reference's 101/102/103.
+	lat := metricEntry{Name: "lat", Ref: [3]float64{101.5, 102, 102.5}, Change: [3]float64{81.5, 82, 82.5}, Won: 3, Verdict: "gain"}
+	mb := metricEntry{Name: "mb", Ref: [3]float64{10, 10, 10}, Change: [3]float64{10, 10, 10}, Won: 0, Verdict: "within bound"}
+	for _, wl := range []string{"w", "v"} {
+		want.Workloads = append(want.Workloads, workloadEntry{Name: wl, Metrics: []metricEntry{lat, mb}})
+	}
+	if !reflect.DeepEqual(rows[0], want) {
+		t.Errorf("first row\n%+v\nwant\n%+v", rows[0], want)
+	}
+	if rows[1].Seed != 11 || rows[1].Change != "abd" || rows[1].ChangeParent != "" || rows[1].Workloads[0].Metrics[0].Ref[1] != 112 {
+		t.Errorf("second row %+v", rows[1])
+	}
+	for i, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(lines[i+1], ","); got != string(line) {
+			t.Errorf("row %d does not round-trip:\n%s\n%s", i, got, line)
+		}
 	}
 }

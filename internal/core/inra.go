@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/collection"
@@ -67,64 +68,65 @@ func ruledOut(l *listState, len float64, id collection.SetID) bool {
 	return !beforeOrAt(l.head, len, id)
 }
 
-// resolveAbsences applies Order Preservation to every still-unresolved
-// list of c at once: any list whose frontier has passed (c.len, c.id) is
-// marked resolved-absent. It walks only the clear bits of the resolved
-// mask, in ascending list order. This is the sweep form of the rule —
-// iNRA's one candidate scan uses it; passCandidates is the event-driven
-// form.
-func resolveAbsences(c *impCand, lists []listState) {
-	n := len(lists)
-	for j := c.resolved.NextClear(0, n); j >= 0; j = c.resolved.NextClear(j+1, n) {
-		if ruledOut(&lists[j], c.len, c.id) {
-			c.resolveAbsent(j, lists[j].idfSq)
-		}
-	}
-}
-
-// admit evaluates a newly surfaced posting p, just popped from list
-// seenIn, for candidacy: it combines Order Preservation (exclude lists
-// whose frontier already passed the posting) with Magnitude Boundedness
+// admit evaluates a newly surfaced posting p, just popped from list j,
+// for candidacy: it combines Order Preservation (exclude lists whose
+// frontier already passed the posting) with Magnitude Boundedness
 // (best-case score from the remaining lists). When the best case reaches
 // τ the candidate is appended to the scratch's impCand slab, indexed in
 // the scratch id-table, and its slab slot returned; a hopeless posting
-// returns -1 with nothing retained. Most postings are hopeless, so the
-// head order's prefix sum (hopeless) rejects them first without a pass
-// over the lists. A posting it passes gets the exact verdict, upper()'s
-// expression computed on locals, so the decision and the admitted
-// candidate's state are bitwise the same as without the filter. Only an
-// admitted posting has its mask carved, so over more than 64 lists the
-// arena holds overflow words for admitted candidates alone.
-func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q Query, tau float64) int32 {
-	lower := lists[seenIn].w(q.Len, p.Len)
-	if s.hopeless(lists, seenIn, p, lower, q.Len, tau) {
+// returns -1 with nothing retained.
+//
+// It reads Order Preservation off the head order, so it must be called
+// after j has popped p and before rerank moves j: p is j's old head, and
+// j's position k in the order still holds it. The lists that have not
+// passed p are then the prefix before k and the lists after it whose head
+// is p itself, found by a short scan up to the first head past p at
+// position e; every list from e on has passed it (openRank). Most
+// postings are hopeless, and that prefix sum plus the scan rejects them
+// by a relative margin (rankSlack) without touching the other lists. A
+// posting that passes takes its ruled-out lists 0–63 as one word, the OR
+// over the order's suffix from e, and gets the exact verdict, upper()'s
+// expression computed on locals, with the open lists' idf² summed in
+// ascending list order: the decision and the admitted candidate's state
+// are bitwise what testing every list's frontier gives. Lists ≥ 64 read
+// their place in the order one by one. Only an admitted posting has its
+// mask carved, so over more than 64 lists the arena holds overflow words
+// for admitted candidates alone.
+func admit(s *queryScratch, lists []listState, j int, p invlist.Posting, q Query, tau float64) int32 {
+	lower := lists[j].w(q.Len, p.Len)
+	possible, e := s.openRank(lists, j, p)
+	if !sim.Meets(lower+possible*rankSlack/(q.Len*p.Len), tau) {
 		return -1
 	}
-	var lo uint64 // lists 0–63 ruled out; the second pass below sets the rest
-	nResolved := 1
-	var possible float64
-	for j := range lists {
-		if j == seenIn {
-			continue
+	n := len(lists)
+	var passed uint64 // lists 0–63 ruled out; a shift by 64 or more is 0
+	for _, r := range s.hord[e:] {
+		passed |= 1 << r
+	}
+	open := ^(passed | 1<<j)
+	if n < 64 {
+		open &= 1<<n - 1
+	}
+	possible = 0
+	for w := open; w != 0; w &= w - 1 {
+		possible += lists[bits.TrailingZeros64(w)].idfSq
+	}
+	for r := 64; r < n; r++ {
+		if r != j && int(s.hat[r]) < e {
+			possible += lists[r].idfSq
 		}
-		if ruledOut(&lists[j], p.Len, p.ID) {
-			if j < 64 {
-				lo |= 1 << j
-			}
-			nResolved++
-			continue
-		}
-		possible += lists[j].idfSq
 	}
 	if !sim.Meets(lower+possible/(q.Len*p.Len), tau) {
 		return -1
 	}
-	resolved := s.newCandMask(len(lists))
-	resolved.Lo = lo
-	resolved.Set(seenIn)
-	for j := 64; j < len(lists); j++ {
-		if j != seenIn && ruledOut(&lists[j], p.Len, p.ID) {
-			resolved.Set(j)
+	resolved := s.newCandMask(n)
+	resolved.Lo = passed
+	resolved.Set(j)
+	if n > 64 {
+		for _, r := range s.hord[e:] {
+			if r >= 64 {
+				resolved.Set(int(r))
+			}
 		}
 	}
 	s.imp = append(s.imp, impCand{
@@ -132,7 +134,7 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 		len:       p.Len,
 		lower:     lower,
 		resolved:  resolved,
-		nResolved: nResolved,
+		nResolved: 1 + n - e,
 		remIdfSq:  possible,
 	})
 	slot := int32(len(s.imp) - 1)
@@ -145,14 +147,16 @@ func admit(s *queryScratch, lists []listState, seenIn int, p invlist.Posting, q 
 // hat[j] is list j's position in it, and hsum[k] the idf² sum of
 // hord[:k]. A list's head only moves forward, so after each pop the
 // popped list moves forward by insertion (rerank), and only the prefix
-// sums over the positions it passed are recomputed. The lists Order
-// Preservation has not ruled out for a posting that list j just popped —
-// its old head — are then the prefix before j's position and the lists
-// after it whose head is that very posting: a prefix sum and a short scan
-// instead of a pass over every list. Each stored sum is a chain of at
-// most n additions of positive terms, so it is within n ulps' relative
-// error of the exact sum in any order; rankSlack covers that with room to
-// spare for any query of fewer than 2²³ lists.
+// sums over the positions it passed are recomputed. By Order
+// Preservation the lists that have passed any position (len, id) are
+// then a suffix of the order: those from the first head past it on. So
+// admission reads a posting's open lists as a prefix sum and a short scan
+// and its ruled-out lists as that suffix (admit), and the sweep that
+// shuts the gate reads each candidate's as one precomputed suffix word
+// (resolvePassed). Each stored sum is a chain of at most n additions of
+// positive terms, so it is within n ulps' relative error of the exact sum
+// in any order; rankSlack covers that with room to spare for any query of
+// fewer than 2²³ lists.
 const rankSlack = 1 + 0x1p-30
 
 // rankLists sets up the head order of lists.
@@ -192,23 +196,68 @@ func (s *queryScratch) rerank(lists []listState, j int) {
 	}
 }
 
-// hopeless reports that posting p, which list j has just popped and
-// whose weight there is lower, cannot reach τ even with the full weight
-// of every list Order Preservation leaves open: an upper bound of admit's
-// exact test, read off the head order before j is reranked. It rejects
-// only by a relative margin (rankSlack) over the prefix sum, so it never
-// rejects a posting the exact test admits.
-func (s *queryScratch) hopeless(lists []listState, j int, p invlist.Posting, lower, lenQ, tau float64) bool {
+// openRank reads the head order for posting p, which list j has just
+// popped and has not yet been reranked past: e is the position of the
+// first head past p, so hord[e:] are the lists that have passed it, and
+// possible is the prefix sum of the lists before e other than j, within
+// rankSlack of their exact idf² sum.
+func (s *queryScratch) openRank(lists []listState, j int, p invlist.Posting) (possible float64, e int) {
 	k := int(s.hat[j])
-	possible := s.hsum[k]
-	for _, r := range s.hord[k+1:] {
-		l := &lists[r]
+	possible = s.hsum[k]
+	for e = k + 1; e < len(s.hord); e++ {
+		l := &lists[s.hord[e]]
 		if ruledOut(l, p.Len, p.ID) {
 			break
 		}
 		possible += l.idfSq // an equal head: the posting is l's frontier too
 	}
-	return !sim.Meets(lower+possible*rankSlack/(lenQ*p.Len), tau)
+	return possible, e
+}
+
+// suffixMasks sets suf[k] to the lists 0–63 among hord[k:], one bit
+// each, for every k from 0 to n: the ruled-out word of every position
+// whose heads at or before it number k. The head order must be current.
+func (s *queryScratch) suffixMasks() {
+	n := len(s.hord)
+	s.suf = resliceWords(s.suf, n+1)
+	for k := n - 1; k >= 0; k-- {
+		s.suf[k] = s.suf[k+1] | 1<<s.hord[k] // a shift by 64 or more is 0
+	}
+}
+
+// resolvePassed applies Order Preservation to every still-unresolved list
+// of c at once: each list whose frontier has passed (c.len, c.id) is
+// marked resolved-absent, in ascending list order. The head order,
+// current and with suffixMasks built over it, gives lists 0–63 in one
+// word: a binary search counts the heads at or before the candidate, and
+// the suffix word past them, less the lists already resolved, is the set
+// to mark. Lists ≥ 64 test their frontier one by one.
+func (s *queryScratch) resolvePassed(c *impCand, lists []listState) {
+	k, hi := 0, len(s.hord)
+	for k < hi {
+		m := int(uint(k+hi) >> 1)
+		if ruledOut(&lists[s.hord[m]], c.len, c.id) {
+			hi = m
+		} else {
+			k = m + 1
+		}
+	}
+	// resolveAbsent bit by bit, its mass kept in a register.
+	w := s.suf[k] &^ c.resolved.Lo
+	c.resolved.Lo |= w
+	c.nResolved += bits.OnesCount64(w)
+	rem := c.remIdfSq
+	for ; w != 0; w &= w - 1 {
+		if rem -= lists[bits.TrailingZeros64(w)].idfSq; rem < 0 {
+			rem = 0
+		}
+	}
+	c.remIdfSq = rem
+	for r := 64; r < len(lists); r++ {
+		if ruledOut(&lists[r], c.len, c.id) {
+			c.resolveAbsent(r, lists[r].idfSq)
+		}
+	}
 }
 
 // Event-driven Order Preservation. From the sweep that shuts the
@@ -350,6 +399,28 @@ func (e *Engine) passCandidates(s *queryScratch, cc *canceller, lists []listStat
 	return out, true
 }
 
+// sweep shuts the admission gate: with the head order still current, it
+// resolves every candidate's absences by Order Preservation
+// (resolvePassed) and settles it, then sorts the survivors into the
+// candidate order. Every pointer stays at 0: a list's first pass walks
+// over the entries the sweep already resolved in it, changing nothing.
+// Reports false when cancelled.
+func (e *Engine) sweep(s *queryScratch, cc *canceller, lists []listState, q Query, tau float64, out []Result) ([]Result, bool) {
+	s.suffixMasks()
+	for ci := range s.imp {
+		if cc.stop() {
+			return out, false
+		}
+		c := &s.imp[ci]
+		s.resolvePassed(c, lists)
+		if out = e.settle(s, q, tau, c, len(lists), out); !c.dead {
+			s.ord = append(s.ord, int32(ci))
+		}
+	}
+	s.sortOrder()
+	return out, true
+}
+
 // completeDense finishes, the moment the sweep has frozen and ordered
 // the candidate set, every list that still has postings to read and a
 // membership bitmap (Engine.dense). Each live candidate not yet resolved
@@ -420,13 +491,14 @@ func (e *Engine) selectINRA(s *queryScratch, cc *canceller, q Query, tau float64
 // roundRobin is the round-robin loop of iNRA and Hybrid. While F ≥ τ
 // nothing is scanned, so no candidate order is kept either: admission
 // stays a slab append, and only the lists are kept in head order, so
-// that a hopeless posting is rejected without a pass over them (admit).
-// When F first drops below τ (or no list reads in a round) the
-// candidate set is frozen; one sweep settles it, only the survivors are
-// ordered, the lists with a membership bitmap are finished by bit tests
-// (completeDense), and from then on absences are resolved event-driven
-// (passCandidates) and each other list seeks to its next live candidate
-// instead of reading up to it (seekCandidate).
+// that a posting's open and ruled-out lists are read off it instead of a
+// pass over them (admit). When F first drops below τ (or no list reads in
+// a round) the candidate set is frozen; one sweep settles it off the same
+// order (sweep), after which the head order is abandoned, only the
+// survivors are ordered, the lists with a membership bitmap are finished
+// by bit tests (completeDense), and from then on absences are resolved
+// event-driven (passCandidates) and each other list seeks to its next
+// live candidate instead of reading up to it (seekCandidate).
 //
 // mu is nil for iNRA. Hybrid passes its per-list cutoffs µᵢ, and list i
 // then sits out a round while its frontier is longer than max(µᵢ, m).
@@ -511,21 +583,11 @@ func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q
 			admitNew = false
 			seek = !o.NoSkipIndex
 			stats.CandidateScans++
-			for ci := range s.imp {
-				if cc.stop() {
-					return nil, cc.err
-				}
-				c := &s.imp[ci]
-				resolveAbsences(c, lists)
-				if out = e.settle(s, q, tau, c, n, out); !c.dead {
-					s.ord = append(s.ord, int32(ci))
-				}
+			var ok bool
+			if out, ok = e.sweep(s, cc, lists, q, tau, out); !ok {
+				return nil, cc.err
 			}
-			// The pointers stay at 0: a list's first pass walks over the
-			// entries the sweep already resolved in it, changing nothing.
-			s.sortOrder()
 			if seek {
-				var ok bool
 				if out, ok = e.completeDense(s, cc, lists, q, tau, out, stats); !ok {
 					return nil, cc.err
 				}

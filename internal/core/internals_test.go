@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/invlist"
-	"repro/internal/sim"
 )
 
 func TestCandMask(t *testing.T) {
@@ -184,6 +183,11 @@ func TestBeforeOrAt(t *testing.T) {
 	}
 }
 
+// TestAdmitRejectsHopeless admits postings list 0 really pops, each
+// before the head order is reranked, as admit requires. Set 0 is the
+// query: when list 0 pops it, no other list has moved, so every list is
+// open and it is admitted at τ = 1. A posting so long that even appearing
+// in every list cannot reach τ = 0.9 must be rejected.
 func TestAdmitRejectsHopeless(t *testing.T) {
 	e := buildEngine(t, 300, 92, 6, Config{})
 	q := e.PrepareCounts(e.c.Set(0))
@@ -191,17 +195,25 @@ func TestAdmitRejectsHopeless(t *testing.T) {
 	s.tbl.reset()
 	lists := e.openLists(s, nil, q, 0, &Options{}, &Stats{})
 	s.rankLists(lists) // the head order roundRobin keeps while admitting
-	// A posting so long that even appearing in every list cannot reach a
-	// high threshold must be rejected.
-	long := invlist.Posting{ID: 999999, Len: q.Len * 100}
-	if slot := admit(s, lists, 0, long, q, 0.9); slot >= 0 {
-		t.Error("admit accepted a hopeless candidate")
+	var self, long bool
+	for l := &lists[0]; !l.ended(); s.rerank(lists, 0) {
+		p := l.head
+		l.next()
+		switch {
+		case p.ID == 0:
+			self = true
+			if slot := admit(s, lists, 0, p, q, 1); slot < 0 {
+				t.Error("admit rejected the query's own set at τ = 1")
+			}
+		case 0.9*p.Len > q.Len:
+			long = true
+			if slot := admit(s, lists, 0, p, q, 0.9); slot >= 0 {
+				t.Errorf("admit accepted set %d of length %g, beyond len(q)/0.9 = %g", p.ID, p.Len, q.Len/0.9)
+			}
+		}
 	}
-	// A posting identical to the query's own length is always admissible
-	// at any threshold.
-	self := invlist.Posting{ID: 999998, Len: q.Len}
-	if slot := admit(s, lists, 0, self, q, sim.ScoreEpsilon*2); slot < 0 {
-		t.Error("admit rejected a viable candidate")
+	if !self || !long {
+		t.Fatalf("list 0 never popped the query's own set (%v) or a set beyond len(q)/0.9 (%v)", self, long)
 	}
 }
 

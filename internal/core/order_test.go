@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/invlist"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
@@ -193,21 +194,16 @@ func (d *orderDriver) pop(i int) {
 	d.check(fmt.Sprintf("after maxLiveLen following list %d", i))
 }
 
-// freeze shuts the admission gate as roundRobin does: one sweep settles
-// every candidate, and the survivors are sorted into the order with every
-// pointer at 0.
+// freeze shuts the admission gate with roundRobin's sweep: it settles
+// every candidate off the head order, and the survivors are sorted into
+// the order with every pointer at 0.
 func (d *orderDriver) freeze() {
-	s := d.s
 	d.frozen = true
 	d.passed = make([]bool, len(d.lists))
-	for ci := range s.imp {
-		c := &s.imp[ci]
-		resolveAbsences(c, d.lists)
-		if d.out = d.e.settle(s, d.q, d.tau, c, len(d.lists), d.out); !c.dead {
-			s.ord = append(s.ord, int32(ci))
-		}
+	var live bool
+	if d.out, live = d.e.sweep(d.s, nil, d.lists, d.q, d.tau, d.out); !live {
+		d.t.Fatal("sweep reported cancellation without a canceller")
 	}
-	s.sortOrder()
 	d.check("after the freeze")
 }
 
@@ -315,17 +311,28 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 }
 
 // TestListRankInvariant drives the head order of the round-robin loop
-// (rankLists, rerank, hopeless) through random pop and finish sequences
+// (rankLists, rerank) and the two readers of it (admit, and the gate's
+// sweep through resolvePassed) through random pop and finish sequences
 // over 1 to 130 lists whose postings share a few (len, id) positions —
 // twelve sets over three lengths, so heads tie across lists all the time
 // and most sets tie on length. After every step the order must be sorted
-// by head with hat its inverse, every prefix sum must equal the sum of
-// its lists' idf² in list order within rankSlack, and the filter must
-// never reject a posting admit's exact test admits, at thresholds on the
-// exact bound's edge. It must also reject every posting the exact bound
-// misses by 1 %, or it filters nothing.
+// by head with hat its inverse, and every prefix sum must equal the sum
+// of its lists' idf² in list order within rankSlack. After every pop,
+// before the rerank, openRank must place exactly the lists that have
+// passed the popped posting from its first head past it on, and its
+// bound must be their complement's exact sum within rankSlack, so the
+// filter rejects what the exact test misses by more. admit of the posting
+// must then give the verdict
+// of admitRef, the pass over every list's frontier, at thresholds on the
+// exact bound's edge and 1 % past it, and an admitted candidate must
+// carry its state bit for bit: mask words, resolved count, idf² mass. The
+// idf² values span six decades, so a sum in another order than ascending
+// list order shows in the low bits. After every rerank, resolvePassed at
+// random positions, with random lists already resolved and masses that
+// sometimes run out, must leave each candidate bit for bit as
+// resolveAbsences does.
 func TestListRankInvariant(t *testing.T) {
-	steps := 0
+	var steps, admitted, swept, equalHeads int
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		setLen := make([]float64, 12)
@@ -351,8 +358,9 @@ func TestListRankInvariant(t *testing.T) {
 			lists[j] = listState{ids: ids, lens: lens, idfSq: math.Ldexp(1+rng.Float64(), rng.Intn(20))}
 			lists[j].setPos(0)
 		}
-		lenQ := 1 + 3*rng.Float64()
+		q := Query{Len: 1 + 3*rng.Float64()}
 		s := &queryScratch{}
+		s.tbl.reset()
 		s.rankLists(lists)
 		check := func(when string) {
 			t.Helper()
@@ -379,6 +387,32 @@ func TestListRankInvariant(t *testing.T) {
 					in[s.hord[k]] = true
 				}
 			}
+			s.suffixMasks()
+			for range 4 {
+				id := collection.SetID(rng.Intn(len(setLen) + 1))
+				c := impCand{id: id, len: []float64{1.5, 2, 2.25}[rng.Intn(3)], resolved: s.newCandMask(n)}
+				if int(id) < len(setLen) && rng.Intn(4) > 0 {
+					c.len = setLen[id]
+				}
+				var rem float64
+				for j := range lists {
+					if rng.Intn(3) == 0 {
+						c.resolved.Set(j)
+						c.nResolved++
+					} else {
+						rem += lists[j].idfSq
+					}
+				}
+				c.remIdfSq = rem * (0.5 + rng.Float64())
+				want := c
+				want.resolved.Hi = slices.Clone(c.resolved.Hi)
+				resolveAbsences(&want, lists)
+				s.resolvePassed(&c, lists)
+				if !sameImpCand(&c, &want) {
+					t.Fatalf("seed %d %s: resolvePassed at (%g, %d) left %+v, resolveAbsences %+v", seed, when, c.len, c.id, c, want)
+				}
+				swept++
+			}
 		}
 		check("at the start")
 		for open := n; open > 0; {
@@ -393,21 +427,40 @@ func TestListRankInvariant(t *testing.T) {
 			} else {
 				l.next()
 			}
-			var possible float64
 			for i := range lists {
-				if i != j && !ruledOut(&lists[i], p.Len, p.ID) {
-					possible += lists[i].idfSq
+				if i != j && lists[i].head == p {
+					equalHeads++
+					break
 				}
 			}
-			lower := l.w(lenQ, p.Len)
-			bound := lower + possible/(lenQ*p.Len)
-			for _, tau := range []float64{bound, bound + sim.ScoreEpsilon, math.Nextafter(bound+sim.ScoreEpsilon, 0)} {
-				if sim.Meets(bound, tau) && s.hopeless(lists, j, p, lower, lenQ, tau) {
-					t.Fatalf("seed %d: list %d's posting %v meets τ = %v exactly, but the filter rejects it", seed, j, p, tau)
+			_, ref := admitRef(lists, j, p, q.Len, 0)
+			rank, e := s.openRank(lists, j, p)
+			for r := range lists {
+				if r != j && (int(s.hat[r]) >= e) != ruledOut(&lists[r], p.Len, p.ID) {
+					t.Fatalf("seed %d: list %d's posting %v: list %d at rank %d, first head past it at %d, but ruledOut = %v",
+						seed, j, p, r, s.hat[r], e, ruledOut(&lists[r], p.Len, p.ID))
 				}
 			}
-			if !s.hopeless(lists, j, p, lower, lenQ, bound*1.01+sim.ScoreEpsilon) {
-				t.Fatalf("seed %d: list %d's posting %v misses τ by 1 %%, but the filter passes it", seed, j, p)
+			if exact := ref.remIdfSq; rank > exact*rankSlack || exact > rank*rankSlack {
+				t.Fatalf("seed %d: list %d's posting %v: rank bound %g, its open lists sum to %g", seed, j, p, rank, exact)
+			}
+			bound := ref.lower + ref.remIdfSq/(q.Len*p.Len)
+			for _, tau := range []float64{bound, bound + sim.ScoreEpsilon, math.Nextafter(bound+sim.ScoreEpsilon, 0),
+				math.Nextafter(bound+sim.ScoreEpsilon, math.Inf(1)), bound*1.01 + sim.ScoreEpsilon} {
+				s.imp, s.arena = s.imp[:0], s.arena[:0]
+				s.tbl.reset()
+				ok, want := admitRef(lists, j, p, q.Len, tau)
+				slot := admit(s, lists, j, p, q, tau)
+				if ok != (slot >= 0) {
+					t.Fatalf("seed %d: list %d's posting %v at τ = %v: admit's verdict %v, the pass over every list's %v", seed, j, p, tau, slot >= 0, ok)
+				}
+				if !ok {
+					continue
+				}
+				admitted++
+				if got := &s.imp[slot]; !sameImpCand(got, &want) || got.id != p.ID || got.len != p.Len || got.lower != want.lower {
+					t.Fatalf("seed %d: list %d's posting %v at τ = %v: admit's candidate %+v, the pass over every list's %+v", seed, j, p, tau, *got, want)
+				}
 			}
 			steps++
 			s.rerank(lists, j)
@@ -417,5 +470,52 @@ func TestListRankInvariant(t *testing.T) {
 			check(fmt.Sprintf("after list %d moved to %v", j, l.head))
 		}
 	}
-	t.Logf("%d pops checked", steps)
+	if admitted == 0 || equalHeads == 0 {
+		t.Errorf("schedules never produced a situation: admissions %d, pops onto an equal head %d", admitted, equalHeads)
+	}
+	t.Logf("%d pops checked, %d admissions, %d pops onto an equal head, %d positions swept", steps, admitted, equalHeads, swept)
+}
+
+// sameImpCand reports whether a and b carry the same resolution state bit
+// for bit: mask words, resolved count and remaining idf² mass.
+func sameImpCand(a, b *impCand) bool {
+	return a.resolved.Lo == b.resolved.Lo && slices.Equal(a.resolved.Hi, b.resolved.Hi) &&
+		a.nResolved == b.nResolved && math.Float64bits(a.remIdfSq) == math.Float64bits(b.remIdfSq)
+}
+
+// admitRef is admit's exact test as a pass over every list: each list
+// other than j is tested for Order Preservation against p on its own
+// frontier, and the open lists' idf² is summed in ascending list order.
+// It reports the verdict at τ and the state the candidate is admitted
+// with.
+func admitRef(lists []listState, j int, p invlist.Posting, lenQ, tau float64) (bool, impCand) {
+	c := impCand{id: p.ID, len: p.Len, lower: lists[j].w(lenQ, p.Len), nResolved: 1}
+	if words := kernel.HiWords(len(lists)); words > 0 {
+		c.resolved.Hi = make([]uint64, words)
+	}
+	c.resolved.Set(j)
+	for r := range lists {
+		if r == j {
+			continue
+		}
+		if ruledOut(&lists[r], p.Len, p.ID) {
+			c.resolved.Set(r)
+			c.nResolved++
+			continue
+		}
+		c.remIdfSq += lists[r].idfSq
+	}
+	return sim.Meets(c.lower+c.remIdfSq/(lenQ*p.Len), tau), c
+}
+
+// resolveAbsences is resolvePassed as a pass over c's unresolved lists:
+// each whose frontier has passed (c.len, c.id) is marked resolved-absent,
+// in ascending list order.
+func resolveAbsences(c *impCand, lists []listState) {
+	n := len(lists)
+	for j := c.resolved.NextClear(0, n); j >= 0; j = c.resolved.NextClear(j+1, n) {
+		if ruledOut(&lists[j], c.len, c.id) {
+			c.resolveAbsent(j, lists[j].idfSq)
+		}
+	}
 }

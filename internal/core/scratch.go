@@ -50,6 +50,7 @@ type queryScratch struct {
 	hord     []int32   // iNRA/Hybrid lists in head (len, id) order while the gate is open
 	hat      []int32   // per list: its position in hord
 	hsum     []float64 // hsum[k]: idf² sum of hord[:k], len n+1
+	suf      []uint64  // suf[k]: lists 0–63 among hord[k:] at the gate's sweep, len n+1
 
 	results []Result // result accumulator; copied out before pooling
 
