@@ -8,6 +8,7 @@
 //
 //	sscompare [-ref HEAD] [-workloads clustered-sharded,words-select]
 //	          [-pairs 10] [-seed 1] [-seconds 20] [-record BENCH_HISTORY.json]
+//	sscompare -history COMMIT [-record BENCH_HISTORY.json]
 //
 // The reference is `git archive <ref>` extracted into a temporary
 // directory; the change is the working tree. Pair p runs seed+p on both
@@ -20,7 +21,10 @@
 //
 // A gain is the rule of a paired claim: the change wins at least nine
 // tenths of the pairs (ties count for neither side) and the medians
-// differ by more than the reference's interquartile range. A change
+// differ by more than the reference's interquartile range. It takes at
+// least ten pairs: with fewer, one lost pair is already more than a
+// tenth, and a single pair has an interquartile range of 0, so a metric
+// that passes both rules reads "too few pairs" instead. A change
 // median worse than the reference's by more than the bound is flagged
 // WORSE. Where either side's interquartile range is wider than the
 // bound the metric is "unresolved", unless every change run beat every
@@ -34,6 +38,14 @@
 // verdict. A change/ref ratio taken in alternated pairs is comparable
 // across machine phases where absolute numbers are not, so a chain of
 // rows is the trajectory. A compare that cannot be made records nothing.
+//
+// -history COMMIT runs nothing: it reads the history file (-record, by
+// default BENCH_HISTORY.json at the repository root) and prints, per
+// workload and metric, the product of the change/ref medians over the
+// rows whose change descends from COMMIT — what the changes since COMMIT
+// did between them. A row of an uncommitted worktree stands for a child
+// of the commit it sits on. Two commits compared more than once count
+// once, by their last row.
 package main
 
 import (
@@ -141,7 +153,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair p runs seed+p")
 	seconds := flag.Float64("seconds", 20, "length of each run's measured replay")
 	record := flag.String("record", "", "append the compare as one row to this JSON history file")
+	since := flag.String("history", "", "print the product of the recorded change/ref medians since this commit, and run nothing")
 	flag.Parse()
+	if *since != "" {
+		if err := printHistory(*record, *since, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "sscompare:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if *pairs < 1 {
 		fmt.Fprintln(os.Stderr, "sscompare: -pairs must be at least 1")
 		os.Exit(2)
@@ -409,6 +429,9 @@ type verdict struct {
 	verdict  string
 }
 
+// minPairs is the fewest pairs a gain can be claimed from.
+const minPairs = 10
+
 // judge applies the paired rules to one metric: ref[p] and chg[p] are
 // pair p's two runs.
 func judge(m metric, ref, chg []float64) verdict {
@@ -438,6 +461,9 @@ func judge(m metric, ref, chg []float64) verdict {
 	switch {
 	case 10*v.won >= 9*len(ref) && better(v.chg.med, v.ref.med) && math.Abs(gap) > v.ref.q3-v.ref.q1:
 		v.verdict = "gain"
+		if len(ref) < minPairs {
+			v.verdict = "too few pairs"
+		}
 	case worse && unresolved:
 		v.verdict = "WORSE than bound, unresolved"
 	case worse:
@@ -448,4 +474,101 @@ func judge(m metric, ref, chg []float64) verdict {
 		v.verdict = "within bound"
 	}
 	return v
+}
+
+// printHistory prints the history of the file at path (BENCH_HISTORY.json
+// at the repository root when path is empty) since commit, asking git
+// which recorded changes descend from it.
+func printHistory(path, commit string, w io.Writer) error {
+	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
+	if err != nil {
+		return fmt.Errorf("finding the repository root: %w", err)
+	}
+	root := strings.TrimSpace(string(top))
+	if path == "" {
+		path = filepath.Join(root, "BENCH_HISTORY.json")
+	}
+	base, err := exec.Command("git", "-C", root, "rev-parse", "--verify", commit+"^{commit}").Output()
+	if err != nil {
+		return fmt.Errorf("git rev-parse %s: %w", commit, err)
+	}
+	isAncestor := func(a, b string) (bool, error) {
+		err := exec.Command("git", "-C", root, "merge-base", "--is-ancestor", a, b).Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) && exit.ExitCode() == 1 {
+			return false, nil
+		}
+		return err == nil, err
+	}
+	return history(path, strings.TrimSpace(string(base)), isAncestor, w)
+}
+
+// history prints one table: per workload and metric of the rows of the
+// history file at path whose change descends from base, the product of
+// their change/ref medians and the rows it took. isAncestor(a, b)
+// reports whether commit a is an ancestor of commit b, or b itself.
+func history(path, base string, isAncestor func(a, b string) (bool, error), w io.Writer) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var rows []historyRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	type key struct{ change, ref, workload string }
+	last := map[key]workloadEntry{}
+	var order []key
+	for _, r := range rows {
+		// A committed change descends from base when base is a proper
+		// ancestor of it; a worktree's, when base is its parent or an
+		// ancestor of that.
+		change, after := r.Change, false
+		if change == "worktree" {
+			change = r.ChangeParent
+			after, err = isAncestor(base, change)
+		} else if change != base {
+			after, err = isAncestor(base, change)
+		}
+		if err != nil {
+			return err
+		}
+		if !after {
+			continue
+		}
+		for _, wl := range r.Workloads {
+			k := key{r.Change + r.ChangeParent, r.Ref, wl.Name}
+			if _, ok := last[k]; !ok {
+				order = append(order, k)
+			}
+			last[k] = wl
+		}
+	}
+	type cell struct {
+		product float64
+		rows    int
+	}
+	var names []string // workload/metric, in order of first appearance
+	cells := map[string]*cell{}
+	for _, k := range order {
+		for _, m := range last[k].Metrics {
+			name := k.workload + "\x00" + m.Name
+			c := cells[name]
+			if c == nil {
+				c = &cell{product: 1}
+				cells[name] = c
+				names = append(names, name)
+			}
+			c.product *= m.Change[1] / m.Ref[1]
+			c.rows++
+		}
+	}
+	fmt.Fprintf(w, "change/ref medians multiplied over the recorded compares since %s\n\n", base)
+	fmt.Fprintln(w, "| workload | metric | compares | product |")
+	fmt.Fprintln(w, "|---|---|---:|---:|")
+	for _, name := range names {
+		wl, m, _ := strings.Cut(name, "\x00")
+		fmt.Fprintf(w, "| %s | `%s` | %d | %.3f× |\n", wl, m, cells[name].rows, cells[name].product)
+	}
+	return nil
 }

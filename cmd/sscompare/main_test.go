@@ -115,8 +115,9 @@ func TestCompareReportsFailedRun(t *testing.T) {
 	if !strings.Contains(log.String(), "w reference seed 2: correct=false, 3 failed operations") {
 		t.Errorf("failed run not reported:\n%s", log.String())
 	}
-	// Every pair still counts: 81/82/83 against 101/102/103.
-	if !strings.Contains(out.String(), "| `lat` | 102 (101.5/102.5) | 82 (81.5/82.5) | 0.804× | 3/3 | gain |") {
+	// Every pair still counts: 81/82/83 against 101/102/103, which
+	// three pairs cannot call a gain.
+	if !strings.Contains(out.String(), "| `lat` | 102 (101.5/102.5) | 82 (81.5/82.5) | 0.804× | 3/3 | too few pairs |") {
 		t.Errorf("table:\n%s", out.String())
 	}
 }
@@ -158,7 +159,7 @@ func TestRecordAppendsRows(t *testing.T) {
 	want := historyRow{Change: "worktree", ChangeParent: "abc", Ref: "def", Seed: 1, Pairs: 3, Seconds: 2,
 		Machine: machine{Nproc: 2, Go: "go1.0", Kernel: "chg"}}
 	// Seeds 1–3: the change's runs are 81/82/83, the reference's 101/102/103.
-	lat := metricEntry{Name: "lat", Ref: [3]float64{101.5, 102, 102.5}, Change: [3]float64{81.5, 82, 82.5}, Won: 3, Verdict: "gain"}
+	lat := metricEntry{Name: "lat", Ref: [3]float64{101.5, 102, 102.5}, Change: [3]float64{81.5, 82, 82.5}, Won: 3, Verdict: "too few pairs"}
 	mb := metricEntry{Name: "mb", Ref: [3]float64{10, 10, 10}, Change: [3]float64{10, 10, 10}, Won: 0, Verdict: "within bound"}
 	for _, wl := range []string{"w", "v"} {
 		want.Workloads = append(want.Workloads, workloadEntry{Name: wl, Metrics: []metricEntry{lat, mb}})
@@ -176,6 +177,73 @@ func TestRecordAppendsRows(t *testing.T) {
 		}
 		if got := strings.TrimSuffix(lines[i+1], ","); got != string(line) {
 			t.Errorf("row %d does not round-trip:\n%s\n%s", i, got, line)
+		}
+	}
+}
+
+// TestCompareNeedsTenPairsForGain: a change that wins every pair by a
+// wide margin is a gain at ten pairs and "too few pairs" below — one pair
+// has a reference IQR of 0, and with nine one lost pair is a tenth.
+func TestCompareNeedsTenPairsForGain(t *testing.T) {
+	f := &fakeRun{value: func(dir string, seed int64) float64 {
+		return map[string]float64{"chg": 80, "ref": 100}[dir] + float64(seed%3)
+	}}
+	for _, c := range []struct {
+		pairs   int
+		verdict string
+	}{{1, "too few pairs"}, {9, "too few pairs"}, {10, "gain"}} {
+		cfg := config{refDir: "ref", changeDir: "chg", workloads: []string{"w"}, metrics: testMetrics, pairs: c.pairs, seed: 1}
+		var out strings.Builder
+		if code, err := compare(cfg, f.run, &out, io.Discard); code != 0 || err != nil {
+			t.Fatalf("%d pairs: compare = %d, %v", c.pairs, code, err)
+		}
+		row := fmt.Sprintf("| %d/%d | %s |", c.pairs, c.pairs, c.verdict)
+		if !strings.Contains(out.String(), row) {
+			t.Errorf("%d pairs: want a row ending %q in\n%s", c.pairs, row, out.String())
+		}
+	}
+}
+
+// TestHistory records four compares through the fake runner — three
+// changes on one line of commits and one on a side branch, the last of
+// the line compared twice — and reads the history since the line's
+// first commit back through a fake git: the products must take the
+// second and third changes, the repeated compare once, by its last row.
+func TestHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.json")
+	// The line a → b → c → d, and the side branch a → x.
+	parent := map[string]string{"b": "a", "c": "b", "d": "c", "x": "a"}
+	isAncestor := func(a, b string) (bool, error) {
+		for ; b != ""; b = parent[b] {
+			if a == b {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	record := func(change, changeParent, ref string, chg float64) {
+		t.Helper()
+		f := &fakeRun{value: func(dir string, seed int64) float64 {
+			return map[string]float64{"chg": chg, "ref": 100}[dir]
+		}}
+		cfg := config{refDir: "ref", changeDir: "chg", workloads: []string{"w"}, metrics: testMetrics, pairs: 1, seed: 1,
+			record: path, change: change, changeParent: changeParent, refCommit: ref}
+		if code, err := compare(cfg, f.run, io.Discard, io.Discard); code != 0 || err != nil {
+			t.Fatalf("compare = %d, %v", code, err)
+		}
+	}
+	record("b", "", "a", 50)        // b's change, before the history starts
+	record("c", "", "b", 80)        // counted
+	record("x", "", "a", 10)        // another line
+	record("worktree", "c", "c", 1) // d while uncommitted, superseded
+	record("worktree", "c", "c", 90)
+	var out strings.Builder
+	if err := history(path, "b", isAncestor, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"| w | `lat` | 2 | 0.720× |", "| w | `mb` | 2 | 1.000× |"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("want %q in\n%s", want, out.String())
 		}
 	}
 }

@@ -114,10 +114,11 @@ func TestWarmQueryAllocations(t *testing.T) {
 }
 
 // warmPrepareAllocs is what a warm Prepare allocates on the input of
-// TestWarmPrepareAllocations, all of it for the Query it returns. A
-// Prepare that drops its scratch instead of returning it to the pool
-// regrows the raw token buffer on every call: 13 allocations.
-const warmPrepareAllocs = 8
+// TestWarmPrepareAllocations, all of it for the Query it returns: its Raw
+// vector and its Tokens. A Prepare that drops its scratch instead of
+// returning it to the pool regrows the raw token buffer on every call,
+// five allocations more.
+const warmPrepareAllocs = 2
 
 // TestWarmPrepareAllocations pins Prepare's scratch round trip: the raw
 // token buffer comes from the query pool and must go back to it.

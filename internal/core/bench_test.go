@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -344,5 +345,23 @@ func BenchmarkBuildSharded(b *testing.B) {
 			b.Fatalf("built %d of %d documents", se.NumDocs(), len(docs))
 		}
 		se.Close()
+	}
+}
+
+// BenchmarkLivePrepare times LiveEngine.Prepare on a one-shard store of
+// one segment and of four, each with a memtable: a query's preparation
+// should cost the same at any segment count.
+func BenchmarkLivePrepare(b *testing.B) {
+	for _, segs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
+			le := livePrepStore(b, segs)
+			defer le.Close()
+			qs := randomCorpus(64, 99, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				le.Prepare(qs[i%len(qs)])
+			}
+		})
 	}
 }

@@ -174,7 +174,16 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 		}
 	}
 	builders, ids := r.builders(assign, le.nShards, true)
-	colls, builtN, builtMut := le.bakeStats(builders, r.workers)
+	colls, builtN, builtMut, toStore := le.bakeStats(r, builders)
+	// A round over every live document renumbers the store by its own
+	// dictionary at the swap, and its segments read store ids as their
+	// own; any other round's segments share one table from store ids to
+	// the round's.
+	rebuild := coversStore(works, le.snap.Load())
+	var local []int32
+	if !rebuild {
+		local = localTable(toStore)
+	}
 	segs := make([]*liveSegment, le.nShards)
 	par.Each(r.workers, len(colls), "shard", func(si int) {
 		c := colls[si]
@@ -188,13 +197,18 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 			builtMut: builtMut,
 			// ids ascend strictly from ≥ 0, so the last one tells.
 			identity: ids[si][len(ids[si])-1] == collection.SetID(len(ids[si])-1),
+			local:    local,
 		}
 		if !le.cfg.NoRoute {
 			g.sum = route.Summarize(c)
 		}
 		segs[si] = g
 	})
-	le.swapSegments(works, segs, r.docs, reassign, mutAt)
+	var dict *tokenize.Dict
+	if rebuild {
+		dict = r.dict
+	}
+	le.swapSegments(works, segs, r.docs, reassign, mutAt, dict, toStore)
 	le.compactions.Add(1)
 	le.lastCompactNs.Store(int64(time.Since(start)))
 	le.lastCompactDocs.Store(int64(len(r.docs)))
@@ -306,31 +320,87 @@ func (le *LiveEngine) roundIDF(dict *tokenize.Dict) []float64 {
 	}
 	idf := make([]float64, dict.Len())
 	for t := range idf {
-		idf[t] = sim.IDF(le.df[dict.String(tokenize.Token(t))], n)
+		idf[t] = sim.IDF(le.dfOfLocked(dict.String(tokenize.Token(t))), n)
 	}
 	return idf
 }
 
+// dfOfLocked is the live document frequency of a token string.
+func (le *LiveEngine) dfOfLocked(s string) int {
+	if t, ok := le.dict.lookup(s); ok {
+		return int(le.df[t])
+	}
+	return 0
+}
+
 // bakeStats freezes every round builder under one consistent view of the
 // global statistics — a single read-lock spans all the builds, so the
-// segments of one compaction round share identical baked weights.
-func (le *LiveEngine) bakeStats(builders []*collection.Builder, workers int) ([]*collection.Collection, int, uint64) {
+// segments of one compaction round share identical baked weights. It
+// also returns the store id of every round token (−1 for none; nil when
+// the round's dictionary is the store's base, so the ids are the same),
+// which stays exact until the swap: only a swap renumbers the store, and
+// compactions are serialized.
+func (le *LiveEngine) bakeStats(r *segmentRound, builders []*collection.Builder) ([]*collection.Collection, int, uint64, []int32) {
 	le.mu.RLock()
 	defer le.mu.RUnlock()
 	builtN := le.liveN
 	if builtN < 1 {
 		builtN = 1 // matches the BuildWithStats floor; keeps drift finite
 	}
+	var toStore []int32
+	if le.dict.base != r.dict {
+		toStore = make([]int32, r.dict.Len())
+		for t := range toStore {
+			toStore[t] = -1
+			if id, ok := le.dict.lookup(r.dict.String(tokenize.Token(t))); ok {
+				toStore[t] = int32(id)
+			}
+		}
+	}
 	// The workers read le.df under the read lock held here; they take
 	// no lock of their own, which a waiting writer would deadlock.
-	dfFn := func(t string) int { return le.df[t] }
 	colls := make([]*collection.Collection, len(builders))
-	par.Each(workers, len(builders), "shard", func(i int) {
+	par.Each(r.workers, len(builders), "shard", func(i int) {
 		if b := builders[i]; b.Len() > 0 {
-			colls[i] = b.BuildWithStats(builtN, dfFn)
+			colls[i] = b.BuildWithStats(builtN, le.dfOfLocked)
 		}
 	})
-	return colls, builtN, le.mutations
+	return colls, builtN, le.mutations, toStore
+}
+
+// coversStore reports whether a round over works takes in every live
+// document of snap: each shard folds all its segments, and a shard the
+// round skips has none. Its dictionary then holds every live token.
+func coversStore(works []shardWork, snap *liveSnapshot) bool {
+	for si := range snap.shards {
+		if len(works[si].fold) != len(snap.shards[si].segs) {
+			return false
+		}
+	}
+	return true
+}
+
+// localTable inverts toStore into the table a segment maps store ids
+// through: the round's id of each store id, −1 where the round has none.
+// It is nil — the identity — when toStore is.
+func localTable(toStore []int32) []int32 {
+	if toStore == nil {
+		return nil
+	}
+	n := int32(0)
+	for _, s := range toStore {
+		n = max(n, s+1)
+	}
+	tab := make([]int32, n)
+	for i := range tab {
+		tab[i] = -1
+	}
+	for t, s := range toStore {
+		if s >= 0 {
+			tab[s] = int32(t)
+		}
+	}
+	return tab
 }
 
 // swapSegments publishes the post-compaction snapshot: in every
@@ -341,7 +411,10 @@ func (le *LiveEngine) bakeStats(builders []*collection.Builder, workers int) ([]
 // Tombstone accounting is recounted from the log. A re-clustered round
 // (reassign non-nil, aligned with all) rewrites the routing table for
 // every compacted document and records the mutation count it reflects.
-func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, all []docRef, reassign []int32, mutAt uint64) {
+// A round over every live document passes its dictionary, which becomes
+// the store's (toStore maps its ids to the current store's); the
+// memtable documents that arrived during the round are renumbered into it.
+func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, all []docRef, reassign []int32, mutAt uint64, dict *tokenize.Dict, toStore []int32) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	if reassign != nil {
@@ -350,6 +423,10 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 		}
 		le.lastRouteMut = mutAt
 	}
+	var renumber func([]tokenize.Token) []tokenize.Token
+	if dict != nil {
+		renumber = le.adoptDictLocked(dict, toStore)
+	}
 	cur := le.snap.Load()
 	shards := make([]liveShard, len(cur.shards))
 	for si := range cur.shards {
@@ -357,6 +434,9 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 		w := &works[si]
 		if w.fold == nil {
 			shards[si] = *sh
+			if renumber != nil && len(sh.mem) > 0 {
+				shards[si].mem = le.keepMemLocked(si, sh.mem, renumber)
+			}
 			continue
 		}
 		segs := make([]*liveSegment, 0, len(sh.segs)+1)
@@ -377,10 +457,7 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 		// The memtable may have grown since gather; keep the unconsumed
 		// tail, and index it afresh: its positions shift by the consumed
 		// prefix, and queries pinned earlier keep the old lists.
-		mem := make([]memDoc, len(sh.mem)-w.memN)
-		copy(mem, sh.mem[w.memN:])
-		shards[si] = liveShard{segs: segs, mem: mem}
-		le.memIdx[si] = indexMem(mem)
+		shards[si] = liveShard{segs: segs, mem: le.keepMemLocked(si, sh.mem[w.memN:], renumber)}
 	}
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	// Documents deleted between gather and here survived into the new
@@ -406,4 +483,51 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 		}
 	}
 	le.tombs.Store(tombs)
+}
+
+// keepMemLocked copies the memtable documents a round leaves in shard si
+// into a fresh slice — their tokens renumbered when renumber is non-nil —
+// and indexes them afresh. Published memtables are never written.
+func (le *LiveEngine) keepMemLocked(si int, tail []memDoc, renumber func([]tokenize.Token) []tokenize.Token) []memDoc {
+	mem := make([]memDoc, len(tail))
+	copy(mem, tail)
+	if renumber != nil {
+		for i := range mem {
+			mem[i].toks = renumber(mem[i].toks)
+		}
+	}
+	le.memIdx[si] = indexMem(mem)
+	return mem
+}
+
+// adoptDictLocked makes dict — the dictionary of a round over every live
+// document — the store's base, carrying the df table over to its
+// numbering: toStore maps dict's ids to the current store's (nil: the
+// same ids). Tokens no live document holds any more drop out. It returns
+// the renumbering of a memtable document that arrived during the round,
+// which interns the document's tokens past the new base.
+func (le *LiveEngine) adoptDictLocked(dict *tokenize.Dict, toStore []int32) func([]tokenize.Token) []tokenize.Token {
+	old, oldDF := le.dict, le.df
+	df := make([]int32, dict.Len())
+	for t := range df {
+		s := int32(t)
+		if toStore != nil {
+			s = toStore[t]
+		}
+		if s >= 0 {
+			df[t] = oldDF[s]
+		}
+	}
+	le.dict, le.df = newStoreDict(dict), df
+	return func(toks []tokenize.Token) []tokenize.Token {
+		out := make([]tokenize.Token, len(toks))
+		for i, t := range toks {
+			out[i] = le.dict.intern(old.str(t))
+			if int(out[i]) == len(le.df) {
+				le.df = append(le.df, oldDF[t])
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
 }

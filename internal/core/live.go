@@ -22,8 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,12 +83,58 @@ type liveDoc struct {
 	deleted bool
 }
 
-// memDoc is one memtable document: its sorted distinct tokens plus the
-// normalized length computed under the statistics at insert time.
+// memDoc is one memtable document: its distinct tokens as ascending
+// store ids plus the normalized length computed under the statistics at
+// insert time.
 type memDoc struct {
 	id   collection.SetID
-	toks []string
+	toks []tokenize.Token
 	len  float64
+}
+
+// noToken is the store id of a query token the store dictionary does not
+// hold: past every table, so no segment or memtable knows it.
+const noToken = ^tokenize.Token(0)
+
+// storeDict is the live store's token dictionary: one id per token for
+// every shard, segment and memtable. base is the dictionary of the last
+// round that took in every live document; that round's segments were
+// built over it and number their tokens by it, so it never changes.
+// extra holds the tokens met since, numbered on from base.Len(). The next
+// round over every live document replaces both with its own dictionary,
+// which drops the tokens no live document holds any more.
+type storeDict struct {
+	base, extra *tokenize.Dict
+}
+
+func newStoreDict(base *tokenize.Dict) storeDict {
+	return storeDict{base: base, extra: tokenize.NewDict()}
+}
+
+// lookup returns the store id of s and whether the store holds it. A
+// token of the base costs one probe; any other, a second in extra.
+func (d *storeDict) lookup(s string) (tokenize.Token, bool) {
+	if t, ok := d.base.Lookup(s); ok {
+		return t, true
+	}
+	t, ok := d.extra.Lookup(s)
+	return tokenize.Token(d.base.Len()) + t, ok
+}
+
+// intern returns the store id of s, adding it to extra if it is new.
+func (d *storeDict) intern(s string) tokenize.Token {
+	if t, ok := d.base.Lookup(s); ok {
+		return t
+	}
+	return tokenize.Token(d.base.Len()) + d.extra.Intern(s)
+}
+
+// str returns the string of store id t.
+func (d *storeDict) str(t tokenize.Token) string {
+	if n := tokenize.Token(d.base.Len()); t >= n {
+		return d.extra.String(t - n)
+	}
+	return d.base.String(t)
 }
 
 // liveSegment is one immutable generation: a complete Engine over a
@@ -111,6 +157,23 @@ type liveSegment struct {
 	// document, which holds for any segment compacted over a corpus with
 	// no ids lost to deletion — notably a freshly built corpus.
 	identity bool
+	// local maps a store token id to the segment's own: −1, or an id past
+	// the table, is a token the segment's dictionary lacks. nil is the
+	// identity below NumTokens, for a segment built over the store
+	// dictionary's base.
+	local []int32
+}
+
+// localToken returns the segment's id of store token t, and whether the
+// segment's dictionary holds it.
+func (g *liveSegment) localToken(t tokenize.Token) (tokenize.Token, bool) {
+	if g.local == nil {
+		return t, int(t) < g.eng.c.NumTokens()
+	}
+	if int(t) >= len(g.local) || g.local[t] < 0 {
+		return 0, false
+	}
+	return tokenize.Token(g.local[t]), true
 }
 
 // emit rewrites a segment-local result slice in place to global ids,
@@ -199,22 +262,25 @@ type LiveEngine struct {
 	m       *metrics.Registry
 	nShards int
 
-	// mu guards the document log, the global df table, the memtable
-	// index, liveN, the mutation counter, and snapshot publication.
-	// Queries take no lock; Prepare takes it briefly in read mode to get
-	// a consistent (stats, snapshot, memtable lists) triple.
+	// mu guards the document log, the store dictionary, the global df
+	// table, the memtable index, liveN, the mutation counter, and
+	// snapshot publication. Queries take no lock; Prepare takes it
+	// briefly in read mode to get a consistent (stats, snapshot,
+	// memtable lists) triple.
 	mu        sync.RWMutex
 	log       []liveDoc
-	df        map[string]int // live document frequency by token string
-	liveN     int            // live documents (inserted minus deleted)
+	dict      storeDict
+	df        []int32 // live document frequency by store token id
+	liveN     int     // live documents (inserted minus deleted)
 	mutations uint64
 	closed    bool
-	// memIdx is each shard's memtable index: token → the ascending
-	// positions in that shard's published memtable of the documents
-	// holding it. Writers only append past the list headers pinned
-	// queries hold or install fresh lists, never truncate and reuse one,
-	// so a header copied under mu stays exact for its snapshot.
-	memIdx []map[string][]int32
+	// memIdx is each shard's memtable index: store token id → the
+	// ascending positions in that shard's published memtable of the
+	// documents holding it. Writers only append past the list headers
+	// pinned queries hold or install fresh lists, never truncate and
+	// reuse one, so a header copied under mu stays exact for its
+	// snapshot.
+	memIdx []map[tokenize.Token][]int32
 	// route maps every global id to the shard holding it: hash-assigned
 	// at insert, rewritten by full compactions when the similarity-aware
 	// clusterer redistributes the corpus. Parallel to log; guarded by mu.
@@ -257,6 +323,9 @@ type LiveEngine struct {
 	// memAcc pools the memtable scan's per-position score accumulators
 	// (*[]float64).
 	memAcc sync.Pool
+	// tokBufs pools the string buffers mutations tokenize into
+	// (*[]string), prep Prepare's scratch (*livePrep).
+	tokBufs, prep sync.Pool
 }
 
 // NewLive creates an empty mutable engine.
@@ -291,8 +360,8 @@ func newLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 		cfg:       cfg,
 		nShards:   cfg.Shards,
 		m:         metrics.NewRegistry(),
-		df:        map[string]int{},
-		memIdx:    make([]map[string][]int32, cfg.Shards),
+		dict:      newStoreDict(tokenize.NewDict()),
+		memIdx:    make([]map[tokenize.Token][]int32, cfg.Shards),
 		compactCh: make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
 	}
@@ -415,11 +484,13 @@ func (le *LiveEngine) installLog(log []liveDoc, r *segmentRound) (needRoute bool
 		}
 		le.del.Store(t)
 	}
-	// Only live documents are in the round, so its frequencies are the
-	// live frequencies a delete would have decremented down to.
-	le.df = make(map[string]int, len(r.df))
+	// Only live documents are in the round, so its dictionary is the
+	// store's and its frequencies are the live frequencies a delete would
+	// have decremented down to.
+	le.dict = newStoreDict(r.dict)
+	le.df = make([]int32, len(r.df))
 	for t, n := range r.df {
-		le.df[r.dict.String(tokenize.Token(t))] = n
+		le.df[t] = int32(n)
 	}
 	le.liveN = len(log) - dead
 	le.mutations = uint64(len(log) + dead)
@@ -462,25 +533,24 @@ func (le *LiveEngine) Tokenizer() tokenize.Tokenizer { return le.tk }
 // into.
 func (le *LiveEngine) NumShards() int { return le.nShards }
 
-// distinctTokens tokenizes s into its sorted distinct token strings.
-func distinctTokens(tk tokenize.Tokenizer, s string) []string {
-	toks := tk.Tokens(nil, s)
-	sort.Strings(toks)
-	return dedupSorted(toks[:0], toks)
+// distinctTokens tokenizes s into its sorted distinct token strings, in
+// a buffer from the pool that putTokens returns it to.
+func (le *LiveEngine) distinctTokens(s string) *[]string {
+	p, _ := le.tokBufs.Get().(*[]string)
+	if p == nil {
+		p = new([]string)
+	}
+	toks := le.tk.Tokens((*p)[:0], s)
+	slices.Sort(toks)
+	*p = slices.Compact(toks)
+	return p
 }
 
-// dedupSorted appends the distinct strings of sorted to dst (dst may be
-// sorted[:0] to deduplicate in place); nil when there are none.
-func dedupSorted(dst, sorted []string) []string {
-	for i, t := range sorted {
-		if i == 0 || t != sorted[i-1] {
-			dst = append(dst, t)
-		}
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	return dst
+// putTokens returns a distinctTokens buffer to the pool. Its strings
+// alias the tokenized document, so they are cleared first.
+func (le *LiveEngine) putTokens(p *[]string) {
+	clear(*p)
+	le.tokBufs.Put(p)
 }
 
 // Insert adds s as a new document and returns its permanent id. The
@@ -488,11 +558,12 @@ func dedupSorted(dst, sorted []string) []string {
 // the returned error reports a WAL write failure: the mutation is
 // applied in memory but may not survive a crash.
 func (le *LiveEngine) Insert(s string) (collection.SetID, error) {
-	toks := distinctTokens(le.tk, s)
-	if toks == nil {
+	toks := le.distinctTokens(s)
+	defer le.putTokens(toks)
+	if len(*toks) == 0 {
 		return 0, ErrNoTokens
 	}
-	id, seq, w, err := le.insertCritical(s, toks)
+	id, seq, w, err := le.insertCritical(s, *toks)
 	if err != nil {
 		return 0, err
 	}
@@ -559,11 +630,12 @@ func (le *LiveEngine) deleteCritical(id collection.SetID) (bool, uint64, WALSink
 // (ids are never reused). A missing or already-deleted id degrades to a
 // plain insert. Durability errors are reported like Insert's.
 func (le *LiveEngine) Upsert(id collection.SetID, s string) (collection.SetID, error) {
-	toks := distinctTokens(le.tk, s)
-	if toks == nil {
+	toks := le.distinctTokens(s)
+	defer le.putTokens(toks)
+	if len(*toks) == 0 {
 		return 0, ErrNoTokens
 	}
-	nid, seq, w, err := le.upsertCritical(id, s, toks)
+	nid, seq, w, err := le.upsertCritical(id, s, *toks)
 	if err != nil {
 		return 0, err
 	}
@@ -594,24 +666,27 @@ func (le *LiveEngine) upsertCritical(id collection.SetID, s string, toks []strin
 	return nid, seq, le.wal, nil
 }
 
+// insertLocked applies an insert of s, whose sorted distinct tokens are
+// toks. toks is only read: the memtable keeps the tokens' store ids.
 func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	id := collection.SetID(len(le.log))
 	le.log = append(le.log, liveDoc{source: s})
-	for _, t := range toks {
-		if n, ok := le.df[t]; ok {
-			le.df[t] = n + 1
-		} else {
-			// t is a substring of the document: a key must not pin it.
-			le.df[strings.Clone(t)] = 1
+	ids := make([]tokenize.Token, len(toks))
+	for i, t := range toks {
+		ids[i] = le.dict.intern(t)
+		if int(ids[i]) == len(le.df) {
+			le.df = append(le.df, 0)
 		}
+		le.df[ids[i]]++
 	}
+	slices.Sort(ids)
 	le.liveN++
 	le.mutations++
 	// The insert-time normalized length, under the statistics as of this
 	// insert — exactly what a static build ending here would store.
 	var sum sim.SumSq
-	for _, t := range toks {
-		w := sim.IDF(le.df[t], le.liveN)
+	for _, t := range ids {
+		w := sim.IDF(int(le.df[t]), le.liveN)
 		sum.Add(w * w)
 	}
 	old := le.snap.Load()
@@ -626,8 +701,8 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	// Appending to the owning shard's shared backing array is safe:
 	// readers pinned on the old snapshot are bounded by its shorter
 	// slice header.
-	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: toks, len: sum.Len()})
-	le.indexMemLocked(sh, pos, toks)
+	shards[sh].mem = append(shards[sh].mem, memDoc{id: id, toks: ids, len: sum.Len()})
+	le.indexMemLocked(sh, pos, ids)
 	le.snap.Store(&liveSnapshot{epoch: le.epoch.Add(1), shards: shards})
 	return id
 }
@@ -635,12 +710,11 @@ func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 // indexMemLocked appends memtable position pos to the lists of toks in
 // shard sh's memtable index. The append lands past every header a
 // pinned query copied, so those queries keep seeing their snapshot's
-// lists. A new key is the document's own token: the document stays in
-// the memtable, pinning it anyway, until a compaction replaces the map.
-func (le *LiveEngine) indexMemLocked(sh int, pos int32, toks []string) {
+// lists.
+func (le *LiveEngine) indexMemLocked(sh int, pos int32, toks []tokenize.Token) {
 	idx := le.memIdx[sh]
 	if idx == nil {
-		idx = map[string][]int32{}
+		idx = map[tokenize.Token][]int32{}
 		le.memIdx[sh] = idx
 	}
 	for _, t := range toks {
@@ -649,11 +723,11 @@ func (le *LiveEngine) indexMemLocked(sh int, pos int32, toks []string) {
 }
 
 // indexMem builds a memtable index over mem, nil when mem is empty.
-func indexMem(mem []memDoc) map[string][]int32 {
+func indexMem(mem []memDoc) map[tokenize.Token][]int32 {
 	if len(mem) == 0 {
 		return nil
 	}
-	idx := make(map[string][]int32, len(mem))
+	idx := make(map[tokenize.Token][]int32, len(mem))
 	for pos, d := range mem {
 		for _, t := range d.toks {
 			idx[t] = append(idx[t], int32(pos))
@@ -669,13 +743,14 @@ func (le *LiveEngine) deleteLocked(id collection.SetID) bool {
 	le.log[id].deleted = true
 	le.setTombstoneLocked(id)
 	le.tombs.Add(1)
-	for _, t := range distinctTokens(le.tk, le.log[id].source) {
-		if le.df[t] > 1 {
-			le.df[t]--
-		} else {
-			delete(le.df, t)
+	// A live document's tokens are all in the store dictionary.
+	toks := le.distinctTokens(le.log[id].source)
+	for _, t := range *toks {
+		if tid, ok := le.dict.lookup(t); ok {
+			le.df[tid]--
 		}
 	}
+	le.putTokens(toks)
 	le.liveN--
 	le.mutations++
 	// The routing table — not the id hash — says which shard holds the
@@ -884,69 +959,148 @@ func (le *LiveEngine) gauges() metrics.LiveGauges {
 }
 
 // LiveQuery is a query pinned to one snapshot: per-segment prepared
-// queries for every shard (each against that segment's dictionary and
+// queries for every shard (each in that segment's token numbering and
 // baked statistics) plus the token weights and memtable lists the
 // memtable scans score with. It may be reused across Select calls;
 // mutations applied after Prepare are invisible to it, except deletions,
 // which the emit-time tombstone check always honours.
 type LiveQuery struct {
 	snap  *liveSnapshot
-	segQ  [][]Query // [shard][segment]
+	segQ  [][]Query // [shard][segment], the Query values of one array
 	mem   memQuery
 	known bool // at least one query token occurs in the live corpus
 }
 
-// Prepare tokenizes s — once, whatever the segment count — against the
-// current snapshot and global statistics.
+// livePrep is Prepare's pooled scratch: the raw token buffer and the term
+// frequency of each distinct query token.
+type livePrep struct {
+	raw []string
+	tf  []uint32
+}
+
+// Prepare tokenizes s against the current snapshot and global statistics
+// at a cost that does not grow with the segment count: one tokenize, one
+// sort, one store dictionary lookup per distinct token, then every
+// segment's Query from integer ids through the segment's id table.
 func (le *LiveEngine) Prepare(s string) LiveQuery {
+	return le.prepare(s, (*storeDict).lookup)
+}
+
+// prepare is Prepare with the store dictionary's lookup passed in, so a
+// test can count the calls.
+func (le *LiveEngine) prepare(s string, lookup func(*storeDict, string) (tokenize.Token, bool)) LiveQuery {
+	sc, _ := le.prep.Get().(*livePrep)
+	if sc == nil {
+		sc = new(livePrep)
+	}
 	// raw keeps duplicates for the segments' term frequencies; the
 	// memtable scan and the global weights want the distinct tokens.
-	raw := le.tk.Tokens(nil, s)
-	sort.Strings(raw)
-	toks := dedupSorted(make([]string, 0, len(raw)), raw)
+	raw := le.tk.Tokens(sc.raw[:0], s)
+	slices.Sort(raw)
+	n := 0
+	for i := range raw {
+		if i == 0 || raw[i] != raw[i-1] {
+			n++
+		}
+	}
+	var toks []memToken
+	if n > 0 {
+		toks = make([]memToken, n)
+	}
+	tf := slices.Grow(sc.tf[:0], n)[:n]
 	le.mu.RLock()
 	snap := le.snap.Load()
-	idfSq := make([]float64, len(toks))
 	var sum sim.SumSq
 	known := false
-	for i, t := range toks {
-		df := le.df[t]
-		if df > 0 {
-			known = true
+	for i, j := 0, 0; i < len(raw); j++ {
+		k := i + 1
+		for k < len(raw) && raw[k] == raw[i] {
+			k++
 		}
+		id, ok := lookup(&le.dict, raw[i])
+		df := 0
+		if ok {
+			df = int(le.df[id])
+		} else {
+			id = noToken
+		}
+		known = known || df > 0
 		w := sim.IDF(df, le.liveN)
-		idfSq[i] = w * w
-		sum.Add(idfSq[i])
+		toks[j] = memToken{id: id, idfSq: w * w}
+		tf[j] = uint32(k - i)
+		sum.Add(w * w)
+		i = k
 	}
 	// The memtable scan adds a document's summands in the order of
 	// toks: decreasing idf, the order of Query.Tokens (core/rescore.go).
 	// Ties keep string order where prepare breaks them by token id; no
 	// tie-break is needed, since equal-idf tokens add equal summands.
-	for i := 1; i < len(toks); i++ {
-		for j := i; j > 0 && idfSq[j-1] < idfSq[j]; j-- {
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && toks[j-1].idfSq < toks[j].idfSq; j-- {
 			toks[j-1], toks[j] = toks[j], toks[j-1]
-			idfSq[j-1], idfSq[j] = idfSq[j], idfSq[j-1]
+			tf[j-1], tf[j] = tf[j], tf[j-1]
 		}
 	}
 	lists := le.memListsLocked(snap, toks)
 	le.mu.RUnlock()
+	clear(raw) // the strings alias s
+	sc.raw, sc.tf = raw[:0], tf
 	lq := LiveQuery{
 		snap:  snap,
 		segQ:  make([][]Query, len(snap.shards)),
-		mem:   memQuery{toks: toks, idfSq: idfSq, qLen: sum.Len(), lists: lists},
+		mem:   memQuery{toks: toks, qLen: sum.Len(), lists: lists},
 		known: known,
 	}
-	for si := range snap.shards {
-		segs := snap.shards[si].segs
+	lq.prepareSegments(toks, tf)
+	le.prep.Put(sc)
+	return lq
+}
+
+// prepareSegments fills lq.segQ from the query's distinct tokens and
+// their term frequencies: each segment's Query is what the segment's own
+// Prepare derives from the string, built from table loads — store id →
+// the segment's id → its baked idf. The Query values, every segment's
+// Tokens and every segment's Raw are carved from one array each, with
+// capacities cut at their lengths so an append cannot spill into the next
+// segment's part; a segment that knows no query token keeps nil slices.
+func (lq *LiveQuery) prepareSegments(toks []memToken, tf []uint32) {
+	total := lq.snap.numSegs()
+	if total == 0 {
+		return
+	}
+	n := len(toks)
+	qs := make([]Query, total)
+	qtoks := make([]QueryToken, total*n)
+	raw := make([]tokenize.Count, total*n)
+	at := 0
+	for si := range lq.snap.shards {
+		segs := lq.snap.shards[si].segs
 		if len(segs) == 0 {
 			continue
 		}
-		lq.segQ[si] = make([]Query, len(segs))
+		lq.segQ[si], qs = qs[:len(segs):len(segs)], qs[len(segs):]
 		for i, g := range segs {
-			lq.segQ[si][i] = g.eng.prepareTokens(raw)
+			counts := raw[at:at]
+			unknown := 0
+			for j, t := range toks {
+				if l, ok := g.localToken(t.id); ok {
+					counts = append(counts, tokenize.Count{Token: l, TF: tf[j]})
+				} else {
+					unknown++
+				}
+			}
+			var qt []QueryToken
+			if m := len(counts); m == 0 {
+				counts = nil
+			} else {
+				counts = counts[:m:m]
+				slices.SortFunc(counts, byToken)
+				qt = qtoks[at : at : at+m]
+				at += m
+			}
+			lq.segQ[si][i] = g.eng.prepareInto(counts, unknown, qt)
 		}
 	}
-	return lq
 }
 
 // Select runs one selection query against the snapshot the query was

@@ -1,7 +1,7 @@
 // The memtable scan: recent inserts are not in any segment, but each
-// shard's memtable keeps inverted lists of memtable positions
-// (LiveEngine.memIdx), so a query touches only the documents that share
-// a token with it. Each position accumulates its summands
+// shard's memtable keeps inverted lists of memtable positions, keyed by
+// store token id (LiveEngine.memIdx), so a query touches only the
+// documents that share a token with it. Each position accumulates its summands
 // idf²/(len(q)·len(d)) in decreasing idf, the order every static
 // algorithm adds a set's weights in (core/rescore.go), so the order of
 // the summands does not depend on how tokens are named. Nor do the
@@ -11,20 +11,28 @@
 // it.
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/tokenize"
+)
 
 // memQuery is the memtable half of a LiveQuery: the query's distinct
-// token strings in decreasing idf with their squared idf weights under
-// the global statistics pinned at Prepare time, the normalized query
-// length, and the memtable lists of those tokens as of the pinned
-// snapshot.
+// tokens in decreasing idf, each with its store id and squared idf
+// weight under the global statistics pinned at Prepare time, the
+// normalized query length, and the memtable lists of those tokens as of
+// the pinned snapshot.
 type memQuery struct {
-	toks  []string
-	idfSq []float64
-	qLen  float64
+	toks []memToken
+	qLen float64
 	// lists[si*len(toks)+i] is shard si's memtable list of toks[i]. It is
 	// nil when no shard of the pinned snapshot had a memtable.
 	lists [][]int32
+}
+
+// memToken is one distinct query token of a memQuery.
+type memToken struct {
+	id    tokenize.Token // store id; noToken when the store lacks it
+	idfSq float64
 }
 
 // shardLists returns shard si's memtable lists, parallel to toks.
@@ -34,9 +42,10 @@ func (mq *memQuery) shardLists(si int) [][]int32 {
 }
 
 // memListsLocked copies the headers of toks' memtable lists for every
-// shard of snap holding a memtable. le.mu must be held: it is what makes
-// the lists and the snapshot's memtables agree on every position.
-func (le *LiveEngine) memListsLocked(snap *liveSnapshot, toks []string) [][]int32 {
+// shard of snap holding a memtable: one integer-keyed probe per token
+// and memtable. le.mu must be held: it is what makes the lists and the
+// snapshot's memtables agree on every position.
+func (le *LiveEngine) memListsLocked(snap *liveSnapshot, toks []memToken) [][]int32 {
 	if snap.memDocs() == 0 {
 		return nil
 	}
@@ -47,7 +56,9 @@ func (le *LiveEngine) memListsLocked(snap *liveSnapshot, toks []string) [][]int3
 		}
 		idx := le.memIdx[si]
 		for i, t := range toks {
-			lists[si*len(toks)+i] = idx[t]
+			if t.id != noToken {
+				lists[si*len(toks)+i] = idx[t.id]
+			}
 		}
 	}
 	return lists
@@ -80,7 +91,7 @@ func (le *LiveEngine) scanMemtable(cc *canceller, mem []memDoc, lists [][]int32,
 		if cc.stop() {
 			return out, cc.err
 		}
-		w := mq.idfSq[i]
+		w := mq.toks[i].idfSq
 		for _, pos := range l {
 			acc[pos] += w / (mq.qLen * mem[pos].len)
 		}

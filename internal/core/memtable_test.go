@@ -14,28 +14,28 @@ import (
 	"repro/internal/sim"
 )
 
-// refScanMemtable is the memtable scan as a per-document string merge:
-// each live document's sorted distinct tokens merged against the query's
-// (sorted here by string), marking the query tokens it holds, then the
+// refScanMemtable is the memtable scan as a per-document merge: each
+// live document's ascending distinct store ids merged against the
+// query's (sorted here by id), marking the query tokens it holds, then the
 // marked summands idf²/(len(q)·len(d)) added in decreasing idf — the
 // canonical order of core/rescore.go, sorted here rather than taken from
 // Prepare's token order. The indexed scan must reproduce it bitwise.
 func refScanMemtable(mem []memDoc, mq *memQuery, tau float64, del *tombstones) []Result {
-	byStr := make([]int, len(mq.toks))
-	for i := range byStr {
-		byStr[i] = i
+	byID := make([]int, len(mq.toks))
+	for i := range byID {
+		byID[i] = i
 	}
-	sort.Slice(byStr, func(a, b int) bool { return mq.toks[byStr[a]] < mq.toks[byStr[b]] })
+	sort.Slice(byID, func(a, b int) bool { return mq.toks[byID[a]].id < mq.toks[byID[b]].id })
 	var out []Result
 	for _, d := range mem {
 		if del.has(d.id) {
 			continue
 		}
 		var matched []float64
-		for i, j := 0, 0; i < len(d.toks) && j < len(byStr); {
-			switch qt := mq.toks[byStr[j]]; {
+		for i, j := 0, 0; i < len(d.toks) && j < len(byID); {
+			switch qt := mq.toks[byID[j]].id; {
 			case d.toks[i] == qt:
-				matched = append(matched, mq.idfSq[byStr[j]])
+				matched = append(matched, mq.toks[byID[j]].idfSq)
 				i++
 				j++
 			case d.toks[i] < qt:
@@ -79,7 +79,7 @@ func compactKeepingTail(t *testing.T, le *LiveEngine, full bool, insert func()) 
 // TestMemtableIndexMatchesScan drives random Insert/Delete/Upsert
 // histories with partial, full and tail-keeping compactions, and holds
 // every memtable answer of the indexed scan — through Select over a τ
-// grid and through SelectTopK — bitwise to the string merge over the same
+// grid and through SelectTopK — bitwise to the per-document merge over the same
 // pinned snapshot. Queries are prepared both before and after later
 // mutations, so old list headers are read after writers appended past
 // them or replaced the index.

@@ -72,9 +72,11 @@ func (e *Engine) prepareTokens(toks []string) Query {
 		}
 		i = j
 	}
-	slices.SortFunc(counts, func(a, b tokenize.Count) int { return cmp.Compare(a.Token, b.Token) })
+	slices.SortFunc(counts, byToken)
 	return e.prepare(counts, unknown)
 }
+
+func byToken(a, b tokenize.Count) int { return cmp.Compare(a.Token, b.Token) }
 
 // PrepareCounts builds a Query from an already tokenized vector whose
 // tokens are all known to the corpus dictionary.
@@ -83,30 +85,49 @@ func (e *Engine) PrepareCounts(counts []tokenize.Count) Query {
 }
 
 func (e *Engine) prepare(counts []tokenize.Count, unknownDistinct int) Query {
-	// StatsN, not NumSets: a segment collection bakes the global corpus
-	// size into its weights, and the query must agree with it.
-	n := e.c.StatsN()
-	q := Query{Raw: counts}
+	var toks []QueryToken
+	if len(counts) > 0 {
+		toks = make([]QueryToken, 0, len(counts))
+	}
+	return e.prepareInto(counts, unknownDistinct, toks)
+}
+
+// prepareInto is prepare writing the query tokens into toks, which has
+// room for len(counts) of them: a LiveEngine carves every segment's
+// tokens from one array. Each weight is read off the collection's idf
+// table, which the build filled with sim.IDF of the token's df against
+// StatsN — not NumSets: a segment collection bakes the global corpus
+// size into its weights, and the query must agree with it.
+func (e *Engine) prepareInto(counts []tokenize.Count, unknownDistinct int, toks []QueryToken) Query {
+	q := Query{Tokens: toks, Raw: counts}
 	var sum sim.SumSq
 	for _, c := range counts {
-		w := sim.IDF(e.c.DF(c.Token), n)
+		w := e.c.IDFWeight(c.Token)
 		q.Tokens = append(q.Tokens, QueryToken{Token: c.Token, IDF: w, IDFSq: w * w})
 		sum.Add(w * w)
 	}
 	// Unknown tokens have empty lists — they cannot contribute matches,
 	// but they lengthen the query exactly as Eq. 1 prescribes.
-	w := sim.IDF(0, n)
+	w := sim.IDF(0, e.c.StatsN())
 	for range unknownDistinct {
 		sum.Add(w * w)
 	}
 	q.Len = sum.Len()
-	sort.SliceStable(q.Tokens, func(i, j int) bool {
-		if q.Tokens[i].IDF != q.Tokens[j].IDF {
-			return q.Tokens[i].IDF > q.Tokens[j].IDF
-		}
-		return q.Tokens[i].Token < q.Tokens[j].Token
-	})
+	slices.SortFunc(q.Tokens, byIDFDesc)
 	return q
+}
+
+// byIDFDesc orders query tokens by decreasing idf, ties by ascending
+// token. The tokens of a query are distinct, so the order is strict and
+// needs no stable sort.
+func byIDFDesc(a, b QueryToken) int {
+	if a.IDF != b.IDF {
+		if a.IDF > b.IDF {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Token, b.Token)
 }
 
 // lengthWindow returns the Theorem 1 pruning interval for this query,

@@ -204,3 +204,45 @@ func TestDurableWarmShardedAllocations(t *testing.T) {
 		base.Close()
 	}
 }
+
+// TestDurableWarmPrepareAllocations pins a durable engine's Prepare — a
+// compacted segment per shard and a memtable in front of it — to the
+// WAL-free live engine's count on 1 and 4 shards: journaling must not
+// add an allocation, and neither must the shard count.
+func TestDurableWarmPrepareAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	corpus := durableCorpus(3000, 5, 8)
+	var counts []float64
+	for _, K := range []int{1, 4} {
+		le := openDurableCorpus(t, corpus[:2500], K)
+		base := buildLiveCorpus(t, corpus[:2500], K)
+		for _, s := range corpus[2500:] {
+			if _, err := le.Insert(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := base.Insert(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prepare := func(e *setsim.LiveEngine) float64 {
+			i := 0
+			e.Prepare(corpus[0])
+			return testing.AllocsPerRun(64, func() {
+				e.Prepare(corpus[i%len(corpus)])
+				i++
+			})
+		}
+		got, want := prepare(le), prepare(base)
+		if got > want {
+			t.Errorf("%d shards: %.1f allocs per warm durable Prepare, WAL-free baseline %.1f", K, got, want)
+		}
+		counts = append(counts, got)
+		le.Close()
+		base.Close()
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("warm durable Prepare: %.1f allocs on 1 shard, %.1f on 4", counts[0], counts[1])
+	}
+}
