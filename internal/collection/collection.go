@@ -334,51 +334,74 @@ func (c *Collection) TokenOffsets() []uint32 {
 	return off
 }
 
-// FillBuckets runs the bucket fill over the TokenOffsets layout off: it
-// visits the sets in the given order (nil: ascending id) and, for every
-// token of a set, calls put with the next free slot of that token's
-// bucket. Each bucket therefore receives its set ids in visiting order,
-// which is how the index builders obtain sorted lists without sorting
-// them. The fill allocates nothing: off, shifted up one place, is its
-// cursor table — off[t+1] starts at token t's bucket start and each put
-// advances it, so it ends at the bucket's end, which is off[t+1] again.
-// off is therefore only valid once FillBuckets has returned.
-func (c *Collection) FillBuckets(off []uint32, order []SetID, put func(slot uint32, id SetID)) {
+// fillBuckets runs the bucket fill over the TokenOffsets layout off: it
+// visits the sets in ascending id order and, for every token of a set,
+// calls put with the next free slot of that token's bucket, so each
+// bucket receives its set ids ascending. The fill allocates nothing:
+// off, shifted up one place, is its cursor table — off[t+1] starts at
+// token t's bucket start and each put advances it, so it ends at the
+// bucket's end, which is off[t+1] again. off is therefore only valid
+// once fillBuckets has returned.
+func (c *Collection) fillBuckets(off []uint32, put func(slot uint32, id SetID)) {
 	copy(off[1:], off[:len(off)-1])
 	next := off[1:]
-	visit := func(id SetID) {
-		for _, t := range c.Tokens(id) {
-			put(next[t], id)
+	for id := range c.NumSets() {
+		for _, t := range c.Tokens(SetID(id)) {
+			put(next[t], SetID(id))
 			next[t]++
 		}
-	}
-	if order == nil {
-		for id := range c.NumSets() {
-			visit(SetID(id))
-		}
-		return
-	}
-	for _, id := range order {
-		visit(id)
 	}
 }
 
 // SetsByLength returns every set id ordered by (Length, id) ascending:
-// the visiting order under which FillBuckets yields length-sorted lists.
-func (c *Collection) SetsByLength() []SetID {
-	order := make([]SetID, c.NumSets())
-	for i := range order {
-		order[i] = SetID(i)
-	}
-	slices.SortFunc(order, func(a, b SetID) int {
-		if la, lb := c.lens[a], c.lens[b]; la < lb {
-			return -1
-		} else if la > lb {
-			return 1
+// the visiting order under which a bucket fill yields length-sorted
+// lists. Lengths are positive, and positive floats order as their bit
+// patterns do, so this is a stable LSD radix sort of the ids on their
+// lengths' bits, started from ascending ids: ties keep id order. The
+// digit counts live on the stack and the scatter's scratch is the second
+// half of the one array whose first half is returned.
+func (c *Collection) SetsByLength() []SetID { return byLength(c.lens) }
+
+// digitBits is the radix of byLength: six passes of 11 bits cover a
+// float64. A pass whose digit is one value across the corpus is left out,
+// which the top one — the sign and the high exponent bits — usually is.
+// The six count tables take 48 KiB of stack.
+const digitBits = 11
+
+// byLength is SetsByLength over the lengths lens of sets 0 … len(lens)-1.
+func byLength(lens []float64) []SetID {
+	const mask = 1<<digitBits - 1
+	n := len(lens)
+	buf := make([]SetID, 2*n)
+	src, dst := buf[:n:n], buf[n:]
+	var counts [(64 + digitBits - 1) / digitBits][1 << digitBits]uint32
+	for i, l := range lens {
+		src[i] = SetID(i)
+		k := math.Float64bits(l)
+		for d := range counts {
+			counts[d][k>>(digitBits*d)&mask]++
 		}
-		return cmp.Compare(a, b)
-	})
-	return order
+	}
+	for d := range counts {
+		cnt, shift := &counts[d], digitBits*d
+		if n == 0 || cnt[math.Float64bits(lens[0])>>shift&mask] == uint32(n) {
+			continue // every key shares this digit: the pass would copy
+		}
+		var sum uint32
+		for b, k := range cnt {
+			cnt[b], sum = sum, sum+k
+		}
+		for _, id := range src {
+			b := math.Float64bits(lens[id]) >> shift & mask
+			dst[cnt[b]] = id
+			cnt[b]++
+		}
+		src, dst = dst, src
+	}
+	if n > 0 && &src[0] != &buf[0] {
+		copy(buf, src)
+	}
+	return buf[:n:n]
 }
 
 // TokenSets enumerates, for every token, the ids of the sets containing it
@@ -387,7 +410,7 @@ func (c *Collection) SetsByLength() []SetID {
 func (c *Collection) TokenSets(fn func(t tokenize.Token, ids []SetID)) {
 	off := c.TokenOffsets()
 	flat := make([]SetID, off[len(c.df)])
-	c.FillBuckets(off, nil, func(slot uint32, id SetID) { flat[slot] = id })
+	c.fillBuckets(off, func(slot uint32, id SetID) { flat[slot] = id })
 	for t := range c.df {
 		fn(tokenize.Token(t), flat[off[t]:off[t+1]])
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -43,7 +44,10 @@ func benchQueries(b *testing.B, e *Engine, n int) []Query {
 // candidates (every document of its topic sharing a word) in a few
 // hundred rounds and the F < τ gate opens late. Candidate bookkeeping
 // that is cheap per round but dear per admission shows up here and not
-// on the q-gram corpus.
+// on the q-gram corpus. Its lists are long for its size: 279 of its 400
+// cross the max(64, n/64) mark and carry bitmaps, so completion there
+// tests bits. That is not clustered-sharded's regime; the shard engine
+// below is.
 var (
 	benchClustered        *Engine
 	benchClusteredQueries []Query
@@ -56,6 +60,59 @@ func getBenchClustered(b *testing.B) (*Engine, []Query) {
 		benchClusteredQueries = benchQueries(b, benchClustered, 16)
 	}
 	return benchClustered, benchClusteredQueries
+}
+
+// The shard engine is shaped like one shard of the clustered-sharded
+// workload: 25 000 documents of 6 words drawn from 8 topics of 60 words.
+// Each of its 480 lists holds about 300 postings, under the
+// max(64, n/64) = 390 mark, so no list is dense: SF's and top-k's
+// completion seeks, and iNRA's gate finishes no list with bit tests.
+var (
+	benchShard        *Engine
+	benchShardQueries []Query
+)
+
+// shardDocs generates the shard engine's corpus.
+func shardDocs(n int, seed int64) []string {
+	const topics, words, perDoc = 8, 60, 6
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([]string, n)
+	for i := range docs {
+		var sb strings.Builder
+		for j := range perDoc {
+			if j > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "t%dw%d", i%topics, rng.Intn(words))
+		}
+		docs[i] = sb.String()
+	}
+	return docs
+}
+
+func getBenchShard(b *testing.B) (*Engine, []Query) {
+	b.Helper()
+	if benchShard == nil {
+		benchShard = wordEngineFromDocs(shardDocs(25000, 17), Config{})
+		if d := len(benchShard.dense.tokens); d != 0 {
+			b.Fatalf("shard engine has %d dense lists, want none", d)
+		}
+		benchShardQueries = benchQueries(b, benchShard, 16)
+	}
+	return benchShard, benchShardQueries
+}
+
+func BenchmarkSelectWarmSFShard(b *testing.B) {
+	e, qs := getBenchShard(b)
+	benchSelectWarmOn(b, e, qs, SF, 0.8, nil)
+}
+func BenchmarkSelectWarmINRAShard(b *testing.B) {
+	e, qs := getBenchShard(b)
+	benchSelectWarmOn(b, e, qs, INRA, 0.8, nil)
+}
+func BenchmarkSelectTopKWarmShard(b *testing.B) {
+	e, qs := getBenchShard(b)
+	benchTopKWarmOn(b, e, qs, nil)
 }
 
 // The dense engine is the q-gram corpus whose common grams' lists cross

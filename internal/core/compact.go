@@ -185,13 +185,14 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 		local = localTable(toStore)
 	}
 	segs := make([]*liveSegment, le.nShards)
+	workers := engineWorkers(r.workers, len(colls))
 	par.Each(r.workers, len(colls), "shard", func(si int) {
 		c := colls[si]
 		if c == nil {
 			return // untouched shard, or every gathered doc was deleted
 		}
 		g := &liveSegment{
-			eng:      NewEngine(c, le.cfg.Config),
+			eng:      newEngine(c, le.cfg.Config, workers),
 			ids:      ids[si],
 			builtN:   builtN,
 			builtMut: builtMut,
@@ -200,7 +201,7 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute boo
 			local:    local,
 		}
 		if !le.cfg.NoRoute {
-			g.sum = route.Summarize(c)
+			g.sum = route.Summarize(c, g.eng.store)
 		}
 		segs[si] = g
 	})

@@ -164,13 +164,22 @@ type Config struct {
 }
 
 // NewEngine builds the inverted lists for c per cfg, and the bitmaps of
-// the dense ones whatever store holds them.
+// the dense ones whatever store holds them. The build is a round its
+// caller waits on, so it runs on roundWorkers(c.NumSets()) workers.
 func NewEngine(c *collection.Collection, cfg Config) *Engine {
+	return newEngine(c, cfg, roundWorkers(c.NumSets()))
+}
+
+// newEngine is NewEngine on up to workers goroutines: the in-memory
+// lists fill and the dense bitmaps build by token range side by side
+// (invlist.BuildMemWorkers, buildDense), into the structures one worker
+// builds, bit for bit.
+func newEngine(c *collection.Collection, cfg Config, workers int) *Engine {
 	e := &Engine{c: c, store: cfg.Store, m: metrics.NewRegistry()}
 	if e.store == nil {
-		e.store = invlist.BuildMem(c, cfg.SkipInterval)
+		e.store = invlist.BuildMemWorkers(c, cfg.SkipInterval, workers)
 	}
-	e.dense = buildDense(c, e.store)
+	e.dense = buildDense(c, e.store, workers)
 	e.wireCacheMetrics()
 	return e
 }

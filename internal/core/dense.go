@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/invlist"
+	"repro/internal/par"
 	"repro/internal/tokenize"
 )
 
@@ -28,29 +29,48 @@ type denseLists struct {
 }
 
 // buildDense builds the bitmaps of c's dense lists, whose lengths store
-// reports, in one pass over the collection's token arena.
-func buildDense(c *collection.Collection, store invlist.Store) denseLists {
+// reports. Over a MemStore each bitmap is set from its list's ids, the
+// dense tokens split between up to workers goroutines labelled
+// stage=index; over another store, from one pass over the collection's
+// token arena.
+func buildDense(c *collection.Collection, store invlist.Store, workers int) denseLists {
 	n := c.NumSets()
 	minLen := max(denseFraction, n/denseFraction)
-	row := make([]int32, c.NumTokens()) // token → its bitmap's index, -1 for none
 	dense := 0
-	for t := range row {
-		row[t] = -1
+	for t := range c.NumTokens() {
 		if store.ListLen(tokenize.Token(t)) >= minLen {
-			row[t] = int32(dense)
 			dense++
 		}
 	}
 	if dense == 0 {
 		return denseLists{}
 	}
-	d := denseLists{tokens: make([]tokenize.Token, dense), words: (n + 63) / 64}
-	for t, r := range row {
-		if r >= 0 {
-			d.tokens[r] = tokenize.Token(t)
+	d := denseLists{tokens: make([]tokenize.Token, 0, dense), words: (n + 63) / 64}
+	for t := range c.NumTokens() {
+		if store.ListLen(tokenize.Token(t)) >= minLen {
+			d.tokens = append(d.tokens, tokenize.Token(t))
 		}
 	}
 	d.bits = make([]uint64, len(d.tokens)*d.words)
+	if ms, ok := store.(*invlist.MemStore); ok {
+		par.Chunks(workers, len(d.tokens), "index", func(_, lo, hi int) {
+			//ssvet:nostats engine build; no query Stats exist yet
+			for r := lo; r < hi; r++ { //ssvet:nopoll engine build, not on any query path
+				bits := d.bits[r*d.words : (r+1)*d.words]
+				for _, id := range ms.ListIDs(d.tokens[r]) {
+					bits[id>>6] |= 1 << (id & 63)
+				}
+			}
+		})
+		return d
+	}
+	row := make([]int32, c.NumTokens()) // token → its bitmap's index, -1 for none
+	for t := range row {
+		row[t] = -1
+	}
+	for r, t := range d.tokens {
+		row[t] = int32(r)
+	}
 	for id := range n {
 		for _, t := range c.Tokens(collection.SetID(id)) {
 			if r := row[t]; r >= 0 {

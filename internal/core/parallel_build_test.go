@@ -118,16 +118,24 @@ func requireSameLive(t *testing.T, label string, got, want *LiveEngine) {
 type builtShapes struct {
 	routed, hashed          *ShardedEngine
 	mono                    *collection.Collection
+	engine                  *Engine     // setsim.Build's: NewEngine over BuildCollection
 	built, restored, folded *LiveEngine // folded: restored, then deletes and a Compact
+	// The same three live shapes at Shards: 1, whose one engine per
+	// round fills its lists and bitmaps on every worker.
+	built1, restored1, folded1 *LiveEngine
 }
 
 // TestParallelBuildMatchesSerial: every build path fanned out over four
 // workers builds exactly what it builds on one — BuildSharded routed
 // over 8 shards and hash-routed over 4, the monolithic BuildCollection
-// (which is also Builder.Add's collection), BuildLive over 3 shards, and
-// RestoreLive of a log with tombstones followed by a full Compact. The
-// corpora include documents without tokens, fewer documents than shards
-// and fewer than workers, and none at all.
+// (which is also Builder.Add's collection) and the engine setsim.Build
+// makes of it, BuildLive over 3 shards and over one, and RestoreLive of
+// a log with tombstones followed by a full Compact, over 3 shards and
+// over one. A one-engine build fills its lists, skip samples and dense
+// bitmaps by token range on every worker; the skewed q-gram corpus
+// gives it lists long enough for both. The corpora include documents without
+// tokens, fewer documents than shards and fewer than workers, and none
+// at all.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	words := clusteredDocs(12, 40, 91)
 	grams := randomCorpus(500, 92, 14)
@@ -145,6 +153,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	corpora := []corpus{
 		{"words", tokenize.WordTokenizer{}, words},
 		{"grams", liveTestTK, grams},
+		{"dense grams", liveTestTK, denseDocs(1500, 93)},
 		{"three docs", tokenize.WordTokenizer{}, []string{"alpha beta", "", "beta gamma"}},
 		{"empty", tokenize.WordTokenizer{}, nil},
 	}
@@ -163,29 +172,46 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 				o.routed = BuildSharded(cp.tk, cp.docs, true, 8, Config{})
 				o.hashed = BuildSharded(cp.tk, cp.docs, false, 4, Config{NoRoute: true})
 				o.mono = BuildCollection(cp.tk, cp.docs, true)
+				o.engine = NewEngine(BuildCollection(cp.tk, cp.docs, true), Config{})
 				o.built = BuildLive(cp.docs, cp.tk, LiveConfig{NoBackground: true, Shards: 3})
-				var err error
-				if o.restored, err = RestoreLive(log, cp.tk, LiveConfig{NoBackground: true, Shards: 3}); err != nil {
-					t.Fatalf("%s: RestoreLive: %v", cp.name, err)
-				}
-				if o.folded, err = RestoreLive(log, cp.tk, LiveConfig{NoBackground: true, Shards: 3}); err != nil {
-					t.Fatalf("%s: RestoreLive: %v", cp.name, err)
-				}
-				for id, d := range log {
-					if !d.Deleted && id%3 == 0 {
-						o.folded.Delete(collection.SetID(id))
+				o.built1 = BuildLive(cp.docs, cp.tk, LiveConfig{NoBackground: true, Shards: 1})
+				for _, l := range []struct {
+					restored, folded **LiveEngine
+					shards           int
+				}{{&o.restored, &o.folded, 3}, {&o.restored1, &o.folded1, 1}} {
+					cfg := LiveConfig{NoBackground: true, Shards: l.shards}
+					var err error
+					if *l.restored, err = RestoreLive(log, cp.tk, cfg); err != nil {
+						t.Fatalf("%s: RestoreLive: %v", cp.name, err)
 					}
+					if *l.folded, err = RestoreLive(log, cp.tk, cfg); err != nil {
+						t.Fatalf("%s: RestoreLive: %v", cp.name, err)
+					}
+					for id, d := range log {
+						if !d.Deleted && id%3 == 0 {
+							(*l.folded).Delete(collection.SetID(id))
+						}
+					}
+					(*l.folded).Compact()
 				}
-				o.folded.Compact()
 			})
 		}
 		requireSameSharded(t, cp.name+" routed", parallel.routed, serial.routed)
 		requireSameSharded(t, cp.name+" NoRoute", parallel.hashed, serial.hashed)
 		requireSameCollection(t, cp.name+" monolithic", parallel.mono, serial.mono)
-		requireSameEngine(t, cp.name+" monolithic engine", NewEngine(parallel.mono, Config{}), NewEngine(serial.mono, Config{}))
+		requireSameEngine(t, cp.name+" monolithic engine", parallel.engine, serial.engine)
 		requireSameLive(t, cp.name+" BuildLive", parallel.built, serial.built)
 		requireSameLive(t, cp.name+" RestoreLive", parallel.restored, serial.restored)
 		requireSameLive(t, cp.name+" RestoreLive+Compact", parallel.folded, serial.folded)
+		requireSameLive(t, cp.name+" one-shard BuildLive", parallel.built1, serial.built1)
+		requireSameLive(t, cp.name+" one-shard RestoreLive", parallel.restored1, serial.restored1)
+		requireSameLive(t, cp.name+" one-shard RestoreLive+Compact", parallel.folded1, serial.folded1)
+		if cp.name == "dense grams" {
+			if e := parallel.engine; len(e.dense.tokens) == 0 || e.Sizes().SkipIndexes == 0 {
+				t.Fatalf("dense grams: %d dense lists and %d bytes of skip samples: the parallel fill is not exercised",
+					len(e.dense.tokens), e.Sizes().SkipIndexes)
+			}
+		}
 
 		b := collection.NewBuilder(cp.tk, true)
 		for _, s := range cp.docs {
@@ -196,7 +222,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		for _, se := range []*ShardedEngine{serial.routed, serial.hashed, parallel.routed, parallel.hashed} {
 			se.Close()
 		}
-		for _, le := range []*LiveEngine{serial.built, serial.restored, serial.folded, parallel.built, parallel.restored, parallel.folded} {
+		for _, le := range []*LiveEngine{serial.built, serial.restored, serial.folded, serial.built1, serial.restored1, serial.folded1,
+			parallel.built, parallel.restored, parallel.folded, parallel.built1, parallel.restored1, parallel.folded1} {
 			le.Close()
 		}
 	}

@@ -193,7 +193,7 @@ func TestShardBoundDominatesScores(t *testing.T) {
 	}
 	eng := wordEngineFromDocs(docs, Config{})
 	q := eng.Prepare("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9")
-	bound := shardBound(route.Summarize(eng.Collection()), q)
+	bound := shardBound(route.Summarize(eng.Collection(), eng.Store()), q)
 	res, _, err := eng.Select(q, minPositiveTau, Naive, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -48,6 +48,13 @@ func roundWorkers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// engineWorkers is the worker count of each of the engines a round of
+// workers builds side by side: the round's workers shared between them,
+// so a one-shard round fills its lists and bitmaps on every core.
+func engineWorkers(workers, engines int) int {
+	return max(1, workers/max(1, engines))
+}
+
 // docRef is one document headed into a round: its global id, its source,
 // and — for a compaction round — the shard currently holding it.
 type docRef struct {

@@ -136,9 +136,9 @@ func buildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 	// The shards share only the round's dictionary and df, which nothing
 	// writes any more.
 	par.Each(r.workers, shards, "shard", func(i int) {
-		engines[i] = NewEngine(builders[i].BuildWithStats(n, r.dfOf), cfg)
+		engines[i] = newEngine(builders[i].BuildWithStats(n, r.dfOf), cfg, engineWorkers(r.workers, shards))
 		if routed {
-			sums[i] = route.Summarize(engines[i].Collection())
+			sums[i] = route.Summarize(engines[i].c, engines[i].store)
 		}
 	})
 	return newSharded(engines, ids, assign, sums, n)

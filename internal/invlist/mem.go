@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/collection"
+	"repro/internal/par"
 	"repro/internal/tokenize"
 )
 
@@ -60,6 +61,16 @@ type MemStore struct {
 // and sorts nothing but the set ids: filling the buckets in (Len, ID)
 // order of the sets leaves every list (Len, ID)-sorted.
 func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
+	return BuildMemWorkers(c, skipInterval, 1)
+}
+
+// BuildMemWorkers is BuildMem on up to workers goroutines, labelled
+// stage=index: the tokens are cut into contiguous ranges holding
+// near-equal numbers of postings, and each range's lists are filled and
+// sampled by one worker, which walks every set in (Len, ID) order and
+// writes only its own tokens' cursors, postings and samples. The store
+// is BuildMem's, bit for bit and slice for slice.
+func BuildMemWorkers(c *collection.Collection, skipInterval, workers int) *MemStore {
 	if skipInterval <= 0 {
 		skipInterval = SkipInterval
 	}
@@ -72,25 +83,72 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 		skipOff:  make([]uint32, n+1),
 		interval: skipInterval,
 	}
-	c.FillBuckets(off, c.SetsByLength(), func(slot uint32, id collection.SetID) {
-		st.ids[slot], st.lens[slot] = uint32(id), c.Length(id)
-	})
-
 	for t := 0; t < n; t++ {
 		count := int(off[t+1] - off[t])
 		st.skipOff[t+1] = st.skipOff[t] + uint32(max(count-1, 0)/skipInterval)
 	}
 	st.skips = make([]float64, st.skipOff[n])
-	for t := 0; t < n; t++ {
-		lens := st.lens[off[t]:off[t+1]]
-		samples := st.skips[st.skipOff[t]:st.skipOff[t+1]]
-		for j := range samples {
-			samples[j] = lens[(j+1)*skipInterval]
-		}
-	}
+	order := c.SetsByLength()
 
+	k := par.NumChunks(workers, n)
+	var bounds []tokenize.Token
+	if k > 1 {
+		// Range w is [bounds[w], bounds[w+1]): it starts at the first
+		// token whose bucket starts at or past w/k of the arena.
+		bounds = make([]tokenize.Token, k+1)
+		for w := 1; w < k; w++ {
+			i, _ := slices.BinarySearch(off, uint32(uint64(off[n])*uint64(w)/uint64(k)))
+			bounds[w] = tokenize.Token(i)
+		}
+		bounds[k] = tokenize.Token(n)
+	}
+	// off, shifted up one place, is the fill's cursor table: off[t+1]
+	// starts at token t's bucket start and each posting advances it, so
+	// it ends at the bucket's end, which is off[t+1] again.
+	copy(off[1:], off[:n])
+	if k == 1 {
+		st.fill(c, order, off[1:], 0, tokenize.Token(n))
+	} else {
+		par.Chunks(k, k, "index", func(w, _, _ int) {
+			st.fill(c, order, off[1:], bounds[w], bounds[w+1])
+		})
+	}
 	st.account(len(st.ids))
 	return st
+}
+
+// fill lays the postings of the tokens [lo, hi) into the arena, visiting
+// the sets in order, then takes their skip samples. next is the cursor
+// table: next[t] starts at token t's bucket start and ends at its end.
+// fill reads and writes no entry of next, the arena or the samples that
+// belongs to a token outside [lo, hi).
+func (s *MemStore) fill(c *collection.Collection, order []collection.SetID, next []uint32, lo, hi tokenize.Token) {
+	if lo == hi {
+		return
+	}
+	start := next[lo]
+	for _, id := range order {
+		l := c.Length(id)
+		for _, t := range c.Tokens(id) {
+			if t < lo {
+				continue
+			}
+			if t >= hi {
+				break // a set's tokens ascend
+			}
+			slot := next[t]
+			s.ids[slot], s.lens[slot] = uint32(id), l
+			next[t] = slot + 1
+		}
+	}
+	for t := lo; t < hi; t++ {
+		lens := s.lens[start:next[t]]
+		start = next[t]
+		samples := s.skips[s.skipOff[t]:s.skipOff[t+1]]
+		for j := range samples {
+			samples[j] = lens[(j+1)*s.interval]
+		}
+	}
 }
 
 // account sets the store's Sizes for an arena of the given number of
@@ -152,6 +210,33 @@ func (s *MemStore) IDCursor(t tokenize.Token) Cursor {
 		mc.ids[i], mc.lens[i] = s.ids[j], s.lens[j]
 	}
 	return mc
+}
+
+// ListIDs returns the set ids of token t's list in (Len, ID) order, a
+// view of the arena that must not be modified: empty for a token the
+// store does not know.
+func (s *MemStore) ListIDs(t tokenize.Token) PostingIDs {
+	lo, hi := s.span(t)
+	return s.ids[lo:hi:hi]
+}
+
+// HeadLen returns the length at the head of token t's list in s — by
+// Order Preservation the least length of the sets holding t — and false
+// when the list is empty. A disk-backed head that fails to read reports
+// length 0, which bounds nothing.
+func HeadLen(s Store, t tokenize.Token) (float64, bool) {
+	if ms, ok := s.(*MemStore); ok {
+		lo, hi := ms.span(t)
+		if lo == hi {
+			return 0, false
+		}
+		return ms.lens[lo], true
+	}
+	cur := s.WeightCursor(t)
+	if !cur.Valid() {
+		return 0, false
+	}
+	return cur.Posting().Len, true
 }
 
 // ListLen implements Store.

@@ -120,9 +120,10 @@ func TestSeekLenMatchesReference(t *testing.T) {
 
 // TestBuildMemAllocations pins the build to a constant number of
 // allocations, whatever the number of tokens. One posting arena means one
-// bucket fill: the store, its offset table, the (Len, ID) set order, the
-// arena, the fill's cursor table and the skip offsets (these corpora's
-// lists are too short to own a skip sample).
+// bucket fill, whose cursor table is the offset table itself: the store,
+// its offset table, the (Len, ID) set order (whose second half is the
+// radix sort's scratch), the arena's two columns and the skip offsets
+// (these corpora's lists are too short to own a skip sample).
 func TestBuildMemAllocations(t *testing.T) {
 	var got [2]float64
 	for i, tokens := range []int{1000, 20000} {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/invlist"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
@@ -137,7 +138,7 @@ func TestSummaryCapSoundness(t *testing.T) {
 		}
 	}
 	c := buildCorpus(t, docs)
-	s := Summarize(c)
+	s := summarize(c)
 
 	if s.Docs() != c.NumSets() {
 		t.Fatalf("Docs() = %d, want %d", s.Docs(), c.NumSets())
@@ -172,7 +173,7 @@ func TestSummaryHotTokenAbsentIsExactZero(t *testing.T) {
 	// Fewer distinct tokens than hotMax: every token is hot, so every
 	// absence answers an exact 0 (no sketch false positives possible).
 	c := buildCorpus(t, []string{"alpha beta", "beta gamma", "gamma alpha"})
-	s := Summarize(c)
+	s := summarize(c)
 	if got := s.HotTokens(); got != 3 {
 		t.Fatalf("HotTokens() = %d, want 3 (whole tiny vocabulary)", got)
 	}
@@ -186,12 +187,15 @@ func TestSummaryHotTokenAbsentIsExactZero(t *testing.T) {
 	sub := collection.NewBuilderWithDict(dict, tokenize.WordTokenizer{}, true)
 	sub.Add("alpha beta")
 	subC := sub.BuildWithStats(2, func(tok string) int { return fullC.DF(mustLookup(dict, tok)) })
-	ss := Summarize(subC)
+	ss := summarize(subC)
 	gamma, _ := dict.Lookup("gamma")
 	if got := ss.CapFor(gamma); got > 0 {
 		t.Fatalf("CapFor(absent hot token) = %g, want exact 0", got)
 	}
 }
+
+// summarize builds c's summary from the in-memory lists of c.
+func summarize(c *collection.Collection) *Summary { return Summarize(c, invlist.BuildMem(c, 0)) }
 
 func mustLookup(d *tokenize.Dict, s string) tokenize.Token {
 	t, ok := d.Lookup(s)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/collection"
+	"repro/internal/invlist"
 	"repro/internal/kernel"
 	"repro/internal/tokenize"
 )
@@ -63,12 +64,14 @@ func slotOf(t tokenize.Token, bits uint) uint64 {
 	return uint64(t) * 0x9E3779B97F4A7C15 >> (64 - bits)
 }
 
-// Summarize builds the pruning summary of one shard collection. The
-// collection's df is the corpus-global table (BuildWithStats), so every
-// shard of one build selects the same hot-token list and the same
-// sketch width — which is what makes a token's CapFor answers
-// comparable across the fleet.
-func Summarize(c *collection.Collection) *Summary {
+// Summarize builds the pruning summary of one shard collection from the
+// lists its engine built over it. The collection's df is the
+// corpus-global table (BuildWithStats), so every shard of one build
+// selects the same hot-token list and the same sketch width — which is
+// what makes a token's CapFor answers comparable across the fleet. A
+// token's cap divides by the least length of its sets here, which Order
+// Preservation puts at the head of its (Len, ID)-sorted list.
+func Summarize(c *collection.Collection, lists invlist.Store) *Summary {
 	s := &Summary{docs: c.NumSets()}
 	for i := 0; i < c.NumSets(); i++ {
 		l := c.Length(collection.SetID(i))
@@ -92,15 +95,10 @@ func Summarize(c *collection.Collection) *Summary {
 	s.slotCaps = make([]float64, slots)
 
 	var hotB, occB kernel.SetBuilder
-	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
-		if len(ids) == 0 {
-			return
-		}
-		minLen := c.Length(ids[0])
-		for _, id := range ids[1:] {
-			if l := c.Length(id); l < minLen {
-				minLen = l
-			}
+	for t := range tokenize.Token(nt) {
+		minLen, ok := invlist.HeadLen(lists, t)
+		if !ok {
+			continue // no set here holds t
 		}
 		w := c.IDFWeight(t)
 		tokCap := math.MaxFloat64 // a degenerate length never prunes
@@ -109,14 +107,14 @@ func Summarize(c *collection.Collection) *Summary {
 		}
 		if hi := s.hotIndex(t); hi >= 0 {
 			s.hotCaps[hi] = tokCap
-			hotB.Add(uint64(t)) // TokenSets ascends, so Add stays ordered
-			return
+			hotB.Add(uint64(t)) // t ascends, so Add stays ordered
+			continue
 		}
 		slot := slotOf(t, s.slotBits)
 		if tokCap > s.slotCaps[slot] {
 			s.slotCaps[slot] = tokCap
 		}
-	})
+	}
 	s.hotSet = hotB.Build()
 	for i, cv := range s.slotCaps {
 		if cv > 0 {

@@ -1,6 +1,7 @@
 package setsim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -25,13 +26,23 @@ func benchWords(rng *rand.Rand, n int) []string {
 }
 
 // BenchmarkRecover measures crash recovery: one OpenDurable + Close per
-// iteration of a store holding an 8 k-word checkpoint and a 256-record
-// WAL tail. The thresholds stay out of reach, so an iteration is the
-// load, the one build round and the tail replay, with no flush racing
-// them; the three are reported as their own metrics.
+// iteration of a one-shard store holding a checkpoint and a WAL tail —
+// 8 000 words and 256 records, and 40 000 words and 1 024 records, the
+// size a durable-serve set-up opens. The thresholds stay out of reach,
+// so an iteration is the load, the one build round and the tail replay,
+// with no flush racing them; the three are reported as their own
+// metrics.
 func BenchmarkRecover(b *testing.B) {
+	for _, size := range []struct{ checkpoint, tail int }{{8000, 256}, {40000, 1024}} {
+		b.Run(fmt.Sprintf("%d+%d", size.checkpoint, size.tail), func(b *testing.B) {
+			benchRecover(b, size.checkpoint, size.tail)
+		})
+	}
+}
+
+func benchRecover(b *testing.B, checkpoint, tail int) {
 	path := filepath.Join(b.TempDir(), "store.sssnap")
-	words := benchWords(rand.New(rand.NewSource(1)), 8000+256)
+	words := benchWords(rand.New(rand.NewSource(1)), checkpoint+tail)
 	cfg := setsim.LiveConfig{FlushThreshold: 1 << 30, CheckpointEvery: -1}
 	opts := setsim.DurableOptions{Sync: setsim.SyncOff}
 	le, _, err := setsim.OpenDurable(path, cfg, opts)
@@ -39,7 +50,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i, w := range words {
-		if i == 8000 {
+		if i == checkpoint {
 			if err := le.CheckpointNow(); err != nil {
 				b.Fatal(err)
 			}
@@ -50,7 +61,7 @@ func BenchmarkRecover(b *testing.B) {
 	}
 	le.Close()
 
-	var load, build, tail float64
+	var load, build, replay float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,15 +69,15 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if info.Live != len(words) || info.WALTail != 256 {
+		if info.Live != len(words) || info.WALTail != tail {
 			b.Fatalf("recovered %d live documents and a %d-record tail", info.Live, info.WALTail)
 		}
 		load += info.LoadTime.Seconds()
 		build += info.BuildTime.Seconds()
-		tail += info.TailTime.Seconds()
+		replay += info.TailTime.Seconds()
 		le.Close()
 	}
 	b.ReportMetric(1e3*load/float64(b.N), "load-ms/op")
 	b.ReportMetric(1e3*build/float64(b.N), "build-ms/op")
-	b.ReportMetric(1e3*tail/float64(b.N), "tail-ms/op")
+	b.ReportMetric(1e3*replay/float64(b.N), "tail-ms/op")
 }
