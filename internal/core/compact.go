@@ -117,6 +117,8 @@ func (le *LiveEngine) compact(full, fanOut bool) bool {
 	// Persist the round as a checkpoint: the round's documents under
 	// their final assignment are exactly the live documents per shard,
 	// and cap froze the WAL horizon and dead log consistently with them.
+	// The round's dictionary and vectors go with them: the round over
+	// the live documents in id order, which is what recovery rebuilds.
 	// Mutations applied since gather are not in the state — their records
 	// sit past cap.walSeq, so the surviving WAL tail replays them. The
 	// sink call does the disk work under compactMu only; mutations and
@@ -129,9 +131,10 @@ func (le *LiveEngine) compact(full, fanOut bool) bool {
 			Live:      make([][]DocRef, le.nShards),
 			Dead:      cap.dead,
 			Summaries: make([]*route.Summary, le.nShards),
+			Dict:      r.dictStrings(),
 		}
 		for i, ref := range r.docs {
-			st.Live[assign[i]] = append(st.Live[assign[i]], DocRef{ID: ref.id, Source: ref.source})
+			st.Live[assign[i]] = append(st.Live[assign[i]], DocRef{ID: ref.id, Source: ref.source, Vec: r.vec(i)})
 		}
 		for si, g := range segs {
 			if g != nil {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/route"
+	"repro/internal/tokenize"
 )
 
 // WALSink journals mutations. AppendInsert/AppendDelete are called with
@@ -35,18 +36,23 @@ type CheckpointSink interface {
 	Checkpoint(st *CheckpointState) error
 }
 
-// DocRef is one document in a checkpoint: its permanent global id and
-// source text.
+// DocRef is one document in a checkpoint: its permanent global id, its
+// source text and, for a live document of a state that carries its
+// round, its token vector in the round's ids (ascending by token).
 type DocRef struct {
 	ID     collection.SetID
 	Source string
+	Vec    []tokenize.Count
 }
 
 // CheckpointState is everything a checkpoint must persist to make the
 // WAL records up to WALSeq redundant: the live documents of every shard
 // (id-sorted; shard membership doubles as the routing table), the
 // tombstoned documents (needed to reconstruct the id space — ids are
-// never reused), and each shard's pruning summary.
+// never reused), and each shard's pruning summary. A checkpoint round
+// hands over its tokenized input too — the round dictionary and every
+// live document's vector — so that recovery rebuilds the round without
+// tokenizing (RestoreLiveRound).
 type CheckpointState struct {
 	// WALSeq is the last WAL sequence number whose effect is contained
 	// in this state; the sink may truncate the log through it.
@@ -62,6 +68,10 @@ type CheckpointState struct {
 	// Summaries are the per-shard pruning summaries of the freshly
 	// compacted segments (nil entries for empty shards or under NoRoute).
 	Summaries []*route.Summary
+	// Dict is the round dictionary's token strings in id order, which
+	// the live documents' Vecs number. A state built without its round
+	// leaves it and the Vecs nil.
+	Dict []string
 }
 
 // ckptCapture is the engine state gather freezes for a checkpoint

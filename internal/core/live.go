@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -417,7 +416,37 @@ func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngi
 // ErrNoTokens.
 func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
 	start := time.Now()
+	log, refs := restoreLog(docs)
+	r := newSegmentRound(tk, roundWorkers(len(refs)))
+	if err := r.addLive(refs); err != nil {
+		return nil, err
+	}
 	le := newLive(tk, cfg)
+	le.load(log, r, start)
+	return le, nil
+}
+
+// RestoreLiveRound is RestoreLive from a checkpoint that stored its
+// round: sr is the tokenized input of the round over docs' live
+// documents in id order (CheckpointState's Dict and Vecs), and the
+// restore rebuilds that round from it without tokenizing a document.
+// The engine is the one RestoreLive builds. Input no such round can have
+// fails the restore with an error wrapping collection.ErrBadCollection.
+func RestoreLiveRound(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
+	start := time.Now()
+	log, refs := restoreLog(docs)
+	r, err := storedRound(tk, roundWorkers(len(refs)), refs, sr)
+	if err != nil {
+		return nil, err
+	}
+	le := newLive(tk, cfg)
+	le.load(log, r, start)
+	return le, nil
+}
+
+// restoreLog turns a document log into the engine's log and the round
+// references of its live documents, in id order.
+func restoreLog(docs []DocState) ([]liveDoc, []docRef) {
 	log := make([]liveDoc, len(docs))
 	refs := make([]docRef, 0, len(docs))
 	for id, d := range docs {
@@ -426,17 +455,7 @@ func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveE
 			refs = append(refs, docRef{id: collection.SetID(id), source: d.Source})
 		}
 	}
-	r := newSegmentRound(tk, roundWorkers(len(refs)))
-	if r.addAll(refs) > 0 {
-		// The first live document missing from the round is the culprit.
-		i := 0
-		for i < len(r.docs) && r.docs[i].id == refs[i].id {
-			i++
-		}
-		return nil, fmt.Errorf("document %d: %w", refs[i].id, ErrNoTokens)
-	}
-	le.load(log, r, start)
-	return le, nil
+	return log, refs
 }
 
 // load installs a document log into a fresh engine and runs r — the

@@ -7,7 +7,10 @@
 // dictionary in global id order. Everything downstream reads those
 // vectors: the document frequencies by token id, the clusterer's
 // distinct-token signatures, and the per-shard collection builders,
-// which copy the vectors into their arenas.
+// which copy the vectors into their arenas. A checkpoint stores its
+// round's input — dictionary strings and vectors (StoredRound) — and
+// recovery from it rebuilds the same round with storedRound instead of
+// addAll, tokenizing nothing.
 //
 // A round runs each stage on its workers. addAll tokenizes contiguous
 // chunks of documents side by side against chunk-local token numbers
@@ -21,6 +24,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 
@@ -152,6 +156,111 @@ func (r *segmentRound) addCorpus(docs []string) {
 	for i := range r.docs {
 		r.docs[i].id = collection.SetID(i)
 	}
+}
+
+// vec is docs[i]'s token vector.
+func (r *segmentRound) vec(i int) []tokenize.Count {
+	return r.vecs[r.off[i]:r.off[i+1]]
+}
+
+// dictStrings lists the round dictionary's token strings in id order.
+func (r *segmentRound) dictStrings() []string {
+	out := make([]string, r.dict.Len())
+	for t := range out {
+		out[t] = r.dict.String(tokenize.Token(t))
+	}
+	return out
+}
+
+// StoredRound is a round's tokenized input as a checkpoint stores it:
+// the round dictionary's token strings in id order and the round
+// documents' vectors, in id order and back to back.
+type StoredRound struct {
+	Dict []string
+	Vecs []tokenize.Count
+	// Off has one entry per document and one more: the i-th document's
+	// vector is Vecs[Off[i]:Off[i+1]].
+	Off []int
+}
+
+// TokenizeRound tokenizes sources — the live documents of a log in id
+// order — through one round and returns its input as a checkpoint
+// stores it. A source that yields no tokens fails it with an error
+// wrapping ErrNoTokens.
+func TokenizeRound(tk tokenize.Tokenizer, sources []string) (*StoredRound, error) {
+	refs := make([]docRef, len(sources))
+	for i, s := range sources {
+		refs[i] = docRef{id: collection.SetID(i), source: s}
+	}
+	r := newSegmentRound(tk, roundWorkers(len(refs)))
+	if err := r.addLive(refs); err != nil {
+		return nil, err
+	}
+	return &StoredRound{Dict: r.dictStrings(), Vecs: r.vecs, Off: r.off}, nil
+}
+
+// addLive is addAll over live documents, every one of which must yield
+// tokens: the first that yields none fails it with an error wrapping
+// ErrNoTokens.
+func (r *segmentRound) addLive(refs []docRef) error {
+	if r.addAll(refs) == 0 {
+		return nil
+	}
+	// The first live document missing from the round is the culprit.
+	i := 0
+	for i < len(r.docs) && r.docs[i].id == refs[i].id {
+		i++
+	}
+	return fmt.Errorf("document %d: %w", refs[i].id, ErrNoTokens)
+}
+
+// storedRound rebuilds the round addAll would build over refs — live
+// documents in id order — from its stored input, tokenizing nothing: the
+// dictionary from its strings, the vectors and offsets as stored, and df
+// recounted in one pass. Input no such round can have is refused with an
+// error wrapping collection.ErrBadCollection: offsets that do not frame
+// exactly len(refs) non-empty vectors, a vector that is not strictly
+// ascending, names a token past the dictionary or has a zero frequency,
+// a repeated dictionary string, and a numbering other than first
+// appearance — each document's tokens new to the round must be the next
+// ids in turn, and every id must be met.
+func storedRound(tk tokenize.Tokenizer, workers int, refs []docRef, sr *StoredRound) (*segmentRound, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: stored round: %s", collection.ErrBadCollection, fmt.Sprintf(format, args...))
+	}
+	off, vecs := sr.Off, sr.Vecs
+	if len(off) != len(refs)+1 || off[0] != 0 || off[len(refs)] != len(vecs) {
+		return nil, bad("%d offsets framing %d entries for %d documents", len(off), len(vecs), len(refs))
+	}
+	dict := tokenize.NewDict()
+	for t, s := range sr.Dict {
+		if dict.Intern(s) != tokenize.Token(t) {
+			return nil, bad("token %d repeats %q", t, s)
+		}
+	}
+	df := make([]int, len(sr.Dict))
+	seen := tokenize.Token(0) // the ids first appearance has handed out
+	for i, ref := range refs {
+		if off[i+1] <= off[i] || off[i+1] > len(vecs) {
+			return nil, bad("document %d: vector [%d, %d) empty or out of range", ref.id, off[i], off[i+1])
+		}
+		for j, c := range vecs[off[i]:off[i+1]] {
+			if c.TF == 0 || int(c.Token) >= len(df) || (j > 0 && c.Token <= vecs[off[i]+j-1].Token) {
+				return nil, bad("document %d: entry %d {%d %d} out of order or range", ref.id, j, c.Token, c.TF)
+			}
+			if c.Token >= seen {
+				if c.Token != seen {
+					return nil, bad("document %d introduces token %d before %d", ref.id, c.Token, seen)
+				}
+				seen++
+			}
+			df[c.Token]++
+		}
+	}
+	if int(seen) != len(df) {
+		return nil, bad("%d dictionary tokens no document holds", len(df)-int(seen))
+	}
+	return &segmentRound{tk: tk, workers: max(1, workers), dict: dict, docs: refs, vecs: vecs, off: off, df: df}, nil
 }
 
 // dfOf is the round's document frequency of a token string: the df

@@ -3,6 +3,7 @@ package setsim_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,9 +30,11 @@ func benchWords(rng *rand.Rand, n int) []string {
 // iteration of a one-shard store holding a checkpoint and a WAL tail —
 // 8 000 words and 256 records, and 40 000 words and 1 024 records, the
 // size a durable-serve set-up opens. The thresholds stay out of reach,
-// so an iteration is the load, the one build round and the tail replay,
-// with no flush racing them; the three are reported as their own
-// metrics.
+// so an iteration is the load (manifest, packages with their stored
+// round, WAL), the build of the checkpoint's segments from that round —
+// no document is tokenized — and the tail replay, with no flush racing
+// them; the three are reported as their own metrics, beside the bytes
+// of segment package per checkpointed document the store keeps on disk.
 func BenchmarkRecover(b *testing.B) {
 	for _, size := range []struct{ checkpoint, tail int }{{8000, 256}, {40000, 1024}} {
 		b.Run(fmt.Sprintf("%d+%d", size.checkpoint, size.tail), func(b *testing.B) {
@@ -60,6 +63,18 @@ func benchRecover(b *testing.B, checkpoint, tail int) {
 		}
 	}
 	le.Close()
+	packs, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*.sspk"))
+	if err != nil || len(packs) == 0 {
+		b.Fatalf("no segment packages: %v", err)
+	}
+	var packBytes int64
+	for _, name := range packs {
+		fi, err := os.Stat(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packBytes += fi.Size()
+	}
 
 	var load, build, replay float64
 	b.ReportAllocs()
@@ -80,4 +95,5 @@ func benchRecover(b *testing.B, checkpoint, tail int) {
 	b.ReportMetric(1e3*load/float64(b.N), "load-ms/op")
 	b.ReportMetric(1e3*build/float64(b.N), "build-ms/op")
 	b.ReportMetric(1e3*replay/float64(b.N), "tail-ms/op")
+	b.ReportMetric(float64(packBytes)/float64(checkpoint), "pack-bytes/doc")
 }

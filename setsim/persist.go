@@ -26,16 +26,19 @@ import (
 // and by a durable engine's checkpoints: the file at path is a thin
 // manifest — magic "SSSNAP\n\x00", version byte 5, a CRC32 of the
 // payload, the payload — listing checksummed segment packages (one per
-// shard, holding the live documents) plus the dead log, per-shard
-// summary scalars and the WAL horizon; the documents themselves live in
-// the packages and the mutations since the last checkpoint in a
-// write-ahead log next to the manifest.
+// shard, holding the live documents and their token vectors) plus the
+// dead log, per-shard summary scalars, the WAL horizon and the
+// checkpoint round's dictionary; the documents themselves live in the
+// packages and the mutations since the last checkpoint in a write-ahead
+// log next to the manifest.
 //
 // The package shard membership doubles as the routing table, letting
 // OpenSharded reproduce the saved partition exactly without
 // re-clustering; the summary scalars are advisory (inspection via
 // SnapshotInfo — full summaries are derived state, rebuilt from the
-// documents on load, like every other index structure). Live and dead
+// documents on load, like every other index structure; only the
+// documents' token vectors and the round dictionary are stored, the
+// input every structure is built from). Live and dead
 // documents together cover the id space, so a save/load cycle preserves
 // every id a caller may still hold. Files with the snapshot magic but
 // any other version byte are rejected with ErrUnknownVersion — the
@@ -105,9 +108,10 @@ type SnapshotInfo struct {
 	// Where the open spent its time. LoadTime is reading and validating
 	// the files (manifest or collection, segment packages, WAL) and is the
 	// only one a static open (Open, OpenSharded) fills; BuildTime is the
-	// one round that tokenizes the checkpointed documents and builds their
-	// segments; TailTime is replaying the WAL tail through the mutation
-	// path.
+	// one round that builds the checkpointed documents' segments — from
+	// the round the packages store, or by tokenizing the documents where
+	// they store none; TailTime is replaying the WAL tail through the
+	// mutation path.
 	LoadTime, BuildTime, TailTime time.Duration
 }
 
@@ -237,6 +241,10 @@ type snapshot struct {
 	routing []int32
 	tail    []wal.Record
 	docs    []core.DocState
+	// round is the tokenized input of the checkpoint round over the
+	// log's live documents, when the store's packages hold it: recovery
+	// rebuilds the round from it instead of tokenizing the log.
+	round *core.StoredRound
 }
 
 // loadSnapshot is the one loader: open, sniff, decode. A failure to open
@@ -347,16 +355,17 @@ func (s *snapshot) liveDocs() (docs []string, assign []int32) {
 }
 
 // replay rebuilds a mutable engine from the snapshot — the recovery
-// algorithm: the checkpointed log is bulk-loaded (core.RestoreLive: the
-// live documents tokenized once and built straight into one segment per
-// shard, tombstoned entries installed so ids are preserved), then the
-// WAL tail runs through the normal mutation path (no WAL is attached
-// yet, so nothing is re-journaled). The engine is bitwise-equivalent to
-// one that replayed the surviving history with a compaction at the
-// checkpoint: a compacted engine's state is a pure function of (live
-// set, id order, shard count), and the bulk load computes that function
-// once instead of reaching it through the history. It stamps the info's
-// BuildTime and TailTime.
+// algorithm: the checkpointed log is bulk-loaded (core.RestoreLiveRound
+// from the round the packages store, core.RestoreLive — the live
+// documents tokenized once — where there is none; either way built
+// straight into one segment per shard, tombstoned entries installed so
+// ids are preserved), then the WAL tail runs through the normal mutation
+// path (no WAL is attached yet, so nothing is re-journaled). The engine
+// is bitwise-equivalent to one that replayed the surviving history with
+// a compaction at the checkpoint: a compacted engine's state is a pure
+// function of (live set, id order, shard count), and the bulk load
+// computes that function once instead of reaching it through the
+// history. It stamps the info's BuildTime and TailTime.
 func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 	if err := s.needSources(path); err != nil {
 		return nil, err
@@ -366,7 +375,13 @@ func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 	}
 	wrap := func(err error) error { return fmt.Errorf("setsim: load %s: replay: %w", path, err) }
 	start := time.Now()
-	le, err := core.RestoreLive(s.log, s.tk, cfg)
+	var le *LiveEngine
+	var err error
+	if s.round != nil {
+		le, err = core.RestoreLiveRound(s.log, s.round, s.tk, cfg)
+	} else {
+		le, err = core.RestoreLive(s.log, s.tk, cfg)
+	}
 	if err != nil {
 		return nil, wrap(err)
 	}
@@ -442,16 +457,18 @@ func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotI
 // OpenLive loads a snapshot of either version as a mutable engine and
 // reports what was read, including where the time went
 // (SnapshotInfo.LoadTime, BuildTime, TailTime). The document log is
-// bulk-loaded: every live document is tokenized once and built straight
-// into its shard's segment, tombstoned entries keep their ids, and the
-// engine OpenLive returns is the one replaying the log through Insert and
-// Delete and compacting would have produced — without the memtable, the
-// per-document snapshots or any intermediate compaction. When cfg.Shards
-// is unset the engine restores the shard count it was saved with;
-// setting cfg.Shards overrides it. The saved routing is not reused: the
-// load's round re-clusters deterministically, reproducing the same
-// partition the snapshot carried (hash partitioning under cfg.NoRoute).
-// The background compactor starts only after that round has published.
+// bulk-loaded: every live document goes straight into its shard's
+// segment — its token vector read from the packages of a store that
+// stores them, else tokenized once — tombstoned entries keep their ids,
+// and the engine OpenLive returns is the one replaying the log through
+// Insert and Delete and compacting would have produced — without the
+// memtable, the per-document snapshots or any intermediate compaction.
+// When cfg.Shards is unset the engine restores the shard count it was
+// saved with; setting cfg.Shards overrides it. The saved routing is not
+// reused: the load's round re-clusters deterministically, reproducing
+// the same partition the snapshot carried (hash partitioning under
+// cfg.NoRoute). The background compactor starts only after that round
+// has published.
 //
 // For a durable store this is crash recovery: the checkpoint log from
 // the manifest's segment packages is bulk-loaded, then the WAL tail —

@@ -5,6 +5,9 @@
 //   - <base>.g<G>-s<S>.sspk  one segment package per non-empty shard,
 //     in the manifest's directory (internal/segpack format: per-block
 //     CRC32, tagged metadata with the shard's route summary and stats)
+//     holding two records: "docs", the shard's live documents (u32
+//     count, per doc uvarint id + uvarint len + source), and "vecs",
+//     their token vectors in the checkpoint round's ids (encodePackVecs)
 //   - <path>.wal          the write-ahead log holding the mutations
 //     applied after the manifest's checkpoint (internal/wal format)
 //
@@ -18,17 +21,30 @@
 //	           hot u32, sketch slots u32, occupied u32)
 //	segpacks: u32 count, per ref: uvarint len + basename, shard u32,
 //	          docs u32
+//	round dictionary: u32 count, per token in id order: uvarint len +
+//	          bytes (absent from stores written before packages held
+//	          vectors)
 //
 // The manifest carries no routing table: shard membership of the
-// packages IS the routing. Recovery loads the manifest, reads every
-// package (verifying block checksums), reconstructs the document log —
-// live docs from the packages, tombstoned docs from the manifest's dead
-// list, together covering the id space exactly — bulk-loads it into a
-// live engine (core.RestoreLive: every live document tokenized once and
-// built straight into one segment per shard, the tombstoned ones
-// installed as tombstones so ids are preserved, the background compactor
-// started only afterwards), then replays the WAL tail (records past
-// walStart) through the normal mutation path. The recovered engine
+// packages IS the routing. A checkpoint stores its round's input beside
+// the documents: the round dictionary once, in the manifest, and every
+// live document's vector in its package — the round over the live
+// documents in id order, which does not depend on the shard count.
+// Recovery loads the manifest, reads every package (verifying block
+// checksums), reconstructs the document log — live docs from the
+// packages, tombstoned docs from the manifest's dead list, together
+// covering the id space exactly — and the round's input, merging the
+// packages' vectors into id order, then bulk-loads the log into a live
+// engine (core.RestoreLiveRound: the round rebuilt from its stored input
+// with no document tokenized, built straight into one segment per shard,
+// the tombstoned documents installed as tombstones so ids are preserved,
+// the background compactor started only afterwards), then replays the
+// WAL tail (records past walStart) through the normal mutation path. A
+// store written before packages held vectors bulk-loads through
+// core.RestoreLive, which tokenizes every live document once, and its
+// next checkpoint writes the vectors; so do a version-1 snapshot and a
+// WAL-only store. The posting lists, skip samples and dense bitmaps are
+// not stored: an open builds them from the round. The recovered engine
 // answers queries bitwise-identically to an engine that replayed the
 // same surviving history with a compaction at the checkpoint, because a
 // compacted engine's state is a pure function of (live set, id order,
@@ -98,8 +114,12 @@ type SegpackRef struct {
 	Docs int
 }
 
-// packDocsRecord is the record name holding a package's document list.
-const packDocsRecord = "docs"
+// The records of a package: its document list, and its documents'
+// token vectors in the round dictionary's ids.
+const (
+	packDocsRecord = "docs"
+	packVecsRecord = "vecs"
+)
 
 // manifestV5 is a decoded (or to-be-written) version-5 manifest.
 type manifestV5 struct {
@@ -112,6 +132,10 @@ type manifestV5 struct {
 	dead     []core.DocRef // ascending id
 	sums     []ShardSummaryInfo
 	refs     []SegpackRef
+	// dict is the checkpoint round's dictionary in id order, which the
+	// packages' vectors number; nil for a store written before packages
+	// held vectors, whose open tokenizes the documents instead.
+	dict []string
 }
 
 func packName(base string, gen uint64, shard int) string {
@@ -148,6 +172,12 @@ func writeManifestFile(path string, m *manifestV5) error {
 		p.str(r.Name)
 		p.u32(uint32(r.Shard))
 		p.u32(uint32(r.Docs))
+	}
+	if m.dict != nil {
+		p.u32(uint32(len(m.dict)))
+		for _, t := range m.dict {
+			p.str(t)
+		}
 	}
 
 	tmp := path + ".tmp"
@@ -223,17 +253,30 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 		m.sums = append(m.sums, s)
 	}
 	nRefs := int(p.u32("segpack count"))
+	packed := make([]bool, len(m.sums))
 	for i := 0; i < nRefs && p.err == nil; i++ {
 		var ref SegpackRef
 		ref.Name = p.str("segpack name")
 		ref.Shard = int(p.u32("segpack shard"))
 		ref.Docs = int(p.u32("segpack docs"))
-		if p.err == nil && (ref.Shard < 0 || ref.Shard >= m.shards || ref.Name == "" ||
+		if p.err == nil && (ref.Shard < 0 || ref.Shard >= m.shards || packed[ref.Shard] || ref.Name == "" ||
 			ref.Name != filepath.Base(ref.Name)) {
-			return nil, fmt.Errorf("%w: bad segpack ref %q (shard %d of %d)",
+			return nil, fmt.Errorf("%w: bad segpack ref %q (shard %d of %d, one package per shard)",
 				collection.ErrBadCollection, ref.Name, ref.Shard, m.shards)
 		}
+		if p.err == nil {
+			packed[ref.Shard] = true
+		}
 		m.refs = append(m.refs, ref)
+	}
+	// The dictionary section is absent from stores written before
+	// packages held vectors.
+	if p.err == nil && p.pos < len(p.b) {
+		n := int(p.u32("dictionary size"))
+		m.dict = make([]string, 0, min(n, len(p.b)))
+		for i := 0; i < n && p.err == nil; i++ {
+			m.dict = append(m.dict, p.str("dictionary token"))
+		}
 	}
 	if p.err != nil {
 		return nil, p.err
@@ -245,9 +288,10 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 }
 
 // writePackFile writes one shard's segment package: the document list
-// record plus inspection metadata (shard, generation, the stats
-// snapshot the segment was built under, and its route-summary scalars).
-func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, sum ShardSummaryInfo, nextID, liveN int) error {
+// record, with vecs the documents' vector record, plus inspection
+// metadata (shard, generation, the stats snapshot the segment was built
+// under, and its route-summary scalars).
+func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, vecs bool, sum ShardSummaryInfo, nextID, liveN int) error {
 	w, err := segpack.Create(path)
 	if err != nil {
 		return err
@@ -258,7 +302,11 @@ func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, sum S
 		p.uvarint(uint64(d.ID))
 		p.str(d.Source)
 	}
-	if err := w.AddRecord(packDocsRecord, p.b); err != nil {
+	err = w.AddRecord(packDocsRecord, p.b)
+	if err == nil && vecs {
+		err = w.AddRecord(packVecsRecord, encodePackVecs(docs))
+	}
+	if err != nil {
 		w.Abort()
 		return err
 	}
@@ -278,17 +326,19 @@ func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, sum S
 	return nil
 }
 
-// readPackDocs opens one segment package, verifies the document
-// record's block checksums, and decodes the (id, source) list.
-func readPackDocs(path string) ([]core.DocRef, error) {
+// openPack opens one segment package; a package of an unknown format
+// version wraps ErrUnknownVersion.
+func openPack(path string) (*segpack.FileReader, error) {
 	fr, err := segpack.Open(path)
-	if err != nil {
-		if errors.Is(err, segpack.ErrVersion) {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownVersion, err)
-		}
-		return nil, err
+	if errors.Is(err, segpack.ErrVersion) {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownVersion, err)
 	}
-	defer fr.Close()
+	return fr, err
+}
+
+// readPackDocs verifies the document record's block checksums and
+// decodes the (id, source) list.
+func readPackDocs(fr *segpack.FileReader, path string) ([]core.DocRef, error) {
 	raw, err := fr.ReadRecord(packDocsRecord)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", collection.ErrBadCollection, path, err)
@@ -313,6 +363,170 @@ func readPackDocs(path string) ([]core.DocRef, error) {
 		return nil, fmt.Errorf("%w: %s: trailing bytes in document record", collection.ErrBadCollection, path)
 	}
 	return docs, nil
+}
+
+// packVecs is one package's documents' token vectors, back to back in
+// the package's document order: the i-th is vecs[off[i]:off[i+1]].
+type packVecs struct {
+	vecs []tokenize.Count
+	off  []int
+}
+
+// readPackVecs verifies the vector record's block checksums and decodes
+// it against the package's documents and the size of the round
+// dictionary.
+func readPackVecs(fr *segpack.FileReader, path string, docs []core.DocRef, dictLen int) (packVecs, error) {
+	raw, err := fr.ReadRecord(packVecsRecord)
+	if err != nil {
+		return packVecs{}, fmt.Errorf("%w: %s: %v", collection.ErrBadCollection, path, err)
+	}
+	pv, err := decodePackVecs(raw, docs, dictLen)
+	if err != nil {
+		return packVecs{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return pv, nil
+}
+
+// encodePackVecs encodes the vector record of a package's documents:
+//
+//	docs u32, entries u32
+//	per doc: uvarint id (the first; then the gap from the one before),
+//	         uvarint n, n × uvarint token (the first; then the gap)
+//	tfs u32, per entry whose tf exceeds 1, ascending by its position in
+//	         the record's entries: uvarint position (the first; then the
+//	         gap), uvarint tf
+//
+// Every gap is positive: ids and each vector's tokens ascend strictly.
+func encodePackVecs(docs []core.DocRef) []byte {
+	entries, tfs := 0, 0
+	for _, d := range docs {
+		entries += len(d.Vec)
+		for _, c := range d.Vec {
+			if c.TF > 1 {
+				tfs++
+			}
+		}
+	}
+	p := payloadBuf{b: make([]byte, 0, 12+2*len(docs)+2*entries+3*tfs)}
+	p.u32(uint32(len(docs)))
+	p.u32(uint32(entries))
+	prevID := collection.SetID(0)
+	for _, d := range docs {
+		p.uvarint(uint64(d.ID - prevID))
+		prevID = d.ID
+		p.uvarint(uint64(len(d.Vec)))
+		prev := tokenize.Token(0)
+		for _, c := range d.Vec {
+			p.uvarint(uint64(c.Token - prev))
+			prev = c.Token
+		}
+	}
+	p.u32(uint32(tfs))
+	pos, prevPos := 0, 0
+	for _, d := range docs {
+		for _, c := range d.Vec {
+			if c.TF > 1 {
+				p.uvarint(uint64(pos - prevPos))
+				p.uvarint(uint64(c.TF))
+				prevPos = pos
+			}
+			pos++
+		}
+	}
+	return p.b
+}
+
+// decodePackVecs decodes a vector record written by encodePackVecs for
+// docs, whose tokens must lie below dictLen. A record that is truncated,
+// carries trailing bytes, names other documents than docs, or holds a
+// token past the dictionary, tokens that do not ascend, or a tf entry out
+// of order, out of range or below 2 is refused with an error wrapping
+// collection.ErrBadCollection. Every allocation and loop is bounded by
+// the record's length.
+func decodePackVecs(raw []byte, docs []core.DocRef, dictLen int) (packVecs, error) {
+	bad := func(format string, args ...any) (packVecs, error) {
+		return packVecs{}, fmt.Errorf("%w: vector record: %s", collection.ErrBadCollection, fmt.Sprintf(format, args...))
+	}
+	p := payloadRd{b: raw}
+	n := int(p.u32("vector count"))
+	entries := int(p.u32("vector entries"))
+	if p.err != nil {
+		return packVecs{}, p.err
+	}
+	if n != len(docs) {
+		return bad("%d documents, the document record holds %d", n, len(docs))
+	}
+	pv := packVecs{
+		vecs: make([]tokenize.Count, 0, min(entries, len(raw))),
+		off:  make([]int, 1, len(docs)+1),
+	}
+	for i, d := range docs {
+		gap := p.uvarint("vector doc id")
+		want := uint64(d.ID)
+		if i > 0 {
+			want -= uint64(docs[i-1].ID)
+		}
+		k := p.uvarint("vector length")
+		if p.err != nil {
+			return packVecs{}, p.err
+		}
+		if gap != want {
+			return bad("entry %d names another document than the document record's %d", i, d.ID)
+		}
+		at := len(pv.vecs)
+		if k > uint64(cap(pv.vecs)-at) {
+			return bad("document %d: %d tokens past the %d entries the header says", d.ID, k, entries)
+		}
+		// The token loop is the decode's hot path: one varint per
+		// entry, read in place, written straight into the arena.
+		dst := pv.vecs[at : at+int(k)]
+		b, pos, tok := p.b, p.pos, uint64(0)
+		for j := range dst {
+			gap, w := binary.Uvarint(b[pos:])
+			if w <= 0 {
+				return bad("document %d: truncated token", d.ID)
+			}
+			pos += w
+			if j > 0 && gap == 0 {
+				return bad("document %d: tokens not ascending", d.ID)
+			}
+			if gap >= uint64(dictLen)-tok {
+				return bad("document %d: token past the %d-token dictionary", d.ID, dictLen)
+			}
+			tok += gap
+			dst[j] = tokenize.Count{Token: tokenize.Token(tok), TF: 1}
+		}
+		p.pos = pos
+		pv.vecs = pv.vecs[:at+len(dst)]
+		pv.off = append(pv.off, len(pv.vecs))
+	}
+	if len(pv.vecs) != entries {
+		return bad("%d entries, the header says %d", len(pv.vecs), entries)
+	}
+	tfs := int(p.u32("tf count"))
+	if p.err == nil && tfs > len(pv.vecs) {
+		return bad("%d tf entries for %d tokens", tfs, len(pv.vecs))
+	}
+	pos := uint64(0)
+	for j := 0; j < tfs && p.err == nil; j++ {
+		gap := p.uvarint("tf position")
+		tf := p.uvarint("tf")
+		if p.err != nil {
+			break
+		}
+		if (j > 0 && gap == 0) || gap >= uint64(len(pv.vecs))-pos || tf < 2 || tf > math.MaxUint32 {
+			return bad("tf entry %d {+%d, %d} out of order or range", j, gap, tf)
+		}
+		pos += gap
+		pv.vecs[pos].TF = uint32(tf)
+	}
+	if p.err != nil {
+		return packVecs{}, p.err
+	}
+	if p.pos != len(p.b) {
+		return bad("%d trailing bytes", len(p.b)-p.pos)
+	}
+	return pv, nil
 }
 
 // loadStore reads and cross-validates a v5 store rooted at path: the
@@ -348,10 +562,14 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 	covered := make([]bool, m.nextID)
 	live := 0
 	dir := filepath.Dir(path)
+	var packs []packVecs // parallel to m.refs when the manifest holds the round
 	for _, ref := range m.refs {
-		docs, err := readPackDocs(filepath.Join(dir, ref.Name))
+		docs, pv, err := readPack(filepath.Join(dir, ref.Name), m.dict)
 		if err != nil {
 			return nil, err
+		}
+		if m.dict != nil {
+			packs = append(packs, pv)
 		}
 		if len(docs) != ref.Docs {
 			return nil, fmt.Errorf("%w: %s holds %d docs, manifest says %d",
@@ -387,7 +605,58 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: packages hold %d live docs, manifest says %d",
 			collection.ErrBadCollection, live, m.liveN)
 	}
+	if m.dict != nil {
+		s.round = packRound(m, s.log, s.routing, packs)
+	}
 	return s, s.attachTail(path, m.walStart)
+}
+
+// readPack opens one segment package and decodes its documents and,
+// when the manifest holds the round dictionary dict, their vectors.
+func readPack(path string, dict []string) ([]core.DocRef, packVecs, error) {
+	fr, err := openPack(path)
+	if err != nil {
+		return nil, packVecs{}, err
+	}
+	defer fr.Close()
+	docs, err := readPackDocs(fr, path)
+	if err != nil || dict == nil {
+		return docs, packVecs{}, err
+	}
+	pv, err := readPackVecs(fr, path, docs, len(dict))
+	return docs, pv, err
+}
+
+// packRound assembles the checkpoint round's input from the packages'
+// vectors: the live documents of log in id order, each read from the
+// package of its shard. A one-package store's vectors are in that order
+// already.
+func packRound(m *manifestV5, log []core.DocState, routing []int32, packs []packVecs) *core.StoredRound {
+	sr := &core.StoredRound{Dict: m.dict}
+	if len(packs) == 1 {
+		sr.Vecs, sr.Off = packs[0].vecs, packs[0].off
+		return sr
+	}
+	packOf := make([]int, m.shards)
+	total := 0
+	for i, ref := range m.refs {
+		packOf[ref.Shard] = i
+		total += len(packs[i].vecs)
+	}
+	sr.Vecs = make([]tokenize.Count, 0, total)
+	sr.Off = make([]int, 1, m.liveN+1)
+	next := make([]int, len(packs))
+	for id, d := range log {
+		if d.Deleted {
+			continue
+		}
+		i := packOf[routing[id]]
+		pv, k := &packs[i], next[i]
+		next[i]++
+		sr.Vecs = append(sr.Vecs, pv.vecs[pv.off[k]:pv.off[k+1]]...)
+		sr.Off = append(sr.Off, len(sr.Vecs))
+	}
+	return sr
 }
 
 // writeGeneration persists one settled state as generation gen of the
@@ -405,6 +674,7 @@ func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) 
 		liveN:    st.LiveN,
 		dead:     st.Dead,
 		sums:     make([]ShardSummaryInfo, len(st.Live)),
+		dict:     st.Dict,
 	}
 	for si, sum := range st.Summaries {
 		if sum != nil {
@@ -421,7 +691,7 @@ func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) 
 				continue
 			}
 			name := packName(base, gen, si)
-			if err := writePackFile(filepath.Join(dir, name), si, gen, docs, m.sums[si], st.NextID, st.LiveN); err != nil {
+			if err := writePackFile(filepath.Join(dir, name), si, gen, docs, st.Dict != nil, m.sums[si], st.NextID, st.LiveN); err != nil {
 				return err
 			}
 			written = append(written, name)
@@ -440,13 +710,26 @@ func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) 
 
 // saveLiveV5 writes a settled engine as a fresh v5 store: generation-1
 // packages plus the manifest, removing any stale WAL (this snapshot
-// starts a new history; walStart is 0 and no records precede it).
+// starts a new history; walStart is 0 and no records precede it). The
+// packages carry the round over the live documents in id order, which
+// a checkpoint hands over from its compaction and a save tokenizes.
 func saveLiveV5(path string, le *LiveEngine) error {
 	log, routing := le.Log(), le.Routing()
+	var sources []string
+	for _, d := range log {
+		if !d.Deleted {
+			sources = append(sources, d.Source)
+		}
+	}
+	sr, err := core.TokenizeRound(le.Tokenizer(), sources)
+	if err != nil {
+		return fmt.Errorf("setsim: save %s: %w", path, err)
+	}
 	st := &core.CheckpointState{
 		NextID:    len(log),
 		Live:      make([][]core.DocRef, le.NumShards()),
 		Summaries: le.ShardSummaries(),
+		Dict:      sr.Dict,
 	}
 	for id, d := range log {
 		ref := core.DocRef{ID: collection.SetID(id), Source: d.Source}
@@ -454,6 +737,7 @@ func saveLiveV5(path string, le *LiveEngine) error {
 			st.Dead = append(st.Dead, ref)
 			continue
 		}
+		ref.Vec = sr.Vecs[sr.Off[st.LiveN]:sr.Off[st.LiveN+1]]
 		st.Live[routing[id]] = append(st.Live[routing[id]], ref)
 		st.LiveN++
 	}
@@ -567,7 +851,10 @@ type PackCheck struct {
 	Ref SegpackRef
 	// Blocks is the number of block checksums verified.
 	Blocks int
-	// Err is nil when every block checksum matched.
+	// Err is nil when every block checksum matched and, in a store whose
+	// packages hold token vectors, every document's stored vector is the
+	// one its source tokenizes to under the manifest's tokenizer and
+	// dictionary.
 	Err error
 }
 
@@ -587,7 +874,11 @@ type VerifyReport struct {
 
 // Verify checks a snapshot's integrity without building an engine: the
 // manifest checksum, every package's every block checksum, and the WAL
-// tail. A version-1 file has one payload checksum, verified by parsing.
+// tail. Where the packages hold token vectors — which an open trusts
+// instead of tokenizing — it also re-tokenizes every package's sources
+// and reports, in that package's PackCheck, the first document whose
+// stored vector or dictionary strings disagree. A version-1 file has one
+// payload checksum, verified by parsing.
 func Verify(path string) (*VerifyReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -610,19 +901,39 @@ func Verify(path string) (*VerifyReport, error) {
 		return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
 	}
 	rep.Generation, rep.WALStart = m.gen, m.walStart
+	var tk Tokenizer
+	var dict *tokenize.Dict
+	var dictErr error
+	if m.dict != nil {
+		if tk, err = tokenize.ParseName(m.tkName); err != nil {
+			return nil, fmt.Errorf("setsim: verify %s: %w: %v", path, collection.ErrBadCollection, err)
+		}
+		dict = tokenize.NewDict()
+		for t, s := range m.dict {
+			if dict.Intern(s) != tokenize.Token(t) && dictErr == nil {
+				dictErr = fmt.Errorf("%w: dictionary token %d repeats %q", collection.ErrBadCollection, t, s)
+			}
+		}
+	}
 	dir := filepath.Dir(path)
 	for _, ref := range m.refs {
 		chk := PackCheck{Ref: ref}
-		fr, err := segpack.Open(filepath.Join(dir, ref.Name))
+		name := filepath.Join(dir, ref.Name)
+		fr, err := segpack.Open(name)
 		if err != nil {
 			chk.Err = err
-			rep.OK = false
 		} else {
 			chk.Blocks, chk.Err = fr.Verify()
-			if chk.Err != nil {
-				rep.OK = false
+			if chk.Err == nil && dict != nil {
+				chk.Err = dictErr
+				if chk.Err == nil {
+					chk.Err = checkPackVecs(fr, name, tk, dict)
+				}
 			}
 			fr.Close()
+		}
+		if chk.Err != nil {
+			rep.OK = false
 		}
 		rep.Packs = append(rep.Packs, chk)
 	}
@@ -634,6 +945,31 @@ func Verify(path string) (*VerifyReport, error) {
 		return nil, fmt.Errorf("setsim: verify %s: wal: %w", path, err)
 	}
 	return rep, nil
+}
+
+// checkPackVecs decodes a package's documents and vectors and
+// re-tokenizes every source against dict, the manifest's dictionary: a
+// document whose stored vector differs — a token or tf altered, or a
+// dictionary string that is not the token its id stands for — is
+// reported.
+func checkPackVecs(fr *segpack.FileReader, path string, tk Tokenizer, dict *tokenize.Dict) error {
+	docs, err := readPackDocs(fr, path)
+	if err != nil {
+		return err
+	}
+	pv, err := readPackVecs(fr, path, docs, dict.Len())
+	if err != nil {
+		return err
+	}
+	var scratch []string
+	for i, d := range docs {
+		want, unknown := tokenize.LookupCounts(dict, tk, d.Source, scratch)
+		if unknown > 0 || !slices.Equal(want, pv.vecs[pv.off[i]:pv.off[i+1]]) {
+			return fmt.Errorf("%w: %s: document %d: stored vector disagrees with its source",
+				collection.ErrBadCollection, path, d.ID)
+		}
+	}
+	return nil
 }
 
 // payloadBuf builds a little-endian snapshot payload.
