@@ -81,7 +81,7 @@ func TestWarmQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{})
+	e := engineFromDocs(randomDocs(5000, 3, 8), Config{})
 	rng := rand.New(rand.NewSource(17))
 	queries := make([]Query, 8)
 	for i := range queries {
@@ -126,7 +126,7 @@ func TestWarmPrepareAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 3000, 21, 7, Config{})
+	e := engineFromDocs(randomDocs(3000, 21, 7), Config{})
 	const s = "abcdefgabcdefg"
 	e.Prepare(s)
 	if avg := testing.AllocsPerRun(20, func() { e.Prepare(s) }); avg > warmPrepareAllocs {
@@ -144,7 +144,7 @@ func TestWarmKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{})
+	e := engineFromDocs(randomDocs(5000, 3, 8), Config{})
 	rng := rand.New(rand.NewSource(19))
 	queries := make([]Query, 8)
 	for i := range queries {
@@ -170,7 +170,7 @@ func TestWarmTopKAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	e := buildEngine(t, 5000, 3, 8, Config{})
+	e := engineFromDocs(randomDocs(5000, 3, 8), Config{})
 	rng := rand.New(rand.NewSource(18))
 	queries := make([]Query, 8)
 	for i := range queries {

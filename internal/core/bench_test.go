@@ -23,7 +23,7 @@ var benchEngine *Engine
 func getBenchEngine(b *testing.B) *Engine {
 	b.Helper()
 	if benchEngine == nil {
-		benchEngine = buildEngine(b, 20000, 7, 8, Config{})
+		benchEngine = engineFromDocs(randomDocs(20000, 7, 8), Config{})
 	}
 	return benchEngine
 }
@@ -56,7 +56,7 @@ var (
 func getBenchClustered(b *testing.B) (*Engine, []Query) {
 	b.Helper()
 	if benchClustered == nil {
-		benchClustered = wordEngineFromDocs(clusteredDocs(8, 3000, 13), Config{})
+		benchClustered = NewEngine(collectionOf(tokenize.WordTokenizer{}, clusteredDocs(8, 3000, 13)), Config{})
 		benchClusteredQueries = benchQueries(b, benchClustered, 16)
 	}
 	return benchClustered, benchClusteredQueries
@@ -93,7 +93,7 @@ func shardDocs(n int, seed int64) []string {
 func getBenchShard(b *testing.B) (*Engine, []Query) {
 	b.Helper()
 	if benchShard == nil {
-		benchShard = wordEngineFromDocs(shardDocs(25000, 17), Config{})
+		benchShard = NewEngine(collectionOf(tokenize.WordTokenizer{}, shardDocs(25000, 17)), Config{})
 		if d := len(benchShard.dense.tokens); d != 0 {
 			b.Fatalf("shard engine has %d dense lists, want none", d)
 		}
@@ -295,7 +295,7 @@ func benchTopKWarmOn(b *testing.B, e *Engine, qs []Query, opts *Options) {
 // beside the time: tombstones must leave both where they were (k stays
 // k), apart from the documents the queries lose.
 func BenchmarkSelectTopKLive(b *testing.B) {
-	corpus := randomCorpus(20000, 7, 8)
+	corpus := randomDocs(20000, 7, 8)
 	le := NewLive(liveTestTK, LiveConfig{
 		NoBackground: true,
 		DriftBound:   1e9, MaxSegments: 1 << 20,
@@ -360,7 +360,7 @@ func BenchmarkSelectBatchParallel(b *testing.B) {
 // within a few percent: it reuses the inner engine's pooled results
 // (identity id mapping, zero tombstones, order preserved).
 func BenchmarkSelectWarmLiveVsStatic(b *testing.B) {
-	corpus := randomCorpus(20000, 7, 8)
+	corpus := randomDocs(20000, 7, 8)
 	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	e := getBenchEngine(b) // same generator parameters: identical corpus
@@ -413,7 +413,7 @@ func BenchmarkLivePrepare(b *testing.B) {
 		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
 			le := livePrepStore(b, segs)
 			defer le.Close()
-			qs := randomCorpus(64, 99, 8)
+			qs := randomDocs(64, 99, 8)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -33,7 +33,7 @@ func longestQuery(e *Engine) Query {
 // algorithm must return context.Canceled promptly, having read only a
 // small prefix of the total list volume.
 func TestSelectCtxPreCancelled(t *testing.T) {
-	e := buildEngine(t, 4000, 71, 4, Config{})
+	e := engineFromDocs(randomDocs(4000, 71, 4), Config{})
 	q := longestQuery(e)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -69,7 +69,7 @@ func TestSelectCtxPreCancelled(t *testing.T) {
 // TestSelectCtxDeadline: an expired deadline behaves like cancellation
 // but surfaces context.DeadlineExceeded.
 func TestSelectCtxDeadline(t *testing.T) {
-	e := buildEngine(t, 1000, 73, 6, Config{})
+	e := engineFromDocs(randomDocs(1000, 73, 6), Config{})
 	q := lowTauQuery(e, 74)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -83,7 +83,7 @@ func TestSelectCtxDeadline(t *testing.T) {
 
 // TestSelectCtxBackground: a background context must not change results.
 func TestSelectCtxBackground(t *testing.T) {
-	e := buildEngine(t, 500, 75, 6, Config{})
+	e := engineFromDocs(randomDocs(500, 75, 6), Config{})
 	q := lowTauQuery(e, 76)
 	for _, alg := range []Algorithm{Naive, SortByID, SQL, TA, NRA, ITA, INRA, SF, Hybrid} {
 		want, _, err := e.Select(q, 0.6, alg, nil)
@@ -103,7 +103,7 @@ func TestSelectCtxBackground(t *testing.T) {
 // TestSelectCtxNoSkipIndexCancel: the NoSkipIndex sequential seek is an
 // unbounded read loop and must also notice cancellation.
 func TestSelectCtxNoSkipIndexCancel(t *testing.T) {
-	e := buildEngine(t, 3000, 77, 6, Config{})
+	e := engineFromDocs(randomDocs(3000, 77, 6), Config{})
 	q := lowTauQuery(e, 78)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -118,7 +118,7 @@ func TestSelectCtxNoSkipIndexCancel(t *testing.T) {
 
 // TestSelectTopKCtxCancelled covers the top-k variants.
 func TestSelectTopKCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 2000, 79, 6, Config{})
+	e := engineFromDocs(randomDocs(2000, 79, 6), Config{})
 	q := lowTauQuery(e, 80)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -139,7 +139,7 @@ func TestSelectTopKCtxCancelled(t *testing.T) {
 // TestSelectBatchCtxCancelled: every entry of a cancelled batch carries
 // the context error; none report silently-empty success.
 func TestSelectBatchCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 800, 81, 6, Config{})
+	e := engineFromDocs(randomDocs(800, 81, 6), Config{})
 	queries := make([]Query, 20)
 	for i := range queries {
 		queries[i] = lowTauQuery(e, int64(82+i))
@@ -160,7 +160,7 @@ func TestSelectBatchCtxCancelled(t *testing.T) {
 // results and only a prefix of its list volume read, whatever the worker
 // count.
 func TestParallelCtxCancelled(t *testing.T) {
-	e := buildEngine(t, 2000, 83, 6, Config{})
+	e := engineFromDocs(randomDocs(2000, 83, 6), Config{})
 	queries := []Query{lowTauQuery(e, 84), lowTauQuery(e, 90)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -185,7 +185,7 @@ func TestParallelCtxCancelled(t *testing.T) {
 // TestElapsedPopulated: Stats.Elapsed must be set by every entry point —
 // Select, SelectTopK, and the per-query stats of SelectBatch.
 func TestElapsedPopulated(t *testing.T) {
-	e := buildEngine(t, 400, 85, 6, Config{})
+	e := engineFromDocs(randomDocs(400, 85, 6), Config{})
 	q := lowTauQuery(e, 86)
 
 	if _, st, err := e.Select(q, 0.6, SF, nil); err != nil || st.Elapsed <= 0 {
@@ -204,7 +204,7 @@ func TestElapsedPopulated(t *testing.T) {
 // TestEngineMetrics: the engine's registry sees every entry point and
 // classifies outcomes.
 func TestEngineMetrics(t *testing.T) {
-	e := buildEngine(t, 400, 88, 6, Config{})
+	e := engineFromDocs(randomDocs(400, 88, 6), Config{})
 	q := lowTauQuery(e, 89)
 
 	if _, _, err := e.Select(q, 0.6, SF, nil); err != nil {

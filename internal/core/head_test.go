@@ -26,9 +26,9 @@ import (
 func TestListHeadTracksCursor(t *testing.T) {
 	// Repeated documents make runs of equal lengths, which a cursor's seek
 	// walks after its SeekLen.
-	docs := pipelineDocs(300, 2901, 5)
+	docs := randomDocs(300, 2901, 5)
 	docs = append(docs, docs[:100]...)
-	c := buildPipelineCollection(docs)
+	c := collectionOf(liveTestTK, docs)
 
 	path := filepath.Join(t.TempDir(), "lists.ssidx")
 	if err := invlist.WriteFile(path, c, 8); err != nil {

@@ -35,7 +35,7 @@ func (e *Engine) selectHybrid(s *queryScratch, cc *canceller, q Query, tau float
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + q.Tokens[i].IDFSq
 	}
-	tauP := tau - sim.ScoreEpsilon
+	tauP := tau - sim.ScoreEpsilon - rescoreSlack
 	mu := resliceFloats(s.f1, n)
 	s.f1 = mu
 	for i := range mu {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/collection"
 	"repro/internal/invlist"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 // impCand is a candidate of the improved algorithms (iNRA, Hybrid). In
@@ -95,7 +94,7 @@ func ruledOut(l *listState, len float64, id collection.SetID) bool {
 func admit(s *queryScratch, lists []listState, j int, p invlist.Posting, q Query, tau float64) int32 {
 	lower := lists[j].w(q.Len, p.Len)
 	possible, e := s.openRank(lists, j, p)
-	if !sim.Meets(lower+possible*rankSlack/(q.Len*p.Len), tau) {
+	if !meetsPre(lower+possible*rankSlack/(q.Len*p.Len), tau) {
 		return -1
 	}
 	n := len(lists)
@@ -116,7 +115,7 @@ func admit(s *queryScratch, lists []listState, j int, p invlist.Posting, q Query
 			possible += lists[r].idfSq
 		}
 	}
-	if !sim.Meets(lower+possible/(q.Len*p.Len), tau) {
+	if !meetsPre(lower+possible/(q.Len*p.Len), tau) {
 		return -1
 	}
 	resolved := s.newCandMask(n)
@@ -366,7 +365,7 @@ func (e *Engine) settle(s *queryScratch, q Query, tau float64, c *impCand, n int
 			out = e.emitRescored(s, q, c.id, tau, out)
 		}
 		c.dead = true
-	} else if !sim.Meets(c.upper(q.Len), tau) {
+	} else if !meetsPre(c.upper(q.Len), tau) {
 		c.dead = true
 	}
 	return out
@@ -574,7 +573,7 @@ func (e *Engine) roundRobin(s *queryScratch, cc *canceller, lists []listState, q
 		stats.Rounds++
 
 		if admitNew {
-			if alive && sim.Meets(frontierBound(lists, q.Len, hi), tau) {
+			if alive && meetsPre(frontierBound(lists, q.Len, hi), tau) {
 				continue // scanning is pointless while F ≥ τ (§V)
 			}
 			// F < τ, or every list has ended or paused: no new candidate

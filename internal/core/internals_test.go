@@ -189,7 +189,7 @@ func TestBeforeOrAt(t *testing.T) {
 // open and it is admitted at τ = 1. A posting so long that even appearing
 // in every list cannot reach τ = 0.9 must be rejected.
 func TestAdmitRejectsHopeless(t *testing.T) {
-	e := buildEngine(t, 300, 92, 6, Config{})
+	e := engineFromDocs(randomDocs(300, 92, 6), Config{})
 	q := e.PrepareCounts(e.c.Set(0))
 	s := &queryScratch{}
 	s.tbl.reset()
@@ -220,7 +220,7 @@ func TestAdmitRejectsHopeless(t *testing.T) {
 // TestFileStoreConcurrentReaders validates the documented claim that a
 // FileStore serves concurrent cursors safely (run with -race).
 func TestFileStoreConcurrentReaders(t *testing.T) {
-	e := buildEngine(t, 400, 93, 6, Config{})
+	e := engineFromDocs(randomDocs(400, 93, 6), Config{})
 	dir := t.TempDir()
 	path := dir + "/lists.bin"
 	if err := invlist.WriteFile(path, e.c, 8); err != nil {

@@ -25,7 +25,7 @@ func naiveJoin(e *Engine, tau float64) []Pair {
 }
 
 func TestSelfJoinMatchesNaive(t *testing.T) {
-	e := buildEngine(t, 250, 81, 6, Config{})
+	e := engineFromDocs(randomDocs(250, 81, 6), Config{})
 	for _, tau := range []float64{0.5, 0.7, 0.9} {
 		want := naiveJoin(e, tau)
 		for _, workers := range []int{1, 4} {
@@ -51,7 +51,7 @@ func TestSelfJoinMatchesNaive(t *testing.T) {
 }
 
 func TestSelfJoinAlgorithmsAgree(t *testing.T) {
-	e := buildEngine(t, 200, 82, 6, Config{})
+	e := engineFromDocs(randomDocs(200, 82, 6), Config{})
 	want, err := e.SelfJoin(0.7, SF, nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestSelfJoinAlgorithmsAgree(t *testing.T) {
 }
 
 func TestSelfJoinPairsCanonical(t *testing.T) {
-	e := buildEngine(t, 150, 83, 6, Config{})
+	e := engineFromDocs(randomDocs(150, 83, 6), Config{})
 	pairs, err := e.SelfJoin(0.6, SF, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSelfJoinPairsCanonical(t *testing.T) {
 }
 
 func TestSelfJoinValidation(t *testing.T) {
-	e := buildEngine(t, 50, 84, 6, Config{})
+	e := engineFromDocs(randomDocs(50, 84, 6), Config{})
 	if _, err := e.SelfJoin(0, SF, nil, 2); err != ErrBadThreshold {
 		t.Errorf("τ=0 err = %v", err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,174 +12,16 @@ import (
 	"repro/internal/tokenize"
 )
 
-// randomCorpus mirrors buildEngine's generator, returning the strings so
-// the same corpus can feed a static Build and a LiveEngine.
-func randomCorpus(n int, seed int64, alphabet int) []string {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]string, n)
-	for i := range out {
-		ln := 3 + rng.Intn(14)
-		var sb strings.Builder
-		for j := 0; j < ln; j++ {
-			sb.WriteByte(byte('a' + rng.Intn(alphabet)))
-		}
-		out[i] = sb.String()
-	}
-	return out
-}
-
-var liveTestTK = tokenize.QGramTokenizer{Q: 3}
-
-// liveVsStatic builds a LiveEngine by inserting corpus, deleting the ids
-// for which del returns true, and fully compacting; and a static Engine
-// over the survivors in the same order. It returns both plus the
-// survivor gid for each static id.
-func liveVsStatic(t *testing.T, corpus []string, cfg Config, del func(i int) bool) (*LiveEngine, *Engine, []collection.SetID) {
-	t.Helper()
-	le := NewLive(liveTestTK, LiveConfig{Config: cfg, NoBackground: true, FlushThreshold: 64})
-	var gids []collection.SetID
-	for i, s := range corpus {
-		id, err := le.Insert(s)
-		if err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		gids = append(gids, id)
-	}
-	b := collection.NewBuilder(liveTestTK, true)
-	var surv []collection.SetID
-	for i, s := range corpus {
-		if del != nil && del(i) {
-			if !le.Delete(gids[i]) {
-				t.Fatalf("delete %d reported false", i)
-			}
-			continue
-		}
-		b.Add(s)
-		surv = append(surv, gids[i])
-	}
-	if !le.Compact() {
-		t.Fatal("Compact reported no work")
-	}
-	if st := le.Stats(); st.Segments != 1 || st.Memtable != 0 || st.Tombstones != 0 {
-		t.Fatalf("post-compact stats: %+v", st)
-	}
-	return le, NewEngine(b.Build(), cfg), surv
-}
-
-// TestLiveStaticEquivalence: after N inserts, some deletes and a full
-// compaction, the LiveEngine must answer bitwise-identically — same
-// results, same order, same float64 scores — to a static Build over the
-// surviving corpus, for every algorithm.
-func TestLiveStaticEquivalence(t *testing.T) {
-	corpus := randomCorpus(600, 7, 7)
-	le, e, surv := liveVsStatic(t, corpus, Config{}, func(i int) bool { return i%5 == 2 })
-	defer le.Close()
-
-	rng := rand.New(rand.NewSource(8))
-	taus := []float64{0.3, 0.5, 0.7, 0.9, 1.0}
-	for trial := 0; trial < 20; trial++ {
-		s := corpus[rng.Intn(len(corpus))]
-		tau := taus[trial%len(taus)]
-		sq := e.Prepare(s)
-		lq := le.Prepare(s)
-		for _, alg := range Algorithms() {
-			want, _, err := e.Select(sq, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("static %v: %v", alg, err)
-			}
-			got, _, err := le.Select(lq, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("live %v: %v", alg, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v τ=%g: live %d results, static %d", alg, tau, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != surv[want[i].ID] {
-					t.Fatalf("%v τ=%g result %d: live id %d, static id %d (gid %d)",
-						alg, tau, i, got[i].ID, want[i].ID, surv[want[i].ID])
-				}
-				if got[i].Score != want[i].Score {
-					t.Fatalf("%v τ=%g id %d: live score %x, static %x",
-						alg, tau, got[i].ID, got[i].Score, want[i].Score)
-				}
-			}
-		}
-	}
-}
-
-// TestLiveTopKEquivalence checks the same bitwise property for the top-k
-// path and its supported algorithms.
-func TestLiveTopKEquivalence(t *testing.T) {
-	corpus := randomCorpus(400, 11, 6)
-	le, e, surv := liveVsStatic(t, corpus, Config{},
-		func(i int) bool { return i%7 == 3 })
-	defer le.Close()
-
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 15; trial++ {
-		s := corpus[rng.Intn(len(corpus))]
-		k := 1 + rng.Intn(20)
-		sq := e.Prepare(s)
-		lq := le.Prepare(s)
-		for _, alg := range []Algorithm{Naive, SF} {
-			want, _, err := e.SelectTopK(sq, k, alg, nil)
-			if err != nil {
-				t.Fatalf("static top-%d %v: %v", k, alg, err)
-			}
-			got, _, err := le.SelectTopK(lq, k, alg, nil)
-			if err != nil {
-				t.Fatalf("live top-%d %v: %v", k, alg, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("top-%d %v: live %d results, static %d", k, alg, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != surv[want[i].ID] || got[i].Score != want[i].Score {
-					t.Fatalf("top-%d %v result %d: live (%d, %x), static (%d→%d, %x)",
-						k, alg, i, got[i].ID, got[i].Score, want[i].ID, surv[want[i].ID], want[i].Score)
-				}
-			}
-		}
-	}
-}
-
 // liveTopKOracle is the live top-k ground truth, sharing no top-k code:
 // the Naive threshold selection at a threshold every match reaches,
 // ordered by (score desc, id asc) and cut to k.
 func liveTopKOracle(t *testing.T, le *LiveEngine, lq LiveQuery, k int) []Result {
 	t.Helper()
-	all, _, err := le.Select(lq, 1e-9, Naive, nil)
+	all, _, err := le.Select(lq, minPositiveTau, Naive, nil)
 	if err != nil {
 		t.Fatalf("oracle selection: %v", err)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// assertLiveTopK checks every top-k algorithm against liveTopKOracle
-// over the same pinned query, bitwise. Segments baked at different
-// statistics epochs score one token set differently, but within a
-// segment every algorithm emits the canonical score, so the (score desc,
-// id asc) prefix is one answer.
-func assertLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
-	t.Helper()
-	want := liveTopKOracle(t, le, lq, k)
-	for _, alg := range []Algorithm{Naive, SF} {
-		got, _, err := le.SelectTopK(lq, k, alg, nil)
-		if err != nil {
-			t.Fatalf("top-%d %v: %v", k, alg, err)
-		}
-		assertBitwise(t, fmt.Sprintf("top-%d %v", k, alg), got, want)
-	}
+	return byScore(all)[:min(k, len(all))]
 }
 
 // TestLiveTopKTombstones: live top-k asks every segment for exactly k
@@ -191,7 +31,7 @@ func assertLiveTopK(t *testing.T, le *LiveEngine, lq LiveQuery, k int) {
 // than k survivors — without a compaction in between.
 func TestLiveTopKTombstones(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		corpus := randomCorpus(300, 31, 6)
+		corpus := randomDocs(300, 31, 6)
 		// FlushThreshold is the size below which a partial compaction
 		// folds a segment again: 16 keeps every flushed segment apart.
 		le := NewLive(liveTestTK, LiveConfig{
@@ -207,6 +47,16 @@ func TestLiveTopKTombstones(t *testing.T) {
 			// the deletes below become segment tombstones.
 			if i == 139 || i == 219 || i == 279 {
 				le.compactOnce(false)
+			}
+		}
+		check := func(lq LiveQuery, k int) {
+			want := liveTopKOracle(t, le, lq, k)
+			for _, alg := range []Algorithm{Naive, SF} {
+				got, _, err := le.SelectTopK(lq, k, alg, nil)
+				if err != nil {
+					t.Fatalf("top-%d %v: %v", k, alg, err)
+				}
+				assertBitwise(t, fmt.Sprintf("top-%d %v", k, alg), got, want)
 			}
 		}
 		var largest *liveSegment
@@ -243,7 +93,7 @@ func TestLiveTopKTombstones(t *testing.T) {
 			if killed == k {
 				beheaded++
 			}
-			assertLiveTopK(t, le, lq, k)
+			check(lq, k)
 		}
 		if beheaded < 4 {
 			t.Fatalf("shards=%d: only %d of 8 queries lost their k best in the largest segment", shards, beheaded)
@@ -260,9 +110,9 @@ func TestLiveTopKTombstones(t *testing.T) {
 		}
 		for trial := 0; trial < 20; trial++ {
 			lq := le.Prepare(corpus[15*rng.Intn(len(corpus)/15)])
-			assertLiveTopK(t, le, lq, 1+rng.Intn(6))
+			check(lq, 1+rng.Intn(6))
 			// k beyond the live count: every live match, ranked.
-			assertLiveTopK(t, le, lq, len(corpus))
+			check(lq, len(corpus))
 		}
 		le.Close()
 	}
@@ -278,7 +128,7 @@ func TestLiveTopKTombstones(t *testing.T) {
 func TestLiveTopKDeletesAddNoWork(t *testing.T) {
 	// Clusters of near-duplicates over a..l, so that the k-th score is
 	// high and the bound prunes; victims over m..x, interleaved.
-	bases := randomCorpus(80, 41, 12)
+	bases := randomDocs(80, 41, 12)
 	rng := rand.New(rand.NewSource(42))
 	le := NewLive(liveTestTK, LiveConfig{
 		NoBackground:   true,
@@ -342,56 +192,6 @@ func TestLiveTopKDeletesAddNoWork(t *testing.T) {
 	}
 }
 
-// TestLiveMixedStateAgreement runs every algorithm against a live engine
-// in its messiest state — several segments, a non-empty memtable,
-// tombstones everywhere — and checks they all agree with the live Naive
-// oracle run over the same snapshot, for threshold selection and top-k.
-func TestLiveMixedStateAgreement(t *testing.T) {
-	corpus := randomCorpus(500, 21, 6)
-	// A huge drift bound keeps partial compactions partial, so segments
-	// built at different statistics epochs coexist.
-	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 64, DriftBound: 100})
-	defer le.Close()
-	var ids []collection.SetID
-	for i, s := range corpus {
-		id, err := le.Insert(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		// Periodic partial compactions build up a multi-segment store.
-		if i == 150 || i == 300 || i == 420 {
-			le.compactOnce(false)
-		}
-	}
-	for i := 0; i < len(ids); i += 9 {
-		le.Delete(ids[i])
-	}
-	st := le.Stats()
-	if st.Segments < 2 || st.Memtable == 0 || st.Tombstones == 0 {
-		t.Fatalf("want messy state, got %+v", st)
-	}
-
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 12; trial++ {
-		s := corpus[rng.Intn(len(corpus))]
-		tau := []float64{0.4, 0.6, 0.8}[trial%3]
-		lq := le.Prepare(s)
-		assertLiveTopK(t, le, lq, 1+trial)
-		want, _, err := le.Select(lq, tau, Naive, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range Algorithms() {
-			got, _, err := le.Select(lq, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			assertSameResults(t, alg, tau, got, want)
-		}
-	}
-}
-
 // TestLivePrepareTokenizesOnce: LiveEngine.Prepare tokenizes the string
 // once and prepares every segment from that one token slice. The queries
 // it pins must equal, field for field and bit for bit, what each
@@ -399,7 +199,7 @@ func TestLiveMixedStateAgreement(t *testing.T) {
 // checked against tokenize.LookupCounts and a set of the unseen tokens —
 // for strings with repeated grams, unseen grams and none at all.
 func TestLivePrepareTokenizesOnce(t *testing.T) {
-	corpus := randomCorpus(400, 51, 6)
+	corpus := randomDocs(400, 51, 6)
 	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, DriftBound: 1e9, Shards: 2})
 	defer le.Close()
 	for i, s := range corpus {
@@ -524,7 +324,7 @@ func TestLiveErrors(t *testing.T) {
 // TestLiveBatchAndCancel exercises SelectBatchCtx and context
 // cancellation on the live path.
 func TestLiveBatchAndCancel(t *testing.T) {
-	corpus := randomCorpus(200, 31, 6)
+	corpus := randomDocs(200, 31, 6)
 	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	queries := make([]LiveQuery, 10)
@@ -550,7 +350,7 @@ func TestLiveBatchAndCancel(t *testing.T) {
 // no panics, no errors besides the expected ones — because its real
 // job is running under the race detector.
 func TestLiveStress(t *testing.T) {
-	corpus := randomCorpus(300, 41, 6)
+	corpus := randomDocs(300, 41, 6)
 	le := NewLive(liveTestTK, LiveConfig{
 		Config:         Config{},
 		FlushThreshold: 32,
@@ -647,7 +447,7 @@ func TestLiveWarmAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	corpus := randomCorpus(5000, 3, 8)
+	corpus := randomDocs(5000, 3, 8)
 	le := BuildLive(corpus, liveTestTK, LiveConfig{NoBackground: true})
 	defer le.Close()
 	queries := make([]LiveQuery, 8)

@@ -207,7 +207,7 @@ func prepQueries(rng *rand.Rand, corpus []string, n int) []string {
 func TestLivePrepareMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			corpus := randomCorpus(900, 91, 7)
+			corpus := randomDocs(900, 91, 7)
 			rng := rand.New(rand.NewSource(int64(92 + shards)))
 			le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 20, DriftBound: 1e9, Shards: shards})
 			defer le.Close()
@@ -272,7 +272,7 @@ func TestLivePrepareMatchesReference(t *testing.T) {
 // a memtable: a bulk load, then flush rounds of 64 inserts each.
 func livePrepStore(t testing.TB, segs int) *LiveEngine {
 	t.Helper()
-	corpus := randomCorpus(3000, 95, 8)
+	corpus := randomDocs(3000, 95, 8)
 	le := BuildLive(corpus[:2000], liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 64, DriftBound: 1e9})
 	next := 2000
 	for le.Stats().Segments < segs {
@@ -326,7 +326,7 @@ func TestLivePrepareAllocations(t *testing.T) {
 // token up in the store dictionary once — not once per segment or
 // memtable — on a three-shard store of several segments per shard.
 func TestLivePrepareLooksUpOncePerToken(t *testing.T) {
-	corpus := randomCorpus(600, 97, 7)
+	corpus := randomDocs(600, 97, 7)
 	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 30, DriftBound: 1e9, Shards: 3})
 	defer le.Close()
 	for i, s := range corpus {
@@ -369,7 +369,7 @@ func TestLivePrepareLooksUpOncePerToken(t *testing.T) {
 func TestLivePrepareRacesRebuild(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			corpus := randomCorpus(400, 99, 6)
+			corpus := randomDocs(400, 99, 6)
 			le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, DriftBound: 1e9, Shards: shards})
 			defer le.Close()
 			for _, s := range corpus[:100] {

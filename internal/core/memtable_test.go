@@ -86,7 +86,7 @@ func compactKeepingTail(t *testing.T, le *LiveEngine, full bool, insert func()) 
 func TestMemtableIndexMatchesScan(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			corpus := randomCorpus(1500, 51, 6)
+			corpus := randomDocs(1500, 51, 6)
 			rng := rand.New(rand.NewSource(int64(52 + shards)))
 			le := NewLive(liveTestTK, LiveConfig{
 				Config:       Config{},
@@ -283,7 +283,7 @@ func (f *frozenSnapshot) changed() string {
 func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			corpus := randomCorpus(600, 81, 6)
+			corpus := randomDocs(600, 81, 6)
 			rng := rand.New(rand.NewSource(int64(82 + shards)))
 			le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 16, Shards: shards})
 			defer le.Close()
@@ -351,7 +351,7 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 // later delete reaches. A document deleted after the compaction must
 // still vanish from the pinned query's selection and top-k answers.
 func TestPinnedQueryHonoursLaterDeletes(t *testing.T) {
-	corpus := randomCorpus(200, 61, 5)
+	corpus := randomDocs(200, 61, 5)
 	for _, shards := range []int{1, 3} {
 		le := BuildLive(corpus, liveTestTK, LiveConfig{
 			Config:       Config{},

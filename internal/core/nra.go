@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/collection"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 // nraCand is a candidate of the classic NRA (Algorithm 1): a lower bound
@@ -111,7 +110,7 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 			}
 			return out, listsErr(lists)
 
-		case !sim.Meets(f, tau):
+		case !meetsPre(f, tau):
 			// Scan the candidate set (mitigation: only once F < τ).
 			stats.CandidateScans++
 			active := s.activeMask(fw)
@@ -138,7 +137,7 @@ func (e *Engine) selectNRA(s *queryScratch, cc *canceller, q Query, tau float64,
 					}
 					continue
 				}
-				if !sim.Meets(upper, tau) {
+				if !meetsPre(upper, tau) {
 					c.dead = true
 					live--
 					if ci == scanFrom {

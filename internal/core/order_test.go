@@ -97,7 +97,7 @@ func TestHybridResumesPausedList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, Hybrid, tau, got, want)
+	assertBitwise(t, fmt.Sprintf("%v τ=%g", Hybrid, tau), got, want)
 	var pattern strings.Builder
 	readsOf := map[collection.SetID]int{}
 	for _, r := range tap.reads {
@@ -252,7 +252,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 	var outOfOrder, doneWhilePending int
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e := buildEngine(t, 150+rng.Intn(250), seed*17+3, 2+rng.Intn(3), Config{})
+		e := engineFromDocs(randomDocs(150+rng.Intn(250), seed*17+3, 2+rng.Intn(3)), Config{})
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
 		tau := 0.3 + 0.6*rng.Float64()
 		opts := &Options{NoLengthBound: seed%3 == 0}
@@ -299,7 +299,7 @@ func TestCandidateOrderUnderRandomSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		sortResults(d.out)
-		assertSameResults(t, Hybrid, tau, d.out, want)
+		assertBitwise(t, fmt.Sprintf("%v τ=%g", Hybrid, tau), d.out, want)
 		outOfOrder += d.outOfOrder
 		doneWhilePending += d.doneWhilePending
 	}
@@ -445,8 +445,8 @@ func TestListRankInvariant(t *testing.T) {
 				t.Fatalf("seed %d: list %d's posting %v: rank bound %g, its open lists sum to %g", seed, j, p, rank, exact)
 			}
 			bound := ref.lower + ref.remIdfSq/(q.Len*p.Len)
-			for _, tau := range []float64{bound, bound + sim.ScoreEpsilon, math.Nextafter(bound+sim.ScoreEpsilon, 0),
-				math.Nextafter(bound+sim.ScoreEpsilon, math.Inf(1)), bound*1.01 + sim.ScoreEpsilon} {
+			edge := bound + sim.ScoreEpsilon + rescoreSlack
+			for _, tau := range []float64{bound, edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)), bound*1.01 + sim.ScoreEpsilon + rescoreSlack} {
 				s.imp, s.arena = s.imp[:0], s.arena[:0]
 				s.tbl.reset()
 				ok, want := admitRef(lists, j, p, q.Len, tau)
@@ -505,7 +505,7 @@ func admitRef(lists []listState, j int, p invlist.Posting, lenQ, tau float64) (b
 		}
 		c.remIdfSq += lists[r].idfSq
 	}
-	return sim.Meets(c.lower+c.remIdfSq/(lenQ*p.Len), tau), c
+	return meetsPre(c.lower+c.remIdfSq/(lenQ*p.Len), tau), c
 }
 
 // resolveAbsences is resolvePassed as a pass over c's unresolved lists:

@@ -138,7 +138,7 @@ type builtShapes struct {
 // at all.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	words := clusteredDocs(12, 40, 91)
-	grams := randomCorpus(500, 92, 14)
+	grams := randomDocs(500, 92, 14)
 	for i := 0; i < len(words); i += 37 {
 		words[i] = "" // no tokens: left out, and the ids close up
 	}

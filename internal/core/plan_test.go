@@ -16,8 +16,8 @@ import (
 // silent empty answer. Before the pipeline each shape hand-rolled
 // these rules with drifting Stats conventions.
 func TestErrorPathStatsContract(t *testing.T) {
-	docs := pipelineDocs(40, 99, 5)
-	eng := NewEngine(buildPipelineCollection(docs), Config{})
+	docs := randomDocs(40, 99, 5)
+	eng := engineFromDocs(docs, Config{})
 	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 2, Config{})
 	defer se.Close()
 	le := buildPipelineLive(t, docs, 2, false)
@@ -120,12 +120,12 @@ func TestErrorPathStatsContract(t *testing.T) {
 // returns — results and error — including for a query submitted twice
 // and for an empty query in the middle of the batch.
 func TestBatchMatchesDirect(t *testing.T) {
-	docs := pipelineDocs(300, 7, 6)
+	docs := randomDocs(300, 7, 6)
 	texts := []string{docs[0], docs[13], "", docs[26], docs[39]}
 	order := []int{0, 1, 2, 0, 3, 4, 1, 0}
 	const tau = 0.6
 
-	eng := NewEngine(buildPipelineCollection(docs), Config{})
+	eng := engineFromDocs(docs, Config{})
 	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
 	defer se.Close()
 	if !se.Routed() {
@@ -191,7 +191,7 @@ func TestShardBoundDominatesScores(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		docs = append(docs, fmt.Sprintf("w%d w%d", 2*i, 2*i+1))
 	}
-	eng := wordEngineFromDocs(docs, Config{})
+	eng := NewEngine(collectionOf(tokenize.WordTokenizer{}, docs), Config{})
 	q := eng.Prepare("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9")
 	bound := shardBound(route.Summarize(eng.Collection(), eng.Store()), q)
 	res, _, err := eng.Select(q, minPositiveTau, Naive, nil)

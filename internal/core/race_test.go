@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ import (
 // read replicas against one mapped index.
 func buildSharedStoreEngines(tb testing.TB, n int, seed int64) (*Engine, *Engine) {
 	tb.Helper()
-	e1 := buildEngine(tb, n, seed, 6, Config{})
+	e1 := engineFromDocs(randomDocs(n, seed, 6), Config{})
 	e2 := NewEngine(e1.Collection(), Config{Store: e1.Store()})
 	return e1, e2
 }
@@ -81,7 +82,7 @@ func TestRaceCancelMidFlight(t *testing.T) {
 // TestRaceFileStoreBatch runs the batch pool against a disk-resident
 // store shared by two engines (the persistent serving configuration).
 func TestRaceFileStoreBatch(t *testing.T) {
-	e := buildEngine(t, 400, 97, 6, Config{})
+	e := engineFromDocs(randomDocs(400, 97, 6), Config{})
 	path := t.TempDir() + "/lists.bin"
 	if err := invlist.WriteFile(path, e.Collection(), 8); err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResults(t, r.alg, tau, r.res[qi], want)
+			assertBitwise(t, fmt.Sprintf("%v τ=%g", r.alg, tau), r.res[qi], want)
 		}
 	}
 }

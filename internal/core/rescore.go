@@ -27,8 +27,8 @@ import (
 // the surfacing list included, so they emit theirs directly too. The
 // algorithms whose accumulation order follows list state — SortByID
 // (heap pop order), NRA, iNRA and Hybrid (round-robin encounter
-// order) — emit rescore's value instead, and Naive scores
-// every set with it.
+// order), and SQL (the group-by's) — emit rescore's value instead, and
+// Naive scores every set with it.
 //
 // The rescore is exact, not an approximation: at every emission site the
 // algorithm has proven the accumulated value to be the complete score
@@ -97,8 +97,13 @@ func (e *Engine) emitRescored(s *queryScratch, q Query, id collection.SetID, tau
 	return out
 }
 
-// meetsPre is the loosened pre-filter applied to accumulation-order-
-// dependent scores before a canonical rescore decides the emission.
+// meetsPre is threshold selection's loosened test for every value that
+// is not a canonical score — an accumulation-order-dependent sum before
+// its rescore, an upper bound before a prune — so that only a canonical
+// score meets sim.Meets, and a threshold on the edge of one answer's
+// score prunes nothing the naive scan keeps. Top-k needs none: its τ is
+// a score already found, and ScoreEpsilon covers the ulps by which a
+// bound on an answer tied with it can fall short.
 func meetsPre(score, tau float64) bool {
 	return score >= tau-sim.ScoreEpsilon-rescoreSlack
 }

@@ -91,7 +91,7 @@ func TestBulkLoadMatchesReplay(t *testing.T) {
 				cfg := LiveConfig{Config: Config{NoRoute: noRoute}, NoBackground: true, Shards: shards}
 				rng := rand.New(rand.NewSource(seed))
 				deletes := seed%2 == 1 // even seeds are insert-only: BuildLive's case
-				strs := randomCorpus(40+rng.Intn(260), 100+seed, 5)
+				strs := randomDocs(40+rng.Intn(260), 100+seed, 5)
 
 				ref := NewLive(liveTestTK, cfg)
 				var corpus []string
@@ -196,7 +196,7 @@ func TestBuildsTokenizeOnce(t *testing.T) {
 }
 
 func testBuildsTokenizeOnce(t *testing.T) {
-	docs := randomCorpus(300, 77, 6)
+	docs := randomDocs(300, 77, 6)
 	var calls atomic.Int64
 	tk := countingTokenizer{Tokenizer: liveTestTK, calls: &calls}
 

@@ -13,27 +13,12 @@ import (
 
 // freshReference runs q on a brand-new engine sharing the same lists.
 // Its scratch pool is empty, so the query executes on zero-valued scratch
-// state — the fresh-allocation reference the pooled path must match.
+// state — the fresh-allocation reference the pooled path must match bit
+// for bit, as both run the same arithmetic in the same order.
 func freshReference(e *Engine, q Query, tau float64, alg Algorithm) ([]Result, error) {
 	fresh := NewEngine(e.c, Config{Store: e.store})
 	res, _, err := fresh.Select(q, tau, alg, nil)
 	return res, err
-}
-
-// sameResults demands bitwise-identical output: the pooled and fresh
-// paths execute the same arithmetic in the same order, so even the
-// float64 scores must agree exactly.
-func sameResults(t *testing.T, label string, got, want []Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, reference %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("%s: result %d = {%d %.17g}, reference {%d %.17g}",
-				label, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-		}
-	}
 }
 
 // TestScratchReuseEquivalence reuses one engine's scratch pool across
@@ -42,7 +27,7 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 // between queries through the pooled candidate tables, slabs, masks,
 // cursors or result buffers shows up as a mismatch.
 func TestScratchReuseEquivalence(t *testing.T) {
-	e := buildEngine(t, 3000, 21, 7, Config{})
+	e := engineFromDocs(randomDocs(3000, 21, 7), Config{})
 	algs := []Algorithm{Naive, SortByID, SQL, TA, NRA, ITA, INRA, SF, Hybrid}
 	rng := rand.New(rand.NewSource(22))
 	for qi := 0; qi < 120; qi++ {
@@ -57,7 +42,7 @@ func TestScratchReuseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, alg.String(), got, want)
+		assertBitwise(t, alg.String(), got, want)
 	}
 }
 
@@ -65,7 +50,7 @@ func TestScratchReuseEquivalence(t *testing.T) {
 // path, whose rising-bound state (kthBound heap and position map) is also
 // pooled.
 func TestScratchReuseEquivalenceTopK(t *testing.T) {
-	e := buildEngine(t, 3000, 23, 7, Config{})
+	e := engineFromDocs(randomDocs(3000, 23, 7), Config{})
 	rng := rand.New(rand.NewSource(24))
 	for qi := 0; qi < 60; qi++ {
 		q := e.PrepareCounts(e.c.Set(collection.SetID(rng.Intn(e.c.NumSets()))))
@@ -79,7 +64,7 @@ func TestScratchReuseEquivalenceTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, SF.String(), got, want)
+		assertBitwise(t, SF.String(), got, want)
 	}
 }
 
@@ -88,7 +73,7 @@ func TestScratchReuseEquivalenceTopK(t *testing.T) {
 // repeated so scratches migrate between goroutines, each answer checked
 // against the fresh-allocation reference.
 func TestScratchConcurrentBatchEquivalence(t *testing.T) {
-	e := buildEngine(t, 2000, 25, 7, Config{})
+	e := engineFromDocs(randomDocs(2000, 25, 7), Config{})
 	rng := rand.New(rand.NewSource(26))
 	queries := make([]Query, 48)
 	for i := range queries {
@@ -105,7 +90,7 @@ func TestScratchConcurrentBatchEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResults(t, alg.String(), br.Results, want)
+				assertBitwise(t, alg.String(), br.Results, want)
 			}
 		}
 	}
@@ -223,7 +208,7 @@ func TestScratchMaskArena(t *testing.T) {
 // relToks is kept at full capacity and read through a local reslice
 // (selectSQL).
 func TestScratchStateIndependentOfHistory(t *testing.T) {
-	e := buildEngine(t, 1500, 21, 7, Config{})
+	e := engineFromDocs(randomDocs(1500, 21, 7), Config{})
 	rng := rand.New(rand.NewSource(37))
 	type histQuery struct {
 		q   Query

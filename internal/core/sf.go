@@ -45,7 +45,7 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + q.Tokens[i].IDFSq
 	}
-	tauP := tau - sim.ScoreEpsilon
+	tauP := tau - sim.ScoreEpsilon - rescoreSlack
 	lambda := resliceFloats(s.f1, n)
 	s.f1 = lambda
 	for i := range lambda {
@@ -81,7 +81,7 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			// candidate stays viable while lower + the remaining suffix
 			// mass meets τ.
 			for m < len(c) && sfBefore(&c[m], p) {
-				if sim.Meets(c[m].lower+suffix[i+1]/(q.Len*c[m].len), tau) {
+				if meetsPre(c[m].lower+suffix[i+1]/(q.Len*c[m].len), tau) {
 					next = append(next, c[m])
 					lastOld = c[m].len
 				}
@@ -105,7 +105,7 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			// Past µᵢ nothing more is admitted: seek to what is left of C
 			// instead of reading up to it. NoSkipIndex, "read and discard
 			// instead of seek", keeps the paper's sequential completion.
-			if p.Len > mu && !o.NoSkipIndex && !sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
+			if p.Len > mu && !o.NoSkipIndex && !meetsPre(suffix[i]/(q.Len*p.Len), tau) {
 				var ok bool
 				if next, ok = completeSF(cc, l, e.dense.of(q.Tokens[i].Token), c[m:], next, q.Len, suffix[i], suffix[i+1], tau, nil, nil, stats); !ok {
 					s.sfc, s.sfn = c, next
@@ -124,7 +124,7 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			}
 			// New candidate: best case is appearing in every remaining
 			// list, Σ_{j≥i} idf²/(len(q)·len) — the λᵢ test of line 9.
-			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
+			if meetsPre(suffix[i]/(q.Len*p.Len), tau) {
 				next = append(next, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len)})
 				stats.CandidatesInserted++
 			}
@@ -183,7 +183,7 @@ func completeSF(cc *canceller, l *listState, bits []uint64, rest, next []sfCand,
 		if bound != nil {
 			tau = liveTau(bound, shared)
 		}
-		if !sim.Meets(cand.lower+mass/(lenQ*cand.len), tau) {
+		if !meetsPre(cand.lower+mass/(lenQ*cand.len), tau) {
 			continue
 		}
 		found := false
@@ -212,7 +212,7 @@ func completeSF(cc *canceller, l *listState, bits []uint64, rest, next []sfCand,
 				offerShared(bound, shared, cand.id, cand.lower)
 			}
 		}
-		if sim.Meets(cand.lower+after/(lenQ*cand.len), tau) {
+		if meetsPre(cand.lower+after/(lenQ*cand.len), tau) {
 			next = append(next, cand)
 		}
 	}
@@ -228,7 +228,7 @@ func keepViable(cc *canceller, rest, next []sfCand, lenQ, after, tau float64) ([
 		if cc.stop() {
 			return next, false
 		}
-		if sim.Meets(cand.lower+after/(lenQ*cand.len), tau) {
+		if meetsPre(cand.lower+after/(lenQ*cand.len), tau) {
 			next = append(next, cand)
 		}
 	}

@@ -14,46 +14,14 @@ import (
 	"repro/internal/tokenize"
 )
 
-// sfSurface is one engine shape behind the two calls the test makes, so
-// the same checks run over every layer that reaches selectSF and topkSF.
-type sfSurface struct {
-	name string
-	// split marks a corpus cut into lists of a few dozen postings, where
-	// there is next to nothing for a seek to jump over.
-	split  bool
-	sel    func(s string, tau float64, alg Algorithm, o *Options) ([]Result, Stats, error)
-	topk   func(s string, k int, alg Algorithm, o *Options) ([]Result, Stats, error)
-	closer func()
-}
-
-// surfaceOf wraps an engine's Prepare, Select and SelectTopK, whatever
-// its prepared-query type.
-func surfaceOf[Q any](name string, split bool, prepare func(string) Q,
-	sel func(Q, float64, Algorithm, *Options) ([]Result, Stats, error),
-	topk func(Q, int, Algorithm, *Options) ([]Result, Stats, error), closer func()) sfSurface {
-	return sfSurface{
-		name:  name,
-		split: split,
-		sel: func(s string, tau float64, alg Algorithm, o *Options) ([]Result, Stats, error) {
-			return sel(prepare(s), tau, alg, o)
-		},
-		topk: func(s string, k int, alg Algorithm, o *Options) ([]Result, Stats, error) {
-			return topk(prepare(s), k, alg, o)
-		},
-		closer: closer,
-	}
-}
-
-// sfSeekSurfaces builds the shapes of the issue over the fixture corpus:
-// the static engine on a MemStore and on a FileStore opened from a
-// written list file (the cursor path of seekTo), routed shards at
-// K ∈ {1, 4, 7}, and a live engine with segments, a memtable and
-// tombstones.
-func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
+// seekShapes builds the shapes over the fixture corpus: the static
+// engine on a MemStore and on a FileStore opened from a written list
+// file (the cursor path of seekTo), routed shards at K ∈ {1, 4, 7}, and
+// a live engine with segments, a memtable and tombstones.
+func seekShapes(t *testing.T, docs []string) []shape {
 	t.Helper()
-	c := buildPipelineCollection(docs)
-	mem := NewEngine(c, Config{})
-	out := []sfSurface{surfaceOf("mem", false, mem.Prepare, mem.Select, mem.SelectTopK, func() {})}
+	c := collectionOf(liveTestTK, docs)
+	out := []shape{engineShape("mem", NewEngine(c, Config{}))}
 
 	path := filepath.Join(t.TempDir(), "lists.ssidx")
 	if err := invlist.WriteFile(path, c, 8); err != nil {
@@ -63,12 +31,13 @@ func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := NewEngine(c, Config{Store: fs})
-	out = append(out, surfaceOf("file", false, file.Prepare, file.Select, file.SelectTopK, func() { fs.Close() }))
+	t.Cleanup(func() { fs.Close() })
+	out = append(out, engineShape("file", NewEngine(c, Config{Store: fs})))
 
 	for _, K := range []int{1, 4, 7} {
-		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
-		out = append(out, surfaceOf(fmt.Sprintf("sharded/K=%d", K), K > 1, se.Prepare, se.Select, se.SelectTopK, func() { se.Close() }))
+		se := BuildSharded(liveTestTK, docs, true, K, Config{})
+		t.Cleanup(se.Close)
+		out = append(out, shardedShape(fmt.Sprintf("sharded/K=%d", K), se))
 	}
 
 	// Partial compactions flush the memtable into segments kept apart
@@ -78,6 +47,7 @@ func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
 		NoBackground:   true,
 		FlushThreshold: 16, DriftBound: 1e9, MaxSegments: 1 << 20,
 	})
+	t.Cleanup(le.Close)
 	for i, s := range docs[:300] {
 		if _, err := le.Insert(s); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -92,20 +62,19 @@ func sfSeekSurfaces(t *testing.T, docs []string) []sfSurface {
 	if st := le.Stats(); st.Segments < 2 || st.Memtable == 0 || st.Tombstones < 40 {
 		t.Fatalf("live scenario not established: %+v", st)
 	}
-	return append(out, surfaceOf("live", true, le.Prepare, le.Select, le.SelectTopK, func() { le.Close() }))
+	return append(out, liveShape("live", le))
 }
 
-// TestSFCompletionSeeks pins what seeking to candidates must and must not
-// change: SF's past µᵢ (completeSF), and iNRA's and Hybrid's once F < τ
-// has shut the admission gate (seekCandidate). It must not change an
-// answer: against NoSkipIndex, which keeps the paper's posting-by-posting
-// reads, ids, score bits and order are equal for selection over the τ
-// grid and for SF top-k, on every engine shape and on both paths of
-// seekTo, and both are the full scan's answer, bitwise. It must
-// read less where there is something to seek over, on long queries. And
-// it must stay cancellable inside the new loops.
+// TestSFCompletionSeeks pins what seeking to candidates buys: SF's past
+// µᵢ (completeSF), and iNRA's and Hybrid's once F < τ has shut the
+// admission gate (seekCandidate). Their answers are the oracle's
+// (TestQueryEquivalence, whose options axis runs NoSkipIndex, the
+// paper's posting-by-posting reads). Here, on every engine shape and on
+// both paths of seekTo, no query reads and skips more than its lists
+// hold, a seek reads less where there is something to seek over, on long
+// queries, and it stays cancellable inside the new loops.
 func TestSFCompletionSeeks(t *testing.T) {
-	docs := pipelineDocs(500, 1234, 6)
+	docs := randomDocs(500, 1234, 6)
 	// The wide class, in TestWideQueries' shape: long strings over a small
 	// alphabet, so queries of 70 and more lists whose candidates qualify
 	// while absent from many of them. There a Hybrid seek often lands past
@@ -119,13 +88,12 @@ func TestSFCompletionSeeks(t *testing.T) {
 		}
 		docs = append(docs, sb.String())
 	}
-	// The fixture queries, then the long-query class: documents of 14
-	// characters and more, whose dozen lists leave SF candidates to
-	// complete in every list but the first, and four wide ones.
-	queries := []string{docs[3], docs[57], docs[120], docs[261], docs[402], docs[499]}
-	firstLong := len(queries)
+	// The long-query class: documents of 14 characters and more, whose
+	// dozen lists leave SF candidates to complete in every list but the
+	// first, and four wide ones.
+	var queries []string
 	for _, d := range docs[:500] {
-		if len(d) >= 14 && len(queries) < firstLong+12 {
+		if len(d) >= 14 && len(queries) < 12 {
 			queries = append(queries, d)
 		}
 	}
@@ -135,53 +103,38 @@ func TestSFCompletionSeeks(t *testing.T) {
 	ks := []int{1, 10, 1 << 20}
 	algs := []Algorithm{SF, INRA, Hybrid}
 
-	for _, sf := range sfSeekSurfaces(t, docs) {
+	for _, sf := range seekShapes(t, docs) {
 		t.Run(sf.name, func(t *testing.T) {
-			defer sf.closer()
 			selReads, selPaper := map[Algorithm]int{}, map[Algorithm]int{}
 			topkReads, topkPaper := map[int]int{}, map[int]int{}
-			for qi, qs := range queries {
+			for _, qs := range queries {
 				for _, tau := range taus {
-					naive, _, errNaive := sf.sel(qs, tau, Naive, nil)
-					if errNaive != nil {
-						t.Fatalf("select %q τ=%g: full scan: %v", qs, tau, errNaive)
-					}
 					for _, alg := range algs {
 						label := fmt.Sprintf("%v %q τ=%g", alg, qs, tau)
-						got, st, err := sf.sel(qs, tau, alg, nil)
-						want, stPaper, errPaper := sf.sel(qs, tau, alg, paper)
+						_, st, err := sf.sel(qs, tau, alg, nil)
+						_, stPaper, errPaper := sf.sel(qs, tau, alg, paper)
 						if err != nil || errPaper != nil {
 							t.Fatalf("%s: %v, %v", label, err, errPaper)
 						}
-						assertBitwise(t, label, got, want)
-						assertBitwise(t, label+" vs the full scan", got, naive)
 						if st.ElementsRead+st.ElementsSkipped > st.ListTotal {
 							t.Fatalf("%s: read %d + skipped %d of %d", label, st.ElementsRead, st.ElementsSkipped, st.ListTotal)
 						}
-						if qi >= firstLong {
-							selReads[alg] += st.ElementsRead
-							selPaper[alg] += stPaper.ElementsRead
-						}
+						selReads[alg] += st.ElementsRead
+						selPaper[alg] += stPaper.ElementsRead
 					}
 				}
 				for _, k := range ks {
-					label := fmt.Sprintf("top-%d %q", k, qs)
-					got, st, err := sf.topk(qs, k, SF, nil)
-					want, stPaper, errPaper := sf.topk(qs, k, SF, paper)
-					naive, _, errNaive := sf.topk(qs, k, Naive, nil)
-					if err != nil || errPaper != nil || errNaive != nil {
-						t.Fatalf("%s: %v, %v, %v", label, err, errPaper, errNaive)
+					_, st, err := sf.topk(qs, k, SF, nil)
+					_, stPaper, errPaper := sf.topk(qs, k, SF, paper)
+					if err != nil || errPaper != nil {
+						t.Fatalf("top-%d %q: %v, %v", k, qs, err, errPaper)
 					}
-					assertBitwise(t, label, got, want)
-					assertBitwise(t, label+" vs the full scan", got, naive)
-					if qi >= firstLong {
-						topkReads[k] += st.ElementsRead
-						topkPaper[k] += stPaper.ElementsRead
-					}
+					topkReads[k] += st.ElementsRead
+					topkPaper[k] += stPaper.ElementsRead
 				}
 			}
 			for _, alg := range algs {
-				if sf.split {
+				if sf.parts > 1 {
 					// Nothing to gain here, and a gallop's last probe can
 					// land past the posting the sequential scan stops at,
 					// so hold the excess small.
@@ -192,7 +145,7 @@ func TestSFCompletionSeeks(t *testing.T) {
 					t.Errorf("%v selection on long queries read %d postings, %d without seeking", alg, selReads[alg], selPaper[alg])
 				}
 			}
-			if sf.split {
+			if sf.parts > 1 {
 				// Top-k reads of concurrent shards depend on how their
 				// rising bounds interleave and are not compared.
 				return

@@ -46,29 +46,15 @@ func skewedDocs(topics, nPerTopic int, seed int64) []string {
 	return docs
 }
 
-func wordEngineFromDocs(docs []string, cfg Config) *Engine {
-	b := collection.NewBuilder(tokenize.WordTokenizer{}, true)
-	for _, d := range docs {
-		b.Add(d)
-	}
-	return NewEngine(b.Build(), cfg)
-}
-
-var pruneKs = []int{1, 2, 4, 8, 16}
-
-// TestPrunedShardedMatchesMonolithic is the soundness contract of shard
-// pruning: for every shard count in {1,2,4,8,16}, every algorithm, a τ
-// grid, top-k at several k, and batch execution, the routed+pruned
-// engine and the hash-routed build (Config.NoRoute, which visits every
-// shard) both answer bitwise-identically to the monolithic engine.
+// TestPrunedShardedMatchesMonolithic holds the two builds of a
+// clustered corpus apart at every shard count: the default one is
+// routed past one shard, carrying the summaries pruning reads, and the
+// hash-partitioned one (Config.NoRoute) is not. Both answer as the
+// monolithic engine does (TestQueryEquivalence, routed and hashed).
 func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 	docs := clusteredDocs(8, 90, 101)
-	mono := wordEngineFromDocs(docs, Config{})
 	tk := tokenize.WordTokenizer{}
-	algs := append([]Algorithm{Naive}, Algorithms()...)
-	taus := []float64{0.3, 0.5, 0.7, 0.85, 0.95, 1.0}
-	for _, K := range pruneKs {
-		K := K
+	for _, K := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
 			routed := BuildSharded(tk, docs, true, K, Config{})
 			defer routed.Close()
@@ -79,68 +65,6 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 			}
 			if hashed.Routed() {
 				t.Fatal("NoRoute build reports routed")
-			}
-			rng := rand.New(rand.NewSource(int64(200 + K)))
-			for trial := 0; trial < 10; trial++ {
-				src := docs[rng.Intn(len(docs))]
-				qm := mono.Prepare(src)
-				qs := routed.Prepare(src)
-				qh := hashed.Prepare(src)
-				tau := taus[trial%len(taus)]
-				for _, alg := range algs {
-					want, _, err := mono.Select(qm, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("mono %v: %v", alg, err)
-					}
-					got, _, err := routed.Select(qs, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("pruned %v: %v", alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("pruned %v τ=%g", alg, tau), got, want)
-					got, _, err = hashed.Select(qh, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("hashed %v: %v", alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("hashed %v τ=%g", alg, tau), got, want)
-				}
-				for _, k := range []int{1, 3, 10, 25} {
-					for _, alg := range []Algorithm{Naive, SF} {
-						want, _, err := mono.SelectTopK(qm, k, alg, nil)
-						if err != nil {
-							t.Fatalf("mono topk %v k=%d: %v", alg, k, err)
-						}
-						got, _, err := routed.SelectTopK(qs, k, alg, nil)
-						if err != nil {
-							t.Fatalf("pruned topk %v k=%d: %v", alg, k, err)
-						}
-						assertBitwise(t, fmt.Sprintf("pruned topk %v k=%d", alg, k), got, want)
-						got, _, err = hashed.SelectTopK(qh, k, alg, nil)
-						if err != nil {
-							t.Fatalf("hashed topk %v k=%d: %v", alg, k, err)
-						}
-						assertBitwise(t, fmt.Sprintf("hashed topk %v k=%d", alg, k), got, want)
-					}
-				}
-			}
-			// Batch over the pruned engine: the outer pool composes with
-			// per-query pruning.
-			var queries []Query
-			var wants [][]Result
-			for i := 0; i < 16; i++ {
-				src := docs[rng.Intn(len(docs))]
-				queries = append(queries, routed.Prepare(src))
-				want, _, err := mono.Select(mono.Prepare(src), 0.6, SF, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wants = append(wants, want)
-			}
-			batch := routed.SelectBatch(queries, 0.6, SF, nil, 3)
-			for i, br := range batch {
-				if br.Err != nil {
-					t.Fatalf("batch query %d: %v", i, br.Err)
-				}
-				assertBitwise(t, fmt.Sprintf("batch q=%d", i), br.Results, wants[i])
 			}
 		})
 	}
@@ -208,38 +132,23 @@ func TestPrunedTopKVisitsOneShard(t *testing.T) {
 // TestAdversarialSkewStillPrunes is the skew-paper scenario: one token
 // occurs in ~90% of documents. Its df lands it in every shard's exact
 // hot-token bitmaps, so the per-shard caps stay honest and queries that
-// carry the hot token still prune shards — while answers stay bitwise
-// correct against the monolithic oracle.
+// carry the hot token still prune shards. Their answers are the oracle's
+// (TestQueryEquivalence, whose clustered family is this corpus shape).
 func TestAdversarialSkewStillPrunes(t *testing.T) {
 	docs := skewedDocs(8, 80, 909)
-	tk := tokenize.WordTokenizer{}
-	mono := wordEngineFromDocs(docs, Config{})
-	se := BuildSharded(tk, docs, true, 8, Config{})
+	se := BuildSharded(tokenize.WordTokenizer{}, docs, true, 8, Config{})
 	defer se.Close()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		src := docs[rng.Intn(len(docs))]
-		qm, qs := mono.Prepare(src), se.Prepare(src)
+		q := se.Prepare(docs[rng.Intn(len(docs))])
 		for _, tau := range []float64{0.5, 0.7} {
-			want, _, err := mono.Select(qm, tau, SF, nil)
-			if err != nil {
+			if _, _, err := se.Select(q, tau, SF, nil); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := se.Select(qs, tau, SF, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitwise(t, fmt.Sprintf("skew τ=%g", tau), got, want)
 		}
-		want, _, err := mono.SelectTopK(qm, 8, SF, nil)
-		if err != nil {
+		if _, _, err := se.SelectTopK(q, 8, SF, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := se.SelectTopK(qs, 8, SF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitwise(t, "skew topk", got, want)
 	}
 	g := se.Metrics().Snapshot().Shard
 	if g.Skipped == 0 || g.PruneRatio() <= 0 {
@@ -250,60 +159,18 @@ func TestAdversarialSkewStillPrunes(t *testing.T) {
 
 // TestPrunedLiveMatchesMonolithicLive drives an identical mutation
 // stream through a monolithic, a routed sharded and a hash-partitioned
-// (Config.NoRoute: no summaries, every segment visited) LiveEngine and
-// demands bitwise-identical answers in the mixed (memtable + segments +
-// tombstones) and recompacted states — per-segment pruning and the
-// hash-routed memtable fallback composing with re-clustering.
+// (Config.NoRoute) LiveEngine: the bulk build leaves at most one segment
+// per shard, every insert and delete has the same outcome on all three,
+// and a full live compaction of the routed one reproduces the static
+// clustering — same docs, same order, same partition. Their answers are
+// the oracle's (TestQueryEquivalence).
 func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 	docs := clusteredDocs(6, 60, 404)
 	tk := tokenize.WordTokenizer{}
 	cfg := func(shards int, noRoute bool) LiveConfig {
 		return LiveConfig{Config: Config{NoRoute: noRoute}, NoBackground: true, FlushThreshold: 1 << 20, Shards: shards}
 	}
-	compare := func(t *testing.T, mono, sh, hashed *LiveEngine, state string) {
-		t.Helper()
-		rng := rand.New(rand.NewSource(55))
-		for trial := 0; trial < 6; trial++ {
-			src, ok := mono.Source(collection.SetID(rng.Intn(mono.NumDocs())))
-			if !ok {
-				continue
-			}
-			qm, qs, qh := mono.Prepare(src), sh.Prepare(src), hashed.Prepare(src)
-			for _, tau := range []float64{0.4, 0.7, 0.95} {
-				for _, alg := range []Algorithm{SF, INRA, Hybrid} {
-					want, _, err := mono.Select(qm, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("%s mono %v: %v", state, alg, err)
-					}
-					got, _, err := sh.Select(qs, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("%s pruned %v: %v", state, alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("%s %v τ=%g", state, alg, tau), got, want)
-					got, _, err = hashed.Select(qh, tau, alg, nil)
-					if err != nil {
-						t.Fatalf("%s hashed %v: %v", state, alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("%s hashed %v τ=%g", state, alg, tau), got, want)
-				}
-			}
-			for _, k := range []int{1, 4, 16} {
-				for _, alg := range []Algorithm{Naive, SF} {
-					want, _, err := mono.SelectTopK(qm, k, alg, nil)
-					if err != nil {
-						t.Fatalf("%s mono topk %v: %v", state, alg, err)
-					}
-					got, _, err := sh.SelectTopK(qs, k, alg, nil)
-					if err != nil {
-						t.Fatalf("%s pruned topk %v: %v", state, alg, err)
-					}
-					assertBitwise(t, fmt.Sprintf("%s topk %v k=%d", state, alg, k), got, want)
-				}
-			}
-		}
-	}
 	for _, K := range []int{4, 8} {
-		K := K
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
 			mono := BuildLive(docs, tk, cfg(1, false))
 			defer mono.Close()
@@ -311,7 +178,9 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 			defer sh.Close()
 			hashed := BuildLive(docs, tk, cfg(K, true))
 			defer hashed.Close()
-			compare(t, mono, sh, hashed, "built")
+			if got := sh.Stats().Segments; got == 0 || got > K {
+				t.Fatalf("sharded live has %d segments after build, want 1..%d", got, K)
+			}
 
 			rng := rand.New(rand.NewSource(77))
 			extra := clusteredDocs(6, 15, 505)
@@ -332,13 +201,9 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 			if sh.Stats().Memtable == 0 {
 				t.Fatal("mixed state not exercised: empty memtable")
 			}
-			compare(t, mono, sh, hashed, "mixed")
-
 			if !mono.Compact() || !sh.Compact() || !hashed.Compact() {
 				t.Fatal("compaction reported no work despite pending mutations")
 			}
-			compare(t, mono, sh, hashed, "compacted")
-
 			// A full live compaction must reproduce the static clustering:
 			// same docs, same order, same partition.
 			static := BuildSharded(tk, currentDocs(mono), true, K, Config{})

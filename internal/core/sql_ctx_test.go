@@ -33,7 +33,7 @@ func (c *errAfterCtx) Err() error {
 // with no matches and only a bounded prefix of the full row volume
 // scanned.
 func TestSQLCancelMidRowScan(t *testing.T) {
-	e := buildEngine(t, 4000, 71, 4, Config{})
+	e := engineFromDocs(randomDocs(4000, 71, 4), Config{})
 	q := longestQuery(e)
 
 	// Reference run: the workload must dwarf the polling granularity
@@ -72,7 +72,7 @@ func TestSQLCancelMidRowScan(t *testing.T) {
 // fresh-allocation reference bitwise. A scratch leaked or returned dirty
 // by the cancelled path would surface here as a mismatch.
 func TestSQLPoolEquivalenceAfterCancel(t *testing.T) {
-	e := buildEngine(t, 4000, 71, 4, Config{})
+	e := engineFromDocs(randomDocs(4000, 71, 4), Config{})
 	long := longestQuery(e)
 	// The longest query scans well over 2·cancelInterval rows (asserted
 	// in TestSQLCancelMidRowScan), so depths 0 and 1 both land mid-scan.
@@ -94,6 +94,6 @@ func TestSQLPoolEquivalenceAfterCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, "SQL after cancellations", got, want)
+		assertBitwise(t, "SQL after cancellations", got, want)
 	}
 }

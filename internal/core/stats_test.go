@@ -20,7 +20,7 @@ import (
 func TestPruningOrdering(t *testing.T) {
 	// Skip interval sized to this corpus's short lists, as the default
 	// interval is tuned for paper-scale lists.
-	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(3000, 5, 8), Config{SkipInterval: 8})
 	rng := rand.New(rand.NewSource(6))
 	var sumSortByID, sumNRA, sumINRA, sumSF, sumPaperSF, sumHybrid, sumPaperHybrid int
 	queries := 0
@@ -98,7 +98,7 @@ func TestPruningOrdering(t *testing.T) {
 // longest live one, which reads more at τ = 0.8 but never lets a
 // candidate die and be readmitted while the gate is open.
 func TestEventDrivenAccessPattern(t *testing.T) {
-	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(3000, 5, 8), Config{SkipInterval: 8})
 	type sums struct{ read, rounds, inserted int }
 	recorded := map[bool]map[float64]map[Algorithm]sums{
 		false: {
@@ -152,7 +152,7 @@ func TestEventDrivenAccessPattern(t *testing.T) {
 // dense lists by bit tests, which read and skip nothing; NoSkipIndex
 // completes every list by reading.
 func TestSFAccessPattern(t *testing.T) {
-	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(3000, 5, 8), Config{SkipInterval: 8})
 	type sums struct{ read, skipped, inserted, scans int }
 	recorded := map[bool]map[string]sums{
 		false: {
@@ -202,7 +202,7 @@ func TestSFAccessPattern(t *testing.T) {
 // TestLengthBoundingEffect mirrors Fig. 8: disabling Theorem 1 must
 // increase elements read for the improved algorithms.
 func TestLengthBoundingEffect(t *testing.T) {
-	e := buildEngine(t, 3000, 15, 8, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(3000, 15, 8), Config{SkipInterval: 8})
 	rng := rand.New(rand.NewSource(16))
 	var with, without int
 	for trial := 0; trial < 10; trial++ {
@@ -233,7 +233,7 @@ func TestLengthBoundingEffect(t *testing.T) {
 func TestSkipIndexEffect(t *testing.T) {
 	// A dense skip index relative to these short test lists, so the
 	// initial seek actually jumps.
-	e := buildEngine(t, 3000, 17, 8, Config{SkipInterval: 4})
+	e := engineFromDocs(randomDocs(3000, 17, 8), Config{SkipInterval: 4})
 	rng := rand.New(rand.NewSource(18))
 	var withReads, withoutReads, skips int
 	for trial := 0; trial < 10; trial++ {
@@ -271,7 +271,7 @@ func TestSkipIndexEffect(t *testing.T) {
 // gallop and the searches after it compare some postings several times —
 // but the bound is every algorithm's.
 func TestReadsAndSkipsWithinListTotal(t *testing.T) {
-	e := buildEngine(t, 3000, 5, 8, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(3000, 5, 8), Config{SkipInterval: 8})
 	rng := rand.New(rand.NewSource(6))
 	check := func(what string, st Stats, err error) {
 		t.Helper()
@@ -298,7 +298,7 @@ func TestReadsAndSkipsWithinListTotal(t *testing.T) {
 	}
 	// A live engine adds the memtable, whose lists hold memtable
 	// positions, and tombstones in both the segments and the memtable.
-	corpus := randomCorpus(2000, 7, 8)
+	corpus := randomDocs(2000, 7, 8)
 	for _, shards := range []int{1, 2} {
 		le := BuildLive(corpus[:1500], liveTestTK, LiveConfig{
 			Config: Config{SkipInterval: 8}, NoBackground: true, Shards: shards,
@@ -337,7 +337,7 @@ func TestReadsAndSkipsWithinListTotal(t *testing.T) {
 // TestTAProbes checks that the TA family performs random accesses and the
 // NRA family does not, and that iTA probes no more than TA.
 func TestTAProbes(t *testing.T) {
-	e := buildEngine(t, 1500, 19, 7, Config{})
+	e := engineFromDocs(randomDocs(1500, 19, 7), Config{})
 	q := e.PrepareCounts(e.c.Set(3))
 	_, stTA, err := e.Select(q, 0.8, TA, nil)
 	if err != nil {
@@ -367,7 +367,7 @@ func TestTAProbes(t *testing.T) {
 // TestHighThresholdPruning: at τ=0.9 the improved algorithms should prune
 // the vast majority of list elements (the paper reports ≈95%).
 func TestHighThresholdPruning(t *testing.T) {
-	e := buildEngine(t, 5000, 21, 9, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(5000, 21, 9), Config{SkipInterval: 8})
 	rng := rand.New(rand.NewSource(22))
 	for _, alg := range []Algorithm{INRA, SF, Hybrid} {
 		var read, total int

@@ -67,7 +67,7 @@ func TestStoredRoundMatchesAddAll(t *testing.T) {
 
 func testStoredRound(t *testing.T, label string, cfg LiveConfig, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	strs := randomCorpus(60+rng.Intn(200), 300+seed, 5)
+	strs := randomDocs(60+rng.Intn(200), 300+seed, 5)
 	le := NewLive(liveTestTK, cfg)
 	defer le.Close()
 	sink := &captureSink{}

@@ -52,7 +52,7 @@ func TestMassiveLengthTies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
-				assertSameResults(t, alg, tau, got, want)
+				assertBitwise(t, fmt.Sprintf("%v τ=%g", alg, tau), got, want)
 			}
 		}
 	}
@@ -80,7 +80,7 @@ func TestWideQueries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
-				assertSameResults(t, alg, tau, got, want)
+				assertBitwise(t, fmt.Sprintf("%v τ=%g", alg, tau), got, want)
 				if alg != INRA && alg != Hybrid {
 					continue
 				}
@@ -171,49 +171,9 @@ func TestWideQueries(t *testing.T) {
 	}
 }
 
-// TestFileStoreBackedEngine runs the full algorithm lineup against the
-// disk-resident list format and checks it against the in-memory oracle.
-func TestFileStoreBackedEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 3}, false)
-	for i := 0; i < 500; i++ {
-		ln := 4 + rng.Intn(10)
-		var sb strings.Builder
-		for j := 0; j < ln; j++ {
-			sb.WriteByte(byte('a' + rng.Intn(7)))
-		}
-		b.Add(sb.String())
-	}
-	c := b.Build()
-	path := filepath.Join(t.TempDir(), "lists.bin")
-	if err := invlist.WriteFile(path, c, 8); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := invlist.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-
-	diskEngine := NewEngine(c, Config{Store: fs})
-	memEngine := NewEngine(c, Config{SkipInterval: 8})
-	for trial := 0; trial < 12; trial++ {
-		qid := collection.SetID(rng.Intn(c.NumSets()))
-		q := diskEngine.PrepareCounts(c.Set(qid))
-		tau := 0.4 + 0.15*float64(trial%4)
-		want, _, err := memEngine.Select(q, tau, Naive, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range Algorithms() {
-			got, _, err := diskEngine.Select(q, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("%v on FileStore: %v", alg, err)
-			}
-			assertSameResults(t, alg, tau, got, want)
-		}
-	}
-}
+// TestFileStoreBackedEngine runs the full algorithm lineup on the
+// disk-resident list format, which must answer as the in-memory engine.
+func TestFileStoreBackedEngine(t *testing.T) { slice(t, "uniform", 17, opSelect, nil, listed) }
 
 // TestListFileDetectsEveryFlip flips one bit at a time across a whole
 // list file — every byte of the package header and footer, every 61st
@@ -225,7 +185,7 @@ func TestFileStoreBackedEngine(t *testing.T) {
 // is read by open or by these selections: a record nothing reads would
 // let its flips go undetected.
 func TestListFileDetectsEveryFlip(t *testing.T) {
-	e := buildEngine(t, 300, 75, 7, Config{SkipInterval: 8})
+	e := engineFromDocs(randomDocs(300, 75, 7), Config{SkipInterval: 8})
 	c := e.Collection()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lists.bin")
@@ -269,58 +229,12 @@ func TestListFileDetectsEveryFlip(t *testing.T) {
 			case err != nil:
 				t.Fatalf("flip at byte %d: %v error %v does not wrap ErrCorrupt", at, alg, err)
 			default:
-				assertSameResults(t, alg, tau, got, want)
+				assertBitwise(t, fmt.Sprintf("%v τ=%g", alg, tau), got, want)
 			}
 		}
 		fs.Close()
 		if !detected {
 			t.Fatalf("flip at byte %d of %d went undetected", at, len(valid))
-		}
-	}
-}
-
-// TestSingleTokenQueries: a one-list query is a degenerate case for all
-// the multi-list machinery (F equals that list's frontier, λ₁ is the
-// only cutoff).
-func TestSingleTokenQueries(t *testing.T) {
-	e := buildEngine(t, 400, 74, 6, Config{})
-	// Find a token and query exactly one gram of it.
-	src := e.c.Set(0)[:1]
-	q := e.PrepareCounts(src)
-	if len(q.Tokens) != 1 {
-		t.Fatal("expected a single-token query")
-	}
-	for _, tau := range []float64{0.2, 0.6, 1.0} {
-		want, _, err := e.Select(q, tau, Naive, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range Algorithms() {
-			got, _, err := e.Select(q, tau, alg, nil)
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			assertSameResults(t, alg, tau, got, want)
-		}
-	}
-}
-
-// TestAllSetsIdentical: pathological corpus where every set is the same
-// string — all lengths equal, every list contains every set.
-func TestAllSetsIdentical(t *testing.T) {
-	b := collection.NewBuilder(tokenize.QGramTokenizer{Q: 3}, false)
-	for i := 0; i < 50; i++ {
-		b.Add("identical")
-	}
-	e := NewEngine(b.Build(), Config{})
-	q := e.PrepareCounts(e.c.Set(0))
-	for _, alg := range Algorithms() {
-		got, _, err := e.Select(q, 1.0, alg, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if len(got) != 50 {
-			t.Errorf("%v: %d results, want 50", alg, len(got))
 		}
 	}
 }

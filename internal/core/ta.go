@@ -310,7 +310,7 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 				// Magnitude Boundedness: the best case assumes p
 				// appears in every list; if even that misses τ, skip
 				// the random accesses entirely.
-				if !sim.Meets(allIdfSq/(q.Len*p.Len), tau) {
+				if !meetsPre(allIdfSq/(q.Len*p.Len), tau) {
 					continue
 				}
 			}
@@ -338,7 +338,7 @@ func (e *Engine) selectTA(s *queryScratch, cc *canceller, q Query, tau float64, 
 		}
 		// Unseen-element bound: an id surfacing after every frontier has
 		// score at most F.
-		if !sim.Meets(frontierBound(lists, q.Len, hi), tau) {
+		if !meetsPre(frontierBound(lists, q.Len, hi), tau) {
 			s.results = out
 			return out, listsErr(lists)
 		}

@@ -1,62 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/collection"
 )
 
-// assertTopK holds got to the oracle's top-k, Naive's: the (score desc,
-// id asc) prefix of the full scan, bitwise.
-func assertTopK(t *testing.T, e *Engine, q Query, k int, alg Algorithm, got []Result) {
-	t.Helper()
-	want, err := e.topkNaive(&queryScratch{}, nil, q, k, &liveView{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitwise(t, fmt.Sprintf("%v k=%d", alg, k), got, want)
-}
-
-func TestTopKMatchesOracle(t *testing.T) {
-	e := buildEngine(t, 700, 31, 7, Config{})
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 15; trial++ {
-		qid := collection.SetID(rng.Intn(e.c.NumSets()))
-		q := e.PrepareCounts(e.c.Set(qid))
-		for _, k := range []int{1, 3, 10, 50} {
-			got, _, err := e.SelectTopK(q, k, SF, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTopK(t, e, q, k, SF, got)
-		}
-	}
-}
-
-func TestTopKModifiedQueries(t *testing.T) {
-	e := buildEngine(t, 500, 33, 6, Config{})
-	rng := rand.New(rand.NewSource(34))
-	for trial := 0; trial < 10; trial++ {
-		src := e.c.Source(collection.SetID(rng.Intn(e.c.NumSets())))
-		q := e.Prepare(mutate(rng, src, 2))
-		if len(q.Tokens) == 0 {
-			continue
-		}
-		got, _, err := e.SelectTopK(q, 5, SF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTopK(t, e, q, 5, SF, got)
-	}
-}
-
 func TestTopKEdgeCases(t *testing.T) {
-	e := buildEngine(t, 200, 35, 6, Config{})
+	e := engineFromDocs(randomDocs(200, 35, 6), Config{})
 	q := e.PrepareCounts(e.c.Set(0))
 	// k = 0 returns nothing.
 	if got, _, err := e.SelectTopK(q, 0, SF, nil); err != nil || len(got) != 0 {
@@ -67,7 +19,11 @@ func TestTopKEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTopK(t, e, q, 1<<20, SF, got)
+	all, _, err := e.Select(q, minPositiveTau, Naive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "k=1<<20", got, byScore(all))
 	// Empty query errors.
 	if _, _, err := e.SelectTopK(Query{}, 5, SF, nil); err != ErrEmptyQuery {
 		t.Errorf("empty query err = %v", err)
@@ -89,7 +45,7 @@ func TestTopKEdgeCases(t *testing.T) {
 }
 
 func TestTopKPrunesAgainstFullScan(t *testing.T) {
-	e := buildEngine(t, 4000, 37, 8, Config{})
+	e := engineFromDocs(randomDocs(4000, 37, 8), Config{})
 	q := e.PrepareCounts(e.c.Set(10))
 	_, st, err := e.SelectTopK(q, 5, SF, nil)
 	if err != nil {

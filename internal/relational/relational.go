@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/collection"
-	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
 
@@ -178,37 +177,27 @@ func (c *concat) next() (Row, bool) {
 	return Row{}, false
 }
 
-// Select runs the baseline plan: for every query gram, a clustered-index
-// range scan bounded by Theorem 1 when lengthBound is true (the SARGable
-// predicate "len BETWEEN τ·len(q) AND len(q)/τ"), then a hash group-by on
-// id summing idfSq(gram)·partial/(idf²(gram)) — equivalently the Eq. 1
-// contribution — and a final filter score ≥ τ.
+// SelectStop runs the baseline plan: for every query gram, a
+// clustered-index range scan over the lengths in [lo, hi] (the SARGable
+// predicate "len BETWEEN lo AND hi"; Theorem 1's window τ·len(q) to
+// len(q)/τ under Length Bounding, every length without it), then a hash
+// group-by on id summing idfSq(gram)·partial/(idf²(gram)) — equivalently
+// the Eq. 1 contribution — and a final filter: a group is returned when
+// keep accepts its summed score.
 //
 // The per-scan multiplier folds the query-side idf² and len(q): a stored
 // partial is idf²/len(s), so contribution = partial/len(q). Grams unknown
 // to the corpus scan nothing (their range is empty) exactly as the SQL
 // join would produce no tuples for them.
-func (e *Engine) Select(tokens []QueryToken, lenQ, tau float64, lengthBound bool) ([]Match, ScanStats) {
-	m, stats, _ := e.SelectStop(tokens, lenQ, tau, lengthBound, nil)
-	return m, stats
-}
-
-// SelectStop is Select with a cooperative stop hook: when non-nil, stop
-// is polled once per row produced by the range scans, and a true return
-// abandons the plan. The caller gets stopped=true, the stats of the rows
-// scanned so far, and no matches — a stopped query has no answer, only
-// an accounting of the work it burned.
-func (e *Engine) SelectStop(tokens []QueryToken, lenQ, tau float64, lengthBound bool, stop func() bool) ([]Match, ScanStats, bool) {
+//
+// When non-nil, stop is polled once per row produced by the range scans,
+// and a true return abandons the plan. The caller gets stopped=true, the
+// stats of the rows scanned so far, and no matches — a stopped query has
+// no answer, only an accounting of the work it burned.
+func (e *Engine) SelectStop(tokens []QueryToken, lenQ, lo, hi float64, keep func(score float64) bool, stop func() bool) ([]Match, ScanStats, bool) {
 	var stats ScanStats
 	if lenQ <= 0 || len(tokens) == 0 {
 		return nil, stats, false
-	}
-	lo, hi := 0.0, 1.7976931348623157e308
-	if lengthBound {
-		lo, hi = tau*lenQ, lenQ/tau
-		// Guard the lower bound against floating rounding at τ = 1.
-		lo -= lo * 1e-12
-		hi += hi * 1e-12
 	}
 
 	scans := make([]rowIter, 0, len(tokens))
@@ -239,7 +228,7 @@ func (e *Engine) SelectStop(tokens []QueryToken, lenQ, tau float64, lengthBound 
 
 	out := make([]Match, 0, 8)
 	for id, score := range acc {
-		if sim.Meets(score, tau) {
+		if keep(score) {
 			out = append(out, Match{ID: id, Score: score})
 		}
 	}

@@ -51,6 +51,19 @@ func naive(c *collection.Collection, q []tokenize.Count, tau float64) map[collec
 	return out
 }
 
+// selectAt runs the plan at threshold tau: over Theorem 1's window
+// τ·len(q) to len(q)/τ, widened by 1e-12 against rounding at τ = 1, when
+// lengthBound holds and over every length otherwise, keeping the groups
+// whose score meets τ.
+func selectAt(e *Engine, toks []QueryToken, lenQ, tau float64, lengthBound bool) ([]Match, ScanStats) {
+	lo, hi := 0.0, math.MaxFloat64
+	if lengthBound {
+		lo, hi = tau*lenQ*(1-1e-12), lenQ/tau*(1+1e-12)
+	}
+	m, stats, _ := e.SelectStop(toks, lenQ, lo, hi, func(score float64) bool { return sim.Meets(score, tau) }, nil)
+	return m, stats
+}
+
 func TestSelectMatchesOracle(t *testing.T) {
 	c := buildCorpus(t, 500, 1)
 	e := Build(c)
@@ -60,7 +73,7 @@ func TestSelectMatchesOracle(t *testing.T) {
 		toks, lenQ := queryFor(c, qid)
 		for _, tau := range []float64{0.5, 0.7, 0.9, 1.0} {
 			for _, lb := range []bool{true, false} {
-				got, _ := e.Select(toks, lenQ, tau, lb)
+				got, _ := selectAt(e, toks, lenQ, tau, lb)
 				want := naive(c, c.Set(qid), tau)
 				if len(got) != len(want) {
 					t.Fatalf("q=%d τ=%g lb=%v: got %d matches, want %d",
@@ -85,7 +98,7 @@ func TestSelectSelfMatch(t *testing.T) {
 	c := buildCorpus(t, 200, 3)
 	e := Build(c)
 	toks, lenQ := queryFor(c, 7)
-	got, _ := e.Select(toks, lenQ, 1.0, true)
+	got, _ := selectAt(e, toks, lenQ, 1.0, true)
 	found := false
 	for _, m := range got {
 		if m.ID == 7 {
@@ -104,8 +117,8 @@ func TestLengthBoundingPrunes(t *testing.T) {
 	c := buildCorpus(t, 2000, 4)
 	e := Build(c)
 	toks, lenQ := queryFor(c, 11)
-	_, withLB := e.Select(toks, lenQ, 0.8, true)
-	_, withoutLB := e.Select(toks, lenQ, 0.8, false)
+	_, withLB := selectAt(e, toks, lenQ, 0.8, true)
+	_, withoutLB := selectAt(e, toks, lenQ, 0.8, false)
 	if withoutLB.RowsScanned != withoutLB.RowsTotal {
 		t.Errorf("NLB scan should read every gram row: %d != %d",
 			withoutLB.RowsScanned, withoutLB.RowsTotal)
@@ -120,7 +133,7 @@ func TestUnknownGramScansNothing(t *testing.T) {
 	c := buildCorpus(t, 100, 5)
 	e := Build(c)
 	toks := []QueryToken{{Gram: tokenize.Token(c.NumTokens() + 99), IDFSq: 4}}
-	got, stats := e.Select(toks, 2.0, 0.5, true)
+	got, stats := selectAt(e, toks, 2.0, 0.5, true)
 	if len(got) != 0 || stats.RowsScanned != 0 {
 		t.Errorf("unknown gram produced matches=%d scanned=%d", len(got), stats.RowsScanned)
 	}
@@ -129,7 +142,7 @@ func TestUnknownGramScansNothing(t *testing.T) {
 func TestEmptyQuery(t *testing.T) {
 	c := buildCorpus(t, 50, 6)
 	e := Build(c)
-	if got, _ := e.Select(nil, 0, 0.5, true); got != nil {
+	if got, _ := selectAt(e, nil, 0, 0.5, true); got != nil {
 		t.Errorf("empty query returned %v", got)
 	}
 }
@@ -163,6 +176,6 @@ func BenchmarkSelect(b *testing.B) {
 	toks, lenQ := queryFor(c, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Select(toks, lenQ, 0.8, true)
+		selectAt(e, toks, lenQ, 0.8, true)
 	}
 }

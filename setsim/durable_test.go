@@ -653,6 +653,58 @@ func TestLoaderShortFiles(t *testing.T) {
 	}
 }
 
+// hostileManifests are two framed v5 manifests whose counts promise far
+// more than their bytes hold: an id space of 2²² with no package and no
+// dead document (90 bytes), and 2³² − 1 shard summaries.
+func hostileManifests() map[string][]byte {
+	payload := func(shards, nextID uint32) []byte {
+		b := binary.AppendUvarint(nil, uint64(len("word")))
+		b = append(b, "word"...)
+		b = binary.LittleEndian.AppendUint32(b, shards)
+		b = binary.LittleEndian.AppendUint64(b, 1) // generation
+		b = binary.LittleEndian.AppendUint64(b, 0) // WAL start
+		b = binary.LittleEndian.AppendUint32(b, nextID)
+		b = binary.LittleEndian.AppendUint32(b, 0) // live count
+		b = binary.LittleEndian.AppendUint32(b, 0) // dead count
+		b = append(b, make([]byte, 32)...)         // one shard summary
+		b = binary.LittleEndian.AppendUint32(b, 0) // no packages
+		return binary.LittleEndian.AppendUint32(b, 0)
+	}
+	framed := func(payload []byte) []byte {
+		head := append([]byte("SSSNAP\n\x00"), 5)
+		return append(binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(payload)), payload...)
+	}
+	return map[string][]byte{
+		"ids-2^22":      framed(payload(1, 1<<22)),
+		"shards-2^32-1": framed(payload(1<<32-1, 0)),
+	}
+}
+
+// TestHostileManifestCounts: a manifest's counts are bounded by what the
+// store holds before anything is sized by them. Both hostile manifests
+// are refused with ErrBadCollection by every loader, each having
+// allocated under 1 MB.
+func TestHostileManifestCounts(t *testing.T) {
+	for name, data := range hostileManifests() {
+		path := filepath.Join(t.TempDir(), "store.sssnap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, ld := range snapshotLoaders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := ld.open(path)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, collection.ErrBadCollection) {
+				t.Errorf("%s %s: %v, want ErrBadCollection", name, ld.name, err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("%s %s: allocated %d bytes before refusing", name, ld.name, d)
+			}
+		}
+	}
+}
+
 // TestDurableSyncPolicies smoke-tests every WAL sync policy, under
 // every name it parses from, through the public surface: mutations are
 // durable (or at least replayable after a clean close) under each.

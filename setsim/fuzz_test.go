@@ -1,24 +1,39 @@
 package setsim_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/setsim"
 )
 
-// FuzzPersistRoundTrip builds a small corpus from arbitrary strings,
+// FuzzPersistRoundTrip opens an arbitrary manifest file with every
+// loader, then builds a small corpus from arbitrary strings,
 // saves it, loads it back, and demands the rebuilt engine is observably
 // identical: same corpus shape, same retained sources, and bitwise-equal
 // answers to a selection query. Save/Load must also never panic on any
 // input, including empty and non-UTF-8 strings.
 func FuzzPersistRoundTrip(f *testing.F) {
-	f.Add("main street", "mian street", "main st", "main stret")
-	f.Add("", "a", "b", "ab")
-	f.Add("αβγδ", "αβγε", "xyz", "αβγ")
-	f.Add("\x00\xff", "\xfe\xfd", "ok", "\x00")
-	f.Add("repeat repeat repeat", "repeat", "unique tokens here", "repeat tokens")
-	f.Fuzz(func(t *testing.T, a, b, c, query string) {
+	f.Add("main street", "mian street", "main st", "main stret", []byte(nil))
+	f.Add("", "a", "b", "ab", []byte(nil))
+	f.Add("αβγδ", "αβγε", "xyz", "αβγ", []byte(nil))
+	f.Add("\x00\xff", "\xfe\xfd", "ok", "\x00", []byte(nil))
+	f.Add("repeat repeat repeat", "repeat", "unique tokens here", "repeat tokens", []byte(nil))
+	for _, m := range hostileManifests() {
+		f.Add("a", "b", "c", "a", m)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, query string, manifest []byte) {
+		// Every loader refuses or opens an arbitrary manifest file, never
+		// panics.
+		mpath := filepath.Join(t.TempDir(), "fuzzed.sssnap")
+		if err := os.WriteFile(mpath, manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, ld := range snapshotLoaders {
+			ld.open(mpath)
+		}
+
 		corpus := []string{a, b, c}
 		orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 2, Pad: true}, setsim.Config{})
 

@@ -172,9 +172,8 @@ func writeFramedSnapshot(w io.Writer, payload []byte) error {
 // collection.ErrBadCollection — a truncated file never surfaces a raw
 // io.EOF.
 func readFramedSnapshot(r io.Reader) ([]byte, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	head := make([]byte, len(snapMagic)+1+4)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", collection.ErrBadCollection, err)
 	}
 	if string(head[:len(snapMagic)]) != snapMagic {
@@ -184,7 +183,7 @@ func readFramedSnapshot(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownVersion, version)
 	}
 	wantCRC := binary.LittleEndian.Uint32(head[len(snapMagic)+1:])
-	payload, err := io.ReadAll(br)
+	payload, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", collection.ErrBadCollection, err)
 	}

@@ -241,6 +241,12 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 		src := p.str("dead source")
 		m.dead = append(m.dead, core.DocRef{ID: collection.SetID(id), Source: src})
 	}
+	// Each shard summary takes 32 bytes, so the payload left bounds the
+	// shard count before anything is sized by it.
+	if p.err == nil && m.shards > (len(p.b)-p.pos)/32 {
+		return nil, fmt.Errorf("%w: %d shard summaries in %d bytes",
+			collection.ErrBadCollection, m.shards, len(p.b)-p.pos)
+	}
 	m.sums = make([]ShardSummaryInfo, 0, max(m.shards, 0))
 	for i := 0; i < m.shards && p.err == nil; i++ {
 		var s ShardSummaryInfo
@@ -268,6 +274,14 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 			packed[ref.Shard] = true
 		}
 		m.refs = append(m.refs, ref)
+	}
+	ids := nDead
+	for _, ref := range m.refs {
+		ids += ref.Docs
+	}
+	if p.err == nil && ids != m.nextID {
+		return nil, fmt.Errorf("%w: packages and dead list cover %d ids, manifest says %d",
+			collection.ErrBadCollection, ids, m.nextID)
 	}
 	// The dictionary section is absent from stores written before
 	// packages held vectors.
@@ -543,6 +557,27 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", collection.ErrBadCollection, err)
 	}
+	// The packages are read before anything is sized by the manifest's
+	// id-space size, which readManifest holds to their document counts
+	// plus the dead list's: what they hold bounds it, and with no id out
+	// of range or covered twice below, none is missing.
+	dir := filepath.Dir(path)
+	packDocs := make([][]core.DocRef, len(m.refs))
+	var packs []packVecs // parallel to m.refs when the manifest holds the round
+	for i, ref := range m.refs {
+		docs, pv, err := readPack(filepath.Join(dir, ref.Name), m.dict)
+		if err != nil {
+			return nil, err
+		}
+		if m.dict != nil {
+			packs = append(packs, pv)
+		}
+		if len(docs) != ref.Docs {
+			return nil, fmt.Errorf("%w: %s holds %d docs, manifest says %d",
+				collection.ErrBadCollection, ref.Name, len(docs), ref.Docs)
+		}
+		packDocs[i] = docs
+	}
 	s := &snapshot{
 		info: SnapshotInfo{
 			Version:     snapV5,
@@ -561,22 +596,9 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 	}
 	covered := make([]bool, m.nextID)
 	live := 0
-	dir := filepath.Dir(path)
-	var packs []packVecs // parallel to m.refs when the manifest holds the round
-	for _, ref := range m.refs {
-		docs, pv, err := readPack(filepath.Join(dir, ref.Name), m.dict)
-		if err != nil {
-			return nil, err
-		}
-		if m.dict != nil {
-			packs = append(packs, pv)
-		}
-		if len(docs) != ref.Docs {
-			return nil, fmt.Errorf("%w: %s holds %d docs, manifest says %d",
-				collection.ErrBadCollection, ref.Name, len(docs), ref.Docs)
-		}
+	for i, ref := range m.refs {
 		s.info.RouteCounts[ref.Shard] += ref.Docs
-		for _, d := range docs {
+		for _, d := range packDocs[i] {
 			if int(d.ID) >= m.nextID || covered[d.ID] {
 				return nil, fmt.Errorf("%w: %s: document id %d out of range or duplicated",
 					collection.ErrBadCollection, ref.Name, d.ID)
@@ -594,12 +616,6 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 		}
 		covered[d.ID] = true
 		s.log[d.ID] = core.DocState{Source: d.Source, Deleted: true}
-	}
-	for id, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("%w: document id %d missing from packages and dead list",
-				collection.ErrBadCollection, id)
-		}
 	}
 	if live != m.liveN {
 		return nil, fmt.Errorf("%w: packages hold %d live docs, manifest says %d",
