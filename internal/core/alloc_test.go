@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,9 +26,14 @@ var warmOptions = []struct {
 
 // warmAllocs runs query over queries once to grow every scratch buffer
 // to its high-water mark, then returns its average allocations per call
-// over four more passes.
+// over four more passes. GOMAXPROCS is 1 across both, as
+// testing.AllocsPerRun sets it for the passes it measures: a scratch
+// warmed in another P's private pool slot is never stolen, so a
+// measurement could start from a fresh scratch that AllocsPerRun's one
+// warm-up call sizes for the first query only.
 func warmAllocs(t *testing.T, queries []Query, query func(Query) error) float64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, q := range queries {
 		if err := query(q); err != nil {
 			t.Fatal(err)
@@ -201,8 +207,8 @@ func TestWarmTopKAllocations(t *testing.T) {
 // TestWarmShardedAllocations extends the warm budget to the fan-out: a
 // warm sharded selection may allocate at most one result copy per shard
 // (each shard's copy out of its scratch) plus a bounded constant — the
-// dispatch closure and the merged result slice. The executor descriptor,
-// the per-call fan buffers, and every shard's scratch are pooled.
+// merged result slice among it. The per-call fan buffers, which are the
+// executor's dispatch too, and every shard's scratch are pooled.
 func TestWarmShardedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -217,18 +223,9 @@ func TestWarmShardedAllocations(t *testing.T) {
 		}
 		budget := float64(K) + 3
 		for _, alg := range []Algorithm{SF, Hybrid} {
-			for _, q := range queries {
-				if _, _, err := se.Select(q, 0.6, alg, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i := 0
-			avg := testing.AllocsPerRun(4*len(queries), func() {
-				q := queries[i%len(queries)]
-				i++
-				if _, _, err := se.Select(q, 0.6, alg, nil); err != nil {
-					t.Fatal(err)
-				}
+			avg := warmAllocs(t, queries, func(q Query) error {
+				_, _, err := se.Select(q, 0.6, alg, nil)
+				return err
 			})
 			if avg > budget {
 				t.Errorf("K=%d %v: %.2f allocs per warm sharded query, budget %.0f",

@@ -333,6 +333,53 @@ func BenchmarkSelectTopKLive(b *testing.B) {
 	b.Run("tombstones=500", run)
 }
 
+// BenchmarkSelectWarmLiveSharded measures SF selection and SF top-10 on
+// an 8-shard live store in the mixed state — every shard holding its
+// built segment, a memtable and tombstones — the multi-shard live
+// fan-out that no bench workload runs.
+func BenchmarkSelectWarmLiveSharded(b *testing.B) {
+	docs := clusteredDocs(8, 2500, 13)
+	le := BuildLive(docs[:16000], tokenize.WordTokenizer{}, LiveConfig{NoBackground: true, Shards: 8, FlushThreshold: 1 << 20})
+	defer le.Close()
+	for i, s := range docs[16000:] {
+		if _, err := le.Insert(s); err != nil {
+			b.Fatal(err)
+		}
+		if i%4 == 0 {
+			le.Delete(collection.SetID(i * 7))
+		}
+	}
+	for si, sh := range le.snap.Load().shards {
+		dead := int64(0)
+		for _, g := range sh.segs {
+			dead += g.dead.Load()
+		}
+		if len(sh.mem) == 0 || dead == 0 {
+			b.Fatalf("shard %d: %d memtable documents, %d tombstones", si, len(sh.mem), dead)
+		}
+	}
+	lqs := make([]LiveQuery, 16)
+	for i := range lqs {
+		lqs[i] = le.Prepare(docs[i*1117])
+	}
+	b.Run("select", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := le.Select(lqs[i%len(lqs)], 0.8, SF, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("topk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := le.SelectTopK(lqs[i%len(lqs)], 10, SF, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkSelectBatchParallel measures batch throughput with per-worker
 // scratch (one op = a 64-query batch).
 func BenchmarkSelectBatchParallel(b *testing.B) {

@@ -112,7 +112,11 @@ func (le *LiveEngine) compact(full, fanOut bool) bool {
 	}
 	r := newSegmentRound(le.tk, workers)
 	r.addAll(all)
-	assign, segs := le.runRound(r, works, needRoute, mutAt, start)
+	var reassign []int32
+	if needRoute {
+		reassign = r.partition(le.roundIDF(r.dict), le.nShards)
+	}
+	assign, segs := le.runRound(r, works, reassign, mutAt, start)
 
 	// Persist the round as a checkpoint: the round's documents under
 	// their final assignment are exactly the live documents per shard,
@@ -160,23 +164,22 @@ func (le *LiveEngine) compact(full, fanOut bool) bool {
 // every accumulation order, identical across the partitions — and one
 // statistics snapshot.
 //
-// With needRoute the round re-clusters: the clusterer sees the same
-// documents in the same order with the same token ids and idf a static
-// build derives, so the partition matches the static one
-// deterministically; otherwise every document stays in the shard it was
-// gathered from. The index builds run with no engine lock held.
-func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, needRoute bool, mutAt uint64, start time.Time) ([]int32, []*liveSegment) {
-	var assign, reassign []int32 // reassign: assign when it moves documents, else nil
-	if needRoute {
-		assign = r.partition(le.roundIDF(r.dict), le.nShards)
-		reassign = assign
-	} else {
+// A re-clustering round passes reassign, the shard of each round
+// document: the clusterer sees the same documents in the same order with
+// the same token ids and idf a static build derives, so the partition
+// matches the static one deterministically. With reassign nil every
+// document stays in the shard it was gathered from. The index builds run
+// with no engine lock held. The segments keep no sources: the document
+// log holds them.
+func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, reassign []int32, mutAt uint64, start time.Time) ([]int32, []*liveSegment) {
+	assign := reassign
+	if assign == nil {
 		assign = make([]int32, len(r.docs))
 		for i, ref := range r.docs {
 			assign[i] = ref.shard
 		}
 	}
-	builders, ids := r.builders(assign, le.nShards, true)
+	builders, ids := r.builders(assign, le.nShards, false)
 	colls, builtN, builtMut, toStore := le.bakeStats(r, builders)
 	// A round over every live document renumbers the store by its own
 	// dictionary at the swap, and its segments read store ids as their
@@ -251,19 +254,20 @@ func (le *LiveEngine) gather(full, ckpt bool) (works []shardWork, all []docRef, 
 	}
 	needRoute = le.needRouteLocked(full)
 	mutAt = le.mutations
+	del := le.del.Load()
 	if ckpt {
 		cap = &ckptCapture{walSeq: le.wal.Seq(), nextID: len(le.log), liveN: le.liveN}
-		for id, d := range le.log {
-			if d.deleted {
-				cap.dead = append(cap.dead, DocRef{ID: collection.SetID(id), Source: d.source})
+		for id, s := range le.log {
+			if del.has(collection.SetID(id)) {
+				cap.dead = append(cap.dead, DocRef{ID: collection.SetID(id), Source: s})
 			}
 		}
 	}
 	works = make([]shardWork, len(snap.shards))
 	any := false
 	survivor := func(id collection.SetID, si int) {
-		if !le.log[id].deleted {
-			all = append(all, docRef{id: id, source: le.log[id].source, shard: int32(si)})
+		if !del.has(id) {
+			all = append(all, docRef{id: id, source: le.log[id], shard: int32(si)})
 		}
 	}
 	for si := range snap.shards {
@@ -468,12 +472,13 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 	// segments (the emit-time tombstone check hides them); recount dead
 	// and tombs from the log so that fold decisions, the store gauges
 	// and the queries' dead == 0 fast paths stay accurate.
+	del := le.del.Load()
 	var tombs int64
 	for si := range shards {
 		for _, g := range shards[si].segs {
 			var dead int64
 			for _, gid := range g.ids {
-				if le.log[gid].deleted {
+				if del.has(gid) {
 					dead++
 				}
 			}
@@ -481,7 +486,7 @@ func (le *LiveEngine) swapSegments(works []shardWork, newSegs []*liveSegment, al
 			tombs += dead
 		}
 		for _, d := range shards[si].mem {
-			if le.log[d.id].deleted {
+			if del.has(d.id) {
 				tombs++
 			}
 		}

@@ -45,8 +45,9 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 
 	var index int64
 	for i := 0; i < se.NumShards(); i++ {
-		index += se.Shard(i).Sizes().Total()
-		se.shards[i].store, se.shards[i].dense = nil, denseLists{}
+		sh := se.Shard(i)
+		index += sh.Sizes().Total()
+		sh.store, sh.dense = nil, denseLists{}
 	}
 	rest := retainedHeap()
 	runtime.KeepAlive(se)

@@ -75,13 +75,6 @@ var (
 	ErrClosed   = errors.New("core: live engine is closed")
 )
 
-// liveDoc is one entry of the document log. Its index is the document's
-// permanent global id; ids are never reused.
-type liveDoc struct {
-	source  string
-	deleted bool
-}
-
 // memDoc is one memtable document: its distinct tokens as ascending
 // store ids plus the normalized length computed under the statistics at
 // insert time.
@@ -240,6 +233,13 @@ type tombstones struct {
 	bits []atomic.Uint64
 }
 
+// set sets the bit of id, which must be inside the bitmap. Writers are
+// serialized; readers see the word change atomically.
+func (t *tombstones) set(id collection.SetID) {
+	w := &t.bits[id>>6]
+	w.Store(w.Load() | 1<<(uint(id)&63))
+}
+
 func (t *tombstones) has(id collection.SetID) bool {
 	if t == nil {
 		return false
@@ -266,8 +266,11 @@ type LiveEngine struct {
 	// snapshot publication. Queries take no lock; Prepare takes it
 	// briefly in read mode to get a consistent (stats, snapshot,
 	// memtable lists) triple.
-	mu        sync.RWMutex
-	log       []liveDoc
+	mu sync.RWMutex
+	// log holds the source of every document ever inserted; its index is
+	// the document's permanent global id, and ids are never reused. The
+	// tombstone bitmap del is the one record of which are deleted.
+	log       []string
 	dict      storeDict
 	df        []int32 // live document frequency by store token id
 	liveN     int     // live documents (inserted minus deleted)
@@ -289,7 +292,8 @@ type LiveEngine struct {
 	// so repeated Compact calls stay no-ops. Guarded by mu.
 	lastRouteMut uint64
 
-	snap  atomic.Pointer[liveSnapshot]
+	snap atomic.Pointer[liveSnapshot]
+	// del is set under mu and read lock-free by queries.
 	del   atomic.Pointer[tombstones]
 	epoch atomic.Uint64
 	tombs atomic.Int64 // tombstoned docs still present in some segment or the memtable
@@ -315,9 +319,15 @@ type LiveEngine struct {
 	lastCompactNs   atomic.Int64
 	lastCompactDocs atomic.Int64
 
-	// Per-segment pruning counters, mirrored into metrics.ShardGauges.
+	// Fan-out and pruning counters, mirrored into metrics.ShardGauges;
+	// buffers pools each query's *fanBuffers.
+	fanouts       atomic.Uint64
+	merged        atomic.Uint64
+	boundRaises   atomic.Uint64
 	boundChecks   atomic.Uint64
 	shardsSkipped atomic.Uint64
+	lastSpread    atomic.Int64 // ns, most recent fan-out max-min shard elapsed
+	buffers       sync.Pool
 
 	// memAcc pools the memtable scan's per-position score accumulators
 	// (*[]float64).
@@ -369,8 +379,12 @@ func newLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 	le.m.SetShardGaugesFunc(func() metrics.ShardGauges {
 		return metrics.ShardGauges{
 			Shards:      le.nShards,
+			Fanouts:     le.fanouts.Load(),
+			Merged:      le.merged.Load(),
+			BoundRaises: le.boundRaises.Load(),
 			BoundChecks: le.boundChecks.Load(),
 			Skipped:     le.shardsSkipped.Load(),
+			LastSpread:  time.Duration(le.lastSpread.Load()),
 		}
 	})
 	return le
@@ -392,15 +406,21 @@ func (le *LiveEngine) startCompactor() {
 // segment: the engine is the one inserting them one by one and calling
 // Compact would leave.
 func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
+	return buildLive(corpus, tk, cfg, nil)
+}
+
+// buildLive is BuildLive whose round, given assign, partitions as assign
+// says instead of clustering.
+func buildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig, assign []int32) *LiveEngine {
 	start := time.Now()
 	le := newLive(tk, cfg)
 	r := newSegmentRound(tk, roundWorkers(len(corpus)))
 	r.addCorpus(corpus)
-	log := make([]liveDoc, len(r.docs))
+	log := make([]string, len(r.docs))
 	for i, ref := range r.docs {
-		log[i].source = ref.source
+		log[i] = ref.source
 	}
-	le.load(log, r, start)
+	le.load(log, nil, r, assign, start)
 	return le
 }
 
@@ -415,15 +435,7 @@ func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngi
 // that yields no tokens fails the restore with an error wrapping
 // ErrNoTokens.
 func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
-	start := time.Now()
-	log, refs := restoreLog(docs)
-	r := newSegmentRound(tk, roundWorkers(len(refs)))
-	if err := r.addLive(refs); err != nil {
-		return nil, err
-	}
-	le := newLive(tk, cfg)
-	le.load(log, r, start)
-	return le, nil
+	return restoreLive(docs, nil, tk, cfg)
 }
 
 // RestoreLiveRound is RestoreLive from a checkpoint that stored its
@@ -433,46 +445,72 @@ func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveE
 // The engine is the one RestoreLive builds. Input no such round can have
 // fails the restore with an error wrapping collection.ErrBadCollection.
 func RestoreLiveRound(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
+	return restoreLive(docs, sr, tk, cfg)
+}
+
+// restoreLive is RestoreLiveRound, or RestoreLive when sr is nil.
+func restoreLive(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
 	start := time.Now()
-	log, refs := restoreLog(docs)
-	r, err := storedRound(tk, roundWorkers(len(refs)), refs, sr)
+	log, del, refs := restoreLog(docs)
+	var r *segmentRound
+	var err error
+	if sr == nil {
+		r = newSegmentRound(tk, roundWorkers(len(refs)))
+		err = r.addLive(refs)
+	} else {
+		r, err = storedRound(tk, roundWorkers(len(refs)), refs, sr)
+	}
 	if err != nil {
 		return nil, err
 	}
 	le := newLive(tk, cfg)
-	le.load(log, r, start)
+	le.load(log, del, r, nil, start)
 	return le, nil
 }
 
-// restoreLog turns a document log into the engine's log and the round
-// references of its live documents, in id order.
-func restoreLog(docs []DocState) ([]liveDoc, []docRef) {
-	log := make([]liveDoc, len(docs))
+// restoreLog turns a document log into the engine's log, its tombstone
+// bitmap (nil when nothing is deleted) and the round references of its
+// live documents, in id order.
+func restoreLog(docs []DocState) ([]string, *tombstones, []docRef) {
+	log := make([]string, len(docs))
 	refs := make([]docRef, 0, len(docs))
+	var del *tombstones
 	for id, d := range docs {
-		log[id] = liveDoc{source: d.Source, deleted: d.Deleted}
+		log[id] = d.Source
 		if !d.Deleted {
 			refs = append(refs, docRef{id: collection.SetID(id), source: d.Source})
+			continue
 		}
+		if del == nil {
+			del = &tombstones{bits: make([]atomic.Uint64, (len(docs)+63)/64)}
+		}
+		del.set(collection.SetID(id))
 	}
-	return log, refs
+	return log, del, refs
 }
 
-// load installs a document log into a fresh engine and runs r — the
-// log's live documents, already tokenized — as the engine's first round,
-// then starts the compactor. The log, tombstone bitmap, df table, liveN,
-// mutation counter and hash routing are installed in one critical
-// section, as the Insert/Delete history of the log would have left them;
-// the round then re-clusters and builds exactly as the full compaction
-// closing that history would.
-func (le *LiveEngine) load(log []liveDoc, r *segmentRound, start time.Time) {
-	needRoute, mutAt := le.installLog(log, r)
+// load installs a document log and its tombstones into a fresh engine and
+// runs r — the log's live documents, already tokenized — as the engine's
+// first round, then starts the compactor. The log, tombstone bitmap, df
+// table, liveN, mutation counter and hash routing are installed in one
+// critical section, as the Insert/Delete history of the log would have
+// left them; the round then re-clusters and builds exactly as the full
+// compaction closing that history would — or, given assign (one shard
+// per round document), partitions as assign says.
+func (le *LiveEngine) load(log []string, del *tombstones, r *segmentRound, assign []int32, start time.Time) {
+	needRoute, mutAt := le.installLog(log, del, r)
 	if len(log) > 0 {
 		works := make([]shardWork, le.nShards)
 		for si := range works {
 			works[si].fold = map[*liveSegment]bool{}
 		}
-		le.runRound(r, works, needRoute, mutAt, start)
+		if !validAssign(assign, len(r.docs), le.nShards) {
+			assign = nil
+		}
+		if needRoute && assign == nil {
+			assign = r.partition(le.roundIDF(r.dict), le.nShards)
+		}
+		le.runRound(r, works, assign, mutAt, start)
 	}
 	le.startCompactor()
 }
@@ -480,28 +518,18 @@ func (le *LiveEngine) load(log []liveDoc, r *segmentRound, start time.Time) {
 // installLog is load's critical section. It also tags every round
 // document with the shard the hash routing puts it in, which is where
 // the round leaves it unless it re-clusters.
-func (le *LiveEngine) installLog(log []liveDoc, r *segmentRound) (needRoute bool, mutAt uint64) {
+func (le *LiveEngine) installLog(log []string, del *tombstones, r *segmentRound) (needRoute bool, mutAt uint64) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	le.log = log
 	le.route = make([]int32, len(log))
-	words := make([]uint64, (len(log)+63)/64)
-	dead := 0
-	for id, d := range log {
+	for id := range log {
 		// Hash routing, as at insert; the round's re-clustering rewrites
 		// the live documents' entries.
 		le.route[id] = int32(shardOf(collection.SetID(id), le.nShards))
-		if d.deleted {
-			words[id>>6] |= 1 << (uint(id) & 63)
-			dead++
-		}
 	}
-	if dead > 0 {
-		t := &tombstones{bits: make([]atomic.Uint64, len(words))}
-		for w, bits := range words {
-			t.bits[w].Store(bits)
-		}
-		le.del.Store(t)
+	if del != nil {
+		le.del.Store(del)
 	}
 	// Only live documents are in the round, so its dictionary is the
 	// store's and its frequencies are the live frequencies a delete would
@@ -511,7 +539,8 @@ func (le *LiveEngine) installLog(log []liveDoc, r *segmentRound) (needRoute bool
 	for t, n := range r.df {
 		le.df[t] = int32(n)
 	}
-	le.liveN = len(log) - dead
+	dead := len(log) - len(r.docs)
+	le.liveN = len(r.docs)
 	le.mutations = uint64(len(log) + dead)
 	for i := range r.docs {
 		r.docs[i].shard = le.route[r.docs[i].id]
@@ -633,7 +662,7 @@ func (le *LiveEngine) deleteCritical(id collection.SetID) (bool, uint64, WALSink
 		return false, 0, nil
 	}
 	// Journal only deletes that will apply, so replay mirrors history.
-	if int(id) >= len(le.log) || le.log[id].deleted {
+	if !le.liveLocked(id) {
 		return false, 0, nil
 	}
 	var seq uint64
@@ -672,7 +701,7 @@ func (le *LiveEngine) upsertCritical(id collection.SetID, s string, toks []strin
 	if le.closed {
 		return 0, 0, nil, ErrClosed
 	}
-	if le.wal != nil && int(id) < len(le.log) && !le.log[id].deleted {
+	if le.wal != nil && le.liveLocked(id) {
 		le.wal.AppendDelete(uint32(id))
 	}
 	le.deleteLocked(id)
@@ -689,7 +718,7 @@ func (le *LiveEngine) upsertCritical(id collection.SetID, s string, toks []strin
 // toks. toks is only read: the memtable keeps the tokens' store ids.
 func (le *LiveEngine) insertLocked(s string, toks []string) collection.SetID {
 	id := collection.SetID(len(le.log))
-	le.log = append(le.log, liveDoc{source: s})
+	le.log = append(le.log, s)
 	ids := make([]tokenize.Token, len(toks))
 	for i, t := range toks {
 		ids[i] = le.dict.intern(t)
@@ -755,15 +784,19 @@ func indexMem(mem []memDoc) map[tokenize.Token][]int32 {
 	return idx
 }
 
+// liveLocked reports whether document id exists and is not deleted.
+func (le *LiveEngine) liveLocked(id collection.SetID) bool {
+	return int(id) < len(le.log) && !le.del.Load().has(id)
+}
+
 func (le *LiveEngine) deleteLocked(id collection.SetID) bool {
-	if int(id) >= len(le.log) || le.log[id].deleted {
+	if !le.liveLocked(id) {
 		return false
 	}
-	le.log[id].deleted = true
 	le.setTombstoneLocked(id)
 	le.tombs.Add(1)
 	// A live document's tokens are all in the store dictionary.
-	toks := le.distinctTokens(le.log[id].source)
+	toks := le.distinctTokens(le.log[id])
 	for _, t := range *toks {
 		if tid, ok := le.dict.lookup(t); ok {
 			le.df[tid]--
@@ -786,20 +819,18 @@ func (le *LiveEngine) deleteLocked(id collection.SetID) bool {
 // query and read bits atomically.
 func (le *LiveEngine) setTombstoneLocked(id collection.SetID) {
 	t := le.del.Load()
-	w := int(id >> 6)
-	mask := uint64(1) << (uint(id) & 63)
-	if t == nil || w >= len(t.bits) {
+	if w := int(id >> 6); t == nil || w >= len(t.bits) {
 		grown := &tombstones{bits: make([]atomic.Uint64, (w+1)*2)}
 		if t != nil {
 			for i := range t.bits {
 				grown.bits[i].Store(t.bits[i].Load())
 			}
 		}
-		grown.bits[w].Store(mask)
+		grown.set(id)
 		le.del.Store(grown)
 		return
 	}
-	t.bits[w].Store(t.bits[w].Load() | mask)
+	t.set(id)
 }
 
 // segmentOf finds the segment containing global id, if any.
@@ -861,10 +892,10 @@ func (le *LiveEngine) maxDriftLocked(snap *liveSnapshot) float64 {
 func (le *LiveEngine) Source(id collection.SetID) (string, bool) {
 	le.mu.RLock()
 	defer le.mu.RUnlock()
-	if int(id) >= len(le.log) || le.log[id].deleted {
+	if !le.liveLocked(id) {
 		return "", false
 	}
-	return le.log[id].source, true
+	return le.log[id], true
 }
 
 // NumDocs is the total number of documents ever inserted (the id space).
@@ -894,9 +925,10 @@ type DocState struct {
 func (le *LiveEngine) Log() []DocState {
 	le.mu.RLock()
 	defer le.mu.RUnlock()
+	del := le.del.Load()
 	out := make([]DocState, len(le.log))
-	for i, d := range le.log {
-		out[i] = DocState{Source: d.source, Deleted: d.deleted}
+	for i, s := range le.log {
+		out[i] = DocState{Source: s, Deleted: del.has(collection.SetID(i))}
 	}
 	return out
 }
@@ -988,6 +1020,18 @@ type LiveQuery struct {
 	segQ  [][]Query // [shard][segment], the Query values of one array
 	mem   memQuery
 	known bool // at least one query token occurs in the live corpus
+	// one serves every segment when segQ is nil: the query of a
+	// ShardedEngine, whose segments share one dictionary and one set of
+	// baked statistics and hold no memtable.
+	one Query
+}
+
+// segQuery is the Query of segment i of shard si.
+func (lq *LiveQuery) segQuery(si, i int) Query {
+	if lq.segQ == nil {
+		return lq.one
+	}
+	return lq.segQ[si][i]
 }
 
 // livePrep is Prepare's pooled scratch: the raw token buffer and the term
@@ -1141,49 +1185,6 @@ func (le *LiveEngine) SelectCtx(ctx context.Context, lq LiveQuery, tau float64, 
 		return planDone(err)
 	}
 	return le.runLivePlan(ctx, lq, p)
-}
-
-// liveFan runs fn(shard) for every shard concurrently. Live mutation
-// fan-out uses plain goroutines rather than the static executor: the
-// snapshot pins its own segment engines, and the K > 1 live path trades
-// the strict per-query allocation budget for partition concurrency.
-func (le *LiveEngine) liveFan(fn func(si int) ([]Result, Stats, error)) ([][]Result, []Stats, []error) {
-	k := le.nShards
-	outs := make([][]Result, k)
-	sts := make([]Stats, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for si := 0; si < k; si++ {
-		go func(si int) {
-			defer wg.Done()
-			outs[si], sts[si], errs[si] = fn(si)
-		}(si)
-	}
-	wg.Wait()
-	return outs, sts, errs
-}
-
-// mergeLiveFan folds the per-shard outcomes: summed stats, the first
-// shard error in shard order, and the concatenated (unsorted) results.
-func mergeLiveFan(outs [][]Result, sts []Stats, errs []error) ([]Result, Stats, error) {
-	var stats Stats
-	total := 0
-	for si := range sts {
-		addStats(&stats, sts[si])
-		if errs[si] != nil {
-			return nil, stats, errs[si]
-		}
-		total += len(outs[si])
-	}
-	if total == 0 {
-		return nil, stats, nil
-	}
-	out := make([]Result, 0, total)
-	for _, r := range outs {
-		out = append(out, r...)
-	}
-	return out, stats, nil
 }
 
 // SelectTopK returns the k highest-scoring live documents (alg ∈ {Naive,

@@ -346,15 +346,24 @@ func TestLiveBatchAndCancel(t *testing.T) {
 }
 
 // TestLiveStress interleaves inserts, deletes, upserts, selections,
-// top-k and compactions across goroutines. Its assertions are weak —
-// no panics, no errors besides the expected ones — because its real
-// job is running under the race detector.
+// top-k and compactions across goroutines, on one shard and on three,
+// where the readers' fan-outs share the process's executor and each
+// engine's pooled fan buffers. Its assertions are weak — no panics, no
+// errors besides the expected ones — because its real job is running
+// under the race detector.
 func TestLiveStress(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { liveStress(t, shards) })
+	}
+}
+
+func liveStress(t *testing.T, shards int) {
 	corpus := randomDocs(300, 41, 6)
 	le := NewLive(liveTestTK, LiveConfig{
 		Config:         Config{},
 		FlushThreshold: 32,
 		MaxSegments:    3,
+		Shards:         shards,
 	})
 	defer le.Close()
 	for _, s := range corpus[:100] {
@@ -429,10 +438,10 @@ func TestLiveStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The store must still be coherent: a full compaction folds to one
-	// segment and queries answer.
+	// The store must still be coherent: a full compaction folds each
+	// shard to one segment and queries answer.
 	le.Compact()
-	if st := le.Stats(); st.Segments > 1 || st.Tombstones != 0 {
+	if st := le.Stats(); st.Segments > shards || st.Tombstones != 0 {
 		t.Fatalf("post-stress compact: %+v", st)
 	}
 	if _, _, err := le.Select(le.Prepare(corpus[0]), 0.5, SF, nil); err != nil {

@@ -73,7 +73,11 @@ func compactKeepingTail(t *testing.T, le *LiveEngine, full bool, insert func()) 
 	}
 	r := newSegmentRound(le.tk, 1)
 	r.addAll(all)
-	le.runRound(r, works, needRoute, mutAt, time.Now())
+	var reassign []int32
+	if needRoute {
+		reassign = r.partition(le.roundIDF(r.dict), le.nShards)
+	}
+	le.runRound(r, works, reassign, mutAt, time.Now())
 }
 
 // TestMemtableIndexMatchesScan drives random Insert/Delete/Upsert

@@ -218,7 +218,7 @@ func engineShape(name string, e *Engine) shape {
 
 func shardedShape(name string, se *ShardedEngine) shape {
 	sh := shapeOf(name, se.Prepare, se.Select, se.SelectTopK, se.SelectBatch)
-	sh.parts = len(se.shards)
+	sh.parts = se.NumShards()
 	return sh
 }
 

@@ -64,23 +64,7 @@ func requireSameEngine(t *testing.T, label string, got, want *Engine) {
 
 func requireSameSharded(t *testing.T, label string, got, want *ShardedEngine) {
 	t.Helper()
-	if got.n != want.n || len(got.assign) != len(want.assign) {
-		t.Fatalf("%s: %d documents routed, want %d", label, got.n, want.n)
-	}
-	for i := range want.assign {
-		if got.assign[i] != want.assign[i] {
-			t.Fatalf("%s: document %d routed to shard %d, want %d", label, i, got.assign[i], want.assign[i])
-		}
-	}
-	if !reflect.DeepEqual(got.ids, want.ids) {
-		t.Fatalf("%s: shard id lists differ", label)
-	}
-	if !reflect.DeepEqual(got.sums, want.sums) {
-		t.Fatalf("%s: route summaries differ", label)
-	}
-	for i := range want.shards {
-		requireSameEngine(t, fmt.Sprintf("%s shard %d", label, i), got.shards[i], want.shards[i])
-	}
+	requireSameLive(t, label, got.le, want.le)
 }
 
 // requireSameLive compares two settled live engines segment by segment.

@@ -2,24 +2,30 @@
 // point of every engine shape — monolithic Engine, ShardedEngine,
 // LiveEngine — runs the same four stages:
 //
-//	plan    validate τ/k/Options once, resolve the algorithm and
-//	        compute the Theorem 1 length window (this file);
-//	route   pick the shard set and execution order from the per-shard
-//	        route.Summary bounds (this file);
-//	execute run the planned algorithm per shard/segment, ctx-polled,
-//	        on the engine's pooled scratch (exec.go);
+//	plan    validate τ/k/Options once and resolve the algorithm
+//	        (this file);
+//	route   before anything runs, drop the segments whose
+//	        route.Summary bound cannot meet the plan and order the
+//	        surviving shards (this file);
+//	execute run the planned algorithm per segment, ctx-polled, on the
+//	        segment engine's pooled scratch — a lone shard on the
+//	        caller, a fleet on the process's one executor (exec.go);
 //	merge   fold the answers — concat + ascending-id sort for
 //	        threshold selection, score sort + cut to k with the
 //	        CAS-circulated sharedTau bound for top-k (exec.go).
 //
-// The shape files (core.go, topk.go, shard.go, live.go, batch.go)
-// are thin adapters over this spine: plan construction plus
-// shape-specific snapshot acquisition. The bound arithmetic the route
-// stage consumes lives in shardprune.go.
+// There are two execution spines: Engine.runPlan runs a plan on one
+// engine, and LiveEngine.runLivePlan runs it on a pinned snapshot by
+// composing runPlan over the segments. The shape files are thin
+// adapters: core.go, topk.go and batch.go over the first; live.go over
+// the second; and shard.go, whose ShardedEngine is a view of a compacted
+// LiveEngine, over the second too. The bound arithmetic the route stage
+// consumes lives in shardprune.go.
 package core
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/collection"
 	"repro/internal/route"
@@ -47,11 +53,6 @@ type queryPlan struct {
 	// zero view — static engines, threshold selections, segments with no
 	// tombstones — filters nothing.
 	live liveView
-	// lo, hi is the Theorem 1 length window of the planning query
-	// (planSelect only). Live plans leave it zero: each segment
-	// prepares its own Query against its own baked statistics, so the
-	// route stage recomputes the window per segment.
-	lo, hi float64
 }
 
 // liveView lets a top-k algorithm running on one live segment keep
@@ -112,12 +113,7 @@ func planQuery(kind planKind, empty bool, tau float64, k int, alg Algorithm, opt
 
 // selectPlan plans a threshold selection over a prepared Query.
 func selectPlan(q Query, tau float64, alg Algorithm, opts *Options) (queryPlan, error) {
-	p, err := planQuery(planSelect, len(q.Tokens) == 0, tau, 0, alg, opts)
-	if err != nil {
-		return p, err
-	}
-	p.lo, p.hi = lengthWindow(q, tau, &p.opts)
-	return p, nil
+	return planQuery(planSelect, len(q.Tokens) == 0, tau, 0, alg, opts)
 }
 
 // topkPlan plans a top-k query over a prepared Query.
@@ -133,64 +129,86 @@ func livePlan(kind planKind, lq LiveQuery, tau float64, k int, alg Algorithm, op
 	return planQuery(kind, empty, tau, k, alg, opts)
 }
 
-// shardActive reports whether a summarized shard (or live segment) can
-// contribute to the plan, given its precomputed summary bound b. A
-// threshold selection additionally requires the shard's length range to
-// intersect the plan's Theorem 1 window and the bound to reach τ.
-// Top-k keeps every token-sharing shard — the k-th score is unknown
-// until shards run; the executor's mid-flight recheck prunes against
-// the risen sharedTau instead.
-func shardActive(sum *route.Summary, b float64, p *queryPlan) bool {
+// shardActive reports whether a summarized segment can contribute to
+// the plan, given its precomputed summary bound b. A threshold selection
+// additionally requires the segment's length range to intersect the
+// Theorem 1 window of q — the segment's own query, prepared against its
+// own baked statistics — and the bound to reach τ. Top-k keeps every
+// token-sharing segment — the k-th score is unknown until segments run;
+// runShard's mid-flight recheck prunes against the risen sharedTau
+// instead.
+func shardActive(sum *route.Summary, b float64, q Query, p *queryPlan) bool {
 	if sum.Docs() == 0 || b <= 0 {
 		return false
 	}
 	if p.kind != planSelect {
 		return true
 	}
+	lo, hi := lengthWindow(q, p.tau, &p.opts)
 	sLo, sHi := sum.LenRange()
-	return sHi >= p.lo && sLo <= p.hi && boundMeets(b, p.tau)
+	return sHi >= lo && sLo <= hi && boundMeets(b, p.tau)
 }
 
-// routeShards is the route stage of one sharded query: it fills the fan
-// buffers (per-shard summary bounds, skip accounting for pruned shards)
-// and returns the shards the execute stage must visit. Threshold
-// selections visit the surviving set in shard order; top-k visits in
-// descending summary-bound order (stable — equal bounds keep the lower
-// shard first) so the shards most likely to hold the global top-k run
-// first and raise the shared bound for the tail, and the second return
-// enables the mid-flight sharedTau recheck. Unrouted fleets visit
-// everything.
-func (se *ShardedEngine) routeShards(fb *fanBuffers, q Query, p *queryPlan) ([]int32, bool) {
+// route is the route stage of one query, run before the fan-out. Every
+// summarized segment's route.Summary is folded into a bound on the
+// scores the segment can produce (shardBound), and a segment whose bound
+// cannot meet the plan (shardActive) is dropped, its postings accounted as
+// skipped in its shard's Stats; a segment the query shares no token with
+// is dropped too. It returns the shards left to visit — those keeping a
+// segment or holding a memtable — in visit order: shard order for a
+// threshold selection; for a top-k, descending order of each shard's best
+// segment bound (a memtable or an unsummarized segment ranks first;
+// stable, so equal bounds keep the lower shard first), so the shards most
+// likely to hold the global top-k run first and raise the shared bound
+// that runShard rechecks for the tail.
+func (fb *fanBuffers) route() []int32 {
+	lq, p := &fb.lq, &fb.p
 	act := fb.order[:0]
-	if se.sums == nil {
-		for sh := range se.shards {
-			act = append(act, int32(sh))
+	fb.bounds = fb.bounds[:0]
+	var checks, skipped uint64
+	for si := range lq.snap.shards {
+		sh := &lq.snap.shards[si]
+		fb.at[si] = len(fb.bounds)
+		key, visit := math.Inf(-1), len(sh.mem) > 0
+		if visit {
+			key = math.Inf(1)
 		}
-		return act, false
-	}
-	var skipped uint64
-	for sh := range se.shards {
-		sum := se.sums[sh]
-		b := shardBound(sum, q)
-		fb.bounds[sh] = b
-		if !shardActive(sum, b, p) {
-			fb.sts[sh] = skipStats(se.shards[sh], q)
-			skipped++
-			continue
+		for i, g := range sh.segs {
+			q := lq.segQuery(si, i)
+			b := math.Inf(1)
+			switch {
+			case len(q.Tokens) == 0:
+				b = -1
+			case g.sum != nil:
+				checks++
+				if b = shardBound(g.sum, q); !shardActive(g.sum, b, q, p) {
+					addStats(&fb.sts[si], skipStats(g.eng, q))
+					skipped++
+					b = -1
+				}
+			}
+			fb.bounds = append(fb.bounds, b)
+			if b >= 0 {
+				visit, key = true, max(key, b)
+			}
 		}
-		act = append(act, int32(sh))
-	}
-	se.boundChecks.Add(uint64(len(se.shards)))
-	se.shardsSkipped.Add(skipped)
-	if p.kind != planTopK {
-		return act, false
-	}
-	// Stable insertion sort on strict >: equal bounds never swap, so the
-	// ascending shard order of act breaks ties deterministically.
-	for i := 1; i < len(act); i++ {
-		for j := i; j > 0 && fb.bounds[act[j]] > fb.bounds[act[j-1]]; j-- {
-			act[j], act[j-1] = act[j-1], act[j]
+		if visit {
+			fb.keys[si] = key
+			act = append(act, int32(si))
 		}
 	}
-	return act, true
+	if checks > 0 {
+		fb.le.boundChecks.Add(checks)
+		fb.le.shardsSkipped.Add(skipped)
+	}
+	if p.kind == planTopK {
+		// Stable insertion sort on strict >: equal keys never swap.
+		for i := 1; i < len(act); i++ {
+			for j := i; j > 0 && fb.keys[act[j]] > fb.keys[act[j-1]]; j-- {
+				act[j], act[j-1] = act[j-1], act[j]
+			}
+		}
+	}
+	fb.order = act
+	return act
 }

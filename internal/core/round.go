@@ -263,16 +263,6 @@ func storedRound(tk tokenize.Tokenizer, workers int, refs []docRef, sr *StoredRo
 	return &segmentRound{tk: tk, workers: max(1, workers), dict: dict, docs: refs, vecs: vecs, off: off, df: df}, nil
 }
 
-// dfOf is the round's document frequency of a token string: the df
-// callback of a build whose corpus is exactly the round.
-func (r *segmentRound) dfOf(token string) int {
-	t, ok := r.dict.Lookup(token)
-	if !ok {
-		return 0
-	}
-	return r.df[t]
-}
-
 // partition clusters the round's documents into k shards by their
 // distinct tokens, read off the vectors addAll already produced.
 func (r *segmentRound) partition(idf []float64, k int) []int32 {

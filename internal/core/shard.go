@@ -1,43 +1,23 @@
-// Sharded scatter-gather execution. A ShardedEngine partitions the
-// corpus into K complete Engines that share one token dictionary and one
-// set of global corpus statistics (collection.BuildWithStats), so every
-// per-shard score — idf weights, normalized lengths, query length — is
-// bitwise-identical to what a monolithic build over the same documents
-// would compute. Documents are routed by the similarity-aware clusterer
-// in internal/route (hash routing under Config.NoRoute), and each routed
-// shard carries a route.Summary the executor consults per query: shards
-// whose summary bound provably cannot reach τ — or the circulating top-k
-// bound — are skipped outright, their postings accounted as skipped.
-// The surviving shards fan out on a bounded pool of persistent workers
-// and are folded by a merge stage: plain concatenation plus the usual id
-// sort for threshold selection, and a threshold-aware top-k merge in
-// which the shards circulate the global k-th-score lower bound
-// (sharedTau) so Length Boundedness (Property 2, Theorem 1) prunes
-// against the whole fleet's progress rather than any single shard's.
-// Top-k visits shards in descending summary-bound order, so the global
-// bound rises early and the low-potential tail is pruned mid-flight.
-//
-// The warm-path allocation discipline extends to the fan-out: the
-// executor's dispatch descriptor and the per-call result buffers are
-// pooled, workers are persistent, and each shard's query runs on the
-// shard engine's own scratch pool — a warm sharded selection allocates
-// one result copy per shard plus a bounded constant (the dispatch
-// closure and the merged result slice).
+// Sharded execution. A ShardedEngine is a read-only view of a LiveEngine
+// whose corpus was loaded as one segment round with no WAL and no
+// compactor: one segment per shard, no memtable, no tombstone. DESIGN.md
+// §13 and §15 prove that engine a K-shard static build bit for bit,
+// routing included: every segment numbers tokens by the round's one
+// dictionary and carries the same baked global statistics, so one Query
+// — prepared on any segment — serves the whole fleet, and every score is
+// the one a monolithic build over the same documents computes. Documents
+// are routed by the similarity-aware clusterer in internal/route (hash
+// routing under Config.NoRoute), and each routed segment carries a
+// route.Summary the route stage (plan.go) consults before the fan-out
+// (exec.go): the view runs the live engine's one execution spine.
 package core
 
 import (
 	"context"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/collection"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/route"
-	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
 
@@ -48,35 +28,14 @@ func shardOf(id collection.SetID, k int) int {
 	return int(uint64(idHash(id)) * uint64(k) >> 32)
 }
 
-// ShardedEngine is a fleet of Engines behind one scatter-gather
+// ShardedEngine is a fleet of shard engines behind one scatter-gather
 // executor. Global set ids are dense over the accepted documents in
-// input order — exactly the ids a monolithic build would assign — and
-// every result is remapped to them before the merge, so callers cannot
-// tell a sharded engine from a monolithic one except by throughput.
+// input order — exactly the ids a monolithic build would assign — so
+// callers cannot tell a sharded engine from a monolithic one except by
+// throughput. It holds no engine of its own: the shards are the segments
+// of the live engine it views.
 type ShardedEngine struct {
-	shards []*Engine
-	// ids maps shard-local ids (dense, ascending in global order by
-	// construction) back to global ids: ids[s][local] = global.
-	ids [][]collection.SetID
-	// assign is the routing table: assign[gid] = shard. Hash-derived
-	// under Config.NoRoute, cluster-derived otherwise — either way the
-	// one place routing decisions live after the build.
-	assign []int32
-	// sums holds one pruning summary per shard; nil under Config.NoRoute
-	// (and for 1-shard engines), which disables pruning entirely.
-	sums []*route.Summary
-	n    int // accepted documents across all shards
-	exec *executor
-	m    *metrics.Registry
-
-	buffers sync.Pool // *fanBuffers
-
-	fanouts       atomic.Uint64
-	merged        atomic.Uint64
-	boundRaises   atomic.Uint64
-	boundChecks   atomic.Uint64
-	shardsSkipped atomic.Uint64
-	lastSpread    atomic.Int64 // ns, most recent fan-out max-min shard elapsed
+	le *LiveEngine
 }
 
 // BuildSharded tokenizes docs — each exactly once, through a segment
@@ -87,10 +46,11 @@ type ShardedEngine struct {
 // similarity-aware clusterer over the round's vectors, or by
 // shardOf(globalID, K) under Config.NoRoute — and every shard's builder
 // receives its documents' vectors pre-counted and is frozen against the
-// global statistics. shards < 1 is treated as 1; a 1-shard engine is a
-// monolithic engine behind the executor's single-shard bypass.
+// global statistics. shards < 1 is treated as 1; one shard routes
+// nothing and carries no summary. Sources are kept whatever keepSource
+// says: the live engine's document log holds them.
 func BuildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, cfg Config) *ShardedEngine {
-	return buildSharded(tk, docs, keepSource, shards, nil, cfg)
+	return buildSharded(tk, docs, shards, nil, cfg)
 }
 
 // BuildShardedRouted builds a K-shard engine over a precomputed routing
@@ -99,49 +59,19 @@ func BuildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 // A table of the wrong length or with out-of-range entries falls back to
 // recomputing the routing.
 func BuildShardedRouted(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, assign []int32, cfg Config) *ShardedEngine {
-	return buildSharded(tk, docs, keepSource, shards, assign, cfg)
+	return buildSharded(tk, docs, shards, assign, cfg)
 }
 
-func buildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, preAssign []int32, cfg Config) *ShardedEngine {
-	if shards < 1 {
-		shards = 1
+func buildSharded(tk tokenize.Tokenizer, docs []string, shards int, assign []int32, cfg Config) *ShardedEngine {
+	shards = max(shards, 1)
+	if shards == 1 {
+		cfg.NoRoute = true
 	}
-	routed := !cfg.NoRoute && shards > 1
-	// Accepted documents take dense global ids in input order.
-	r := newSegmentRound(tk, roundWorkers(len(docs)))
-	r.addCorpus(docs)
-	n := len(r.docs)
-	var assign []int32
-	switch {
-	case routed && validAssign(preAssign, n, shards):
-		assign = preAssign
-	case routed:
-		idf := make([]float64, len(r.df))
-		for t, d := range r.df {
-			idf[t] = sim.IDF(d, n)
-		}
-		assign = r.partition(idf, shards)
-	default:
-		assign = make([]int32, n)
-		for gid := range assign {
-			assign[gid] = int32(shardOf(collection.SetID(gid), shards))
-		}
+	if cfg.NoRoute {
+		assign = nil
 	}
-	builders, ids := r.builders(assign, shards, keepSource)
-	engines := make([]*Engine, shards)
-	var sums []*route.Summary
-	if routed {
-		sums = make([]*route.Summary, shards)
-	}
-	// The shards share only the round's dictionary and df, which nothing
-	// writes any more.
-	par.Each(r.workers, shards, "shard", func(i int) {
-		engines[i] = newEngine(builders[i].BuildWithStats(n, r.dfOf), cfg, engineWorkers(r.workers, shards))
-		if routed {
-			sums[i] = route.Summarize(engines[i].c, engines[i].store)
-		}
-	})
-	return newSharded(engines, ids, assign, sums, n)
+	le := buildLive(docs, tk, LiveConfig{Config: cfg, Shards: shards, NoBackground: true}, assign)
+	return &ShardedEngine{le: le}
 }
 
 // validAssign reports whether a caller-supplied routing table covers
@@ -158,186 +88,75 @@ func validAssign(assign []int32, n, shards int) bool {
 	return true
 }
 
-// newSharded assembles the executor and metrics around prebuilt shards.
-func newSharded(engines []*Engine, ids [][]collection.SetID, assign []int32, sums []*route.Summary, n int) *ShardedEngine {
-	se := &ShardedEngine{
-		shards: engines,
-		ids:    ids,
-		assign: assign,
-		sums:   sums,
-		n:      n,
-		exec:   newExecutor(runtime.GOMAXPROCS(0)),
-		m:      metrics.NewRegistry(),
-	}
-	se.m.SetShardGaugesFunc(func() metrics.ShardGauges {
-		return metrics.ShardGauges{
-			Shards:      len(se.shards),
-			Fanouts:     se.fanouts.Load(),
-			Merged:      se.merged.Load(),
-			BoundRaises: se.boundRaises.Load(),
-			BoundChecks: se.boundChecks.Load(),
-			Skipped:     se.shardsSkipped.Load(),
-			LastSpread:  time.Duration(se.lastSpread.Load()),
-		}
-	})
-	return se
-}
-
-// Close shuts the executor's workers down. The engine must not be
-// queried after Close.
-func (se *ShardedEngine) Close() { se.exec.close() }
+// Close closes the live engine the view reads. Queries keep working: the
+// executor is the process's.
+func (se *ShardedEngine) Close() { se.le.Close() }
 
 // NumShards reports the fleet width.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
+func (se *ShardedEngine) NumShards() int { return se.le.nShards }
 
-// Shard exposes one shard's engine (for inspection and tests).
-func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
+// Shard exposes one shard's engine (for inspection and tests); nil when
+// the shard holds no document.
+func (se *ShardedEngine) Shard(i int) *Engine {
+	if g := se.segment(i); g != nil {
+		return g.eng
+	}
+	return nil
+}
+
+// segment is shard i's one segment, nil when the shard is empty.
+func (se *ShardedEngine) segment(i int) *liveSegment {
+	if segs := se.le.snap.Load().shards[i].segs; len(segs) > 0 {
+		return segs[0]
+	}
+	return nil
+}
 
 // NumDocs reports the number of accepted documents across all shards.
-func (se *ShardedEngine) NumDocs() int { return se.n }
+func (se *ShardedEngine) NumDocs() int { return se.le.NumDocs() }
 
 // Metrics exposes the fleet-level metrics registry (per-shard registries
 // hang off the individual shard engines).
-func (se *ShardedEngine) Metrics() *metrics.Registry { return se.m }
+func (se *ShardedEngine) Metrics() *metrics.Registry { return se.le.m }
 
 // Prepare preprocesses a query string. All shards share one dictionary
 // and one set of global statistics, so any shard's preparation is valid
 // for every other — one Query serves the whole fan-out.
-func (se *ShardedEngine) Prepare(s string) Query { return se.shards[0].Prepare(s) }
-
-// PrepareCounts builds a Query from a vector tokenized against the
-// shared dictionary.
-func (se *ShardedEngine) PrepareCounts(counts []tokenize.Count) Query {
-	return se.shards[0].PrepareCounts(counts)
+func (se *ShardedEngine) Prepare(s string) Query {
+	for i := range se.le.nShards {
+		if e := se.Shard(i); e != nil {
+			return e.Prepare(s)
+		}
+	}
+	return Query{} // an empty corpus
 }
 
 // Source returns the original string of global set id gid.
 func (se *ShardedEngine) Source(gid collection.SetID) string {
-	sh := int(se.assign[gid])
-	local := sort.Search(len(se.ids[sh]), func(i int) bool { return se.ids[sh][i] >= gid })
-	return se.shards[sh].Collection().Source(collection.SetID(local))
+	s, _ := se.le.Source(gid)
+	return s
 }
 
-// Routing exposes the routing table (assign[gid] = shard) for
-// persistence and inspection. The returned slice must not be modified.
-func (se *ShardedEngine) Routing() []int32 { return se.assign }
+// Routing copies the routing table (assign[gid] = shard) for persistence
+// and inspection.
+func (se *ShardedEngine) Routing() []int32 { return se.le.Routing() }
 
 // Routed reports whether the engine carries per-shard pruning summaries
 // (similarity-aware build; false under Config.NoRoute and for K=1).
-func (se *ShardedEngine) Routed() bool { return se.sums != nil }
+func (se *ShardedEngine) Routed() bool { return !se.le.cfg.NoRoute }
 
-// ShardSummary exposes shard i's pruning summary; nil when unrouted.
+// ShardSummary exposes shard i's pruning summary; nil when unrouted or
+// when the shard is empty.
 func (se *ShardedEngine) ShardSummary(i int) *route.Summary {
-	if se.sums == nil {
-		return nil
+	if g := se.segment(i); g != nil {
+		return g.sum
 	}
-	return se.sums[i]
+	return nil
 }
 
-// remap rewrites a shard's results from local to global ids, in place
-// (the slice was copied out of the shard's scratch already). Local ids
-// ascend in global order, so a sorted shard result stays sorted.
-func (se *ShardedEngine) remap(shard int, rs []Result) {
-	m := se.ids[shard]
-	for i := range rs {
-		rs[i].ID = m[rs[i].ID]
-	}
-}
-
-// fanBuffers is the pooled per-call state of one scatter-gather query:
-// per-shard result/stats/error slots, the cross-shard top-k bound, and
-// the pruning work area (per-shard summary bounds and the active-shard
-// visit order).
-type fanBuffers struct {
-	res    [][]Result
-	sts    []Stats
-	errs   []error
-	bounds []float64
-	order  []int32
-	shared sharedTau
-}
-
-func (se *ShardedEngine) getBuffers() *fanBuffers {
-	if v := se.buffers.Get(); v != nil {
-		return v.(*fanBuffers)
-	}
-	k := len(se.shards)
-	return &fanBuffers{
-		res:    make([][]Result, k),
-		sts:    make([]Stats, k),
-		errs:   make([]error, k),
-		bounds: make([]float64, k),
-		order:  make([]int32, 0, k),
-	}
-}
-
-// putBuffers clears the slots (dropping result references) and pools.
-func (se *ShardedEngine) putBuffers(fb *fanBuffers) {
-	for i := range fb.res {
-		fb.res[i], fb.sts[i], fb.errs[i] = nil, Stats{}, nil
-	}
-	fb.order = fb.order[:0]
-	// A blind Store, not a CAS: the fan-out has joined, so no raise can race this pool reset.
-	fb.shared.bits.Store(0)
-	fb.shared.raises.Store(0)
-	se.buffers.Put(fb)
-}
-
-// gather folds the per-shard outcomes: summed Stats (Elapsed is stamped
-// by the caller over the whole call), the first shard error in shard
-// order, the total result count, and the fan-out latency spread.
-func (se *ShardedEngine) gather(fb *fanBuffers) (total int, stats Stats, err error) {
-	var minE, maxE time.Duration
-	seen := false
-	for i := range fb.sts {
-		st := &fb.sts[i]
-		addStats(&stats, *st)
-		// Skipped shards report zero Elapsed; the spread gauge measures
-		// the shards that actually ran.
-		if st.Elapsed > 0 {
-			if !seen || st.Elapsed < minE {
-				minE = st.Elapsed
-			}
-			if st.Elapsed > maxE {
-				maxE = st.Elapsed
-			}
-			seen = true
-		}
-		if err == nil && fb.errs[i] != nil {
-			err = fb.errs[i]
-		}
-		total += len(fb.res[i])
-	}
-	se.lastSpread.Store(int64(maxE - minE))
-	se.fanouts.Add(1)
-	return total, stats, err
-}
-
-// mergeConcat concatenates the per-shard (already remapped) results.
-// When exactly one shard produced results its copied-out slice is
-// returned directly — the common case for selective queries, and the
-// whole story for K=1.
-func (se *ShardedEngine) mergeConcat(fb *fanBuffers, total int) []Result {
-	if total == 0 {
-		return nil
-	}
-	se.merged.Add(uint64(total))
-	var only []Result
-	for _, r := range fb.res {
-		if len(r) == 0 {
-			continue
-		}
-		if only == nil {
-			only = r
-			continue
-		}
-		out := make([]Result, 0, total)
-		for _, rr := range fb.res {
-			out = append(out, rr...)
-		}
-		return out
-	}
-	return only
+// query pins q to the current snapshot: the one Query of every segment.
+func (se *ShardedEngine) query(q Query) LiveQuery {
+	return LiveQuery{snap: se.le.snap.Load(), one: q}
 }
 
 // Select runs one selection query across all shards. Results are sorted
@@ -355,7 +174,7 @@ func (se *ShardedEngine) SelectCtx(ctx context.Context, q Query, tau float64, al
 	if err != nil {
 		return planDone(err)
 	}
-	return se.runFan(ctx, q, p)
+	return se.le.runLivePlan(ctx, se.query(q), p)
 }
 
 // SelectTopK returns the k highest-scoring sets across all shards,
@@ -378,7 +197,7 @@ func (se *ShardedEngine) SelectTopKCtx(ctx context.Context, q Query, k int, alg 
 	if err != nil {
 		return planDone(err)
 	}
-	return se.runFan(ctx, q, p)
+	return se.le.runLivePlan(ctx, se.query(q), p)
 }
 
 // SelectBatch drains a batch of queries over an outer worker pool, each
@@ -396,116 +215,4 @@ func (se *ShardedEngine) SelectBatchCtx(ctx context.Context, queries []Query, ta
 		res, st, err := se.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})
-}
-
-// executor is a bounded pool of persistent workers draining shard
-// dispatches. A dispatch is a pooled shardCall whose shards are claimed
-// by an atomic counter: the submitting goroutine claims alongside the
-// workers, so a dispatch always makes progress even when every worker
-// is busy with other dispatches (nested fan-out under a saturated
-// batch never deadlocks), and a lone caller on a 1-shard engine skips
-// the machinery entirely.
-type executor struct {
-	tasks chan *shardCall
-	pool  sync.Pool
-	wg    sync.WaitGroup
-}
-
-func newExecutor(workers int) *executor {
-	if workers < 1 {
-		workers = 1
-	}
-	x := &executor{tasks: make(chan *shardCall, workers)}
-	x.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go x.worker()
-	}
-	return x
-}
-
-// close stops the workers. In-flight dispatches finish (their callers
-// participate); no dispatch may be submitted after close.
-func (x *executor) close() {
-	close(x.tasks)
-	x.wg.Wait()
-}
-
-func (x *executor) worker() {
-	defer x.wg.Done()
-	for call := range x.tasks {
-		call.work()
-		call.release(x)
-	}
-}
-
-// shardCall is one fan-out dispatch. refs counts the goroutines (and
-// queued channel slots) holding the pointer: the call returns to the
-// pool only when the last holder lets go, so a worker that dequeues a
-// long-finished dispatch can never touch a recycled one.
-type shardCall struct {
-	run  func(shard int)
-	k    int32
-	next atomic.Int32
-	refs atomic.Int32
-	done sync.WaitGroup
-}
-
-// work claims and runs shards until none remain.
-func (c *shardCall) work() {
-	for {
-		i := c.next.Add(1) - 1
-		if i >= c.k {
-			return
-		}
-		c.run(int(i))
-		c.done.Done()
-	}
-}
-
-func (c *shardCall) release(x *executor) {
-	if c.refs.Add(-1) == 0 {
-		c.run = nil
-		x.pool.Put(c)
-	}
-}
-
-// fan runs run(0..k-1) to completion across the worker pool, the caller
-// claiming shards alongside the workers. Non-blocking submission: when
-// the task queue is full the caller simply runs the unsent share itself.
-func (x *executor) fan(k int, run func(shard int)) {
-	if k <= 1 {
-		run(0)
-		return
-	}
-	var call *shardCall
-	if v := x.pool.Get(); v != nil {
-		call = v.(*shardCall)
-	} else {
-		call = &shardCall{}
-	}
-	call.run = run
-	call.k = int32(k)
-	call.next.Store(0)
-	// Upper bound first — k-1 queue slots plus the caller — so a worker
-	// finishing early can never drive refs to zero while the queue or the
-	// caller still holds the pointer; the unsent surplus is subtracted
-	// after the send loop.
-	call.refs.Store(int32(k))
-	call.done.Add(k)
-	sent := 0
-sendLoop:
-	for i := 0; i < k-1; i++ {
-		select {
-		case x.tasks <- call:
-			sent++
-		default:
-			break sendLoop
-		}
-	}
-	if unsent := k - 1 - sent; unsent > 0 {
-		call.refs.Add(int32(-unsent))
-	}
-	call.work()
-	call.done.Wait()
-	call.release(x)
 }

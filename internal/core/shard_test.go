@@ -34,7 +34,8 @@ func TestShardedSourceRoundTrip(t *testing.T) {
 
 // TestShardedValidationAndCancel covers the fleet-level error paths:
 // input validation happens once, before any fan-out, and a cancelled
-// context surfaces from the shards.
+// context surfaces from the shards. Close closes the viewed live engine,
+// whose queries keep working after it: the executor is the process's.
 func TestShardedValidationAndCancel(t *testing.T) {
 	docs := randomDocs(200, 3, 6)
 	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 3, Config{})
@@ -60,6 +61,16 @@ func TestShardedValidationAndCancel(t *testing.T) {
 	if res, _, err := se.SelectTopK(q, 0, SF, nil); err != nil || res != nil {
 		t.Errorf("k=0: res=%v err=%v", res, err)
 	}
+	want, _, err := se.Select(q, 0.5, SF, nil)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("select: %d results, %v", len(want), err)
+	}
+	se.Close()
+	got, _, err := se.Select(q, 0.5, SF, nil)
+	if err != nil {
+		t.Fatalf("select after Close: %v", err)
+	}
+	assertBitwise(t, "select after Close", got, want)
 }
 
 // TestShardedMetrics checks the fleet gauges: fan-out and merge counters

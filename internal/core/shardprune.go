@@ -1,9 +1,10 @@
-// Per-shard summary pruning: the executor-side half of internal/route.
-// Before a scatter-gather query fans out, each shard's route.Summary is
-// folded into an upper bound on any score the shard can produce; shards
-// whose bound cannot reach the threshold (or, for top-k, that share no
-// token with the query — no algorithm emits zero-score documents) are
-// skipped without being visited, their postings accounted as skipped.
+// Per-segment summary pruning: the query-side half of internal/route.
+// Before a scatter-gather query fans out, each segment's route.Summary is
+// folded into an upper bound on any score the segment can produce;
+// segments whose bound cannot reach the threshold (or, for top-k, that
+// share no token with the query — no algorithm emits zero-score
+// documents) are skipped without being visited, their postings accounted
+// as skipped.
 package core
 
 import (

@@ -85,7 +85,7 @@ func testStoredRound(t *testing.T, label string, cfg LiveConfig, seed int64) {
 		t.Fatalf("%s: checkpoint: %v", label, err)
 	}
 	log := le.Log()
-	_, refs := restoreLog(log)
+	_, _, refs := restoreLog(log)
 	var sources []string
 	for _, ref := range refs {
 		sources = append(sources, ref.source)

@@ -99,11 +99,12 @@ func TestSummaryFromListsMatchesFill(t *testing.T) {
 	absent := false
 	for _, k := range []int{1, 2, 8} {
 		se := BuildSharded(tk, docs, true, k, Config{})
-		for i, sh := range se.shards {
+		for i := range se.NumShards() {
+			sh := se.Shard(i)
 			label := fmt.Sprintf("%d shards: shard %d", k, i)
 			sum := route.Summarize(sh.c, sh.store)
 			if k > 1 {
-				sum = se.sums[i]
+				sum = se.ShardSummary(i)
 			}
 			requireFillSummary(t, label, sh.c, sum)
 			for tok := range sh.c.NumTokens() {

@@ -56,10 +56,11 @@ type (
 	BatchResult = core.BatchResult
 	// Pair is one matching pair of Engine.SelfJoin (A < B).
 	Pair = core.Pair
-	// ShardedEngine hash-partitions one corpus across several complete
-	// engines sharing global statistics, fanning every query out and
-	// merging with threshold-aware bounds. Results are bitwise-identical
-	// to a monolithic Engine over the same corpus.
+	// ShardedEngine partitions one corpus across several complete
+	// engines sharing global statistics — the segments of a compacted
+	// LiveEngine it views — fanning every query out and merging with
+	// threshold-aware bounds. Results are bitwise-identical to a
+	// monolithic Engine over the same corpus.
 	ShardedEngine = core.ShardedEngine
 )
 
@@ -156,10 +157,11 @@ func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
 // is tokenized in chunks (tk.Tokens must be safe for concurrent use),
 // the clusterer scores documents side by side and the shards build side
 // by side, and the engine is bit for bit the one a single core builds.
-// Queries fan out over a bounded worker pool and merge; every result —
-// ids, scores, order — is bitwise-identical to Build over the same
-// corpus. shards ≤ 1 builds a single partition. Call Close when done to
-// stop the fan-out workers.
+// Queries fan out over the process's one bounded worker pool and merge;
+// every result — ids, scores, order — is bitwise-identical to Build over
+// the same corpus. shards ≤ 1 builds a single partition. The engine is a
+// read-only view of a LiveEngine loaded in one round; Close closes it,
+// and queries keep working after Close.
 func BuildSharded(corpus []string, tk Tokenizer, shards int, cfg Config) *ShardedEngine {
 	return core.BuildSharded(tk, corpus, true, shards, cfg)
 }
