@@ -6,25 +6,25 @@
 //
 //	ssindex build  -in strings.txt -out index.bin [-q 3] [-skip 64]
 //	ssindex stat   -index index.bin [-in strings.txt]
-//	ssindex stat   -snap corpus.sscol [-shards N] [-v]
+//	ssindex stat   -snap corpus.sssnap [-shards N] [-v]
 //	ssindex verify -snap corpus.sssnap
 //	ssindex verify -index index.bin
 //
 // build tokenizes one string per input line into q-grams and writes the
 // (len, id)-sorted lists and their skip indexes. stat validates
 // the file and prints storage accounting; with -snap it instead opens a
-// saved snapshot (either format: a version-1 collection or a version-5
-// durable store) and prints its layout — the stored shard count and, for
-// a durable store, the similarity-aware routing table (live docs per
-// shard), each shard's pruning summary and the manifest (generation,
-// segment-package list, WAL tail length, and where the open spent its
-// time: load, the one build round, tail replay) — plus segment and
-// compaction stats under -v. -shards overrides the stored shard count when
-// replaying the snapshot (0 keeps it).
+// saved store (setsim.Save, setsim.SaveLive or a durable engine's
+// checkpoint) and prints its layout — the stored shard count, the
+// similarity-aware routing table (live docs per shard), each shard's
+// pruning summary and the manifest (generation, segment-package list,
+// WAL tail length, and where the open spent its time: load, the one
+// build round, tail replay) — plus segment and compaction stats under
+// -v. -shards overrides the stored shard count when replaying the store
+// (0 keeps it).
 //
-// verify checks a snapshot's integrity without building an engine: the
-// manifest (or version-1 payload) checksum, every segment package's
-// every block CRC, and the write-ahead log tail. With -index it checks
+// verify checks a store's integrity without building an engine: the
+// manifest checksum, every segment package's every block CRC and stored
+// token vectors, and the write-ahead log tail. With -index it checks
 // a list file the same way, block by block. It exits non-zero when any
 // checksum fails.
 package main
@@ -62,7 +62,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: ssindex build  -in strings.txt -out index.bin [-q 3] [-skip 64]")
 	fmt.Fprintln(os.Stderr, "       ssindex stat   -index index.bin")
-	fmt.Fprintln(os.Stderr, "       ssindex stat   -snap corpus.sscol [-shards N] [-v]")
+	fmt.Fprintln(os.Stderr, "       ssindex stat   -snap corpus.sssnap [-shards N] [-v]")
 	fmt.Fprintln(os.Stderr, "       ssindex verify -snap corpus.sssnap")
 	fmt.Fprintln(os.Stderr, "       ssindex verify -index index.bin")
 	os.Exit(2)
@@ -114,7 +114,7 @@ func buildCmd(args []string) {
 func statCmd(args []string) {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	index := fs.String("index", "", "index file")
-	snap := fs.String("snap", "", "snapshot file (version 1 or 5)")
+	snap := fs.String("snap", "", "store manifest")
 	shards := fs.Int("shards", 0, "with -snap: replay with this many shards (0 = as saved)")
 	verbose := fs.Bool("v", false, "with -snap: print segment and compaction stats")
 	fs.Parse(args)
@@ -134,9 +134,8 @@ func statCmd(args []string) {
 	}
 }
 
-// snapStat opens a snapshot of either format version through the live
-// loader — which validates checksums and bulk-loads the document log —
-// and prints what it holds.
+// snapStat opens a store through the live loader — which validates
+// checksums and bulk-loads the document log — and prints what it holds.
 func snapStat(path string, shards int, verbose bool) {
 	le, info, err := setsim.OpenLive(path, setsim.LiveConfig{
 		NoBackground: true, Shards: shards,
@@ -147,26 +146,22 @@ func snapStat(path string, shards int, verbose bool) {
 	defer le.Close()
 	fmt.Printf("%s: valid v%d snapshot, %d docs (%d live, %d tombstoned), saved with %d shard(s)\n",
 		path, info.Version, info.Docs, info.Live, info.Docs-info.Live, info.Shards)
-	if info.Routed {
-		fmt.Printf("routing: similarity-aware, live docs per shard %v\n", info.RouteCounts)
-		for i, s := range info.Summaries {
-			fmt.Printf("shard %d summary: %d docs, len [%.3f, %.3f], %d hot tokens, sketch %d/%d slots\n",
-				i, s.Docs, s.LenMin, s.LenMax, s.HotTokens, s.SketchOccupied, s.SketchSlots)
-		}
+	fmt.Printf("routing: similarity-aware, live docs per shard %v\n", info.RouteCounts)
+	for i, s := range info.Summaries {
+		fmt.Printf("shard %d summary: %d docs, len [%.3f, %.3f], %d hot tokens, sketch %d/%d slots\n",
+			i, s.Docs, s.LenMin, s.LenMax, s.HotTokens, s.SketchOccupied, s.SketchSlots)
 	}
-	if info.Version >= 5 {
-		fmt.Printf("manifest: generation %d, %d segment package(s), wal covered through seq %d; open: load %v, build %v, tail replay %v\n",
-			info.Generation, len(info.Segpacks), info.WALStart,
-			info.LoadTime.Round(time.Microsecond), info.BuildTime.Round(time.Microsecond), info.TailTime.Round(time.Microsecond))
-		for _, ref := range info.Segpacks {
-			fmt.Printf("  package %s: shard %d, %d docs\n", ref.Name, ref.Shard, ref.Docs)
-		}
-		torn := ""
-		if info.WALTorn {
-			torn = " (torn tail truncated at recovery)"
-		}
-		fmt.Printf("wal tail: %d record(s) replayed%s\n", info.WALTail, torn)
+	fmt.Printf("manifest: generation %d, %d segment package(s), wal covered through seq %d; open: load %v, build %v, tail replay %v\n",
+		info.Generation, len(info.Segpacks), info.WALStart,
+		info.LoadTime.Round(time.Microsecond), info.BuildTime.Round(time.Microsecond), info.TailTime.Round(time.Microsecond))
+	for _, ref := range info.Segpacks {
+		fmt.Printf("  package %s: shard %d, %d docs\n", ref.Name, ref.Shard, ref.Docs)
 	}
+	torn := ""
+	if info.WALTorn {
+		torn = " (torn tail truncated at recovery)"
+	}
+	fmt.Printf("wal tail: %d record(s) replayed%s\n", info.WALTail, torn)
 	if verbose {
 		st := le.Stats()
 		fmt.Printf("shards: %d, segments: %d (epoch %d), memtable %d docs\n",
@@ -176,12 +171,12 @@ func snapStat(path string, shards int, verbose bool) {
 	}
 }
 
-// verifyCmd checks every checksum a snapshot carries — the manifest (or
-// version-1 payload), each segment package block by block, and the WAL —
-// or every block checksum of a list file.
+// verifyCmd checks every checksum a store carries — the manifest, each
+// segment package block by block, and the WAL — or every block checksum
+// of a list file.
 func verifyCmd(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	snap := fs.String("snap", "", "snapshot file (version 1 or 5)")
+	snap := fs.String("snap", "", "store manifest")
 	index := fs.String("index", "", "list file")
 	fs.Parse(args)
 	if *index != "" {
@@ -194,10 +189,6 @@ func verifyCmd(args []string) {
 	rep, err := setsim.Verify(*snap)
 	if err != nil {
 		fatal(err)
-	}
-	if rep.Version < 5 {
-		fmt.Printf("%s: v%d snapshot, payload checksum ok\n", *snap, rep.Version)
-		return
 	}
 	fmt.Printf("%s: v%d manifest ok, generation %d, wal covered through seq %d\n",
 		*snap, rep.Version, rep.Generation, rep.WALStart)

@@ -4,20 +4,20 @@
 // Usage:
 //
 //	ssquery -in strings.txt [-q 3] [-tau 0.8] [-alg sf] [-k 0] [-shards N] [query ...]
-//	ssquery -load corpus.sscol [-lists corpus.ssidx] [flags] [query ...]
+//	ssquery -load corpus.sssnap [-lists corpus.ssidx] [flags] [query ...]
 //
 // With no query arguments it reads queries from stdin, one per line.
 // -k > 0 switches to top-k mode (ignores -tau; -alg naive or sf, any
-// other algorithm exits 2 before indexing). -load opens either
-// snapshot version: a version-1 collection saved with -save (or
-// setsim.Save), or a version-5 durable store (manifest + segment
-// packages + write-ahead log, as setsim.SaveLive and setsim.OpenDurable
-// write), for which crash recovery runs first — the manifest's packages
-// are loaded, the WAL tail replayed, and a torn tail reported. Both are
-// served through a LiveEngine, and -v prints its segment count and
-// last-compaction stats alongside the query metrics. -lists serves
-// queries from a disk-resident list file (setsim.SaveLists / ssindex
-// build) and requires a version-1 collection file.
+// other algorithm exits 2 before indexing). -save writes the corpus
+// built from -in as a store (setsim.Save). -load opens a store — a
+// manifest plus segment packages and, for a durable store, a
+// write-ahead log, as setsim.Save, setsim.SaveLive and
+// setsim.OpenDurable write it — and runs crash recovery first: the
+// manifest's packages are loaded, the WAL tail replayed, and a torn
+// tail reported. It is served through a LiveEngine, and -v prints its
+// segment count and last-compaction stats alongside the query metrics.
+// -lists serves the loaded store's queries from a disk-resident list
+// file (setsim.SaveLists / ssindex build) built from the same corpus.
 //
 // -shards N partitions the corpus into N complete engines sharing
 // global statistics — similarity-aware clustering by default, so the
@@ -52,9 +52,9 @@ var algNames = map[string]core.Algorithm{
 
 func main() {
 	in := flag.String("in", "", "corpus file, one string per line")
-	load := flag.String("load", "", "load a saved snapshot (version 1 or 5) instead of -in")
+	load := flag.String("load", "", "load a saved store instead of -in")
 	lists := flag.String("lists", "", "with -load: serve queries from this on-disk list file")
-	save := flag.String("save", "", "after building from -in, save the collection here")
+	save := flag.String("save", "", "after building from -in, save the corpus here as a store")
 	q := flag.Int("q", 3, "q-gram size")
 	tau := flag.Float64("tau", 0.8, "similarity threshold")
 	algName := flag.String("alg", "sf", "algorithm: naive|sort-by-id|sql|ta|nra|ita|inra|sf|hybrid")
@@ -64,7 +64,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print access statistics and a final metrics summary")
 	flag.Parse()
 	if *in == "" && *load == "" {
-		fmt.Fprintln(os.Stderr, "usage: ssquery -in strings.txt | -load corpus.sscol [-tau 0.8] [-alg sf] [-shards N] [query ...]")
+		fmt.Fprintln(os.Stderr, "usage: ssquery -in strings.txt | -load corpus.sssnap [-tau 0.8] [-alg sf] [-shards N] [query ...]")
 		os.Exit(2)
 	}
 	if *shards > 1 && *lists != "" {
@@ -72,7 +72,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *shards > 1 && *save != "" {
-		fmt.Fprintln(os.Stderr, "ssquery: -shards is incompatible with -save (save the collection unsharded, then reload with -shards)")
+		fmt.Fprintln(os.Stderr, "ssquery: -shards is incompatible with -save (save the corpus unsharded, then reload with -shards)")
 		os.Exit(2)
 	}
 	alg, ok := algNames[*algName]
@@ -94,7 +94,7 @@ func main() {
 
 	switch {
 	case *load != "" && *lists != "":
-		// On-disk lists need the raw collection; the version-1 format only.
+		// On-disk lists are served beside the store's static collection.
 		engine, err := setsim.LoadWithLists(*load, *lists, core.Config{})
 		if err != nil {
 			fatal(err)
@@ -114,14 +114,12 @@ func main() {
 		st := le.Stats()
 		fmt.Fprintf(os.Stderr, "loaded v%d snapshot: %d docs (%d live), %d shard(s), %d segment(s)\n",
 			info.Version, info.Docs, info.Live, le.NumShards(), st.Segments)
-		if info.Version >= 5 {
-			torn := ""
-			if info.WALTorn {
-				torn = ", torn tail truncated"
-			}
-			fmt.Fprintf(os.Stderr, "durable store: generation %d, %d segment package(s), %d wal record(s) replayed%s\n",
-				info.Generation, len(info.Segpacks), info.WALTail, torn)
+		torn := ""
+		if info.WALTorn {
+			torn = ", torn tail truncated"
 		}
+		fmt.Fprintf(os.Stderr, "store: generation %d, %d segment package(s), %d wal record(s) replayed%s\n",
+			info.Generation, len(info.Segpacks), info.WALTail, torn)
 		doQuery = liveQuery(le, alg, *tau, *k)
 		source = func(id collection.SetID) string {
 			s, _ := le.Source(id)
@@ -138,7 +136,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		se := core.BuildSharded(tokenize.QGramTokenizer{Q: *q}, lines, true, *shards, core.Config{})
+		se := core.BuildSharded(tokenize.QGramTokenizer{Q: *q}, lines, *shards, core.Config{})
 		defer se.Close()
 		fmt.Fprintf(os.Stderr, "indexed %d sets across %d shards\n", se.NumDocs(), se.NumShards())
 		doQuery = shardedQuery(se, alg, *tau, *k)
@@ -150,20 +148,13 @@ func main() {
 			fatal(err)
 		}
 		c := core.BuildCollection(tokenize.QGramTokenizer{Q: *q}, lines, true)
-		if *save != "" {
-			sf, err := os.Create(*save)
-			if err != nil {
-				fatal(err)
-			}
-			if err := collection.Write(sf, c); err != nil {
-				fatal(err)
-			}
-			if err := sf.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saved collection to %s\n", *save)
-		}
 		engine := core.NewEngine(c, core.Config{})
+		if *save != "" {
+			if err := setsim.Save(*save, engine); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "saved store to %s\n", *save)
+		}
 		fmt.Fprintf(os.Stderr, "indexed %d sets, %d grams\n", c.NumSets(), c.NumTokens())
 		doQuery = staticQuery(engine, alg, *tau, *k)
 		source = c.Source

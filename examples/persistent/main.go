@@ -1,4 +1,4 @@
-// Persistent index: build once, save the collection and the
+// Persistent index: build once, save the corpus as a store and the
 // disk-resident inverted lists, then reopen and serve queries from the
 // on-disk lists — the paper's deployment model (§VIII keeps the 5GB of
 // lists on disk and leaves caching to the OS).
@@ -22,26 +22,33 @@ func main() {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	colPath := filepath.Join(dir, "words.sscol")
+	storePath := filepath.Join(dir, "words.sssnap")
 	listPath := filepath.Join(dir, "words.ssidx")
 
 	// Build from a synthetic word corpus and persist both files.
 	rng := rand.New(rand.NewSource(5))
 	words := dataset.Words(dataset.IMDBLike(rng, 30000))
 	idx := setsim.Build(words, setsim.QGramTokenizer{Q: 3}, setsim.Config{})
-	if err := setsim.Save(colPath, idx); err != nil {
+	if err := setsim.Save(storePath, idx); err != nil {
 		panic(err)
 	}
 	if err := setsim.SaveLists(listPath, idx); err != nil {
 		panic(err)
 	}
-	ci, _ := os.Stat(colPath)
+	// The store is its manifest plus the segment package beside it.
+	var storeSize int64
+	files, _ := filepath.Glob(storePath + "*")
+	for _, f := range files {
+		if fi, err := os.Stat(f); err == nil {
+			storeSize += fi.Size()
+		}
+	}
 	li, _ := os.Stat(listPath)
-	fmt.Printf("saved %d words: collection %d KB, inverted lists %d KB\n\n",
-		len(words), ci.Size()/1024, li.Size()/1024)
+	fmt.Printf("saved %d words: store %d KB, inverted lists %d KB\n\n",
+		len(words), storeSize/1024, li.Size()/1024)
 
 	// Reopen: queries now run against the on-disk lists.
-	disk, err := setsim.LoadWithLists(colPath, listPath, setsim.Config{})
+	disk, err := setsim.LoadWithLists(storePath, listPath, setsim.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -8,13 +8,14 @@
 // per set. The paper's measure (Eq. 1) has no tf component, so the
 // engine only ever asks which tokens a set holds, and Tokens answers
 // with a slice of the arena. Term frequencies — read by the TF/IDF and
-// BM25 measures of Table I and by the file writer — are 1 for almost
-// every entry; the few that exceed 1 sit in a side table keyed by arena
-// position, and Set rebuilds a set's token-frequency vector from both.
+// BM25 measures of Table I — are 1 for almost every entry; the few that
+// exceed 1 sit in a side table keyed by arena position, and Set rebuilds
+// a set's token-frequency vector from both.
 package collection
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -22,6 +23,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
+
+// ErrBadCollection reports structurally invalid stored corpus data — a
+// snapshot, package or stored round no writer could have produced —
+// wrapped by every loader that refuses it.
+var ErrBadCollection = errors.New("collection: corrupt collection data")
 
 // SetID identifies a set within a Collection. The paper associates each
 // word with a unique 8-byte identifier encoding its location in the data
@@ -274,17 +280,12 @@ func (c *Collection) Tokens(id SetID) []tokenize.Token {
 // its Tokens, each with its term frequency. The vector is rebuilt from
 // the arena and the TF side table into a fresh slice the caller owns,
 // so Set allocates; it serves the readers of term frequencies (Table
-// I's measures, the file writer, the self-join's queries) and no query
-// path.
+// I's measures, the self-join's queries) and no query path. The side
+// entries of the set start where a binary search for its first arena
+// position lands, and are met in arena order.
 func (c *Collection) Set(id SetID) []tokenize.Count {
-	return c.appendSet(make([]tokenize.Count, 0, c.off[id+1]-c.off[id]), id)
-}
-
-// appendSet appends the token-frequency vector of set id to dst. The
-// side entries of the set start where a binary search for its first
-// arena position lands, and are met in arena order.
-func (c *Collection) appendSet(dst []tokenize.Count, id SetID) []tokenize.Count {
 	lo := c.off[id]
+	dst := make([]tokenize.Count, 0, c.off[id+1]-lo)
 	k, _ := slices.BinarySearchFunc(c.tfs, lo, func(e tfEntry, pos uint32) int { return cmp.Compare(e.pos, pos) })
 	for i, t := range c.Tokens(id) {
 		tf := uint32(1)

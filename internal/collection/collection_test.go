@@ -1,8 +1,6 @@
 package collection
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -187,103 +185,5 @@ func BenchmarkBuild(b *testing.B) {
 			bld.Add(w)
 		}
 		bld.Build()
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	orig := buildWords(t, true, "main st main", "main st maine", "florham park", "a b c")
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSets() != orig.NumSets() || got.NumTokens() != orig.NumTokens() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			got.NumSets(), got.NumTokens(), orig.NumSets(), orig.NumTokens())
-	}
-	for id := 0; id < orig.NumSets(); id++ {
-		sid := SetID(id)
-		if got.Source(sid) != orig.Source(sid) {
-			t.Fatalf("source %d mismatch", id)
-		}
-		if math.Abs(got.Length(sid)-orig.Length(sid)) > 1e-12 {
-			t.Fatalf("length %d mismatch", id)
-		}
-		a, b := got.Set(sid), orig.Set(sid)
-		if len(a) != len(b) {
-			t.Fatalf("set %d size mismatch", id)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("set %d entry %d mismatch", id, i)
-			}
-		}
-	}
-	for tok := 0; tok < orig.NumTokens(); tok++ {
-		tk := tokenize.Token(tok)
-		if got.DF(tk) != orig.DF(tk) || got.Dict().String(tk) != orig.Dict().String(tk) {
-			t.Fatalf("token %d stats mismatch", tok)
-		}
-	}
-	if got.Tokenizer().Name() != orig.Tokenizer().Name() {
-		t.Fatalf("tokenizer %q vs %q", got.Tokenizer().Name(), orig.Tokenizer().Name())
-	}
-	if math.Abs(got.AvgTokens()-orig.AvgTokens()) > 1e-12 {
-		t.Fatal("avg tokens mismatch")
-	}
-}
-
-func TestWriteReadNoSource(t *testing.T) {
-	orig := buildWords(t, false, "alpha beta", "beta gamma")
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.HasSource() {
-		t.Error("source appeared from nowhere")
-	}
-}
-
-func TestReadCorrupt(t *testing.T) {
-	orig := buildWords(t, true, "main st", "park ave")
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	cases := map[string][]byte{
-		"magic":     append([]byte{0xFF}, raw[1:]...),
-		"truncated": raw[:len(raw)/2],
-		"flipped":   append(append([]byte{}, raw[:len(raw)-2]...), raw[len(raw)-2]^0x10, raw[len(raw)-1]),
-		"empty":     {},
-	}
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadCollection) {
-			t.Errorf("%s: err = %v, want ErrBadCollection", name, err)
-		}
-	}
-}
-
-func TestReadRejectsTrailingGarbage(t *testing.T) {
-	orig := buildWords(t, false, "x y")
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	// Appending bytes breaks the CRC.
-	data := append(buf.Bytes(), 0, 1, 2)
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadCollection) {
-		t.Errorf("trailing garbage err = %v", err)
 	}
 }

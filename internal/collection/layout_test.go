@@ -1,7 +1,6 @@
 package collection_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -69,9 +68,9 @@ func layoutCases(rng *rand.Rand) []struct {
 // TestFlatLayoutMatchesVectors holds the flat set arena to the vectors
 // it replaces: for every set, Set rebuilds exactly what the tokenizer's
 // append form produces for its source and hands the caller a copy,
-// Tokens is Set's tokens with no spare capacity, a v1 round trip writes
-// identical bytes, and a sharded build round's collections agree set by
-// set (and length by length) with one monolithic Builder.
+// Tokens is Set's tokens with no spare capacity, and a sharded build
+// round's collections agree set by set (and length by length) with one
+// monolithic Builder.
 func TestFlatLayoutMatchesVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, tc := range layoutCases(rng) {
@@ -131,23 +130,8 @@ func TestFlatLayoutMatchesVectors(t *testing.T) {
 				}
 			}
 
-			var first, second bytes.Buffer
-			if err := collection.Write(&first, c); err != nil {
-				t.Fatal(err)
-			}
-			back, err := collection.Read(bytes.NewReader(first.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := collection.Write(&second, back); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Fatalf("Write → Read → Write changed the bytes (%d then %d)", first.Len(), second.Len())
-			}
-
 			for _, shards := range []int{1, 3} {
-				se := core.BuildSharded(tc.tk, tc.docs, true, shards, core.Config{})
+				se := core.BuildSharded(tc.tk, tc.docs, shards, core.Config{})
 				local := make([]collection.SetID, shards)
 				for gid, sh := range se.Routing() {
 					sub := se.Shard(int(sh)).Collection()

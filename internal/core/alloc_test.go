@@ -215,7 +215,7 @@ func TestWarmShardedAllocations(t *testing.T) {
 	}
 	docs := randomDocs(5000, 3, 8)
 	for _, K := range []int{1, 4} {
-		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{})
+		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, K, Config{})
 		rng := rand.New(rand.NewSource(17))
 		queries := make([]Query, 8)
 		for i := range queries {

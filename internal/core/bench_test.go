@@ -444,7 +444,7 @@ func BenchmarkBuildSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := BuildSharded(tokenize.WordTokenizer{}, docs, false, 8, Config{})
+		se := BuildSharded(tokenize.WordTokenizer{}, docs, 8, Config{})
 		if se.NumDocs() != len(docs) {
 			b.Fatalf("built %d of %d documents", se.NumDocs(), len(docs))
 		}

@@ -37,8 +37,8 @@ type CheckpointSink interface {
 }
 
 // DocRef is one document in a checkpoint: its permanent global id, its
-// source text and, for a live document of a state that carries its
-// round, its token vector in the round's ids (ascending by token).
+// source text and, for a live document, its token vector in the round's
+// ids (ascending by token).
 type DocRef struct {
 	ID     collection.SetID
 	Source string
@@ -69,8 +69,7 @@ type CheckpointState struct {
 	// compacted segments (nil entries for empty shards or under NoRoute).
 	Summaries []*route.Summary
 	// Dict is the round dictionary's token strings in id order, which
-	// the live documents' Vecs number. A state built without its round
-	// leaves it and the Vecs nil.
+	// the live documents' Vecs number.
 	Dict []string
 }
 

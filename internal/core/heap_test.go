@@ -39,7 +39,7 @@ func TestShardedIndexRetainedHeap(t *testing.T) {
 	words = words[:2000]
 
 	before := retainedHeap()
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, words, false, 4, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, words, 4, Config{})
 	defer se.Close()
 	built := retainedHeap()
 

@@ -424,42 +424,22 @@ func buildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig, assign []
 	return le
 }
 
-// RestoreLive rebuilds a LiveEngine from a document log — every document
-// ever inserted, in id order, tombstoned entries included so ids are
-// preserved — as recovery does from a checkpoint. The live documents are
-// tokenized once and built straight into one segment per shard; no
-// memtable, mutation-path insert or intermediate compaction is involved,
-// and the engine is the one that replaying the log through Insert and
-// Delete and calling Compact would leave, because that engine's state is
-// a pure function of (live set, id order, shard count). A live document
-// that yields no tokens fails the restore with an error wrapping
-// ErrNoTokens.
-func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
-	return restoreLive(docs, nil, tk, cfg)
-}
-
-// RestoreLiveRound is RestoreLive from a checkpoint that stored its
-// round: sr is the tokenized input of the round over docs' live
-// documents in id order (CheckpointState's Dict and Vecs), and the
-// restore rebuilds that round from it without tokenizing a document.
-// The engine is the one RestoreLive builds. Input no such round can have
-// fails the restore with an error wrapping collection.ErrBadCollection.
+// RestoreLiveRound rebuilds a LiveEngine from a document log — every
+// document ever inserted, in id order, tombstoned entries included so ids
+// are preserved — and the round a checkpoint stored for it: sr is the
+// tokenized input of the round over docs' live documents in id order
+// (CheckpointState's Dict and Vecs, or TokenizeRound of their sources).
+// The round is rebuilt from it without tokenizing a document and built
+// straight into one segment per shard; no memtable, mutation-path insert
+// or intermediate compaction is involved, and the engine is the one that
+// replaying the log through Insert and Delete and calling Compact would
+// leave, because that engine's state is a pure function of (live set, id
+// order, shard count). Input no such round can have fails the restore
+// with an error wrapping collection.ErrBadCollection.
 func RestoreLiveRound(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
-	return restoreLive(docs, sr, tk, cfg)
-}
-
-// restoreLive is RestoreLiveRound, or RestoreLive when sr is nil.
-func restoreLive(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
 	start := time.Now()
 	log, del, refs := restoreLog(docs)
-	var r *segmentRound
-	var err error
-	if sr == nil {
-		r = newSegmentRound(tk, roundWorkers(len(refs)))
-		err = r.addLive(refs)
-	} else {
-		r, err = storedRound(tk, roundWorkers(len(refs)), refs, sr)
-	}
+	r, err := storedRound(tk, roundWorkers(len(refs)), refs, sr)
 	if err != nil {
 		return nil, err
 	}

@@ -521,7 +521,7 @@ func (c *oracleCase) listFile() shape {
 // sharded is the live documents cut across K shards: routed, or hashed
 // under cfg.NoRoute.
 func (c *oracleCase) sharded(K int, cfg Config) shape {
-	se := BuildSharded(c.tk, c.live, true, K, cfg)
+	se := BuildSharded(c.tk, c.live, K, cfg)
 	c.t.Cleanup(se.Close)
 	if cfg.NoRoute {
 		return shardedShape(fmt.Sprintf("hashed K=%d", K), se)

@@ -153,8 +153,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		}{{1, &serial}, {4, &parallel}} {
 			withWorkers(run.workers, func() {
 				o := run.out
-				o.routed = BuildSharded(cp.tk, cp.docs, true, 8, Config{})
-				o.hashed = BuildSharded(cp.tk, cp.docs, false, 4, Config{NoRoute: true})
+				o.routed = BuildSharded(cp.tk, cp.docs, 8, Config{})
+				o.hashed = BuildSharded(cp.tk, cp.docs, 4, Config{NoRoute: true})
 				o.mono = BuildCollection(cp.tk, cp.docs, true)
 				o.engine = NewEngine(BuildCollection(cp.tk, cp.docs, true), Config{})
 				o.built = BuildLive(cp.docs, cp.tk, LiveConfig{NoBackground: true, Shards: 3})

@@ -18,7 +18,7 @@ import (
 func TestErrorPathStatsContract(t *testing.T) {
 	docs := randomDocs(40, 99, 5)
 	eng := engineFromDocs(docs, Config{})
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 2, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 2, Config{})
 	defer se.Close()
 	le := buildPipelineLive(t, docs, 2, false)
 	defer le.Close()
@@ -126,7 +126,7 @@ func TestBatchMatchesDirect(t *testing.T) {
 	const tau = 0.6
 
 	eng := engineFromDocs(docs, Config{})
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 4, Config{})
 	defer se.Close()
 	if !se.Routed() {
 		t.Fatal("4-shard build is not routed")

@@ -124,7 +124,7 @@ func TestRaceFileStoreBatch(t *testing.T) {
 func TestConcurrentFirstUse(t *testing.T) {
 	docs := randomDocs(900, 111, 6)
 	static := engineFromDocs(docs, Config{})
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 4, Config{})
 	defer se.Close()
 	le := NewLive(liveTestTK, LiveConfig{NoBackground: true, FlushThreshold: 64, DriftBound: 1e9, MaxSegments: 1 << 20})
 	defer le.Close()

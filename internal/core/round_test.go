@@ -13,6 +13,25 @@ import (
 	"repro/internal/tokenize"
 )
 
+// RestoreLive restores a document log through the round tokenizing its
+// live documents builds — what a save stores — and is the reference the
+// bulk-load tests hold the mutation path and the stored round to. A live
+// document that yields no tokens fails it with an error wrapping
+// ErrNoTokens.
+func RestoreLive(docs []DocState, tk tokenize.Tokenizer, cfg LiveConfig) (*LiveEngine, error) {
+	var live []string
+	for _, d := range docs {
+		if !d.Deleted {
+			live = append(live, d.Source)
+		}
+	}
+	sr, err := TokenizeRound(tk, live)
+	if err != nil {
+		return nil, err
+	}
+	return RestoreLiveRound(docs, sr, tk, cfg)
+}
+
 // summaryScalars flattens what a pruning summary exposes, nil included.
 func summaryScalars(s *route.Summary) [6]float64 {
 	if s == nil {
@@ -200,7 +219,7 @@ func testBuildsTokenizeOnce(t *testing.T) {
 	var calls atomic.Int64
 	tk := countingTokenizer{Tokenizer: liveTestTK, calls: &calls}
 
-	se := BuildSharded(tk, docs, true, 4, Config{})
+	se := BuildSharded(tk, docs, 4, Config{})
 	se.Close()
 	if n := calls.Swap(0); n != int64(len(docs)) {
 		t.Errorf("BuildSharded: %d Tokens calls for %d documents", n, len(docs))

@@ -35,7 +35,7 @@ func seekShapes(t *testing.T, docs []string) []shape {
 	out = append(out, engineShape("file", NewEngine(c, Config{Store: fs})))
 
 	for _, K := range []int{1, 4, 7} {
-		se := BuildSharded(liveTestTK, docs, true, K, Config{})
+		se := BuildSharded(liveTestTK, docs, K, Config{})
 		t.Cleanup(se.Close)
 		out = append(out, shardedShape(fmt.Sprintf("sharded/K=%d", K), se))
 	}

@@ -47,9 +47,9 @@ type ShardedEngine struct {
 // shardOf(globalID, K) under Config.NoRoute — and every shard's builder
 // receives its documents' vectors pre-counted and is frozen against the
 // global statistics. shards < 1 is treated as 1; one shard routes
-// nothing and carries no summary. Sources are kept whatever keepSource
-// says: the live engine's document log holds them.
-func BuildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, cfg Config) *ShardedEngine {
+// nothing and carries no summary. Sources are kept: the live engine's
+// document log holds them.
+func BuildSharded(tk tokenize.Tokenizer, docs []string, shards int, cfg Config) *ShardedEngine {
 	return buildSharded(tk, docs, shards, nil, cfg)
 }
 
@@ -58,7 +58,7 @@ func BuildSharded(tk tokenize.Tokenizer, docs []string, keepSource bool, shards 
 // snapshot-restore path, which must reproduce a saved partition exactly.
 // A table of the wrong length or with out-of-range entries falls back to
 // recomputing the routing.
-func BuildShardedRouted(tk tokenize.Tokenizer, docs []string, keepSource bool, shards int, assign []int32, cfg Config) *ShardedEngine {
+func BuildShardedRouted(tk tokenize.Tokenizer, docs []string, shards int, assign []int32, cfg Config) *ShardedEngine {
 	return buildSharded(tk, docs, shards, assign, cfg)
 }
 

@@ -17,7 +17,7 @@ import (
 func TestShardedSourceRoundTrip(t *testing.T) {
 	docs := randomDocs(300, 21, 8)
 	mono := engineFromDocs(docs, Config{})
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 4, Config{})
 	defer se.Close()
 	if se.NumDocs() != mono.c.NumSets() {
 		t.Fatalf("sharded NumDocs=%d, monolithic %d", se.NumDocs(), mono.c.NumSets())
@@ -38,7 +38,7 @@ func TestShardedSourceRoundTrip(t *testing.T) {
 // whose queries keep working after it: the executor is the process's.
 func TestShardedValidationAndCancel(t *testing.T) {
 	docs := randomDocs(200, 3, 6)
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 3, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 3, Config{})
 	defer se.Close()
 	q := se.Prepare(docs[0])
 	if _, _, err := se.Select(Query{}, 0.5, SF, nil); err != ErrEmptyQuery {
@@ -77,7 +77,7 @@ func TestShardedValidationAndCancel(t *testing.T) {
 // move, and the shard line renders.
 func TestShardedMetrics(t *testing.T) {
 	docs := randomDocs(300, 33, 6)
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
+	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 4, Config{})
 	defer se.Close()
 	q := se.Prepare(docs[0])
 	if _, _, err := se.Select(q, 0.5, SF, nil); err != nil {

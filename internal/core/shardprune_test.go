@@ -56,9 +56,9 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 	tk := tokenize.WordTokenizer{}
 	for _, K := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			routed := BuildSharded(tk, docs, true, K, Config{})
+			routed := BuildSharded(tk, docs, K, Config{})
 			defer routed.Close()
-			hashed := BuildSharded(tk, docs, true, K, Config{NoRoute: true})
+			hashed := BuildSharded(tk, docs, K, Config{NoRoute: true})
 			defer hashed.Close()
 			if K > 1 && !routed.Routed() {
 				t.Fatal("default multi-shard build is not routed")
@@ -77,7 +77,7 @@ func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 func TestPrunedShardedPrunesClusteredCorpus(t *testing.T) {
 	docs := clusteredDocs(8, 90, 303)
 	tk := tokenize.WordTokenizer{}
-	se := BuildSharded(tk, docs, true, 8, Config{})
+	se := BuildSharded(tk, docs, 8, Config{})
 	defer se.Close()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -113,7 +113,7 @@ func TestPrunedTopKVisitsOneShard(t *testing.T) {
 		}
 		docs[i] = strings.Join(words, " ")
 	}
-	se := BuildSharded(tokenize.WordTokenizer{}, docs, true, 8, Config{})
+	se := BuildSharded(tokenize.WordTokenizer{}, docs, 8, Config{})
 	defer se.Close()
 	const queries = 200
 	for i := 0; i < queries; i++ {
@@ -136,7 +136,7 @@ func TestPrunedTopKVisitsOneShard(t *testing.T) {
 // (TestQueryEquivalence, whose clustered family is this corpus shape).
 func TestAdversarialSkewStillPrunes(t *testing.T) {
 	docs := skewedDocs(8, 80, 909)
-	se := BuildSharded(tokenize.WordTokenizer{}, docs, true, 8, Config{})
+	se := BuildSharded(tokenize.WordTokenizer{}, docs, 8, Config{})
 	defer se.Close()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -206,7 +206,7 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 			}
 			// A full live compaction must reproduce the static clustering:
 			// same docs, same order, same partition.
-			static := BuildSharded(tk, currentDocs(mono), true, K, Config{})
+			static := BuildSharded(tk, currentDocs(mono), K, Config{})
 			defer static.Close()
 			liveRoute := sh.Routing()
 			var liveAssign []int32

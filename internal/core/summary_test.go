@@ -98,7 +98,7 @@ func TestSummaryFromListsMatchesFill(t *testing.T) {
 
 	absent := false
 	for _, k := range []int{1, 2, 8} {
-		se := BuildSharded(tk, docs, true, k, Config{})
+		se := BuildSharded(tk, docs, k, Config{})
 		for i := range se.NumShards() {
 			sh := se.Shard(i)
 			label := fmt.Sprintf("%d shards: shard %d", k, i)

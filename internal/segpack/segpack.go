@@ -291,9 +291,11 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	return pr, nil
 }
 
-// parseTable decodes the checksum-verified table. Counts are implicitly
-// bounded by the table length: each entry consumes bytes, so a bogus
-// huge count runs out of table before it runs out of memory.
+// parseTable decodes the checksum-verified table. Counts are bounded by
+// the table length: each entry consumes bytes, so a bogus huge count
+// runs out of table before it runs out of memory, and a record's block
+// count is checked against the table bytes left before it sizes the
+// record's checksum list.
 func (pr *Reader) parseTable(tbl []byte, tableOff int64) error {
 	pos := 0
 	u32 := func() (uint32, bool) {
@@ -340,15 +342,16 @@ func (pr *Reader) parseTable(tbl []byte, tableOff int64) error {
 			off+length < off || off+length > uint64(tableOff) {
 			return fmt.Errorf("%w: record %q bounds [%d,+%d) outside data area", ErrCorrupt, name, off, length)
 		}
+		// The checksum list is sized by the record's length, which only
+		// the file size bounds: the table must hold every checksum first.
 		nblocks := (int64(length) + pr.blockSize - 1) / pr.blockSize
+		if nblocks > int64(len(tbl)-pos)/4 {
+			return fmt.Errorf("%w: truncated checksums for %q (%d blocks)", ErrCorrupt, name, nblocks)
+		}
 		e := recEntry{name: string(name), off: int64(off), length: int64(length),
 			crcs: make([]uint32, nblocks)}
 		for b := range e.crcs {
-			c, ok := u32()
-			if !ok {
-				return fmt.Errorf("%w: truncated checksums for %q", ErrCorrupt, name)
-			}
-			e.crcs[b] = c
+			e.crcs[b], _ = u32()
 		}
 		if _, dup := pr.byName[e.name]; dup {
 			return fmt.Errorf("%w: duplicate record %q", ErrCorrupt, e.name)

@@ -2,9 +2,12 @@ package segpack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -214,8 +217,30 @@ func TestCorruption(t *testing.T) {
 	}
 }
 
+// checksumClaimPkg is a package of dataLen data bytes at block size 1
+// whose well-checksummed 22-byte table lists one record spanning the
+// whole data area and none of the dataLen block checksums it claims.
+func checksumClaimPkg(dataLen int) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(pkgMagic), pkgVersion)
+	b = binary.LittleEndian.AppendUint32(b, 1) // block size
+	b = append(b, make([]byte, dataLen)...)
+	tableOff := len(b)
+	tbl := binary.LittleEndian.AppendUint32(nil, 1) // one record
+	tbl = append(tbl, 1, 'd')
+	tbl = binary.LittleEndian.AppendUint64(tbl, uint64(headerSize))
+	tbl = binary.LittleEndian.AppendUint64(tbl, uint64(dataLen))
+	b = append(b, tbl...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(tableOff))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tbl)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(tbl))
+	return append(b, endMagic...)
+}
+
 // TestTruncation cuts the package at every length: open must fail with
-// ErrCorrupt (or ErrVersion), never panic.
+// ErrCorrupt (or ErrVersion), never panic. A table cut short of the
+// checksums its record claims — 8 MB at block size 1, 8 M checksums, in
+// 22 bytes — fails having allocated under 1 MB: the claim is checked
+// against the table before it sizes the checksum list.
 func TestTruncation(t *testing.T) {
 	data := buildPkg(t, map[string][]byte{"a": bytes.Repeat([]byte("x"), 300)}, nil)
 	for cut := 0; cut < len(data); cut++ {
@@ -226,6 +251,18 @@ func TestTruncation(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 			t.Fatalf("cut %d: unexpected error %v", cut, err)
 		}
+	}
+
+	claim := checksumClaimPkg(8 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(claim), int64(len(claim)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("checksum claim: %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("checksum claim: refused after allocating %d bytes", n)
 	}
 }
 
@@ -268,8 +305,9 @@ func TestLargeNameRejected(t *testing.T) {
 // FuzzSegpackReader feeds arbitrary bytes to the reader: it must never
 // panic or over-allocate, and valid packages must round-trip bitwise.
 func FuzzSegpackReader(f *testing.F) {
-	// Seeds: a valid small package, a valid empty package, and a few
-	// structurally interesting prefixes.
+	// Seeds: a valid small package, a valid empty package, a few
+	// structurally interesting prefixes, and a table claiming more
+	// checksums than it holds.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.AddRecord("docs", []byte("seed one two three"))
@@ -287,6 +325,7 @@ func FuzzSegpackReader(f *testing.F) {
 	trunc := append([]byte(nil), valid...)
 	trunc[len(trunc)-1] ^= 1
 	f.Add(trunc)
+	f.Add(checksumClaimPkg(4 << 10))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data), int64(len(data)))

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -587,14 +588,18 @@ var snapshotLoaders = []struct {
 }
 
 // TestLoaderShortFiles: zero-length, magic-only and version-only
-// prefixes of both format versions must fail with a wrapped
-// ErrBadCollection or ErrUnknownVersion from every loader — never a raw
-// (or wrapped) io.EOF — and the retired versions 2–4 with
-// ErrUnknownVersion specifically. The crafted rows carry a valid
-// checksum over a payload whose length fields overflow int or dwarf the
-// file: the version-1 ones must be rejected as ErrBadCollection, not
-// panic in a slice bound or make, and the others before their payload is
-// looked at.
+// prefixes of the snapshot format and of the retired version-1
+// collection file must fail with a wrapped ErrBadCollection or
+// ErrUnknownVersion from every loader — never a raw (or wrapped) io.EOF
+// — and the retired versions 2–4 with ErrUnknownVersion specifically.
+// The crafted rows carry a valid checksum over a payload whose length
+// fields overflow int or dwarf the file: the version-1 ones must be
+// rejected as ErrBadCollection, not panic in a slice bound or make, and
+// the others before their payload is looked at. A complete,
+// well-checksummed version-1 file and a version-5 manifest cut before
+// its dictionary section are refused with ErrBadCollection: the one
+// format holds both the documents' vectors and the dictionary they
+// number.
 func TestLoaderShortFiles(t *testing.T) {
 	const (
 		colMagic  = "SSCOL1\n\x00"
@@ -607,6 +612,10 @@ func TestLoaderShortFiles(t *testing.T) {
 	// A v1 payload up to its first set header: tokenizer "word", a
 	// one-token dictionary, one set, no sources.
 	v1Head := []byte("\x04word\x01\x00\x00\x00\x01a\x01\x00\x00\x00\x00")
+	// An empty store's manifest payload up to its dictionary section:
+	// tokenizer "word", one shard, generation 1, WAL start 0, no ids, no
+	// dead documents, one zero summary, no packages.
+	v5NoDict := append([]byte("\x04word\x01\x00\x00\x00\x01"), make([]byte, 7+8+4+4+4+32+4)...)
 	cases := []struct {
 		name string
 		data []byte
@@ -628,6 +637,8 @@ func TestLoaderShortFiles(t *testing.T) {
 		{name: "crafted-v1-set-size-2^62", data: framed(colMagic, binary.AppendUvarint(v1Head, 1<<62)), bad: true},
 		{name: "crafted-v1-set-count-2^32", data: framed(colMagic, []byte("\x04word\x00\x00\x00\x00\xff\xff\xff\xff\x00")), bad: true},
 		{name: "crafted-v2-doc-count-2^32", data: framed(snapMagic+"\x02", []byte("\x04word\xff\xff\xff\xff")), unk: true},
+		{name: "complete-v1", data: framed(colMagic, append(slices.Clip(v1Head), 1, 0, 1)), bad: true},
+		{name: "v5-no-dictionary", data: framed(snapMagic+"\x05", v5NoDict), bad: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,7 +37,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		corpus := []string{a, b, c}
 		orig := setsim.Build(corpus, setsim.QGramTokenizer{Q: 2, Pad: true}, setsim.Config{})
 
-		path := filepath.Join(t.TempDir(), "corpus.sscol")
+		path := filepath.Join(t.TempDir(), "saved.sssnap")
 		if err := setsim.Save(path, orig); err != nil {
 			t.Fatalf("save: %v", err)
 		}
@@ -129,17 +129,17 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			}
 		}
 
-		// A legacy file must load as a live engine too (ids re-derived by
-		// replay), and Open must accept both versions as a static engine.
-		if fromLegacy, info, err := setsim.OpenLive(path, setsim.LiveConfig{
+		// The saved store must load as a live engine too, and Open must
+		// accept the live snapshot as a static engine.
+		if fromSaved, info, err := setsim.OpenLive(path, setsim.LiveConfig{
 			NoBackground: true,
 		}); err != nil {
-			t.Fatalf("open live from legacy: %v", err)
+			t.Fatalf("open live from saved store: %v", err)
 		} else {
-			if info.Version != 1 {
-				t.Fatalf("legacy snapshot info %+v, want version 1", info)
+			if info.Version != 5 || info.Live != oc.NumSets() {
+				t.Fatalf("saved store info %+v, want version 5 with %d live", info, oc.NumSets())
 			}
-			fromLegacy.Close()
+			fromSaved.Close()
 		}
 		if _, info, err := setsim.Open(lpath, setsim.Config{}); err != nil || info.Version != 5 {
 			t.Fatalf("static open of v5 snapshot: info %+v err %v", info, err)

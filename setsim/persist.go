@@ -8,29 +8,25 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/invlist"
+	"repro/internal/route"
 	"repro/internal/wal"
 )
 
-// Snapshot file formats. Two exist, and both are written and read.
-//
-// Version 1 is the collection binary format (magic "SSCOL1"), written by
-// Save: one frozen corpus, no mutation history.
-//
-// Version 5 is the durable-store layout (store.go), written by SaveLive
-// and by a durable engine's checkpoints: the file at path is a thin
-// manifest — magic "SSSNAP\n\x00", version byte 5, a CRC32 of the
-// payload, the payload — listing checksummed segment packages (one per
-// shard, holding the live documents and their token vectors) plus the
-// dead log, per-shard summary scalars, the WAL horizon and the
-// checkpoint round's dictionary; the documents themselves live in the
-// packages and the mutations since the last checkpoint in a write-ahead
-// log next to the manifest.
+// Snapshot file format. One exists: version 5, the durable-store layout
+// (store.go), written by Save, by SaveLive and by a durable engine's
+// checkpoints. The file at path is a thin manifest — magic
+// "SSSNAP\n\x00", version byte 5, a CRC32 of the payload, the payload —
+// listing checksummed segment packages (one per shard, holding the live
+// documents and their token vectors) plus the dead log, per-shard
+// summary scalars, the WAL horizon and the checkpoint round's
+// dictionary; the documents themselves live in the packages and the
+// mutations since the last checkpoint in a write-ahead log next to the
+// manifest.
 //
 // The package shard membership doubles as the routing table, letting
 // OpenSharded reproduce the saved partition exactly without
@@ -44,9 +40,10 @@ import (
 // any other version byte are rejected with ErrUnknownVersion — the
 // retired versions 2–4 (single-file live snapshots, which no release
 // since version 5 could write) as much as future formats, which must not
-// be misparsed.
+// be misparsed. Files without the magic are rejected with
+// collection.ErrBadCollection, the retired version-1 collection file
+// (magic "SSCOL1", one frozen corpus) among them.
 const (
-	colMagic  = "SSCOL1\n\x00"
 	snapMagic = "SSSNAP\n\x00"
 	snapV5    = 5
 )
@@ -56,7 +53,7 @@ const (
 var ErrUnknownVersion = errors.New("setsim: unknown snapshot format version")
 
 // ShardSummaryInfo is one shard's persisted pruning-summary scalars, as
-// carried by version-5 manifests.
+// a manifest carries them.
 type ShardSummaryInfo struct {
 	// Docs is the number of documents the shard's summary covers.
 	Docs int
@@ -71,26 +68,24 @@ type ShardSummaryInfo struct {
 
 // SnapshotInfo describes a loaded snapshot file.
 type SnapshotInfo struct {
-	// Version is the file's format version: 1 for collection files, 5
-	// for durable stores.
+	// Version is the file's format version: 5.
 	Version int
 	// Docs is the number of documents stored, including tombstoned ones.
 	Docs int
 	// Live is the number of live (non-tombstoned) documents.
 	Live int
-	// Shards is the partition count the engine was saved with (1 for
-	// version-1 files).
+	// Shards is the partition count the engine was saved with.
 	Shards int
-	// Routed reports a version-5 snapshot, whose package membership is a
-	// routing table and whose manifest carries per-shard summaries;
-	// RouteCounts and Summaries are only meaningful then.
+	// Routed reports a snapshot read from a manifest, whose package
+	// membership is a routing table and which carries per-shard
+	// summaries; RouteCounts and Summaries are only meaningful then.
 	Routed bool
 	// RouteCounts is the number of live documents routed to each shard.
 	RouteCounts []int
 	// Summaries holds each shard's persisted summary scalars.
 	Summaries []ShardSummaryInfo
 
-	// The fields below describe version-5 durable stores only.
+	// The fields below describe the store's checkpoint and WAL.
 
 	// Generation is the manifest's checkpoint generation.
 	Generation uint64
@@ -106,30 +101,30 @@ type SnapshotInfo struct {
 	Segpacks []SegpackRef
 
 	// Where the open spent its time. LoadTime is reading and validating
-	// the files (manifest or collection, segment packages, WAL) and is the
-	// only one a static open (Open, OpenSharded) fills; BuildTime is the
-	// one round that builds the checkpointed documents' segments — from
-	// the round the packages store, or by tokenizing the documents where
-	// they store none; TailTime is replaying the WAL tail through the
+	// the files (manifest, segment packages, WAL) and is the only one a
+	// static open (Open, OpenSharded) fills; BuildTime is the one round
+	// that builds the checkpointed documents' segments from the round the
+	// packages store; TailTime is replaying the WAL tail through the
 	// mutation path.
 	LoadTime, BuildTime, TailTime time.Duration
 }
 
-// Save writes the engine's collection (dictionary, sets, sources) to
-// path in the version-1 format. Derived index structures are not
+// Save writes the engine's documents to path as a fresh store: one
+// shard's generation-1 segment package, holding the documents and their
+// token vectors, plus the manifest. Derived index structures are not
 // stored: Load rebuilds them deterministically, which is fast relative
-// to I/O and keeps the file compact.
-func Save(path string, e *Engine) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// to I/O and keeps the files compact. An engine whose collection keeps
+// no sources cannot be stored, and is refused.
+func Save(path string, e *Engine) error {
+	c := e.Collection()
+	if !c.HasSource() {
+		return fmt.Errorf("setsim: save %s: the collection keeps no sources", path)
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return collection.Write(f, e.Collection())
+	log := make([]core.DocState, c.NumSets())
+	for i := range log {
+		log[i].Source = c.Source(collection.SetID(i))
+	}
+	return saveStore(path, c.Tokenizer(), log, make([]int32, len(log)), make([]*route.Summary, 1))
 }
 
 // SaveLive writes a mutable engine's snapshot to path in the version-5
@@ -142,7 +137,7 @@ func Save(path string, e *Engine) (err error) {
 // inserts start under.
 func SaveLive(path string, le *LiveEngine) error {
 	le.Compact()
-	return saveLiveV5(path, le)
+	return saveStore(path, le.Tokenizer(), le.Log(), le.Routing(), le.ShardSummaries())
 }
 
 // writeFramedSnapshot writes the manifest framing — magic, version byte
@@ -167,13 +162,15 @@ func writeFramedSnapshot(w io.Writer, payload []byte) error {
 }
 
 // readFramedSnapshot validates the manifest framing and returns the
-// checksum-verified payload. Any version byte but 5 wraps
-// ErrUnknownVersion, every other structural failure wraps
+// checksum-verified payload. It is the one place a file's format is
+// told: the magic and the version byte are checked before the checksum
+// is read, so any version byte but 5 wraps ErrUnknownVersion however
+// short the file, and every other structural failure wraps
 // collection.ErrBadCollection — a truncated file never surfaces a raw
 // io.EOF.
 func readFramedSnapshot(r io.Reader) ([]byte, error) {
 	head := make([]byte, len(snapMagic)+1+4)
-	if _, err := io.ReadFull(r, head); err != nil {
+	if _, err := io.ReadFull(r, head[:len(snapMagic)+1]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", collection.ErrBadCollection, err)
 	}
 	if string(head[:len(snapMagic)]) != snapMagic {
@@ -181,6 +178,9 @@ func readFramedSnapshot(r io.Reader) ([]byte, error) {
 	}
 	if version := head[len(snapMagic)]; version != snapV5 {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownVersion, version)
+	}
+	if _, err := io.ReadFull(r, head[len(snapMagic)+1:]); err != nil {
+		return nil, fmt.Errorf("%w: short header: %v", collection.ErrBadCollection, err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(head[len(snapMagic)+1:])
 	payload, err := io.ReadAll(r)
@@ -193,63 +193,34 @@ func readFramedSnapshot(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// sniffVersion reads the leading magic of f and rewinds it: 1 for the
-// collection format, 5 for durable-store manifests. Any other snapshot
-// version byte yields ErrUnknownVersion; anything else, a file that ends
-// before its version byte included, is rejected as a bad collection.
-func sniffVersion(f *os.File) (int, error) {
-	buf := make([]byte, len(snapMagic)+1)
-	n, err := io.ReadFull(f, buf)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return 0, fmt.Errorf("%w: short header: %v", collection.ErrBadCollection, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	head := string(buf[:n])
-	switch {
-	case strings.HasPrefix(head, colMagic):
-		return 1, nil
-	case !strings.HasPrefix(head, snapMagic):
-		return 0, fmt.Errorf("%w: bad magic", collection.ErrBadCollection)
-	case len(head) == len(snapMagic):
-		return 0, fmt.Errorf("%w: short header: no version byte", collection.ErrBadCollection)
-	case head[len(snapMagic)] != snapV5:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownVersion, head[len(snapMagic)])
-	}
-	return snapV5, nil
-}
-
-// snapshot is a decoded snapshot of either format: everything the
-// openers build their engines from, so they differ only in what they
-// build.
+// snapshot is a decoded store: everything the openers build their
+// engines from, so they differ only in what they build.
 type snapshot struct {
 	info SnapshotInfo
 	tk   Tokenizer
-	// col is a version-1 file's stored collection, which Open serves as
-	// it is; m is a version-5 store's manifest. Exactly one is set,
-	// except for the store OpenDurable is about to create.
-	col *collection.Collection
-	m   *manifestV5
-	// log is the checkpointed document log in id order (nil for a
-	// version-1 file saved without sources), routing the shard of each
-	// of its ids as saved (version 5 only), tail the WAL records past
-	// the checkpoint, and docs the log with the tail folded in: the
-	// state every opener reproduces.
+	// m is the store's manifest: for a store no checkpoint has covered
+	// yet, which OpenDurable opens from its WAL alone, an empty one
+	// naming the tokenizer.
+	m *manifestV5
+	// log is the checkpointed document log in id order, routing the
+	// shard of each of its ids as saved, tail the WAL records past the
+	// checkpoint, and docs the log with the tail folded in: the state
+	// every opener reproduces.
 	log     []core.DocState
 	routing []int32
 	tail    []wal.Record
 	docs    []core.DocState
 	// round is the tokenized input of the checkpoint round over the
-	// log's live documents, when the store's packages hold it: recovery
-	// rebuilds the round from it instead of tokenizing the log.
+	// log's live documents, as the store's packages hold it: recovery
+	// rebuilds the round from it instead of tokenizing the log. It is
+	// nil only for a store no checkpoint covers, whose log is empty.
 	round *core.StoredRound
 }
 
-// loadSnapshot is the one loader: open, sniff, decode. A failure to open
-// the file is returned as the os package reports it; everything after
-// names the path and wraps ErrUnknownVersion or
-// collection.ErrBadCollection.
+// loadSnapshot is the one loader: open, then read and cross-validate the
+// store. A failure to open the file is returned as the os package
+// reports it; everything after names the path and wraps
+// ErrUnknownVersion or collection.ErrBadCollection.
 func loadSnapshot(path string) (*snapshot, error) {
 	start := time.Now()
 	f, err := os.Open(path)
@@ -257,38 +228,11 @@ func loadSnapshot(path string) (*snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := decodeSnapshot(path, f)
+	s, err := loadStore(path, f)
 	if err != nil {
 		return nil, fmt.Errorf("setsim: load %s: %w", path, err)
 	}
 	s.info.LoadTime = time.Since(start)
-	return s, nil
-}
-
-func decodeSnapshot(path string, f *os.File) (*snapshot, error) {
-	version, err := sniffVersion(f)
-	if err != nil {
-		return nil, err
-	}
-	if version == snapV5 {
-		return loadStore(path, f)
-	}
-	c, err := collection.Read(f)
-	if err != nil {
-		return nil, err
-	}
-	s := &snapshot{
-		info: SnapshotInfo{Version: 1, Docs: c.NumSets(), Live: c.NumSets(), Shards: 1},
-		tk:   c.Tokenizer(),
-		col:  c,
-	}
-	if c.HasSource() {
-		s.log = make([]core.DocState, c.NumSets())
-		for i := range s.log {
-			s.log[i].Source = c.Source(collection.SetID(i))
-		}
-		s.docs = s.log
-	}
 	return s, nil
 }
 
@@ -327,14 +271,15 @@ func (s *snapshot) attachTail(path string, after uint64) error {
 	return nil
 }
 
-// needSources rejects the one snapshot only Open can serve: a version-1
-// collection saved without its source strings, which cannot be
-// re-tokenized into shards or a document log.
-func (s *snapshot) needSources(path string) error {
-	if s.col != nil && !s.col.HasSource() {
-		return fmt.Errorf("setsim: load %s: version-1 snapshot lacks sources; only Open can serve it", path)
+// liveSources lists the live documents of a log in id order.
+func liveSources(log []core.DocState) []string {
+	var out []string
+	for _, d := range log {
+		if !d.Deleted {
+			out = append(out, d.Source)
+		}
 	}
-	return nil
+	return out
 }
 
 // liveDocs lists the live documents in id order — the dense re-indexing
@@ -355,8 +300,7 @@ func (s *snapshot) liveDocs() (docs []string, assign []int32) {
 
 // replay rebuilds a mutable engine from the snapshot — the recovery
 // algorithm: the checkpointed log is bulk-loaded (core.RestoreLiveRound
-// from the round the packages store, core.RestoreLive — the live
-// documents tokenized once — where there is none; either way built
+// from the round the packages store, no document tokenized, built
 // straight into one segment per shard, tombstoned entries installed so
 // ids are preserved), then the WAL tail runs through the normal mutation
 // path (no WAL is attached yet, so nothing is re-journaled). The engine
@@ -366,21 +310,22 @@ func (s *snapshot) liveDocs() (docs []string, assign []int32) {
 // computes that function once instead of reaching it through the
 // history. It stamps the info's BuildTime and TailTime.
 func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
-	if err := s.needSources(path); err != nil {
-		return nil, err
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = s.info.Shards
 	}
 	wrap := func(err error) error { return fmt.Errorf("setsim: load %s: replay: %w", path, err) }
 	start := time.Now()
-	var le *LiveEngine
-	var err error
-	if s.round != nil {
-		le, err = core.RestoreLiveRound(s.log, s.round, s.tk, cfg)
-	} else {
-		le, err = core.RestoreLive(s.log, s.tk, cfg)
+	// A snapshot without a stored round — a store no checkpoint covers
+	// yet, whose log is empty — restores from the round tokenizing the
+	// log's live documents builds, the one a save stores.
+	sr := s.round
+	if sr == nil {
+		var err error
+		if sr, err = core.TokenizeRound(s.tk, liveSources(s.log)); err != nil {
+			return nil, wrap(err)
+		}
 	}
+	le, err := core.RestoreLiveRound(s.log, sr, s.tk, cfg)
 	if err != nil {
 		return nil, wrap(err)
 	}
@@ -407,39 +352,41 @@ func (s *snapshot) replay(path string, cfg LiveConfig) (*LiveEngine, error) {
 	return le, nil
 }
 
-// Open loads a snapshot of either version as a static Engine and reports
-// what was read. A durable store indexes its live documents only — WAL
-// tail included; their ids are re-assigned densely in id order (a static
-// engine has no tombstones), so callers that must preserve live ids
-// should use OpenLive instead. The saved shard count is reported in the
-// info but not applied — a static engine is monolithic; use OpenSharded
-// to restore the fan-out.
+// Open loads a store as a static Engine and reports what was read. It
+// indexes the live documents only — WAL tail included; their ids are
+// re-assigned densely in id order (a static engine has no tombstones), so
+// callers that must preserve live ids should use OpenLive instead. The
+// saved shard count is reported in the info but not applied — a static
+// engine is monolithic; use OpenSharded to restore the fan-out.
 func Open(path string, cfg Config) (*Engine, SnapshotInfo, error) {
+	c, info, err := openCollection(path)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	return core.NewEngine(c, cfg), info, nil
+}
+
+// openCollection loads a store and freezes its live documents, densely
+// in id order, into the collection a static engine serves.
+func openCollection(path string) (*collection.Collection, SnapshotInfo, error) {
 	s, err := loadSnapshot(path)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	if s.col != nil {
-		return core.NewEngine(s.col, cfg), s.info, nil
-	}
 	docs, _ := s.liveDocs()
-	return core.NewEngine(core.BuildCollection(s.tk, docs, true), cfg), s.info, nil
+	return core.BuildCollection(s.tk, docs, true), s.info, nil
 }
 
-// OpenSharded loads a snapshot of either version as a sharded static
-// engine. shards ≤ 0 restores the shard count the snapshot was saved
-// with (1 for version-1 files); a positive value overrides it. Live
-// documents are re-indexed densely in id order, exactly as Open does. A
-// durable store with an empty WAL tail, opened at its saved shard count,
-// reuses the package membership as the routing table — the saved
-// partition comes back exactly, no re-clustering pass; version-1 files,
+// OpenSharded loads a store as a sharded static engine. shards ≤ 0
+// restores the shard count the store was saved with; a positive value
+// overrides it. Live documents are re-indexed densely in id order,
+// exactly as Open does. A store with an empty WAL tail, opened at its
+// saved shard count, reuses the package membership as the routing table
+// — the saved partition comes back exactly, no re-clustering pass;
 // stores with a tail and overridden shard counts repartition from
 // scratch (similarity-aware unless cfg.NoRoute).
 func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotInfo, error) {
 	s, err := loadSnapshot(path)
-	if err == nil {
-		err = s.needSources(path)
-	}
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
@@ -450,15 +397,14 @@ func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotI
 	if shards != s.info.Shards || cfg.NoRoute {
 		assign = nil // saved routing is only valid at the saved fan-out
 	}
-	return core.BuildShardedRouted(s.tk, docs, true, shards, assign, cfg), s.info, nil
+	return core.BuildShardedRouted(s.tk, docs, shards, assign, cfg), s.info, nil
 }
 
-// OpenLive loads a snapshot of either version as a mutable engine and
-// reports what was read, including where the time went
-// (SnapshotInfo.LoadTime, BuildTime, TailTime). The document log is
-// bulk-loaded: every live document goes straight into its shard's
-// segment — its token vector read from the packages of a store that
-// stores them, else tokenized once — tombstoned entries keep their ids,
+// OpenLive loads a store as a mutable engine and reports what was read,
+// including where the time went (SnapshotInfo.LoadTime, BuildTime,
+// TailTime). The document log is bulk-loaded: every live document goes
+// straight into its shard's segment — its token vector read from the
+// packages, no document tokenized — tombstoned entries keep their ids,
 // and the engine OpenLive returns is the one replaying the log through
 // Insert and Delete and compacting would have produced — without the
 // memtable, the per-document snapshots or any intermediate compaction.
@@ -469,7 +415,7 @@ func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotI
 // cfg.NoRoute). The background compactor starts only after that round
 // has published.
 //
-// For a durable store this is crash recovery: the checkpoint log from
+// This is crash recovery: the checkpoint log from
 // the manifest's segment packages is bulk-loaded, then the WAL tail —
 // every intact record past the checkpoint, a torn final record excluded
 // — replays through the normal mutation path. Use OpenDurable to
@@ -486,10 +432,10 @@ func OpenLive(path string, cfg LiveConfig) (*LiveEngine, SnapshotInfo, error) {
 	return le, s.info, nil
 }
 
-// Load reads a snapshot written by Save (or SaveLive) and rebuilds the
-// indexes per cfg. The file's checksum is verified; a corrupt file
-// yields an error wrapping collection.ErrBadCollection, and a snapshot
-// of any other format version one wrapping ErrUnknownVersion.
+// Load reads a store written by Save (or SaveLive) and rebuilds the
+// indexes per cfg. Every checksum is verified; a corrupt store yields an
+// error wrapping collection.ErrBadCollection, and a snapshot of any
+// other format version one wrapping ErrUnknownVersion.
 func Load(path string, cfg Config) (*Engine, error) {
 	e, _, err := Open(path, cfg)
 	return e, err
@@ -503,18 +449,14 @@ func SaveLists(path string, e *Engine) error {
 	return invlist.WriteFile(path, e.Collection(), 0)
 }
 
-// LoadWithLists opens a collection saved with Save plus a list file
-// written by SaveLists, and serves queries from the on-disk lists. A list
-// file built from a different collection is refused.
-func LoadWithLists(collectionPath, listsPath string, cfg Config) (*Engine, error) {
-	f, err := os.Open(collectionPath)
+// LoadWithLists opens a store saved with Save plus a list file written
+// by SaveLists, and serves queries from the on-disk lists. The store's
+// collection is built exactly as Open builds it; a list file built from
+// another collection is refused.
+func LoadWithLists(storePath, listsPath string, cfg Config) (*Engine, error) {
+	c, _, err := openCollection(storePath)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	c, err := collection.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("setsim: load %s: %w", collectionPath, err)
 	}
 	store, err := invlist.OpenFile(listsPath)
 	if err != nil {
@@ -522,7 +464,7 @@ func LoadWithLists(collectionPath, listsPath string, cfg Config) (*Engine, error
 	}
 	if !store.BuiltFrom(c) {
 		store.Close()
-		return nil, fmt.Errorf("setsim: lists %s were not built from collection %s", listsPath, collectionPath)
+		return nil, fmt.Errorf("setsim: lists %s were not built from store %s", listsPath, storePath)
 	}
 	cfg.Store = store
 	return core.NewEngine(c, cfg), nil

@@ -45,6 +45,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveRefusesSourcelessEngine: a store holds every document's
+// source, so an engine whose collection keeps none cannot be saved, and
+// the refused Save writes no file.
+func TestSaveRefusesSourcelessEngine(t *testing.T) {
+	b := setsim.NewBuilder(setsim.QGramTokenizer{Q: 3}, false)
+	for _, s := range corpus {
+		b.Add(s)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.sssnap")
+	if err := setsim.Save(path, setsim.NewEngine(b.Build(), setsim.Config{})); err == nil {
+		t.Fatal("Save stored an engine whose collection keeps no sources")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused Save left %s behind: %v", path, err)
+	}
+}
+
 func TestLoadWithLists(t *testing.T) {
 	dir := t.TempDir()
 	colPath := filepath.Join(dir, "corpus.sscol")

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/route"
 )
@@ -23,9 +24,8 @@ func (c countingTokenizer) Tokens(dst []string, s string) []string {
 }
 
 // TestOpenLiveTokenizesEachLiveDocumentOnce: recovering a checkpointed
-// store tokenizes no document when its packages hold the round, and one
-// Tokens call per live document — tombstoned ones not at all — from
-// packages written before they held it; either way in one build round.
+// store tokenizes no document — its packages hold the round — and builds
+// in one round.
 func TestOpenLiveTokenizesEachLiveDocumentOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.sssnap")
 	cfg := LiveConfig{NoBackground: true, Shards: 3}
@@ -39,56 +39,54 @@ func TestOpenLiveTokenizesEachLiveDocumentOnce(t *testing.T) {
 			le.Delete(id)
 		}
 	}
-	live := le.NumLive()
 	if err := SaveLive(path, le); err != nil {
 		t.Fatal(err)
 	}
 	le.Close()
 
-	recoverCalls := func() int64 {
-		t.Helper()
-		s, err := loadSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls atomic.Int64
-		s.tk = countingTokenizer{Tokenizer: s.tk, calls: &calls}
-		re, err := s.replay(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if st := re.Stats(); st.Compactions != 1 || st.Memtable != 0 {
-			t.Errorf("recovered store: %+v, want one round and no memtable", st)
-		}
-		return calls.Load()
+	s, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := recoverCalls(); n != 0 {
+	var calls atomic.Int64
+	s.tk = countingTokenizer{Tokenizer: s.tk, calls: &calls}
+	re, err := s.replay(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Compactions != 1 || st.Memtable != 0 {
+		t.Errorf("recovered store: %+v, want one round and no memtable", st)
+	}
+	if n := calls.Load(); n != 0 {
 		t.Errorf("%d Tokens calls recovering a store whose packages hold the round", n)
-	}
-	stripStoredRound(t, path)
-	if n := recoverCalls(); n != int64(live) {
-		t.Errorf("%d Tokens calls recovering %d live documents from record-less packages", n, live)
 	}
 }
 
 // TestOpenRejectsTokenlessCheckpointedDocument: a live checkpointed
-// document that yields no tokens cannot have been inserted; the open
-// fails with the mutation path's ErrNoTokens, wrapped, from both openers.
+// document that yields no tokens cannot have been inserted; its stored
+// vector is empty, which no round can hold, and the open fails with
+// collection.ErrBadCollection, wrapped, from both openers.
 func TestOpenRejectsTokenlessCheckpointedDocument(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.sssnap")
-	st := &core.CheckpointState{
-		NextID: 2, LiveN: 2,
-		Live:      [][]core.DocRef{{{ID: 0, Source: "main street"}, {ID: 1, Source: ""}}},
-		Summaries: make([]*route.Summary, 1),
-	}
-	if _, err := writeGeneration(path, QGramTokenizer{Q: 3}.Name(), 1, st); err != nil {
+	tk := QGramTokenizer{Q: 3}
+	sr, err := core.TokenizeRound(tk, []string{"main street"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenLive(path, LiveConfig{NoBackground: true}); !errors.Is(err, ErrNoTokens) {
-		t.Errorf("OpenLive: error %v, want one wrapping ErrNoTokens", err)
+	st := &core.CheckpointState{
+		NextID: 2, LiveN: 2,
+		Live:      [][]core.DocRef{{{ID: 0, Source: "main street", Vec: sr.Vecs}, {ID: 1, Source: ""}}},
+		Summaries: make([]*route.Summary, 1),
+		Dict:      sr.Dict,
 	}
-	if _, _, err := OpenDurable(path, LiveConfig{NoBackground: true}, DurableOptions{Sync: SyncOff}); !errors.Is(err, ErrNoTokens) {
-		t.Errorf("OpenDurable: error %v, want one wrapping ErrNoTokens", err)
+	if _, err := writeGeneration(path, tk.Name(), 1, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenLive(path, LiveConfig{NoBackground: true}); !errors.Is(err, collection.ErrBadCollection) {
+		t.Errorf("OpenLive: error %v, want one wrapping ErrBadCollection", err)
+	}
+	if _, _, err := OpenDurable(path, LiveConfig{NoBackground: true}, DurableOptions{Sync: SyncOff}); !errors.Is(err, collection.ErrBadCollection) {
+		t.Errorf("OpenDurable: error %v, want one wrapping ErrBadCollection", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/segpack"
 	"repro/internal/tokenize"
 )
 
@@ -97,17 +96,6 @@ func buildRoundStore(t *testing.T, path string, sh roundStoreShape, seed int64) 
 	}
 	le.Close()
 	return append([]string{"zzzz", words[0] + "x"}, words[1:12]...)
-}
-
-// liveSources lists the live documents of a log in id order.
-func liveSources(log []core.DocState) []string {
-	var out []string
-	for _, d := range log {
-		if !d.Deleted {
-			out = append(out, d.Source)
-		}
-	}
-	return out
 }
 
 // requireSameAnswers fails unless got holds the document log, routing
@@ -207,130 +195,6 @@ func TestRecoverFromStoredRoundMatchesTokenized(t *testing.T) {
 	}
 }
 
-// stripStoredRound rewrites the store at path in the format written
-// before packages held vectors: every package rebuilt with segpack from
-// its document record and metadata alone, and the manifest without its
-// dictionary.
-func stripStoredRound(t *testing.T, path string) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := readManifest(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ref := range m.refs {
-		name := filepath.Join(filepath.Dir(path), ref.Name)
-		fr, err := segpack.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs, err := fr.ReadRecord(packDocsRecord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.RecordSize(packVecsRecord) <= 0 {
-			t.Fatalf("%s holds no vector record to strip", ref.Name)
-		}
-		w, err := segpack.Create(name + ".tmp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddRecord(packDocsRecord, docs); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range fr.MetaKeys() {
-			v, _ := fr.Meta(k)
-			w.SetMeta(k, v)
-		}
-		fr.Close()
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(name+".tmp", name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.dict = nil
-	if err := writeManifestFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecordlessPackOpensAndUpgrades: a store whose packages carry no
-// vector record — the format before packages held vectors — opens by
-// tokenizing, answers bitwise like the same store with the record, and
-// its next checkpoint writes the record and the manifest's dictionary.
-func TestRecordlessPackOpensAndUpgrades(t *testing.T) {
-	sh := roundStoreShape{shards: 2, deletes: true, tail: true}
-	path := filepath.Join(t.TempDir(), "store.sssnap")
-	queries := buildRoundStore(t, path, sh, 3)
-	old := filepath.Join(t.TempDir(), "store.sssnap")
-	for _, name := range []string{"", ".wal", ".g1-s0.sspk", ".g1-s1.sspk"} {
-		data, err := os.ReadFile(path + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(old+name, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stripStoredRound(t, old)
-	if s, err := loadSnapshot(old); err != nil || s.round != nil {
-		t.Fatalf("stripped store: round %v, err %v; want no round", s != nil && s.round != nil, err)
-	}
-
-	cfg := sh.cfg()
-	want, _, err := OpenDurable(path, cfg, DurableOptions{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := OpenDurable(old, cfg, DurableOptions{Sync: SyncOff})
-	if err != nil {
-		t.Fatalf("record-less open: %v", err)
-	}
-	requireSameAnswers(t, "record-less pack", got, want, queries)
-
-	// Both stores checkpoint their tails, and reopen.
-	for _, le := range []*LiveEngine{got, want} {
-		if err := le.CheckpointNow(); err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
-		le.Close()
-	}
-	s, err := loadSnapshot(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.m.dict == nil || s.round == nil || len(s.m.refs) == 0 {
-		t.Fatalf("upgraded store: manifest dictionary %v, round %v", s.m.dict != nil, s.round != nil)
-	}
-	for _, ref := range s.m.refs {
-		fr, err := segpack.Open(filepath.Join(filepath.Dir(old), ref.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.RecordSize(packVecsRecord) <= 0 {
-			t.Errorf("upgraded package %s holds no vector record", ref.Name)
-		}
-		fr.Close()
-	}
-	reopened, _, err := OpenDurable(old, cfg, DurableOptions{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	want, _, err = OpenDurable(path, cfg, DurableOptions{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	requireSameAnswers(t, "upgraded store", reopened, want, queries)
-}
-
 // TestVerifyFlagsAlteredVector: a package whose checksums are valid but
 // which holds one vector its source does not tokenize to is flagged by
 // Verify, in that package's check, and refused by nothing else: the open
@@ -375,7 +239,7 @@ func TestVerifyFlagsAlteredVector(t *testing.T) {
 		docs[i].Vec = pv.vecs[pv.off[i]:pv.off[i+1]]
 	}
 	docs[len(docs)/2].Vec[0].TF++
-	if err := writePackFile(name, ref.Shard, m.gen, docs, true, m.sums[ref.Shard], m.nextID, m.liveN); err != nil {
+	if err := writePackFile(name, ref.Shard, m.gen, docs, m.sums[ref.Shard], m.nextID, m.liveN); err != nil {
 		t.Fatal(err)
 	}
 

@@ -163,7 +163,7 @@ func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
 // read-only view of a LiveEngine loaded in one round; Close closes it,
 // and queries keep working after Close.
 func BuildSharded(corpus []string, tk Tokenizer, shards int, cfg Config) *ShardedEngine {
-	return core.BuildSharded(tk, corpus, true, shards, cfg)
+	return core.BuildSharded(tk, corpus, shards, cfg)
 }
 
 // ListsOnly returns Config{}, which builds the inverted lists only.

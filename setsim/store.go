@@ -1,5 +1,7 @@
-// The durable storage layer: version-5 snapshots. A v5 snapshot is not
-// one monolithic blob but a thin manifest plus segment packages:
+// The storage layer: version-5 stores, the one on-disk format of a
+// corpus (Save, SaveLive and every checkpoint write it; every opener
+// reads it). A store is not one monolithic blob but a thin manifest plus
+// segment packages:
 //
 //   - <path>              the manifest (framing in persist.go)
 //   - <base>.g<G>-s<S>.sspk  one segment package per non-empty shard,
@@ -22,8 +24,7 @@
 //	segpacks: u32 count, per ref: uvarint len + basename, shard u32,
 //	          docs u32
 //	round dictionary: u32 count, per token in id order: uvarint len +
-//	          bytes (absent from stores written before packages held
-//	          vectors)
+//	          bytes
 //
 // The manifest carries no routing table: shard membership of the
 // packages IS the routing. A checkpoint stores its round's input beside
@@ -40,25 +41,24 @@
 // the tombstoned documents installed as tombstones so ids are preserved,
 // the background compactor started only afterwards), then replays the
 // WAL tail (records past walStart) through the normal mutation path. A
-// store written before packages held vectors bulk-loads through
-// core.RestoreLive, which tokenizes every live document once, and its
-// next checkpoint writes the vectors; so do a version-1 snapshot and a
-// WAL-only store. The posting lists, skip samples and dense bitmaps are
-// not stored: an open builds them from the round. The recovered engine
-// answers queries bitwise-identically to an engine that replayed the
-// same surviving history with a compaction at the checkpoint, because a
-// compacted engine's state is a pure function of (live set, id order,
-// shard count): the bulk load evaluates that function once, where
-// re-inserting the log and compacting evaluated it through the memtable,
-// a snapshot per document and however many background rounds raced the
-// load. SnapshotInfo reports the three phases' durations (LoadTime,
-// BuildTime, TailTime).
+// manifest without the dictionary or a package without the vectors —
+// stores written before packages held them — is refused with
+// collection.ErrBadCollection. The posting lists, skip samples and dense
+// bitmaps are not stored: an open builds them from the round. The
+// recovered engine answers queries bitwise-identically to an engine that
+// replayed the same surviving history with a compaction at the
+// checkpoint, because a compacted engine's state is a pure function of
+// (live set, id order, shard count): the bulk load evaluates that
+// function once, where re-inserting the log and compacting evaluated it
+// through the memtable, a snapshot per document and however many
+// background rounds raced the load. SnapshotInfo reports the three
+// phases' durations (LoadTime, BuildTime, TailTime).
 //
-// One writer, writeGeneration, persists a settled state — SaveLive's and
-// every checkpoint's alike — and follows write-ahead ordering:
-// new-generation packages first, then the manifest (temp file + rename,
-// directory fsync); a checkpoint then truncates the WAL and removes the
-// old generation's packages. A crash between any two steps leaves a
+// One writer, writeGeneration, persists a settled state — Save's,
+// SaveLive's and every checkpoint's alike — and follows write-ahead
+// ordering: new-generation packages first, then the manifest (a temp
+// file renamed over it, then a directory fsync); a checkpoint then
+// truncates the WAL and removes the old generation's packages. A crash between any two steps leaves a
 // recoverable store — at worst a longer WAL tail or orphaned package
 // files the next checkpoint overwrites.
 package setsim
@@ -77,6 +77,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/route"
 	"repro/internal/segpack"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
@@ -133,8 +134,7 @@ type manifestV5 struct {
 	sums     []ShardSummaryInfo
 	refs     []SegpackRef
 	// dict is the checkpoint round's dictionary in id order, which the
-	// packages' vectors number; nil for a store written before packages
-	// held vectors, whose open tokenizes the documents instead.
+	// packages' vectors number.
 	dict []string
 }
 
@@ -173,11 +173,9 @@ func writeManifestFile(path string, m *manifestV5) error {
 		p.u32(uint32(r.Shard))
 		p.u32(uint32(r.Docs))
 	}
-	if m.dict != nil {
-		p.u32(uint32(len(m.dict)))
-		for _, t := range m.dict {
-			p.str(t)
-		}
+	p.u32(uint32(len(m.dict)))
+	for _, t := range m.dict {
+		p.str(t)
 	}
 
 	tmp := path + ".tmp"
@@ -283,14 +281,10 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 		return nil, fmt.Errorf("%w: packages and dead list cover %d ids, manifest says %d",
 			collection.ErrBadCollection, ids, m.nextID)
 	}
-	// The dictionary section is absent from stores written before
-	// packages held vectors.
-	if p.err == nil && p.pos < len(p.b) {
-		n := int(p.u32("dictionary size"))
-		m.dict = make([]string, 0, min(n, len(p.b)))
-		for i := 0; i < n && p.err == nil; i++ {
-			m.dict = append(m.dict, p.str("dictionary token"))
-		}
+	n := int(p.u32("dictionary size"))
+	m.dict = make([]string, 0, min(n, len(p.b)))
+	for i := 0; i < n && p.err == nil; i++ {
+		m.dict = append(m.dict, p.str("dictionary token"))
 	}
 	if p.err != nil {
 		return nil, p.err
@@ -302,10 +296,10 @@ func readManifest(r io.Reader) (*manifestV5, error) {
 }
 
 // writePackFile writes one shard's segment package: the document list
-// record, with vecs the documents' vector record, plus inspection
-// metadata (shard, generation, the stats snapshot the segment was built
-// under, and its route-summary scalars).
-func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, vecs bool, sum ShardSummaryInfo, nextID, liveN int) error {
+// record and the documents' vector record, plus inspection metadata
+// (shard, generation, the stats snapshot the segment was built under,
+// and its route-summary scalars).
+func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, sum ShardSummaryInfo, nextID, liveN int) error {
 	w, err := segpack.Create(path)
 	if err != nil {
 		return err
@@ -317,7 +311,7 @@ func writePackFile(path string, shard int, gen uint64, docs []core.DocRef, vecs 
 		p.str(d.Source)
 	}
 	err = w.AddRecord(packDocsRecord, p.b)
-	if err == nil && vecs {
+	if err == nil {
 		err = w.AddRecord(packVecsRecord, encodePackVecs(docs))
 	}
 	if err != nil {
@@ -563,15 +557,13 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 	// of range or covered twice below, none is missing.
 	dir := filepath.Dir(path)
 	packDocs := make([][]core.DocRef, len(m.refs))
-	var packs []packVecs // parallel to m.refs when the manifest holds the round
+	packs := make([]packVecs, len(m.refs))
 	for i, ref := range m.refs {
-		docs, pv, err := readPack(filepath.Join(dir, ref.Name), m.dict)
+		docs, pv, err := readPack(filepath.Join(dir, ref.Name), len(m.dict))
 		if err != nil {
 			return nil, err
 		}
-		if m.dict != nil {
-			packs = append(packs, pv)
-		}
+		packs[i] = pv
 		if len(docs) != ref.Docs {
 			return nil, fmt.Errorf("%w: %s holds %d docs, manifest says %d",
 				collection.ErrBadCollection, ref.Name, len(docs), ref.Docs)
@@ -621,25 +613,23 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: packages hold %d live docs, manifest says %d",
 			collection.ErrBadCollection, live, m.liveN)
 	}
-	if m.dict != nil {
-		s.round = packRound(m, s.log, s.routing, packs)
-	}
+	s.round = packRound(m, s.log, s.routing, packs)
 	return s, s.attachTail(path, m.walStart)
 }
 
-// readPack opens one segment package and decodes its documents and,
-// when the manifest holds the round dictionary dict, their vectors.
-func readPack(path string, dict []string) ([]core.DocRef, packVecs, error) {
+// readPack opens one segment package and decodes its documents and
+// their vectors, whose tokens lie below dictLen.
+func readPack(path string, dictLen int) ([]core.DocRef, packVecs, error) {
 	fr, err := openPack(path)
 	if err != nil {
 		return nil, packVecs{}, err
 	}
 	defer fr.Close()
 	docs, err := readPackDocs(fr, path)
-	if err != nil || dict == nil {
-		return docs, packVecs{}, err
+	if err != nil {
+		return nil, packVecs{}, err
 	}
-	pv, err := readPackVecs(fr, path, docs, len(dict))
+	pv, err := readPackVecs(fr, path, docs, dictLen)
 	return docs, pv, err
 }
 
@@ -707,7 +697,7 @@ func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) 
 				continue
 			}
 			name := packName(base, gen, si)
-			if err := writePackFile(filepath.Join(dir, name), si, gen, docs, st.Dict != nil, m.sums[si], st.NextID, st.LiveN); err != nil {
+			if err := writePackFile(filepath.Join(dir, name), si, gen, docs, m.sums[si], st.NextID, st.LiveN); err != nil {
 				return err
 			}
 			written = append(written, name)
@@ -724,27 +714,24 @@ func writeGeneration(path, tkName string, gen uint64, st *core.CheckpointState) 
 	return written, nil
 }
 
-// saveLiveV5 writes a settled engine as a fresh v5 store: generation-1
-// packages plus the manifest, removing any stale WAL (this snapshot
-// starts a new history; walStart is 0 and no records precede it). The
-// packages carry the round over the live documents in id order, which
-// a checkpoint hands over from its compaction and a save tokenizes.
-func saveLiveV5(path string, le *LiveEngine) error {
-	log, routing := le.Log(), le.Routing()
-	var sources []string
-	for _, d := range log {
-		if !d.Deleted {
-			sources = append(sources, d.Source)
-		}
-	}
-	sr, err := core.TokenizeRound(le.Tokenizer(), sources)
+// saveStore writes a settled document log as a fresh store: one
+// generation-1 package per non-empty shard — routing[id] is the shard of
+// document id, and sums has one entry per shard — plus the manifest,
+// removing any stale WAL (this store starts a new history; walStart is 0
+// and no records precede it). The packages carry the round over the live
+// documents in id order, which a checkpoint hands over from its
+// compaction and a save tokenizes: a shard's collection does not number
+// its tokens by first appearance over the whole log, so no engine's
+// dictionary is reused.
+func saveStore(path string, tk Tokenizer, log []core.DocState, routing []int32, sums []*route.Summary) error {
+	sr, err := core.TokenizeRound(tk, liveSources(log))
 	if err != nil {
 		return fmt.Errorf("setsim: save %s: %w", path, err)
 	}
 	st := &core.CheckpointState{
 		NextID:    len(log),
-		Live:      make([][]core.DocRef, le.NumShards()),
-		Summaries: le.ShardSummaries(),
+		Live:      make([][]core.DocRef, len(sums)),
+		Summaries: sums,
 		Dict:      sr.Dict,
 	}
 	for id, d := range log {
@@ -757,7 +744,7 @@ func saveLiveV5(path string, le *LiveEngine) error {
 		st.Live[routing[id]] = append(st.Live[routing[id]], ref)
 		st.LiveN++
 	}
-	if _, err := writeGeneration(path, le.Tokenizer().Name(), 1, st); err != nil {
+	if _, err := writeGeneration(path, tk.Name(), 1, st); err != nil {
 		return err
 	}
 	// A stale WAL from an earlier durable store at this path would
@@ -808,34 +795,31 @@ func (ds *durableStore) Checkpoint(st *core.CheckpointState) error {
 // then the engine is wired to journal every mutation into the WAL and
 // persist checkpoints at full compactions (bounded by
 // cfg.CheckpointEvery). A missing manifest starts an empty store; a
-// version-1 snapshot at path is upgraded to v5 at the first checkpoint.
-// In both of those cases a crash may have left a WAL with no manifest
-// covering it (the first checkpoint never ran), so the whole surviving
-// log replays into the engine before it goes live. Close the engine to
-// flush and close the WAL.
+// crash may have left a WAL with no manifest covering it (the first
+// checkpoint never ran), so the whole surviving log replays into the
+// engine before it goes live. Close the engine to flush and close the
+// WAL.
 func OpenDurable(path string, cfg LiveConfig, opts DurableOptions) (*LiveEngine, SnapshotInfo, error) {
 	var s *snapshot
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		// Fresh store: nothing checkpointed yet. Tokenizer defaults like
-		// NewLive's callers expect.
+		// No manifest: nothing checkpointed yet, so every surviving WAL
+		// record is tail. Tokenizer defaults like NewLive's callers
+		// expect.
+		start := time.Now()
+		tk := tokenize.QGramTokenizer{Q: 3}
 		s = &snapshot{
 			info: SnapshotInfo{Version: snapV5, Shards: max(cfg.Shards, 1)},
-			tk:   tokenize.QGramTokenizer{Q: 3},
+			tk:   tk,
+			m:    &manifestV5{tkName: tk.Name()},
 		}
+		if err := s.attachTail(path, 0); err != nil {
+			return nil, SnapshotInfo{}, err
+		}
+		s.info.LoadTime = time.Since(start)
 	} else if s, err = loadSnapshot(path); err != nil {
 		return nil, SnapshotInfo{}, err
 	}
 	m := s.m
-	if m == nil {
-		// Without a v5 manifest no checkpoint covers the WAL, so every
-		// surviving record is tail: a crash before the first checkpoint.
-		m = &manifestV5{tkName: s.tk.Name()}
-		start := time.Now()
-		if err := s.attachTail(path, 0); err != nil {
-			return nil, SnapshotInfo{}, err
-		}
-		s.info.LoadTime += time.Since(start)
-	}
 	le, err := s.replay(path, cfg)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
@@ -867,10 +851,9 @@ type PackCheck struct {
 	Ref SegpackRef
 	// Blocks is the number of block checksums verified.
 	Blocks int
-	// Err is nil when every block checksum matched and, in a store whose
-	// packages hold token vectors, every document's stored vector is the
-	// one its source tokenizes to under the manifest's tokenizer and
-	// dictionary.
+	// Err is nil when every block checksum matched and every document's
+	// stored vector is the one its source tokenizes to under the
+	// manifest's tokenizer and dictionary.
 	Err error
 }
 
@@ -888,47 +871,32 @@ type VerifyReport struct {
 	OK bool
 }
 
-// Verify checks a snapshot's integrity without building an engine: the
+// Verify checks a store's integrity without building an engine: the
 // manifest checksum, every package's every block checksum, and the WAL
-// tail. Where the packages hold token vectors — which an open trusts
-// instead of tokenizing — it also re-tokenizes every package's sources
-// and reports, in that package's PackCheck, the first document whose
-// stored vector or dictionary strings disagree. A version-1 file has one
-// payload checksum, verified by parsing.
+// tail. Since an open trusts the packages' token vectors instead of
+// tokenizing, it also re-tokenizes every package's sources and reports,
+// in that package's PackCheck, the first document whose stored vector or
+// dictionary strings disagree.
 func Verify(path string) (*VerifyReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	version, err := sniffVersion(f)
-	if err != nil {
-		return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
-	}
-	rep := &VerifyReport{Version: version, OK: true}
-	if version == 1 {
-		if _, err := collection.Read(f); err != nil {
-			return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
-		}
-		return rep, nil
-	}
 	m, err := readManifest(f)
 	if err != nil {
 		return nil, fmt.Errorf("setsim: verify %s: %w", path, err)
 	}
-	rep.Generation, rep.WALStart = m.gen, m.walStart
-	var tk Tokenizer
-	var dict *tokenize.Dict
+	tk, err := tokenize.ParseName(m.tkName)
+	if err != nil {
+		return nil, fmt.Errorf("setsim: verify %s: %w: %v", path, collection.ErrBadCollection, err)
+	}
+	rep := &VerifyReport{Version: snapV5, Generation: m.gen, WALStart: m.walStart, OK: true}
+	dict := tokenize.NewDict()
 	var dictErr error
-	if m.dict != nil {
-		if tk, err = tokenize.ParseName(m.tkName); err != nil {
-			return nil, fmt.Errorf("setsim: verify %s: %w: %v", path, collection.ErrBadCollection, err)
-		}
-		dict = tokenize.NewDict()
-		for t, s := range m.dict {
-			if dict.Intern(s) != tokenize.Token(t) && dictErr == nil {
-				dictErr = fmt.Errorf("%w: dictionary token %d repeats %q", collection.ErrBadCollection, t, s)
-			}
+	for t, s := range m.dict {
+		if dict.Intern(s) != tokenize.Token(t) && dictErr == nil {
+			dictErr = fmt.Errorf("%w: dictionary token %d repeats %q", collection.ErrBadCollection, t, s)
 		}
 	}
 	dir := filepath.Dir(path)
@@ -940,11 +908,11 @@ func Verify(path string) (*VerifyReport, error) {
 			chk.Err = err
 		} else {
 			chk.Blocks, chk.Err = fr.Verify()
-			if chk.Err == nil && dict != nil {
+			if chk.Err == nil {
 				chk.Err = dictErr
-				if chk.Err == nil {
-					chk.Err = checkPackVecs(fr, name, tk, dict)
-				}
+			}
+			if chk.Err == nil {
+				chk.Err = checkPackVecs(fr, name, tk, dict)
 			}
 			fr.Close()
 		}
