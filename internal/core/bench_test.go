@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/dataset"
 	"repro/internal/invlist"
 	"repro/internal/tokenize"
 )
@@ -113,6 +114,46 @@ func BenchmarkSelectWarmINRAShard(b *testing.B) {
 func BenchmarkSelectTopKWarmShard(b *testing.B) {
 	e, qs := getBenchShard(b)
 	benchTopKWarmOn(b, e, qs, nil)
+}
+
+// BenchmarkSelectWarmSkewShard measures SF selection at τ = 0.8 and SF
+// top-10 on 8 routed shards over the shard corpus with one Zipf-hot word
+// appended to every document (64 words, s = 1.2, the skewed twin the
+// bench prober builds): the hot words tie the topics together, the case
+// where shard summaries prune least. Each case reports the fraction of
+// summary bound checks that skipped a segment, the baseline a
+// partition-pruning change is measured against.
+func BenchmarkSelectWarmSkewShard(b *testing.B) {
+	docs := shardDocs(50000, 17)
+	hot := dataset.NewVocabulary(rand.New(rand.NewSource(18)), 64, 1.2)
+	for i := range docs {
+		docs[i] += " " + hot.Sample()
+	}
+	se := BuildSharded(tokenize.WordTokenizer{}, docs, 8, Config{})
+	defer se.Close()
+	qs := make([]Query, 16)
+	for i := range qs {
+		qs[i] = se.Prepare(docs[i*1117])
+	}
+	run := func(name string, query func(Query) error) {
+		b.Run(name, func(b *testing.B) {
+			before := se.Metrics().Snapshot().Shard
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := query(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := se.Metrics().Snapshot().Shard
+			if checks := after.BoundChecks - before.BoundChecks; checks > 0 {
+				b.ReportMetric(float64(after.Skipped-before.Skipped)/float64(checks), "pruned/check")
+			}
+		})
+	}
+	run("select", func(q Query) error { _, _, err := se.Select(q, 0.8, SF, nil); return err })
+	run("topk", func(q Query) error { _, _, err := se.SelectTopK(q, 10, SF, nil); return err })
 }
 
 // The dense engine is the q-gram corpus whose common grams' lists cross

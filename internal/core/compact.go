@@ -206,9 +206,7 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, reassign []in
 			identity: ids[si][len(ids[si])-1] == collection.SetID(len(ids[si])-1),
 			local:    local,
 		}
-		if !le.cfg.NoRoute {
-			g.sum = route.Summarize(c, g.eng.store)
-		}
+		g.sum = route.Summarize(c, g.eng.store)
 		segs[si] = g
 	})
 	var dict *tokenize.Dict
@@ -228,7 +226,7 @@ func (le *LiveEngine) runRound(r *segmentRound, works []shardWork, reassign []in
 // each tagged with the shard holding it. A shard whose round would be
 // pure churn — no memtable, at most one segment to fold, no tombstones to
 // reclaim, no statistics drift — is skipped (nil fold map); ok is false
-// when every shard is skipped. needRoute marks a full round on a routed
+// when every shard is skipped. needRoute marks a full round on a
 // multi-shard engine with mutations the routing table has not absorbed:
 // every shard then participates (documents may move between shards even
 // if a shard looks clean in isolation) and the round re-clusters; mutAt
@@ -310,10 +308,10 @@ func (le *LiveEngine) gather(full, ckpt bool) (works []shardWork, all []docRef, 
 }
 
 // needRouteLocked reports whether a round over the engine's current
-// state must re-cluster: a full round on a routed multi-shard engine
-// with mutations the routing table has not absorbed.
+// state must re-cluster: a full round on a multi-shard engine with
+// mutations the routing table has not absorbed.
 func (le *LiveEngine) needRouteLocked(full bool) bool {
-	return full && le.nShards > 1 && !le.cfg.NoRoute && le.mutations != le.lastRouteMut
+	return full && le.nShards > 1 && le.mutations != le.lastRouteMut
 }
 
 // roundIDF computes the idf weight of every round-dictionary token under

@@ -155,12 +155,6 @@ type Config struct {
 	Store invlist.Store
 	// SkipInterval is the skip-index spacing for the built MemStore.
 	SkipInterval int
-	// NoRoute disables similarity-aware partitioning on BuildSharded:
-	// documents are hash-routed (PR 5 behavior) and no per-shard
-	// summaries are built, so no shard is ever pruned. A build-time
-	// toggle for benchmarks and ablation; answers are bitwise-identical
-	// either way.
-	NoRoute bool
 }
 
 // NewEngine builds the inverted lists for c per cfg, and the bitmaps of

@@ -66,7 +66,7 @@ type CheckpointState struct {
 	// Dead holds the tombstoned documents in ascending id order.
 	Dead []DocRef
 	// Summaries are the per-shard pruning summaries of the freshly
-	// compacted segments (nil entries for empty shards or under NoRoute).
+	// compacted segments (nil entries for empty shards).
 	Summaries []*route.Summary
 	// Dict is the round dictionary's token strings in id order, which
 	// the live documents' Vecs number.

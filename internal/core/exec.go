@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -123,10 +122,10 @@ func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan
 // enter its k-th bound and cannot displace live answers — the bound over
 // live candidates never exceeds the global k-th live score, which is what
 // keeps raising the shared bound sound — and the concatenation is left
-// unsorted for the caller's one sort-and-cut. Before each summarized
-// segment a top-k rechecks the segment's summary bound against the shared
-// bound earlier segments and shards raised, and skips a segment that can
-// no longer reach it. The memtable is scanned last, against that bound.
+// unsorted for the caller's one sort-and-cut. Before each segment a top-k
+// rechecks the segment's summary bound against the shared bound earlier
+// segments and shards raised, and skips a segment that can no longer
+// reach it. The memtable is scanned last, against that bound.
 func (fb *fanBuffers) runShard(si int, stats *Stats) ([]Result, error) {
 	le, ctx, lq, p, shared := fb.le, fb.ctx, &fb.lq, &fb.p, &fb.shared
 	sh := &lq.snap.shards[si]
@@ -138,7 +137,7 @@ func (fb *fanBuffers) runShard(si int, stats *Stats) ([]Result, error) {
 			continue // the route stage dropped it
 		}
 		q := lq.segQuery(si, i)
-		if p.kind == planTopK && !math.IsInf(b, 1) {
+		if p.kind == planTopK {
 			if s := shared.load(); s > 0 && !boundMeets(b, s) {
 				addStats(stats, skipStats(g.eng, q))
 				le.boundChecks.Add(1)
@@ -242,8 +241,8 @@ type fanBuffers struct {
 	p   queryPlan
 	del *tombstones
 
-	// bounds[at[si]+i] is the summary bound of segment i of shard si: +Inf
-	// when it has no summary, negative when the route stage dropped it.
+	// bounds[at[si]+i] is the summary bound of segment i of shard si,
+	// negative when the route stage dropped it.
 	bounds []float64
 	at     []int
 	keys   []float64 // a shard's top-k visit key: its best segment bound

@@ -59,10 +59,10 @@ type LiveConfig struct {
 	// round escalates to full and checkpoints. 0 selects 8192; negative
 	// disables automatic checkpoints (only CheckpointNow persists).
 	CheckpointEvery int
-	// Shards is the number of hash partitions the live corpus is split
-	// into. Each shard owns its own segment list and memtable: mutations
-	// route to one shard by a hash of the document id, and queries fan
-	// out across all shards. Compaction rounds rebuild every drifted
+	// Shards is the number of partitions the live corpus is split into.
+	// Each shard owns its own segment list and memtable: inserts route to
+	// one shard by a hash of the document id until a full round
+	// re-clusters them, and queries fan out across all shards. Compaction rounds rebuild every drifted
 	// shard against one shared statistics snapshot, so the partitions
 	// never diverge on scores. ≤ 0 selects 1 (a single partition, the
 	// exact monolithic behavior).
@@ -134,9 +134,9 @@ func (d *storeDict) str(t tokenize.Token) string {
 type liveSegment struct {
 	eng *Engine
 	ids []collection.SetID // local id → global id, strictly ascending
-	// sum is the segment's pruning summary (built at compaction, nil
-	// under Config.NoRoute): queries skip the whole segment when its
-	// bound cannot reach τ or the circulating top-k bound.
+	// sum is the segment's pruning summary, built with it: queries skip
+	// the whole segment when its bound cannot reach τ or the circulating
+	// top-k bound.
 	sum *route.Summary
 	// builtN and builtMut freeze the corpus size and mutation counter at
 	// build time; drift is measured against them.
@@ -193,9 +193,10 @@ func (g *liveSegment) emit(res []Result, del *tombstones) []Result {
 
 func (g *liveSegment) liveDocs() int { return len(g.ids) - int(g.dead.Load()) }
 
-// liveShard is one hash partition of the live corpus: its immutable
-// segments plus its own memtable. Mutations route to a shard by id
-// hash; queries fan out over every shard and merge.
+// liveShard is one partition of the live corpus: its immutable segments
+// plus its own memtable. Inserts route to a shard by id hash until a
+// full round re-clusters them; queries fan out over every shard and
+// merge.
 type liveShard struct {
 	segs []*liveSegment
 	mem  []memDoc
@@ -406,12 +407,6 @@ func (le *LiveEngine) startCompactor() {
 // segment: the engine is the one inserting them one by one and calling
 // Compact would leave.
 func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
-	return buildLive(corpus, tk, cfg, nil)
-}
-
-// buildLive is BuildLive whose round, given assign, partitions as assign
-// says instead of clustering.
-func buildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig, assign []int32) *LiveEngine {
 	start := time.Now()
 	le := newLive(tk, cfg)
 	r := newSegmentRound(tk, roundWorkers(len(corpus)))
@@ -420,7 +415,7 @@ func buildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig, assign []
 	for i, ref := range r.docs {
 		log[i] = ref.source
 	}
-	le.load(log, nil, r, assign, start)
+	le.load(log, nil, r, start)
 	return le
 }
 
@@ -444,7 +439,7 @@ func RestoreLiveRound(docs []DocState, sr *StoredRound, tk tokenize.Tokenizer, c
 		return nil, err
 	}
 	le := newLive(tk, cfg)
-	le.load(log, del, r, nil, start)
+	le.load(log, del, r, start)
 	return le, nil
 }
 
@@ -475,19 +470,16 @@ func restoreLog(docs []DocState) ([]string, *tombstones, []docRef) {
 // table, liveN, mutation counter and hash routing are installed in one
 // critical section, as the Insert/Delete history of the log would have
 // left them; the round then re-clusters and builds exactly as the full
-// compaction closing that history would — or, given assign (one shard
-// per round document), partitions as assign says.
-func (le *LiveEngine) load(log []string, del *tombstones, r *segmentRound, assign []int32, start time.Time) {
+// compaction closing that history would.
+func (le *LiveEngine) load(log []string, del *tombstones, r *segmentRound, start time.Time) {
 	needRoute, mutAt := le.installLog(log, del, r)
 	if len(log) > 0 {
 		works := make([]shardWork, le.nShards)
 		for si := range works {
 			works[si].fold = map[*liveSegment]bool{}
 		}
-		if !validAssign(assign, len(r.docs), le.nShards) {
-			assign = nil
-		}
-		if needRoute && assign == nil {
+		var assign []int32
+		if needRoute {
 			assign = r.partition(le.roundIDF(r.dict), le.nShards)
 		}
 		le.runRound(r, works, assign, mutAt, start)
@@ -557,8 +549,7 @@ func (le *LiveEngine) Metrics() *metrics.Registry { return le.m }
 // Tokenizer returns the tokenizer documents are decomposed with.
 func (le *LiveEngine) Tokenizer() tokenize.Tokenizer { return le.tk }
 
-// NumShards reports the number of hash partitions the corpus is split
-// into.
+// NumShards reports the number of partitions the corpus is split into.
 func (le *LiveEngine) NumShards() int { return le.nShards }
 
 // distinctTokens tokenizes s into its sorted distinct token strings, in
@@ -927,8 +918,7 @@ func (le *LiveEngine) Routing() []int32 {
 
 // ShardSummaries reports each shard's pruning summary — well-defined
 // after a full Compact, when every shard holds at most one segment. A
-// shard that is empty, mid-merge (multiple segments), or built under
-// Config.NoRoute reports nil.
+// shard that is empty or mid-merge (multiple segments) reports nil.
 func (le *LiveEngine) ShardSummaries() []*route.Summary {
 	snap := le.snap.Load()
 	out := make([]*route.Summary, len(snap.shards))
@@ -947,7 +937,7 @@ type LiveStats struct {
 	Tombstones int // deleted docs still occupying index entries
 	Memtable   int // docs in the scan-only memtables, all shards
 	Segments   int // immutable segments, all shards
-	Shards     int // hash partitions
+	Shards     int // partitions
 	Epoch      uint64
 	// Compaction counters.
 	Compactions        uint64

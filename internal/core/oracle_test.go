@@ -518,14 +518,10 @@ func (c *oracleCase) listFile() shape {
 	return engineShape("list file", NewEngine(c.mono.c, Config{Store: fs}))
 }
 
-// sharded is the live documents cut across K shards: routed, or hashed
-// under cfg.NoRoute.
-func (c *oracleCase) sharded(K int, cfg Config) shape {
-	se := BuildSharded(c.tk, c.live, K, cfg)
+// sharded is the live documents routed across K shards.
+func (c *oracleCase) sharded(K int) shape {
+	se := BuildSharded(c.tk, c.live, K, Config{})
 	c.t.Cleanup(se.Close)
-	if cfg.NoRoute {
-		return shardedShape(fmt.Sprintf("hashed K=%d", K), se)
-	}
 	return shardedShape(fmt.Sprintf("routed K=%d", K), se)
 }
 
@@ -549,13 +545,13 @@ func (c *oracleCase) shuffled() shape {
 }
 
 // staticShapes are the monolithic engine, the list file, routed shards at
-// K ∈ {1, 2, 8}, hashed shards at K = 4 and the shuffled dictionary.
+// K ∈ {1, 2, 4, 8} and the shuffled dictionary.
 func (c *oracleCase) staticShapes() []shape {
 	shapes := []shape{c.monolithic(), c.listFile()}
-	for _, K := range []int{1, 2, 8} {
-		shapes = append(shapes, c.sharded(K, Config{}))
+	for _, K := range []int{1, 2, 4, 8} {
+		shapes = append(shapes, c.sharded(K))
 	}
-	return append(shapes, c.sharded(4, Config{NoRoute: true}), c.shuffled())
+	return append(shapes, c.shuffled())
 }
 
 // liveShapes are the live engines as the history left them or, with
@@ -728,7 +724,7 @@ func TestKernelOffEquivalenceTopK(t *testing.T)  { slice(t, "wide", 4, opTopK, n
 func TestKernelOffEquivalenceBatch(t *testing.T) { slice(t, "wide", 5, opBatch, nil, mono) }
 func TestKernelOffEquivalenceLive(t *testing.T)  { slice(t, "wide", 6, opSelect, nil, mixed) }
 func TestKernelOffEquivalenceSharded(t *testing.T) {
-	slice(t, "wide", 7, opSelect, nil, func(c *oracleCase) []shape { return []shape{c.sharded(4, Config{NoRoute: true})} })
+	slice(t, "wide", 7, opSelect, nil, func(c *oracleCase) []shape { return []shape{c.sharded(4)} })
 }
 
 // TestDenseCompletionMatchesNaive holds every algorithm to the naive scan
@@ -740,7 +736,7 @@ func TestDenseCompletionMatchesNaive(t *testing.T) {
 	fam := oracleFamily{"dense", liveTestTK, func(rng *rand.Rand) []string { return denseDocs(1500, rng.Int63()) }}
 	c := newOracleCase(t, 3, fam, "", caseSweep, 1)
 	c.ops, c.dense = opSelect|opTopK, true
-	c.checkAll(append([]shape{c.monolithic(), c.listFile(), c.sharded(3, Config{})}, c.liveShapes(false)...)...)
+	c.checkAll(append([]shape{c.monolithic(), c.listFile(), c.sharded(3)}, c.liveShapes(false)...)...)
 }
 
 // TestShardedLiveMatchesMonolithicLive holds a live engine on K shards to
@@ -766,7 +762,7 @@ func TestShardedLiveMatchesMonolithicLive(t *testing.T) {
 func shardedSlice(t *testing.T, ops int) {
 	for _, K := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			slice(t, "uniform", int64(20+K), ops, nil, func(c *oracleCase) []shape { return []shape{c.sharded(K, Config{})} })
+			slice(t, "uniform", int64(20+K), ops, nil, func(c *oracleCase) []shape { return []shape{c.sharded(K)} })
 		})
 	}
 }

@@ -100,7 +100,7 @@ func requireSameLive(t *testing.T, label string, got, want *LiveEngine) {
 // builtShapes is one build of every shape TestParallelBuildMatchesSerial
 // compares.
 type builtShapes struct {
-	routed, hashed          *ShardedEngine
+	routed                  *ShardedEngine
 	mono                    *collection.Collection
 	engine                  *Engine     // setsim.Build's: NewEngine over BuildCollection
 	built, restored, folded *LiveEngine // folded: restored, then deletes and a Compact
@@ -111,7 +111,7 @@ type builtShapes struct {
 
 // TestParallelBuildMatchesSerial: every build path fanned out over four
 // workers builds exactly what it builds on one — BuildSharded routed
-// over 8 shards and hash-routed over 4, the monolithic BuildCollection
+// over 8 shards, the monolithic BuildCollection
 // (which is also Builder.Add's collection) and the engine setsim.Build
 // makes of it, BuildLive over 3 shards and over one, and RestoreLive of
 // a log with tombstones followed by a full Compact, over 3 shards and
@@ -154,7 +154,6 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			withWorkers(run.workers, func() {
 				o := run.out
 				o.routed = BuildSharded(cp.tk, cp.docs, 8, Config{})
-				o.hashed = BuildSharded(cp.tk, cp.docs, 4, Config{NoRoute: true})
 				o.mono = BuildCollection(cp.tk, cp.docs, true)
 				o.engine = NewEngine(BuildCollection(cp.tk, cp.docs, true), Config{})
 				o.built = BuildLive(cp.docs, cp.tk, LiveConfig{NoBackground: true, Shards: 3})
@@ -181,7 +180,6 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			})
 		}
 		requireSameSharded(t, cp.name+" routed", parallel.routed, serial.routed)
-		requireSameSharded(t, cp.name+" NoRoute", parallel.hashed, serial.hashed)
 		requireSameCollection(t, cp.name+" monolithic", parallel.mono, serial.mono)
 		requireSameEngine(t, cp.name+" monolithic engine", parallel.engine, serial.engine)
 		requireSameLive(t, cp.name+" BuildLive", parallel.built, serial.built)
@@ -203,9 +201,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		}
 		requireSameCollection(t, cp.name+" Builder.Add", parallel.mono, b.Build())
 
-		for _, se := range []*ShardedEngine{serial.routed, serial.hashed, parallel.routed, parallel.hashed} {
-			se.Close()
-		}
+		serial.routed.Close()
+		parallel.routed.Close()
 		for _, le := range []*LiveEngine{serial.built, serial.restored, serial.folded, serial.built1, serial.restored1, serial.folded1,
 			parallel.built, parallel.restored, parallel.folded, parallel.built1, parallel.restored1, parallel.folded1} {
 			le.Close()

@@ -157,8 +157,8 @@ func shardActive(sum *route.Summary, b float64, q Query, p *queryPlan) bool {
 // is dropped too. It returns the shards left to visit — those keeping a
 // segment or holding a memtable — in visit order: shard order for a
 // threshold selection; for a top-k, descending order of each shard's best
-// segment bound (a memtable or an unsummarized segment ranks first;
-// stable, so equal bounds keep the lower shard first), so the shards most
+// segment bound (a memtable ranks first; stable, so equal bounds keep the
+// lower shard first), so the shards most
 // likely to hold the global top-k run first and raise the shared bound
 // that runShard rechecks for the tail.
 func (fb *fanBuffers) route() []int32 {
@@ -175,11 +175,8 @@ func (fb *fanBuffers) route() []int32 {
 		}
 		for i, g := range sh.segs {
 			q := lq.segQuery(si, i)
-			b := math.Inf(1)
-			switch {
-			case len(q.Tokens) == 0:
-				b = -1
-			case g.sum != nil:
+			b := -1.0
+			if len(q.Tokens) > 0 {
 				checks++
 				if b = shardBound(g.sum, q); !shardActive(g.sum, b, q, p) {
 					addStats(&fb.sts[si], skipStats(g.eng, q))

@@ -128,9 +128,7 @@ func TestBatchMatchesDirect(t *testing.T) {
 	eng := engineFromDocs(docs, Config{})
 	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, 4, Config{})
 	defer se.Close()
-	if !se.Routed() {
-		t.Fatal("4-shard build is not routed")
-	}
+	requireShardSummaries(t, se.le)
 	le := buildPipelineLive(t, docs, 2, false)
 	defer le.Close()
 

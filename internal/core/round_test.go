@@ -97,58 +97,55 @@ func requireSameLiveEngine(t *testing.T, label string, got, want *LiveEngine, qu
 
 // TestBulkLoadMatchesReplay is the bulk loader's contract: over seeded
 // random histories of inserts (some of strings that yield no tokens) and
-// deletes, at 1 and 4 shards, routed and hash-partitioned, the engine
-// RestoreLive builds from the history's log — and, for a history without
-// deletes, the one BuildLive builds from its strings — is the engine the
-// history leaves behind when it runs through Insert and Delete and ends
-// in a Compact.
+// deletes, at 1 and 4 shards, the engine RestoreLive builds from the
+// history's log — and, for a history without deletes, the one BuildLive
+// builds from its strings — is the engine the history leaves behind when
+// it runs through Insert and Delete and ends in a Compact.
 func TestBulkLoadMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, shards := range []int{1, 4} {
-			for _, noRoute := range []bool{false, true} {
-				label := fmt.Sprintf("seed %d, %d shards, NoRoute=%v", seed, shards, noRoute)
-				cfg := LiveConfig{Config: Config{NoRoute: noRoute}, NoBackground: true, Shards: shards}
-				rng := rand.New(rand.NewSource(seed))
-				deletes := seed%2 == 1 // even seeds are insert-only: BuildLive's case
-				strs := randomDocs(40+rng.Intn(260), 100+seed, 5)
+			label := fmt.Sprintf("seed %d, %d shards", seed, shards)
+			cfg := LiveConfig{NoBackground: true, Shards: shards}
+			rng := rand.New(rand.NewSource(seed))
+			deletes := seed%2 == 1 // even seeds are insert-only: BuildLive's case
+			strs := randomDocs(40+rng.Intn(260), 100+seed, 5)
 
-				ref := NewLive(liveTestTK, cfg)
-				var corpus []string
-				var live []collection.SetID
-				for _, s := range strs {
-					if rng.Intn(12) == 0 {
-						s = "" // yields no tokens: never enters the log
-					}
-					corpus = append(corpus, s)
-					if id, err := ref.Insert(s); err == nil {
-						live = append(live, id)
-					} else if !errors.Is(err, ErrNoTokens) || s != "" {
-						t.Fatalf("%s: insert %q: %v", label, s, err)
-					}
-					if deletes && len(live) > 0 && rng.Intn(3) == 0 {
-						i := rng.Intn(len(live))
-						if !ref.Delete(live[i]) {
-							t.Fatalf("%s: delete %d did not apply", label, live[i])
-						}
-						live = append(live[:i], live[i+1:]...)
-					}
+			ref := NewLive(liveTestTK, cfg)
+			var corpus []string
+			var live []collection.SetID
+			for _, s := range strs {
+				if rng.Intn(12) == 0 {
+					s = "" // yields no tokens: never enters the log
 				}
-				ref.Compact()
-
-				queries := append([]string{"", "zzzzzzz", strs[0] + "x"}, strs[1:8]...)
-				bulk, err := RestoreLive(ref.Log(), liveTestTK, cfg)
-				if err != nil {
-					t.Fatalf("%s: RestoreLive: %v", label, err)
+				corpus = append(corpus, s)
+				if id, err := ref.Insert(s); err == nil {
+					live = append(live, id)
+				} else if !errors.Is(err, ErrNoTokens) || s != "" {
+					t.Fatalf("%s: insert %q: %v", label, s, err)
 				}
-				requireSameLiveEngine(t, label+", RestoreLive", bulk, ref, queries)
-				bulk.Close()
-				if !deletes {
-					built := BuildLive(corpus, liveTestTK, cfg)
-					requireSameLiveEngine(t, label+", BuildLive", built, ref, queries)
-					built.Close()
+				if deletes && len(live) > 0 && rng.Intn(3) == 0 {
+					i := rng.Intn(len(live))
+					if !ref.Delete(live[i]) {
+						t.Fatalf("%s: delete %d did not apply", label, live[i])
+					}
+					live = append(live[:i], live[i+1:]...)
 				}
-				ref.Close()
 			}
+			ref.Compact()
+
+			queries := append([]string{"", "zzzzzzz", strs[0] + "x"}, strs[1:8]...)
+			bulk, err := RestoreLive(ref.Log(), liveTestTK, cfg)
+			if err != nil {
+				t.Fatalf("%s: RestoreLive: %v", label, err)
+			}
+			requireSameLiveEngine(t, label+", RestoreLive", bulk, ref, queries)
+			bulk.Close()
+			if !deletes {
+				built := BuildLive(corpus, liveTestTK, cfg)
+				requireSameLiveEngine(t, label+", BuildLive", built, ref, queries)
+				built.Close()
+			}
+			ref.Close()
 		}
 	}
 }

@@ -6,10 +6,10 @@
 // dictionary and carries the same baked global statistics, so one Query
 // — prepared on any segment — serves the whole fleet, and every score is
 // the one a monolithic build over the same documents computes. Documents
-// are routed by the similarity-aware clusterer in internal/route (hash
-// routing under Config.NoRoute), and each routed segment carries a
-// route.Summary the route stage (plan.go) consults before the fan-out
-// (exec.go): the view runs the live engine's one execution spine.
+// are routed by the similarity-aware clusterer in internal/route, and
+// every segment carries a route.Summary the route stage (plan.go)
+// consults before the fan-out (exec.go): the view runs the live engine's
+// one execution spine.
 package core
 
 import (
@@ -42,50 +42,15 @@ type ShardedEngine struct {
 // round (round.go) — and builds a K-shard engine over them. The round
 // interns every token into the shared dictionary in global document
 // order (matching a monolithic build token id for token id) and counts
-// global document frequencies; the documents are then routed — by the
-// similarity-aware clusterer over the round's vectors, or by
-// shardOf(globalID, K) under Config.NoRoute — and every shard's builder
-// receives its documents' vectors pre-counted and is frozen against the
-// global statistics. shards < 1 is treated as 1; one shard routes
-// nothing and carries no summary. Sources are kept: the live engine's
-// document log holds them.
+// global document frequencies; the similarity-aware clusterer then
+// routes the documents over the round's vectors (K > 1), and every
+// shard's builder receives its documents' vectors pre-counted and is
+// frozen against the global statistics. The clustering is deterministic
+// in the documents' vectors, their order and K, so rebuilding the same
+// documents reproduces the partition. shards < 1 is treated as 1.
+// Sources are kept: the live engine's document log holds them.
 func BuildSharded(tk tokenize.Tokenizer, docs []string, shards int, cfg Config) *ShardedEngine {
-	return buildSharded(tk, docs, shards, nil, cfg)
-}
-
-// BuildShardedRouted builds a K-shard engine over a precomputed routing
-// table (one entry per accepted document, values in [0, shards)) — the
-// snapshot-restore path, which must reproduce a saved partition exactly.
-// A table of the wrong length or with out-of-range entries falls back to
-// recomputing the routing.
-func BuildShardedRouted(tk tokenize.Tokenizer, docs []string, shards int, assign []int32, cfg Config) *ShardedEngine {
-	return buildSharded(tk, docs, shards, assign, cfg)
-}
-
-func buildSharded(tk tokenize.Tokenizer, docs []string, shards int, assign []int32, cfg Config) *ShardedEngine {
-	shards = max(shards, 1)
-	if shards == 1 {
-		cfg.NoRoute = true
-	}
-	if cfg.NoRoute {
-		assign = nil
-	}
-	le := buildLive(docs, tk, LiveConfig{Config: cfg, Shards: shards, NoBackground: true}, assign)
-	return &ShardedEngine{le: le}
-}
-
-// validAssign reports whether a caller-supplied routing table covers
-// exactly the accepted documents with in-range shard numbers.
-func validAssign(assign []int32, n, shards int) bool {
-	if len(assign) != n {
-		return false
-	}
-	for _, sh := range assign {
-		if sh < 0 || int(sh) >= shards {
-			return false
-		}
-	}
-	return true
+	return &ShardedEngine{le: BuildLive(docs, tk, LiveConfig{Config: cfg, Shards: shards, NoBackground: true})}
 }
 
 // Close closes the live engine the view reads. Queries keep working: the
@@ -141,12 +106,8 @@ func (se *ShardedEngine) Source(gid collection.SetID) string {
 // and inspection.
 func (se *ShardedEngine) Routing() []int32 { return se.le.Routing() }
 
-// Routed reports whether the engine carries per-shard pruning summaries
-// (similarity-aware build; false under Config.NoRoute and for K=1).
-func (se *ShardedEngine) Routed() bool { return !se.le.cfg.NoRoute }
-
-// ShardSummary exposes shard i's pruning summary; nil when unrouted or
-// when the shard is empty.
+// ShardSummary exposes shard i's pruning summary; nil when the shard is
+// empty.
 func (se *ShardedEngine) ShardSummary(i int) *route.Summary {
 	if g := se.segment(i); g != nil {
 		return g.sum

@@ -46,27 +46,48 @@ func skewedDocs(topics, nPerTopic int, seed int64) []string {
 	return docs
 }
 
-// TestPrunedShardedMatchesMonolithic holds the two builds of a
-// clustered corpus apart at every shard count: the default one is
-// routed past one shard, carrying the summaries pruning reads, and the
-// hash-partitioned one (Config.NoRoute) is not. Both answer as the
-// monolithic engine does (TestQueryEquivalence, routed and hashed).
+// TestPrunedShardedMatchesMonolithic checks the one placement rule on a
+// clustered corpus at every shard count: past one shard the build
+// re-clusters rather than keeping the hash placement inserts start
+// under, and every non-empty shard, K = 1 included, carries the summary
+// pruning reads, over exactly its documents. Their answers are the
+// monolithic engine's (TestQueryEquivalence).
 func TestPrunedShardedMatchesMonolithic(t *testing.T) {
 	docs := clusteredDocs(8, 90, 101)
 	tk := tokenize.WordTokenizer{}
 	for _, K := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			routed := BuildSharded(tk, docs, K, Config{})
-			defer routed.Close()
-			hashed := BuildSharded(tk, docs, K, Config{NoRoute: true})
-			defer hashed.Close()
-			if K > 1 && !routed.Routed() {
-				t.Fatal("default multi-shard build is not routed")
+			se := BuildSharded(tk, docs, K, Config{})
+			defer se.Close()
+			if K > 1 && isHashPlacement(se.Routing(), K) {
+				t.Fatal("multi-shard build kept the hash placement")
 			}
-			if hashed.Routed() {
-				t.Fatal("NoRoute build reports routed")
-			}
+			requireShardSummaries(t, se.le)
 		})
+	}
+}
+
+// isHashPlacement reports whether routing puts every id where shardOf
+// does.
+func isHashPlacement(routing []int32, K int) bool {
+	for id, sh := range routing {
+		if int(sh) != shardOf(collection.SetID(id), K) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireShardSummaries fails unless every non-empty segment of le
+// carries a summary over exactly its documents.
+func requireShardSummaries(t *testing.T, le *LiveEngine) {
+	t.Helper()
+	for si, sh := range le.snap.Load().shards {
+		for _, g := range sh.segs {
+			if g.sum == nil || g.sum.Docs() != g.eng.c.NumSets() {
+				t.Fatalf("shard %d: segment of %d docs has summary %v", si, g.eng.c.NumSets(), g.sum)
+			}
+		}
 	}
 }
 
@@ -158,42 +179,41 @@ func TestAdversarialSkewStillPrunes(t *testing.T) {
 }
 
 // TestPrunedLiveMatchesMonolithicLive drives an identical mutation
-// stream through a monolithic, a routed sharded and a hash-partitioned
-// (Config.NoRoute) LiveEngine: the bulk build leaves at most one segment
-// per shard, every insert and delete has the same outcome on all three,
-// and a full live compaction of the routed one reproduces the static
-// clustering — same docs, same order, same partition. Their answers are
-// the oracle's (TestQueryEquivalence).
+// stream through a monolithic and a routed sharded LiveEngine: the bulk
+// build leaves at most one summarized segment per shard, every insert
+// and delete has the same outcome on both, every segment a round builds
+// carries a summary, and a full live compaction of the sharded one
+// reproduces the static clustering — same docs, same order, same
+// partition. Their answers are the oracle's (TestQueryEquivalence).
 func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 	docs := clusteredDocs(6, 60, 404)
 	tk := tokenize.WordTokenizer{}
-	cfg := func(shards int, noRoute bool) LiveConfig {
-		return LiveConfig{Config: Config{NoRoute: noRoute}, NoBackground: true, FlushThreshold: 1 << 20, Shards: shards}
+	cfg := func(shards int) LiveConfig {
+		return LiveConfig{NoBackground: true, FlushThreshold: 1 << 20, Shards: shards}
 	}
 	for _, K := range []int{4, 8} {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			mono := BuildLive(docs, tk, cfg(1, false))
+			mono := BuildLive(docs, tk, cfg(1))
 			defer mono.Close()
-			sh := BuildLive(docs, tk, cfg(K, false))
+			sh := BuildLive(docs, tk, cfg(K))
 			defer sh.Close()
-			hashed := BuildLive(docs, tk, cfg(K, true))
-			defer hashed.Close()
 			if got := sh.Stats().Segments; got == 0 || got > K {
 				t.Fatalf("sharded live has %d segments after build, want 1..%d", got, K)
 			}
+			requireShardSummaries(t, mono)
+			requireShardSummaries(t, sh)
 
 			rng := rand.New(rand.NewSource(77))
 			extra := clusteredDocs(6, 15, 505)
 			for i, s := range extra {
 				idM, errM := mono.Insert(s)
 				idS, errS := sh.Insert(s)
-				idH, errH := hashed.Insert(s)
-				if errM != errS || errM != errH || (errM == nil && (idM != idS || idM != idH)) {
-					t.Fatalf("insert mismatch: (%d,%v) vs (%d,%v) vs (%d,%v)", idM, errM, idS, errS, idH, errH)
+				if errM != errS || (errM == nil && idM != idS) {
+					t.Fatalf("insert mismatch: (%d,%v) vs (%d,%v)", idM, errM, idS, errS)
 				}
 				if i%3 == 0 {
 					victim := collection.SetID(rng.Intn(mono.NumDocs()))
-					if d := mono.Delete(victim); d != sh.Delete(victim) || d != hashed.Delete(victim) {
+					if mono.Delete(victim) != sh.Delete(victim) {
 						t.Fatalf("delete(%d) outcome mismatch", victim)
 					}
 				}
@@ -201,9 +221,11 @@ func TestPrunedLiveMatchesMonolithicLive(t *testing.T) {
 			if sh.Stats().Memtable == 0 {
 				t.Fatal("mixed state not exercised: empty memtable")
 			}
-			if !mono.Compact() || !sh.Compact() || !hashed.Compact() {
+			if !mono.Compact() || !sh.Compact() {
 				t.Fatal("compaction reported no work despite pending mutations")
 			}
+			requireShardSummaries(t, mono)
+			requireShardSummaries(t, sh)
 			// A full live compaction must reproduce the static clustering:
 			// same docs, same order, same partition.
 			static := BuildSharded(tk, currentDocs(mono), K, Config{})

@@ -51,14 +51,13 @@ func checkpointRound(st *CheckpointState) *StoredRound {
 // the one addAll builds: the same dictionary strings in id order, df,
 // vectors, offsets and documents. The engines restored from the stored
 // round and by tokenizing the log then answer bitwise alike. Seeded
-// histories with deletes, at 1 and 4 shards, routed and not, rounds on
-// four workers.
+// histories with deletes, at 1 and 4 shards, rounds on four workers.
 func TestStoredRoundMatchesAddAll(t *testing.T) {
 	withWorkers(4, func() {
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, shards := range []int{1, 4} {
 				label := fmt.Sprintf("seed %d, %d shards", seed, shards)
-				cfg := LiveConfig{Config: Config{NoRoute: seed%2 == 0}, NoBackground: true, Shards: shards, CheckpointEvery: -1}
+				cfg := LiveConfig{NoBackground: true, Shards: shards, CheckpointEvery: -1}
 				testStoredRound(t, label, cfg, seed)
 			}
 		}

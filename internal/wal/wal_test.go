@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -223,6 +224,57 @@ func TestCorruptBody(t *testing.T) {
 	recs, info := collect(t, path, 0)
 	if len(recs) != 0 || !info.Torn {
 		t.Fatalf("corrupt first record: recs=%d info=%+v", len(recs), info)
+	}
+}
+
+// TestOversizedLengthIsTornTail: a frame whose length field claims more
+// bytes than the file has left — maxPayload itself, or just past the end
+// of a file under 1 KB — ends the scan as a torn tail after the intact
+// records, and is refused before its payload buffer is allocated.
+func TestOversizedLengthIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.wal")
+	l, _ := openT(t, path, Options{Sync: SyncAlways})
+	for _, s := range []string{"first record", "second record", "third record"} {
+		l.AppendInsert(s)
+	}
+	if err := l.WaitDurable(l.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plen uint32
+	}{
+		{"maxPayload", maxPayload},
+		{"past the end", 1024},
+	} {
+		frame := make([]byte, frameHead+16)
+		binary.LittleEndian.PutUint32(frame[0:], tc.plen)
+		frame[8] = OpInsert
+		data := append(append([]byte(nil), intact...), frame...)
+		if len(data) >= 1024 {
+			t.Fatalf("%s: file of %d bytes, want under 1 KB", tc.name, len(data))
+		}
+		tpath := filepath.Join(dir, tc.name+".wal")
+		if err := os.WriteFile(tpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, info := collect(t, tpath, 0)
+		runtime.ReadMemStats(&after)
+		if len(recs) != 3 || info.Records != 3 || !info.Torn || info.TornAt != int64(len(intact)) {
+			t.Fatalf("%s: %d records, info %+v; want 3 intact records and a torn tail at %d",
+				tc.name, len(recs), info, len(intact))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: replay allocated %d bytes", tc.name, n)
+		}
 	}
 }
 

@@ -28,9 +28,8 @@ import (
 // mutations since the last checkpoint in a write-ahead log next to the
 // manifest.
 //
-// The package shard membership doubles as the routing table, letting
-// OpenSharded reproduce the saved partition exactly without
-// re-clustering; the summary scalars are advisory (inspection via
+// The package shard membership is the routing table, which OpenSharded's
+// deterministic re-clustering reproduces; the summary scalars are advisory (inspection via
 // SnapshotInfo — full summaries are derived state, rebuilt from the
 // documents on load, like every other index structure; only the
 // documents' token vectors and the round dictionary are stored, the
@@ -76,10 +75,6 @@ type SnapshotInfo struct {
 	Live int
 	// Shards is the partition count the engine was saved with.
 	Shards int
-	// Routed reports a snapshot read from a manifest, whose package
-	// membership is a routing table and which carries per-shard
-	// summaries; RouteCounts and Summaries are only meaningful then.
-	Routed bool
 	// RouteCounts is the number of live documents routed to each shard.
 	RouteCounts []int
 	// Summaries holds each shard's persisted summary scalars.
@@ -282,22 +277,6 @@ func liveSources(log []core.DocState) []string {
 	return out
 }
 
-// liveDocs lists the live documents in id order — the dense re-indexing
-// a static engine gives them — and the saved shard of each, while that
-// routing is still valid: no un-checkpointed mutations follow it.
-func (s *snapshot) liveDocs() (docs []string, assign []int32) {
-	for i, d := range s.docs {
-		if d.Deleted {
-			continue
-		}
-		docs = append(docs, d.Source)
-		if s.routing != nil && len(s.tail) == 0 {
-			assign = append(assign, s.routing[i])
-		}
-	}
-	return docs, assign
-}
-
 // replay rebuilds a mutable engine from the snapshot — the recovery
 // algorithm: the checkpointed log is bulk-loaded (core.RestoreLiveRound
 // from the round the packages store, no document tokenized, built
@@ -373,31 +352,24 @@ func openCollection(path string) (*collection.Collection, SnapshotInfo, error) {
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	docs, _ := s.liveDocs()
-	return core.BuildCollection(s.tk, docs, true), s.info, nil
+	return core.BuildCollection(s.tk, liveSources(s.docs), true), s.info, nil
 }
 
 // OpenSharded loads a store as a sharded static engine. shards ≤ 0
 // restores the shard count the store was saved with; a positive value
 // overrides it. Live documents are re-indexed densely in id order,
-// exactly as Open does. A store with an empty WAL tail, opened at its
-// saved shard count, reuses the package membership as the routing table
-// — the saved partition comes back exactly, no re-clustering pass;
-// stores with a tail and overridden shard counts repartition from
-// scratch (similarity-aware unless cfg.NoRoute).
+// exactly as Open does, and BuildSharded re-clusters them: at the saved
+// shard count, a store with an empty WAL tail comes back in the saved
+// partition, which the clustering reproduces deterministically.
 func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotInfo, error) {
 	s, err := loadSnapshot(path)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	docs, assign := s.liveDocs()
 	if shards <= 0 {
 		shards = s.info.Shards
 	}
-	if shards != s.info.Shards || cfg.NoRoute {
-		assign = nil // saved routing is only valid at the saved fan-out
-	}
-	return core.BuildShardedRouted(s.tk, docs, shards, assign, cfg), s.info, nil
+	return core.BuildSharded(s.tk, liveSources(s.docs), shards, cfg), s.info, nil
 }
 
 // OpenLive loads a store as a mutable engine and reports what was read,
@@ -411,8 +383,7 @@ func OpenSharded(path string, cfg Config, shards int) (*ShardedEngine, SnapshotI
 // When cfg.Shards is unset the engine restores the shard count it was
 // saved with; setting cfg.Shards overrides it. The saved routing is not
 // reused: the load's round re-clusters deterministically, reproducing
-// the same partition the snapshot carried (hash partitioning under
-// cfg.NoRoute). The background compactor starts only after that round
+// the same partition the snapshot carried. The background compactor starts only after that round
 // has published.
 //
 // This is crash recovery: the checkpoint log from

@@ -40,7 +40,6 @@ type roundStoreShape struct {
 	reopen  int  // the shard count it is reopened at (0: the saved one)
 	deletes bool // tombstone some checkpointed documents
 	tail    bool // leave mutations past the checkpoint in the WAL
-	noRoute bool
 }
 
 var roundStoreShapes = []roundStoreShape{
@@ -50,13 +49,11 @@ var roundStoreShapes = []roundStoreShape{
 	{name: "2 shards reopened at 3", shards: 2, reopen: 3, deletes: true},
 	{name: "8 shards reopened at 1, tail", shards: 8, reopen: 1, tail: true},
 	{name: "1 shard, tail", shards: 1, deletes: true, tail: true},
-	{name: "4 shards, NoRoute, tombstones, tail", shards: 4, deletes: true, tail: true, noRoute: true},
+	{name: "4 shards, tombstones, tail", shards: 4, deletes: true, tail: true},
 }
 
 func (sh roundStoreShape) cfg() LiveConfig {
-	cfg := LiveConfig{NoBackground: true, Shards: sh.shards, CheckpointEvery: -1}
-	cfg.NoRoute = sh.noRoute
-	return cfg
+	return LiveConfig{NoBackground: true, Shards: sh.shards, CheckpointEvery: -1}
 }
 
 // buildRoundStore writes sh's store at path and returns its queries.
@@ -150,9 +147,9 @@ func requireSameAnswers(t *testing.T, label string, got, want *LiveEngine, queri
 // dictionary strings, vectors and offsets — and the engine recovered
 // from it without tokenizing (which recounts df and rebuilds the round
 // core's TestStoredRoundMatchesAddAll holds equal to addAll's) is the
-// engine recovered by tokenizing the log, answer for answer: at 1, 2
-// and 8 shards, reopened at another shard count, with tombstones, with
-// a WAL tail and under NoRoute.
+// engine recovered by tokenizing the log, answer for answer: at 1, 2, 4
+// and 8 shards, reopened at another shard count, with tombstones and
+// with a WAL tail.
 func TestRecoverFromStoredRoundMatchesTokenized(t *testing.T) {
 	for i, sh := range roundStoreShapes {
 		path := filepath.Join(t.TempDir(), "store.sssnap")

@@ -151,9 +151,9 @@ func Build(corpus []string, tk Tokenizer, cfg Config) *Engine {
 // BuildSharded tokenizes a corpus once — one Tokens call per string,
 // whose token-frequency vector then serves the dictionary, the document
 // frequencies, the clusterer and the shard's collection alike — and
-// indexes it across shards partitions (similarity-aware, or hash under
-// cfg.NoRoute), each a complete engine sharing the corpus-wide token
-// dictionary and statistics. The build runs on every core: the corpus
+// indexes it across shards partitions (similarity-aware), each a
+// complete engine sharing the corpus-wide token dictionary and
+// statistics, each carrying the pruning summary its queries consult. The build runs on every core: the corpus
 // is tokenized in chunks (tk.Tokens must be safe for concurrent use),
 // the clusterer scores documents side by side and the shards build side
 // by side, and the engine is bit for bit the one a single core builds.

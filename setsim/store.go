@@ -574,7 +574,6 @@ func loadStore(path string, r io.Reader) (*snapshot, error) {
 		info: SnapshotInfo{
 			Version:     snapV5,
 			Shards:      m.shards,
-			Routed:      true,
 			RouteCounts: make([]int, m.shards),
 			Summaries:   m.sums,
 			Generation:  m.gen,
